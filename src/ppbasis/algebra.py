@@ -35,6 +35,8 @@ class MultiMatrixAlgebra:
         t = np.asarray(trace_vector, dtype=float)
         if t.shape != (len(dims),):
             raise InvalidInput("trace vector length %d != number of blocks %d" % (t.size, len(dims)))
+        if not np.all(np.isfinite(t)):
+            raise InvalidInput("trace vector must be finite, got %r" % (t,))
         if np.any(t <= 0):
             raise InvalidInput("trace vector must be strictly positive, got %r" % (t,))
         total = float(np.dot(dims, t))

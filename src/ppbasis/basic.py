@@ -1,12 +1,20 @@
 """Basic construction for a unital inclusion with a fixed trace.
 
-For N inside M acting on the GNS space of M, e1 is the orthogonal projection
-onto the closure of N, and M1 is the commutant of the right action of N
-(equivalently of J N J).  Everything is held concretely: e1 and members of
-M1 are D x D matrices over the GNS coordinates, with an on-demand Wedderburn
-decomposition of M1 when block structure is needed.
+For N inside M acting on the GNS space L2(M) of dimension D, e1 is the
+orthogonal projection onto the closure of N, and M1 = <M, e1> is the
+commutant of the right action R of N (Jones: M1 = J N' J).  Members of M1
+are D x D matrices over the GNS coordinates.
+
+Only e1 is computed eagerly.  On first use M1 is read off N's matrix units
+e^i_{pq} in closed form, with no nullspace: f^i_{pq} = R(e^i_{qp}) are matrix
+units of R(N), V_i is an orthonormal basis of the range of f^i_{00}, and the
+isometries W_{i,p} = f^i_{p0} V_i give M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.
+So M1 is the direct sum of M_{(Lambda n)_i}, block i sits over N's block i,
+and projecting onto M1 or moving to its block coordinates is a sandwich by
+the W's.  The D^2-row Subalgebra ``m1`` is built only when a caller reads it.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +67,11 @@ def markov_trace(inclusion, sub_dims):
 
 
 class BasicConstruction:
-    """e1, M1 and the pushdown map for an inclusion N <= M."""
+    """e1, M1 and the pushdown map for an inclusion N <= M.
+
+    Only e1 is computed up front; M1 is built from N's matrix units on first
+    use (``m1_wedd``), and the D^2-row ``m1`` only when a caller reads it.
+    """
 
     def __init__(self, sub, seed=0):
         self.sub = sub
@@ -67,16 +79,8 @@ class BasicConstruction:
         self.seed = seed
         d = self.amb.gns_dim
         self.e1 = sub.projection_matrix()
-        # M1 = commutant of the right action of the subalgebra
-        maps = []
-        eye = np.eye(d)
-        for b in sub.basis_elements():
-            r = self.amb.right_op(b)
-            maps.append(np.kron(eye, r.T) - np.kron(r, eye))
-        ker = linalg.nullspace(np.vstack(maps))
         self.op_alg = MultiMatrixAlgebra((d,), (1.0 / d,))
-        ops = [self.op_alg.element([ker[:, i].reshape(d, d)]) for i in range(ker.shape[1])]
-        self.m1 = Subalgebra.span(self.op_alg, ops, check=False)
+        self._sub_wedd = None
         self._m1_wedd = None
         self._identity_vec = self.amb.vec(self.amb.identity())
 
@@ -97,15 +101,27 @@ class BasicConstruction:
     def e1_rank(self):
         return self.sub.dim
 
-    def in_m1_residual(self, mat):
-        el = self.op_element(mat)
-        return self.m1.residual(el)
+    @property
+    def sub_wedd(self):
+        """Wedderburn data of N; block i of M1 sits over its block i."""
+        if self._sub_wedd is None:
+            self._sub_wedd = wedderburn(self.sub, seed=self.seed)
+        return self._sub_wedd
 
     @property
     def m1_wedd(self):
         if self._m1_wedd is None:
-            self._m1_wedd = wedderburn(self.m1, seed=self.seed)
+            self._m1_wedd = M1Wedderburn(self.op_alg, self.sub_wedd)
         return self._m1_wedd
+
+    @functools.cached_property
+    def m1(self):
+        """M1 as a Subalgebra of the D x D operators (D^2 rows; built on demand)."""
+        return self.m1_wedd.subalgebra()
+
+    def in_m1_residual(self, mat):
+        """||T - E_M1(T)||_HS / sqrt(D), the GNS norm of T's distance to M1."""
+        return self.m1_wedd.roundtrip_residual(self.op_element(mat))
 
     def m1_dims(self):
         return self.m1_wedd.block_dims
@@ -134,6 +150,65 @@ class BasicConstruction:
         return M1Trace(self, markov, sub_wedd)
 
 
+class M1Wedderburn:
+    """Block structure of M1 read off N's matrix units; block i sits over N's block i.
+
+    ``isometries[i]`` is the D x (m_i k_i) matrix [W_{i,0}, ..., W_{i,m_i-1}]
+    with W_{i,p} = R(e^i_{0p}) V_i.  Its columns are an orthonormal basis of
+    the range of the i-th central projection, and in them an operator of M1
+    is 1_{m_i} (x) C_i; C_i is the operator's abstract block.
+    """
+
+    def __init__(self, op_alg, sub_wedd):
+        amb = sub_wedd.subalgebra.ambient
+        self.op_alg = op_alg
+        self.isometries = []
+        for units in sub_wedd.units:
+            v = linalg.orthonormal_columns(amb.right_op(units[0][0]))
+            self.isometries.append(np.concatenate([amb.right_op(u) @ v for u in units[0]], axis=1))
+        self.mults = tuple(sub_wedd.block_dims)
+        self.block_dims = tuple(w.shape[1] // m for w, m in zip(self.isometries, self.mults))
+        # a minimal projection of block i has rank m_i on the D-dim GNS space
+        self.block_traces = tuple(m / amb.gns_dim for m in self.mults)
+        self.central_projections = [op_alg.element([w @ w.conj().T]) for w in self.isometries]
+
+    def to_abstract(self, x):
+        """Blocks C_i = (1/m_i) sum_p W_{i,p}^* T W_{i,p} of an operator T."""
+        t = x.blocks[0]
+        out = []
+        for w, m, k in zip(self.isometries, self.mults, self.block_dims):
+            s = (w.conj().T @ t @ w).reshape(m, k, m, k)
+            out.append(np.einsum("papb->ab", s) / m)
+        return out
+
+    def from_abstract(self, blocks):
+        """The operator sum_{i,p} W_{i,p} C_i W_{i,p}^* of M1."""
+        if len(blocks) != len(self.block_dims):
+            raise InvalidInput("abstract blocks have the wrong shapes")
+        d = self.op_alg.dims[0]
+        acc = np.zeros((d, d), dtype=complex)
+        for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, blocks):
+            c = np.asarray(c, dtype=complex)
+            if c.shape != (k, k):
+                raise InvalidInput("abstract blocks have the wrong shapes")
+            acc += w @ np.kron(np.eye(m), c) @ w.conj().T
+        return self.op_alg.element([acc])
+
+    def roundtrip_residual(self, x):
+        """GNS distance from x to M1: from_abstract(to_abstract(x)) is E_M1(x)."""
+        return (x - self.from_abstract(self.to_abstract(x))).norm()
+
+    def subalgebra(self):
+        """M1 spanned by its matrix units sum_p W_{i,p}[:, a] W_{i,p}[:, b]^*."""
+        cols = []
+        for w, m, k in zip(self.isometries, self.mults, self.block_dims):
+            w = w.reshape(-1, m, k)
+            units = np.einsum("xpa,ypb->abxy", w, w.conj()).reshape(k * k, -1)
+            # each unit has HS norm sqrt(m), and GNS vec scales by 1/sqrt(D)
+            cols.append(units.T / np.sqrt(m))
+        return Subalgebra(self.op_alg, np.concatenate(cols, axis=1))
+
+
 class M1Trace:
     """The Markov extension tr2 = (trace of sub)/beta on the blocks of M1.
 
@@ -144,26 +219,21 @@ class M1Trace:
     def __init__(self, bc, markov, sub_wedd=None):
         self.bc = bc
         self.markov = markov
-        wd = bc.m1_wedd
+        own = bc.sub_wedd
         if sub_wedd is None:
-            sub_wedd = wedderburn(bc.sub, seed=bc.seed)
+            sub_wedd = own
         self.sub_wedd = sub_wedd
-        if len(wd.block_dims) != len(sub_wedd.block_dims):
+        if len(own.block_dims) != len(sub_wedd.block_dims):
             raise InvalidInput("M1 and the subalgebra must have matching block counts")
-        # match M1 blocks to subalgebra blocks through the pushdown of z_b e1
-        sub_centrals = []
-        for i, d in enumerate(sub_wedd.block_dims):
-            acc = bc.amb.zero()
-            for p in range(d):
-                acc = acc + sub_wedd.units[i][p][p]
-            sub_centrals.append(acc)
-        weights = np.empty(len(wd.block_dims))
-        for b, z in enumerate(wd.central_projections):
-            lam = bc.pushdown(z.blocks[0] @ bc.e1)
-            matches = [i for i, zc in enumerate(sub_centrals) if (lam - zc).norm() <= 1e-7 * (1.0 + zc.norm())]
+        # M1 block i sits over block i of bc.sub_wedd; find that block in sub_wedd
+        weights = np.empty(len(own.block_dims))
+        for i, z in enumerate(own.central_projections):
+            matches = [
+                b for b, zc in enumerate(sub_wedd.central_projections) if (z - zc).norm() <= 1e-7 * (1.0 + zc.norm())
+            ]
             if len(matches) != 1:
                 raise InvalidInput("could not match an M1 block to a unique subalgebra block")
-            weights[b] = markov.trace_sub[matches[0]] / markov.beta
+            weights[i] = markov.trace_sub[matches[0]] / markov.beta
         self.block_weights = weights
         self._gram = None
         self._unit_ops = None

@@ -41,12 +41,13 @@ def nullspace(a, eps=EPS_RANK):
     """Orthonormal columns spanning the right kernel of ``a``.
 
     Uses the same cutoff rule as :func:`rank`, so rank + nullity always
-    equals the column count.
+    equals the column count.  The square U factor is only formed when rows <
+    cols, where vh needs padding to a full cols x cols basis.
     """
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     cutoff = eps * max(1.0, float(s[0]) if s.size else 0.0)
     r = int(np.count_nonzero(s > cutoff))
     return vh[r:].conj().T

@@ -297,6 +297,11 @@ def build_model(spec, seed=0):
 
 
 def _resolve_f(spec, bc):
+    """A support projection in M1: "e1", "one", or {"m1_central": b}.
+
+    ``m1_central`` b is the central projection of the M1 block that sits over
+    block b of N's Wedderburn decomposition.
+    """
     if spec in (None, "e1"):
         return bc.e1
     if spec == "one":
@@ -517,9 +522,12 @@ def format_report(report):
 
 
 def load_scenario(path):
+    def reject(name):
+        raise ScenarioError("non-finite number %s in %s; JSON numbers must be finite" % (name, path))
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
     except OSError as exc:
         raise ScenarioError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:

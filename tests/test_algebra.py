@@ -39,6 +39,12 @@ def test_trace_vector_validation():
         MultiMatrixAlgebra((0, 1), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_trace_vector_rejects_non_finite(bad):
+    with pytest.raises(InvalidInput, match="finite"):
+        MultiMatrixAlgebra((1, 1), (bad, 0.5))
+
+
 def test_element_arithmetic_and_trace():
     alg = two_one()
     x = alg.element([np.array([[1, 2], [3, 4]], dtype=complex), np.array([[5.0]])])

@@ -3,8 +3,11 @@ import pytest
 
 from ppbasis import (
     BasicConstruction,
+    GroupTable,
     Subalgebra,
     classify,
+    construct_system_with_support,
+    inclusion_matrix,
     markov_trace,
     relative_commutant,
     scalar_basis,
@@ -106,6 +109,82 @@ def test_m1_dimension_diag_in_m2():
     bc = BasicConstruction(models.diagonal_in_matrix(2).sub)
     assert bc.m1.dim == 8
     assert tuple(sorted(bc.m1_dims())) == (2, 2)
+
+
+def nullspace_m1(bc):
+    """Reference M1: the commutant of N's right action as a D^2 x D^2 nullspace.
+
+    Orthonormal columns are row-major vecs of D x D operators T solving
+    T R_b = R_b T for a basis b of N.  Dense and O(D^6); an oracle for the
+    closed-form construction on small models only.
+    """
+    d = bc.gns_dim
+    eye = np.eye(d)
+    maps = []
+    for b in bc.sub.basis_elements():
+        r = bc.amb.right_op(b)
+        maps.append(np.kron(eye, r.T) - np.kron(r, eye))
+    return linalg.nullspace(np.vstack(maps))
+
+
+ORACLE_MODELS = [
+    *(("diag-in-m%d" % k, lambda k=k: models.diagonal_in_matrix(k)) for k in (2, 3, 4, 5)),
+    ("two-block-over-factor", models.two_block_over_factor),
+    ("c-in-c+m2", lambda: models.explicit_pair((1,), [[1, 2]])),
+    ("z4-over-e", lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0])),
+    ("crossed-product-diag-3", lambda: models.crossed_product_diag(3)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORACLE_MODELS], ids=[n for n, _ in ORACLE_MODELS])
+def test_closed_form_m1_matches_nullspace_oracle(build):
+    mp = build()
+    bc = BasicConstruction(mp.sub)
+    ker = nullspace_m1(bc)
+    d = bc.gns_dim
+    # block i of M1 sits over N's block i with size (Lambda n)_i
+    lam = inclusion_matrix(bc.sub_wedd)
+    dims = tuple(int(k) for k in lam @ np.asarray(mp.ambient.dims))
+    assert bc.m1_dims() == dims
+    assert ker.shape[1] == bc.m1.dim == sum(k * k for k in dims)
+    # same subspace of the D^2-dim operator space: every principal cosine is 1
+    cosines = np.linalg.svd(ker.conj().T @ bc.m1.mat, compute_uv=False)
+    assert cosines.min() >= 1.0 - 1e-12
+    # the closed-form projection agrees with the oracle's orthogonal projection
+    rng = linalg.rng_from_seed(5)
+    for _ in range(5):
+        t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        v = t.reshape(-1)
+        ref = np.linalg.norm(v - ker @ (ker.conj().T @ v)) / np.sqrt(d)
+        assert abs(bc.in_m1_residual(t) - ref) <= 1e-12
+
+
+def test_construction_is_lazy(monkeypatch):
+    mp = models.diagonal_in_matrix(3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("BasicConstruction() must not take a nullspace")
+
+    monkeypatch.setattr(linalg, "nullspace", forbidden)
+    bc = BasicConstruction(mp.sub)
+    monkeypatch.undo()
+    bc.pushdown(bc.lift(mp.ambient.identity()))
+    assert "m1" not in vars(bc)  # projection onto M1 never forms the D^2-row matrix
+    assert bc.m1.dim == 27
+
+
+def test_closed_form_m1_at_diag_in_m6():
+    # D = 36: the nullspace route would need a 46656 x 1296 SVD
+    mp = models.diagonal_in_matrix(6)
+    bc = BasicConstruction(mp.sub)
+    assert bc.m1_wedd.block_dims == (6,) * 6
+    sys = construct_system_with_support(np.eye(36), bc)
+    assert sys.size == 6
+    assert sys.flags["basis"]
+    rng = linalg.rng_from_seed(4)
+    for _ in range(3):
+        x = mp.ambient.random_element(rng)
+        assert bc.pushdown(bc.lift(x)).allclose(x, tol=1e-10)
 
 
 def test_pushdown_lift_roundtrip():

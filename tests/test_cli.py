@@ -124,6 +124,20 @@ def test_run_unknown_task_exits_two(tmp_path, capsys):
     assert "unknown task" in err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_run_rejects_non_finite_json(tmp_path, capsys, bad):
+    scn = {
+        "name": "non-finite-trace",
+        "model": {"kind": "explicit", "dims": [1], "inclusion": [[1, 1]], "trace": [bad, 0.5]},
+        "tasks": [{"task": "markov"}, {"task": "regular_pipeline"}],
+    }
+    path = write_scenario(tmp_path, scn)  # json.dumps writes NaN / Infinity literals
+    code, out, err = run_cli(capsys, "run", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: non-finite number") and err.count("\n") == 1
+
+
 def test_run_expected_error_passes(tmp_path, capsys):
     scn = {
         "name": "expected-failure",
