@@ -1,11 +1,13 @@
 """Command line front end: run scenario files, generate fixtures, selftest.
 
 Exit codes: 0 everything passed, 1 a task's numeric check failed, 2 malformed
-input (unparseable file, bad model data, unknown task).
+input (unparseable file, bad model data, unknown task) or a failed factorization.
 """
 
 import argparse
 import sys
+
+import numpy as np
 
 from . import scenarios
 from .errors import ScenarioError
@@ -117,10 +119,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ScenarioError, OSError, np.linalg.LinAlgError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

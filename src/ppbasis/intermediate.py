@@ -7,11 +7,9 @@ projection exactly when the two intermediate algebras commute in the right
 way; modular conjugation swaps the two arguments.
 """
 
-import numpy as np
-
 from . import linalg
 from .errors import InvalidInput, NotABasis, NotIntermediate
-from .systems import classify
+from .systems import _Family, classify
 
 EPS_INT = 1e-8
 
@@ -54,7 +52,8 @@ def _require_basis(elements, sub, mid, bc, tol, label):
 
 
 def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_INT, check=True):
-    """p(P, Q) = sum_ij L(lambda_i) L(mu_j) e1 L(mu_j)* L(lambda_i)*.
+    """p(P, Q) = sum_ij L(lambda_i) L(mu_j) e1 L(mu_j)* L(lambda_i)*, the right
+    support of the products lambda_i mu_j.
 
     ``basis_p`` must be a right basis of P over N and ``basis_q`` one of Q
     over N; with ``check`` the basis property is verified first.
@@ -62,14 +61,7 @@ def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_INT, check=
     if check:
         _require_basis(basis_p, bc.sub, p_sub, bc, tol, "first")
         _require_basis(basis_q, bc.sub, q_sub, bc, tol, "second")
-    alg = bc.amb
-    acc = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex)
-    for lam in basis_p:
-        ll = alg.left_op(lam)
-        for mu in basis_q:
-            w = ll @ alg.left_op(mu)
-            acc += w @ bc.e1 @ w.conj().T
-    return acc
+    return _Family([lam * mu for lam in basis_p for mu in basis_q], bc.sub, "right").support()
 
 
 def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_INT, check=True):

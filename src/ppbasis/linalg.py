@@ -27,6 +27,11 @@ def operator_norm(a):
     return float(np.linalg.norm(a, 2))
 
 
+def hermitian_norm(h):
+    """Operator norm of a Hermitian matrix, read off its eigenvalues."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(h)), initial=0.0))
+
+
 def rank(a, eps=EPS_RANK):
     """Numerical rank by singular values above eps * max(1, s_max)."""
     a = np.asarray(a, dtype=complex)
@@ -150,7 +155,7 @@ def check_square(a, name="matrix"):
 def projection_residuals(p):
     """(idempotency, self-adjointness) operator-norm residuals of ``p``."""
     p = np.asarray(p, dtype=complex)
-    return operator_norm(p @ p - p), operator_norm(p - p.conj().T)
+    return operator_norm(p @ p - p), hermitian_norm(1j * (p - p.conj().T))
 
 
 def is_projection_matrix(p, tol=1e-8):

@@ -4,10 +4,11 @@ construction of systems with a prescribed support projection.
 For a family (lambda_i) in M over a subalgebra N, the right Gram matrix has
 entries E_N(lambda_i* lambda_j) and the right support is the GNS operator
 sum lambda_i e1 lambda_i*.  The family is a system when the Gram matrix is a
-projection over N (tested through the left-multiplication representation),
-orthogonal when the Gram matrix is diagonal with projection entries,
-orthonormal when the diagonal entries are 1, and a basis when the support is
-the identity.  Left-handed versions swap the adjoints.
+projection over N, orthogonal when the Gram matrix is diagonal with projection
+entries, orthonormal when the diagonal entries are 1, and a basis when the
+support is the identity.  Left-handed versions swap the adjoints.  The tests
+run on M's own blocks (M_n(M) is the sum of the M_{n n_k}, with the same
+C*-norms), and the support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat.
 """
 
 import math
@@ -23,22 +24,71 @@ from .errors import InfeasibleSupport, InvalidInput, NotAProjection, NotASystem
 EPS_SYS = 1e-8
 
 
+class _Family:
+    """One side of a family, stacked per ambient block as (n, n_k, n_k) arrays;
+    the left side stacks the adjoints, so only right-handed formulas follow."""
+
+    def __init__(self, elements, sub, side):
+        if side not in ("right", "left"):
+            raise InvalidInput("side must be 'right' or 'left'")
+        if not elements:
+            raise InvalidInput("cannot test an empty family")
+        self.sub = sub
+        self.stacks = [np.stack([x.blocks[k] for x in elements]) for k in range(sub.ambient.nblocks)]
+        if side == "left":
+            self.stacks = [s.conj().transpose(0, 2, 1) for s in self.stacks]
+        if not all(np.isfinite(s).all() for s in self.stacks):
+            raise InvalidInput("non-finite element block")
+        self.splits = np.cumsum([s.shape[1] ** 2 for s in self.stacks])[:-1]  # GNS row offsets between blocks
+
+    def gram(self):
+        """Gram entries E_N(x_i* x_j) per ambient block, as (n, n, n_k, n_k) arrays."""
+        q, w, n = self.sub.mat, np.sqrt(self.sub.ambient.trace_vector), len(self.stacks[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            prods = [wk * np.einsum("iba,jbc->ijac", s.conj(), s).reshape(n, n, -1) for wk, s in zip(w, self.stacks)]
+            expect = (np.concatenate(prods, axis=2) @ q.conj()) @ q.T
+        if not np.isfinite(expect).all():
+            raise InvalidInput("non-finite Gram entry")
+        parts = zip(np.split(expect, self.splits, axis=2), self.stacks, w)
+        return [e.reshape(n, n, *s.shape[1:]) / wk for e, s, wk in parts]
+
+    def support(self):
+        """sum_i L_i e1 L_i* = W W*, where column (i, s) of W is vec(x_i q_s)."""
+        qs = zip(self.stacks, np.split(self.sub.mat, self.splits))
+        cols = [np.einsum("iab,bcs->acis", s, q.reshape(*s.shape[1:], -1)).reshape(len(q), -1) for s, q in qs]
+        w = np.concatenate(cols)
+        return w @ w.conj().T
+
+
+def _gram_residuals(blocks, alg):
+    """Projection residual and 1 + norm of the Gram matrix, from its n n_k-square
+    blocks; largest GNS 2-norms of the off-diagonal entries, of q^2 - q or
+    q - q* for the diagonal entries q, and of q - 1."""
+    norm = res = 0.0
+    for g in blocks:
+        big = g.transpose(0, 2, 1, 3).reshape(g.shape[0] * g.shape[2], -1)
+        norm = max(norm, linalg.operator_norm(big))
+        res = max(res, *linalg.projection_residuals(big))
+
+    def norms(arrays):
+        return np.sqrt(sum(t * np.sum((a.conj() * a).real, axis=(-2, -1)) for t, a in zip(alg.trace_vector, arrays)))
+
+    n = blocks[0].shape[0]
+    diag = [g[np.arange(n), np.arange(n)] for g in blocks]
+    off = norms(blocks)[~np.eye(n, dtype=bool)].max(initial=0.0)
+    proj = max(norms([q @ q - q for q in diag]).max(), norms([q - q.conj().transpose(0, 2, 1) for q in diag]).max())
+    one = norms([q - np.eye(q.shape[-1]) for q in diag]).max()
+    return res, 1.0 + norm, float(off), float(proj), float(one)
+
+
+def _entries(blocks, alg):
+    n = blocks[0].shape[0]
+    return [[alg.element([g[i, j] for g in blocks]) for j in range(n)] for i in range(n)]
+
+
 def gram_matrix(elements, sub, side="right"):
     """n x n matrix of Gram entries in N (right: E(x_i* x_j), left: E(x_i x_j*))."""
-    if side not in ("right", "left"):
-        raise InvalidInput("side must be 'right' or 'left'")
-    n = len(elements)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = elements[i].adjoint() * elements[j] if side == "right" else elements[i] * elements[j].adjoint()
-            out[i][j] = sub.expect(prod)
-    return out
-
-
-def gram_operator(gram, alg):
-    """The Gram matrix as one big operator via the left regular representation."""
-    return np.block([[alg.left_op(q) for q in row] for row in gram])
+    return _entries(_Family(tuple(elements), sub, side).gram(), sub.ambient)
 
 
 def support_operator(elements, bc, side="right", warn_tol=EPS_SYS):
@@ -47,16 +97,11 @@ def support_operator(elements, bc, side="right", warn_tol=EPS_SYS):
     Warns (and still returns the operator) when the family is not a system,
     since the projection property of the support needs that hypothesis.
     """
-    acc = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex)
-    for lam in elements:
-        l = bc.left_op(lam)
-        acc += l @ bc.e1 @ l.conj().T if side == "right" else l.conj().T @ bc.e1 @ l
-    g = gram_operator(gram_matrix(elements, bc.sub, side), bc.amb)
-    r1, r2 = linalg.projection_residuals(g)
-    scale = 1.0 + linalg.operator_norm(g)
-    if max(r1, r2) > warn_tol * scale:
+    family = _Family(tuple(elements), bc.sub, side)
+    r, scale, *_ = _gram_residuals(family.gram(), bc.amb)
+    if r > warn_tol * scale:
         warnings.warn("family is not a system; support need not be a projection", stacklevel=2)
-    return acc
+    return family.support()
 
 
 @dataclass
@@ -91,62 +136,32 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_SYS, seed=0):
     supports for each requested side are computed and kept on the result.
     """
     elements = tuple(elements)
-    if not elements:
-        raise InvalidInput("cannot classify an empty family")
     if side not in ("right", "left", "two-sided"):
         raise InvalidInput("side must be 'right', 'left' or 'two-sided'")
     if bc is None:
         bc = BasicConstruction(sub, seed=seed)
-    alg = sub.ambient
     sides = ("right", "left") if side == "two-sided" else (side,)
-    one = alg.identity()
-    eye = np.eye(bc.gns_dim)
     grams, supports, residuals = {}, {}, {}
     flags = {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
     for s in sides:
-        g = gram_matrix(elements, sub, s)
-        grams[s] = g
-        big = gram_operator(g, alg)
-        scale = 1.0 + linalg.operator_norm(big)
-        r_idem, r_adj = linalg.projection_residuals(big)
-        residuals["%s_gram_projection" % s] = max(r_idem, r_adj) / scale
-        flags["system"] &= max(r_idem, r_adj) <= tol * scale
-        off = 0.0
-        diag_proj = 0.0
-        diag_one = 0.0
-        for i in range(len(elements)):
-            for j in range(len(elements)):
-                if i == j:
-                    q = g[i][i]
-                    diag_proj = max(diag_proj, ((q * q) - q).norm(), (q - q.adjoint()).norm())
-                    diag_one = max(diag_one, (q - one).norm())
-                else:
-                    off = max(off, g[i][j].norm())
+        family = _Family(elements, sub, s)
+        g = family.gram()
+        grams[s] = _entries(g, sub.ambient)
+        r, scale, off, diag_proj, diag_one = _gram_residuals(g, sub.ambient)
+        supports[s] = family.support()
+        basis_res = linalg.hermitian_norm(supports[s] - np.eye(bc.gns_dim))
+        residuals["%s_gram_projection" % s] = r / scale
         residuals["%s_offdiag" % s] = off
         residuals["%s_diag_projection" % s] = diag_proj
         residuals["%s_diag_identity" % s] = diag_one
+        residuals["%s_support_identity" % s] = basis_res
+        flags["system"] &= r <= tol * scale
         flags["orthogonal"] &= off <= tol and diag_proj <= tol
         flags["orthonormal"] &= diag_one <= tol
-        supp = np.zeros_like(eye, dtype=complex)
-        for lam in elements:
-            l = alg.left_op(lam)
-            supp += l @ bc.e1 @ l.conj().T if s == "right" else l.conj().T @ bc.e1 @ l
-        supports[s] = supp
-        basis_res = linalg.operator_norm(supp - eye)
-        residuals["%s_support_identity" % s] = basis_res
         flags["basis"] &= basis_res <= tol
     flags["orthonormal"] = flags["orthonormal"] and flags["orthogonal"]
     flags["basis"] = flags["basis"] and flags["system"]
-    return PPSystem(
-        elements=elements,
-        sub=sub,
-        side=side,
-        flags=flags,
-        residuals=residuals,
-        gram=grams,
-        support=supports,
-        bc=bc,
-    )
+    return PPSystem(elements, sub, side, flags, residuals, grams, supports, bc)
 
 
 def _abstract_ranks(blocks):

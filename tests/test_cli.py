@@ -222,3 +222,32 @@ def test_report_values_match_printed_lines(tmp_path, capsys):
 def test_scenarios_module_round12():
     assert scenarios.round12(2.0000000000001) == 2.0
     assert scenarios.round12(1.0 / 3.0) == float("%.12g" % (1.0 / 3.0))
+
+
+def test_run_records_overflowing_elements_as_invalid_input(tmp_path, capsys):
+    # finite JSON numbers whose products overflow to inf
+    scn = {
+        "model": {"kind": "diagonal_in_matrix", "k": 2},
+        "tasks": [{"task": "classify_system", "elements": [[[[1e200, 0], [0, 1e200]]]]}],
+    }
+    report = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, scn), "--json", str(report))
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert err == ""
+    (entry,) = json.loads(report.read_text())["results"]
+    assert entry["error"] == "InvalidInput"
+    assert "non-finite" in entry["message"]
+
+
+def test_leftover_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scenarios, "markov_trace", fail)
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, DIAG_SCENARIO))
+    assert code == 2
+    assert out == ""
+    assert err == "error: SVD did not converge\n"

@@ -8,6 +8,7 @@ from ppbasis import (
     complete_to_basis,
     construct_system_with_support,
     gram_matrix,
+    interchange_operator,
     scalar_basis,
 )
 from ppbasis import linalg, models
@@ -17,6 +18,7 @@ from ppbasis.errors import (
     NotAProjection,
     NotASystem,
 )
+from ppbasis.regular import GroupTable
 from ppbasis.systems import support_operator
 
 
@@ -213,3 +215,178 @@ def test_random_supports_roundtrip():
         assert sys.residuals["support_match"] < 1e-8
         built += 1
     assert built >= 5
+
+
+# -- left-regular oracles ----------------------------------------------------
+# The reference construction writes every Gram entry as its D x D left
+# multiplication operator and sums L e1 L* element by element; the fast path
+# must reproduce its flags exactly and its residuals to 1e-12.
+
+
+def oracle_classify(elements, sub, bc, tol=1e-8):
+    """Two-sided flags and residuals through the left-regular representation."""
+    alg = sub.ambient
+    one, eye = alg.identity(), np.eye(bc.gns_dim)
+    residuals = {}
+    flags = {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
+    for s in ("right", "left"):
+        g = [
+            [sub.expect(x.adjoint() * y if s == "right" else x * y.adjoint()) for y in elements]
+            for x in elements
+        ]
+        big = np.block([[alg.left_op(q) for q in row] for row in g])
+        scale = 1.0 + linalg.operator_norm(big)
+        r = max(linalg.operator_norm(big @ big - big), linalg.operator_norm(big - big.conj().T))
+        residuals[s + "_gram_projection"] = r / scale
+        flags["system"] &= r <= tol * scale
+        off = max((g[i][j].norm() for i in range(len(g)) for j in range(len(g)) if i != j), default=0.0)
+        proj = max(max(((q * q) - q).norm(), (q - q.adjoint()).norm()) for q in (row[i] for i, row in enumerate(g)))
+        ident = max((row[i] - one).norm() for i, row in enumerate(g))
+        residuals[s + "_offdiag"] = off
+        residuals[s + "_diag_projection"] = proj
+        residuals[s + "_diag_identity"] = ident
+        flags["orthogonal"] &= off <= tol and proj <= tol
+        flags["orthonormal"] &= ident <= tol
+        residuals[s + "_support_identity"] = linalg.operator_norm(oracle_support(elements, bc, s) - eye)
+        flags["basis"] &= residuals[s + "_support_identity"] <= tol
+    flags["orthonormal"] = flags["orthonormal"] and flags["orthogonal"]
+    flags["basis"] = flags["basis"] and flags["system"]
+    return flags, residuals
+
+
+def oracle_support(elements, bc, side):
+    acc = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex)
+    for lam in elements:
+        ll = bc.left_op(lam)
+        acc += ll @ bc.e1 @ ll.conj().T if side == "right" else ll.conj().T @ bc.e1 @ ll
+    return acc
+
+
+def oracle_interchange(basis_p, basis_q, bc):
+    acc = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex)
+    for lam in basis_p:
+        ll = bc.left_op(lam)
+        for mu in basis_q:
+            w = ll @ bc.left_op(mu)
+            acc += w @ bc.e1 @ w.conj().T
+    return acc
+
+
+def _oracle_families():
+    m5 = models.scalar_in_full(5)
+    rng = linalg.rng_from_seed(1)
+    scalar = scalar_basis(m5.ambient)
+    u = m5.ambient.element([linalg.random_unitary(5, rng)])
+    broken = list(scalar)
+    broken[7] = 1.1 * broken[7]
+    z16 = models.group_algebra_pair(GroupTable.cyclic(16), [0])
+    d4 = models.diagonal_in_matrix(4)
+    cp3 = models.crossed_product_diag(3)
+    c_cm2 = models.explicit_pair((1,), [[1, 2]])
+    d3 = models.diagonal_in_matrix(3)
+    cm2_m3 = models.explicit_pair((1, 2), [[1], [1]])
+    return {
+        "m5-scalar": (m5.sub, scalar),
+        "m5-conjugated": (m5.sub, [x.conj_by(u) for x in scalar]),
+        "m5-broken": (m5.sub, broken),
+        "z16-unitaries": (z16.sub, z16.candidates),
+        "d4-shifts": (d4.sub, d4.candidates),
+        "d4-scalar": (d4.sub, scalar_basis(d4.ambient)),
+        "crossed-product-diag-3": (cp3.sub, cp3.candidates),
+        "c-in-c+m2-scalar": (c_cm2.sub, scalar_basis(c_cm2.ambient)),
+        "d3-random": (d3.sub, [d3.ambient.random_element(rng) for _ in range(3)]),
+        # N = C + M2 is not abelian, so the layout of the Gram blocks matters
+        "c+m2-in-m3-random": (cm2_m3.sub, [cm2_m3.ambient.random_element(rng) for _ in range(3)]),
+    }
+
+
+ORACLE_FAMILIES = _oracle_families()
+
+
+# every flag of these families is known in closed form
+VERDICTS = {
+    "m5-scalar": True,
+    "m5-conjugated": True,
+    "m5-broken": False,
+    "z16-unitaries": True,
+    "d4-shifts": True,
+    "d4-scalar": False,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_classify_matches_left_regular_oracle(name):
+    sub, elements = ORACLE_FAMILIES[name]
+    bc = BasicConstruction(sub)
+    sys = classify(elements, sub, side="two-sided", bc=bc)
+    flags, residuals = oracle_classify(tuple(elements), sub, bc)
+    assert sys.flags == flags
+    if name in VERDICTS:
+        assert flags == dict.fromkeys(("system", "orthogonal", "orthonormal", "basis"), VERDICTS[name])
+    assert sys.residuals.keys() == residuals.keys()
+    for key, val in residuals.items():
+        assert abs(sys.residuals[key] - val) <= 1e-12, (key, sys.residuals[key], val)
+    for side in ("right", "left"):
+        assert np.abs(sys.support[side] - oracle_support(elements, bc, side)).max() <= 1e-12
+
+
+def test_gram_matrix_matches_entrywise_expectation():
+    sub, elements = ORACLE_FAMILIES["d3-random"]
+    for side in ("right", "left"):
+        g = gram_matrix(elements, sub, side)
+        for i, x in enumerate(elements):
+            for j, y in enumerate(elements):
+                ref = sub.expect(x.adjoint() * y if side == "right" else x * y.adjoint())
+                assert g[i][j].allclose(ref, tol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["masa", "degenerate"])
+def test_interchange_matches_double_loop_oracle(which):
+    q = models.masa_quadruple() if which == "masa" else models.degenerate_quadruple()
+    bc = BasicConstruction(q.n_sub)
+    for bp in q.bases_p:
+        for bq in q.bases_q:
+            fast = interchange_operator(q.p_sub, bp, q.q_sub, bq, bc, check=False)
+            assert np.abs(fast - oracle_interchange(bp, bq, bc)).max() <= 1e-12
+
+
+def test_interchange_of_non_commuting_families_matches_oracle():
+    # without the basis check any two families are accepted; the order of the
+    # products lambda_i mu_j matters once they do not commute
+    q = models.masa_quadruple()
+    bc = BasicConstruction(q.n_sub)
+    rng = linalg.rng_from_seed(9)
+    fam_p = [q.ambient.random_element(rng) for _ in range(2)]
+    fam_q = [q.ambient.random_element(rng) for _ in range(3)]
+    fast = interchange_operator(q.p_sub, fam_p, q.q_sub, fam_q, bc, check=False)
+    assert np.abs(fast - oracle_interchange(fam_p, fam_q, bc)).max() <= 1e-12
+
+
+def test_scalar_basis_of_m8_is_a_two_sided_basis():
+    # 64 elements over C in M8: the left-regular Gram operator would be 4096 x 4096
+    m8 = models.scalar_in_full(8)
+    sys = classify(scalar_basis(m8.ambient), m8.sub, side="two-sided")
+    assert sys.size == 64
+    assert sys.flags == {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_element_block_is_invalid_input(value):
+    d3 = models.diagonal_in_matrix(3)
+    bad = list(d3.candidates)
+    blocks = [b.copy() for b in bad[1].blocks]
+    blocks[0][0, 0] = value
+    bad[1] = d3.ambient.element(blocks)
+    with pytest.raises(InvalidInput, match="non-finite element"):
+        classify(bad, d3.sub)
+    with pytest.raises(InvalidInput, match="non-finite element"):
+        gram_matrix(bad, d3.sub, "left")
+
+
+def test_overflowing_gram_entry_is_invalid_input():
+    d2 = models.diagonal_in_matrix(2)
+    huge = d2.ambient.element([1e200 * np.eye(2)])
+    with pytest.raises(InvalidInput, match="non-finite Gram entry"):
+        classify([huge], d2.sub)
+    with pytest.raises(InvalidInput, match="non-finite Gram entry"):
+        gram_matrix([huge], d2.sub)
