@@ -9,9 +9,6 @@ from .algebra import (
     Subalgebra,
     UnitalEmbedding,
     WedderburnData,
-    center,
-    conditional_expectation,
-    generated_subalgebra,
     inclusion_matrix,
     relative_commutant,
     wedderburn,
@@ -34,7 +31,6 @@ from .regular import (
     check_normalizer,
     coset_distinct,
     coset_system,
-    crossed_product,
     patch_bases,
     regular_pipeline,
 )
@@ -60,17 +56,13 @@ __all__ = [
     "WatataniData",
     "WedderburnData",
     "WeylReport",
-    "center",
     "check_intermediate",
     "check_normalizer",
     "classify",
     "complete_to_basis",
-    "conditional_expectation",
     "construct_system_with_support",
     "coset_distinct",
     "coset_system",
-    "crossed_product",
-    "generated_subalgebra",
     "gram_matrix",
     "inclusion_matrix",
     "interchange_operator",

@@ -102,11 +102,6 @@ class MultiMatrixAlgebra:
                     out.append(self.unit(b, p, q))
         return out
 
-    def central_projection(self, block):
-        blocks = [np.zeros((m, m), dtype=complex) for m in self.dims]
-        blocks[block] = np.eye(self.dims[block], dtype=complex)
-        return AlgebraElement(self, blocks)
-
     def random_element(self, rng, hermitian=False):
         blocks = []
         for n in self.dims:
@@ -248,6 +243,8 @@ class AlgebraElement:
 def check_unital_dims(source_dims, inclusion, ambient_dims):
     """Dims side of unitality: ambient dims must equal inclusion^T @ source dims."""
     lam = np.round(np.asarray(inclusion)).astype(int)
+    if lam.ndim != 2 or lam.shape[0] != len(source_dims):
+        raise InvalidInput("inclusion matrix needs one row per source block")
     expected = lam.T @ np.asarray(source_dims)
     if not np.array_equal(expected, np.asarray(ambient_dims)):
         raise NonUnitalInclusion(
@@ -297,10 +294,9 @@ class UnitalEmbedding:
     def canonical(cls, source_dims, target, inclusion, block_unitaries=None):
         """Build the source algebra with the restricted trace, then embed."""
         lam = np.asarray(inclusion)
-        # check unitality up front so a dims mismatch is reported as such
-        # rather than as a trace normalization failure
-        if lam.ndim == 2 and lam.shape[0] == len(source_dims):
-            check_unital_dims(source_dims, lam, target.dims)
+        # check shape and unitality up front so a dims mismatch is reported
+        # as such rather than as a trace normalization failure
+        check_unital_dims(source_dims, lam, target.dims)
         t_src = lam @ target.trace_vector
         source = MultiMatrixAlgebra(source_dims, t_src)
         return cls(source, target, lam, block_unitaries)
@@ -348,7 +344,7 @@ class Subalgebra:
         return sub
 
     @classmethod
-    def generated(cls, ambient, elements, tol=linalg.EPS_REL):
+    def generated(cls, ambient, elements):
         """Smallest unital *-subalgebra containing the given elements."""
         work = [ambient.identity()]
         work.extend(elements)
@@ -404,10 +400,6 @@ class Subalgebra:
         return all(self.contains(e, tol) for e in other.basis_elements())
 
 
-def conditional_expectation(sub, x):
-    return sub.expect(x)
-
-
 def relative_commutant(sub, within=None):
     """Elements of ``within`` (default: the ambient algebra) commuting with ``sub``."""
     amb = sub.ambient
@@ -418,14 +410,6 @@ def relative_commutant(sub, within=None):
     stacked = np.vstack([m @ within.mat for m in maps])
     coeff = linalg.nullspace(stacked)
     return Subalgebra(amb, linalg.orthonormal_columns(within.mat @ coeff))
-
-
-def center(sub):
-    return relative_commutant(sub, within=sub)
-
-
-def generated_subalgebra(ambient, elements):
-    return Subalgebra.generated(ambient, elements)
 
 
 class WedderburnData:
@@ -532,7 +516,7 @@ def _random_combination(elements, rng, hermitian=True):
 
 def _attempt_wedderburn(sub, rng, tol):
     amb = sub.ambient
-    zc = center(sub)
+    zc = relative_commutant(sub, within=sub)
     k = zc.dim
     if k == 1:
         # scalar center: the unit of the subalgebra is the only central projection
@@ -633,13 +617,13 @@ def wedderburn(sub, seed=0, tol=1e-7, max_tries=5):
     raise DegenerateSpectrum("wedderburn failed after %d attempts: %s" % (max_tries, last))
 
 
-def inclusion_matrix(wd, ambient=None):
+def inclusion_matrix(wd):
     """Multiplicity matrix of the subalgebra's blocks inside the ambient blocks.
 
     Entry (i, j) is the rank of the j-th ambient block of a minimal projection
     of subalgebra block i.
     """
-    amb = ambient or wd.subalgebra.ambient
+    amb = wd.subalgebra.ambient
     k = len(wd.block_dims)
     lam = np.zeros((k, amb.nblocks), dtype=int)
     for i in range(k):

@@ -145,9 +145,9 @@ class BasicConstruction:
             raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
         return x
 
-    def markov_extension(self, markov, sub_wedd=None):
+    def markov_extension(self, markov):
         """Trace on M1 extending the ambient trace in Markov mode."""
-        return M1Trace(self, markov, sub_wedd)
+        return M1Trace(self, markov)
 
 
 class M1Wedderburn:
@@ -216,25 +216,13 @@ class M1Trace:
     trace-preserving conditional expectation of M1 onto the ambient algebra.
     """
 
-    def __init__(self, bc, markov, sub_wedd=None):
+    def __init__(self, bc, markov):
         self.bc = bc
         self.markov = markov
-        own = bc.sub_wedd
-        if sub_wedd is None:
-            sub_wedd = own
-        self.sub_wedd = sub_wedd
-        if len(own.block_dims) != len(sub_wedd.block_dims):
-            raise InvalidInput("M1 and the subalgebra must have matching block counts")
-        # M1 block i sits over block i of bc.sub_wedd; find that block in sub_wedd
-        weights = np.empty(len(own.block_dims))
-        for i, z in enumerate(own.central_projections):
-            matches = [
-                b for b, zc in enumerate(sub_wedd.central_projections) if (z - zc).norm() <= 1e-7 * (1.0 + zc.norm())
-            ]
-            if len(matches) != 1:
-                raise InvalidInput("could not match an M1 block to a unique subalgebra block")
-            weights[i] = markov.trace_sub[matches[0]] / markov.beta
-        self.block_weights = weights
+        # M1 block i sits over block i of bc.sub_wedd; markov.trace_sub follows that order
+        if len(markov.trace_sub) != len(bc.sub_wedd.block_dims):
+            raise InvalidInput("the Markov data needs one trace per block of the subalgebra")
+        self.block_weights = np.asarray(markov.trace_sub, dtype=float) / markov.beta
         self._gram = None
         self._unit_ops = None
 

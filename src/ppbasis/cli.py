@@ -20,47 +20,36 @@ def _ints(text):
         raise ScenarioError("expected a comma-separated integer list, got %r" % text)
 
 
-def _emit(lines, stream=None):
-    stream = stream or sys.stdout
+def _finish(args, report, lines):
+    """Print the report lines, write the JSON report if asked; 1 if a check failed."""
     for line in lines:
-        print(line, file=stream)
-
-
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scenarios.dump_report(payload))
+        print(line)
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(scenarios.dump_report(report))
+    return 0 if report["pass"] else 1
 
 
 def _cmd_run(args):
     data = scenarios.load_scenario(args.file)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.eps is not None:
-        data["eps"] = args.eps
-    report, lines = scenarios.run_scenario_dict(data)
-    _emit(lines)
-    if args.json:
-        _write_json(args.json, report)
-    return 0 if report["pass"] else 1
+    for key in ("seed", "eps"):
+        if getattr(args, key) is not None and isinstance(data, dict):
+            data[key] = getattr(args, key)
+    return _finish(args, *scenarios.run_scenario_dict(data))
 
 
 def _cmd_selftest(args):
-    report, lines = scenarios.run_selftest()
-    _emit(lines)
-    if args.json:
-        _write_json(args.json, report)
-    return 0 if report["pass"] else 1
+    return _finish(args, *scenarios.run_selftest())
 
 
 def _generate_spec(args):
     kind = args.kind
+    tasks = [{"task": "markov"}, {"task": "regular_pipeline"}]
     if kind == "diagonal_in_matrix":
         model = {"kind": kind, "k": args.k}
-        tasks = [{"task": "markov"}, {"task": "regular_pipeline"}]
         name = "diag-in-m%d" % args.k
     elif kind == "group_algebra_pair":
         model = {"kind": kind, "group": args.group, "subgroup": _ints(args.subgroup)}
-        tasks = [{"task": "markov"}, {"task": "regular_pipeline"}]
         name = "group-algebra-pair"
     elif kind == "crossed_product":
         model = {
@@ -69,14 +58,11 @@ def _generate_spec(args):
             "group": args.group,
             "action": args.action,
         }
-        tasks = [{"task": "markov"}, {"task": "regular_pipeline"}]
         name = "crossed-product"
-    elif kind == "quadruple":
+    else:  # "quadruple"; the parser admits no other kind
         model = {"kind": kind, "which": args.which}
         tasks = [{"task": "interchange"}, {"task": "commuting_square"}]
         name = "%s-quadruple" % args.which
-    else:
-        raise ScenarioError("unknown model kind %r" % kind)
     scenarios.build_model(model, seed=0)  # validate the parameters before emitting
     return {"name": name, "seed": 0, "eps": 1e-8, "model": model, "tasks": tasks}
 

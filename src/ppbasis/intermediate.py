@@ -9,12 +9,11 @@ way; modular conjugation swaps the two arguments.
 
 from . import linalg
 from .errors import InvalidInput, NotABasis, NotIntermediate
+from .linalg import EPS_FLAG
 from .systems import _Family, classify
 
-EPS_INT = 1e-8
 
-
-def check_intermediate(sub, mid, tol=EPS_INT):
+def check_intermediate(sub, mid, tol=EPS_FLAG):
     """Verify N <= P inside the common ambient algebra; returns the residual."""
     if mid.ambient is not sub.ambient:
         raise InvalidInput("subalgebras live in different ambient algebras")
@@ -26,7 +25,7 @@ def check_intermediate(sub, mid, tol=EPS_INT):
     return res
 
 
-def intermediate_projection(mid, bc, tol=EPS_INT):
+def intermediate_projection(mid, bc, tol=EPS_FLAG):
     """GNS projection e_P of an intermediate algebra; checks e1 <= e_P."""
     check_intermediate(bc.sub, mid, tol)
     ep = mid.projection_matrix()
@@ -51,7 +50,7 @@ def _require_basis(elements, sub, mid, bc, tol, label):
     return sys
 
 
-def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_INT, check=True):
+def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check=True):
     """p(P, Q) = sum_ij L(lambda_i) L(mu_j) e1 L(mu_j)* L(lambda_i)*, the right
     support of the products lambda_i mu_j.
 
@@ -64,7 +63,7 @@ def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_INT, check=
     return _Family([lam * mu for lam in basis_p for mu in basis_q], bc.sub, "right").support()
 
 
-def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_INT, check=True):
+def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check=True):
     """Both interchange operators and the modular-conjugation symmetry residual.
 
     Returns (p(P,Q), p(Q,P), residual of J p(P,Q) J - p(Q,P)).

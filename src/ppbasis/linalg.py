@@ -13,6 +13,7 @@ from .errors import InvalidInnerProduct, InvalidInput
 EPS_REL = 1e-9    # residual acceptance for linear identities
 EPS_RANK = 1e-10  # relative singular-value cutoff for rank decisions
 GAP_TOL = 1e-6    # relative gap separating eigenvalue clusters
+EPS_FLAG = 1e-8   # default tolerance of a flag decision (system, basis, normalizer, ...)
 
 
 def rng_from_seed(seed=0):

@@ -25,7 +25,6 @@ class ModelPair:
     sub: object
     candidates: tuple = ()
     embedding: object = field(default=None, repr=False)
-    extras: dict = field(default_factory=dict, repr=False)
 
 
 def explicit_pair(dims, inclusion, trace="markov", unitaries=None, name="explicit"):
@@ -184,16 +183,15 @@ def group_algebra_pair(group, subgroup, seed=0):
     subset = _check_subgroup(group, subgroup)
     base = MultiMatrixAlgebra((1,), (1.0,))
     autos = [Automorphism.identity(base) for _ in range(len(group))]
-    model = CrossedProductModel(base, group, autos, seed=seed)
-    sub = Subalgebra.span(model.algebra, [model.unitaries[h] for h in subset], check=False)
-    pair = ModelPair(
-        name="group-algebra-pair",
-        ambient=model.algebra,
-        sub=sub,
-        candidates=tuple(model.unitaries),
-        extras={"model": model, "subgroup": tuple(subset)},
-    )
+    pair = crossed_product_pair(base, group, autos, seed=seed, name="group-algebra-pair")
+    pair.sub = Subalgebra.span(pair.ambient, [pair.candidates[h] for h in subset], check=False)
     return pair
+
+
+def crossed_product_pair(base, group, autos, seed=0, name="crossed-product"):
+    """B inside its crossed product by the action, with the group unitaries as candidates."""
+    model = CrossedProductModel(base, group, autos, seed=seed)
+    return ModelPair(name=name, ambient=model.algebra, sub=model.base_image, candidates=tuple(model.unitaries))
 
 
 def crossed_product_diag(k, seed=0):
@@ -204,12 +202,4 @@ def crossed_product_diag(k, seed=0):
         Automorphism(base, perm=tuple((j - g) % k for j in range(k)))
         for g in range(k)
     ]
-    model = CrossedProductModel(base, group, autos, seed=seed)
-    pair = ModelPair(
-        name="crossed-product-diag-%d" % k,
-        ambient=model.algebra,
-        sub=model.base_image,
-        candidates=tuple(model.unitaries),
-        extras={"model": model},
-    )
-    return pair
+    return crossed_product_pair(base, group, autos, seed=seed, name="crossed-product-diag-%d" % k)

@@ -5,7 +5,8 @@ chain into one report.
 The generalized Weyl data is handled operationally.  Cosets of the normalizer
 are separated by the vanishing of E_R(u v*); representatives are filtered from
 model-supplied candidates rather than enumerated, and regularity is certified
-relative to those candidates.
+relative to those candidates.  Every system and basis test is a ``classify``
+on the family and its base algebra, so the chain builds no basic construction.
 """
 
 from dataclasses import dataclass, field
@@ -13,15 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebra import (
-    MultiMatrixAlgebra,
-    Subalgebra,
-    generated_subalgebra,
-    inclusion_matrix,
-    relative_commutant,
-    wedderburn,
-)
-from .basic import BasicConstruction, markov_trace, watatani_index
+from .algebra import MultiMatrixAlgebra, Subalgebra, inclusion_matrix, relative_commutant, wedderburn
+from .basic import markov_trace, watatani_index
 from .errors import (
     DegenerateCommutantModel,
     DuplicateCoset,
@@ -31,9 +25,8 @@ from .errors import (
     NotAnAction,
     NotUnitary,
 )
+from .linalg import EPS_FLAG
 from .systems import classify
-
-EPS_REG = 1e-8
 
 II1_NOTE = (
     "equality of beta with |reps| * dim(N' cap M) is the statement for regular "
@@ -260,17 +253,8 @@ class CrossedProductModel:
         return self.to_model(self._pi_mat(b))
 
     def to_model(self, mat):
-        db = self.base.gns_dim
-        n = len(self.group)
-        op = MultiMatrixAlgebra((db * n,), (1.0 / (db * n),))
-        return self.algebra.element(self.wedd.to_abstract(op.element([np.asarray(mat, dtype=complex)])))
-
-    def canonical_trace(self, mat):
-        return self._canonical_trace(np.asarray(mat, dtype=complex), self.base.vec(self.base.identity()))
-
-
-def crossed_product(base, group, autos, seed=0):
-    return CrossedProductModel(base, group, autos, seed=seed)
+        op = self.op_span.ambient.element([np.asarray(mat, dtype=complex)])
+        return self.algebra.element(self.wedd.to_abstract(op))
 
 
 def normalizer_residual(u, sub):
@@ -282,18 +266,18 @@ def normalizer_residual(u, sub):
     return worst
 
 
-def check_normalizer(u, sub, tol=EPS_REG):
+def check_normalizer(u, sub, tol=EPS_FLAG):
     if not u.is_unitary(tol):
         raise NotUnitary("normalizer candidate is not unitary")
     return normalizer_residual(u, sub) <= tol
 
 
-def coset_distinct(u, v, sub, r_sub, tol=EPS_REG):
+def coset_distinct(u, v, r_sub, tol=EPS_FLAG):
     """Whether u, v fall in distinct cosets: E_R(u v*) must vanish."""
     return r_sub.expect(u * v.adjoint()).norm() <= tol
 
 
-def coset_system(reps, n_sub, r_sub, bc_r=None, bc_n=None, tol=EPS_REG, seed=0):
+def coset_system(reps, n_sub, r_sub, tol=EPS_FLAG):
     """Classify pairwise-distinct coset representatives as a system over R.
 
     The classification over N is folded into the returned flags/residuals
@@ -302,19 +286,17 @@ def coset_system(reps, n_sub, r_sub, bc_r=None, bc_n=None, tol=EPS_REG, seed=0):
     reps = tuple(reps)
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
-            if not coset_distinct(reps[i], reps[j], n_sub, r_sub, tol):
+            if not coset_distinct(reps[i], reps[j], r_sub, tol):
                 raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
-    if bc_r is None:
-        bc_r = BasicConstruction(r_sub, seed=seed)
-    sys_r = classify(reps, r_sub, side="two-sided", bc=bc_r, tol=tol)
-    sys_n = classify(reps, n_sub, side="two-sided", bc=bc_n, tol=tol, seed=seed)
+    sys_r = classify(reps, r_sub, side="two-sided", tol=tol)
+    sys_n = classify(reps, n_sub, side="two-sided", tol=tol)
     for key, val in sys_n.residuals.items():
         sys_r.residuals["over_n_" + key] = val
     sys_r.flags["orthonormal_over_n"] = sys_n.flags["system"] and sys_n.flags["orthonormal"]
     return sys_r
 
 
-def _verify_two_sided_basis(elements, n_sub, target, bc, tol, label):
+def _verify_two_sided_basis(elements, n_sub, target, tol, label):
     """Two-sided basis test for a family spanning ``target`` over N.
 
     ``target`` None means the whole ambient algebra (supports must be 1);
@@ -326,13 +308,13 @@ def _verify_two_sided_basis(elements, n_sub, target, bc, tol, label):
             res = target.residual(x)
             if res > tol:
                 raise NotABasis("%s element %d leaves its algebra (residual %.3g)" % (label, k, res))
-    sys = classify(elements, n_sub, side="two-sided", bc=bc, tol=tol)
+    sys = classify(elements, n_sub, side="two-sided", tol=tol)
     if not sys.flags["system"]:
         raise NotABasis(
             "%s family fails the Gram projection test (residual %.3g)"
             % (label, max(sys.residuals["right_gram_projection"], sys.residuals["left_gram_projection"]))
         )
-    et = np.eye(bc.gns_dim) if target is None else target.projection_matrix()
+    et = np.eye(n_sub.ambient.gns_dim) if target is None else target.projection_matrix()
     scale = 1.0 + linalg.operator_norm(et)
     for side in ("right", "left"):
         res = linalg.operator_norm(sys.support[side] - et)
@@ -342,7 +324,7 @@ def _verify_two_sided_basis(elements, n_sub, target, bc, tol, label):
     return sys
 
 
-def patch_bases(inner, outer, n_sub, p_sub, bc_n=None, bc_p=None, tol=EPS_REG, seed=0, check=True):
+def patch_bases(inner, outer, n_sub, p_sub, tol=EPS_FLAG, check=True):
     """Patch a basis of P over N with a basis of M over P into one of M over N.
 
     Outer elements must be unitaries normalizing both N and P; the returned
@@ -354,13 +336,9 @@ def patch_bases(inner, outer, n_sub, p_sub, bc_n=None, bc_p=None, tol=EPS_REG, s
     outer = tuple(outer)
     if not inner or not outer:
         raise InvalidInput("both families must be nonempty")
-    if bc_n is None:
-        bc_n = BasicConstruction(n_sub, seed=seed)
     if check:
-        _verify_two_sided_basis(inner, n_sub, p_sub, bc_n, tol, "inner")
-        if bc_p is None:
-            bc_p = BasicConstruction(p_sub, seed=seed)
-        _verify_two_sided_basis(outer, p_sub, None, bc_p, tol, "outer")
+        _verify_two_sided_basis(inner, n_sub, p_sub, tol, "inner")
+        _verify_two_sided_basis(outer, p_sub, None, tol, "outer")
         for j, mu in enumerate(outer):
             if not mu.is_unitary(tol):
                 raise NotUnitary("outer element %d is not unitary" % j)
@@ -369,9 +347,9 @@ def patch_bases(inner, outer, n_sub, p_sub, bc_n=None, bc_p=None, tol=EPS_REG, s
             if normalizer_residual(mu, p_sub) > tol:
                 raise NotANormalizer("outer element %d does not normalize the intermediate algebra" % j)
             conj = [mu * lam * mu.adjoint() for lam in inner]
-            _verify_two_sided_basis(conj, n_sub, p_sub, bc_n, tol, "conjugated inner")
+            _verify_two_sided_basis(conj, n_sub, p_sub, tol, "conjugated inner")
     products = [mu * lam for mu in outer for lam in inner]
-    return classify(products, n_sub, side="two-sided", bc=bc_n, tol=tol)
+    return classify(products, n_sub, side="two-sided", tol=tol)
 
 
 @dataclass
@@ -438,7 +416,7 @@ def _scalar_commutant_basis(comm, seed):
     return tuple(out)
 
 
-def _inner_basis(sub, comm, r_alg, bc_n, tol, seed):
+def _inner_basis(sub, comm, r_alg, tol, seed):
     """Two-sided basis of R over N built from the relative commutant.
 
     When R = N the unit alone is a basis.  When R is all of M the scaled
@@ -452,21 +430,20 @@ def _inner_basis(sub, comm, r_alg, bc_n, tol, seed):
     inner = _scalar_commutant_basis(comm, seed)
     try:
         if r_alg.dim == amb.dim:
-            _verify_two_sided_basis(inner, sub, None, bc_n, tol, "commutant")
+            _verify_two_sided_basis(inner, sub, None, tol, "commutant")
         else:
             wd_r = wedderburn(r_alg, seed=seed)
             n_in_r = Subalgebra.span(
                 wd_r.abstract(), [wd_r.abstract_element(x) for x in sub.basis_elements()], check=False
             )
-            bc_nr = BasicConstruction(n_in_r, seed=seed)
             inner_abs = [wd_r.abstract_element(x) for x in inner]
-            _verify_two_sided_basis(inner_abs, n_in_r, None, bc_nr, tol, "commutant")
+            _verify_two_sided_basis(inner_abs, n_in_r, None, tol, "commutant")
     except NotABasis as exc:
         raise DegenerateCommutantModel(str(exc)) from exc
     return inner
 
 
-def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_REG):
+def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     """Run the full chain for N inside its ambient algebra.
 
     Computes the relative commutant and R, the scalar basis of R over N, the
@@ -479,11 +456,10 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_REG):
     amb = sub.ambient
     candidates = tuple(candidates)
     comm = relative_commutant(sub)
-    r_alg = generated_subalgebra(amb, list(sub.basis_elements()) + list(comm.basis_elements()))
+    r_alg = Subalgebra.generated(amb, list(sub.basis_elements()) + list(comm.basis_elements()))
     wd_n = wedderburn(sub, seed=seed)
     markov = markov_trace(inclusion_matrix(wd_n), wd_n.block_dims)
-    bc_n = BasicConstruction(sub, seed=seed)
-    inner = _inner_basis(sub, comm, r_alg, bc_n, tol, seed)
+    inner = _inner_basis(sub, comm, r_alg, tol, seed)
 
     reps = [amb.identity()]
     rejected = []
@@ -494,18 +470,17 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_REG):
         if res > tol:
             rejected.append((idx, res))
             continue
-        if all(coset_distinct(u, v, sub, r_alg, tol) for v in reps):
+        if all(coset_distinct(u, v, r_alg, tol) for v in reps):
             reps.append(u)
     reps = tuple(reps)
 
-    gen = generated_subalgebra(amb, list(sub.basis_elements()) + list(candidates))
+    gen = Subalgebra.generated(amb, list(sub.basis_elements()) + list(candidates))
     regular = gen.dim == amb.dim
     issues = [] if regular else ["NotRegular"]
 
-    bc_r = BasicConstruction(r_alg, seed=seed)
-    sys_r = coset_system(reps, sub, r_alg, bc_r=bc_r, bc_n=bc_n, tol=tol, seed=seed)
+    sys_r = coset_system(reps, sub, r_alg, tol=tol)
     orthonormal = sys_r.flags["system"] and sys_r.flags["orthonormal"] and sys_r.flags["orthonormal_over_n"]
-    p_gen = generated_subalgebra(amb, list(r_alg.basis_elements()) + list(reps))
+    p_gen = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps))
     ep = p_gen.projection_matrix()
     ep_res = linalg.operator_norm(sys_r.support["right"] - ep)
     support_eq = ep_res <= tol * (1.0 + linalg.operator_norm(ep))
@@ -514,7 +489,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_REG):
     patched = None
     wat = None
     if regular and complete:
-        patched = patch_bases(inner, reps, sub, r_alg, bc_n=bc_n, bc_p=bc_r, tol=tol, seed=seed)
+        patched = patch_bases(inner, reps, sub, r_alg, tol=tol)
         wat = watatani_index(patched.elements)
     elif regular:
         issues.append("IncompleteCosets")

@@ -4,21 +4,24 @@ Complex numbers are encoded as [re, im] pairs, matrices as row-major nested
 lists, one matrix per block.  "markov" as a trace field triggers the Markov
 trace.  Every number in the machine report is rounded to 12 significant
 digits and the printed lines show exactly the rounded values, so a report is
-byte-stable for a fixed seed.
+byte-stable for a fixed seed.  Model kinds and tasks are looked up in the
+MODEL_KINDS and TASKS tables; a missing or malformed field is a ScenarioError.
 """
 
+import contextlib
+import functools
 import json
 
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, Subalgebra, check_unital_dims, inclusion_matrix, wedderburn
+from .algebra import MultiMatrixAlgebra, check_unital_dims, inclusion_matrix
 from .basic import BasicConstruction, markov_trace, watatani_index
 from .errors import AlgebraError, ScenarioError
 from .intermediate import interchange_operator, interchange_pair, is_commuting_square
 from .models import (
-    ModelPair,
     crossed_product_diag,
+    crossed_product_pair,
     degenerate_quadruple,
     diagonal_in_matrix,
     explicit_pair,
@@ -26,22 +29,8 @@ from .models import (
     masa_quadruple,
 )
 from .paths import BratteliDiagram, PathModel, scalar_basis
-from .regular import Automorphism, CrossedProductModel, GroupTable, regular_pipeline
+from .regular import Automorphism, GroupTable, regular_pipeline
 from .systems import classify, complete_to_basis, construct_system_with_support
-
-TASK_NAMES = (
-    "classify_system",
-    "support",
-    "construct_with_support",
-    "complete_to_basis",
-    "path_basis",
-    "markov",
-    "watatani",
-    "interchange",
-    "commuting_square",
-    "regular_pipeline",
-)
-
 
 def round12(x):
     return float("%.12g" % float(x))
@@ -161,8 +150,6 @@ class LoadedModel:
         self.quad = quad
         self.path = path
         self.seed = seed
-        self._bc = None
-        self._path_model = None
 
     def require_pair(self):
         if self.pair is None:
@@ -174,29 +161,26 @@ class LoadedModel:
             raise ScenarioError("task needs a quadruple model, not %r" % self.kind)
         return self.quad
 
+    @functools.cached_property
     def bc(self):
-        if self._bc is None:
-            self._bc = BasicConstruction(self.require_pair().sub, seed=self.seed)
-        return self._bc
+        return BasicConstruction(self.require_pair().sub, seed=self.seed)
 
+    @functools.cached_property
     def path_model(self):
         if self.path is not None:
             return self.path
-        if self._path_model is None:
-            pair = self.require_pair()
-            emb = pair.embedding
-            if emb is None or emb.block_unitaries is not None:
-                raise ScenarioError("path tasks need an untwisted explicit inclusion")
-            diagram = BratteliDiagram(emb.source.dims, emb.inclusion)
-            self._path_model = PathModel(diagram, bottom_trace=np.asarray(emb.target.trace_vector))
-        return self._path_model
+        emb = self.require_pair().embedding
+        if emb is None or emb.block_unitaries is not None:
+            raise ScenarioError("path tasks need an untwisted explicit inclusion")
+        diagram = BratteliDiagram(emb.source.dims, emb.inclusion)
+        return PathModel(diagram, bottom_trace=np.asarray(emb.target.trace_vector))
 
     def inclusion_data(self):
         """(inclusion matrix, sub dims) from the embedding or by decomposition."""
         pair = self.require_pair()
         if pair.embedding is not None:
             return np.asarray(pair.embedding.inclusion), pair.embedding.source.dims
-        wd = wedderburn(pair.sub, seed=self.seed)
+        wd = self.bc.sub_wedd
         return inclusion_matrix(wd), wd.block_dims
 
     def elements(self, source):
@@ -215,85 +199,102 @@ class LoadedModel:
         raise ScenarioError("unknown element source %r" % (source,))
 
 
+@contextlib.contextmanager
+def _fields_of(what):
+    """Report a missing or malformed field of ``what`` as a ScenarioError."""
+    try:
+        yield
+    except np.linalg.LinAlgError:  # a failed factorization, not a malformed field
+        raise
+    except KeyError as exc:
+        raise ScenarioError("%s is missing field %s" % (what, exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError("%s has a malformed field: %s" % (what, exc)) from None
+
+
+def _explicit_model(spec, seed):
+    dims = tuple(int(d) for d in spec["dims"])
+    lam = np.asarray(spec["inclusion"])
+    if "ambient_dims" in spec:
+        check_unital_dims(dims, lam, [int(n) for n in spec["ambient_dims"]])
+    unitaries = spec.get("unitaries")
+    if unitaries is not None:
+        unitaries = [_parse_matrix(u) for u in unitaries]
+    pair = explicit_pair(dims, lam, trace=_parse_trace(spec.get("trace", "markov")), unitaries=unitaries)
+    if "candidates" in spec:
+        pair.candidates = tuple(parse_element(pair.ambient, e) for e in spec["candidates"])
+    return {"pair": pair}
+
+
+def _diagonal_model(spec, seed):
+    pair = diagonal_in_matrix(int(spec["k"]), trace=_parse_trace(spec.get("trace", "markov")))
+    return {"pair": pair}
+
+
+def _group_model(spec, seed):
+    group, index_map = _group_from_spec(spec["group"])
+    subgroup = [int(h) for h in spec["subgroup"]]
+    if index_map is not None:
+        subgroup = [index_map[h] for h in subgroup]
+    return {"pair": group_algebra_pair(group, subgroup, seed=seed)}
+
+
+def _crossed_product_model(spec, seed):
+    base_dims = tuple(int(d) for d in spec["base_dims"])
+    group, _ = _group_from_spec(spec["group"])
+    action = spec.get("action", "trivial")
+    if action == "cyclic_shift" and set(base_dims) == {1} and len(group) == len(base_dims):
+        return {"pair": crossed_product_diag(len(base_dims), seed=seed)}
+    trace = spec.get("base_trace")
+    if trace is None:
+        total = float(sum(d * d for d in base_dims))
+        trace = tuple(d / total for d in base_dims)
+    base = MultiMatrixAlgebra(base_dims, trace)
+    pair = crossed_product_pair(base, group, _action_from_spec(action, base, group), seed=seed)
+    return {"pair": pair}
+
+
+def _quadruple_model(spec, seed):
+    which = spec.get("which", "masa")
+    if which == "masa":
+        return {"quad": masa_quadruple()}
+    if which == "degenerate":
+        return {"quad": degenerate_quadruple()}
+    raise ScenarioError("unknown quadruple %r" % (which,))
+
+
+def _path_model(spec, seed):
+    diagram = BratteliDiagram(tuple(int(d) for d in spec["middle_dims"]), spec["inclusion"])
+    trace = _parse_trace(spec.get("trace", "markov"))
+    pm = PathModel(diagram, bottom_trace="markov" if trace == "markov" else np.asarray(trace))
+    return {"path": pm}
+
+
+# each builder returns the pair, quadruple or path model of a LoadedModel
+MODEL_KINDS = {
+    "explicit": _explicit_model,
+    "diagonal_in_matrix": _diagonal_model,
+    "group_algebra_pair": _group_model,
+    "crossed_product": _crossed_product_model,
+    "quadruple": _quadruple_model,
+    "path": _path_model,
+}
+
+
 def build_model(spec, seed=0):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioError("model spec must be an object with a 'kind'")
     kind = spec["kind"]
-    try:
-        if kind == "explicit":
-            dims = tuple(int(d) for d in spec["dims"])
-            lam = np.asarray(spec["inclusion"])
-            trace = _parse_trace(spec.get("trace", "markov"))
-            unitaries = spec.get("unitaries")
-            if unitaries is not None:
-                unitaries = [_parse_matrix(u) for u in unitaries]
-            if "ambient_dims" in spec:
-                amb_dims = tuple(int(n) for n in spec["ambient_dims"])
-                check_unital_dims(dims, lam, amb_dims)
-                amb = MultiMatrixAlgebra(
-                    amb_dims,
-                    markov_trace(lam, dims).trace_amb if trace == "markov" else trace,
-                )
-                from .algebra import UnitalEmbedding
-
-                emb = UnitalEmbedding.canonical(dims, amb, lam, block_unitaries=unitaries)
-                pair = ModelPair(name="explicit", ambient=amb, sub=emb.image(), embedding=emb)
-            else:
-                pair = explicit_pair(dims, lam, trace=trace, unitaries=unitaries)
-            if "candidates" in spec:
-                pair.candidates = tuple(parse_element(pair.ambient, e) for e in spec["candidates"])
-            return LoadedModel("explicit", pair=pair, seed=seed)
-        if kind == "diagonal_in_matrix":
-            pair = diagonal_in_matrix(int(spec["k"]), trace=_parse_trace(spec.get("trace", "markov")))
-            return LoadedModel(kind, pair=pair, seed=seed)
-        if kind == "group_algebra_pair":
-            group, index_map = _group_from_spec(spec["group"])
-            subgroup = [int(h) for h in spec["subgroup"]]
-            if index_map is not None:
-                subgroup = [index_map[h] for h in subgroup]
-            pair = group_algebra_pair(group, subgroup, seed=seed)
-            return LoadedModel(kind, pair=pair, seed=seed)
-        if kind == "crossed_product":
-            base_dims = tuple(int(d) for d in spec["base_dims"])
-            group, _ = _group_from_spec(spec["group"])
-            action = spec.get("action", "trivial")
-            if action == "cyclic_shift" and set(base_dims) == {1} and len(group) == len(base_dims):
-                pair = crossed_product_diag(len(base_dims), seed=seed)
-                return LoadedModel(kind, pair=pair, seed=seed)
-            trace = spec.get("base_trace")
-            if trace is None:
-                total = float(sum(d * d for d in base_dims))
-                trace = tuple(d / total for d in base_dims)
-            base = MultiMatrixAlgebra(base_dims, trace)
-            autos = _action_from_spec(action, base, group)
-            model = CrossedProductModel(base, group, autos, seed=seed)
-            pair = ModelPair(
-                name="crossed-product",
-                ambient=model.algebra,
-                sub=model.base_image,
-                candidates=tuple(model.unitaries),
-                extras={"model": model},
-            )
-            return LoadedModel(kind, pair=pair, seed=seed)
-        if kind == "quadruple":
-            which = spec.get("which", "masa")
-            if which == "masa":
-                return LoadedModel(kind, quad=masa_quadruple(), seed=seed)
-            if which == "degenerate":
-                return LoadedModel(kind, quad=degenerate_quadruple(), seed=seed)
-            raise ScenarioError("unknown quadruple %r" % which)
-        if kind == "path":
-            diagram = BratteliDiagram(tuple(int(d) for d in spec["middle_dims"]), spec["inclusion"])
-            trace = _parse_trace(spec.get("trace", "markov"))
-            pm = PathModel(diagram, bottom_trace="markov" if trace == "markov" else np.asarray(trace))
-            return LoadedModel(kind, path=pm, seed=seed)
-    except ScenarioError:
-        raise
-    except KeyError as exc:
-        raise ScenarioError("model spec is missing field %s" % exc)
-    except AlgebraError as exc:
-        raise ScenarioError("model construction failed: %s: %s" % (type(exc).__name__, exc))
-    raise ScenarioError("unknown model kind %r" % kind)
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
+        raise ScenarioError("unknown model kind %r" % (kind,))
+    with _fields_of("model spec"):
+        try:
+            parts = MODEL_KINDS[kind](spec, seed)
+        except ScenarioError:
+            raise
+        except AlgebraError as exc:
+            raise ScenarioError("model construction failed: %s: %s" % (type(exc).__name__, exc))
+    return LoadedModel(kind, seed=seed, **parts)
 
 
 def _resolve_f(spec, bc):
@@ -322,113 +323,147 @@ def _system_payload(sys):
     return {"flags": dict(sys.flags), "numbers": numbers}
 
 
-def _run_task(task, model, eps, seed):
+def _classify_elements(task, model, side, eps):
+    return classify(model.elements(task.get("elements", "identity")), model.require_pair().sub, side=side, tol=eps)
+
+
+def _construct(task, model, eps):
+    bc = model.bc
+    f = _resolve_f(task.get("f", "e1"), bc)
+    return construct_system_with_support(f, bc, mode=task.get("mode", "general"), tol=eps)
+
+
+def _task_classify_system(task, model, eps):
+    return _system_payload(_classify_elements(task, model, task.get("side", "two-sided"), eps))
+
+
+def _task_support(task, model, eps):
+    sys = _classify_elements(task, model, "right", eps)
+    out = _system_payload(sys)
+    out["numbers"]["support_rank"] = int(round(float(np.trace(sys.support["right"]).real)))
+    out["numbers"]["e1_rank"] = sys.sub.dim
+    return out
+
+
+def _task_construct_with_support(task, model, eps):
+    return _system_payload(_construct(task, model, eps))
+
+
+def _task_complete_to_basis(task, model, eps):
+    start = _construct(task, model, eps) if "f" in task else _classify_elements(task, model, "right", eps)
+    full = complete_to_basis(start, model.bc, tol=eps)
+    out = _system_payload(full)
+    out["numbers"]["initial_size"] = len(start.elements)
+    out["flags"]["prefix_preserved"] = all(
+        a.allclose(b) for a, b in zip(start.elements, full.elements[: len(start.elements)])
+    )
+    return out
+
+
+def _task_path_basis(task, model, eps):
+    pm = model.path_model
+    labels, elems = pm.orthogonal_system()
+    mid = pm.middle_subalgebra()
+    sys = classify(elems, mid, side="left", tol=eps)
+    expect_res = 0.0
+    for lam in pm.diagram.paths:
+        for mu in pm.diagram.block_paths[pm.diagram.pos[lam][0]]:
+            expect_res = max(expect_res, (pm.expect_unit(lam, mu) - mid.expect(pm.unit(lam, mu))).norm())
+    j_res = 0.0
+    for p in range(pm.middle_skeleton.nblocks):
+        jp = pm.j_projection(p)
+        j_res = max(j_res, ((jp * jp) - jp).norm(), (jp - jp.adjoint()).norm())
+    out = _system_payload(sys)
+    out["numbers"]["expectation_residual"] = expect_res
+    out["numbers"]["j_projection_residual"] = j_res
+    return out
+
+
+def _task_markov(task, model, eps):
+    lam, sub_dims = model.inclusion_data()
+    md = markov_trace(lam, sub_dims)
+    t0 = np.asarray(md.trace_sub, dtype=float)
+    eig = float(np.linalg.norm(lam @ lam.T @ t0 - md.beta * t0))
+    return {
+        "flags": {},
+        "numbers": {
+            "beta": md.beta,
+            "eigen_residual": eig,
+            "trace_sub": list(md.trace_sub),
+            "trace_amb": list(md.trace_amb),
+        },
+    }
+
+
+def _task_watatani(task, model, eps):
+    wat = watatani_index(model.elements(task.get("elements", "identity")), tol=eps)
+    numbers = {}
+    if wat.scalar is not None:
+        numbers["scalar"] = wat.scalar
+    return {"flags": {"central": wat.is_central, "scalar_index": wat.scalar is not None}, "numbers": numbers}
+
+
+def _task_interchange(task, model, eps):
+    q = model.require_quad()
+    bc = BasicConstruction(q.n_sub, seed=model.seed)
+    pq, qp, j_res = interchange_pair(q.p_sub, q.bases_p[0], q.q_sub, q.bases_q[0], bc, tol=eps)
+    idem = linalg.operator_norm(pq @ pq - pq)
+    adj = linalg.operator_norm(pq - pq.conj().T)
+    numbers = {
+        "idempotent_residual": idem,
+        "selfadjoint_residual": adj,
+        "j_symmetry_residual": j_res,
+        "norm": linalg.operator_norm(pq),
+    }
+    if len(q.bases_p) > 1 and len(q.bases_q) > 1:
+        alt = interchange_operator(q.p_sub, q.bases_p[1], q.q_sub, q.bases_q[1], bc, tol=eps)
+        numbers["basis_independence"] = linalg.operator_norm(pq - alt)
+    return {"flags": {"projection": bool(max(idem, adj) <= eps)}, "numbers": numbers}
+
+
+def _task_commuting_square(task, model, eps):
+    q = model.require_quad()
+    flag, worst = is_commuting_square(q.n_sub, q.p_sub, q.q_sub, tol=max(eps, 1e-9))
+    return {"flags": {"commuting": flag}, "numbers": {"residual": worst}}
+
+
+def _task_regular_pipeline(task, model, eps):
+    pair = model.require_pair()
+    rep = regular_pipeline(pair.sub, pair.candidates, seed=model.seed, tol=eps)
+    numbers = dict(rep.numbers)
+    if rep.patched is not None:
+        numbers["basis_size"] = len(rep.patched.elements)
+    if rep.watatani is not None and rep.watatani.scalar is not None:
+        numbers["watatani_scalar"] = rep.watatani.scalar
+    return {
+        "flags": dict(rep.flags),
+        "numbers": numbers,
+        "notes": rep.format_lines(),
+        "issues": list(rep.issues),
+    }
+
+
+TASKS = {
+    "classify_system": _task_classify_system,
+    "support": _task_support,
+    "construct_with_support": _task_construct_with_support,
+    "complete_to_basis": _task_complete_to_basis,
+    "path_basis": _task_path_basis,
+    "markov": _task_markov,
+    "watatani": _task_watatani,
+    "interchange": _task_interchange,
+    "commuting_square": _task_commuting_square,
+    "regular_pipeline": _task_regular_pipeline,
+}
+TASK_NAMES = tuple(TASKS)
+
+
+def _run_task(task, model, eps):
     name = task.get("task")
-    if name == "markov":
-        lam, sub_dims = model.inclusion_data()
-        md = markov_trace(lam, sub_dims)
-        t0 = np.asarray(md.trace_sub, dtype=float)
-        eig = float(np.linalg.norm(lam @ lam.T @ t0 - md.beta * t0))
-        return {
-            "flags": {},
-            "numbers": {
-                "beta": md.beta,
-                "eigen_residual": eig,
-                "trace_sub": list(md.trace_sub),
-                "trace_amb": list(md.trace_amb),
-            },
-        }
-    if name == "classify_system":
-        pair = model.require_pair()
-        side = task.get("side", "two-sided")
-        sys = classify(model.elements(task.get("elements", "identity")), pair.sub, side=side, bc=model.bc(), tol=eps)
-        return _system_payload(sys)
-    if name == "support":
-        pair = model.require_pair()
-        sys = classify(model.elements(task.get("elements", "identity")), pair.sub, side="right", bc=model.bc(), tol=eps)
-        supp = sys.support["right"]
-        rank = float(np.trace(supp).real)
-        out = _system_payload(sys)
-        out["numbers"]["support_rank"] = int(round(rank))
-        out["numbers"]["e1_rank"] = model.bc().e1_rank()
-        return out
-    if name == "construct_with_support":
-        bc = model.bc()
-        f = _resolve_f(task.get("f", "e1"), bc)
-        sys = construct_system_with_support(f, bc, mode=task.get("mode", "general"), tol=eps)
-        return _system_payload(sys)
-    if name == "complete_to_basis":
-        bc = model.bc()
-        if "f" in task:
-            start = construct_system_with_support(_resolve_f(task["f"], bc), bc, mode=task.get("mode", "general"), tol=eps)
-        else:
-            start = classify(model.elements(task.get("elements", "identity")), model.require_pair().sub, side="right", bc=bc, tol=eps)
-        full = complete_to_basis(start, bc, tol=eps)
-        out = _system_payload(full)
-        out["numbers"]["initial_size"] = len(start.elements)
-        out["flags"]["prefix_preserved"] = all(
-            a.allclose(b) for a, b in zip(start.elements, full.elements[: len(start.elements)])
-        )
-        return out
-    if name == "path_basis":
-        pm = model.path_model()
-        labels, elems = pm.orthogonal_system()
-        mid = pm.middle_subalgebra()
-        bc = BasicConstruction(mid, seed=seed)
-        sys = classify(elems, mid, side="left", bc=bc, tol=eps)
-        expect_res = 0.0
-        for lam in pm.diagram.paths:
-            for mu in pm.diagram.block_paths[pm.diagram.pos[lam][0]]:
-                expect_res = max(expect_res, (pm.expect_unit(lam, mu) - mid.expect(pm.unit(lam, mu))).norm())
-        j_res = 0.0
-        for p in range(pm.middle_skeleton.nblocks):
-            jp = pm.j_projection(p)
-            j_res = max(j_res, ((jp * jp) - jp).norm(), (jp - jp.adjoint()).norm())
-        out = _system_payload(sys)
-        out["numbers"]["expectation_residual"] = expect_res
-        out["numbers"]["j_projection_residual"] = j_res
-        return out
-    if name == "watatani":
-        wat = watatani_index(model.elements(task.get("elements", "identity")), tol=eps)
-        numbers = {}
-        if wat.scalar is not None:
-            numbers["scalar"] = wat.scalar
-        return {"flags": {"central": wat.is_central, "scalar_index": wat.scalar is not None}, "numbers": numbers}
-    if name == "interchange":
-        q = model.require_quad()
-        bc = BasicConstruction(q.n_sub, seed=seed)
-        pq, qp, j_res = interchange_pair(q.p_sub, q.bases_p[0], q.q_sub, q.bases_q[0], bc, tol=eps)
-        idem = linalg.operator_norm(pq @ pq - pq)
-        adj = linalg.operator_norm(pq - pq.conj().T)
-        numbers = {
-            "idempotent_residual": idem,
-            "selfadjoint_residual": adj,
-            "j_symmetry_residual": j_res,
-            "norm": linalg.operator_norm(pq),
-        }
-        if len(q.bases_p) > 1 and len(q.bases_q) > 1:
-            alt = interchange_operator(q.p_sub, q.bases_p[1], q.q_sub, q.bases_q[1], bc, tol=eps)
-            numbers["basis_independence"] = linalg.operator_norm(pq - alt)
-        return {"flags": {"projection": bool(max(idem, adj) <= eps)}, "numbers": numbers}
-    if name == "commuting_square":
-        q = model.require_quad()
-        flag, worst = is_commuting_square(q.n_sub, q.p_sub, q.q_sub, tol=max(eps, 1e-9))
-        return {"flags": {"commuting": flag}, "numbers": {"residual": worst}}
-    if name == "regular_pipeline":
-        pair = model.require_pair()
-        rep = regular_pipeline(pair.sub, pair.candidates, seed=seed, tol=eps)
-        numbers = dict(rep.numbers)
-        if rep.patched is not None:
-            numbers["basis_size"] = len(rep.patched.elements)
-        if rep.watatani is not None and rep.watatani.scalar is not None:
-            numbers["watatani_scalar"] = rep.watatani.scalar
-        return {
-            "flags": dict(rep.flags),
-            "numbers": numbers,
-            "notes": rep.format_lines(),
-            "issues": list(rep.issues),
-        }
-    raise ScenarioError("unknown task %r (choose from %s)" % (name, ", ".join(TASK_NAMES)))
+    if not isinstance(name, str) or name not in TASKS:
+        raise ScenarioError("unknown task %r (choose from %s)" % (name, ", ".join(TASK_NAMES)))
+    with _fields_of("task %s" % name):
+        return TASKS[name](task, model, eps)
 
 
 def _check_expect(expect, result, eps):
@@ -461,8 +496,9 @@ def run_scenario_dict(data):
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     name = data.get("name", "unnamed")
-    seed = int(data.get("seed", 0))
-    eps = float(data.get("eps", 1e-8))
+    with _fields_of("scenario"):
+        seed = int(data.get("seed", 0))
+        eps = float(data.get("eps", linalg.EPS_FLAG))
     tasks = data.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ScenarioError("scenario needs a nonempty task list")
@@ -475,7 +511,7 @@ def run_scenario_dict(data):
         expect = task.get("expect", {})
         entry = {"task": task["task"]}
         try:
-            outcome = _run_task(task, model, eps, seed)
+            outcome = _run_task(task, model, eps)
             entry.update(outcome)
             failures = _check_expect(expect, outcome, eps)
             if expect.get("error"):

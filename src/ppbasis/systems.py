@@ -9,6 +9,8 @@ entries, orthonormal when the diagonal entries are 1, and a basis when the
 support is the identity.  Left-handed versions swap the adjoints.  The tests
 run on M's own blocks (M_n(M) is the sum of the M_{n n_k}, with the same
 C*-norms), and the support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat.
+Classification needs only the family and N, so it builds no basic
+construction; one passed as ``bc`` is kept on the result for completion.
 """
 
 import math
@@ -20,8 +22,7 @@ import numpy as np
 from . import linalg
 from .basic import BasicConstruction
 from .errors import InfeasibleSupport, InvalidInput, NotAProjection, NotASystem
-
-EPS_SYS = 1e-8
+from .linalg import EPS_FLAG
 
 
 class _Family:
@@ -91,7 +92,7 @@ def gram_matrix(elements, sub, side="right"):
     return _entries(_Family(tuple(elements), sub, side).gram(), sub.ambient)
 
 
-def support_operator(elements, bc, side="right", warn_tol=EPS_SYS):
+def support_operator(elements, bc, side="right", warn_tol=EPS_FLAG):
     """GNS support projection of a family (right: sum L e1 L*, left: sum L* e1 L).
 
     Warns (and still returns the operator) when the family is not a system,
@@ -121,25 +122,21 @@ class PPSystem:
     def size(self):
         return len(self.elements)
 
-    def is_system(self):
-        return self.flags["system"]
-
     def is_basis(self):
         return self.flags["basis"]
 
 
-def classify(elements, sub, side="two-sided", bc=None, tol=EPS_SYS, seed=0):
+def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
     """Classify a family as system / orthogonal / orthonormal / basis.
 
     ``side`` is "right", "left" or "two-sided"; two-sided requires both
     handed tests to pass.  Classification is eager: Gram matrices and
     supports for each requested side are computed and kept on the result.
+    ``bc`` is not read; it is kept on the result for ``complete_to_basis``.
     """
     elements = tuple(elements)
     if side not in ("right", "left", "two-sided"):
         raise InvalidInput("side must be 'right', 'left' or 'two-sided'")
-    if bc is None:
-        bc = BasicConstruction(sub, seed=seed)
     sides = ("right", "left") if side == "two-sided" else (side,)
     grams, supports, residuals = {}, {}, {}
     flags = {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
@@ -149,7 +146,7 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_SYS, seed=0):
         grams[s] = _entries(g, sub.ambient)
         r, scale, off, diag_proj, diag_one = _gram_residuals(g, sub.ambient)
         supports[s] = family.support()
-        basis_res = linalg.hermitian_norm(supports[s] - np.eye(bc.gns_dim))
+        basis_res = linalg.hermitian_norm(supports[s] - np.eye(sub.ambient.gns_dim))
         residuals["%s_gram_projection" % s] = r / scale
         residuals["%s_offdiag" % s] = off
         residuals["%s_diag_projection" % s] = diag_proj
@@ -175,7 +172,7 @@ def _abstract_ranks(blocks):
     return ranks
 
 
-def _range_vectors(block, count, tol=1e-6):
+def _range_vectors(block, count):
     """First ``count`` orthonormal eigenvectors of an abstract projection block."""
     vals, vecs = np.linalg.eigh(block)
     keep = [i for i in range(vals.size) if vals[i] > 0.5]
@@ -185,7 +182,7 @@ def _range_vectors(block, count, tol=1e-6):
     return vecs[:, keep[:count]]
 
 
-def construct_system_with_support(f, bc, mode="general", tol=EPS_SYS):
+def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     """Build a system whose support is the prescribed projection f in M1.
 
     Partial isometries v_i in M1 with v_i* v_i under e1 and ranges summing to
@@ -261,23 +258,23 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_SYS):
     return sys
 
 
-def complete_to_basis(system, bc=None, tol=EPS_SYS):
+def complete_to_basis(system, bc=None, tol=EPS_FLAG):
     """Extend a right system to a right basis, keeping the input elements.
 
     The complement 1 - support is handed to the general construction; the
-    returned system starts with the original elements verbatim.
+    returned system starts with the original elements verbatim.  The basic
+    construction is ``bc``, else the system's, else a new one over its N.
     """
     if not isinstance(system, PPSystem):
         raise InvalidInput("complete_to_basis expects a classified system")
     if system.side not in ("right",):
         raise InvalidInput("completion is implemented for right systems")
-    bc = bc or system.bc
     if not system.flags["system"]:
         raise NotASystem("cannot complete: the Gram matrix is not a projection")
-    supp = system.support["right"]
-    g = np.eye(bc.gns_dim) - supp
+    g = np.eye(system.sub.ambient.gns_dim) - system.support["right"]
     if linalg.operator_norm(g) <= tol:
         return system
+    bc = bc or system.bc or BasicConstruction(system.sub)
     extension = construct_system_with_support(g, bc, mode="general", tol=tol)
     combined = tuple(system.elements) + tuple(extension.elements)
     out = classify(combined, system.sub, side="right", bc=bc, tol=tol)

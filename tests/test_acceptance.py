@@ -15,7 +15,6 @@ from ppbasis import (
     classify,
     complete_to_basis,
     construct_system_with_support,
-    generated_subalgebra,
     interchange_operator,
     interchange_pair,
     markov_trace,
@@ -180,7 +179,7 @@ def test_criterion_05_gram_projection_property(report):
 
         kp, blockshift, krep = _klein()
         bc_k = BasicConstruction(kp.sub)
-        mid = generated_subalgebra(kp.ambient, list(kp.sub.basis_elements()) + [blockshift])
+        mid = Subalgebra.generated(kp.ambient, list(kp.sub.basis_elements()) + [blockshift])
         instances.append(([kp.ambient.identity(), blockshift], kp.sub, bc_k, mid.projection_matrix()))
         instances.append((krep.patched.elements, kp.sub, bc_k, np.eye(bc_k.gns_dim)))
 

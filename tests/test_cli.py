@@ -251,3 +251,36 @@ def test_leftover_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypat
     assert code == 2
     assert out == ""
     assert err == "error: SVD did not converge\n"
+
+
+MALFORMED = {
+    "model-k": {"model": {"kind": "diagonal_in_matrix", "k": "abc"}, "tasks": [{"task": "markov"}]},
+    "seed": {"seed": "abc", "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
+    "eps": {"eps": "abc", "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
+    "cyclic-group": {
+        "model": {"kind": "group_algebra_pair", "group": {"cyclic": "z"}, "subgroup": [0]},
+        "tasks": [{"task": "markov"}],
+    },
+    "m1-central": {
+        "model": {"kind": "diagonal_in_matrix", "k": 2},
+        "tasks": [{"task": "construct_with_support", "f": {"m1_central": "q"}}],
+    },
+    "ambient-dims-shape": {
+        "model": {"kind": "explicit", "dims": [1, 1], "inclusion": [[1]], "ambient_dims": [1]},
+        "tasks": [{"task": "markov"}],
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, case):
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, MALFORMED[case]))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_seed_override_on_non_object_scenario_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, [1, 2]), "--seed", "3")
+    assert code == 2
+    assert err == "error: scenario must be a JSON object\n"

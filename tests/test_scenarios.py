@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -157,3 +160,29 @@ def test_selftest_corpus_shape():
     assert len(set(names)) == 8
     for c in corpus:
         assert c["tasks"], c["name"]
+
+
+GOLDEN = Path(__file__).parent / "data" / "selftest_golden.json"
+
+
+def _assert_matches(got, want, where="report"):
+    """Keys, flags, strings and ints exactly; floats within 1e-9 absolute."""
+    assert type(got) is type(want), "%s: %r vs %r" % (where, got, want)
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], "%s.%s" % (where, key))
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, "%s[%d]" % (where, i))
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-9, "%s: %r vs %r" % (where, got, want)
+    else:
+        assert got == want, "%s: %r vs %r" % (where, got, want)
+
+
+def test_selftest_matches_golden_report():
+    # residuals near 1e-16 may move with BLAS rounding; everything else is frozen
+    report, _ = scenarios.run_selftest()
+    _assert_matches(report, json.loads(GOLDEN.read_text()))
