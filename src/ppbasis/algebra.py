@@ -332,6 +332,7 @@ class Subalgebra:
         if self.mat.ndim != 2 or self.mat.shape[0] != ambient.gns_dim:
             raise InvalidInput("basis matrix must be GNS-dim x s")
         self._elements = None
+        self._wedderburn = {}
 
     @classmethod
     def span(cls, ambient, elements, check=True, tol=linalg.EPS_REL):
@@ -380,6 +381,12 @@ class Subalgebra:
         if self._elements is None:
             self._elements = [self.ambient.unvec(self.mat[:, i]) for i in range(self.mat.shape[1])]
         return self._elements
+
+    def wedderburn_data(self, seed=0):
+        """``wedderburn(self, seed)``, decomposed once for each seed."""
+        if seed not in self._wedderburn:
+            self._wedderburn[seed] = wedderburn(self, seed=seed)
+        return self._wedderburn[seed]
 
     def projection_matrix(self):
         """Orthogonal projection of the GNS space onto the subalgebra."""

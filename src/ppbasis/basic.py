@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, Subalgebra, wedderburn
+from .algebra import MultiMatrixAlgebra, Subalgebra
 from .errors import InvalidInput, NonConnected, NotSupportedOnE1
 
 
@@ -80,7 +80,6 @@ class BasicConstruction:
         d = self.amb.gns_dim
         self.e1 = sub.projection_matrix()
         self.op_alg = MultiMatrixAlgebra((d,), (1.0 / d,))
-        self._sub_wedd = None
         self._m1_wedd = None
         self._identity_vec = self.amb.vec(self.amb.identity())
 
@@ -98,15 +97,10 @@ class BasicConstruction:
         """L_x e1, the generic element of M e1."""
         return self.amb.left_op(x) @ self.e1
 
-    def e1_rank(self):
-        return self.sub.dim
-
     @property
     def sub_wedd(self):
-        """Wedderburn data of N; block i of M1 sits over its block i."""
-        if self._sub_wedd is None:
-            self._sub_wedd = wedderburn(self.sub, seed=self.seed)
-        return self._sub_wedd
+        """Wedderburn data of N (kept on N); block i of M1 sits over its block i."""
+        return self.sub.wedderburn_data(self.seed)
 
     @property
     def m1_wedd(self):
@@ -122,9 +116,6 @@ class BasicConstruction:
     def in_m1_residual(self, mat):
         """||T - E_M1(T)||_HS / sqrt(D), the GNS norm of T's distance to M1."""
         return self.m1_wedd.roundtrip_residual(self.op_element(mat))
-
-    def m1_dims(self):
-        return self.m1_wedd.block_dims
 
     def expect_via_e1(self, x):
         """E_N(x) read off the GNS action of e1."""

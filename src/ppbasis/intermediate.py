@@ -4,13 +4,14 @@ interchange operator built from a pair of bases, and commuting squares.
 For bases (lambda_i) of P over N and (mu_j) of Q over N, the interchange
 operator is p = sum_ij L(lambda_i mu_j) e1 L(lambda_i mu_j)*.  It is a
 projection exactly when the two intermediate algebras commute in the right
-way; modular conjugation swaps the two arguments.
+way; modular conjugation swaps the two arguments.  Each basis is checked by
+``systems.require_basis`` against e_P, after ``intermediate_projection``.
 """
 
 from . import linalg
-from .errors import InvalidInput, NotABasis, NotIntermediate
+from .errors import InvalidInput, NotIntermediate
 from .linalg import EPS_FLAG
-from .systems import _Family, classify
+from .systems import _Family, require_basis
 
 
 def check_intermediate(sub, mid, tol=EPS_FLAG):
@@ -35,21 +36,6 @@ def intermediate_projection(mid, bc, tol=EPS_FLAG):
     return ep
 
 
-def _require_basis(elements, sub, mid, bc, tol, label):
-    """Elements must lie in mid and their right support must equal e_P."""
-    for x in elements:
-        if mid.residual(x) > tol:
-            raise NotABasis("%s element leaves the intermediate algebra" % label)
-    sys = classify(elements, sub, side="right", bc=bc, tol=tol)
-    if not sys.flags["system"]:
-        raise NotABasis("%s family is not a system" % label)
-    ep = intermediate_projection(mid, bc, tol)
-    res = linalg.operator_norm(sys.support["right"] - ep)
-    if res > tol * (1.0 + linalg.operator_norm(ep)):
-        raise NotABasis("%s family does not span its algebra over the base (residual %.3g)" % (label, res))
-    return sys
-
-
 def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check=True):
     """p(P, Q) = sum_ij L(lambda_i) L(mu_j) e1 L(mu_j)* L(lambda_i)*, the right
     support of the products lambda_i mu_j.
@@ -58,8 +44,9 @@ def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check
     over N; with ``check`` the basis property is verified first.
     """
     if check:
-        _require_basis(basis_p, bc.sub, p_sub, bc, tol, "first")
-        _require_basis(basis_q, bc.sub, q_sub, bc, tol, "second")
+        for mid, basis, label in ((p_sub, basis_p, "first"), (q_sub, basis_q, "second")):
+            intermediate_projection(mid, bc, tol)
+            require_basis(basis, bc.sub, mid, side="right", tol=tol, label=label)
     return _Family([lam * mu for lam in basis_p for mu in basis_q], bc.sub, "right").support()
 
 

@@ -5,8 +5,9 @@ chain into one report.
 The generalized Weyl data is handled operationally.  Cosets of the normalizer
 are separated by the vanishing of E_R(u v*); representatives are filtered from
 model-supplied candidates rather than enumerated, and regularity is certified
-relative to those candidates.  Every system and basis test is a ``classify``
-on the family and its base algebra, so the chain builds no basic construction.
+relative to those candidates.  Every test is a ``classify`` on the family and
+its base algebra (``require_basis`` for a basis), so the chain builds no basic
+construction, and the pipeline verifies each precondition of the patching once.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from .errors import (
     NotUnitary,
 )
 from .linalg import EPS_FLAG
-from .systems import classify
+from .systems import classify, require_basis
 
 II1_NOTE = (
     "equality of beta with |reps| * dim(N' cap M) is the statement for regular "
@@ -296,34 +297,6 @@ def coset_system(reps, n_sub, r_sub, tol=EPS_FLAG):
     return sys_r
 
 
-def _verify_two_sided_basis(elements, n_sub, target, tol, label):
-    """Two-sided basis test for a family spanning ``target`` over N.
-
-    ``target`` None means the whole ambient algebra (supports must be 1);
-    otherwise both supports must equal the GNS projection of the target and
-    every element must lie inside it.
-    """
-    if target is not None:
-        for k, x in enumerate(elements):
-            res = target.residual(x)
-            if res > tol:
-                raise NotABasis("%s element %d leaves its algebra (residual %.3g)" % (label, k, res))
-    sys = classify(elements, n_sub, side="two-sided", tol=tol)
-    if not sys.flags["system"]:
-        raise NotABasis(
-            "%s family fails the Gram projection test (residual %.3g)"
-            % (label, max(sys.residuals["right_gram_projection"], sys.residuals["left_gram_projection"]))
-        )
-    et = np.eye(n_sub.ambient.gns_dim) if target is None else target.projection_matrix()
-    scale = 1.0 + linalg.operator_norm(et)
-    for side in ("right", "left"):
-        res = linalg.operator_norm(sys.support[side] - et)
-        sys.residuals[side + "_support_target"] = res
-        if res > tol * scale:
-            raise NotABasis("%s family has wrong %s support (residual %.3g)" % (label, side, res))
-    return sys
-
-
 def patch_bases(inner, outer, n_sub, p_sub, tol=EPS_FLAG, check=True):
     """Patch a basis of P over N with a basis of M over P into one of M over N.
 
@@ -337,8 +310,8 @@ def patch_bases(inner, outer, n_sub, p_sub, tol=EPS_FLAG, check=True):
     if not inner or not outer:
         raise InvalidInput("both families must be nonempty")
     if check:
-        _verify_two_sided_basis(inner, n_sub, p_sub, tol, "inner")
-        _verify_two_sided_basis(outer, p_sub, None, tol, "outer")
+        require_basis(inner, n_sub, p_sub, tol=tol, label="inner")
+        require_basis(outer, p_sub, tol=tol, label="outer")
         for j, mu in enumerate(outer):
             if not mu.is_unitary(tol):
                 raise NotUnitary("outer element %d is not unitary" % j)
@@ -347,7 +320,7 @@ def patch_bases(inner, outer, n_sub, p_sub, tol=EPS_FLAG, check=True):
             if normalizer_residual(mu, p_sub) > tol:
                 raise NotANormalizer("outer element %d does not normalize the intermediate algebra" % j)
             conj = [mu * lam * mu.adjoint() for lam in inner]
-            _verify_two_sided_basis(conj, n_sub, p_sub, tol, "conjugated inner")
+            require_basis(conj, n_sub, p_sub, tol=tol, label="conjugated inner")
     products = [mu * lam for mu in outer for lam in inner]
     return classify(products, n_sub, side="two-sided", tol=tol)
 
@@ -419,25 +392,16 @@ def _scalar_commutant_basis(comm, seed):
 def _inner_basis(sub, comm, r_alg, tol, seed):
     """Two-sided basis of R over N built from the relative commutant.
 
-    When R = N the unit alone is a basis.  When R is all of M the scaled
-    commutant units are tested directly on L2(M); for a proper intermediate
-    R the test runs inside an abstract copy of R.  Failure of the scalar
-    family is reported as a degenerate commutant model.
+    When R = N the unit alone is a basis.  Otherwise the scaled commutant
+    units must have both supports equal to e_R on L2(M), which for a family
+    inside R is support 1 on L2(R).  Failure of the scalar family is reported
+    as a degenerate commutant model.
     """
-    amb = sub.ambient
     if r_alg.dim == sub.dim:
-        return (amb.identity(),)
+        return (sub.ambient.identity(),)
     inner = _scalar_commutant_basis(comm, seed)
     try:
-        if r_alg.dim == amb.dim:
-            _verify_two_sided_basis(inner, sub, None, tol, "commutant")
-        else:
-            wd_r = wedderburn(r_alg, seed=seed)
-            n_in_r = Subalgebra.span(
-                wd_r.abstract(), [wd_r.abstract_element(x) for x in sub.basis_elements()], check=False
-            )
-            inner_abs = [wd_r.abstract_element(x) for x in inner]
-            _verify_two_sided_basis(inner_abs, n_in_r, None, tol, "commutant")
+        require_basis(inner, sub, r_alg, tol=tol, label="commutant")
     except NotABasis as exc:
         raise DegenerateCommutantModel(str(exc)) from exc
     return inner
@@ -457,7 +421,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     candidates = tuple(candidates)
     comm = relative_commutant(sub)
     r_alg = Subalgebra.generated(amb, list(sub.basis_elements()) + list(comm.basis_elements()))
-    wd_n = wedderburn(sub, seed=seed)
+    wd_n = sub.wedderburn_data(seed)
     markov = markov_trace(inclusion_matrix(wd_n), wd_n.block_dims)
     inner = _inner_basis(sub, comm, r_alg, tol, seed)
 
@@ -489,7 +453,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     patched = None
     wat = None
     if regular and complete:
-        patched = patch_bases(inner, reps, sub, r_alg, tol=tol)
+        patched = patch_bases(inner, reps, sub, r_alg, tol=tol, check=False)  # preconditions settled above
         wat = watatani_index(patched.elements)
     elif regular:
         issues.append("IncompleteCosets")

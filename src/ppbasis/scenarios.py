@@ -132,6 +132,8 @@ def _action_from_spec(spec, base, group):
             raise ScenarioError("need one automorphism per group element")
         autos = []
         for a in spec:
+            if not isinstance(a, dict):
+                raise ScenarioError("each automorphism must be an object, got %r" % (a,))
             perm = a.get("perm")
             units = a.get("unitaries")
             if units is not None:
@@ -180,7 +182,7 @@ class LoadedModel:
         pair = self.require_pair()
         if pair.embedding is not None:
             return np.asarray(pair.embedding.inclusion), pair.embedding.source.dims
-        wd = self.bc.sub_wedd
+        wd = pair.sub.wedderburn_data(self.seed)
         return inclusion_matrix(wd), wd.block_dims
 
     def elements(self, source):
@@ -481,11 +483,12 @@ def _check_expect(expect, result, eps):
             if isinstance(want, bool) or isinstance(got, bool):
                 if bool(got) != bool(want):
                     failures.append("%s = %s, expected %s" % (key, got, want))
-            elif isinstance(want, (int, float)):
-                if abs(float(got) - float(want)) > max(eps, 1e-9):
-                    failures.append("%s = %s, expected %s" % (key, got, want))
-            else:
+            elif not isinstance(want, (int, float)):
                 failures.append("%s has non-numeric expectation %r" % (key, want))
+            elif not isinstance(got, (int, float, np.integer, np.floating)):
+                failures.append("%s is not a number, expected %s" % (key, want))
+            elif abs(float(got) - float(want)) > max(eps, 1e-9):
+                failures.append("%s = %s, expected %s" % (key, got, want))
         else:
             failures.append("no value named %s in the result" % key)
     return failures
@@ -509,6 +512,8 @@ def run_scenario_dict(data):
         if not isinstance(task, dict) or "task" not in task:
             raise ScenarioError("each task must be an object with a 'task' field")
         expect = task.get("expect", {})
+        if not isinstance(expect, dict):
+            raise ScenarioError("the expect field of task %r must be an object" % (task["task"],))
         entry = {"task": task["task"]}
         try:
             outcome = _run_task(task, model, eps)

@@ -11,6 +11,7 @@ run on M's own blocks (M_n(M) is the sum of the M_{n n_k}, with the same
 C*-norms), and the support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat.
 Classification needs only the family and N, so it builds no basic
 construction; one passed as ``bc`` is kept on the result for completion.
+``require_basis`` is the one basis check of the regular chain and interchange.
 """
 
 import math
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .basic import BasicConstruction
-from .errors import InfeasibleSupport, InvalidInput, NotAProjection, NotASystem
+from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, NotASystem
 from .linalg import EPS_FLAG
 
 
@@ -159,6 +160,33 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
     flags["orthonormal"] = flags["orthonormal"] and flags["orthogonal"]
     flags["basis"] = flags["basis"] and flags["system"]
     return PPSystem(elements, sub, side, flags, residuals, grams, supports, bc)
+
+
+def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, label="family"):
+    """Classify a family that must be a basis of ``target`` (None: all of M) over ``sub``.
+
+    Raises NotABasis at the first failed test, in this order: an element leaves
+    the target, the family is not a system, a tested support differs from the
+    GNS projection of the target (its residual is kept as ``<side>_support_target``).
+    """
+    elements = tuple(elements)
+    if target is not None:
+        for k, x in enumerate(elements):
+            res = target.residual(x)
+            if res > tol:
+                raise NotABasis("%s element %d leaves its algebra (residual %.3g)" % (label, k, res))
+    sys = classify(elements, sub, side=side, tol=tol)
+    if not sys.flags["system"]:
+        res = max(sys.residuals[s + "_gram_projection"] for s in sys.support)
+        raise NotABasis("%s family fails the Gram projection test (residual %.3g)" % (label, res))
+    et = np.eye(sub.ambient.gns_dim) if target is None else target.projection_matrix()
+    scale = 1.0 + linalg.operator_norm(et)
+    for s in sys.support:  # the tested sides, right before left
+        res = linalg.operator_norm(sys.support[s] - et)
+        sys.residuals[s + "_support_target"] = res
+        if res > tol * scale:
+            raise NotABasis("%s family has wrong %s support (residual %.3g)" % (label, s, res))
+    return sys
 
 
 def _abstract_ranks(blocks):

@@ -65,7 +65,7 @@ def test_e1_implements_expectation():
         assert bc.expect_via_e1(x).allclose(mp.sub.expect(x), tol=1e-11)
     # e1 is a projection of rank dim(N)
     assert linalg.is_projection_matrix(bc.e1, tol=1e-10)
-    assert linalg.rank(bc.e1) == bc.e1_rank() == 2
+    assert linalg.rank(bc.e1) == bc.sub.dim == 2
 
 
 def test_e1_commutes_with_subalgebra_action():
@@ -108,7 +108,7 @@ def test_m1_dimension_diag_in_m2():
     # M1 for diagonal in M2 is M2 + M2 acting on a 4-dim GNS space
     bc = BasicConstruction(models.diagonal_in_matrix(2).sub)
     assert bc.m1.dim == 8
-    assert tuple(sorted(bc.m1_dims())) == (2, 2)
+    assert tuple(sorted(bc.m1_wedd.block_dims)) == (2, 2)
 
 
 def nullspace_m1(bc):
@@ -145,7 +145,7 @@ def test_closed_form_m1_matches_nullspace_oracle(build):
     # block i of M1 sits over N's block i with size (Lambda n)_i
     lam = inclusion_matrix(bc.sub_wedd)
     dims = tuple(int(k) for k in lam @ np.asarray(mp.ambient.dims))
-    assert bc.m1_dims() == dims
+    assert bc.m1_wedd.block_dims == dims
     assert ker.shape[1] == bc.m1.dim == sum(k * k for k in dims)
     # same subspace of the D^2-dim operator space: every principal cosine is 1
     cosines = np.linalg.svd(ker.conj().T @ bc.m1.mat, compute_uv=False)

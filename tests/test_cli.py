@@ -269,6 +269,11 @@ MALFORMED = {
         "model": {"kind": "explicit", "dims": [1, 1], "inclusion": [[1]], "ambient_dims": [1]},
         "tasks": [{"task": "markov"}],
     },
+    "expect-not-object": {"model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov", "expect": 5}]},
+    "action-entry": {
+        "model": {"kind": "crossed_product", "base_dims": [1, 1], "group": "cyclic:2", "action": [5, 6]},
+        "tasks": [{"task": "markov"}],
+    },
 }
 
 
@@ -278,6 +283,15 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_list_valued_result_against_a_number_is_a_mismatch(tmp_path, capsys):
+    spec = {"model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov", "expect": {"trace_sub": 1.0}}]}
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, spec))
+    assert code == 1
+    assert err == ""
+    assert "mismatch: trace_sub is not a number, expected 1.0" in out
+    assert "result: FAIL" in out
 
 
 def test_seed_override_on_non_object_scenario_exits_2(tmp_path, capsys):

@@ -33,6 +33,15 @@ def test_intermediate_projection_dominates_e1():
     assert linalg.operator_norm(ep @ bc.e1 - bc.e1) < 1e-10
 
 
+def test_interchange_check_rejects_a_non_intermediate_algebra():
+    # over the diagonal, span{1, flip} is no intermediate algebra; its family
+    # {1, flip} would fail only as a basis, so the containment test comes first
+    q = models.masa_quadruple()
+    bc = BasicConstruction(q.p_sub)
+    with pytest.raises(NotIntermediate):
+        interchange_operator(q.q_sub, q.bases_q[1], q.p_sub, [q.ambient.identity()], bc)
+
+
 def test_interchange_is_projection_for_masa_pair():
     q = models.masa_quadruple()
     bc = BasicConstruction(q.n_sub)

@@ -15,7 +15,7 @@ from ppbasis import (
     regular_pipeline,
     relative_commutant,
 )
-from ppbasis import linalg, models
+from ppbasis import algebra, linalg, models, regular, systems
 from ppbasis.errors import (
     DegenerateCommutantModel,
     DuplicateCoset,
@@ -445,6 +445,22 @@ def test_pipeline_degenerate_commutant_model():
         regular_pipeline(sub)
 
 
+@pytest.mark.parametrize(
+    "dims, inclusion",
+    [((1, 1), [[1], [2]]), ((1, 2), [[1, 1], [1, 0]]), ((2, 1), [[1], [2]])],
+    ids=["1-1-over-m3", "1-2-over-m3+c", "2-1-over-m4"],
+)
+def test_pipeline_degenerate_commutant_model_explicit_pairs(dims, inclusion):
+    # Markov-trace pairs with N < R < M strictly: the scalar commutant family
+    # is tested against e_R on L2(M) and fails
+    mp = models.explicit_pair(dims, inclusion)
+    comm = relative_commutant(mp.sub)
+    r_alg = Subalgebra.generated(mp.ambient, list(mp.sub.basis_elements()) + list(comm.basis_elements()))
+    assert mp.sub.dim < r_alg.dim < mp.ambient.dim
+    with pytest.raises(DegenerateCommutantModel):
+        regular_pipeline(mp.sub)
+
+
 def test_pipeline_group_algebra():
     mp = models.group_algebra_pair(GroupTable.cyclic(2), [0])
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
@@ -464,3 +480,83 @@ def test_pipeline_crossed_product():
     assert rep.numbers["reps"] == 3
     assert len(rep.patched.elements) == 3
     assert rep.watatani.scalar == pytest.approx(3.0, abs=1e-8)
+
+
+def _klein_full():
+    mp, _, inner, bigswap = klein_setup()
+    mp.candidates = (bigswap, inner[1], bigswap * inner[1])
+    return mp
+
+
+def _klein_group():
+    z2 = GroupTable.cyclic(2)
+    return GroupTable.direct_product(z2, z2)
+
+
+PATCH_ORACLE_MODELS = [
+    *(("diag-in-m%d" % k, lambda k=k: models.diagonal_in_matrix(k)) for k in (2, 3, 4)),
+    ("z2-over-e", lambda: models.group_algebra_pair(GroupTable.cyclic(2), [0])),
+    ("z4-over-e", lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0])),
+    ("klein-over-e", lambda: models.group_algebra_pair(_klein_group(), [0])),
+    ("crossed-product-diag-3", lambda: models.crossed_product_diag(3)),
+    ("two-block-over-factor", models.two_block_over_factor),
+    ("full-klein", _klein_full),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in PATCH_ORACLE_MODELS], ids=[n for n, _ in PATCH_ORACLE_MODELS])
+def test_pipeline_patching_matches_checked_patch_bases(build):
+    # the pipeline patches without re-testing its preconditions; the checked
+    # public path must accept the same families and give the same basis
+    mp = build()
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    assert rep.flags["patched_basis_two_sided"]
+    checked = patch_bases(rep.inner, rep.reps, mp.sub, rep.r_algebra, check=True)
+    assert len(checked.elements) == len(rep.patched.elements)
+    for x, y in zip(checked.elements, rep.patched.elements):
+        assert all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
+    assert checked.flags == rep.patched.flags
+
+
+@pytest.mark.parametrize(
+    "build, most",
+    [
+        (lambda: models.diagonal_in_matrix(3), 3),
+        (lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0]), 4),
+    ],
+    ids=["diag-in-m3", "z4-over-e"],
+)
+def test_pipeline_classifies_each_family_once(monkeypatch, build, most):
+    # inner basis, coset system over R and over N, and the patched basis:
+    # no precondition is classified a second time
+    mp = build()
+    calls = []
+    original = systems.classify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(systems, "classify", counting)
+    monkeypatch.setattr(regular, "classify", counting)
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    assert rep.flags["patched_basis_two_sided"]
+    assert len(calls) <= most
+
+
+def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
+    mp = models.group_algebra_pair(GroupTable.cyclic(2), [0])
+    decomposed = []
+    original = algebra.wedderburn
+
+    def counting(sub, *args, **kwargs):
+        decomposed.append(sub)
+        return original(sub, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "wedderburn", counting)
+    bc = BasicConstruction(mp.sub, seed=0)
+    assert bc.sub_wedd is mp.sub.wedderburn_data(0)
+    regular_pipeline(mp.sub, candidates=mp.candidates, seed=0)
+    assert sum(sub is mp.sub for sub in decomposed) == 1
+    assert mp.sub.wedderburn_data(1) is not bc.sub_wedd
+

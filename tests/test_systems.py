@@ -15,11 +15,12 @@ from ppbasis import linalg, models
 from ppbasis.errors import (
     InfeasibleSupport,
     InvalidInput,
+    NotABasis,
     NotAProjection,
     NotASystem,
 )
 from ppbasis.regular import GroupTable
-from ppbasis.systems import support_operator
+from ppbasis.systems import require_basis, support_operator
 
 
 def scalars_in_m2():
@@ -390,3 +391,20 @@ def test_overflowing_gram_entry_is_invalid_input():
         classify([huge], d2.sub)
     with pytest.raises(InvalidInput, match="non-finite Gram entry"):
         gram_matrix([huge], d2.sub)
+
+
+def test_require_basis_reports_the_first_failed_check():
+    q = models.masa_quadruple()
+    diag = q.bases_p[0]  # sqrt(2) e11, sqrt(2) e22: a right basis of the diagonal over C
+    with pytest.raises(NotABasis, match="element 0 leaves its algebra"):
+        require_basis(diag, q.n_sub, q.q_sub, side="right", label="diag")
+    with pytest.raises(NotABasis, match="fails the Gram projection test"):
+        require_basis([2.0 * q.ambient.identity()], q.n_sub, side="right")
+    with pytest.raises(NotABasis, match="wrong right support"):
+        require_basis(diag, q.n_sub, side="right")  # support e_P, not 1
+    sys = require_basis(diag, q.n_sub, q.p_sub, side="right")
+    assert sys.residuals["right_support_target"] < 1e-12
+    assert "left_support_target" not in sys.residuals
+    full = require_basis(scalar_basis(q.ambient), q.n_sub)
+    assert max(full.residuals["right_support_target"], full.residuals["left_support_target"]) < 1e-12
+
