@@ -22,9 +22,6 @@ from .errors import (
     TraceMismatch,
 )
 
-TRACE_SUM_TOL = 1e-12
-
-
 class MultiMatrixAlgebra:
     """Direct sum of matrix blocks with a faithful tracial state."""
 
@@ -40,7 +37,7 @@ class MultiMatrixAlgebra:
         if np.any(t <= 0):
             raise InvalidInput("trace vector must be strictly positive, got %r" % (t,))
         total = float(np.dot(dims, t))
-        if abs(total - 1.0) > TRACE_SUM_TOL:
+        if abs(total - 1.0) > linalg.EPS_TRACE:
             raise InvalidInput("trace vector must satisfy sum n_i t_i = 1, got %.17g" % total)
         self.dims = dims
         self.trace_vector = t
@@ -63,11 +60,11 @@ class MultiMatrixAlgebra:
     def __repr__(self):
         return "MultiMatrixAlgebra(dims=%r)" % (list(self.dims),)
 
-    def same_structure(self, other, tol=1e-12):
+    def same_structure(self, other):
         return (
             isinstance(other, MultiMatrixAlgebra)
             and self.dims == other.dims
-            and np.allclose(self.trace_vector, other.trace_vector, atol=tol)
+            and np.allclose(self.trace_vector, other.trace_vector, rtol=0, atol=linalg.EPS_TRACE)
         )
 
     # -- element factories -------------------------------------------------
@@ -221,20 +218,21 @@ class AlgebraElement:
         """u x u* for a (typically unitary) element u."""
         return u * self * u.adjoint()
 
-    def is_hermitian(self, tol=1e-10):
-        return all(linalg.operator_norm(b - b.conj().T) <= tol * (1.0 + linalg.operator_norm(b)) for b in self.blocks)
+    def is_hermitian(self):
+        norm = linalg.operator_norm
+        return all(norm(b - b.conj().T) <= linalg.EPS_INPUT * (1.0 + norm(b)) for b in self.blocks)
 
-    def is_projection(self, tol=1e-8):
+    def is_projection(self, tol=linalg.EPS_FLAG):
         scale = 1.0 + self.op_norm()
         return ((self * self) - self).op_norm() <= tol * scale and (self - self.adjoint()).op_norm() <= tol * scale
 
-    def is_unitary(self, tol=1e-8):
+    def is_unitary(self, tol=linalg.EPS_FLAG):
         one = self.alg.identity()
         return ((self * self.adjoint()) - one).op_norm() <= tol and ((self.adjoint() * self) - one).op_norm() <= tol
 
-    def allclose(self, other, tol=1e-10):
+    def allclose(self, other, tol=linalg.EPS_INPUT):
         self._check_same(other)
-        return all(np.allclose(a, b, atol=tol) for a, b in zip(self.blocks, other.blocks))
+        return all(np.allclose(a, b, rtol=0, atol=tol) for a, b in zip(self.blocks, other.blocks))
 
     def __repr__(self):
         return "AlgebraElement(dims=%r, norm=%.6g)" % (list(self.alg.dims), self.norm())
@@ -266,14 +264,12 @@ class UnitalEmbedding:
         lam = np.asarray(inclusion)
         if lam.shape != (source.nblocks, target.nblocks):
             raise InvalidInput("inclusion matrix shape %r != (%d, %d)" % (lam.shape, source.nblocks, target.nblocks))
-        if np.any(lam < 0) or not np.allclose(lam, np.round(lam)):
-            raise InvalidInput("inclusion matrix must have nonnegative integer entries")
-        lam = np.round(lam).astype(int)
+        lam = linalg.integer_matrix(lam, "inclusion matrix")
         if np.any(lam.sum(axis=1) == 0):
             raise NonUnitalInclusion("a source block is annihilated (zero row in the inclusion matrix)")
         check_unital_dims(source.dims, lam, target.dims)
         restricted = lam @ target.trace_vector
-        if np.max(np.abs(restricted - source.trace_vector)) > 1e-10:
+        if np.max(np.abs(restricted - source.trace_vector)) > linalg.EPS_INPUT:
             raise TraceMismatch(
                 "source trace %r != inclusion @ target trace %r" % (list(source.trace_vector), list(restricted))
             )
@@ -282,7 +278,7 @@ class UnitalEmbedding:
             if len(block_unitaries) != target.nblocks:
                 raise InvalidInput("need one unitary per target block")
             for u, n in zip(block_unitaries, target.dims):
-                if u.shape != (n, n) or linalg.operator_norm(u @ u.conj().T - np.eye(n)) > 1e-10:
+                if u.shape != (n, n) or linalg.operator_norm(u @ u.conj().T - np.eye(n)) > linalg.EPS_INPUT:
                     raise NotUnitary("block unitary is not a unitary of the right size")
         self.source = source
         self.target = target
@@ -332,16 +328,17 @@ class Subalgebra:
         if self.mat.ndim != 2 or self.mat.shape[0] != ambient.gns_dim:
             raise InvalidInput("basis matrix must be GNS-dim x s")
         self._elements = None
+        self._projection = None
         self._wedderburn = {}
 
     @classmethod
-    def span(cls, ambient, elements, check=True, tol=linalg.EPS_REL):
+    def span(cls, ambient, elements, check=True):
         if not elements:
             raise InvalidInput("need at least one spanning element")
         cols = np.stack([e.vec() for e in elements], axis=1)
         sub = cls(ambient, linalg.orthonormal_columns(cols))
         if check:
-            sub._verify_closure(tol)
+            sub._verify_closure()
         return sub
 
     @classmethod
@@ -362,7 +359,7 @@ class Subalgebra:
             mat = new
         raise InvalidInput("span closure failed to stabilize")  # unreachable
 
-    def _verify_closure(self, tol):
+    def _verify_closure(self):
         basis = self.basis_elements()
         worst = self.residual(self.ambient.identity())
         for e in basis:
@@ -370,7 +367,7 @@ class Subalgebra:
         for a in basis:
             for b in basis:
                 worst = max(worst, self.residual(a * b))
-        if worst > tol:
+        if worst > linalg.EPS_REL:
             raise NotSubalgebra("span is not a unital *-subalgebra (residual %.3g)" % worst)
 
     @property
@@ -389,8 +386,12 @@ class Subalgebra:
         return self._wedderburn[seed]
 
     def projection_matrix(self):
-        """Orthogonal projection of the GNS space onto the subalgebra."""
-        return self.mat @ self.mat.conj().T
+        """Orthogonal projection of the GNS space onto the subalgebra, formed
+        once and kept as a read-only array."""
+        if self._projection is None:
+            self._projection = self.mat @ self.mat.conj().T
+            self._projection.flags.writeable = False
+        return self._projection
 
     def expect(self, x):
         """Trace-preserving conditional expectation onto this subalgebra."""
@@ -400,11 +401,11 @@ class Subalgebra:
     def residual(self, x):
         return (x - self.expect(x)).norm()
 
-    def contains(self, x, tol=1e-8):
-        return self.residual(x) <= tol * (1.0 + x.norm())
+    def contains(self, x):
+        return self.residual(x) <= linalg.EPS_FLAG * (1.0 + x.norm())
 
-    def contains_subalgebra(self, other, tol=1e-8):
-        return all(self.contains(e, tol) for e in other.basis_elements())
+    def contains_subalgebra(self, other):
+        return all(self.contains(e) for e in other.basis_elements())
 
 
 def relative_commutant(sub, within=None):
@@ -473,19 +474,16 @@ class WedderburnData:
         return (x - self.from_abstract(self.to_abstract(x))).norm()
 
 
-def _spectral_split(h, targets, gap=linalg.GAP_TOL):
+def _spectral_split(h, targets):
     """Cluster the spectrum of a Hermitian element into ``targets`` groups.
 
     Returns (means, projections) with projections as AlgebraElements, or None
     if the clustering does not produce the requested count.
     """
     alg = h.alg
-    eigdata = []
-    for i, blk in enumerate(h.blocks):
-        vals, vecs = np.linalg.eigh(blk)
-        eigdata.append((vals, vecs))
+    eigdata = [np.linalg.eigh(blk) for blk in h.blocks]
     allvals = np.concatenate([vals for vals, _ in eigdata])
-    clusters = linalg.cluster_values(allvals, gap=gap)
+    clusters = linalg.cluster_values(allvals)
     if targets is not None and len(clusters) != targets:
         return None
     sizes = [vals.size for vals, _ in eigdata]
@@ -521,13 +519,13 @@ def _random_combination(elements, rng, hermitian=True):
     return acc
 
 
-def _attempt_wedderburn(sub, rng, tol):
+def _attempt_wedderburn(sub, rng):
     amb = sub.ambient
     zc = relative_commutant(sub, within=sub)
     k = zc.dim
     if k == 1:
         # scalar center: the unit of the subalgebra is the only central projection
-        centrals = [(0.0, _unit_of(sub))]
+        centrals = [(0.0, sub.expect(amb.identity()))]
     else:
         h = _random_combination(zc.basis_elements(), rng)
         split = _spectral_split(h, k)
@@ -536,7 +534,7 @@ def _attempt_wedderburn(sub, rng, tol):
         centrals = split
     blocks = []
     for mean, p in centrals:
-        if not p.is_projection(1e-7) or sub.residual(p) > 1e-7:
+        if not p.is_projection(linalg.EPS_WEDD) or sub.residual(p) > linalg.EPS_WEDD:
             raise DegenerateSpectrum("central spectral projection left the subalgebra")
         corner = _corner_basis(sub, p)
         s = len(corner)
@@ -558,13 +556,9 @@ def _attempt_wedderburn(sub, rng, tol):
         if d > 1:
             g = _random_combination(corner, rng, hermitian=False)
             for q in range(1, d):
-                w = diag[0] * g * diag[q]
-                if w.norm() < 1e-8:
-                    for cb in corner:
-                        w = diag[0] * cb * diag[q]
-                        if w.norm() >= 1e-8:
-                            break
-                if w.norm() < 1e-8:
+                links = (diag[0] * c * diag[q] for c in [g] + corner)
+                w = next((w for w in links if w.norm() >= linalg.EPS_FLAG), None)
+                if w is None:
                     raise DegenerateSpectrum("could not link minimal projections inside a block")
                 c2 = ((w * w.adjoint()).trace().real) / (diag[0].trace().real)
                 row0.append(w / np.sqrt(c2))
@@ -592,7 +586,7 @@ def _attempt_wedderburn(sub, rng, tol):
                         expect = u[p][s_] if q == r else u[p][s_].alg.zero()
                         worst = max(worst, (prod - expect).norm())
         worst = max(worst, (acc - b["p"]).norm())
-    if worst > tol:
+    if worst > linalg.EPS_WEDD:
         raise DegenerateSpectrum("matrix-unit relations violated (residual %.3g)" % worst)
     return WedderburnData(
         sub,
@@ -603,25 +597,20 @@ def _attempt_wedderburn(sub, rng, tol):
     )
 
 
-def _unit_of(sub):
-    """The unit of the subalgebra (the ambient identity for unital subalgebras)."""
-    return sub.expect(sub.ambient.identity())
-
-
-def wedderburn(sub, seed=0, tol=1e-7, max_tries=5):
+def wedderburn(sub, seed=0):
     """Decompose a subalgebra into matrix blocks with explicit matrix units.
 
-    Randomized (seeded) spectral splitting; retries with fresh seeds before
-    raising DegenerateSpectrum.
+    Randomized (seeded) spectral splitting, accepted when the matrix-unit
+    relations hold to EPS_WEDD; WEDD_TRIES seeds before DegenerateSpectrum.
     """
     last = None
-    for attempt in range(max_tries):
+    for attempt in range(linalg.WEDD_TRIES):
         rng = linalg.rng_from_seed((seed, attempt))
         try:
-            return _attempt_wedderburn(sub, rng, tol)
+            return _attempt_wedderburn(sub, rng)
         except DegenerateSpectrum as exc:
             last = exc
-    raise DegenerateSpectrum("wedderburn failed after %d attempts: %s" % (max_tries, last))
+    raise DegenerateSpectrum("wedderburn failed after %d attempts: %s" % (linalg.WEDD_TRIES, last))
 
 
 def inclusion_matrix(wd):
@@ -631,15 +620,7 @@ def inclusion_matrix(wd):
     of subalgebra block i.
     """
     amb = wd.subalgebra.ambient
-    k = len(wd.block_dims)
-    lam = np.zeros((k, amb.nblocks), dtype=int)
-    for i in range(k):
-        e00 = wd.units[i][0][0]
-        for j in range(amb.nblocks):
-            r = float(np.trace(e00.blocks[j]).real)
-            if abs(r - round(r)) > 1e-6:
-                raise InvalidInput("minimal projection has non-integer block rank %.6g" % r)
-            lam[i, j] = int(round(r))
+    lam = np.array([[linalg.integer_trace(b, InvalidInput) for b in u[0][0].blocks] for u in wd.units], dtype=int)
     if not np.array_equal(lam.T @ np.asarray(wd.block_dims), np.asarray(amb.dims)):
         raise NonUnitalInclusion("block multiplicities inconsistent with a unital inclusion")
     return lam

@@ -42,10 +42,7 @@ def markov_trace(inclusion, sub_dims):
     (zero row/column, degenerate Perron eigenvalue, or a non-positive
     eigenvector).
     """
-    lam = np.asarray(inclusion)
-    if lam.ndim != 2 or np.any(lam < 0) or not np.allclose(lam, np.round(lam)):
-        raise InvalidInput("inclusion matrix must be a nonnegative integer matrix")
-    lam = np.round(lam).astype(int)
+    lam = linalg.integer_matrix(inclusion, "inclusion matrix")
     if np.any(lam.sum(axis=1) == 0) or np.any(lam.sum(axis=0) == 0):
         raise NonConnected("inclusion matrix has a zero row or column")
     m = np.asarray(sub_dims, dtype=float)
@@ -55,11 +52,11 @@ def markov_trace(inclusion, sub_dims):
     s = (lam.T @ lam).astype(float)
     vals, vecs = np.linalg.eigh(s)
     beta = float(vals[-1])
-    if s.shape[0] >= 2 and vals[-2] > beta * (1.0 - 1e-9):
+    if s.shape[0] >= 2 and vals[-2] > beta * (1.0 - linalg.EPS_REL):
         raise NonConnected("Perron eigenvalue is degenerate; inclusion graph is disconnected")
     v = vecs[:, -1]
     v = v * np.sign(v[np.argmax(np.abs(v))])
-    if np.min(v) <= 1e-12 * np.max(v):
+    if np.min(v) <= linalg.EPS_TRACE * np.max(v):
         raise NonConnected("Perron eigenvector is not strictly positive")
     t_amb = v / float(n @ v)
     t_sub = lam @ t_amb
@@ -121,18 +118,18 @@ class BasicConstruction:
         """E_N(x) read off the GNS action of e1."""
         return self.amb.unvec(self.e1 @ self.amb.vec(x))
 
-    def pushdown(self, v, tol=linalg.EPS_REL):
+    def pushdown(self, v):
         """The unique x in M with v = L_x e1, for v in M1 satisfying v e1 = v."""
         if hasattr(v, "blocks"):
             v = v.blocks[0]
         v = np.asarray(v, dtype=complex)
         scale = 1.0 + linalg.operator_norm(v)
-        if linalg.operator_norm(v @ self.e1 - v) > tol * scale:
+        if linalg.operator_norm(v @ self.e1 - v) > linalg.EPS_REL * scale:
             raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
-        if self.in_m1_residual(v) > tol * scale:
+        if self.in_m1_residual(v) > linalg.EPS_REL * scale:
             raise InvalidInput("pushdown input must lie in M1")
         x = self.amb.unvec(v @ self._identity_vec)
-        if linalg.operator_norm(self.lift(x) - v) > 10 * tol * scale:
+        if linalg.operator_norm(self.lift(x) - v) > linalg.EPS_FLAG * scale:
             raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
         return x
 
@@ -255,7 +252,7 @@ class WatataniData:
     scalar: object  # float when the index is a scalar multiple of 1, else None
 
 
-def watatani_index(elements, tol=1e-8):
+def watatani_index(elements, tol=linalg.EPS_FLAG):
     """Sum of lambda_i lambda_i* with centrality and scalarity flags."""
     if not elements:
         raise InvalidInput("need at least one element")

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from . import scenarios
+from . import linalg, scenarios
 from .errors import ScenarioError
 
 
@@ -64,7 +64,7 @@ def _generate_spec(args):
         tasks = [{"task": "interchange"}, {"task": "commuting_square"}]
         name = "%s-quadruple" % args.which
     scenarios.build_model(model, seed=0)  # validate the parameters before emitting
-    return {"name": name, "seed": 0, "eps": 1e-8, "model": model, "tasks": tasks}
+    return {"name": name, "seed": 0, "eps": linalg.EPS_FLAG, "model": model, "tasks": tasks}
 
 
 def _cmd_generate(args):

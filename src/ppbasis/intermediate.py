@@ -10,7 +10,7 @@ way; modular conjugation swaps the two arguments.  Each basis is checked by
 
 from . import linalg
 from .errors import InvalidInput, NotIntermediate
-from .linalg import EPS_FLAG
+from .linalg import EPS_FLAG, EPS_REL
 from .systems import _Family, require_basis
 
 
@@ -61,7 +61,7 @@ def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check=Tru
     return pq, qp, j_res
 
 
-def is_commuting_square(n_sub, p_sub, q_sub, tol=1e-9):
+def is_commuting_square(n_sub, p_sub, q_sub, tol=EPS_REL):
     """Whether E_P E_Q = E_N = E_Q E_P on the ambient algebra.
 
     Tested on all matrix units of the ambient algebra; returns

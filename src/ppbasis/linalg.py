@@ -1,19 +1,29 @@
-"""Dense linear-algebra kernel with tolerance-gated decisions.
+"""Dense linear-algebra kernel and the tolerance table of the package.
 
 Everything downstream reduces to complex matrix work: SVD-based rank and
 nullspace calls, orthonormalization, eigenvalue clustering for spectral
 projections, and seeded randomness.  All routines are deterministic for a
 fixed input and seed on a fixed platform; nothing here keeps global state.
+
+Every numerical decision in ``ppbasis`` compares a residual against one of
+the constants below, one name per role; a scaled test multiplies it by
+1 + a norm at the site.  A ``tol`` parameter remains only where callers set
+it: the flag decisions reached from a scenario's ``eps`` (or ``--eps``) and
+the comparison predicates such as ``AlgebraElement.allclose``.
 """
 
 import numpy as np
 
 from .errors import InvalidInnerProduct, InvalidInput
 
-EPS_REL = 1e-9    # residual acceptance for linear identities
-EPS_RANK = 1e-10  # relative singular-value cutoff for rank decisions
-GAP_TOL = 1e-6    # relative gap separating eigenvalue clusters
-EPS_FLAG = 1e-8   # default tolerance of a flag decision (system, basis, normalizer, ...)
+EPS_TRACE = 1e-12  # trace normalization sum n_i t_i = 1, same_structure, Perron positivity
+EPS_RANK = 1e-10   # relative singular-value cutoff: rank, nullspace, orthonormal_columns, gram_schmidt
+EPS_INPUT = 1e-10  # exactness of structural input: unitary blocks, trace compatibility, actions, hermiticity
+EPS_REL = 1e-9     # linear identities: span closure, pushdown, Perron gap, commuting-square and expect floors
+EPS_FLAG = 1e-8    # default of every flag decision (system, basis, normalizer, projection, ...); integer entries
+EPS_WEDD = 1e-7    # acceptance of a Wedderburn attempt: central projections and matrix-unit relations
+GAP_TOL = 1e-6     # relative gap separating eigenvalue clusters; integrality of ranks and traces
+WEDD_TRIES = 5     # seeded attempts before wedderburn gives up
 
 
 def rng_from_seed(seed=0):
@@ -33,17 +43,17 @@ def hermitian_norm(h):
     return float(np.max(np.abs(np.linalg.eigvalsh(h)), initial=0.0))
 
 
-def rank(a, eps=EPS_RANK):
-    """Numerical rank by singular values above eps * max(1, s_max)."""
+def rank(a):
+    """Numerical rank by singular values above EPS_RANK * max(1, s_max)."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    cutoff = eps * max(1.0, float(s[0]))
+    cutoff = EPS_RANK * max(1.0, float(s[0]))
     return int(np.count_nonzero(s > cutoff))
 
 
-def nullspace(a, eps=EPS_RANK):
+def nullspace(a):
     """Orthonormal columns spanning the right kernel of ``a``.
 
     Uses the same cutoff rule as :func:`rank`, so rank + nullity always
@@ -54,28 +64,28 @@ def nullspace(a, eps=EPS_RANK):
     if a.size == 0:
         return np.eye(a.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    cutoff = eps * max(1.0, float(s[0]) if s.size else 0.0)
+    cutoff = EPS_RANK * max(1.0, float(s[0]) if s.size else 0.0)
     r = int(np.count_nonzero(s > cutoff))
     return vh[r:].conj().T
 
 
-def orthonormal_columns(a, eps=EPS_RANK):
+def orthonormal_columns(a):
     """Orthonormal basis of the column space of ``a`` (SVD based)."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0 or not np.any(a):
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = eps * max(1.0, float(s[0]))
+    cutoff = EPS_RANK * max(1.0, float(s[0]))
     r = int(np.count_nonzero(s > cutoff))
     return u[:, :r]
 
 
-def gram_schmidt(vectors, inner=None, eps=1e-10):
+def gram_schmidt(vectors, inner=None):
     """Modified Gram-Schmidt against a user inner product.
 
     ``inner(x, y)`` must be linear in ``x`` and conjugate-linear in ``y``;
-    the default is the standard complex dot product.  Dependent vectors are
-    dropped, the independent ones keep their order.  Raises
+    the default is the standard complex dot product.  Vectors whose residual
+    norm is at most EPS_RANK are dropped, the others keep their order.  Raises
     InvalidInnerProduct if the form fails a Hermitian-positivity check.
     """
     if inner is None:
@@ -84,20 +94,20 @@ def gram_schmidt(vectors, inner=None, eps=1e-10):
     for v in vectors:
         w = np.array(v, dtype=complex)
         nrm2 = inner(w, w)
-        if abs(nrm2.imag) > 1e-10 * (1.0 + abs(nrm2)) or nrm2.real < -1e-10:
+        if abs(nrm2.imag) > EPS_INPUT * (1.0 + abs(nrm2)) or nrm2.real < -EPS_INPUT:
             raise InvalidInnerProduct("inner(v, v) must be real nonnegative, got %r" % (nrm2,))
         # two MGS passes keep orthogonality near machine precision
         for _ in range(2):
             for u in out:
                 w = w - inner(w, u) * u
         nrm2 = inner(w, w).real
-        if nrm2 > eps * eps:
+        if nrm2 > EPS_RANK * EPS_RANK:
             out.append(w / np.sqrt(nrm2))
     return out
 
 
-def cluster_values(values, gap=GAP_TOL):
-    """Group real values into clusters separated by relative gap.
+def cluster_values(values):
+    """Group real values into clusters separated by a relative gap above GAP_TOL.
 
     Returns a list of (mean, index_array) pairs in increasing order of mean.
     """
@@ -110,7 +120,7 @@ def cluster_values(values, gap=GAP_TOL):
     groups = []
     start = 0
     for i in range(1, vals.size):
-        if sorted_vals[i] - sorted_vals[i - 1] > gap * scale:
+        if sorted_vals[i] - sorted_vals[i - 1] > GAP_TOL * scale:
             groups.append(order[start:i])
             start = i
     groups.append(order[start:])
@@ -159,7 +169,23 @@ def projection_residuals(p):
     return operator_norm(p @ p - p), hermitian_norm(1j * (p - p.conj().T))
 
 
-def is_projection_matrix(p, tol=1e-8):
+def is_projection_matrix(p, tol=EPS_FLAG):
     r1, r2 = projection_residuals(p)
     scale = 1.0 + operator_norm(p)
     return r1 <= tol * scale and r2 <= tol * scale
+
+
+def integer_matrix(a, what):
+    """``a`` as an int matrix; InvalidInput unless its entries are nonnegative integers to EPS_FLAG."""
+    a = np.asarray(a)
+    if a.ndim != 2 or np.any(a < 0) or not np.allclose(a, np.round(a), rtol=0, atol=EPS_FLAG):
+        raise InvalidInput("%s must be a matrix of nonnegative integers" % what)
+    return np.round(a).astype(int)
+
+
+def integer_trace(block, error):
+    """The rank of a projection block from its trace; ``error`` unless that is an integer to GAP_TOL."""
+    t = float(np.trace(block).real)
+    if abs(t - round(t)) > GAP_TOL:
+        raise error("projection block has non-integer trace %.6g" % t)
+    return int(round(t))

@@ -15,6 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from . import linalg
 from .algebra import MultiMatrixAlgebra, Subalgebra
 from .basic import markov_trace
 from .errors import InvalidInput, InvalidPathPair, NonUnitalInclusion, TraceMismatch
@@ -31,12 +32,9 @@ class BratteliDiagram:
         m = tuple(int(x) for x in middle_dims)
         if not m or any(x < 1 for x in m):
             raise InvalidInput("middle dims must be positive integers")
-        lam = np.asarray(inclusion)
-        if lam.ndim != 2 or lam.shape[0] != len(m):
+        lam = linalg.integer_matrix(inclusion, "inclusion matrix")
+        if lam.shape[0] != len(m):
             raise InvalidInput("inclusion matrix must have one row per middle block")
-        if np.any(lam < 0) or not np.allclose(lam, np.round(lam)):
-            raise InvalidInput("inclusion matrix must have nonnegative integer entries")
-        lam = np.round(lam).astype(int)
         if np.any(lam.sum(axis=1) == 0):
             raise NonUnitalInclusion("a middle block has no outgoing edges")
         if np.any(lam.sum(axis=0) == 0):
@@ -89,7 +87,7 @@ class PathModel:
         t0 = diagram.inclusion @ t1
         if middle_trace is not None:
             supplied = np.asarray(middle_trace, dtype=float)
-            if supplied.shape != t0.shape or np.max(np.abs(supplied - t0)) > 1e-10:
+            if supplied.shape != t0.shape or np.max(np.abs(supplied - t0)) > linalg.EPS_INPUT:
                 raise TraceMismatch("middle trace is not the restriction of the bottom trace")
         self.t1 = t1
         self.t0 = t0

@@ -5,11 +5,15 @@ chain into one report.
 The generalized Weyl data is handled operationally.  Cosets of the normalizer
 are separated by the vanishing of E_R(u v*); representatives are filtered from
 model-supplied candidates rather than enumerated, and regularity is certified
-relative to those candidates.  Every test is a ``classify`` on the family and
-its base algebra (``require_basis`` for a basis), so the chain builds no basic
-construction, and the pipeline verifies each precondition of the patching once.
+relative to those candidates: N and the ones that pass the normalizer test
+must generate M.  Every test is a ``classify`` on the family and its base
+algebra (``require_basis`` for a basis), so the chain builds no basic
+construction, and the pipeline verifies each precondition of the patching
+once.  Flags compare against ``tol``; automorphisms and the covariance of a
+crossed product must hold to ``linalg.EPS_INPUT``.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,17 +43,13 @@ class GroupTable:
     """A finite group as a multiplication table with identity 0."""
 
     def __init__(self, table):
-        t = np.asarray(table)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        t = linalg.integer_matrix(table, "multiplication table")
+        if t.shape[0] != t.shape[1]:
             raise InvalidInput("multiplication table must be square")
         n = t.shape[0]
         if n == 0:
             raise InvalidInput("group must be nonempty")
-        if not np.issubdtype(t.dtype, np.integer):
-            if not np.allclose(t, np.round(t)):
-                raise InvalidInput("table entries must be integers")
-            t = np.round(t).astype(int)
-        if t.min() < 0 or t.max() >= n:
+        if t.max() >= n:
             raise InvalidInput("table entries must index group elements")
         if not (np.array_equal(t[0], np.arange(n)) and np.array_equal(t[:, 0], np.arange(n))):
             raise InvalidInput("element 0 must be the identity")
@@ -138,7 +138,7 @@ class Automorphism:
         for j, s in enumerate(perm):
             if alg.dims[j] != alg.dims[s]:
                 raise NotAnAction("permutation maps a block of size %d onto size %d" % (alg.dims[s], alg.dims[j]))
-            if abs(alg.trace_vector[j] - alg.trace_vector[s]) > 1e-10:
+            if abs(alg.trace_vector[j] - alg.trace_vector[s]) > linalg.EPS_INPUT:
                 raise NotAnAction("automorphism must preserve the trace vector")
         if unitaries is None:
             unitaries = [np.eye(alg.dims[j]) for j in range(k)]
@@ -147,7 +147,7 @@ class Automorphism:
             u = np.asarray(u, dtype=complex)
             if u.shape != (alg.dims[j], alg.dims[j]):
                 raise NotAnAction("unitary %d has the wrong shape" % j)
-            if linalg.operator_norm(u @ u.conj().T - np.eye(alg.dims[j])) > 1e-10:
+            if linalg.operator_norm(u @ u.conj().T - np.eye(alg.dims[j])) > linalg.EPS_INPUT:
                 raise NotUnitary("block %d of the automorphism is not unitary" % j)
             us.append(u)
         self.perm = perm
@@ -181,19 +181,18 @@ class CrossedProductModel:
     The covariance algebra is represented on the direct sum of |G| copies of
     L2(B); the span of {pi(b) u_g} is decomposed into blocks, and the ambient
     algebra carries the trace b_g -> tr_B(b_e), so the copy of B sits trace
-    compatibly inside M.
+    compatibly inside M.  The action and the covariance must hold to EPS_INPUT.
     """
 
-    def __init__(self, base, group, autos, seed=0, tol=1e-10):
+    def __init__(self, base, group, autos, seed=0):
         if len(autos) != len(group):
             raise NotAnAction("need one automorphism per group element")
-        ident = Automorphism.identity(base)
-        if autos[0].distance(ident) > tol:
+        if autos[0].distance(Automorphism.identity(base)) > linalg.EPS_INPUT:
             raise NotAnAction("the identity element must act trivially")
         for g in range(len(group)):
             for h in range(len(group)):
                 d = autos[g].compose(autos[h]).distance(autos[group.mult(g, h)])
-                if d > tol:
+                if d > linalg.EPS_INPUT:
                     raise NotAnAction("action is not multiplicative at (%d, %d): deviation %.3g" % (g, h, d))
         self.base = base
         self.group = group
@@ -221,7 +220,7 @@ class CrossedProductModel:
             ug = u_mat(g)
             for b in base.units():
                 cov = ug @ pi_mat(b) @ ug.conj().T - pi_mat(autos[g].apply(b))
-                if linalg.operator_norm(cov) > 1e-10:
+                if linalg.operator_norm(cov) > linalg.EPS_INPUT:
                     raise NotAnAction("covariance fails for group element %d" % g)
         op_alg = MultiMatrixAlgebra((dv,), (1.0 / dv,))
         spanning = [op_alg.element([pi_mat(b) @ u_mat(g)]) for b in base.units() for g in range(n)]
@@ -234,7 +233,7 @@ class CrossedProductModel:
         traces = []
         for b in range(len(self.wedd.block_dims)):
             t = self._canonical_trace(self.wedd.units[b][0][0].blocks[0], vec1)
-            if t.real <= 0 or abs(t.imag) > 1e-10:
+            if t.real <= 0 or abs(t.imag) > linalg.EPS_INPUT:
                 raise NotAnAction("canonical trace is not faithful on the span")
             traces.append(t.real)
         total = sum(d * t for d, t in zip(self.wedd.block_dims, traces))
@@ -281,15 +280,15 @@ def coset_distinct(u, v, r_sub, tol=EPS_FLAG):
 def coset_system(reps, n_sub, r_sub, tol=EPS_FLAG):
     """Classify pairwise-distinct coset representatives as a system over R.
 
-    The classification over N is folded into the returned flags/residuals
-    under ``over_n`` keys; the primary Gram and support data is over R.
+    The coset test of each pair reads E_R(u_i u_j*) off the left Gram matrix;
+    the first pair above ``tol`` raises DuplicateCoset.  The classification
+    over N is folded in under ``over_n`` keys; the primary data is over R.
     """
-    reps = tuple(reps)
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if not coset_distinct(reps[i], reps[j], r_sub, tol):
-                raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
     sys_r = classify(reps, r_sub, side="two-sided", tol=tol)
+    left = sys_r.gram["left"]
+    for i, j in itertools.combinations(range(len(left)), 2):
+        if left[i][j].norm() > tol:
+            raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
     sys_n = classify(reps, n_sub, side="two-sided", tol=tol)
     for key, val in sys_n.residuals.items():
         sys_r.residuals["over_n_" + key] = val
@@ -414,8 +413,8 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     coset representatives filtered from the candidates, the regularity and
     coset-completeness checks, and, when both pass, the patched two-sided
     basis with its Watatani index.  Non-normalizer candidates are recorded
-    and skipped; failed regularity or incomplete cosets leave a partial
-    report rather than raising.
+    and take no part in the regularity test; failed regularity or incomplete
+    cosets leave a partial report rather than raising.
     """
     amb = sub.ambient
     candidates = tuple(candidates)
@@ -426,6 +425,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     inner = _inner_basis(sub, comm, r_alg, tol, seed)
 
     reps = [amb.identity()]
+    normalizers = []
     rejected = []
     for idx, u in enumerate(candidates):
         if not u.is_unitary(tol):
@@ -434,11 +434,12 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
         if res > tol:
             rejected.append((idx, res))
             continue
+        normalizers.append(u)
         if all(coset_distinct(u, v, r_alg, tol) for v in reps):
             reps.append(u)
     reps = tuple(reps)
 
-    gen = Subalgebra.generated(amb, list(sub.basis_elements()) + list(candidates))
+    gen = Subalgebra.generated(amb, list(sub.basis_elements()) + normalizers)
     regular = gen.dim == amb.dim
     issues = [] if regular else ["NotRegular"]
 

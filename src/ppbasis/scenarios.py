@@ -425,7 +425,7 @@ def _task_interchange(task, model, eps):
 
 def _task_commuting_square(task, model, eps):
     q = model.require_quad()
-    flag, worst = is_commuting_square(q.n_sub, q.p_sub, q.q_sub, tol=max(eps, 1e-9))
+    flag, worst = is_commuting_square(q.n_sub, q.p_sub, q.q_sub, tol=max(eps, linalg.EPS_REL))
     return {"flags": {"commuting": flag}, "numbers": {"residual": worst}}
 
 
@@ -487,7 +487,7 @@ def _check_expect(expect, result, eps):
                 failures.append("%s has non-numeric expectation %r" % (key, want))
             elif not isinstance(got, (int, float, np.integer, np.floating)):
                 failures.append("%s is not a number, expected %s" % (key, want))
-            elif abs(float(got) - float(want)) > max(eps, 1e-9):
+            elif abs(float(got) - float(want)) > max(eps, linalg.EPS_REL):
                 failures.append("%s = %s, expected %s" % (key, got, want))
         else:
             failures.append("no value named %s in the result" % key)

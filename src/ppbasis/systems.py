@@ -93,15 +93,15 @@ def gram_matrix(elements, sub, side="right"):
     return _entries(_Family(tuple(elements), sub, side).gram(), sub.ambient)
 
 
-def support_operator(elements, bc, side="right", warn_tol=EPS_FLAG):
+def support_operator(elements, bc, side="right"):
     """GNS support projection of a family (right: sum L e1 L*, left: sum L* e1 L).
 
-    Warns (and still returns the operator) when the family is not a system,
-    since the projection property of the support needs that hypothesis.
+    Warns (and still returns the operator) when the family is not a system to
+    EPS_FLAG, since the projection property of the support needs that hypothesis.
     """
     family = _Family(tuple(elements), bc.sub, side)
     r, scale, *_ = _gram_residuals(family.gram(), bc.amb)
-    if r > warn_tol * scale:
+    if r > EPS_FLAG * scale:
         warnings.warn("family is not a system; support need not be a projection", stacklevel=2)
     return family.support()
 
@@ -189,17 +189,6 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
     return sys
 
 
-def _abstract_ranks(blocks):
-    """Blockwise ranks of an abstract projection, by rounded block traces."""
-    ranks = []
-    for b in blocks:
-        t = float(np.trace(b).real)
-        if abs(t - round(t)) > 1e-6:
-            raise NotAProjection("block trace %.6g of a projection is not an integer" % t)
-        ranks.append(int(round(t)))
-    return ranks
-
-
 def _range_vectors(block, count):
     """First ``count`` orthonormal eigenvectors of an abstract projection block."""
     vals, vecs = np.linalg.eigh(block)
@@ -234,8 +223,8 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     wd = bc.m1_wedd
     f_abs = wd.to_abstract(bc.op_element(f))
     e_abs = wd.to_abstract(bc.op_element(bc.e1))
-    ranks_f = _abstract_ranks(f_abs)
-    ranks_e = _abstract_ranks(e_abs)
+    ranks_f = [linalg.integer_trace(b, NotAProjection) for b in f_abs]
+    ranks_e = [linalg.integer_trace(b, NotAProjection) for b in e_abs]
     nblocks = len(ranks_f)
     bad = {b: ranks_f[b] for b in range(nblocks) if ranks_f[b] > 0 and ranks_e[b] == 0}
     if bad:

@@ -42,6 +42,27 @@ def test_interchange_check_rejects_a_non_intermediate_algebra():
         interchange_operator(q.q_sub, q.bases_q[1], q.p_sub, [q.ambient.identity()], bc)
 
 
+def test_checked_interchange_forms_each_projection_once(monkeypatch):
+    # intermediate_projection and require_basis both read e_P; it is formed
+    # once per algebra and kept read-only
+    q = models.masa_quadruple()
+    bc = BasicConstruction(q.n_sub)
+    formed = []
+    original = Subalgebra.projection_matrix
+
+    def recording(sub):
+        formed.append((sub, original(sub)))
+        return formed[-1][1]
+
+    monkeypatch.setattr(Subalgebra, "projection_matrix", recording)
+    interchange_operator(q.p_sub, q.bases_p[0], q.q_sub, q.bases_q[0], bc)
+    for mid in (q.p_sub, q.q_sub):
+        mats = [m for s, m in formed if s is mid]
+        assert len(mats) == 2  # both readers ask for it
+        assert len({id(m) for m in mats}) == 1  # references are kept, so ids are not reused
+        assert not mats[0].flags.writeable
+
+
 def test_interchange_is_projection_for_masa_pair():
     q = models.masa_quadruple()
     bc = BasicConstruction(q.n_sub)

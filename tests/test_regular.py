@@ -260,6 +260,14 @@ def test_coset_system_rejects_duplicates():
         coset_system((one, 1j * one), mp.sub, mp.sub)
 
 
+def test_coset_system_names_the_first_duplicate_pair():
+    mp = models.crossed_product_diag(3)
+    u0, u1 = mp.candidates[:2]
+    # pairs (1, 2) and (0, 3) are both duplicates; (0, 3) comes first
+    with pytest.raises(DuplicateCoset, match="representatives 0 and 3"):
+        coset_system((u0, u1, 1j * u1, -u0), mp.sub, mp.sub)
+
+
 def test_coset_expectations_vanish_both_orders():
     # distinct representatives have E_N(u v*) = 0 = E_N(u* v)
     mp = models.crossed_product_diag(3)
@@ -434,6 +442,17 @@ def test_pipeline_records_rejected_candidates():
     assert rep.numbers["reps"] == 3  # the genuine shifts still arrive
 
 
+def test_rejected_candidates_take_no_part_in_the_regularity_test():
+    # C + M2 in M3: the normalizer is U(N), so N is not regular.  A random
+    # unitary fails the normalizer test; generating with it would give all of M.
+    mp = models.explicit_pair((1, 2), [[1], [1]])
+    u = mp.ambient.element([linalg.random_unitary(3, linalg.rng_from_seed(0))])
+    rep = regular_pipeline(mp.sub, candidates=(u,))
+    assert [idx for idx, _ in rep.rejected] == [0]
+    assert not rep.flags["regular"]
+    assert rep.issues == ("NotRegular",) == regular_pipeline(mp.sub).issues
+
+
 def test_pipeline_degenerate_commutant_model():
     # N spanned by diag(x, x, y) in M3: R = M2 + C sits strictly between,
     # and the trace-scaled commutant units fail the Gram projection test
@@ -560,3 +579,19 @@ def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
     assert sum(sub is mp.sub for sub in decomposed) == 1
     assert mp.sub.wedderburn_data(1) is not bc.sub_wedd
 
+
+def test_pipeline_tests_each_coset_pair_once(monkeypatch):
+    # on diag-in-M5 the candidate loop makes 1 + 1 + 2 + 3 + 4 coset tests;
+    # coset_system reads its 10 pairs off the Gram matrix over R
+    mp = models.diagonal_in_matrix(5)
+    calls = []
+    original = regular.coset_distinct
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(regular, "coset_distinct", counting)
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    assert rep.flags["patched_basis_two_sided"]
+    assert len(calls) == 11
