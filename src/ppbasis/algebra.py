@@ -126,6 +126,15 @@ class MultiMatrixAlgebra:
             blocks.append(v[self._offsets[i]:self._offsets[i + 1]].reshape(n, n) / w)
         return AlgebraElement(self, blocks)
 
+    def products(self, a, b):
+        """GNS coordinates of the products x y, with x and y over the elements whose
+        coordinates are the columns of ``a`` and ``b`` (x slowest), one batched pass per block."""
+        cols = []
+        for n, t, lo, hi in zip(self.dims, self.trace_vector, self._offsets, self._offsets[1:]):
+            x, y = (m[lo:hi].T.reshape(-1, n, n) for m in (a, b))
+            cols.append(np.einsum("iab,jbc->ijac", x, y).reshape(-1, n * n).T / np.sqrt(t))
+        return np.concatenate(cols)
+
     def left_op(self, x):
         """Matrix of left multiplication by ``x`` on the GNS space."""
         return linalg.block_diag([np.kron(x.blocks[i], np.eye(n)) for i, n in enumerate(self.dims)])
@@ -343,21 +352,26 @@ class Subalgebra:
 
     @classmethod
     def generated(cls, ambient, elements):
-        """Smallest unital *-subalgebra containing the given elements."""
-        work = [ambient.identity()]
-        work.extend(elements)
-        work.extend(e.adjoint() for e in elements)
-        mat = linalg.orthonormal_columns(np.stack([e.vec() for e in work], axis=1))
-        # span closure under products; dimension is bounded by the GNS dimension
-        for _ in range(ambient.gns_dim + 1):
-            basis = [ambient.unvec(mat[:, i]) for i in range(mat.shape[1])]
-            prods = [a * b for a in basis for b in basis]
-            cols = np.concatenate([mat, np.stack([p.vec() for p in prods], axis=1)], axis=1)
-            new = linalg.orthonormal_columns(cols)
-            if new.shape[1] == mat.shape[1]:
-                return cls(ambient, new)
-            mat = new
-        raise InvalidInput("span closure failed to stabilize")  # unreachable
+        """Smallest unital *-subalgebra containing the given elements.
+
+        Krylov closure: the algebra generated by a *-closed set S is the least
+        subspace holding 1 that S maps into itself by left multiplication.  From
+        1, each round multiplies an orthonormal basis of span(S) into the
+        vectors the last round added (``products``), projects the products
+        off the basis, keeps what passes the EPS_RANK cut, and stops when a
+        round adds nothing or the span is all of the ambient algebra.
+        """
+        work = [ambient.identity()] + list(elements) + [e.adjoint() for e in elements]
+        gens = linalg.orthonormal_columns(np.stack([e.vec() for e in work], axis=1))
+        mat = new = linalg.orthonormal_columns(ambient.identity().vec()[:, None])
+        while new.shape[1] and mat.shape[1] < ambient.dim:
+            cand = ambient.products(gens, new)
+            for _ in range(2):
+                cand = cand - mat @ (mat.conj().T @ cand)
+            new = linalg.orthonormal_columns(cand)
+            new = new - mat @ (mat.conj().T @ new)  # the SVD's U leaks a few ulps into the cut directions
+            mat = np.concatenate([mat, new], axis=1)
+        return cls(ambient, mat)
 
     def _verify_closure(self):
         basis = self.basis_elements()
@@ -420,6 +434,36 @@ def relative_commutant(sub, within=None):
     return Subalgebra(amb, linalg.orthonormal_columns(within.mat @ coeff))
 
 
+def _in_block(alg, j, x):
+    """The element of ``alg`` with block j equal to x and every other block zero."""
+    return AlgebraElement(alg, [x if k == j else np.zeros((n, n)) for k, n in enumerate(alg.dims)])
+
+
+def commutant_wedderburn(wd):
+    """Matrix units of N' cap M in closed form from N's (Goodman, de la Harpe and Jones).
+
+    N' cap M is the sum of M_{Lambda_ij} over N's blocks i and M's blocks j.
+    With v_1..v_Lambda_ij an orthonormal basis of the range of e^i_00 in block
+    j, its units are f_ab = sum_p e^i_p0 v_a v_b* e^i_0p, of trace m_i t_j.
+    """
+    amb = wd.subalgebra.ambient
+    dims, traces, units, centrals = [], [], [], []
+    for m, e in zip(wd.block_dims, wd.units):
+        for j, t in enumerate(amb.trace_vector):
+            v = linalg.orthonormal_columns(e[0][0].blocks[j])
+            if not v.shape[1]:
+                continue
+            w = np.stack([e[p][0].blocks[j] @ v for p in range(m)])  # the e^i_p0 v_a, as (m, n_j, Lambda_ij)
+            f = np.einsum("pxa,pyb->abxy", w, w.conj())
+            units.append([[_in_block(amb, j, fab) for fab in row] for row in f])
+            centrals.append(_in_block(amb, j, np.einsum("aaxy->xy", f)))
+            dims.append(v.shape[1])
+            traces.append(m * t)
+    # the f_ab / sqrt(m_i t_j) are orthonormal
+    mat = np.stack([x.vec() / np.sqrt(t) for t, block in zip(traces, units) for row in block for x in row], axis=1)
+    return WedderburnData(Subalgebra(amb, mat), dims, traces, units, centrals)
+
+
 class WedderburnData:
     """Block structure of a subalgebra: central projections and matrix units.
 
@@ -435,16 +479,8 @@ class WedderburnData:
         self.block_traces = tuple(block_traces)
         self.units = units
         self.central_projections = central_projections
-        amb = subalgebra.ambient
-        cols = []
-        scale = []
-        for b, d in enumerate(self.block_dims):
-            for p in range(d):
-                for q in range(d):
-                    cols.append(amb.vec(units[b][p][q]))
-                    scale.append(self.block_traces[b])
-        self._unit_mat = np.stack(cols, axis=1)
-        self._scale = np.asarray(scale)
+        self._unit_mat = np.stack([x.vec() for block in units for row in block for x in row], axis=1)
+        self._scale = np.repeat(self.block_traces, [d * d for d in self.block_dims])
 
     def abstract(self):
         # renormalize away float drift so the trace-sum check stays exact

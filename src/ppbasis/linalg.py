@@ -156,13 +156,6 @@ def block_diag(blocks):
     return out
 
 
-def check_square(a, name="matrix"):
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput("%s must be square, got shape %r" % (name, a.shape))
-    return a
-
-
 def projection_residuals(p):
     """(idempotency, self-adjointness) operator-norm residuals of ``p``."""
     p = np.asarray(p, dtype=complex)

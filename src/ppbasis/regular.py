@@ -2,15 +2,16 @@
 R = N v (N' cap M), basis patching, and a pipeline that assembles the whole
 chain into one report.
 
-The generalized Weyl data is handled operationally.  Cosets of the normalizer
-are separated by the vanishing of E_R(u v*); representatives are filtered from
-model-supplied candidates rather than enumerated, and regularity is certified
-relative to those candidates: N and the ones that pass the normalizer test
-must generate M.  Every test is a ``classify`` on the family and its base
-algebra (``require_basis`` for a basis), so the chain builds no basic
-construction, and the pipeline verifies each precondition of the patching
-once.  Flags compare against ``tol``; automorphisms and the covariance of a
-crossed product must hold to ``linalg.EPS_INPUT``.
+N' cap M is read off N's matrix units in closed form, R is the span of the
+products of N and N' cap M, and the algebras that N and R generate with the
+normalizers are Krylov closures (``Subalgebra.generated``).  Cosets of the
+normalizer are separated by the vanishing of E_R(u v*); representatives are
+filtered from model-supplied candidates rather than enumerated, and
+regularity is certified relative to those candidates: N and the ones that
+pass the normalizer test must generate M.  Every test is a ``classify`` (``require_basis`` for a
+basis), so the chain builds no basic construction and verifies each
+precondition of the patching once.  Flags compare against ``tol``;
+automorphisms and a crossed product's covariance must hold to EPS_INPUT.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, Subalgebra, inclusion_matrix, relative_commutant, wedderburn
+from .algebra import MultiMatrixAlgebra, Subalgebra, commutant_wedderburn, inclusion_matrix
 from .basic import markov_trace, watatani_index
 from .errors import (
     DegenerateCommutantModel,
@@ -228,7 +229,7 @@ class CrossedProductModel:
         if span.dim != base.dim * n:
             raise NotAnAction("covariance span has dimension %d, expected %d" % (span.dim, base.dim * n))
         self.op_span = span
-        self.wedd = wedderburn(span, seed=seed)
+        self.wedd = span.wedderburn_data(seed)
         vec1 = base.vec(base.identity())
         traces = []
         for b in range(len(self.wedd.block_dims)):
@@ -376,29 +377,17 @@ class WeylReport:
         return out
 
 
-def _scalar_commutant_basis(comm, seed):
-    """The trace-scaled matrix-unit family of the relative commutant."""
-    wd = wedderburn(comm, seed=seed)
-    out = []
-    for b, d in enumerate(wd.block_dims):
-        c = 1.0 / np.sqrt(wd.block_traces[b])
-        for p in range(d):
-            for q in range(d):
-                out.append(c * wd.units[b][p][q])
-    return tuple(out)
-
-
-def _inner_basis(sub, comm, r_alg, tol, seed):
+def _inner_basis(sub, comm, r_alg, tol):
     """Two-sided basis of R over N built from the relative commutant.
 
-    When R = N the unit alone is a basis.  Otherwise the scaled commutant
-    units must have both supports equal to e_R on L2(M), which for a family
-    inside R is support 1 on L2(R).  Failure of the scalar family is reported
-    as a degenerate commutant model.
+    When R = N the unit alone is a basis.  Otherwise the inner family is the
+    basis of ``comm``, the trace-scaled matrix units of N' cap M; both its
+    supports must equal e_R on L2(M), which for a family inside R is support 1
+    on L2(R).  Failure is reported as a degenerate commutant model.
     """
     if r_alg.dim == sub.dim:
         return (sub.ambient.identity(),)
-    inner = _scalar_commutant_basis(comm, seed)
+    inner = comm.basis_elements()
     try:
         require_basis(inner, sub, r_alg, tol=tol, label="commutant")
     except NotABasis as exc:
@@ -409,20 +398,21 @@ def _inner_basis(sub, comm, r_alg, tol, seed):
 def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     """Run the full chain for N inside its ambient algebra.
 
-    Computes the relative commutant and R, the scalar basis of R over N, the
-    coset representatives filtered from the candidates, the regularity and
-    coset-completeness checks, and, when both pass, the patched two-sided
+    Computes N' cap M and R from N's matrix units, the scalar basis of R over
+    N, the coset representatives filtered from the candidates, the regularity
+    and coset-completeness checks, and, when both pass, the patched two-sided
     basis with its Watatani index.  Non-normalizer candidates are recorded
     and take no part in the regularity test; failed regularity or incomplete
     cosets leave a partial report rather than raising.
     """
     amb = sub.ambient
     candidates = tuple(candidates)
-    comm = relative_commutant(sub)
-    r_alg = Subalgebra.generated(amb, list(sub.basis_elements()) + list(comm.basis_elements()))
     wd_n = sub.wedderburn_data(seed)
     markov = markov_trace(inclusion_matrix(wd_n), wd_n.block_dims)
-    inner = _inner_basis(sub, comm, r_alg, tol, seed)
+    comm = commutant_wedderburn(wd_n).subalgebra
+    # N and N' cap M commute, so R = N v (N' cap M) is the span of their products
+    r_alg = Subalgebra(amb, linalg.orthonormal_columns(amb.products(sub.mat, comm.mat)))
+    inner = _inner_basis(sub, comm, r_alg, tol)
 
     reps = [amb.identity()]
     normalizers = []

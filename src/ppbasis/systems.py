@@ -214,10 +214,10 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     if hasattr(f, "blocks"):
         f = f.blocks[0]
     f = np.asarray(f, dtype=complex)
+    if not linalg.is_projection_matrix(f, tol):
+        res = max(linalg.projection_residuals(f))
+        raise NotAProjection("prescribed support is not a projection (residual %.3g)" % res)
     scale = 1.0 + linalg.operator_norm(f)
-    r_idem, r_adj = linalg.projection_residuals(f)
-    if max(r_idem, r_adj) > tol * scale:
-        raise NotAProjection("prescribed support is not a projection (residual %.3g)" % max(r_idem, r_adj))
     if bc.in_m1_residual(f) > tol * scale:
         raise InvalidInput("prescribed support does not lie in M1")
     wd = bc.m1_wedd

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppbasis import linalg
-from ppbasis.errors import InvalidInnerProduct, InvalidInput
+from ppbasis.errors import InvalidInnerProduct
 
 
 def test_operator_norm_matches_singular_value():
@@ -110,11 +110,6 @@ def test_block_diag_shapes_and_content():
     assert np.array_equal(out[2:, 2:], b)
     assert np.linalg.norm(out[:2, 2:]) == 0.0
     assert linalg.block_diag([]).shape == (0, 0)
-
-
-def test_check_square_rejects_rectangular():
-    with pytest.raises(InvalidInput):
-        linalg.check_square(np.zeros((2, 3)))
 
 
 def test_projection_predicates():

@@ -595,3 +595,59 @@ def test_pipeline_tests_each_coset_pair_once(monkeypatch):
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
     assert rep.flags["patched_basis_two_sided"]
     assert len(calls) == 11
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: models.diagonal_in_matrix(4), lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0])],
+    ids=["diag-in-m4", "z4-over-e"],
+)
+def test_pipeline_decomposes_only_n(monkeypatch, build):
+    # N' cap M comes from N's matrix units: no nullspace of relative_commutant
+    # in the pipeline, and one wedderburn call, on N, until N keeps its units
+    mp = build()
+    calls = {"relative_commutant": [], "wedderburn": []}
+    inside = []
+    orig_commutant, orig_wedderburn = algebra.relative_commutant, algebra.wedderburn
+
+    def commutant(*args, **kwargs):
+        if not inside:  # wedderburn's own call finds the centre of the algebra it decomposes
+            calls["relative_commutant"].append(args)
+        return orig_commutant(*args, **kwargs)
+
+    def wedderburn(sub, *args, **kwargs):
+        calls["wedderburn"].append(sub)
+        inside.append(sub)
+        try:
+            return orig_wedderburn(sub, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(algebra, "relative_commutant", commutant)
+    monkeypatch.setattr(algebra, "wedderburn", wedderburn)
+    assert not hasattr(regular, "relative_commutant") and not hasattr(regular, "wedderburn")
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    assert rep.flags["patched_basis_two_sided"]
+    assert calls == {"relative_commutant": [], "wedderburn": [mp.sub]}
+    calls["wedderburn"].clear()
+    regular_pipeline(mp.sub, candidates=mp.candidates)
+    assert calls == {"relative_commutant": [], "wedderburn": []}
+
+
+@pytest.mark.parametrize(
+    "build, beta, dim_commutant, reps",
+    [
+        (lambda: models.diagonal_in_matrix(8), 8, 8, 8),
+        (lambda: models.group_algebra_pair(GroupTable.cyclic(16), [0]), 16, 16, 1),
+    ],
+    ids=["diag-in-m8", "z16-over-e"],
+)
+def test_pipeline_at_scale(build, beta, dim_commutant, reps):
+    mp = build()
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    assert rep.numbers["beta"] == pytest.approx(beta, abs=1e-9)
+    assert rep.numbers["dim_commutant"] == dim_commutant
+    assert rep.numbers["reps"] == reps
+    assert all(rep.flags.values()), rep.flags
+    assert len(rep.patched.elements) == beta
+    assert rep.watatani.scalar == pytest.approx(beta, abs=1e-8)
