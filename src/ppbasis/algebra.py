@@ -132,7 +132,7 @@ class MultiMatrixAlgebra:
         cols = []
         for n, t, lo, hi in zip(self.dims, self.trace_vector, self._offsets, self._offsets[1:]):
             x, y = (m[lo:hi].T.reshape(-1, n, n) for m in (a, b))
-            cols.append(np.einsum("iab,jbc->ijac", x, y).reshape(-1, n * n).T / np.sqrt(t))
+            cols.append((x[:, None] @ y[None]).reshape(-1, n * n).T / np.sqrt(t))
         return np.concatenate(cols)
 
     def left_op(self, x):
@@ -322,9 +322,10 @@ class UnitalEmbedding:
         return AlgebraElement(self.target, blocks)
 
     def image(self):
-        """The embedded copy of the source, as a Subalgebra of the target."""
+        """The embedded copy of the source, as a Subalgebra of the target that
+        keeps the images of the source's matrix units."""
         if self._image is None:
-            self._image = Subalgebra.span(self.target, [self.apply(u) for u in self.source.units()], check=False)
+            self._image = Subalgebra.embedded(self.target, self.source, self.apply)
         return self._image
 
 
@@ -339,6 +340,7 @@ class Subalgebra:
         self._elements = None
         self._projection = None
         self._wedderburn = {}
+        self._units = None
 
     @classmethod
     def span(cls, ambient, elements, check=True):
@@ -348,6 +350,16 @@ class Subalgebra:
         sub = cls(ambient, linalg.orthonormal_columns(cols))
         if check:
             sub._verify_closure()
+        return sub
+
+    @classmethod
+    def embedded(cls, ambient, source, embed):
+        """The image of ``source`` under the unital *-embedding ``embed``, which
+        keeps the images of the matrix units of ``source`` as its Wedderburn data."""
+        units = [[[embed(source.unit(i, p, q)) for q in range(m)] for p in range(m)] for i, m in enumerate(source.dims)]
+        sub = cls.span(ambient, [x for block in units for row in block for x in row], check=False)
+        centrals = [ambient.unvec(sum(u[p][p].vec() for p in range(len(u)))) for u in units]
+        sub._units = WedderburnData(sub, source.dims, [u[0][0].trace().real for u in units], units, centrals)
         return sub
 
     @classmethod
@@ -394,7 +406,10 @@ class Subalgebra:
         return self._elements
 
     def wedderburn_data(self, seed=0):
-        """``wedderburn(self, seed)``, decomposed once for each seed."""
+        """The kept matrix units of an ``embedded`` subalgebra, for every seed;
+        otherwise ``wedderburn(self, seed)``, decomposed once for each seed."""
+        if self._units is not None:
+            return self._units
         if seed not in self._wedderburn:
             self._wedderburn[seed] = wedderburn(self, seed=seed)
         return self._wedderburn[seed]
@@ -423,15 +438,15 @@ class Subalgebra:
 
 
 def relative_commutant(sub, within=None):
-    """Elements of ``within`` (default: the ambient algebra) commuting with ``sub``."""
+    """Elements of ``within`` (default: the ambient algebra) commuting with ``sub``:
+    the nullspace of the commutators [b, w] of their bases, from two batched
+    product passes (b w and w b), with no operator on the GNS space."""
     amb = sub.ambient
-    maps = [amb.left_op(b) - amb.right_op(b) for b in sub.basis_elements()]
-    if within is None:
-        ker = linalg.nullspace(np.vstack(maps))
-        return Subalgebra(amb, linalg.orthonormal_columns(ker))
-    stacked = np.vstack([m @ within.mat for m in maps])
-    coeff = linalg.nullspace(stacked)
-    return Subalgebra(amb, linalg.orthonormal_columns(within.mat @ coeff))
+    w = np.eye(amb.dim, dtype=complex) if within is None else within.mat
+    bw = amb.products(sub.mat, w).reshape(-1, sub.dim, w.shape[1])
+    wb = amb.products(w, sub.mat).reshape(-1, w.shape[1], sub.dim)
+    coeff = linalg.nullspace((bw - wb.transpose(0, 2, 1)).reshape(-1, w.shape[1]))
+    return Subalgebra(amb, linalg.orthonormal_columns(w @ coeff))
 
 
 def _in_block(alg, j, x):
@@ -489,13 +504,9 @@ class WedderburnData:
 
     def to_abstract(self, x):
         """Coefficient blocks of ``x`` in the matrix-unit basis."""
-        coeffs = (self._unit_mat.conj().T @ x.vec()) / self._scale
-        out = []
-        pos = 0
-        for d in self.block_dims:
-            out.append(coeffs[pos:pos + d * d].reshape(d, d))
-            pos += d * d
-        return out
+        coeffs = (x.vec().conj() @ self._unit_mat).conj() / self._scale
+        cuts = np.cumsum([d * d for d in self.block_dims])[:-1]
+        return [c.reshape(d, d) for c, d in zip(np.split(coeffs, cuts), self.block_dims)]
 
     def from_abstract(self, blocks):
         flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in blocks])
@@ -517,7 +528,7 @@ def _spectral_split(h, targets):
     if the clustering does not produce the requested count.
     """
     alg = h.alg
-    eigdata = [np.linalg.eigh(blk) for blk in h.blocks]
+    eigdata = [linalg.eigh(blk) for blk in h.blocks]
     allvals = np.concatenate([vals for vals, _ in eigdata])
     clusters = linalg.cluster_values(allvals)
     if targets is not None and len(clusters) != targets:
@@ -539,10 +550,23 @@ def _spectral_split(h, targets):
 
 
 def _corner_basis(sub, proj):
-    amb = sub.ambient
-    cols = np.stack([(proj * b * proj).vec() for b in sub.basis_elements()], axis=1)
-    mat = linalg.orthonormal_columns(cols)
+    """Orthonormal basis of p N p, from batched products with p on each side."""
+    amb, p = sub.ambient, proj.vec()[:, None]
+    mat = linalg.orthonormal_columns(amb.products(amb.products(p, sub.mat), p))
     return [amb.unvec(mat[:, i]) for i in range(mat.shape[1])]
+
+
+def _unit_residual(sub, u, p):
+    """Largest GNS-norm residual of one block's matrix units u_pq: u_pq u_rs =
+    delta_qr u_ps (one batched product pass), u_p0* = u_0p, u_pq in the
+    subalgebra, and sum_p u_pp = p."""
+    d = len(u)
+    us = np.stack([x.vec() for row in u for x in row], axis=1)
+    want = np.einsum("qr,xps->xpqrs", np.eye(d), us.reshape(-1, d, d)).reshape(-1, d ** 4)
+    res = [sub.ambient.products(us, us) - want, us - sub.mat @ (sub.mat.conj().T @ us)]
+    res.append((np.einsum("xpp->x", us.reshape(-1, d, d)) - p.vec())[:, None])
+    adjoint = max((u[q][0].adjoint() - u[0][q]).norm() for q in range(d))
+    return max(adjoint, *(float(np.linalg.norm(r, axis=0).max()) for r in res))
 
 
 def _random_combination(elements, rng, hermitian=True):
@@ -606,31 +630,10 @@ def _attempt_wedderburn(sub, rng):
     # deterministic ordering independent of the random eigenvalues where possible
     blocks.sort(key=lambda b: (b["d"], round(b["t"], 9), b["mean"]))
     # verify the matrix-unit relations before accepting the attempt
-    worst = 0.0
-    for b in blocks:
-        d = b["d"]
-        u = b["units"]
-        acc = u[0][0].alg.zero()
-        for p in range(d):
-            acc = acc + u[p][p]
-            worst = max(worst, (u[p][0].adjoint() - u[0][p]).norm())
-            for q in range(d):
-                worst = max(worst, sub.residual(u[p][q]))
-                for r in range(d):
-                    for s_ in range(d):
-                        prod = u[p][q] * u[r][s_]
-                        expect = u[p][s_] if q == r else u[p][s_].alg.zero()
-                        worst = max(worst, (prod - expect).norm())
-        worst = max(worst, (acc - b["p"]).norm())
+    worst = max(_unit_residual(sub, b["units"], b["p"]) for b in blocks)
     if worst > linalg.EPS_WEDD:
         raise DegenerateSpectrum("matrix-unit relations violated (residual %.3g)" % worst)
-    return WedderburnData(
-        sub,
-        [b["d"] for b in blocks],
-        [b["t"] for b in blocks],
-        [b["units"] for b in blocks],
-        [b["p"] for b in blocks],
-    )
+    return WedderburnData(sub, *([b[key] for b in blocks] for key in ("d", "t", "units", "p")))
 
 
 def wedderburn(sub, seed=0):

@@ -50,7 +50,7 @@ def markov_trace(inclusion, sub_dims):
         raise InvalidInput("sub_dims must list one positive dimension per row of the inclusion matrix")
     n = lam.T @ m
     s = (lam.T @ lam).astype(float)
-    vals, vecs = np.linalg.eigh(s)
+    vals, vecs = linalg.eigh(s)
     beta = float(vals[-1])
     if s.shape[0] >= 2 and vals[-2] > beta * (1.0 - linalg.EPS_REL):
         raise NonConnected("Perron eigenvalue is degenerate; inclusion graph is disconnected")
@@ -238,7 +238,7 @@ class M1Trace:
         units, ops = self._unit_ops
         mat = np.asarray(mat, dtype=complex)
         rhs = np.array([self.trace(op.conj().T @ mat) for op in ops])
-        coeff = np.linalg.solve(self._gram, rhs)
+        coeff = linalg.solve(self._gram, rhs)
         acc = self.bc.amb.zero()
         for c, u in zip(coeff, units):
             acc = acc + c * u

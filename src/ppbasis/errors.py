@@ -26,6 +26,10 @@ class DegenerateSpectrum(AlgebraError):
     """Randomized spectral splitting failed to separate after retries."""
 
 
+class FactorizationFailed(AlgebraError):
+    """A numpy factorization (SVD, eigendecomposition, solve) did not converge."""
+
+
 class NonUnitalInclusion(AlgebraError):
     """Inclusion data whose multiplicities cannot describe a unital embedding."""
 

@@ -12,9 +12,11 @@ it: the flag decisions reached from a scenario's ``eps`` (or ``--eps``) and
 the comparison predicates such as ``AlgebraElement.allclose``.
 """
 
+import functools
+
 import numpy as np
 
-from .errors import InvalidInnerProduct, InvalidInput
+from .errors import FactorizationFailed, InvalidInnerProduct, InvalidInput
 
 EPS_TRACE = 1e-12  # trace normalization sum n_i t_i = 1, same_structure, Perron positivity
 EPS_RANK = 1e-10   # relative singular-value cutoff: rank, nullspace, orthonormal_columns, gram_schmidt
@@ -26,23 +28,43 @@ GAP_TOL = 1e-6     # relative gap separating eigenvalue clusters; integrality of
 WEDD_TRIES = 5     # seeded attempts before wedderburn gives up
 
 
+def _typed(f):
+    """``f`` raising FactorizationFailed where numpy raises LinAlgError."""
+    @functools.wraps(f)
+    def wrapped(*args):
+        try:
+            return f(*args)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationFailed(str(exc)) from exc
+    return wrapped
+
+
+eigh = _typed(lambda h: np.linalg.eigh(h))
+solve = _typed(lambda a, b: np.linalg.solve(a, b))
+
+
 def rng_from_seed(seed=0):
     """Fresh numpy Generator for ``seed``; callers thread it explicitly."""
     return np.random.default_rng(seed)
 
 
+@_typed
 def operator_norm(a):
+    """Operator norm; a stack of matrices is read as its block-diagonal sum,
+    whose norm is the largest block norm."""
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
 
 
+@_typed
 def hermitian_norm(h):
     """Operator norm of a Hermitian matrix, read off its eigenvalues."""
     return float(np.max(np.abs(np.linalg.eigvalsh(h)), initial=0.0))
 
 
+@_typed
 def rank(a):
     """Numerical rank by singular values above EPS_RANK * max(1, s_max)."""
     a = np.asarray(a, dtype=complex)
@@ -53,6 +75,7 @@ def rank(a):
     return int(np.count_nonzero(s > cutoff))
 
 
+@_typed
 def nullspace(a):
     """Orthonormal columns spanning the right kernel of ``a``.
 
@@ -69,6 +92,7 @@ def nullspace(a):
     return vh[r:].conj().T
 
 
+@_typed
 def orthonormal_columns(a):
     """Orthonormal basis of the column space of ``a`` (SVD based)."""
     a = np.asarray(a, dtype=complex)
@@ -132,6 +156,7 @@ def random_hermitian(n, rng):
     return (g + g.conj().T) / 2.0
 
 
+@_typed
 def random_unitary(n, rng):
     """Haar-ish unitary via QR with the standard phase fix (deterministic)."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -57,17 +57,12 @@ class GroupTable:
         for g in range(n):
             if sorted(t[g]) != list(range(n)) or sorted(t[:, g]) != list(range(n)):
                 raise InvalidInput("row or column %d is not a permutation" % g)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if t[t[a, b], c] != t[a, t[b, c]]:
-                        raise InvalidInput("table is not associative at (%d, %d, %d)" % (a, b, c))
+        bad = np.argwhere(t[t] != t[:, t])  # (t[t])[a, b, c] = (ab)c and t[:, t][a, b, c] = a(bc)
+        if bad.size:
+            raise InvalidInput("table is not associative at (%d, %d, %d)" % tuple(bad[0]))
         self.table = t
         self.n = n
-        inv = np.empty(n, dtype=int)
-        for g in range(n):
-            inv[g] = int(np.nonzero(t[g] == 0)[0][0])
-        self._inv = inv
+        self._inv = np.argmax(t == 0, axis=1)
 
     def __len__(self):
         return self.n
@@ -179,83 +174,69 @@ class Automorphism:
 class CrossedProductModel:
     """B acted on by a finite group, realized inside one ambient algebra.
 
-    The covariance algebra is represented on the direct sum of |G| copies of
-    L2(B); the span of {pi(b) u_g} is decomposed into blocks, and the ambient
-    algebra carries the trace b_g -> tr_B(b_e), so the copy of B sits trace
-    compatibly inside M.  The action and the covariance must hold to EPS_INPUT.
+    The covariance algebra acts on |G| copies of L2(B): pi(b), formed once per
+    matrix unit of B, has diagonal blocks L(alpha_{h^-1}(b)), and u_g moves
+    block h to block gh.  The span of {pi(b) u_g} is decomposed into blocks;
+    the ambient algebra carries the trace b_g -> tr_B(b_e), so the copy of B
+    sits trace compatibly inside M and keeps the images of B's matrix units.
+    The action and the covariance (one stacked norm of the diagonal blocks of
+    u_g pi(b) u_g* - pi(alpha_g(b))) must hold to EPS_INPUT.
     """
 
     def __init__(self, base, group, autos, seed=0):
         if len(autos) != len(group):
             raise NotAnAction("need one automorphism per group element")
-        if autos[0].distance(Automorphism.identity(base)) > linalg.EPS_INPUT:
-            raise NotAnAction("the identity element must act trivially")
-        for g in range(len(group)):
-            for h in range(len(group)):
-                d = autos[g].compose(autos[h]).distance(autos[group.mult(g, h)])
-                if d > linalg.EPS_INPUT:
-                    raise NotAnAction("action is not multiplicative at (%d, %d): deviation %.3g" % (g, h, d))
-        self.base = base
-        self.group = group
-        self.autos = list(autos)
-        db = base.gns_dim
-        n = len(group)
+        self.base, self.group, self.autos = base, group, list(autos)
+        n, db, units = len(group), base.gns_dim, base.units()
         dv = db * n
-
-        def pi_mat(b):
-            out = np.zeros((dv, dv), dtype=complex)
-            for h in range(n):
-                out[h * db:(h + 1) * db, h * db:(h + 1) * db] = base.left_op(autos[group.inverse(h)].apply(b))
-            return out
-
-        def u_mat(g):
-            out = np.zeros((dv, dv), dtype=complex)
-            for h in range(n):
-                gh = group.mult(g, h)
-                out[gh * db:(gh + 1) * db, h * db:(h + 1) * db] = np.eye(db)
-            return out
-
-        self._pi_mat = pi_mat
-        self._u_mat = u_mat
-        for g in range(n):
-            ug = u_mat(g)
-            for b in base.units():
-                cov = ug @ pi_mat(b) @ ug.conj().T - pi_mat(autos[g].apply(b))
-                if linalg.operator_norm(cov) > linalg.EPS_INPUT:
-                    raise NotAnAction("covariance fails for group element %d" % g)
+        # coords[g, b] holds alpha_g(e_b) in the matrix units; the GNS norm weights block i by sqrt(t_i)
+        coords = np.array([[_coords(autos[g].apply(b)) for b in units] for g in range(n)])
+        weight = np.sqrt(np.repeat(base.trace_vector, [m * m for m in base.dims]))
+        if np.linalg.norm((coords[0] - np.eye(db)) * weight, axis=-1).max() > linalg.EPS_INPUT:
+            raise NotAnAction("the identity element must act trivially")
+        dev = np.linalg.norm((np.einsum("hbc,gcd->ghbd", coords, coords) - coords[group.table]) * weight, axis=-1).max(-1)
+        for g, h in np.argwhere(dev > linalg.EPS_INPUT)[:1]:
+            raise NotAnAction("action is not multiplicative at (%d, %d): deviation %.3g" % (g, h, dev[g, h]))
+        # pi is linear: block h of pi(e_b) is L(alpha_{h^-1}(e_b)), as (unit b, block h, db, db)
+        inv = [group.inverse(g) for g in range(n)]
+        pi = np.einsum("hbc,cxy->bhxy", coords[inv], np.array([base.left_op(e) for e in units]))
+        # block k of u_g pi(b) u_g* is block g^-1 k of pi(b)
+        cov = pi[:, group.table[inv]].transpose(1, 0, 2, 3, 4) - np.einsum("gbc,ckxy->gbkxy", coords, pi)
+        if linalg.operator_norm(cov) > linalg.EPS_INPUT:
+            g = next(g for g in range(n) if linalg.operator_norm(cov[g]) > linalg.EPS_INPUT)
+            raise NotAnAction("covariance fails for group element %d" % g)
+        self._pi = np.einsum("bkxy,kl->bkxly", pi, np.eye(n)).reshape(db, dv, dv)
+        # u[g] is the identity on the blocks (gh, h) and zero elsewhere
+        u = np.kron(group.table[:, None, :] == np.arange(n)[None, :, None], np.eye(db))
         op_alg = MultiMatrixAlgebra((dv,), (1.0 / dv,))
-        spanning = [op_alg.element([pi_mat(b) @ u_mat(g)]) for b in base.units() for g in range(n)]
+        spanning = [op_alg.element([x @ ug]) for x in self._pi for ug in u]
         span = Subalgebra.span(op_alg, spanning, check=False)
         if span.dim != base.dim * n:
             raise NotAnAction("covariance span has dimension %d, expected %d" % (span.dim, base.dim * n))
         self.op_span = span
         self.wedd = span.wedderburn_data(seed)
-        vec1 = base.vec(base.identity())
-        traces = []
-        for b in range(len(self.wedd.block_dims)):
-            t = self._canonical_trace(self.wedd.units[b][0][0].blocks[0], vec1)
-            if t.real <= 0 or abs(t.imag) > linalg.EPS_INPUT:
-                raise NotAnAction("canonical trace is not faithful on the span")
-            traces.append(t.real)
+        # the canonical trace of a minimal projection reads its (e, e) corner
+        traces = [base.unvec(e[0][0].blocks[0][:db, :db] @ base.vec(base.identity())).trace() for e in self.wedd.units]
+        if any(t.real <= 0 or abs(t.imag) > linalg.EPS_INPUT for t in traces):
+            raise NotAnAction("canonical trace is not faithful on the span")
+        traces = [t.real for t in traces]
         total = sum(d * t for d, t in zip(self.wedd.block_dims, traces))
         self.algebra = MultiMatrixAlgebra(self.wedd.block_dims, tuple(t / total for t in traces))
-        self.unitaries = tuple(self.to_model(u_mat(g)) for g in range(n))
-        self.base_image = Subalgebra.span(
-            self.algebra, [self.to_model(pi_mat(b)) for b in base.units()], check=False
-        )
-
-    def _canonical_trace(self, mat, vec1):
-        db = self.base.gns_dim
-        b_e = self.base.unvec(mat[:db, :db] @ vec1)
-        return b_e.trace()
+        self.unitaries = tuple(self.to_model(ug) for ug in u)
+        self.base_image = Subalgebra.embedded(self.algebra, base, self.embed)
 
     def embed(self, b):
         """The copy of a base element inside the ambient algebra."""
-        return self.to_model(self._pi_mat(b))
+        return self.to_model(np.tensordot(_coords(b), self._pi, 1))
 
     def to_model(self, mat):
         op = self.op_span.ambient.element([np.asarray(mat, dtype=complex)])
         return self.algebra.element(self.wedd.to_abstract(op))
+
+
+def _coords(x):
+    """Coefficients of ``x`` in the matrix units of its algebra, in ``units()`` order."""
+    return np.concatenate([blk.reshape(-1) for blk in x.blocks])
 
 
 def normalizer_residual(u, sub):
@@ -283,15 +264,16 @@ def coset_system(reps, n_sub, r_sub, tol=EPS_FLAG):
 
     The coset test of each pair reads E_R(u_i u_j*) off the left Gram matrix;
     the first pair above ``tol`` raises DuplicateCoset.  The classification
-    over N is folded in under ``over_n`` keys; the primary data is over R.
+    over N (the one over R when R = N) is folded in under ``over_n`` keys; the
+    primary data is over R.
     """
     sys_r = classify(reps, r_sub, side="two-sided", tol=tol)
     left = sys_r.gram["left"]
     for i, j in itertools.combinations(range(len(left)), 2):
         if left[i][j].norm() > tol:
             raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
-    sys_n = classify(reps, n_sub, side="two-sided", tol=tol)
-    for key, val in sys_n.residuals.items():
+    sys_n = sys_r if r_sub.dim == n_sub.dim else classify(reps, n_sub, side="two-sided", tol=tol)
+    for key, val in list(sys_n.residuals.items()):
         sys_r.residuals["over_n_" + key] = val
     sys_r.flags["orthonormal_over_n"] = sys_n.flags["system"] and sys_n.flags["orthonormal"]
     return sys_r

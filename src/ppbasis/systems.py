@@ -191,7 +191,7 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
 
 def _range_vectors(block, count):
     """First ``count`` orthonormal eigenvectors of an abstract projection block."""
-    vals, vecs = np.linalg.eigh(block)
+    vals, vecs = linalg.eigh(block)
     keep = [i for i in range(vals.size) if vals[i] > 0.5]
     if len(keep) < count:
         raise NotAProjection("projection block has rank %d < %d" % (len(keep), count))

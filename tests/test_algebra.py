@@ -10,7 +10,7 @@ from ppbasis import (
     relative_commutant,
     wedderburn,
 )
-from ppbasis import linalg, models
+from ppbasis import algebra, linalg, models
 from ppbasis.errors import (
     InvalidInput,
     NonUnitalInclusion,
@@ -269,3 +269,40 @@ def test_contains_subalgebra():
     scal = Subalgebra.span(mp.ambient, [mp.ambient.identity()])
     assert mp.sub.contains_subalgebra(scal)
     assert not scal.contains_subalgebra(mp.sub)
+
+
+def unit_residual_oracle(sub, u, p):
+    """The matrix-unit check of ``wedderburn`` before it was batched: one
+    element product per (p, q, r, s)."""
+    worst = 0.0
+    acc = u[0][0].alg.zero()
+    for a in range(len(u)):
+        acc = acc + u[a][a]
+        worst = max(worst, (u[a][0].adjoint() - u[0][a]).norm())
+        for b in range(len(u)):
+            worst = max(worst, sub.residual(u[a][b]))
+            for c in range(len(u)):
+                for d in range(len(u)):
+                    want = u[a][d] if b == c else u[a][d].alg.zero()
+                    worst = max(worst, (u[a][b] * u[c][d] - want).norm())
+    return max(worst, (acc - p).norm())
+
+
+@pytest.mark.parametrize("build", [models.two_block_over_factor, lambda: models.explicit_pair((2, 1), [[1, 1], [1, 0]])])
+def test_batched_unit_check_matches_loop(build):
+    # the batched residual equals the loop's on valid units and on units
+    # broken in each relation (a scaled unit, a non-adjoint pair, a unit
+    # outside the subalgebra)
+    mp = build()
+    sub = Subalgebra(mp.ambient, mp.sub.mat)
+    wd = wedderburn(sub)
+    outside = mp.ambient.random_element(linalg.rng_from_seed(1))
+    for u, p in zip(wd.units, wd.central_projections):
+        d = len(u)
+        variants = [u]
+        variants.append([[x * 1.5 if (a, b) == (0, 0) else x for b, x in enumerate(row)] for a, row in enumerate(u)])
+        variants.append([[x + 0.1j * outside if (a, b) == (d - 1, 0) else x for b, x in enumerate(row)] for a, row in enumerate(u)])
+        for v in variants:
+            want = unit_residual_oracle(sub, v, p)
+            assert abs(algebra._unit_residual(sub, v, p) - want) <= 1e-12 * (1.0 + want)
+        assert unit_residual_oracle(sub, u, p) <= 1e-12

@@ -253,6 +253,19 @@ def test_leftover_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypat
     assert err == "error: SVD did not converge\n"
 
 
+def test_failed_factorization_in_the_model_exits_2(tmp_path, capsys, monkeypatch):
+    import numpy as np
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, DIAG_SCENARIO))
+    assert code == 2
+    assert out == ""
+    assert err == "error: model construction failed: FactorizationFailed: SVD did not converge\n"
+
+
 MALFORMED = {
     "model-k": {"model": {"kind": "diagonal_in_matrix", "k": "abc"}, "tasks": [{"task": "markov"}]},
     "seed": {"seed": "abc", "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},

@@ -3,8 +3,11 @@
 The Krylov closure of ``Subalgebra.generated``, the product pass that gives
 R = N v (N' cap M) and the closed-form matrix units of N' cap M are checked
 against the brute-force span closure they replaced and against the nullspace
-of ``relative_commutant``, on the benchmark's pipeline models and on drawn
-explicit inclusions.
+of ``relative_commutant``; the batched commutator stack of
+``relative_commutant`` against the per-element GNS operators it replaced; and
+the matrix units a model-built N keeps against ``wedderburn`` of a span-only
+copy.  All run on the benchmark's pipeline models and on drawn explicit
+inclusions.
 """
 
 import numpy as np
@@ -13,7 +16,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppbasis import (
+    Automorphism,
+    CrossedProductModel,
     GroupTable,
+    MultiMatrixAlgebra,
     Subalgebra,
     inclusion_matrix,
     linalg,
@@ -21,9 +27,10 @@ from ppbasis import (
     models,
     regular_pipeline,
     relative_commutant,
+    wedderburn,
 )
 from ppbasis.algebra import commutant_wedderburn
-from ppbasis.errors import NonConnected
+from ppbasis.errors import AlgebraError, NonConnected
 
 TOL = 1e-12
 
@@ -46,6 +53,19 @@ def generated_oracle(ambient, elements):
     raise AssertionError("span closure failed to stabilize")
 
 
+def relative_commutant_oracle(sub, within=None):
+    """``relative_commutant`` as it was before the batched commutator stack:
+    one dense left_op - right_op operator on the GNS space per basis element."""
+    amb = sub.ambient
+    maps = [amb.left_op(b) - amb.right_op(b) for b in sub.basis_elements()]
+    if within is None:
+        ker = linalg.nullspace(np.vstack(maps))
+        return Subalgebra(amb, linalg.orthonormal_columns(ker))
+    stacked = np.vstack([m @ within.mat for m in maps])
+    coeff = linalg.nullspace(stacked)
+    return Subalgebra(amb, linalg.orthonormal_columns(within.mat @ coeff))
+
+
 def _klein():
     z2 = GroupTable.cyclic(2)
     return GroupTable.direct_product(z2, z2)
@@ -66,14 +86,10 @@ def projection_gap(a, b):
     return linalg.operator_norm(a.projection_matrix() - b.projection_matrix())
 
 
-def check_commutant_units(sub):
-    """The closed-form units of N' cap M: relations, dimension and trace."""
-    wd_n = sub.wedderburn_data(0)
-    wd = commutant_wedderburn(wd_n)
-    lam = inclusion_matrix(wd_n)
-    amb = sub.ambient
-    assert sorted(wd.block_dims) == sorted(int(x) for x in lam.reshape(-1) if x)
-    assert wd.subalgebra.dim == int(np.sum(lam ** 2))
+def check_matrix_units(wd):
+    """Matrix-unit relations, block traces and central projections of ``wd``
+    within 1e-12; every unit lies in the subalgebra."""
+    amb = wd.subalgebra.ambient
     unit_sum = amb.zero()
     for d, t, units, z in zip(wd.block_dims, wd.block_traces, wd.units, wd.central_projections):
         block_sum = amb.zero()
@@ -86,12 +102,54 @@ def check_commutant_units(sub):
                     for s in range(d):
                         want = units[p][s] if q == r else amb.zero()
                         assert (units[p][q] * units[r][s] - want).norm() <= TOL
+                assert wd.subalgebra.residual(units[p][q]) <= TOL
         assert (block_sum - z).norm() <= TOL
         unit_sum = unit_sum + z
     assert (unit_sum - amb.identity()).norm() <= TOL
+
+
+def check_commutant_units(sub):
+    """The closed-form units of N' cap M: relations, dimension and trace."""
+    wd_n = sub.wedderburn_data(0)
+    wd = commutant_wedderburn(wd_n)
+    lam = inclusion_matrix(wd_n)
+    assert sorted(wd.block_dims) == sorted(int(x) for x in lam.reshape(-1) if x)
+    assert wd.subalgebra.dim == int(np.sum(lam ** 2))
+    check_matrix_units(wd)
     q = wd.subalgebra.mat
     assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= TOL
     return wd.subalgebra
+
+
+def _pipeline_numbers(sub, candidates):
+    """The pipeline's flags, beta, dim N' cap M and |reps|, or the name of its error."""
+    try:
+        rep = regular_pipeline(sub, candidates=candidates)
+    except AlgebraError as exc:  # NonConnected, or a trace under which N' cap M gives no basis
+        return type(exc).__name__
+    return rep.flags, rep.numbers["beta"], rep.numbers["dim_commutant"], rep.numbers["reps"]
+
+
+def check_seeded_units(sub, candidates=()):
+    """The units N keeps against ``wedderburn`` of a span-only copy: the same
+    (block dim, trace) multiset, valid units, the same inclusion matrix up to
+    block order and the same pipeline verdict."""
+    wd = sub.wedderburn_data(0)
+    if sub._units is not None:
+        assert sub.wedderburn_data(3) is wd
+    copy = Subalgebra(sub.ambient, sub.mat)
+    ref = wedderburn(copy)
+    got, want = sorted(zip(wd.block_dims, wd.block_traces)), sorted(zip(ref.block_dims, ref.block_traces))
+    assert [d for d, _ in got] == [d for d, _ in want]
+    assert max(abs(t - u) for (_, t), (_, u) in zip(got, want)) <= TOL
+    check_matrix_units(wd)
+    assert sorted(map(tuple, inclusion_matrix(wd))) == sorted(map(tuple, inclusion_matrix(ref)))
+    got, want = _pipeline_numbers(sub, candidates), _pipeline_numbers(copy, candidates)
+    assert type(got) is type(want)
+    if isinstance(got, str):
+        assert got == want
+    else:
+        assert got[0] == want[0] and got[2:] == want[2:] and abs(got[1] - want[1]) <= TOL
 
 
 def check_against_oracles(sub, candidates=()):
@@ -119,6 +177,62 @@ def test_pipeline_structure_matches_oracles(build):
         return
     assert projection_gap(rep.commutant, comm) <= TOL
     assert projection_gap(rep.r_algebra, r_alg) <= TOL
+
+
+@pytest.mark.parametrize("name, build", PIPELINE_MODELS, ids=[n for n, _ in PIPELINE_MODELS])
+def test_seeded_units_match_wedderburn(name, build):
+    # N keeps units when an embedding or a crossed product built it; C[H] is a span
+    mp = build()
+    assert (mp.sub._units is not None) == name.startswith(("diag", "crossed", "m2-in"))
+    check_seeded_units(mp.sub, mp.candidates)
+
+
+@pytest.mark.parametrize("build", [b for _, b in PIPELINE_MODELS], ids=[n for n, _ in PIPELINE_MODELS])
+def test_batched_commutant_matches_operator_oracle(build):
+    sub = build().sub
+    assert projection_gap(relative_commutant(sub), relative_commutant_oracle(sub)) <= TOL
+    assert projection_gap(relative_commutant(sub, within=sub), relative_commutant_oracle(sub, within=sub)) <= TOL
+
+
+def _covariance_spans():
+    diag3 = MultiMatrixAlgebra((1,) * 3, (1.0 / 3,) * 3)
+    point = MultiMatrixAlgebra((1,), (1.0,))
+    m2 = MultiMatrixAlgebra((2,), (0.5,))
+    return {
+        "crossed-diag-3": (diag3, GroupTable.cyclic(3), [Automorphism(diag3, perm=[(j - g) % 3 for j in range(3)]) for g in range(3)]),
+        "z6-over-e": (point, GroupTable.cyclic(6), [Automorphism.identity(point)] * 6),
+        "m2-trivial-z2": (m2, GroupTable.cyclic(2), [Automorphism.identity(m2)] * 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_covariance_spans()))
+def test_batched_commutant_on_covariance_spans(name):
+    span = CrossedProductModel(*_covariance_spans()[name]).op_span
+    centre = relative_commutant(span, within=span)
+    assert projection_gap(centre, relative_commutant_oracle(span, within=span)) <= TOL
+    assert projection_gap(relative_commutant(span), relative_commutant_oracle(span)) <= TOL
+
+
+def test_no_gns_operator_inside_commutant_and_wedderburn(monkeypatch):
+    # the commutator stack and the unit check are batched products: no
+    # left_op/right_op inside relative_commutant or wedderburn, and none on
+    # the operator algebra of Z16 over {e} (one 16 x 16 block) at all
+    calls = []
+    for name in ("left_op", "right_op"):
+        orig = getattr(MultiMatrixAlgebra, name)
+        monkeypatch.setattr(
+            MultiMatrixAlgebra, name, lambda self, x, orig=orig, name=name: calls.append((name, self.dims)) or orig(self, x)
+        )
+    models.group_algebra_pair(GroupTable.cyclic(16), [0])
+    assert calls and all(dims != (16,) for _, dims in calls)
+    subs = [models.diagonal_in_matrix(4).sub, models.two_block_over_factor().sub, models.group_algebra_pair(_klein(), [0, 1]).sub]
+    calls.clear()
+    for sub in subs:
+        span = Subalgebra(sub.ambient, sub.mat)
+        relative_commutant(span)
+        relative_commutant(span, within=span)
+        wedderburn(span)
+    assert calls == []
 
 
 def test_generated_from_nothing_is_the_scalars():
@@ -156,3 +270,11 @@ def connected_pairs(draw):
 @given(connected_pairs())
 def test_drawn_inclusions_match_oracles(mp):
     check_against_oracles(mp.sub)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(connected_pairs())
+def test_drawn_seeded_units_match_wedderburn(mp):
+    assert mp.sub._units is not None
+    check_seeded_units(mp.sub)
+    assert projection_gap(relative_commutant(mp.sub), relative_commutant_oracle(mp.sub)) <= TOL

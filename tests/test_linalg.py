@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppbasis import linalg
-from ppbasis.errors import InvalidInnerProduct
+from ppbasis.errors import AlgebraError, FactorizationFailed, InvalidInnerProduct
 
 
 def test_operator_norm_matches_singular_value():
@@ -122,3 +122,31 @@ def test_projection_predicates():
     # a non-selfadjoint idempotent fails
     q = np.array([[1.0, 1.0], [0.0, 0.0]])
     assert not linalg.is_projection_matrix(q)
+
+
+def _no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+@pytest.mark.parametrize("factor", ["svd", "eigh", "eigvalsh", "solve", "qr"])
+def test_failed_factorization_is_typed(monkeypatch, factor):
+    # every helper that factorizes raises FactorizationFailed, an AlgebraError
+    monkeypatch.setattr(np.linalg, factor, _no_convergence)
+    a = np.eye(3) + 0.5
+    calls = {
+        "svd": [lambda: linalg.rank(a), lambda: linalg.nullspace(a), lambda: linalg.orthonormal_columns(a)],
+        "eigh": [lambda: linalg.eigh(a)],
+        "eigvalsh": [lambda: linalg.hermitian_norm(a)],
+        "solve": [lambda: linalg.solve(a, np.ones(3))],
+        "qr": [lambda: linalg.random_unitary(3, linalg.rng_from_seed(0))],
+    }[factor]
+    for call in calls:
+        with pytest.raises(FactorizationFailed, match="did not converge"):
+            call()
+    assert issubclass(FactorizationFailed, AlgebraError)
+
+
+def test_operator_norm_of_a_stack_is_the_block_diagonal_norm():
+    rng = linalg.rng_from_seed(5)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    assert abs(linalg.operator_norm(stack) - linalg.operator_norm(linalg.block_diag(list(stack)))) < 1e-12

@@ -26,6 +26,7 @@ from ppbasis.errors import (
     NotUnitary,
 )
 from ppbasis.regular import II1_NOTE, normalizer_residual
+from ppbasis.systems import classify
 
 
 # ---------------------------------------------------------------- group tables
@@ -598,13 +599,19 @@ def test_pipeline_tests_each_coset_pair_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "build",
-    [lambda: models.diagonal_in_matrix(4), lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0])],
-    ids=["diag-in-m4", "z4-over-e"],
+    "build, model_built",
+    [
+        (lambda: models.diagonal_in_matrix(4), True),
+        (lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0]), False),
+        (lambda: models.crossed_product_diag(4), True),
+    ],
+    ids=["diag-in-m4", "z4-over-e", "crossed-diag-4"],
 )
-def test_pipeline_decomposes_only_n(monkeypatch, build):
+def test_pipeline_decomposes_only_n(monkeypatch, build, model_built):
     # N' cap M comes from N's matrix units: no nullspace of relative_commutant
-    # in the pipeline, and one wedderburn call, on N, until N keeps its units
+    # in the pipeline.  An N built by an embedding or a crossed product keeps
+    # its units and is never decomposed; a span-only N (C[H] here, or a copy)
+    # is decomposed once, by one wedderburn call.
     mp = build()
     calls = {"relative_commutant": [], "wedderburn": []}
     inside = []
@@ -626,12 +633,40 @@ def test_pipeline_decomposes_only_n(monkeypatch, build):
     monkeypatch.setattr(algebra, "relative_commutant", commutant)
     monkeypatch.setattr(algebra, "wedderburn", wedderburn)
     assert not hasattr(regular, "relative_commutant") and not hasattr(regular, "wedderburn")
+    copy = Subalgebra(mp.ambient, mp.sub.mat)
+    for sub, decomposed in ((mp.sub, [] if model_built else [mp.sub]), (copy, [copy])):
+        rep = regular_pipeline(sub, candidates=mp.candidates)
+        assert rep.flags["patched_basis_two_sided"]
+        assert calls == {"relative_commutant": [], "wedderburn": decomposed}
+        calls["wedderburn"].clear()
+        regular_pipeline(sub, candidates=mp.candidates)
+        assert calls == {"relative_commutant": [], "wedderburn": []}
+
+
+def test_coset_system_classifies_once_when_r_is_n(monkeypatch):
+    # diag-in-M4: N' cap M = N, so R = N and one classification of the coset
+    # system serves over R and over N: 2 classify calls (coset system,
+    # patching), not 3, with every flag and over_n residual as over N
+    mp = models.diagonal_in_matrix(4)
+    calls = []
+    original = systems.classify
+
+    def counting(family, sub, *args, **kwargs):
+        calls.append(sub)
+        return original(family, sub, *args, **kwargs)
+
+    monkeypatch.setattr(systems, "classify", counting)
+    monkeypatch.setattr(regular, "classify", counting)
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
-    assert rep.flags["patched_basis_two_sided"]
-    assert calls == {"relative_commutant": [], "wedderburn": [mp.sub]}
-    calls["wedderburn"].clear()
-    regular_pipeline(mp.sub, candidates=mp.candidates)
-    assert calls == {"relative_commutant": [], "wedderburn": []}
+    assert rep.r_algebra.dim == mp.sub.dim
+    assert len(calls) == 2
+    monkeypatch.undo()
+    over_n = classify(rep.reps, mp.sub, side="two-sided")
+    assert rep.coset.flags["orthonormal_over_n"] == (over_n.flags["system"] and over_n.flags["orthonormal"])
+    assert rep.coset.flags["orthonormal_over_n"]
+    for key, val in over_n.residuals.items():
+        assert abs(rep.coset.residuals["over_n_" + key] - val) <= 1e-12
+    assert all(rep.flags.values())
 
 
 @pytest.mark.parametrize(
@@ -651,3 +686,28 @@ def test_pipeline_at_scale(build, beta, dim_commutant, reps):
     assert all(rep.flags.values()), rep.flags
     assert len(rep.patched.elements) == beta
     assert rep.watatani.scalar == pytest.approx(beta, abs=1e-8)
+
+
+def test_crossed_product_action_check_matches_compose():
+    # the stacked action check names the first failing pair and its deviation
+    # as the loop over Automorphism.compose and distance does, with the GNS
+    # weights of unequal blocks
+    base = MultiMatrixAlgebra((2, 1, 1), (0.3, 0.2, 0.2))
+    rot = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+    ident = Automorphism.identity(base)
+    swap = Automorphism(base, perm=(0, 2, 1))
+    turn = Automorphism(base, perm=(0, 2, 1), unitaries=[rot, np.eye(1), np.eye(1)])
+    z2, z3 = GroupTable.cyclic(2), GroupTable.cyclic(3)
+    for group, autos in ((z2, [ident, swap]), (z2, [ident, turn]), (z3, [ident, swap, swap]), (z2, [swap, ident])):
+        n = len(group)
+        if autos[0].distance(ident) > linalg.EPS_INPUT:
+            with pytest.raises(NotAnAction, match="identity element must act trivially"):
+                CrossedProductModel(base, group, autos)
+            continue
+        devs = [(g, h, autos[g].compose(autos[h]).distance(autos[group.mult(g, h)])) for g in range(n) for h in range(n)]
+        bad = [d for d in devs if d[2] > linalg.EPS_INPUT]
+        if not bad:
+            CrossedProductModel(base, group, autos)
+            continue
+        with pytest.raises(NotAnAction, match=r"not multiplicative at \(%d, %d\): deviation %s$" % (bad[0][0], bad[0][1], "%.3g" % bad[0][2])):
+            CrossedProductModel(base, group, autos)

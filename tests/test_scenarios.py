@@ -186,3 +186,32 @@ def test_selftest_matches_golden_report():
     # residuals near 1e-16 may move with BLAS rounding; everything else is frozen
     report, _ = scenarios.run_selftest()
     _assert_matches(report, json.loads(GOLDEN.read_text()))
+
+
+def test_failed_factorization_is_recorded_and_the_run_goes_on(monkeypatch):
+    # SVD fails inside the first task only: that task records FactorizationFailed
+    # and the second task still runs
+    real_svd, pipeline = np.linalg.svd, scenarios.TASKS["regular_pipeline"]
+
+    def no_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def failing_pipeline(*args):
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        try:
+            return pipeline(*args)
+        finally:
+            monkeypatch.setattr(np.linalg, "svd", real_svd)
+
+    monkeypatch.setitem(scenarios.TASKS, "regular_pipeline", failing_pipeline)
+    report, lines = run_scenario_dict(
+        {
+            "model": {"kind": "diagonal_in_matrix", "k": 2},
+            "tasks": [{"task": "regular_pipeline"}, {"task": "markov", "expect": {"beta": 2.0}}],
+        }
+    )
+    first, second = report["results"]
+    assert first["error"] == "FactorizationFailed" and first["message"] == "SVD did not converge"
+    assert not first["pass"]
+    assert second["pass"] and second["numbers"]["beta"] == 2.0
+    assert "  error: FactorizationFailed: SVD did not converge" in lines
