@@ -41,6 +41,7 @@ class MultiMatrixAlgebra:
             raise InvalidInput("trace vector must satisfy sum n_i t_i = 1, got %.17g" % total)
         self.dims = dims
         self.trace_vector = t
+        self.gns_weights = np.sqrt(np.repeat(t, np.square(dims)))  # vec scales block i by sqrt(t_i)
         offs = [0]
         for n in dims:
             offs.append(offs[-1] + n * n)
@@ -66,6 +67,11 @@ class MultiMatrixAlgebra:
             and self.dims == other.dims
             and np.allclose(self.trace_vector, other.trace_vector, rtol=0, atol=linalg.EPS_TRACE)
         )
+
+    def check_owns(self, x):
+        """InvalidInput unless ``x`` is an element of this algebra or of one with the same structure."""
+        if x.alg is not self and not self.same_structure(x.alg):
+            raise InvalidInput("elements live in different algebras")
 
     # -- element factories -------------------------------------------------
 
@@ -110,21 +116,16 @@ class MultiMatrixAlgebra:
 
     def vec(self, x):
         """Coordinates in which <x,y> = tr(y* x) is the standard inner product."""
-        v = np.empty(self.gns_dim, dtype=complex)
-        for i, n in enumerate(self.dims):
-            w = np.sqrt(self.trace_vector[i])
-            v[self._offsets[i]:self._offsets[i + 1]] = w * x.blocks[i].reshape(-1)
-        return v
+        self.check_owns(x)
+        return np.concatenate([b.reshape(-1) for b in x.blocks]) * self.gns_weights
 
     def unvec(self, v):
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.gns_dim,):
             raise InvalidInput("vector length %r != GNS dimension %d" % (v.shape, self.gns_dim))
-        blocks = []
-        for i, n in enumerate(self.dims):
-            w = np.sqrt(self.trace_vector[i])
-            blocks.append(v[self._offsets[i]:self._offsets[i + 1]].reshape(n, n) / w)
-        return AlgebraElement(self, blocks)
+        v = v / self.gns_weights
+        cuts = zip(self.dims, self._offsets, self._offsets[1:])
+        return AlgebraElement(self, [v[lo:hi].reshape(n, n) for n, lo, hi in cuts])
 
     def products(self, a, b):
         """GNS coordinates of the products x y, with x and y over the elements whose
@@ -180,16 +181,12 @@ class AlgebraElement:
         self.alg = alg
         self.blocks = blocks
 
-    def _check_same(self, other):
-        if self.alg is not other.alg and not self.alg.same_structure(other.alg):
-            raise InvalidInput("elements live in different algebras")
-
     def __add__(self, other):
-        self._check_same(other)
+        self.alg.check_owns(other)
         return AlgebraElement(self.alg, [a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other):
-        self._check_same(other)
+        self.alg.check_owns(other)
         return AlgebraElement(self.alg, [a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self):
@@ -197,7 +194,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
-            self._check_same(other)
+            self.alg.check_owns(other)
             return AlgebraElement(self.alg, [a @ b for a, b in zip(self.blocks, other.blocks)])
         return AlgebraElement(self.alg, [other * a for a in self.blocks])
 
@@ -218,7 +215,8 @@ class AlgebraElement:
         return float(np.sqrt(max(0.0, ((self.adjoint() * self).trace()).real)))
 
     def op_norm(self):
-        return max(linalg.operator_norm(b) for b in self.blocks)
+        """Largest block norm, from one stacked ``operator_norm`` call per block size."""
+        return max(linalg.operator_norm(np.stack([b for b in self.blocks if len(b) == n])) for n in set(self.alg.dims))
 
     def vec(self):
         return self.alg.vec(self)
@@ -240,7 +238,7 @@ class AlgebraElement:
         return ((self * self.adjoint()) - one).op_norm() <= tol and ((self.adjoint() * self) - one).op_norm() <= tol
 
     def allclose(self, other, tol=linalg.EPS_INPUT):
-        self._check_same(other)
+        self.alg.check_owns(other)
         return all(np.allclose(a, b, rtol=0, atol=tol) for a, b in zip(self.blocks, other.blocks))
 
     def __repr__(self):
@@ -386,13 +384,10 @@ class Subalgebra:
         return cls(ambient, mat)
 
     def _verify_closure(self):
-        basis = self.basis_elements()
-        worst = self.residual(self.ambient.identity())
-        for e in basis:
-            worst = max(worst, self.residual(e.adjoint()))
-        for a in basis:
-            for b in basis:
-                worst = max(worst, self.residual(a * b))
+        """NotSubalgebra unless 1, the adjoints (J of the basis columns) and the products of the basis lie in the span."""
+        amb, q = self.ambient, self.mat
+        cols = [amb.vec(amb.identity())[:, None], amb.modular_conjugation(q), amb.products(q, q)]
+        worst = float(self.residuals(np.concatenate(cols, axis=1)).max())
         if worst > linalg.EPS_REL:
             raise NotSubalgebra("span is not a unital *-subalgebra (residual %.3g)" % worst)
 
@@ -427,8 +422,12 @@ class Subalgebra:
         v = x.vec()
         return self.ambient.unvec(self.mat @ (self.mat.conj().T @ v))
 
+    def residuals(self, cols):
+        """GNS distances to the subalgebra of the elements whose coordinates are the columns of ``cols``."""
+        return np.linalg.norm(cols - self.mat @ (self.mat.conj().T @ cols), axis=0)
+
     def residual(self, x):
-        return (x - self.expect(x)).norm()
+        return float(self.residuals(self.ambient.vec(x)[:, None])[0])
 
     def contains(self, x):
         return self.residual(x) <= linalg.EPS_FLAG * (1.0 + x.norm())
@@ -563,10 +562,9 @@ def _unit_residual(sub, u, p):
     d = len(u)
     us = np.stack([x.vec() for row in u for x in row], axis=1)
     want = np.einsum("qr,xps->xpqrs", np.eye(d), us.reshape(-1, d, d)).reshape(-1, d ** 4)
-    res = [sub.ambient.products(us, us) - want, us - sub.mat @ (sub.mat.conj().T @ us)]
-    res.append((np.einsum("xpp->x", us.reshape(-1, d, d)) - p.vec())[:, None])
+    res = [sub.ambient.products(us, us) - want, (np.einsum("xpp->x", us.reshape(-1, d, d)) - p.vec())[:, None]]
     adjoint = max((u[q][0].adjoint() - u[0][q]).norm() for q in range(d))
-    return max(adjoint, *(float(np.linalg.norm(r, axis=0).max()) for r in res))
+    return max(adjoint, float(sub.residuals(us).max()), *(float(np.linalg.norm(r, axis=0).max()) for r in res))
 
 
 def _random_combination(elements, rng, hermitian=True):
@@ -596,7 +594,7 @@ def _attempt_wedderburn(sub, rng):
     for mean, p in centrals:
         if not p.is_projection(linalg.EPS_WEDD) or sub.residual(p) > linalg.EPS_WEDD:
             raise DegenerateSpectrum("central spectral projection left the subalgebra")
-        corner = _corner_basis(sub, p)
+        corner = [p] if k == sub.dim else _corner_basis(sub, p)  # a commutative algebra's corners are C p
         s = len(corner)
         d = round(np.sqrt(s))
         if d * d != s:

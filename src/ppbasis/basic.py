@@ -261,9 +261,9 @@ def watatani_index(elements, tol=linalg.EPS_FLAG):
     for lam in elements:
         acc = acc + lam * lam.adjoint()
     scale = 1.0 + acc.op_norm()
-    central = all(
-        ((acc * u) - (u * acc)).norm() <= tol * scale for u in alg.units()
-    )
+    # the commutators [acc, e] with every matrix unit e, whose coordinates are the columns of units
+    a, units = alg.vec(acc)[:, None], np.diag(alg.gns_weights)
+    central = bool(np.linalg.norm(alg.products(a, units) - alg.products(units, a), axis=0).max() <= tol * scale)
     c = acc.trace().real
     scalar = None
     if (acc - alg.scalar(c)).norm() <= tol * scale:

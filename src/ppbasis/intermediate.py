@@ -8,6 +8,8 @@ way; modular conjugation swaps the two arguments.  Each basis is checked by
 ``systems.require_basis`` against e_P, after ``intermediate_projection``.
 """
 
+import numpy as np
+
 from . import linalg
 from .errors import InvalidInput, NotIntermediate
 from .linalg import EPS_FLAG, EPS_REL
@@ -18,9 +20,7 @@ def check_intermediate(sub, mid, tol=EPS_FLAG):
     """Verify N <= P inside the common ambient algebra; returns the residual."""
     if mid.ambient is not sub.ambient:
         raise InvalidInput("subalgebras live in different ambient algebras")
-    res = 0.0
-    for x in sub.basis_elements():
-        res = max(res, mid.residual(x))
+    res = float(mid.residuals(sub.mat).max())
     if res > tol:
         raise NotIntermediate("containment fails with residual %.3g" % res)
     return res
@@ -64,18 +64,14 @@ def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check=Tru
 def is_commuting_square(n_sub, p_sub, q_sub, tol=EPS_REL):
     """Whether E_P E_Q = E_N = E_Q E_P on the ambient algebra.
 
-    Tested on all matrix units of the ambient algebra; returns
-    (flag, worst residual).
+    Tested on all matrix units of the ambient algebra at once: the largest
+    GNS norm of a column of (e_P e_Q - e_N) U or (e_Q e_P - e_N) U, where the
+    columns of U are the units' coordinates; returns (flag, worst residual).
     """
     amb = p_sub.ambient
     if q_sub.ambient is not amb or n_sub.ambient is not amb:
         raise InvalidInput("subalgebras live in different ambient algebras")
-    worst = 0.0
-    for u in amb.units():
-        en = n_sub.expect(u)
-        worst = max(
-            worst,
-            (p_sub.expect(q_sub.expect(u)) - en).norm(),
-            (q_sub.expect(p_sub.expect(u)) - en).norm(),
-        )
+    ep, eq, en = (s.projection_matrix() for s in (p_sub, q_sub, n_sub))
+    units = np.diag(amb.gns_weights)
+    worst = max(float(np.linalg.norm((a @ b - en) @ units, axis=0).max()) for a, b in ((ep, eq), (eq, ep)))
     return worst <= tol, worst

@@ -14,7 +14,6 @@ precondition of the patching once.  Flags compare against ``tol``;
 automorphisms and a crossed product's covariance must hold to EPS_INPUT.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,7 @@ from .errors import (
     NotUnitary,
 )
 from .linalg import EPS_FLAG
-from .systems import classify, require_basis
+from .systems import _entry_norms, classify, require_basis
 
 II1_NOTE = (
     "equality of beta with |reps| * dim(N' cap M) is the statement for regular "
@@ -191,7 +190,7 @@ class CrossedProductModel:
         dv = db * n
         # coords[g, b] holds alpha_g(e_b) in the matrix units; the GNS norm weights block i by sqrt(t_i)
         coords = np.array([[_coords(autos[g].apply(b)) for b in units] for g in range(n)])
-        weight = np.sqrt(np.repeat(base.trace_vector, [m * m for m in base.dims]))
+        weight = base.gns_weights
         if np.linalg.norm((coords[0] - np.eye(db)) * weight, axis=-1).max() > linalg.EPS_INPUT:
             raise NotAnAction("the identity element must act trivially")
         dev = np.linalg.norm((np.einsum("hbc,gcd->ghbd", coords, coords) - coords[group.table]) * weight, axis=-1).max(-1)
@@ -240,12 +239,11 @@ def _coords(x):
 
 
 def normalizer_residual(u, sub):
-    """How far u sub u* leaves the subalgebra (largest basis residual)."""
-    ua = u.adjoint()
-    worst = 0.0
-    for x in sub.basis_elements():
-        worst = max(worst, sub.residual(u * x * ua))
-    return worst
+    """How far u sub u* leaves the subalgebra: the largest residual of u b u* over
+    its basis b, from two product passes (u b, then (u b) u*)."""
+    amb = sub.ambient
+    conj = amb.products(amb.products(amb.vec(u)[:, None], sub.mat), amb.vec(u.adjoint())[:, None])
+    return float(sub.residuals(conj).max())
 
 
 def check_normalizer(u, sub, tol=EPS_FLAG):
@@ -262,16 +260,15 @@ def coset_distinct(u, v, r_sub, tol=EPS_FLAG):
 def coset_system(reps, n_sub, r_sub, tol=EPS_FLAG):
     """Classify pairwise-distinct coset representatives as a system over R.
 
-    The coset test of each pair reads E_R(u_i u_j*) off the left Gram matrix;
-    the first pair above ``tol`` raises DuplicateCoset.  The classification
-    over N (the one over R when R = N) is folded in under ``over_n`` keys; the
-    primary data is over R.
+    The coset test of each pair reads the GNS norm of E_R(u_i u_j*) off the
+    left Gram blocks; the first pair above ``tol`` raises DuplicateCoset.  The
+    classification over N (the one over R when R = N) is folded in under
+    ``over_n`` keys; the primary data is over R.
     """
     sys_r = classify(reps, r_sub, side="two-sided", tol=tol)
-    left = sys_r.gram["left"]
-    for i, j in itertools.combinations(range(len(left)), 2):
-        if left[i][j].norm() > tol:
-            raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
+    norms = _entry_norms(sys_r.gram["left"], r_sub.ambient)
+    for i, j in np.argwhere(np.triu(norms > tol, 1))[:1]:
+        raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
     sys_n = sys_r if r_sub.dim == n_sub.dim else classify(reps, n_sub, side="two-sided", tol=tol)
     for key, val in list(sys_n.residuals.items()):
         sys_r.residuals["over_n_" + key] = val

@@ -9,8 +9,10 @@ entries, orthonormal when the diagonal entries are 1, and a basis when the
 support is the identity.  Left-handed versions swap the adjoints.  The tests
 run on M's own blocks (M_n(M) is the sum of the M_{n n_k}, with the same
 C*-norms), and the support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat.
-Classification needs only the family and N, so it builds no basic
-construction; one passed as ``bc`` is kept on the result for completion.
+A Gram matrix stays one (n, n, n_k, n_k) array per block M_{n_k} of M, with
+entry [i, j] the k-th block of its (i, j) entry; only ``gram_matrix`` makes
+elements of the entries.  Classification needs only the family and N, so it
+builds no basic construction; one passed as ``bc`` is kept for completion.
 ``require_basis`` is the one basis check of the regular chain and interchange.
 """
 
@@ -35,6 +37,8 @@ class _Family:
             raise InvalidInput("side must be 'right' or 'left'")
         if not elements:
             raise InvalidInput("cannot test an empty family")
+        for x in elements:
+            sub.ambient.check_owns(x)
         self.sub = sub
         self.stacks = [np.stack([x.blocks[k] for x in elements]) for k in range(sub.ambient.nblocks)]
         if side == "left":
@@ -62,6 +66,11 @@ class _Family:
         return w @ w.conj().T
 
 
+def _entry_norms(blocks, alg):
+    """GNS 2-norms of the elements stacked in per-block arrays (..., n_k, n_k), as Gram entries are."""
+    return np.sqrt(sum(t * np.sum((a.conj() * a).real, axis=(-2, -1)) for t, a in zip(alg.trace_vector, blocks)))
+
+
 def _gram_residuals(blocks, alg):
     """Projection residual and 1 + norm of the Gram matrix, from its n n_k-square
     blocks; largest GNS 2-norms of the off-diagonal entries, of q^2 - q or
@@ -71,26 +80,19 @@ def _gram_residuals(blocks, alg):
         big = g.transpose(0, 2, 1, 3).reshape(g.shape[0] * g.shape[2], -1)
         norm = max(norm, linalg.operator_norm(big))
         res = max(res, *linalg.projection_residuals(big))
-
-    def norms(arrays):
-        return np.sqrt(sum(t * np.sum((a.conj() * a).real, axis=(-2, -1)) for t, a in zip(alg.trace_vector, arrays)))
-
     n = blocks[0].shape[0]
     diag = [g[np.arange(n), np.arange(n)] for g in blocks]
-    off = norms(blocks)[~np.eye(n, dtype=bool)].max(initial=0.0)
-    proj = max(norms([q @ q - q for q in diag]).max(), norms([q - q.conj().transpose(0, 2, 1) for q in diag]).max())
-    one = norms([q - np.eye(q.shape[-1]) for q in diag]).max()
+    off = _entry_norms(blocks, alg)[~np.eye(n, dtype=bool)].max(initial=0.0)
+    proj = _entry_norms([np.concatenate([q @ q - q, q - q.conj().transpose(0, 2, 1)]) for q in diag], alg).max()
+    one = _entry_norms([q - np.eye(q.shape[-1]) for q in diag], alg).max()
     return res, 1.0 + norm, float(off), float(proj), float(one)
 
 
-def _entries(blocks, alg):
-    n = blocks[0].shape[0]
-    return [[alg.element([g[i, j] for g in blocks]) for j in range(n)] for i in range(n)]
-
-
 def gram_matrix(elements, sub, side="right"):
-    """n x n matrix of Gram entries in N (right: E(x_i* x_j), left: E(x_i x_j*))."""
-    return _entries(_Family(tuple(elements), sub, side).gram(), sub.ambient)
+    """n x n matrix of Gram entries in N (right: E(x_i* x_j), left: E(x_i x_j*)), as elements."""
+    g = _Family(tuple(elements), sub, side).gram()
+    n = len(g[0])
+    return [[sub.ambient.element([b[i, j] for b in g]) for j in range(n)] for i in range(n)]
 
 
 def support_operator(elements, bc, side="right"):
@@ -108,7 +110,8 @@ def support_operator(elements, bc, side="right"):
 
 @dataclass
 class PPSystem:
-    """A classified family over a subalgebra."""
+    """A classified family over a subalgebra; ``gram[side]`` is the list of the
+    Gram matrix's (n, n, n_k, n_k) arrays, one per block M_{n_k} of the ambient algebra."""
 
     elements: tuple
     sub: object
@@ -143,8 +146,7 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
     flags = {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
     for s in sides:
         family = _Family(elements, sub, s)
-        g = family.gram()
-        grams[s] = _entries(g, sub.ambient)
+        g = grams[s] = family.gram()
         r, scale, off, diag_proj, diag_one = _gram_residuals(g, sub.ambient)
         supports[s] = family.support()
         basis_res = linalg.hermitian_norm(supports[s] - np.eye(sub.ambient.gns_dim))
@@ -170,11 +172,10 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
     GNS projection of the target (its residual is kept as ``<side>_support_target``).
     """
     elements = tuple(elements)
-    if target is not None:
-        for k, x in enumerate(elements):
-            res = target.residual(x)
-            if res > tol:
-                raise NotABasis("%s element %d leaves its algebra (residual %.3g)" % (label, k, res))
+    if target is not None and elements:
+        res = target.residuals(np.stack([target.ambient.vec(x) for x in elements], axis=1))
+        for k in np.flatnonzero(res > tol)[:1]:
+            raise NotABasis("%s element %d leaves its algebra (residual %.3g)" % (label, k, res[k]))
     sys = classify(elements, sub, side=side, tol=tol)
     if not sys.flags["system"]:
         res = max(sys.residuals[s + "_gram_projection"] for s in sys.support)
