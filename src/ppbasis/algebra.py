@@ -47,7 +47,8 @@ class MultiMatrixAlgebra:
             offs.append(offs[-1] + n * n)
         self._offsets = tuple(offs)
         self.gns_dim = offs[-1]
-        self._conj_perm = None
+        # vec(x*) = conj(vec(x))[_conj_idx]: the transpose of each block's coordinates
+        self._conj_idx = np.concatenate([lo + np.arange(n * n).reshape(n, n).T.ravel() for n, lo in zip(dims, offs)])
 
     @property
     def dim(self):
@@ -144,28 +145,13 @@ class MultiMatrixAlgebra:
         """Matrix of right multiplication by ``x`` on the GNS space."""
         return linalg.block_diag([np.kron(np.eye(n), x.blocks[i].T) for i, n in enumerate(self.dims)])
 
-    def conj_perm(self):
-        """Permutation matrix P with vec(x*) = P conj(vec(x))."""
-        if self._conj_perm is None:
-            perm = np.zeros(self.gns_dim, dtype=int)
-            for i, n in enumerate(self.dims):
-                off = self._offsets[i]
-                for a in range(n):
-                    for b in range(n):
-                        perm[off + a * n + b] = off + b * n + a
-            p = np.zeros((self.gns_dim, self.gns_dim))
-            p[np.arange(self.gns_dim), perm] = 1.0
-            self._conj_perm = p
-        return self._conj_perm
-
     def modular_conjugation(self, v):
-        """J acting on GNS coordinates: the conjugate-linear map x^ -> (x*)^."""
-        return self.conj_perm() @ np.conj(np.asarray(v, dtype=complex))
+        """J acting on GNS coordinates (a vector or a column stack): the conjugate-linear map x^ -> (x*)^."""
+        return np.conj(np.asarray(v, dtype=complex))[self._conj_idx]
 
     def sandwich_j(self, op):
         """The linear operator J T J for a linear operator T on the GNS space."""
-        p = self.conj_perm()
-        return p @ np.conj(np.asarray(op, dtype=complex)) @ p
+        return np.conj(np.asarray(op, dtype=complex))[self._conj_idx][:, self._conj_idx]
 
 
 class AlgebraElement:

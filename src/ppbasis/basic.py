@@ -3,7 +3,8 @@
 For N inside M acting on the GNS space L2(M) of dimension D, e1 is the
 orthogonal projection onto the closure of N, and M1 = <M, e1> is the
 commutant of the right action R of N (Jones: M1 = J N' J).  Members of M1
-are D x D matrices over the GNS coordinates.
+are plain D x D arrays over the GNS coordinates, and every M1 map here
+takes and returns such arrays.
 
 Only e1 is computed eagerly.  On first use M1 is read off N's matrix units
 e^i_{pq} in closed form, with no nullspace: f^i_{pq} = R(e^i_{qp}) are matrix
@@ -12,6 +13,10 @@ isometries W_{i,p} = f^i_{p0} V_i give M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.
 So M1 is the direct sum of M_{(Lambda n)_i}, block i sits over N's block i,
 and projecting onto M1 or moving to its block coordinates is a sandwich by
 the W's.  The D^2-row Subalgebra ``m1`` is built only when a caller reads it.
+
+The Markov extension is a closed form in M1's central projections P_i:
+tr2 = Tr(. Z) with Z = sum_i (trace_sub[i] / (beta m_i)) P_i, and the
+expectation E_M: M1 -> M is a partial trace of T Z on each block of M.
 """
 
 import functools
@@ -74,21 +79,13 @@ class BasicConstruction:
         self.sub = sub
         self.amb = sub.ambient
         self.seed = seed
-        d = self.amb.gns_dim
         self.e1 = sub.projection_matrix()
-        self.op_alg = MultiMatrixAlgebra((d,), (1.0 / d,))
         self._m1_wedd = None
         self._identity_vec = self.amb.vec(self.amb.identity())
 
     @property
     def gns_dim(self):
         return self.amb.gns_dim
-
-    def op_element(self, mat):
-        return self.op_alg.element([np.asarray(mat, dtype=complex)])
-
-    def left_op(self, x):
-        return self.amb.left_op(x)
 
     def lift(self, x):
         """L_x e1, the generic element of M e1."""
@@ -102,17 +99,25 @@ class BasicConstruction:
     @property
     def m1_wedd(self):
         if self._m1_wedd is None:
-            self._m1_wedd = M1Wedderburn(self.op_alg, self.sub_wedd)
+            self._m1_wedd = M1Wedderburn(self.sub_wedd)
         return self._m1_wedd
 
     @functools.cached_property
     def m1(self):
-        """M1 as a Subalgebra of the D x D operators (D^2 rows; built on demand)."""
-        return self.m1_wedd.subalgebra()
+        """M1 as a Subalgebra of the D x D operators, spanned by its matrix units
+        sum_p W_{i,p}[:, a] W_{i,p}[:, b]^* (D^2 rows; built on demand)."""
+        wd, d = self.m1_wedd, self.gns_dim
+        cols = []
+        for w, m, k in zip(wd.isometries, wd.mults, wd.block_dims):
+            w = w.reshape(-1, m, k)
+            units = np.einsum("xpa,ypb->abxy", w, w.conj()).reshape(k * k, -1)
+            # each unit has HS norm sqrt(m), and GNS vec scales by 1/sqrt(D)
+            cols.append(units.T / np.sqrt(m))
+        return Subalgebra(MultiMatrixAlgebra((d,), (1.0 / d,)), np.concatenate(cols, axis=1))
 
     def in_m1_residual(self, mat):
         """||T - E_M1(T)||_HS / sqrt(D), the GNS norm of T's distance to M1."""
-        return self.m1_wedd.roundtrip_residual(self.op_element(mat))
+        return self.m1_wedd.roundtrip_residual(mat)
 
     def expect_via_e1(self, x):
         """E_N(x) read off the GNS action of e1."""
@@ -120,8 +125,6 @@ class BasicConstruction:
 
     def pushdown(self, v):
         """The unique x in M with v = L_x e1, for v in M1 satisfying v e1 = v."""
-        if hasattr(v, "blocks"):
-            v = v.blocks[0]
         v = np.asarray(v, dtype=complex)
         scale = 1.0 + linalg.operator_norm(v)
         if linalg.operator_norm(v @ self.e1 - v) > linalg.EPS_REL * scale:
@@ -144,25 +147,23 @@ class M1Wedderburn:
     ``isometries[i]`` is the D x (m_i k_i) matrix [W_{i,0}, ..., W_{i,m_i-1}]
     with W_{i,p} = R(e^i_{0p}) V_i.  Its columns are an orthonormal basis of
     the range of the i-th central projection, and in them an operator of M1
-    is 1_{m_i} (x) C_i; C_i is the operator's abstract block.
+    is 1_{m_i} (x) C_i; C_i is the operator's abstract block.  Operators are
+    D x D arrays throughout.
     """
 
-    def __init__(self, op_alg, sub_wedd):
+    def __init__(self, sub_wedd):
         amb = sub_wedd.subalgebra.ambient
-        self.op_alg = op_alg
+        self.gns_dim = amb.gns_dim
         self.isometries = []
         for units in sub_wedd.units:
             v = linalg.orthonormal_columns(amb.right_op(units[0][0]))
             self.isometries.append(np.concatenate([amb.right_op(u) @ v for u in units[0]], axis=1))
         self.mults = tuple(sub_wedd.block_dims)
         self.block_dims = tuple(w.shape[1] // m for w, m in zip(self.isometries, self.mults))
-        # a minimal projection of block i has rank m_i on the D-dim GNS space
-        self.block_traces = tuple(m / amb.gns_dim for m in self.mults)
-        self.central_projections = [op_alg.element([w @ w.conj().T]) for w in self.isometries]
+        self.central_projections = [w @ w.conj().T for w in self.isometries]
 
-    def to_abstract(self, x):
+    def to_abstract(self, t):
         """Blocks C_i = (1/m_i) sum_p W_{i,p}^* T W_{i,p} of an operator T."""
-        t = x.blocks[0]
         out = []
         for w, m, k in zip(self.isometries, self.mults, self.block_dims):
             s = (w.conj().T @ t @ w).reshape(m, k, m, k)
@@ -173,76 +174,56 @@ class M1Wedderburn:
         """The operator sum_{i,p} W_{i,p} C_i W_{i,p}^* of M1."""
         if len(blocks) != len(self.block_dims):
             raise InvalidInput("abstract blocks have the wrong shapes")
-        d = self.op_alg.dims[0]
-        acc = np.zeros((d, d), dtype=complex)
+        acc = np.zeros((self.gns_dim, self.gns_dim), dtype=complex)
         for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, blocks):
             c = np.asarray(c, dtype=complex)
             if c.shape != (k, k):
                 raise InvalidInput("abstract blocks have the wrong shapes")
             acc += w @ np.kron(np.eye(m), c) @ w.conj().T
-        return self.op_alg.element([acc])
+        return acc
 
-    def roundtrip_residual(self, x):
-        """GNS distance from x to M1: from_abstract(to_abstract(x)) is E_M1(x)."""
-        return (x - self.from_abstract(self.to_abstract(x))).norm()
-
-    def subalgebra(self):
-        """M1 spanned by its matrix units sum_p W_{i,p}[:, a] W_{i,p}[:, b]^*."""
-        cols = []
-        for w, m, k in zip(self.isometries, self.mults, self.block_dims):
-            w = w.reshape(-1, m, k)
-            units = np.einsum("xpa,ypb->abxy", w, w.conj()).reshape(k * k, -1)
-            # each unit has HS norm sqrt(m), and GNS vec scales by 1/sqrt(D)
-            cols.append(units.T / np.sqrt(m))
-        return Subalgebra(self.op_alg, np.concatenate(cols, axis=1))
+    def roundtrip_residual(self, t):
+        """||T - E_M1(T)||_HS / sqrt(D), with E_M1(T) = from_abstract(to_abstract(T))."""
+        t = np.asarray(t, dtype=complex)
+        return float(np.linalg.norm(t - self.from_abstract(self.to_abstract(t)))) / np.sqrt(self.gns_dim)
 
 
 class M1Trace:
     """The Markov extension tr2 = (trace of sub)/beta on the blocks of M1.
 
-    Provides the trace functional on M1 operators and the induced
-    trace-preserving conditional expectation of M1 onto the ambient algebra.
+    With P_i M1's central projections and w_i = trace_sub[i]/beta, tr2 is
+    Tr(. Z) for Z = sum_i (w_i/m_i) P_i.  Z is central in M1, so on L(M) tr2
+    weighs block j of M by c_j = Tr(Z_jj)/n_j, and the tr2-preserving
+    expectation E_M: M1 -> M is, on block j, the partial trace of (T Z)_jj
+    over its right tensor factor, divided by c_j.
     """
 
     def __init__(self, bc, markov):
         self.bc = bc
         self.markov = markov
+        wd = bc.m1_wedd
         # M1 block i sits over block i of bc.sub_wedd; markov.trace_sub follows that order
-        if len(markov.trace_sub) != len(bc.sub_wedd.block_dims):
+        if len(markov.trace_sub) != len(wd.block_dims):
             raise InvalidInput("the Markov data needs one trace per block of the subalgebra")
-        self.block_weights = np.asarray(markov.trace_sub, dtype=float) / markov.beta
-        self._gram = None
-        self._unit_ops = None
+        w = np.asarray(markov.trace_sub, dtype=float) / markov.beta
+        self.z = sum(wi / m * p for wi, m, p in zip(w, wd.mults, wd.central_projections))
+        offs = np.cumsum([0] + [n * n for n in bc.amb.dims])
+        self._cuts = list(zip(bc.amb.dims, offs, offs[1:]))
+        # c_j, the weight of block j of M: tr2(L_x) = sum_j c_j Tr(x_j)
+        self._c = [np.trace(self.z[lo:hi, lo:hi]).real / n for n, lo, hi in self._cuts]
 
     def trace(self, mat):
         """tr2 of an operator in M1."""
-        el = self.bc.op_element(mat) if not hasattr(mat, "blocks") else mat
-        blocks = self.bc.m1_wedd.to_abstract(el)
-        return complex(sum(w * np.trace(b) for w, b in zip(self.block_weights, blocks)))
-
-    def _ensure_basis(self):
-        if self._unit_ops is None:
-            units = self.bc.amb.units()
-            ops = [self.bc.left_op(u) for u in units]
-            k = len(ops)
-            gram = np.empty((k, k), dtype=complex)
-            for a in range(k):
-                for b in range(k):
-                    gram[a, b] = self.trace(ops[a].conj().T @ ops[b])
-            self._unit_ops = (units, ops)
-            self._gram = gram
+        return complex(np.sum(np.asarray(mat, dtype=complex) * self.z.T))
 
     def expect_onto_ambient(self, mat):
         """Trace-preserving conditional expectation of M1 onto the ambient algebra."""
-        self._ensure_basis()
-        units, ops = self._unit_ops
-        mat = np.asarray(mat, dtype=complex)
-        rhs = np.array([self.trace(op.conj().T @ mat) for op in ops])
-        coeff = linalg.solve(self._gram, rhs)
-        acc = self.bc.amb.zero()
-        for c, u in zip(coeff, units):
-            acc = acc + c * u
-        return acc
+        tz = np.asarray(mat, dtype=complex) @ self.z
+        blocks = [
+            np.einsum("prqr->pq", tz[lo:hi, lo:hi].reshape(n, n, n, n)) / c
+            for (n, lo, hi), c in zip(self._cuts, self._c)
+        ]
+        return self.bc.amb.element(blocks)
 
 
 @dataclass

@@ -27,7 +27,7 @@ class DegenerateSpectrum(AlgebraError):
 
 
 class FactorizationFailed(AlgebraError):
-    """A numpy factorization (SVD, eigendecomposition, solve) did not converge."""
+    """A numpy factorization (SVD, eigendecomposition, QR) did not converge."""
 
 
 class NonUnitalInclusion(AlgebraError):

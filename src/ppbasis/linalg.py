@@ -40,7 +40,6 @@ def _typed(f):
 
 
 eigh = _typed(lambda h: np.linalg.eigh(h))
-solve = _typed(lambda a, b: np.linalg.solve(a, b))
 
 
 def rng_from_seed(seed=0):

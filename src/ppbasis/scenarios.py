@@ -315,7 +315,7 @@ def _resolve_f(spec, bc):
         if not 0 <= b < len(wd.block_dims):
             raise ScenarioError("m1_central index %d out of range" % b)
         blocks = [np.eye(d) if i == b else np.zeros((d, d)) for i, d in enumerate(wd.block_dims)]
-        return wd.from_abstract(blocks).blocks[0]
+        return wd.from_abstract(blocks)
     raise ScenarioError("unknown support spec %r" % (spec,))
 
 
@@ -502,6 +502,8 @@ def run_scenario_dict(data):
     with _fields_of("scenario"):
         seed = int(data.get("seed", 0))
         eps = float(data.get("eps", linalg.EPS_FLAG))
+    if not 0 < eps < np.inf:  # false for nan too: a non-finite tolerance would pass every check
+        raise ScenarioError("scenario eps must be finite and positive, got %r" % eps)
     tasks = data.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ScenarioError("scenario needs a nonempty task list")

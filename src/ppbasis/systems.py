@@ -212,8 +212,6 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     """
     if mode not in ("general", "orthogonal", "orthonormal-padded"):
         raise InvalidInput("unknown mode %r" % (mode,))
-    if hasattr(f, "blocks"):
-        f = f.blocks[0]
     f = np.asarray(f, dtype=complex)
     if not linalg.is_projection_matrix(f, tol):
         res = max(linalg.projection_residuals(f))
@@ -222,8 +220,8 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     if bc.in_m1_residual(f) > tol * scale:
         raise InvalidInput("prescribed support does not lie in M1")
     wd = bc.m1_wedd
-    f_abs = wd.to_abstract(bc.op_element(f))
-    e_abs = wd.to_abstract(bc.op_element(bc.e1))
+    f_abs = wd.to_abstract(f)
+    e_abs = wd.to_abstract(bc.e1)
     ranks_f = [linalg.integer_trace(b, NotAProjection) for b in f_abs]
     ranks_e = [linalg.integer_trace(b, NotAProjection) for b in e_abs]
     nblocks = len(ranks_f)
@@ -267,8 +265,7 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
                 v = w @ u.conj().T
                 used[b] += s[b]
             blocks.append(v)
-        vmat = wd.from_abstract(blocks).blocks[0]
-        elements.append(bc.pushdown(vmat))
+        elements.append(bc.pushdown(wd.from_abstract(blocks)))
     if not elements:
         raise InvalidInput("prescribed support is zero; the empty family has no classification")
     sys = classify(elements, bc.sub, side="right", bc=bc, tol=tol)

@@ -137,7 +137,7 @@ def _random_support(bc, rng):
         vals, vecs = np.linalg.eigh(h)
         keep = vecs[:, vals > 0]
         blocks.append(keep @ keep.conj().T)
-    f = wd.from_abstract(blocks).blocks[0]
+    f = wd.from_abstract(blocks)
     if linalg.operator_norm(f) < 0.5:
         f = np.eye(bc.gns_dim)
     return f
@@ -220,7 +220,7 @@ def test_criterion_05_gram_projection_property(report):
             sys = classify(elements, sub, side="right", bc=bc)
             assert linalg.operator_norm(sys.support["right"] - f) <= 1e-7
             for lam in elements:
-                ll = bc.left_op(lam)
+                ll = bc.amb.left_op(lam)
                 assert linalg.operator_norm(ll @ f - f @ ll) <= 1e-8
             assert sys.residuals["right_gram_projection"] <= 1e-8
 

@@ -118,6 +118,32 @@ def test_modular_conjugation():
         assert linalg.operator_norm(d) < 1e-12
 
 
+def conj_perm_matrix(alg):
+    """Reference J: the dense permutation matrix P with vec(x*) = P conj(vec(x)),
+    from a double loop over each block's entries."""
+    p = np.zeros((alg.gns_dim, alg.gns_dim))
+    off = 0
+    for n in alg.dims:
+        for a in range(n):
+            for b in range(n):
+                p[off + a * n + b, off + b * n + a] = 1.0
+        off += n * n
+    return p
+
+
+@pytest.mark.parametrize("alg", [two_one(), MultiMatrixAlgebra((2, 1, 3), (0.2, 0.3, 0.1))], ids=["2+1", "2+1+3"])
+def test_modular_conjugation_matches_permutation_matrix(alg):
+    p = conj_perm_matrix(alg)
+    rng = linalg.rng_from_seed(6)
+    d = alg.gns_dim
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    stack = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert np.array_equal(alg.modular_conjugation(v), p @ np.conj(v))
+    assert np.array_equal(alg.modular_conjugation(stack), p @ np.conj(stack))
+    assert np.array_equal(alg.sandwich_j(op), p @ np.conj(op) @ p)
+
+
 def test_embedding_requires_unitality():
     src = MultiMatrixAlgebra((1, 1), (0.5, 0.5))
     amb = MultiMatrixAlgebra((3,), (1.0 / 3,))

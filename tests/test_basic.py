@@ -4,6 +4,7 @@ import pytest
 from ppbasis import (
     BasicConstruction,
     GroupTable,
+    MultiMatrixAlgebra,
     Subalgebra,
     classify,
     construct_system_with_support,
@@ -72,7 +73,7 @@ def test_e1_commutes_with_subalgebra_action():
     mp = models.diagonal_in_matrix(3)
     bc = BasicConstruction(mp.sub)
     for b in mp.sub.basis_elements():
-        lb = bc.left_op(b)
+        lb = bc.amb.left_op(b)
         assert linalg.operator_norm(lb @ bc.e1 - bc.e1 @ lb) < 1e-10
 
 
@@ -83,8 +84,8 @@ def test_e1_conjugation_relation():
     rng = linalg.rng_from_seed(1)
     for _ in range(10):
         x = mp.ambient.random_element(rng)
-        lhs = bc.e1 @ bc.left_op(x) @ bc.e1
-        rhs = bc.left_op(mp.sub.expect(x)) @ bc.e1
+        lhs = bc.e1 @ bc.amb.left_op(x) @ bc.e1
+        rhs = bc.amb.left_op(mp.sub.expect(x)) @ bc.e1
         assert linalg.operator_norm(lhs - rhs) < 1e-10
 
 
@@ -94,7 +95,7 @@ def test_m1_is_commutant_of_jnj():
     amb = mp.ambient
     # M1 contains both L_M and e1
     for u in amb.units():
-        assert bc.in_m1_residual(bc.left_op(u)) < 1e-9
+        assert bc.in_m1_residual(bc.amb.left_op(u)) < 1e-9
     assert bc.in_m1_residual(bc.e1) < 1e-9
     # JNJ commutes with everything in M1
     for b in mp.sub.basis_elements():
@@ -222,7 +223,7 @@ def test_markov_extension_trace_values():
     rng = linalg.rng_from_seed(2)
     for _ in range(10):
         x = mp.ambient.random_element(rng)
-        assert abs(tr2.trace(bc.left_op(x)) - x.trace()) < 1e-10
+        assert abs(tr2.trace(bc.amb.left_op(x)) - x.trace()) < 1e-10
 
 
 def test_markov_extension_expectation():
@@ -238,6 +239,108 @@ def test_markov_extension_expectation():
         m = bc.lift(x)
         ey = tr2.expect_onto_ambient(m)
         assert abs(ey.trace() - tr2.trace(m)) < 1e-9
+
+
+MARKOV_MODELS = [
+    ("diag-in-m2", lambda: models.diagonal_in_matrix(2)),
+    ("diag-in-m4", lambda: models.diagonal_in_matrix(4)),
+    ("m2-in-m2+m2", lambda: models.explicit_pair((2,), [[1, 1]])),
+    ("c-in-c+m2", lambda: models.explicit_pair((1,), [[1, 2]])),
+    ("c+m2-in-m3", lambda: models.explicit_pair((1, 2), [[1], [1]])),
+    ("non-markov-trace", lambda: models.explicit_pair((1, 2), [[1, 1], [1, 0]], trace=(0.2, 0.4))),
+    ("z4-over-e", lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0])),
+    ("crossed-product-diag-3", lambda: models.crossed_product_diag(3)),
+]
+
+
+def markov_of(bc):
+    wd = bc.sub_wedd
+    return markov_trace(inclusion_matrix(wd), wd.block_dims)
+
+
+class GramM1Trace:
+    """Reference Markov extension: tr2 = sum_i (trace_sub[i]/beta) Tr(C_i) on M1's
+    abstract blocks, and E_M(T) from the Gram system tr2(L_a* L_b) over all D
+    matrix units of M.  O(D^4) set-up; an oracle for M1Trace's closed forms."""
+
+    def __init__(self, bc, markov):
+        self.bc = bc
+        self.weights = np.asarray(markov.trace_sub) / markov.beta
+        self.units = bc.amb.units()
+        self.ops = [bc.amb.left_op(u) for u in self.units]
+        self.gram = np.array([[self.trace(a.conj().T @ b) for b in self.ops] for a in self.ops])
+
+    def trace(self, mat):
+        blocks = self.bc.m1_wedd.to_abstract(mat)
+        return complex(sum(w * np.trace(b) for w, b in zip(self.weights, blocks)))
+
+    def expect_onto_ambient(self, mat):
+        coeff = np.linalg.solve(self.gram, [self.trace(op.conj().T @ mat) for op in self.ops])
+        acc = self.bc.amb.zero()
+        for c, u in zip(coeff, self.units):
+            acc = acc + c * u
+        return acc
+
+
+def _random_m1(bc, rng):
+    """T = L_x e1 L_y + L_z for random x, y, z in M: a generic element of M1."""
+    amb = bc.amb
+    x, y, z = (amb.random_element(rng) for _ in range(3))
+    return amb.left_op(x) @ bc.e1 @ amb.left_op(y) + amb.left_op(z)
+
+
+@pytest.mark.parametrize("build", [b for _, b in MARKOV_MODELS], ids=[n for n, _ in MARKOV_MODELS])
+def test_markov_extension_matches_gram_oracle(build):
+    bc = BasicConstruction(build().sub)
+    mk = markov_of(bc)
+    tr2, ref = bc.markov_extension(mk), GramM1Trace(bc, mk)
+    rng = linalg.rng_from_seed(13)
+    for t in [np.eye(bc.gns_dim), bc.e1] + [_random_m1(bc, rng) for _ in range(3)]:
+        assert abs(tr2.trace(t) - ref.trace(t)) <= 1e-12
+        assert (tr2.expect_onto_ambient(t) - ref.expect_onto_ambient(t)).norm() <= 1e-12
+
+
+@pytest.mark.parametrize("build", [b for _, b in MARKOV_MODELS], ids=[n for n, _ in MARKOV_MODELS])
+def test_markov_expectation_is_a_bimodule_projection(build):
+    bc = BasicConstruction(build().sub)
+    amb = bc.amb
+    tr2 = bc.markov_extension(markov_of(bc))
+    rng = linalg.rng_from_seed(17)
+    for _ in range(3):
+        t = _random_m1(bc, rng)
+        a, b, x = (amb.random_element(rng) for _ in range(3))
+        scale = 1.0 + linalg.operator_norm(t)
+        et = tr2.expect_onto_ambient(t)
+        # E(L_a T L_b) = a E(T) b
+        got = tr2.expect_onto_ambient(amb.left_op(a) @ t @ amb.left_op(b))
+        assert (got - a * et * b).norm() <= 1e-10 * scale * (1.0 + a.op_norm()) * (1.0 + b.op_norm())
+        # tr2(L_{E(T)}) = tr2(T)
+        assert abs(tr2.trace(amb.left_op(et)) - tr2.trace(t)) <= 1e-10 * scale
+        # E(L_x) = x
+        assert (tr2.expect_onto_ambient(amb.left_op(x)) - x).norm() <= 1e-10 * (1.0 + x.op_norm())
+
+
+def test_markov_extension_builds_no_left_operators(monkeypatch):
+    bc = BasicConstruction(models.diagonal_in_matrix(3).sub)
+    amb = bc.amb
+    t = _random_m1(bc, linalg.rng_from_seed(19))
+    x = amb.random_element(linalg.rng_from_seed(20))
+    bc.m1_wedd  # M1's block structure is paid before counting
+    calls = []
+    real = MultiMatrixAlgebra.left_op
+
+    def counting(self, y):
+        calls.append(y)
+        return real(self, y)
+
+    monkeypatch.setattr(MultiMatrixAlgebra, "left_op", counting)
+    tr2 = bc.markov_extension(markov_of(bc))
+    tr2.trace(t)
+    tr2.expect_onto_ambient(t)
+    tr2.expect_onto_ambient(bc.e1)
+    monkeypatch.undo()
+    assert calls == []
+    assert tr2.expect_onto_ambient(amb.left_op(x)).allclose(x, tol=1e-10)
 
 
 def test_watatani_index_scalar_case():
@@ -268,7 +371,7 @@ def test_watatani_independent_of_basis_choice():
     del basis1
     from ppbasis import complete_to_basis, construct_system_with_support
 
-    sys1 = complete_to_basis(construct_system_with_support(bc.op_element(bc.e1), bc), bc)
+    sys1 = complete_to_basis(construct_system_with_support(bc.e1, bc), bc)
     w1 = watatani_index(sys1.elements)
     # rotate by a unitary of N: lambda_i -> lambda_i u stays a basis
     u = mp.ambient.element([np.diag([1.0, -1.0])])

@@ -270,6 +270,15 @@ MALFORMED = {
     "model-k": {"model": {"kind": "diagonal_in_matrix", "k": "abc"}, "tasks": [{"task": "markov"}]},
     "seed": {"seed": "abc", "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
     "eps": {"eps": "abc", "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
+    # a tolerance that no residual can exceed (or none can meet) is not a tolerance; beta is 2 here
+    "eps-nan": {
+        "eps": "nan",
+        "model": {"kind": "diagonal_in_matrix", "k": 2},
+        "tasks": [{"task": "markov", "expect": {"beta": 7.0}}],
+    },
+    "eps-inf": {"eps": "inf", "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
+    "eps-negative": {"eps": -1, "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
+    "eps-zero": {"eps": 0, "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
     "cyclic-group": {
         "model": {"kind": "group_algebra_pair", "group": {"cyclic": "z"}, "subgroup": [0]},
         "tasks": [{"task": "markov"}],
@@ -305,6 +314,18 @@ def test_list_valued_result_against_a_number_is_a_mismatch(tmp_path, capsys):
     assert err == ""
     assert "mismatch: trace_sub is not a number, expected 1.0" in out
     assert "result: FAIL" in out
+
+
+def test_infinite_eps_override_exits_2(tmp_path, capsys):
+    # the override goes through the scenario's own eps check
+    spec = {
+        "model": {"kind": "diagonal_in_matrix", "k": 2},
+        "tasks": [{"task": "classify_system", "elements": [[[[2, 0], [0, 0]]]], "side": "right", "expect": {"size": 5}}],
+    }
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, spec), "--eps", "inf")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_seed_override_on_non_object_scenario_exits_2(tmp_path, capsys):

@@ -89,7 +89,7 @@ def test_support_operator_warns_on_non_system():
 def test_construct_with_support_e1():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
-    sys = construct_system_with_support(bc.op_element(bc.e1), bc)
+    sys = construct_system_with_support(bc.e1, bc)
     assert sys.size == 1
     assert sys.flags["system"] and sys.flags["orthonormal"]
     assert sys.residuals["support_match"] < 1e-10
@@ -155,7 +155,7 @@ def test_construct_padded_infeasible_reports_deficits():
 def test_complete_to_basis_extends_and_preserves_prefix():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
-    start = construct_system_with_support(bc.op_element(bc.e1), bc)
+    start = construct_system_with_support(bc.e1, bc)
     full = complete_to_basis(start, bc)
     assert full.size == 2
     assert full.flags["basis"]
@@ -182,7 +182,7 @@ def test_complete_to_basis_guards():
 def test_basis_survives_subalgebra_unitary_rotation():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
-    base = complete_to_basis(construct_system_with_support(bc.op_element(bc.e1), bc), bc)
+    base = complete_to_basis(construct_system_with_support(bc.e1, bc), bc)
     rng = linalg.rng_from_seed(11)
     for _ in range(5):
         # random unitary of N: diagonal phases
@@ -208,7 +208,7 @@ def test_random_supports_roundtrip():
             vals, vecs = np.linalg.eigh(h)
             keep = vecs[:, vals > 0]
             proj_blocks.append(keep @ keep.conj().T)
-        f = wd.from_abstract(proj_blocks).blocks[0]
+        f = wd.from_abstract(proj_blocks)
         if linalg.operator_norm(f) < 0.5:
             continue
         sys = construct_system_with_support(f, bc)
@@ -258,7 +258,7 @@ def oracle_classify(elements, sub, bc, tol=1e-8):
 def oracle_support(elements, bc, side):
     acc = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex)
     for lam in elements:
-        ll = bc.left_op(lam)
+        ll = bc.amb.left_op(lam)
         acc += ll @ bc.e1 @ ll.conj().T if side == "right" else ll.conj().T @ bc.e1 @ ll
     return acc
 
@@ -266,9 +266,9 @@ def oracle_support(elements, bc, side):
 def oracle_interchange(basis_p, basis_q, bc):
     acc = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex)
     for lam in basis_p:
-        ll = bc.left_op(lam)
+        ll = bc.amb.left_op(lam)
         for mu in basis_q:
-            w = ll @ bc.left_op(mu)
+            w = ll @ bc.amb.left_op(mu)
             acc += w @ bc.e1 @ w.conj().T
     return acc
 
