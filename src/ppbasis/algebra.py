@@ -10,6 +10,8 @@ so subalgebras, conditional expectations and commutants below are ordinary
 orthogonal-projection and nullspace computations.
 """
 
+import functools
+
 import numpy as np
 
 from . import linalg
@@ -211,10 +213,6 @@ class AlgebraElement:
         """u x u* for a (typically unitary) element u."""
         return u * self * u.adjoint()
 
-    def is_hermitian(self):
-        norm = linalg.operator_norm
-        return all(norm(b - b.conj().T) <= linalg.EPS_INPUT * (1.0 + norm(b)) for b in self.blocks)
-
     def is_projection(self, tol=linalg.EPS_FLAG):
         scale = 1.0 + self.op_norm()
         return ((self * self) - self).op_norm() <= tol * scale and (self - self.adjoint()).op_norm() <= tol * scale
@@ -323,7 +321,7 @@ class Subalgebra:
             raise InvalidInput("basis matrix must be GNS-dim x s")
         self._elements = None
         self._projection = None
-        self._wedderburn = {}
+        self._wedderburn = None
         self._units = None
 
     @classmethod
@@ -387,13 +385,13 @@ class Subalgebra:
         return self._elements
 
     def wedderburn_data(self, seed=0):
-        """The kept matrix units of an ``embedded`` subalgebra, for every seed;
-        otherwise ``wedderburn(self, seed)``, decomposed once for each seed."""
+        """The kept matrix units of a subalgebra built from them (``embedded``, ``_closed_form``);
+        otherwise ``wedderburn(self, seed)``, decomposed once, at the seed of the first call."""
         if self._units is not None:
             return self._units
-        if seed not in self._wedderburn:
-            self._wedderburn[seed] = wedderburn(self, seed=seed)
-        return self._wedderburn[seed]
+        if self._wedderburn is None:
+            self._wedderburn = wedderburn(self, seed=seed)
+        return self._wedderburn
 
     def projection_matrix(self):
         """Orthogonal projection of the GNS space onto the subalgebra, formed
@@ -418,9 +416,6 @@ class Subalgebra:
     def contains(self, x):
         return self.residual(x) <= linalg.EPS_FLAG * (1.0 + x.norm())
 
-    def contains_subalgebra(self, other):
-        return all(self.contains(e) for e in other.basis_elements())
-
 
 def relative_commutant(sub, within=None):
     """Elements of ``within`` (default: the ambient algebra) commuting with ``sub``:
@@ -439,29 +434,40 @@ def _in_block(alg, j, x):
     return AlgebraElement(alg, [x if k == j else np.zeros((n, n)) for k, n in enumerate(alg.dims)])
 
 
-def commutant_wedderburn(wd):
-    """Matrix units of N' cap M in closed form from N's (Goodman, de la Harpe and Jones).
-
-    N' cap M is the sum of M_{Lambda_ij} over N's blocks i and M's blocks j.
-    With v_1..v_Lambda_ij an orthonormal basis of the range of e^i_00 in block
-    j, its units are f_ab = sum_p e^i_p0 v_a v_b* e^i_0p, of trace m_i t_j.
-    """
+def _closed_form(wd, join):
+    """N' cap M, or with ``join`` R = N v (N' cap M), keeping matrix units read off N's
+    (Goodman, de la Harpe and Jones).  For N's block i and M's block j, with v_a an
+    orthonormal basis of the range of e^i_00 in block j, the (e^i_p0 v_a)(e^i_q0 v_b)*
+    = e^i_pq f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j; their
+    sums over p = q, the f_ab, those of the block M_{Lambda_ij} of N' cap M, of trace m_i t_j."""
     amb = wd.subalgebra.ambient
-    dims, traces, units, centrals = [], [], [], []
+    traces, units, centrals = [], [], []
     for m, e in zip(wd.block_dims, wd.units):
         for j, t in enumerate(amb.trace_vector):
             v = linalg.orthonormal_columns(e[0][0].blocks[j])
             if not v.shape[1]:
                 continue
             w = np.stack([e[p][0].blocks[j] @ v for p in range(m)])  # the e^i_p0 v_a, as (m, n_j, Lambda_ij)
-            f = np.einsum("pxa,pyb->abxy", w, w.conj())
-            units.append([[_in_block(amb, j, fab) for fab in row] for row in f])
+            f = np.einsum("pxa,qyb->paqbxy", w, w.conj())
+            f = f.reshape(m * v.shape[1], m * v.shape[1], *f.shape[-2:]) if join else np.einsum("papbxy->abxy", f)
+            units.append([[_in_block(amb, j, x) for x in row] for row in f])
             centrals.append(_in_block(amb, j, np.einsum("aaxy->xy", f)))
-            dims.append(v.shape[1])
-            traces.append(m * t)
-    # the f_ab / sqrt(m_i t_j) are orthonormal
+            traces.append(t if join else m * t)
+    # the units scaled by 1/sqrt(trace) are orthonormal
     mat = np.stack([x.vec() / np.sqrt(t) for t, block in zip(traces, units) for row in block for x in row], axis=1)
-    return WedderburnData(Subalgebra(amb, mat), dims, traces, units, centrals)
+    sub = Subalgebra(amb, mat)
+    sub._units = WedderburnData(sub, [len(u) for u in units], traces, units, centrals)
+    return sub._units
+
+
+def commutant_wedderburn(wd):
+    """Matrix units of N' cap M = sum of the M_{Lambda_ij}, in closed form from N's."""
+    return _closed_form(wd, join=False)
+
+
+def join_wedderburn(wd):
+    """Matrix units of R = N v (N' cap M) = sum of the M_{m_i Lambda_ij}, in closed form from N's."""
+    return _closed_form(wd, join=True)
 
 
 class WedderburnData:
@@ -481,26 +487,28 @@ class WedderburnData:
         self.central_projections = central_projections
         self._unit_mat = np.stack([x.vec() for block in units for row in block for x in row], axis=1)
         self._scale = np.repeat(self.block_traces, [d * d for d in self.block_dims])
+        self._cuts = np.cumsum([d * d for d in self.block_dims])[:-1]
 
     def abstract(self):
         # renormalize away float drift so the trace-sum check stays exact
         total = sum(d * t for d, t in zip(self.block_dims, self.block_traces))
         return MultiMatrixAlgebra(self.block_dims, tuple(t / total for t in self.block_traces))
 
+    def abstract_blocks(self, vecs):
+        """Coefficient blocks of E(x) in the matrix-unit basis, one (..., d, d) array per block,
+        for the elements x whose GNS coordinates run along the last axis of ``vecs``."""
+        coeffs = np.split((vecs @ self._unit_mat.conj()) / self._scale, self._cuts, axis=-1)
+        return [c.reshape(*vecs.shape[:-1], d, d) for c, d in zip(coeffs, self.block_dims)]
+
     def to_abstract(self, x):
         """Coefficient blocks of ``x`` in the matrix-unit basis."""
-        coeffs = (x.vec().conj() @ self._unit_mat).conj() / self._scale
-        cuts = np.cumsum([d * d for d in self.block_dims])[:-1]
-        return [c.reshape(d, d) for c, d in zip(np.split(coeffs, cuts), self.block_dims)]
+        return self.abstract_blocks(x.vec())
 
     def from_abstract(self, blocks):
         flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in blocks])
         if flat.shape != (self._unit_mat.shape[1],):
             raise InvalidInput("abstract blocks have the wrong shapes")
         return self.subalgebra.ambient.unvec(self._unit_mat @ flat)
-
-    def abstract_element(self, x):
-        return self.abstract().element(self.to_abstract(x))
 
     def roundtrip_residual(self, x):
         return (x - self.from_abstract(self.to_abstract(x))).norm()
@@ -554,7 +562,8 @@ def _unit_residual(sub, u, p):
 
 
 def _random_combination(elements, rng, hermitian=True):
-    coeff = rng.standard_normal(len(elements)) + 1j * rng.standard_normal(len(elements))
+    """Random combination of ``elements``; the generator ``rng()`` is made on first use, never for dim 1."""
+    coeff = rng().standard_normal(len(elements)) + 1j * rng().standard_normal(len(elements))
     acc = elements[0].alg.zero()
     for c, e in zip(coeff, elements):
         acc = acc + c * e
@@ -628,7 +637,7 @@ def wedderburn(sub, seed=0):
     """
     last = None
     for attempt in range(linalg.WEDD_TRIES):
-        rng = linalg.rng_from_seed((seed, attempt))
+        rng = functools.cache(functools.partial(linalg.rng_from_seed, (seed, attempt)))
         try:
             return _attempt_wedderburn(sub, rng)
         except DegenerateSpectrum as exc:

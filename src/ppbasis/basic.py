@@ -119,10 +119,6 @@ class BasicConstruction:
         """||T - E_M1(T)||_HS / sqrt(D), the GNS norm of T's distance to M1."""
         return self.m1_wedd.roundtrip_residual(mat)
 
-    def expect_via_e1(self, x):
-        """E_N(x) read off the GNS action of e1."""
-        return self.amb.unvec(self.e1 @ self.amb.vec(x))
-
     def pushdown(self, v):
         """The unique x in M with v = L_x e1, for v in M1 satisfying v e1 = v."""
         v = np.asarray(v, dtype=complex)
@@ -179,7 +175,7 @@ class M1Wedderburn:
             c = np.asarray(c, dtype=complex)
             if c.shape != (k, k):
                 raise InvalidInput("abstract blocks have the wrong shapes")
-            acc += w @ np.kron(np.eye(m), c) @ w.conj().T
+            acc += (w.reshape(-1, m, k) @ c).reshape(self.gns_dim, -1) @ w.conj().T
         return acc
 
     def roundtrip_residual(self, t):

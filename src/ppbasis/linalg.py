@@ -59,7 +59,7 @@ def operator_norm(a):
 
 @_typed
 def hermitian_norm(h):
-    """Operator norm of a Hermitian matrix, read off its eigenvalues."""
+    """Operator norm of a Hermitian matrix (or a stack of them), read off its eigenvalues."""
     return float(np.max(np.abs(np.linalg.eigvalsh(h)), initial=0.0))
 
 
@@ -150,11 +150,6 @@ def cluster_values(values):
     return [(float(np.mean(vals[g])), np.array(g)) for g in groups]
 
 
-def random_hermitian(n, rng):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (g + g.conj().T) / 2.0
-
-
 @_typed
 def random_unitary(n, rng):
     """Haar-ish unitary via QR with the standard phase fix (deterministic)."""
@@ -181,9 +176,10 @@ def block_diag(blocks):
 
 
 def projection_residuals(p):
-    """(idempotency, self-adjointness) operator-norm residuals of ``p``."""
+    """(idempotency, self-adjointness) operator-norm residuals of ``p``; a stack
+    of matrices is read as its block-diagonal sum."""
     p = np.asarray(p, dtype=complex)
-    return operator_norm(p @ p - p), hermitian_norm(1j * (p - p.conj().T))
+    return operator_norm(p @ p - p), hermitian_norm(1j * (p - p.conj().swapaxes(-2, -1)))
 
 
 def is_projection_matrix(p, tol=EPS_FLAG):

@@ -115,8 +115,8 @@ def masa_quadruple():
     P is the diagonal, Q the span of 1 and the flip; each comes with two
     right bases over the scalars so interchange data can be cross-checked.
     """
-    amb = MultiMatrixAlgebra((2,), (0.5,))
-    n_sub = Subalgebra.span(amb, [amb.identity()], check=False)
+    m2 = scalar_in_full(2)  # the scalars keep their unit, so classify over them decomposes nothing
+    amb, n_sub = m2.ambient, m2.sub
     p_sub, e11, e22 = _diag_sub(amb)
     flip = amb.element([np.array([[0.0, 1.0], [1.0, 0.0]])])
     q_sub = Subalgebra.span(amb, [amb.identity(), flip], check=False)
@@ -137,8 +137,8 @@ def masa_quadruple():
 
 def degenerate_quadruple():
     """P = Q = diagonal in M2: the interchange operator is far from idempotent."""
-    amb = MultiMatrixAlgebra((2,), (0.5,))
-    n_sub = Subalgebra.span(amb, [amb.identity()], check=False)
+    m2 = scalar_in_full(2)
+    amb, n_sub = m2.ambient, m2.sub
     p_sub, e11, e22 = _diag_sub(amb)
     s2 = np.sqrt(2.0)
     basis = (s2 * e11, s2 * e22)

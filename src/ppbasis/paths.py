@@ -115,14 +115,13 @@ class PathModel:
         return acc
 
     def middle_subalgebra(self):
+        """The middle algebra inside the bottom one; it keeps the middle units as its matrix units."""
         if self._middle_sub is None:
-            units = [
-                self.middle_unit(th, tp)
-                for th in self.diagram.edges0
-                for tp in self.diagram.edges0
-                if th.block == tp.block
-            ]
-            self._middle_sub = Subalgebra.span(self.bottom, units, check=False)
+            pairs = [(th, tp) for th in self.diagram.edges0 for tp in self.diagram.edges0 if th.block == tp.block]
+            def embed(x):
+                terms = (x.blocks[a.block][a.slot, b.slot] * self.middle_unit(a, b) for a, b in pairs)
+                return sum(terms, self.bottom.zero())
+            self._middle_sub = Subalgebra.embedded(self.bottom, self.middle_skeleton, embed)
         return self._middle_sub
 
     def expect_unit(self, lam, mu):

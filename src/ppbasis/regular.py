@@ -2,9 +2,9 @@
 R = N v (N' cap M), basis patching, and a pipeline that assembles the whole
 chain into one report.
 
-N' cap M is read off N's matrix units in closed form, R is the span of the
-products of N and N' cap M, and the algebras that N and R generate with the
-normalizers are Krylov closures (``Subalgebra.generated``).  Cosets of the
+N' cap M and R are read off N's matrix units in closed form, and the algebras
+that N and R generate with the normalizers are Krylov closures
+(``Subalgebra.generated``), R's only when |reps| dim R < dim M.  Cosets of the
 normalizer are separated by the vanishing of E_R(u v*); representatives are
 filtered from model-supplied candidates rather than enumerated, and
 regularity is certified relative to those candidates: N and the ones that
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, Subalgebra, commutant_wedderburn, inclusion_matrix
+from .algebra import MultiMatrixAlgebra, Subalgebra, commutant_wedderburn, inclusion_matrix, join_wedderburn
 from .basic import markov_trace, watatani_index
 from .errors import (
     DegenerateCommutantModel,
@@ -266,7 +266,7 @@ def coset_system(reps, n_sub, r_sub, tol=EPS_FLAG):
     ``over_n`` keys; the primary data is over R.
     """
     sys_r = classify(reps, r_sub, side="two-sided", tol=tol)
-    norms = _entry_norms(sys_r.gram["left"], r_sub.ambient)
+    norms = _entry_norms(sys_r.gram["left"], r_sub.wedderburn_data())
     for i, j in np.argwhere(np.triu(norms > tol, 1))[:1]:
         raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
     sys_n = sys_r if r_sub.dim == n_sub.dim else classify(reps, n_sub, side="two-sided", tol=tol)
@@ -389,8 +389,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     wd_n = sub.wedderburn_data(seed)
     markov = markov_trace(inclusion_matrix(wd_n), wd_n.block_dims)
     comm = commutant_wedderburn(wd_n).subalgebra
-    # N and N' cap M commute, so R = N v (N' cap M) is the span of their products
-    r_alg = Subalgebra(amb, linalg.orthonormal_columns(amb.products(sub.mat, comm.mat)))
+    r_alg = join_wedderburn(wd_n).subalgebra
     inner = _inner_basis(sub, comm, r_alg, tol)
 
     reps = [amb.identity()]
@@ -414,10 +413,13 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
 
     sys_r = coset_system(reps, sub, r_alg, tol=tol)
     orthonormal = sys_r.flags["system"] and sys_r.flags["orthonormal"] and sys_r.flags["orthonormal_over_n"]
-    p_gen = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps))
-    ep = p_gen.projection_matrix()
-    ep_res = linalg.operator_norm(sys_r.support["right"] - ep)
-    support_eq = ep_res <= tol * (1.0 + linalg.operator_norm(ep))
+    if len(reps) * r_alg.dim == amb.dim:
+        # coset_system showed E_R(u_i u_j*) = 0: the R u_i are orthogonal, of dim R each, so they fill M and e_P = 1
+        ep_res, ep_scale = sys_r.residuals["right_support_identity"], 2.0
+    else:
+        ep = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps)).projection_matrix()
+        ep_res, ep_scale = linalg.operator_norm(sys_r.support["right"] - ep), 1.0 + linalg.operator_norm(ep)
+    support_eq = ep_res <= tol * ep_scale
     complete = sys_r.flags["basis"]
 
     patched = None

@@ -6,14 +6,15 @@ entries E_N(lambda_i* lambda_j) and the right support is the GNS operator
 sum lambda_i e1 lambda_i*.  The family is a system when the Gram matrix is a
 projection over N, orthogonal when the Gram matrix is diagonal with projection
 entries, orthonormal when the diagonal entries are 1, and a basis when the
-support is the identity.  Left-handed versions swap the adjoints.  The tests
-run on M's own blocks (M_n(M) is the sum of the M_{n n_k}, with the same
-C*-norms), and the support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat.
-A Gram matrix stays one (n, n, n_k, n_k) array per block M_{n_k} of M, with
-entry [i, j] the k-th block of its (i, j) entry; only ``gram_matrix`` makes
-elements of the entries.  Classification needs only the family and N, so it
-builds no basic construction; one passed as ``bc`` is kept for completion.
-``require_basis`` is the one basis check of the regular chain and interchange.
+support is the identity.  Left-handed versions swap the adjoints.  The Gram
+matrix lies in M_n(N), the sum of the M_{n m_i} over N's blocks M_{m_i}, with
+the same C*-norms and trace 2-norms as in M_n(M).  It is tested there, as one
+(n, n, m_i, m_i) array of coefficients in N's matrix units
+(``sub.wedderburn_data()``) per block; only ``gram_matrix`` makes elements of
+its entries.  The support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat.
+Classification builds no basic construction; one passed as ``bc`` is kept for
+completion.  ``require_basis`` is the one basis check of the regular chain and
+interchange.
 """
 
 import math
@@ -48,15 +49,14 @@ class _Family:
         self.splits = np.cumsum([s.shape[1] ** 2 for s in self.stacks])[:-1]  # GNS row offsets between blocks
 
     def gram(self):
-        """Gram entries E_N(x_i* x_j) per ambient block, as (n, n, n_k, n_k) arrays."""
-        q, w, n = self.sub.mat, np.sqrt(self.sub.ambient.trace_vector), len(self.stacks[0])
+        """Gram entries E_N(x_i* x_j) in N's matrix units, as (n, n, m_i, m_i) arrays."""
+        w, n = np.sqrt(self.sub.ambient.trace_vector), len(self.stacks[0])
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             prods = [wk * np.einsum("iba,jbc->ijac", s.conj(), s).reshape(n, n, -1) for wk, s in zip(w, self.stacks)]
-            expect = (np.concatenate(prods, axis=2) @ q.conj()) @ q.T
-        if not np.isfinite(expect).all():
+            blocks = self.sub.wedderburn_data().abstract_blocks(np.concatenate(prods, axis=2))
+        if not all(np.isfinite(g).all() for g in blocks):
             raise InvalidInput("non-finite Gram entry")
-        parts = zip(np.split(expect, self.splits, axis=2), self.stacks, w)
-        return [e.reshape(n, n, *s.shape[1:]) / wk for e, s, wk in parts]
+        return blocks
 
     def support(self):
         """sum_i L_i e1 L_i* = W W*, where column (i, s) of W is vec(x_i q_s)."""
@@ -66,33 +66,32 @@ class _Family:
         return w @ w.conj().T
 
 
-def _entry_norms(blocks, alg):
-    """GNS 2-norms of the elements stacked in per-block arrays (..., n_k, n_k), as Gram entries are."""
-    return np.sqrt(sum(t * np.sum((a.conj() * a).real, axis=(-2, -1)) for t, a in zip(alg.trace_vector, blocks)))
+def _entry_norms(blocks, wd):
+    """GNS 2-norms of the elements stacked in per-block arrays (..., m_i, m_i) of coefficients in ``wd``'s units."""
+    return np.sqrt(sum(t * np.sum((a.conj() * a).real, axis=(-2, -1)) for t, a in zip(wd.block_traces, blocks)))
 
 
-def _gram_residuals(blocks, alg):
-    """Projection residual and 1 + norm of the Gram matrix, from its n n_k-square
-    blocks; largest GNS 2-norms of the off-diagonal entries, of q^2 - q or
-    q - q* for the diagonal entries q, and of q - 1."""
-    norm = res = 0.0
-    for g in blocks:
-        big = g.transpose(0, 2, 1, 3).reshape(g.shape[0] * g.shape[2], -1)
-        norm = max(norm, linalg.operator_norm(big))
-        res = max(res, *linalg.projection_residuals(big))
+def _gram_residuals(blocks, wd):
+    """Projection residual and 1 + norm of the Gram matrix, from its n m_i-square blocks
+    (one call per size); largest GNS 2-norms, from the block traces of N's ``wd``, of the
+    off-diagonal entries, of q^2 - q or q - q* for the diagonal entries q, and of q - 1."""
     n = blocks[0].shape[0]
+    big = [g.transpose(0, 2, 1, 3).reshape(n * g.shape[2], -1) for g in blocks]
+    stacks = [np.stack([b for b in big if len(b) == size]) for size in {len(b) for b in big}]
+    norm = max(linalg.operator_norm(s) for s in stacks)
+    res = max(max(linalg.projection_residuals(s)) for s in stacks)
     diag = [g[np.arange(n), np.arange(n)] for g in blocks]
-    off = _entry_norms(blocks, alg)[~np.eye(n, dtype=bool)].max(initial=0.0)
-    proj = _entry_norms([np.concatenate([q @ q - q, q - q.conj().transpose(0, 2, 1)]) for q in diag], alg).max()
-    one = _entry_norms([q - np.eye(q.shape[-1]) for q in diag], alg).max()
+    off = _entry_norms(blocks, wd)[~np.eye(n, dtype=bool)].max(initial=0.0)
+    proj = _entry_norms([np.concatenate([q @ q - q, q - q.conj().transpose(0, 2, 1)]) for q in diag], wd).max()
+    one = _entry_norms([q - np.eye(q.shape[-1]) for q in diag], wd).max()
     return res, 1.0 + norm, float(off), float(proj), float(one)
 
 
 def gram_matrix(elements, sub, side="right"):
     """n x n matrix of Gram entries in N (right: E(x_i* x_j), left: E(x_i x_j*)), as elements."""
     g = _Family(tuple(elements), sub, side).gram()
-    n = len(g[0])
-    return [[sub.ambient.element([b[i, j] for b in g]) for j in range(n)] for i in range(n)]
+    n, wd = len(g[0]), sub.wedderburn_data()
+    return [[wd.from_abstract([b[i, j] for b in g]) for j in range(n)] for i in range(n)]
 
 
 def support_operator(elements, bc, side="right"):
@@ -102,7 +101,7 @@ def support_operator(elements, bc, side="right"):
     EPS_FLAG, since the projection property of the support needs that hypothesis.
     """
     family = _Family(tuple(elements), bc.sub, side)
-    r, scale, *_ = _gram_residuals(family.gram(), bc.amb)
+    r, scale, *_ = _gram_residuals(family.gram(), bc.sub.wedderburn_data())
     if r > EPS_FLAG * scale:
         warnings.warn("family is not a system; support need not be a projection", stacklevel=2)
     return family.support()
@@ -110,8 +109,8 @@ def support_operator(elements, bc, side="right"):
 
 @dataclass
 class PPSystem:
-    """A classified family over a subalgebra; ``gram[side]`` is the list of the
-    Gram matrix's (n, n, n_k, n_k) arrays, one per block M_{n_k} of the ambient algebra."""
+    """A classified family over a subalgebra N; ``gram[side]`` is the list of the
+    Gram matrix's (n, n, m_i, m_i) arrays, one per block M_{m_i} of N."""
 
     elements: tuple
     sub: object
@@ -126,28 +125,26 @@ class PPSystem:
     def size(self):
         return len(self.elements)
 
-    def is_basis(self):
-        return self.flags["basis"]
-
 
 def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
     """Classify a family as system / orthogonal / orthonormal / basis.
 
     ``side`` is "right", "left" or "two-sided"; two-sided requires both
-    handed tests to pass.  Classification is eager: Gram matrices and
-    supports for each requested side are computed and kept on the result.
+    handed tests to pass.  Classification is eager: Gram matrices (in N's units)
+    and supports for each requested side are computed and kept on the result.
     ``bc`` is not read; it is kept on the result for ``complete_to_basis``.
     """
     elements = tuple(elements)
     if side not in ("right", "left", "two-sided"):
         raise InvalidInput("side must be 'right', 'left' or 'two-sided'")
     sides = ("right", "left") if side == "two-sided" else (side,)
+    wd = sub.wedderburn_data()
     grams, supports, residuals = {}, {}, {}
     flags = {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
     for s in sides:
         family = _Family(elements, sub, s)
         g = grams[s] = family.gram()
-        r, scale, off, diag_proj, diag_one = _gram_residuals(g, sub.ambient)
+        r, scale, off, diag_proj, diag_one = _gram_residuals(g, wd)
         supports[s] = family.support()
         basis_res = linalg.hermitian_norm(supports[s] - np.eye(sub.ambient.gns_dim))
         residuals["%s_gram_projection" % s] = r / scale

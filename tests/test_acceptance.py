@@ -133,7 +133,8 @@ def _random_support(bc, rng):
     wd = bc.m1_wedd
     blocks = []
     for d in wd.block_dims:
-        h = linalg.random_hermitian(d, rng)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = (g + g.conj().T) / 2.0
         vals, vecs = np.linalg.eigh(h)
         keep = vecs[:, vals > 0]
         blocks.append(keep @ keep.conj().T)

@@ -3,6 +3,7 @@ import pytest
 
 from ppbasis import (
     AlgebraElement,
+    GroupTable,
     MultiMatrixAlgebra,
     Subalgebra,
     UnitalEmbedding,
@@ -60,8 +61,8 @@ def test_adjoint_and_hermitian_checks():
     rng = linalg.rng_from_seed(1)
     x = alg.random_element(rng)
     h = x + x.adjoint()
-    assert h.is_hermitian()
-    assert not x.is_hermitian()
+    assert all(np.array_equal(b, b.conj().T) for b in h.blocks)
+    assert not all(np.allclose(b, b.conj().T) for b in x.blocks)
     u = alg.element([linalg.random_unitary(2, rng), linalg.random_unitary(1, rng)])
     assert u.is_unitary()
     assert not x.is_unitary()
@@ -276,10 +277,23 @@ def test_wedderburn_abstract_transport_is_homomorphism():
     for _ in range(5):
         x = mp.sub.expect(mp.ambient.random_element(rng))
         y = mp.sub.expect(mp.ambient.random_element(rng))
-        ax = wd.abstract_element(x)
-        ay = wd.abstract_element(y)
-        axy = wd.abstract_element(x * y)
+        ab = wd.abstract()
+        ax, ay, axy = (ab.element(wd.to_abstract(z)) for z in (x, y, x * y))
         assert (ax * ay).allclose(axy, tol=1e-9)
+
+
+def test_one_dimensional_wedderburn_draws_no_random_numbers(monkeypatch):
+    # C in C[Z16] is span-only and one-dimensional: its centre and its corner
+    # are C, so the decomposition needs no random element and makes no generator
+    sub = models.group_algebra_pair(GroupTable.cyclic(16), [0]).sub
+
+    def no_generator(seed):
+        raise AssertionError("wedderburn made a random generator for seed %r" % (seed,))
+
+    monkeypatch.setattr(linalg, "rng_from_seed", no_generator)
+    wd = wedderburn(sub)
+    assert wd.block_dims == (1,)
+    assert (wd.units[0][0][0] - sub.ambient.identity()).norm() <= 1e-12
 
 
 def test_inclusion_matrix_diagonal_in_matrix():
@@ -291,10 +305,11 @@ def test_inclusion_matrix_diagonal_in_matrix():
 
 
 def test_contains_subalgebra():
+    # containment of one subalgebra in another is one residuals call on its basis
     mp = models.diagonal_in_matrix(2)
     scal = Subalgebra.span(mp.ambient, [mp.ambient.identity()])
-    assert mp.sub.contains_subalgebra(scal)
-    assert not scal.contains_subalgebra(mp.sub)
+    assert mp.sub.residuals(scal.mat).max() <= 1e-12
+    assert scal.residuals(mp.sub.mat).max() > 0.1
 
 
 def unit_residual_oracle(sub, u, p):

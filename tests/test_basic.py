@@ -63,7 +63,7 @@ def test_e1_implements_expectation():
     rng = linalg.rng_from_seed(3)
     for _ in range(10):
         x = mp.ambient.random_element(rng)
-        assert bc.expect_via_e1(x).allclose(mp.sub.expect(x), tol=1e-11)
+        assert mp.ambient.unvec(bc.e1 @ mp.ambient.vec(x)).allclose(mp.sub.expect(x), tol=1e-11)
     # e1 is a projection of rank dim(N)
     assert linalg.is_projection_matrix(bc.e1, tol=1e-10)
     assert linalg.rank(bc.e1) == bc.sub.dim == 2
@@ -280,6 +280,20 @@ class GramM1Trace:
         for c, u in zip(coeff, self.units):
             acc = acc + c * u
         return acc
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: models.diagonal_in_matrix(3), lambda: models.explicit_pair((1, 2), [[1], [1]])],
+    ids=["diag-in-m3", "c+m2-in-m3"],
+)
+def test_m1_from_abstract_matches_kron_form(build):
+    # sum_p W_p C W_p* from one batched product per block, against W (1_m (x) C) W*
+    wd = BasicConstruction(build().sub).m1_wedd
+    rng = linalg.rng_from_seed(4)
+    blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in wd.block_dims]
+    ref = sum(w @ np.kron(np.eye(m), c) @ w.conj().T for w, m, c in zip(wd.isometries, wd.mults, blocks))
+    assert np.abs(wd.from_abstract(blocks) - ref).max() <= 1e-12
 
 
 def _random_m1(bc, rng):

@@ -1,8 +1,9 @@
 """The regular pipeline's structure against its oracles.
 
-The Krylov closure of ``Subalgebra.generated``, the product pass that gives
-R = N v (N' cap M) and the closed-form matrix units of N' cap M are checked
-against the brute-force span closure they replaced and against the nullspace
+The Krylov closure of ``Subalgebra.generated``, the closed-form matrix units
+of N' cap M and of R = N v (N' cap M), and the count that skips the closure
+of R with the coset representatives are checked against the brute-force span
+closure, the product pass they replaced, the closure itself and the nullspace
 of ``relative_commutant``; the batched commutator stack of
 ``relative_commutant`` against the per-element GNS operators it replaced; and
 the matrix units a model-built N keeps against ``wedderburn`` of a span-only
@@ -177,6 +178,44 @@ def test_pipeline_structure_matches_oracles(build):
         return
     assert projection_gap(rep.commutant, comm) <= TOL
     assert projection_gap(rep.r_algebra, r_alg) <= TOL
+    check_matrix_units(rep.r_algebra.wedderburn_data())  # R's closed-form units, kept on R
+
+
+def _two_shifts():
+    mp = models.diagonal_in_matrix(4)
+    mp.candidates = mp.candidates[:2]  # 2 cosets of 4: the count falls short and the closure runs
+    return mp
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in PIPELINE_MODELS] + [_two_shifts], ids=[n for n, _ in PIPELINE_MODELS] + ["diag-in-m4-two-shifts"]
+)
+def test_coset_support_matches_the_closure(monkeypatch, build):
+    # the pipeline runs the closure P = <R, reps> only when |reps| dim R < dim M;
+    # otherwise it takes e_P = 1.  The closure, kept here as the oracle, gives the
+    # same support_equals_eP flag and residual
+    mp = build()
+    closures = []
+    original = Subalgebra.generated.__func__
+
+    def counting(cls, amb, elements):
+        closures.append(len(elements))
+        return original(cls, amb, elements)
+
+    monkeypatch.setattr(Subalgebra, "generated", classmethod(counting))
+    try:
+        rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    except NonConnected:  # z2-in-z2xz2: the chain stops at the Markov trace
+        return
+    monkeypatch.undo()
+    amb, r_alg = mp.ambient, rep.r_algebra
+    settled = len(rep.reps) * r_alg.dim == amb.dim
+    assert len(closures) == (1 if settled else 2)
+    ep = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(rep.reps)).projection_matrix()
+    res = linalg.operator_norm(rep.coset.support["right"] - ep)
+    assert abs(rep.numbers["support_eP_residual"] - res) <= TOL
+    assert rep.flags["support_equals_eP"] == (res <= linalg.EPS_FLAG * (1.0 + linalg.operator_norm(ep)))
+    assert rep.flags["support_equals_eP"] == settled
 
 
 @pytest.mark.parametrize("name, build", PIPELINE_MODELS, ids=[n for n, _ in PIPELINE_MODELS])

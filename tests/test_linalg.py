@@ -96,11 +96,6 @@ def test_random_unitary_is_unitary_and_deterministic():
         assert np.array_equal(u, v)
 
 
-def test_random_hermitian_is_hermitian():
-    h = linalg.random_hermitian(5, linalg.rng_from_seed(0))
-    assert np.linalg.norm(h - h.conj().T) == 0.0
-
-
 def test_block_diag_shapes_and_content():
     a = np.ones((2, 2))
     b = 2 * np.ones((1, 3))
@@ -122,6 +117,15 @@ def test_projection_predicates():
     # a non-selfadjoint idempotent fails
     q = np.array([[1.0, 1.0], [0.0, 0.0]])
     assert not linalg.is_projection_matrix(q)
+
+
+def test_projection_residuals_of_a_stack_are_its_largest_block_residuals():
+    # the Gram tests stack blocks of one size into one call
+    rng = linalg.rng_from_seed(5)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    got = linalg.projection_residuals(stack)
+    for r, parts in zip(got, zip(*(linalg.projection_residuals(b) for b in stack))):
+        assert abs(r - max(parts)) <= 1e-12 * max(parts)
 
 
 def _no_convergence(*args, **kwargs):

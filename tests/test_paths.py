@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppbasis import BratteliDiagram, PathModel, Subalgebra, classify, scalar_basis
-from ppbasis import models
+from ppbasis import algebra, models
 from ppbasis.errors import (
     InvalidInput,
     InvalidPathPair,
@@ -89,6 +89,26 @@ def test_middle_subalgebra_dim_and_identity():
     for th in pm.diagram.edges0:
         acc = acc + pm.middle_unit(th, th)
     assert acc.allclose(pm.bottom.identity())
+
+
+def test_middle_subalgebra_keeps_the_middle_units(monkeypatch):
+    # the middle units are N's matrix units, so classifying over the middle
+    # algebra decomposes nothing
+    pm = models.path_cm2_m3()
+    mid = pm.middle_subalgebra()
+    wd = mid.wedderburn_data()
+    assert wd.block_dims == pm.diagram.middle_dims
+    for th in pm.diagram.edges0:
+        for tp in pm.diagram.edges0:
+            if th.block == tp.block:
+                assert wd.units[th.block][th.slot][tp.slot].allclose(pm.middle_unit(th, tp), tol=0.0)
+
+    def no_wedderburn(*args, **kwargs):
+        raise AssertionError("the middle algebra was decomposed")
+
+    monkeypatch.setattr(algebra, "wedderburn", no_wedderburn)
+    _, elems = pm.orthogonal_system()
+    assert classify(elems, mid, side="left").flags["orthogonal"]
 
 
 def test_expect_unit_matches_subalgebra_expectation():

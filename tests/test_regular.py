@@ -578,7 +578,7 @@ def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
     assert bc.sub_wedd is mp.sub.wedderburn_data(0)
     regular_pipeline(mp.sub, candidates=mp.candidates, seed=0)
     assert sum(sub is mp.sub for sub in decomposed) == 1
-    assert mp.sub.wedderburn_data(1) is not bc.sub_wedd
+    assert mp.sub.wedderburn_data(1) is bc.sub_wedd  # one decomposition per object, whatever the seed
 
 
 def test_pipeline_tests_each_coset_pair_once(monkeypatch):
@@ -611,8 +611,9 @@ def test_pipeline_decomposes_only_n(monkeypatch, build, model_built):
     # N' cap M comes from N's matrix units: no nullspace of relative_commutant
     # in the pipeline.  An N built by an embedding or a crossed product keeps
     # its units and is never decomposed; a span-only N (C[H] here, or a copy)
-    # is decomposed once, by one wedderburn call.
-    mp = build()
+    # is decomposed once, by one wedderburn call, at any seed: classify over N
+    # reads that decomposition, and R gets closed-form units, never wedderburn.
+    models_by_seed = {seed: build() for seed in (0, 1)}
     calls = {"relative_commutant": [], "wedderburn": []}
     inside = []
     orig_commutant, orig_wedderburn = algebra.relative_commutant, algebra.wedderburn
@@ -633,14 +634,16 @@ def test_pipeline_decomposes_only_n(monkeypatch, build, model_built):
     monkeypatch.setattr(algebra, "relative_commutant", commutant)
     monkeypatch.setattr(algebra, "wedderburn", wedderburn)
     assert not hasattr(regular, "relative_commutant") and not hasattr(regular, "wedderburn")
-    copy = Subalgebra(mp.ambient, mp.sub.mat)
-    for sub, decomposed in ((mp.sub, [] if model_built else [mp.sub]), (copy, [copy])):
-        rep = regular_pipeline(sub, candidates=mp.candidates)
-        assert rep.flags["patched_basis_two_sided"]
-        assert calls == {"relative_commutant": [], "wedderburn": decomposed}
-        calls["wedderburn"].clear()
-        regular_pipeline(sub, candidates=mp.candidates)
-        assert calls == {"relative_commutant": [], "wedderburn": []}
+    for seed, mp in models_by_seed.items():
+        copy = Subalgebra(mp.ambient, mp.sub.mat)
+        for sub, decomposed in ((mp.sub, [] if model_built else [mp.sub]), (copy, [copy])):
+            rep = regular_pipeline(sub, candidates=mp.candidates, seed=seed)
+            assert rep.flags["patched_basis_two_sided"]
+            assert calls == {"relative_commutant": [], "wedderburn": decomposed}
+            assert rep.r_algebra.wedderburn_data() is rep.r_algebra._units
+            calls["wedderburn"].clear()
+            regular_pipeline(sub, candidates=mp.candidates, seed=seed)
+            assert calls == {"relative_commutant": [], "wedderburn": []}
 
 
 def test_coset_system_classifies_once_when_r_is_n(monkeypatch):

@@ -345,7 +345,8 @@ def test_classify_of_the_m5_scalar_basis_builds_no_element(built):
     sys = classify(family, m5.sub, side="two-sided")
     assert sys.flags["basis"] and sys.flags["orthonormal"]
     assert built == []
-    assert sys.gram["right"][0].shape == (25, 25, 5, 5)
+    # M_25(N) for N = C: one 25 x 25 block of scalar coefficients, not M_25(M5)
+    assert [g.shape for g in sys.gram["right"]] == [(25, 25, 1, 1)]
 
 
 def test_coset_system_of_the_m4_shifts_builds_no_element(built):

@@ -12,6 +12,7 @@ from ppbasis import (
     scalar_basis,
 )
 from ppbasis import linalg, models
+from ppbasis.algebra import join_wedderburn
 from ppbasis.errors import (
     InfeasibleSupport,
     InvalidInput,
@@ -40,7 +41,7 @@ def test_classify_identity_over_itself():
 def test_classify_scalar_basis():
     amb, scal = scalars_in_m2()
     sys = classify(scalar_basis(amb), scal, side="two-sided")
-    assert sys.is_basis()
+    assert sys.flags["basis"]
     assert sys.flags["orthonormal"]
     for key, val in sys.residuals.items():
         assert val < 1e-10, key
@@ -202,10 +203,10 @@ def test_random_supports_roundtrip():
     rng = linalg.rng_from_seed(21)
     built = 0
     for _ in range(10):
-        blocks = [linalg.random_hermitian(d, rng) for d in wd.block_dims]
         proj_blocks = []
-        for h in blocks:
-            vals, vecs = np.linalg.eigh(h)
+        for d in wd.block_dims:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            vals, vecs = np.linalg.eigh((g + g.conj().T) / 2.0)
             keep = vecs[:, vals > 0]
             proj_blocks.append(keep @ keep.conj().T)
         f = wd.from_abstract(proj_blocks)
@@ -286,6 +287,11 @@ def _oracle_families():
     c_cm2 = models.explicit_pair((1,), [[1, 2]])
     d3 = models.diagonal_in_matrix(3)
     cm2_m3 = models.explicit_pair((1, 2), [[1], [1]])
+    z4_z2 = models.group_algebra_pair(GroupTable.cyclic(4), [0, 2])
+    two = models.two_block_over_factor()
+    # R = N v (N' cap M) with its closed-form units: N itself here, all of M2 + M2 there
+    r_cp3 = join_wedderburn(cp3.sub.wedderburn_data()).subalgebra
+    r_two = join_wedderburn(two.sub.wedderburn_data()).subalgebra
     return {
         "m5-scalar": (m5.sub, scalar),
         "m5-conjugated": (m5.sub, [x.conj_by(u) for x in scalar]),
@@ -298,6 +304,15 @@ def _oracle_families():
         "d3-random": (d3.sub, [d3.ambient.random_element(rng) for _ in range(3)]),
         # N = C + M2 is not abelian, so the layout of the Gram blocks matters
         "c+m2-in-m3-random": (cm2_m3.sub, [cm2_m3.ambient.random_element(rng) for _ in range(3)]),
+        # span-only N of dimension > 1, decomposed by wedderburn: C + M2 (a copy
+        # of the one above, so its units are not kept) and C[Z2] inside C[Z4]
+        "c+m2-span-in-m3-random": (
+            Subalgebra(cm2_m3.ambient, cm2_m3.sub.mat),
+            [cm2_m3.ambient.random_element(rng) for _ in range(3)],
+        ),
+        "z4-over-z2-unitaries": (z4_z2.sub, z4_z2.candidates),
+        "r-of-crossed-product-diag-3": (r_cp3, cp3.candidates),
+        "r-of-m2-in-m2+m2": (r_two, list(two.candidates) + [two.ambient.random_element(rng) for _ in range(2)]),
     }
 
 
