@@ -514,39 +514,18 @@ class WedderburnData:
         return (x - self.from_abstract(self.to_abstract(x))).norm()
 
 
-def _spectral_split(h, targets):
-    """Cluster the spectrum of a Hermitian element into ``targets`` groups.
-
-    Returns (means, projections) with projections as AlgebraElements, or None
-    if the clustering does not produce the requested count.
-    """
-    alg = h.alg
+def _spectral_split(h):
+    """Spectral data of a Hermitian element: (means, vecs, masks).  ``vecs`` holds the
+    eigenvectors of each block; ``masks[i][:, c]`` marks the columns of vecs[i] in
+    cluster c, the eigenvalues of all blocks grouped by ``cluster_values`` (means
+    increasing).  The columns of a cluster span one spectral projection of h; for a
+    generic Hermitian h in a subalgebra A, these are the minimal projections of A."""
     eigdata = [linalg.eigh(blk) for blk in h.blocks]
-    allvals = np.concatenate([vals for vals, _ in eigdata])
-    clusters = linalg.cluster_values(allvals)
-    if targets is not None and len(clusters) != targets:
-        return None
-    sizes = [vals.size for vals, _ in eigdata]
-    bounds = np.cumsum([0] + sizes)
-    out = []
-    for mean, idx in clusters:
-        blocks = []
-        for i, (vals, vecs) in enumerate(eigdata):
-            local = idx[(idx >= bounds[i]) & (idx < bounds[i + 1])] - bounds[i]
-            if local.size:
-                v = vecs[:, local]
-                blocks.append(v @ v.conj().T)
-            else:
-                blocks.append(np.zeros_like(h.blocks[i]))
-        out.append((mean, AlgebraElement(alg, blocks)))
-    return out
-
-
-def _corner_basis(sub, proj):
-    """Orthonormal basis of p N p, from batched products with p on each side."""
-    amb, p = sub.ambient, proj.vec()[:, None]
-    mat = linalg.orthonormal_columns(amb.products(amb.products(p, sub.mat), p))
-    return [amb.unvec(mat[:, i]) for i in range(mat.shape[1])]
+    clusters = linalg.cluster_values(np.concatenate([vals for vals, _ in eigdata]))
+    member = np.zeros((sum(h.alg.dims), len(clusters)), dtype=bool)
+    for c, (_, idx) in enumerate(clusters):
+        member[idx, c] = True
+    return [m for m, _ in clusters], [v for _, v in eigdata], np.split(member, np.cumsum(h.alg.dims)[:-1])
 
 
 def _unit_residual(sub, u, p):
@@ -561,65 +540,51 @@ def _unit_residual(sub, u, p):
     return max(adjoint, float(sub.residuals(us).max()), *(float(np.linalg.norm(r, axis=0).max()) for r in res))
 
 
-def _random_combination(elements, rng, hermitian=True):
-    """Random combination of ``elements``; the generator ``rng()`` is made on first use, never for dim 1."""
-    coeff = rng().standard_normal(len(elements)) + 1j * rng().standard_normal(len(elements))
-    acc = elements[0].alg.zero()
-    for c, e in zip(coeff, elements):
-        acc = acc + c * e
-    if hermitian:
-        acc = (acc + acc.adjoint()) * 0.5
-    return acc
+def _random_combination(sub, rng, hermitian=True):
+    """Random combination of the basis of ``sub``; the generator ``rng()`` is made on first use."""
+    x = sub.ambient.unvec(sub.mat @ (rng().standard_normal(sub.dim) + 1j * rng().standard_normal(sub.dim)))
+    return (x + x.adjoint()) * 0.5 if hermitian else x
 
 
 def _attempt_wedderburn(sub, rng):
+    """One seeded pass: the spectral projections q_c of a random Hermitian h in A, and
+    a random g in A, whose links q_a g q_c are nonzero exactly within a block.  Each q_c
+    joins the first block whose leader q_0 links to it, and the normalized links q_0 g q_c
+    are row 0 of the block's units.  A = C 1 draws no random numbers."""
     amb = sub.ambient
-    zc = relative_commutant(sub, within=sub)
-    k = zc.dim
-    if k == 1:
-        # scalar center: the unit of the subalgebra is the only central projection
-        centrals = [(0.0, sub.expect(amb.identity()))]
+    if sub.dim == 1:
+        h = g = amb.identity()
     else:
-        h = _random_combination(zc.basis_elements(), rng)
-        split = _spectral_split(h, k)
-        if split is None:
-            raise DegenerateSpectrum("central spectrum failed to separate into %d clusters" % k)
-        centrals = split
-    blocks = []
-    for mean, p in centrals:
-        if not p.is_projection(linalg.EPS_WEDD) or sub.residual(p) > linalg.EPS_WEDD:
-            raise DegenerateSpectrum("central spectral projection left the subalgebra")
-        corner = [p] if k == sub.dim else _corner_basis(sub, p)  # a commutative algebra's corners are C p
-        s = len(corner)
-        d = round(np.sqrt(s))
-        if d * d != s:
-            raise DegenerateSpectrum("corner dimension %d is not a perfect square" % s)
-        if d == 1:
-            diag = [p]
+        h, g = _random_combination(sub, rng), _random_combination(sub, rng, hermitian=False)
+    means, vecs, masks = _spectral_split(h)
+    qs = []
+    for c in range(len(means)):
+        cols = [v[:, m[:, c]] for v, m in zip(vecs, masks)]
+        qs.append(AlgebraElement(amb, [x @ x.conj().T for x in cols]))
+        if not qs[c].is_projection(linalg.EPS_WEDD) or sub.residual(qs[c]) > linalg.EPS_WEDD:
+            raise DegenerateSpectrum("spectral projection left the subalgebra")
+    # the GNS norms of all q_a g q_c, read off g in the eigenbases: sum over blocks of t |V_a* g V_c|^2
+    links = np.sqrt(sum(t * m.T @ np.abs(v.conj().T @ x @ v) ** 2 @ m
+                        for t, v, m, x in zip(amb.trace_vector, vecs, masks, g.blocks)))
+    groups = []
+    for c in range(len(qs)):
+        grp = next((grp for grp in groups if links[grp[0], c] >= linalg.EPS_FLAG), None)
+        if grp is None:
+            groups.append([c])
         else:
-            y = _random_combination(corner, rng)
-            shift = 4.0 * (1.0 + y.op_norm())
-            ys = y + shift * (amb.identity() - p)
-            split = _spectral_split(ys, None)
-            inside = [(m, q) for m, q in split if m < shift - 1.0]
-            if len(inside) != d:
-                raise DegenerateSpectrum("corner spectrum gave %d minimal projections, expected %d" % (len(inside), d))
-            diag = [q for _, q in inside]
-        row0 = [diag[0]]
-        if d > 1:
-            g = _random_combination(corner, rng, hermitian=False)
-            for q in range(1, d):
-                links = (diag[0] * c * diag[q] for c in [g] + corner)
-                w = next((w for w in links if w.norm() >= linalg.EPS_FLAG), None)
-                if w is None:
-                    raise DegenerateSpectrum("could not link minimal projections inside a block")
-                c2 = ((w * w.adjoint()).trace().real) / (diag[0].trace().real)
-                row0.append(w / np.sqrt(c2))
-        units = [[row0[p].adjoint() * row0[q] for q in range(d)] for p in range(d)]
-        tb = units[0][0].trace().real
-        blocks.append({"mean": mean, "d": d, "t": tb, "units": units, "p": p})
-    if sum(b["d"] ** 2 for b in blocks) != sub.dim:
+            grp.append(c)
+    if sum(len(grp) ** 2 for grp in groups) != sub.dim:
         raise DegenerateSpectrum("block dimensions do not add up to the subalgebra dimension")
+    blocks = []
+    for grp in groups:
+        row0 = [qs[grp[0]]]
+        for c in grp[1:]:
+            w = row0[0] * g * qs[c]
+            row0.append(w / np.sqrt((w * w.adjoint()).trace().real / row0[0].trace().real))
+        d = len(row0)
+        units = [[row0[p].adjoint() * row0[q] for q in range(d)] for p in range(d)]
+        p = sum((qs[c] for c in grp[1:]), qs[grp[0]])
+        blocks.append({"mean": means[grp[0]], "d": d, "t": units[0][0].trace().real, "units": units, "p": p})
     # deterministic ordering independent of the random eigenvalues where possible
     blocks.sort(key=lambda b: (b["d"], round(b["t"], 9), b["mean"]))
     # verify the matrix-unit relations before accepting the attempt
@@ -632,8 +597,12 @@ def _attempt_wedderburn(sub, rng):
 def wedderburn(sub, seed=0):
     """Decompose a subalgebra into matrix blocks with explicit matrix units.
 
-    Randomized (seeded) spectral splitting, accepted when the matrix-unit
-    relations hold to EPS_WEDD; WEDD_TRIES seeds before DegenerateSpectrum.
+    No centre is formed: the minimal projections are the spectral projections
+    of one random Hermitian element, and one random element links those of a
+    block (Murota, Kanno, Kojima and Kojima, JJIAM 27, 2010).  An attempt is
+    accepted when each projection lies in the subalgebra, the block dims give
+    sum d^2 = dim and the matrix-unit relations hold, all to EPS_WEDD;
+    WEDD_TRIES seeds before DegenerateSpectrum.
     """
     last = None
     for attempt in range(linalg.WEDD_TRIES):

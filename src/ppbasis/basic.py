@@ -115,17 +115,13 @@ class BasicConstruction:
             cols.append(units.T / np.sqrt(m))
         return Subalgebra(MultiMatrixAlgebra((d,), (1.0 / d,)), np.concatenate(cols, axis=1))
 
-    def in_m1_residual(self, mat):
-        """||T - E_M1(T)||_HS / sqrt(D), the GNS norm of T's distance to M1."""
-        return self.m1_wedd.roundtrip_residual(mat)
-
     def pushdown(self, v):
         """The unique x in M with v = L_x e1, for v in M1 satisfying v e1 = v."""
         v = np.asarray(v, dtype=complex)
         scale = 1.0 + linalg.operator_norm(v)
         if linalg.operator_norm(v @ self.e1 - v) > linalg.EPS_REL * scale:
             raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
-        if self.in_m1_residual(v) > linalg.EPS_REL * scale:
+        if self.m1_wedd.roundtrip_residual(v) > linalg.EPS_REL * scale:
             raise InvalidInput("pushdown input must lie in M1")
         x = self.amb.unvec(v @ self._identity_vec)
         if linalg.operator_norm(self.lift(x) - v) > linalg.EPS_FLAG * scale:

@@ -14,10 +14,6 @@ class InvalidInput(AlgebraError):
     """Structurally invalid data: bad dims, mismatched shapes, bad trace vector."""
 
 
-class InvalidInnerProduct(AlgebraError):
-    """The supplied inner-product callback is not a positive Hermitian form."""
-
-
 class NotSubalgebra(AlgebraError):
     """A spanning family failed the unital *-closure test."""
 

@@ -16,14 +16,14 @@ import functools
 
 import numpy as np
 
-from .errors import FactorizationFailed, InvalidInnerProduct, InvalidInput
+from .errors import FactorizationFailed, InvalidInput
 
 EPS_TRACE = 1e-12  # trace normalization sum n_i t_i = 1, same_structure, Perron positivity
-EPS_RANK = 1e-10   # relative singular-value cutoff: rank, nullspace, orthonormal_columns, gram_schmidt
-EPS_INPUT = 1e-10  # exactness of structural input: unitary blocks, trace compatibility, actions, hermiticity
+EPS_RANK = 1e-10   # relative singular-value cutoff: rank, nullspace, orthonormal_columns
+EPS_INPUT = 1e-10  # exactness of structural input: unitary blocks, trace compatibility, actions, allclose
 EPS_REL = 1e-9     # linear identities: span closure, pushdown, Perron gap, commuting-square and expect floors
 EPS_FLAG = 1e-8    # default of every flag decision (system, basis, normalizer, projection, ...); integer entries
-EPS_WEDD = 1e-7    # acceptance of a Wedderburn attempt: central projections and matrix-unit relations
+EPS_WEDD = 1e-7    # acceptance of a Wedderburn attempt: minimal projections and matrix-unit relations
 GAP_TOL = 1e-6     # relative gap separating eigenvalue clusters; integrality of ranks and traces
 WEDD_TRIES = 5     # seeded attempts before wedderburn gives up
 
@@ -101,32 +101,6 @@ def orthonormal_columns(a):
     cutoff = EPS_RANK * max(1.0, float(s[0]))
     r = int(np.count_nonzero(s > cutoff))
     return u[:, :r]
-
-
-def gram_schmidt(vectors, inner=None):
-    """Modified Gram-Schmidt against a user inner product.
-
-    ``inner(x, y)`` must be linear in ``x`` and conjugate-linear in ``y``;
-    the default is the standard complex dot product.  Vectors whose residual
-    norm is at most EPS_RANK are dropped, the others keep their order.  Raises
-    InvalidInnerProduct if the form fails a Hermitian-positivity check.
-    """
-    if inner is None:
-        inner = lambda x, y: complex(np.vdot(y, x))
-    out = []
-    for v in vectors:
-        w = np.array(v, dtype=complex)
-        nrm2 = inner(w, w)
-        if abs(nrm2.imag) > EPS_INPUT * (1.0 + abs(nrm2)) or nrm2.real < -EPS_INPUT:
-            raise InvalidInnerProduct("inner(v, v) must be real nonnegative, got %r" % (nrm2,))
-        # two MGS passes keep orthogonality near machine precision
-        for _ in range(2):
-            for u in out:
-                w = w - inner(w, u) * u
-        nrm2 = inner(w, w).real
-        if nrm2 > EPS_RANK * EPS_RANK:
-            out.append(w / np.sqrt(nrm2))
-    return out
 
 
 def cluster_values(values):

@@ -6,6 +6,8 @@ trace.  Every number in the machine report is rounded to 12 significant
 digits and the printed lines show exactly the rounded values, so a report is
 byte-stable for a fixed seed.  Model kinds and tasks are looked up in the
 MODEL_KINDS and TASKS tables; a missing or malformed field is a ScenarioError.
+Integer fields (seed, sizes, indices) take nonnegative JSON integers only: a
+float, a bool or a digit string is malformed, not rounded.
 """
 
 import contextlib
@@ -86,6 +88,14 @@ def parse_element(alg, data):
     return alg.element(blocks)
 
 
+def _count(value, field):
+    """``value`` if it is a nonnegative JSON integer (a bool or a float is not one);
+    otherwise a ScenarioError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ScenarioError("%s must be a nonnegative integer, got %r" % (field, value))
+    return value
+
+
 def _parse_trace(spec):
     if spec is None or spec == "markov":
         return "markov"
@@ -108,11 +118,11 @@ def _group_from_spec(spec):
         raise ScenarioError("unknown group spec %r" % spec)
     if isinstance(spec, dict):
         if "cyclic" in spec:
-            return GroupTable.cyclic(int(spec["cyclic"])), None
+            return GroupTable.cyclic(_count(spec["cyclic"], "cyclic")), None
         if "table" in spec:
             return GroupTable(spec["table"]), None
         if "permutations" in spec:
-            perms = [tuple(int(v) for v in p) for p in spec["permutations"]]
+            perms = [tuple(_count(v, "permutations") for v in p) for p in spec["permutations"]]
             group, order = GroupTable.from_permutations(perms)
             index = {p: i for i, p in enumerate(order)}
             return group, [index[p] for p in perms]
@@ -215,10 +225,10 @@ def _fields_of(what):
 
 
 def _explicit_model(spec, seed):
-    dims = tuple(int(d) for d in spec["dims"])
+    dims = tuple(_count(d, "dims") for d in spec["dims"])
     lam = np.asarray(spec["inclusion"])
     if "ambient_dims" in spec:
-        check_unital_dims(dims, lam, [int(n) for n in spec["ambient_dims"]])
+        check_unital_dims(dims, lam, [_count(n, "ambient_dims") for n in spec["ambient_dims"]])
     unitaries = spec.get("unitaries")
     if unitaries is not None:
         unitaries = [_parse_matrix(u) for u in unitaries]
@@ -229,20 +239,20 @@ def _explicit_model(spec, seed):
 
 
 def _diagonal_model(spec, seed):
-    pair = diagonal_in_matrix(int(spec["k"]), trace=_parse_trace(spec.get("trace", "markov")))
+    pair = diagonal_in_matrix(_count(spec["k"], "k"), trace=_parse_trace(spec.get("trace", "markov")))
     return {"pair": pair}
 
 
 def _group_model(spec, seed):
     group, index_map = _group_from_spec(spec["group"])
-    subgroup = [int(h) for h in spec["subgroup"]]
+    subgroup = [_count(h, "subgroup") for h in spec["subgroup"]]
     if index_map is not None:
         subgroup = [index_map[h] for h in subgroup]
     return {"pair": group_algebra_pair(group, subgroup, seed=seed)}
 
 
 def _crossed_product_model(spec, seed):
-    base_dims = tuple(int(d) for d in spec["base_dims"])
+    base_dims = tuple(_count(d, "base_dims") for d in spec["base_dims"])
     group, _ = _group_from_spec(spec["group"])
     action = spec.get("action", "trivial")
     if action == "cyclic_shift" and set(base_dims) == {1} and len(group) == len(base_dims):
@@ -266,7 +276,7 @@ def _quadruple_model(spec, seed):
 
 
 def _path_model(spec, seed):
-    diagram = BratteliDiagram(tuple(int(d) for d in spec["middle_dims"]), spec["inclusion"])
+    diagram = BratteliDiagram(tuple(_count(d, "middle_dims") for d in spec["middle_dims"]), spec["inclusion"])
     trace = _parse_trace(spec.get("trace", "markov"))
     pm = PathModel(diagram, bottom_trace="markov" if trace == "markov" else np.asarray(trace))
     return {"path": pm}
@@ -310,9 +320,9 @@ def _resolve_f(spec, bc):
     if spec == "one":
         return np.eye(bc.gns_dim)
     if isinstance(spec, dict) and "m1_central" in spec:
-        b = int(spec["m1_central"])
+        b = _count(spec["m1_central"], "m1_central")
         wd = bc.m1_wedd
-        if not 0 <= b < len(wd.block_dims):
+        if b >= len(wd.block_dims):
             raise ScenarioError("m1_central index %d out of range" % b)
         blocks = [np.eye(d) if i == b else np.zeros((d, d)) for i, d in enumerate(wd.block_dims)]
         return wd.from_abstract(blocks)
@@ -500,7 +510,7 @@ def run_scenario_dict(data):
         raise ScenarioError("scenario must be a JSON object")
     name = data.get("name", "unnamed")
     with _fields_of("scenario"):
-        seed = int(data.get("seed", 0))
+        seed = _count(data.get("seed", 0), "seed")
         eps = float(data.get("eps", linalg.EPS_FLAG))
     if not 0 < eps < np.inf:  # false for nan too: a non-finite tolerance would pass every check
         raise ScenarioError("scenario eps must be finite and positive, got %r" % eps)

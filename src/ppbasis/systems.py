@@ -214,9 +214,9 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
         res = max(linalg.projection_residuals(f))
         raise NotAProjection("prescribed support is not a projection (residual %.3g)" % res)
     scale = 1.0 + linalg.operator_norm(f)
-    if bc.in_m1_residual(f) > tol * scale:
-        raise InvalidInput("prescribed support does not lie in M1")
     wd = bc.m1_wedd
+    if wd.roundtrip_residual(f) > tol * scale:
+        raise InvalidInput("prescribed support does not lie in M1")
     f_abs = wd.to_abstract(f)
     e_abs = wd.to_abstract(bc.e1)
     ranks_f = [linalg.integer_trace(b, NotAProjection) for b in f_abs]

@@ -95,8 +95,8 @@ def test_m1_is_commutant_of_jnj():
     amb = mp.ambient
     # M1 contains both L_M and e1
     for u in amb.units():
-        assert bc.in_m1_residual(bc.amb.left_op(u)) < 1e-9
-    assert bc.in_m1_residual(bc.e1) < 1e-9
+        assert bc.m1_wedd.roundtrip_residual(bc.amb.left_op(u)) < 1e-9
+    assert bc.m1_wedd.roundtrip_residual(bc.e1) < 1e-9
     # JNJ commutes with everything in M1
     for b in mp.sub.basis_elements():
         r = amb.sandwich_j(amb.left_op(b))
@@ -157,7 +157,7 @@ def test_closed_form_m1_matches_nullspace_oracle(build):
         t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         v = t.reshape(-1)
         ref = np.linalg.norm(v - ker @ (ker.conj().T @ v)) / np.sqrt(d)
-        assert abs(bc.in_m1_residual(t) - ref) <= 1e-12
+        assert abs(bc.m1_wedd.roundtrip_residual(t) - ref) <= 1e-12
 
 
 def test_construction_is_lazy(monkeypatch):
@@ -206,7 +206,7 @@ def test_pushdown_rejects_bad_input():
     v = np.zeros((bc.gns_dim, bc.gns_dim))
     v[0, 0] = 1.0
     probe = v @ bc.e1
-    if linalg.operator_norm(probe @ bc.e1 - probe) < 1e-12 and bc.in_m1_residual(probe) > 1e-6:
+    if linalg.operator_norm(probe @ bc.e1 - probe) < 1e-12 and bc.m1_wedd.roundtrip_residual(probe) > 1e-6:
         with pytest.raises(InvalidInput):
             bc.pushdown(probe)
 

@@ -299,12 +299,66 @@ MALFORMED = {
 }
 
 
+def _markov(model, **fields):
+    return dict(fields, model=model, tasks=[{"task": "markov"}])
+
+
+# integer fields take JSON integers only.  Each case below was once coerced and ran
+# to exit 0 (2.9 -> 2, true -> 1, "12" -> (1, 2), "02" -> [0, 2], 1.7 -> 1), except
+# the negative seed, which exited 2 as a malformed field of the model spec once a
+# decomposition drew from it; each error names its field
+INTEGER_FIELDS = {
+    "int-seed-float": ("seed", _markov({"kind": "diagonal_in_matrix", "k": 2}, seed=1.7)),
+    "int-seed-negative": ("seed", _markov({"kind": "group_algebra_pair", "group": "cyclic:2", "subgroup": [0]}, seed=-1)),
+    "int-k-float": ("k", _markov({"kind": "diagonal_in_matrix", "k": 2.9})),
+    "int-k-bool": ("k", _markov({"kind": "diagonal_in_matrix", "k": True})),
+    "int-dims-string": ("dims", _markov({"kind": "explicit", "dims": "12", "inclusion": [[1], [1]]})),
+    "int-ambient-dims-float": (
+        "ambient_dims",
+        _markov({"kind": "explicit", "dims": [1, 2], "inclusion": [[1], [1]], "ambient_dims": [3.5]}),
+    ),
+    "int-subgroup-string": (
+        "subgroup",
+        {
+            "model": {"kind": "group_algebra_pair", "group": "cyclic:4", "subgroup": "02"},
+            "tasks": [{"task": "markov", "expect": {"error": "NonConnected"}}],
+        },
+    ),
+    "int-base-dims-bool": (
+        "base_dims",
+        _markov({"kind": "crossed_product", "base_dims": [True, True], "group": "cyclic:2", "action": "cyclic_shift"}),
+    ),
+    "int-middle-dims-float": (
+        "middle_dims",
+        {
+            "model": {"kind": "path", "middle_dims": [1, 2.5], "inclusion": [[1], [1]]},
+            "tasks": [{"task": "path_basis"}],
+        },
+    ),
+    "int-m1-central-float": (
+        "m1_central",
+        {
+            "model": {"kind": "diagonal_in_matrix", "k": 2},
+            "tasks": [{"task": "construct_with_support", "f": {"m1_central": 0.7}}],
+        },
+    ),
+    "int-cyclic-float": ("cyclic", _markov({"kind": "group_algebra_pair", "group": {"cyclic": 2.5}, "subgroup": [0]})),
+    "int-permutation-bool": (
+        "permutations",
+        _markov({"kind": "group_algebra_pair", "group": {"permutations": [[0, 1], [True, False]]}, "subgroup": [0]}),
+    ),
+}
+MALFORMED.update((case, spec) for case, (_, spec) in INTEGER_FIELDS.items())
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, case):
     code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, MALFORMED[case]))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if case in INTEGER_FIELDS:
+        assert err.startswith("error: %s must be a nonnegative integer, got " % INTEGER_FIELDS[case][0])
 
 
 def test_list_valued_result_against_a_number_is_a_mismatch(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppbasis import linalg
-from ppbasis.errors import AlgebraError, FactorizationFailed, InvalidInnerProduct
+from ppbasis.errors import AlgebraError, FactorizationFailed
 
 
 def test_operator_norm_matches_singular_value():
@@ -42,34 +42,6 @@ def test_orthonormal_columns_spans_range():
     # original columns lie in the span of q
     proj = q @ q.conj().T
     assert np.linalg.norm(proj @ a - a) < 1e-8
-
-
-def test_gram_schmidt_standard_inner():
-    rng = linalg.rng_from_seed(2)
-    vecs = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(3)]
-    vecs.append(vecs[0] + vecs[1])  # dependent, should be dropped
-    out = linalg.gram_schmidt(vecs)
-    assert len(out) == 3
-    for i, u in enumerate(out):
-        for j, w in enumerate(out):
-            want = 1.0 if i == j else 0.0
-            assert abs(np.vdot(w, u) - want) < 1e-10
-
-
-def test_gram_schmidt_weighted_inner():
-    # inner product from a positive diagonal weight
-    w = np.array([1.0, 2.0, 0.5])
-    inner = lambda x, y: complex(np.sum(w * x * np.conj(y)))
-    out = linalg.gram_schmidt([np.array([1.0, 1, 0]), np.array([0.0, 1, 1])], inner=inner)
-    assert len(out) == 2
-    assert abs(inner(out[0], out[0]) - 1) < 1e-12
-    assert abs(inner(out[1], out[0])) < 1e-12
-
-
-def test_gram_schmidt_rejects_indefinite_form():
-    inner = lambda x, y: complex(x[0] * np.conj(y[0]) - x[1] * np.conj(y[1]))
-    with pytest.raises(InvalidInnerProduct):
-        linalg.gram_schmidt([np.array([0.0, 1.0])], inner=inner)
 
 
 def test_cluster_values_groups_by_gap():

@@ -6,8 +6,8 @@ and Watatani centrality tests are batched expressions on the stacked matrix
 units.  Each old loop body is kept here as the oracle of its site, run on the
 benchmark's pipeline models, the masa and degenerate quadruples, the pair of
 mutually unbiased MASAs of M5 and a noncommuting pair of MASAs of M3.  The element traffic of ``classify`` and
-``coset_system``, ``op_norm``'s stacked norm, the commutative corners of
-``wedderburn`` and the typed rejection of foreign families are pinned too.
+``coset_system``, ``op_norm``'s stacked norm, the centre-free ``wedderburn`` and its
+retry on a non-generic draw, and the typed rejection of foreign families are pinned too.
 """
 
 import functools
@@ -27,13 +27,12 @@ from ppbasis import (
     gram_matrix,
     linalg,
     models,
-    regular_pipeline,
     scalar_basis,
     wedderburn,
 )
 from ppbasis.algebra import AlgebraElement, commutant_wedderburn
 from ppbasis.basic import watatani_index
-from ppbasis.errors import InvalidInput, NotABasis, NotSubalgebra
+from ppbasis.errors import DegenerateSpectrum, InvalidInput, NotABasis, NotSubalgebra
 from ppbasis.intermediate import check_intermediate, is_commuting_square
 from ppbasis.regular import normalizer_residual
 from ppbasis.systems import require_basis
@@ -280,22 +279,67 @@ def test_op_norm_is_one_stacked_call_per_block_size(monkeypatch):
     assert calls == [(32, 1, 1)]
 
 
-# ---------------------------------------------------------------- wedderburn corners
+# ---------------------------------------------------------------- wedderburn without a centre
 
 
-def test_commutative_corners_take_no_corner_basis(monkeypatch):
-    # the covariance span of Z16 over {e} is commutative: every corner is C p
-    calls = []
-    original = algebra._corner_basis
-    monkeypatch.setattr(algebra, "_corner_basis", lambda sub, p: calls.append(sub) or original(sub, p))
-    mp = models.group_algebra_pair(GroupTable.cyclic(16), [0])
-    assert calls == []
-    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
-    assert all(rep.flags.values())
-    # a noncommutative span still takes its corners
-    d4 = models.diagonal_in_matrix(4)
-    wedderburn(Subalgebra(d4.ambient, np.eye(16)))
-    assert calls
+def _span_only(sub):
+    return Subalgebra(sub.ambient, sub.mat)
+
+
+def test_wedderburn_forms_no_centre(monkeypatch):
+    # the minimal projections come from one generic element: no commutator stack
+    # and no nullspace, on the covariance span of Z16 over {e} (commutative, in M16),
+    # a span-only copy of all of M4 and a span-only copy of C + M2 inside M3
+    def refuse(*args, **kwargs):
+        raise AssertionError("wedderburn formed a centre")
+
+    monkeypatch.setattr(algebra, "relative_commutant", refuse)
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    z16 = models.group_algebra_pair(GroupTable.cyclic(16), [0])
+    assert z16.ambient.dims == (1,) * 16
+    m4 = MultiMatrixAlgebra((4,), (0.25,))
+    assert wedderburn(Subalgebra(m4, np.eye(16))).block_dims == (4,)
+    pair = models.explicit_pair((1, 2), [[1], [1]])
+    wd = wedderburn(_span_only(pair.sub))
+    assert wd.block_dims == (1, 2)
+    assert algebra.inclusion_matrix(wd).tolist() == [[1], [1]]
+
+
+def _identity_draws(monkeypatch, attempts):
+    """Make the Hermitian element of the first ``attempts`` attempts the identity:
+    one spectral projection, which the sum d^2 = dim A count rejects."""
+    draws = []
+    original = algebra._random_combination
+
+    def draw(sub, rng, hermitian=True):
+        if hermitian:
+            draws.append(sub)
+            if len(draws) <= attempts:
+                return sub.ambient.identity()
+        return original(sub, rng, hermitian)
+
+    monkeypatch.setattr(algebra, "_random_combination", draw)
+    return draws
+
+
+def test_non_generic_draw_is_rejected_and_retried(monkeypatch):
+    pair = models.explicit_pair((1, 2), [[1], [1]])
+    draws = _identity_draws(monkeypatch, 1)
+    wd = wedderburn(_span_only(pair.sub))
+    assert len(draws) == 2
+    assert wd.block_dims == (1, 2)
+    assert algebra.inclusion_matrix(wd).tolist() == [[1], [1]]
+
+
+def test_non_generic_draws_exhaust_the_attempts(monkeypatch):
+    pair = models.explicit_pair((1, 2), [[1], [1]])
+    draws = _identity_draws(monkeypatch, linalg.WEDD_TRIES)
+    with pytest.raises(DegenerateSpectrum) as exc:
+        wedderburn(_span_only(pair.sub))
+    assert len(draws) == linalg.WEDD_TRIES == 5
+    assert str(exc.value) == (
+        "wedderburn failed after 5 attempts: block dimensions do not add up to the subalgebra dimension"
+    )
 
 
 # ---------------------------------------------------------------- foreign families

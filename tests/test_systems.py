@@ -133,7 +133,7 @@ def test_construct_rejects_support_outside_m1():
     v = np.zeros(bc.gns_dim, dtype=complex)
     v[0] = v[1] = 1.0 / np.sqrt(2)
     p = np.outer(v, v.conj())
-    assert bc.in_m1_residual(p) > 1e-6
+    assert bc.m1_wedd.roundtrip_residual(p) > 1e-6
     with pytest.raises(InvalidInput):
         construct_system_with_support(p, bc)
 
