@@ -476,7 +476,7 @@ class WedderburnData:
     ``units[b][p][q]`` are elements of the ambient algebra satisfying the
     matrix-unit relations inside block b; ``block_traces[b]`` is the ambient
     trace of a minimal projection of that block, so the abstract copy carries
-    the restricted trace.
+    the restricted trace; the columns of ``unit_mat`` are the units' GNS coordinates.
     """
 
     def __init__(self, subalgebra, block_dims, block_traces, units, central_projections):
@@ -485,7 +485,7 @@ class WedderburnData:
         self.block_traces = tuple(block_traces)
         self.units = units
         self.central_projections = central_projections
-        self._unit_mat = np.stack([x.vec() for block in units for row in block for x in row], axis=1)
+        self.unit_mat = np.stack([x.vec() for block in units for row in block for x in row], axis=1)
         self._scale = np.repeat(self.block_traces, [d * d for d in self.block_dims])
         self._cuts = np.cumsum([d * d for d in self.block_dims])[:-1]
 
@@ -494,21 +494,21 @@ class WedderburnData:
         total = sum(d * t for d, t in zip(self.block_dims, self.block_traces))
         return MultiMatrixAlgebra(self.block_dims, tuple(t / total for t in self.block_traces))
 
-    def abstract_blocks(self, vecs):
+    def abstract_blocks(self, pairings):
         """Coefficient blocks of E(x) in the matrix-unit basis, one (..., d, d) array per block,
-        for the elements x whose GNS coordinates run along the last axis of ``vecs``."""
-        coeffs = np.split((vecs @ self._unit_mat.conj()) / self._scale, self._cuts, axis=-1)
-        return [c.reshape(*vecs.shape[:-1], d, d) for c, d in zip(coeffs, self.block_dims)]
+        for the elements x whose pairings <x, e_pq> = tr(e_qp x) run along the last axis."""
+        coeffs = np.split(pairings / self._scale, self._cuts, axis=-1)
+        return [c.reshape(*pairings.shape[:-1], d, d) for c, d in zip(coeffs, self.block_dims)]
 
     def to_abstract(self, x):
         """Coefficient blocks of ``x`` in the matrix-unit basis."""
-        return self.abstract_blocks(x.vec())
+        return self.abstract_blocks(x.vec() @ self.unit_mat.conj())
 
     def from_abstract(self, blocks):
         flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in blocks])
-        if flat.shape != (self._unit_mat.shape[1],):
+        if flat.shape != (self.unit_mat.shape[1],):
             raise InvalidInput("abstract blocks have the wrong shapes")
-        return self.subalgebra.ambient.unvec(self._unit_mat @ flat)
+        return self.subalgebra.ambient.unvec(self.unit_mat @ flat)
 
     def roundtrip_residual(self, x):
         return (x - self.from_abstract(self.to_abstract(x))).norm()

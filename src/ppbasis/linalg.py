@@ -42,6 +42,12 @@ def _typed(f):
 eigh = _typed(lambda h: np.linalg.eigh(h))
 
 
+def check_tol(tol):
+    """InvalidInput naming ``tol`` unless 0 < tol < inf; a non-finite tolerance would pass or fail every flag."""
+    if not 0 < tol < np.inf:  # false for nan too
+        raise InvalidInput("tol must be finite and positive, got %r" % (tol,))
+
+
 def rng_from_seed(seed=0):
     """Fresh numpy Generator for ``seed``; callers thread it explicitly."""
     return np.random.default_rng(seed)
@@ -54,7 +60,7 @@ def operator_norm(a):
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
+    return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
 
 
 @_typed

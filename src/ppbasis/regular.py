@@ -384,6 +384,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     and take no part in the regularity test; failed regularity or incomplete
     cosets leave a partial report rather than raising.
     """
+    linalg.check_tol(tol)
     amb = sub.ambient
     candidates = tuple(candidates)
     wd_n = sub.wedderburn_data(seed)

@@ -9,9 +9,12 @@ entries, orthonormal when the diagonal entries are 1, and a basis when the
 support is the identity.  Left-handed versions swap the adjoints.  The Gram
 matrix lies in M_n(N), the sum of the M_{n m_i} over N's blocks M_{m_i}, with
 the same C*-norms and trace 2-norms as in M_n(M).  It is tested there, as one
-(n, n, m_i, m_i) array of coefficients in N's matrix units
-(``sub.wedderburn_data()``) per block; only ``gram_matrix`` makes elements of
-its entries.  The support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat.
+(n, n, m_i, m_i) array of coefficients in N's matrix units e_pq
+(``sub.wedderburn_data()``) per block.  They are read off the pairings
+<x_j, x_i e_pq>, from one product pass over the D x n GNS coordinates of the
+family; no product x_i* x_j is formed, and only ``gram_matrix`` makes elements
+of the entries.  The support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat,
+from a second product pass.
 Classification builds no basic construction; one passed as ``bc`` is kept for
 completion.  ``require_basis`` is the one basis check of the regular chain and
 interchange.
@@ -30,39 +33,35 @@ from .linalg import EPS_FLAG
 
 
 class _Family:
-    """One side of a family, stacked per ambient block as (n, n_k, n_k) arrays;
-    the left side stacks the adjoints, so only right-handed formulas follow."""
+    """One side of a family as the D x n array ``x`` of its GNS coordinates; the left
+    side holds J x, the coordinates of the adjoints, so only right-handed formulas follow."""
 
     def __init__(self, elements, sub, side):
         if side not in ("right", "left"):
             raise InvalidInput("side must be 'right' or 'left'")
         if not elements:
             raise InvalidInput("cannot test an empty family")
-        for x in elements:
-            sub.ambient.check_owns(x)
-        self.sub = sub
-        self.stacks = [np.stack([x.blocks[k] for x in elements]) for k in range(sub.ambient.nblocks)]
-        if side == "left":
-            self.stacks = [s.conj().transpose(0, 2, 1) for s in self.stacks]
-        if not all(np.isfinite(s).all() for s in self.stacks):
+        self.sub, amb = sub, sub.ambient
+        with np.errstate(invalid="ignore"):  # inf times a GNS weight; reported below
+            x = np.stack([amb.vec(e) for e in elements], axis=1)
+        if not np.isfinite(x).all():
             raise InvalidInput("non-finite element block")
-        self.splits = np.cumsum([s.shape[1] ** 2 for s in self.stacks])[:-1]  # GNS row offsets between blocks
+        self.x = x if side == "right" else amb.modular_conjugation(x)
 
     def gram(self):
-        """Gram entries E_N(x_i* x_j) in N's matrix units, as (n, n, m_i, m_i) arrays."""
-        w, n = np.sqrt(self.sub.ambient.trace_vector), len(self.stacks[0])
+        """Gram entries E_N(x_i* x_j) in N's matrix units, as (n, n, m_i, m_i) arrays, read off
+        the pairings <x_j, x_i e_pq> = tr(e_qp x_i* x_j): one product pass and one GEMM."""
+        wd, n = self.sub.wedderburn_data(), self.x.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            prods = [wk * np.einsum("iba,jbc->ijac", s.conj(), s).reshape(n, n, -1) for wk, s in zip(w, self.stacks)]
-            blocks = self.sub.wedderburn_data().abstract_blocks(np.concatenate(prods, axis=2))
+            pairs = self.sub.ambient.products(self.x, wd.unit_mat).conj().T @ self.x
+            blocks = wd.abstract_blocks(pairs.reshape(n, -1, n).transpose(0, 2, 1))
         if not all(np.isfinite(g).all() for g in blocks):
             raise InvalidInput("non-finite Gram entry")
         return blocks
 
     def support(self):
-        """sum_i L_i e1 L_i* = W W*, where column (i, s) of W is vec(x_i q_s)."""
-        qs = zip(self.stacks, np.split(self.sub.mat, self.splits))
-        cols = [np.einsum("iab,bcs->acis", s, q.reshape(*s.shape[1:], -1)).reshape(len(q), -1) for s, q in qs]
-        w = np.concatenate(cols)
+        """sum_i L_i e1 L_i* = W W*, where column (i, s) of W is vec(x_i q_s), Q = sub.mat."""
+        w = self.sub.ambient.products(self.x, self.sub.mat)
         return w @ w.conj().T
 
 
@@ -134,6 +133,7 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
     and supports for each requested side are computed and kept on the result.
     ``bc`` is not read; it is kept on the result for ``complete_to_basis``.
     """
+    linalg.check_tol(tol)
     elements = tuple(elements)
     if side not in ("right", "left", "two-sided"):
         raise InvalidInput("side must be 'right', 'left' or 'two-sided'")
@@ -168,6 +168,7 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
     the target, the family is not a system, a tested support differs from the
     GNS projection of the target (its residual is kept as ``<side>_support_target``).
     """
+    linalg.check_tol(tol)
     elements = tuple(elements)
     if target is not None and elements:
         res = target.residuals(np.stack([target.ambient.vec(x) for x in elements], axis=1))
@@ -178,7 +179,7 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
         res = max(sys.residuals[s + "_gram_projection"] for s in sys.support)
         raise NotABasis("%s family fails the Gram projection test (residual %.3g)" % (label, res))
     et = np.eye(sub.ambient.gns_dim) if target is None else target.projection_matrix()
-    scale = 1.0 + linalg.operator_norm(et)
+    scale = 2.0  # 1 + the norm of et, which is 1 or a nonzero projection: no SVD needed
     for s in sys.support:  # the tested sides, right before left
         res = linalg.operator_norm(sys.support[s] - et)
         sys.residuals[s + "_support_target"] = res
@@ -207,6 +208,7 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     remainder, which requires (n-1) * rank_b(e1) <= rank_b(f) <= n * rank_b(e1)
     for a single n in every block and raises InfeasibleSupport otherwise.
     """
+    linalg.check_tol(tol)
     if mode not in ("general", "orthogonal", "orthonormal-padded"):
         raise InvalidInput("unknown mode %r" % (mode,))
     f = np.asarray(f, dtype=complex)
@@ -277,6 +279,7 @@ def complete_to_basis(system, bc=None, tol=EPS_FLAG):
     returned system starts with the original elements verbatim.  The basic
     construction is ``bc``, else the system's, else a new one over its N.
     """
+    linalg.check_tol(tol)
     if not isinstance(system, PPSystem):
         raise InvalidInput("complete_to_basis expects a classified system")
     if system.side not in ("right",):

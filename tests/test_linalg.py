@@ -110,7 +110,12 @@ def test_failed_factorization_is_typed(monkeypatch, factor):
     monkeypatch.setattr(np.linalg, factor, _no_convergence)
     a = np.eye(3) + 0.5
     calls = {
-        "svd": [lambda: linalg.rank(a), lambda: linalg.nullspace(a), lambda: linalg.orthonormal_columns(a)],
+        "svd": [
+            lambda: linalg.rank(a),
+            lambda: linalg.nullspace(a),
+            lambda: linalg.orthonormal_columns(a),
+            lambda: linalg.operator_norm(a),
+        ],
         "eigh": [lambda: linalg.eigh(a)],
         "eigvalsh": [lambda: linalg.hermitian_norm(a)],
         "qr": [lambda: linalg.random_unitary(3, linalg.rng_from_seed(0))],
@@ -125,3 +130,15 @@ def test_operator_norm_of_a_stack_is_the_block_diagonal_norm():
     rng = linalg.rng_from_seed(5)
     stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     assert abs(linalg.operator_norm(stack) - linalg.operator_norm(linalg.block_diag(list(stack)))) < 1e-12
+
+
+def test_operator_norm_is_the_largest_singular_value_bitwise():
+    # the same SVD as np.linalg.norm(a, 2), without its moveaxis wrapper
+    rng = linalg.rng_from_seed(13)
+    for shape in [(1, 1), (4, 4), (3, 6), (7, 2), (5, 3, 3), (2, 4, 5)]:
+        for _ in range(10):
+            a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert linalg.operator_norm(a) == float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
+    assert linalg.operator_norm(np.zeros((0, 3))) == 0.0
+    assert linalg.operator_norm(np.zeros((2, 0, 0))) == 0.0
+

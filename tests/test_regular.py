@@ -714,3 +714,18 @@ def test_crossed_product_action_check_matches_compose():
             continue
         with pytest.raises(NotAnAction, match=r"not multiplicative at \(%d, %d\): deviation %s$" % (bad[0][0], bad[0][1], "%.3g" % bad[0][2])):
             CrossedProductModel(base, group, autos)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
+    # nan once ended as "candidate 0 is not unitary"; inf would pass every flag
+    mp = models.crossed_product_diag(2)
+    reps, one = tuple(mp.candidates), mp.ambient.identity()
+    for call in (
+        lambda: regular_pipeline(mp.sub, candidates=mp.candidates, tol=tol),
+        lambda: coset_system(reps, mp.sub, mp.sub, tol=tol),
+        lambda: patch_bases([one], reps, mp.sub, mp.sub, tol=tol),
+        lambda: patch_bases([one], reps, mp.sub, mp.sub, tol=tol, check=False),
+    ):
+        with pytest.raises(InvalidInput, match="tol must be finite and positive, got"):
+            call()

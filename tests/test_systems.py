@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ppbasis import (
     BasicConstruction,
+    MultiMatrixAlgebra,
     Subalgebra,
     classify,
     complete_to_basis,
@@ -21,7 +23,8 @@ from ppbasis.errors import (
     NotASystem,
 )
 from ppbasis.regular import GroupTable
-from ppbasis.systems import require_basis, support_operator
+from ppbasis.systems import _gram_residuals, require_basis, support_operator
+from test_closure import connected_pairs
 
 
 def scalars_in_m2():
@@ -423,3 +426,96 @@ def test_require_basis_reports_the_first_failed_check():
     full = require_basis(scalar_basis(q.ambient), q.n_sub)
     assert max(full.residuals["right_support_target"], full.residuals["left_support_target"]) < 1e-12
 
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
+    # inf would pass every flag and nan fail every one
+    amb, scal = scalars_in_m2()
+    bc = BasicConstruction(scal)
+    basis = scalar_basis(amb)
+    start = classify(basis[:1], scal, side="right", bc=bc)
+    for call in (
+        lambda: classify(basis, scal, tol=tol),
+        lambda: require_basis(basis, scal, scal, tol=tol),
+        lambda: construct_system_with_support(bc.e1, bc, tol=tol),
+        lambda: complete_to_basis(start, bc, tol=tol),
+    ):
+        with pytest.raises(InvalidInput, match="tol must be finite and positive, got"):
+            call()
+
+
+# -- n^2-product oracle ------------------------------------------------------
+# The reference Gram forms all n^2 ambient products x_i* x_j, one einsum per
+# ambient block, and projects them onto N's matrix units; the reference support
+# multiplies each block of every x_i into N's orthonormal basis.  The fast path
+# reads both off two product passes and must match every Gram block, support
+# entry and residual to 1e-12.
+
+
+def oracle_gram_and_support(elements, sub, side):
+    amb, wd, n = sub.ambient, sub.wedderburn_data(), len(elements)
+    stacks = [np.stack([x.blocks[k] for x in elements]) for k in range(amb.nblocks)]
+    if side == "left":
+        stacks = [s.conj().transpose(0, 2, 1) for s in stacks]
+    prods = [
+        np.sqrt(t) * np.einsum("iba,jbc->ijac", s.conj(), s).reshape(n, n, -1) for t, s in zip(amb.trace_vector, stacks)
+    ]
+    gram = wd.abstract_blocks(np.concatenate(prods, axis=2) @ wd.unit_mat.conj())
+    qs = np.split(sub.mat, np.cumsum([s.shape[1] ** 2 for s in stacks])[:-1])
+    w = np.concatenate(
+        [np.einsum("iab,bcs->acis", s, q.reshape(*s.shape[1:], -1)).reshape(len(q), -1) for s, q in zip(stacks, qs)]
+    )
+    return gram, w @ w.conj().T
+
+
+def check_against_product_oracle(elements, sub):
+    sys = classify(elements, sub, side="two-sided")
+    for side in ("right", "left"):
+        gram, support = oracle_gram_and_support(elements, sub, side)
+        assert [g.shape for g in sys.gram[side]] == [g.shape for g in gram]
+        for got, want in zip(sys.gram[side], gram):
+            assert np.abs(got - want).max() <= 1e-12
+        assert np.abs(sys.support[side] - support).max() <= 1e-12
+        r, scale, off, proj, one = _gram_residuals(gram, sub.wedderburn_data())
+        want = {
+            "gram_projection": r / scale,
+            "offdiag": off,
+            "diag_projection": proj,
+            "diag_identity": one,
+            "support_identity": linalg.hermitian_norm(support - np.eye(sub.ambient.gns_dim)),
+        }
+        for key, val in want.items():
+            assert abs(sys.residuals["%s_%s" % (side, key)] - val) <= 1e-12, (side, key)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_classify_matches_product_oracle(name):
+    # the six bases-benchmark families, span-only N (through wedderburn), multi-block N
+    sub, elements = ORACLE_FAMILIES[name]
+    check_against_product_oracle(tuple(elements), sub)
+
+
+@settings(max_examples=25)
+@given(connected_pairs())
+def test_drawn_inclusions_match_product_oracle(mp):
+    rng = linalg.rng_from_seed(0)
+    family = tuple(scalar_basis(mp.ambient)) + tuple(mp.ambient.random_element(rng) for _ in range(2))
+    check_against_product_oracle(family, mp.sub)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_classify_makes_two_product_passes_per_side(monkeypatch, k):
+    # the Gram (the x_i e_pq) and the support (the x_i q_s) take one pass of
+    # n * dim N products each; the n^2 products x_i* x_j are never formed
+    mk = models.scalar_in_full(k)
+    mk.sub.wedderburn_data()
+    pairs, products = [], MultiMatrixAlgebra.products
+
+    def counted(self, a, b):
+        pairs.append(a.shape[1] * b.shape[1])
+        return products(self, a, b)
+
+    monkeypatch.setattr(MultiMatrixAlgebra, "products", counted)
+    sys = classify(scalar_basis(mk.ambient), mk.sub, side="two-sided")
+    assert sys.flags["basis"]
+    assert pairs == [k * k * mk.sub.dim] * 4
