@@ -3,19 +3,21 @@
 For N inside M acting on the GNS space L2(M) of dimension D, e1 is the
 orthogonal projection onto the closure of N, and M1 = <M, e1> is the
 commutant of the right action R of N (Jones: M1 = J N' J).  Members of M1
-are plain D x D arrays over the GNS coordinates, and every M1 map here
-takes and returns such arrays.
+are plain D x D arrays over the GNS coordinates, or their abstract blocks.
 
 Only e1 is computed eagerly.  On first use M1 is read off N's matrix units
-e^i_{pq} in closed form, with no nullspace: f^i_{pq} = R(e^i_{qp}) are matrix
-units of R(N), V_i is an orthonormal basis of the range of f^i_{00}, and the
-isometries W_{i,p} = f^i_{p0} V_i give M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.
-So M1 is the direct sum of M_{(Lambda n)_i}, block i sits over N's block i,
-and projecting onto M1 or moving to its block coordinates is a sandwich by
-the W's.  The D^2-row Subalgebra ``m1`` is built only when a caller reads it.
+e^i_{pq} in closed form, with no nullspace and no D x D operator.  On block j
+of M, R(e^i_{00}) is 1_{n_j} (x) conj(e^i_{00}), so the isometry V_i onto its
+range is 1_{n_j} (x) conj(v_j) for an orthonormal basis v_j of the range of
+block j of e^i_{00}; W_{i,p} = R(e^i_{0p}) V_i, and M1 = {sum_{i,p} W_{i,p} C_i
+W_{i,p}^*}.  So M1 is the direct sum of M_{(Lambda n)_i}, block i sits over N's
+block i, and an element of M1 given by its blocks C_i acts on columns through
+the W's (``M1Wedderburn.apply``).  A Pimsner-Popa element v = L_x e1 is pushed
+down as x = v 1^ (Pimsner and Popa), so the support construction reads each x
+off v's blocks.  The D^2-row Subalgebra ``m1`` is built only when a caller reads it.
 
-The Markov extension is a closed form in M1's central projections P_i:
-tr2 = Tr(. Z) with Z = sum_i (trace_sub[i] / (beta m_i)) P_i, and the
+The Markov extension is a closed form in M1's central projections W_i W_i^*:
+tr2 = Tr(. Z) with Z = sum_i (trace_sub[i] / (beta m_i)) W_i W_i^*, and the
 expectation E_M: M1 -> M is a partial trace of T Z on each block of M.
 """
 
@@ -87,10 +89,6 @@ class BasicConstruction:
     def gns_dim(self):
         return self.amb.gns_dim
 
-    def lift(self, x):
-        """L_x e1, the generic element of M e1."""
-        return self.amb.left_op(x) @ self.e1
-
     @property
     def sub_wedd(self):
         """Wedderburn data of N (kept on N); block i of M1 sits over its block i."""
@@ -124,7 +122,8 @@ class BasicConstruction:
         if self.m1_wedd.roundtrip_residual(v) > linalg.EPS_REL * scale:
             raise InvalidInput("pushdown input must lie in M1")
         x = self.amb.unvec(v @ self._identity_vec)
-        if linalg.operator_norm(self.lift(x) - v) > linalg.EPS_FLAG * scale:
+        q = self.sub.mat  # v = v e1 and L_x e1 vanish off e1's range Q: compare them on Q
+        if linalg.operator_norm(self.amb.products(self.amb.vec(x)[:, None], q) - v @ q) > linalg.EPS_FLAG * scale:
             raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
         return x
 
@@ -137,10 +136,11 @@ class M1Wedderburn:
     """Block structure of M1 read off N's matrix units; block i sits over N's block i.
 
     ``isometries[i]`` is the D x (m_i k_i) matrix [W_{i,0}, ..., W_{i,m_i-1}]
-    with W_{i,p} = R(e^i_{0p}) V_i.  Its columns are an orthonormal basis of
-    the range of the i-th central projection, and in them an operator of M1
-    is 1_{m_i} (x) C_i; C_i is the operator's abstract block.  Operators are
-    D x D arrays throughout.
+    with W_{i,p} = R(e^i_{0p}) V_i, and V_i is 1_{n_j} (x) conj(v_j) on block j
+    of M (see the module docstring).  Its columns are an orthonormal basis of
+    the range of the i-th central projection, and in them an operator of M1 is
+    1_{m_i} (x) C_i; C_i is the operator's abstract block.  ``apply`` acts with
+    an element of M1 on columns from its blocks, one product per block.
     """
 
     def __init__(self, sub_wedd):
@@ -148,11 +148,11 @@ class M1Wedderburn:
         self.gns_dim = amb.gns_dim
         self.isometries = []
         for units in sub_wedd.units:
-            v = linalg.orthonormal_columns(amb.right_op(units[0][0]))
-            self.isometries.append(np.concatenate([amb.right_op(u) @ v for u in units[0]], axis=1))
+            ranges = [linalg.orthonormal_columns(b) for b in units[0][0].blocks]  # n_j-square SVDs
+            v = linalg.block_diag([np.kron(np.eye(n), r.conj()) for n, r in zip(amb.dims, ranges)])
+            self.isometries.append(np.concatenate([amb.products(v, u.vec()[:, None]) for u in units[0]], axis=1))
         self.mults = tuple(sub_wedd.block_dims)
         self.block_dims = tuple(w.shape[1] // m for w, m in zip(self.isometries, self.mults))
-        self.central_projections = [w @ w.conj().T for w in self.isometries]
 
     def to_abstract(self, t):
         """Blocks C_i = (1/m_i) sum_p W_{i,p}^* T W_{i,p} of an operator T."""
@@ -162,17 +162,22 @@ class M1Wedderburn:
             out.append(np.einsum("papb->ab", s) / m)
         return out
 
-    def from_abstract(self, blocks):
-        """The operator sum_{i,p} W_{i,p} C_i W_{i,p}^* of M1."""
+    def apply(self, blocks, cols):
+        """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols: the element of M1 with abstract blocks C_i
+        applied to the columns of ``cols``, without forming it."""
         if len(blocks) != len(self.block_dims):
             raise InvalidInput("abstract blocks have the wrong shapes")
-        acc = np.zeros((self.gns_dim, self.gns_dim), dtype=complex)
+        out = np.zeros(cols.shape, dtype=complex)
         for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, blocks):
             c = np.asarray(c, dtype=complex)
             if c.shape != (k, k):
                 raise InvalidInput("abstract blocks have the wrong shapes")
-            acc += (w.reshape(-1, m, k) @ c).reshape(self.gns_dim, -1) @ w.conj().T
-        return acc
+            out += w @ (c @ (w.conj().T @ cols).reshape(m, k, -1)).reshape(m * k, -1)
+        return out
+
+    def from_abstract(self, blocks):
+        """The D x D operator sum_{i,p} W_{i,p} C_i W_{i,p}^* of M1."""
+        return self.apply(blocks, np.eye(self.gns_dim))
 
     def roundtrip_residual(self, t):
         """||T - E_M1(T)||_HS / sqrt(D), with E_M1(T) = from_abstract(to_abstract(T))."""
@@ -183,8 +188,8 @@ class M1Wedderburn:
 class M1Trace:
     """The Markov extension tr2 = (trace of sub)/beta on the blocks of M1.
 
-    With P_i M1's central projections and w_i = trace_sub[i]/beta, tr2 is
-    Tr(. Z) for Z = sum_i (w_i/m_i) P_i.  Z is central in M1, so on L(M) tr2
+    With W_i W_i^* M1's central projections and w_i = trace_sub[i]/beta, tr2 is
+    Tr(. Z) for Z = sum_i (w_i/m_i) W_i W_i^*.  Z is central in M1, so on L(M) tr2
     weighs block j of M by c_j = Tr(Z_jj)/n_j, and the tr2-preserving
     expectation E_M: M1 -> M is, on block j, the partial trace of (T Z)_jj
     over its right tensor factor, divided by c_j.
@@ -198,7 +203,7 @@ class M1Trace:
         if len(markov.trace_sub) != len(wd.block_dims):
             raise InvalidInput("the Markov data needs one trace per block of the subalgebra")
         w = np.asarray(markov.trace_sub, dtype=float) / markov.beta
-        self.z = sum(wi / m * p for wi, m, p in zip(w, wd.mults, wd.central_projections))
+        self.z = sum(wi / m * (u @ u.conj().T) for wi, m, u in zip(w, wd.mults, wd.isometries))
         offs = np.cumsum([0] + [n * n for n in bc.amb.dims])
         self._cuts = list(zip(bc.amb.dims, offs, offs[1:]))
         # c_j, the weight of block j of M: tr2(L_x) = sum_j c_j Tr(x_j)

@@ -13,6 +13,7 @@ the comparison predicates such as ``AlgebraElement.allclose``.
 """
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -43,8 +44,9 @@ eigh = _typed(lambda h: np.linalg.eigh(h))
 
 
 def check_tol(tol):
-    """InvalidInput naming ``tol`` unless 0 < tol < inf; a non-finite tolerance would pass or fail every flag."""
-    if not 0 < tol < np.inf:  # false for nan too
+    """InvalidInput naming ``tol`` unless it is a real number, not a bool, with 0 < tol < inf;
+    a non-finite tolerance would pass or fail every flag, and a string would escape as a TypeError."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < np.inf:  # nan fails too
         raise InvalidInput("tol must be finite and positive, got %r" % (tol,))
 
 
@@ -160,12 +162,6 @@ def projection_residuals(p):
     of matrices is read as its block-diagonal sum."""
     p = np.asarray(p, dtype=complex)
     return operator_norm(p @ p - p), hermitian_norm(1j * (p - p.conj().swapaxes(-2, -1)))
-
-
-def is_projection_matrix(p, tol=EPS_FLAG):
-    r1, r2 = projection_residuals(p)
-    scale = 1.0 + operator_norm(p)
-    return r1 <= tol * scale and r2 <= tol * scale
 
 
 def integer_matrix(a, what):

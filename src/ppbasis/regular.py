@@ -419,7 +419,8 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
         ep_res, ep_scale = sys_r.residuals["right_support_identity"], 2.0
     else:
         ep = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps)).projection_matrix()
-        ep_res, ep_scale = linalg.operator_norm(sys_r.support["right"] - ep), 1.0 + linalg.operator_norm(ep)
+        # 1 + the norm of e_P, a nonzero projection: no SVD needed
+        ep_res, ep_scale = linalg.operator_norm(sys_r.support["right"] - ep), 2.0
     support_eq = ep_res <= tol * ep_scale
     complete = sys_r.flags["basis"]
 

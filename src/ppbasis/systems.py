@@ -21,14 +21,13 @@ interchange.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .basic import BasicConstruction
-from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, NotASystem
+from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, NotASystem, NotSupportedOnE1
 from .linalg import EPS_FLAG
 
 
@@ -91,19 +90,6 @@ def gram_matrix(elements, sub, side="right"):
     g = _Family(tuple(elements), sub, side).gram()
     n, wd = len(g[0]), sub.wedderburn_data()
     return [[wd.from_abstract([b[i, j] for b in g]) for j in range(n)] for i in range(n)]
-
-
-def support_operator(elements, bc, side="right"):
-    """GNS support projection of a family (right: sum L e1 L*, left: sum L* e1 L).
-
-    Warns (and still returns the operator) when the family is not a system to
-    EPS_FLAG, since the projection property of the support needs that hypothesis.
-    """
-    family = _Family(tuple(elements), bc.sub, side)
-    r, scale, *_ = _gram_residuals(family.gram(), bc.sub.wedderburn_data())
-    if r > EPS_FLAG * scale:
-        warnings.warn("family is not a system; support need not be a projection", stacklevel=2)
-    return family.support()
 
 
 @dataclass
@@ -202,7 +188,7 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     """Build a system whose support is the prescribed projection f in M1.
 
     Partial isometries v_i in M1 with v_i* v_i under e1 and ranges summing to
-    f are assembled blockwise in M1's Wedderburn coordinates and pushed down.
+    f are assembled in M1's blocks and pushed down there: x_i = v_i 1^.
     Modes "general" and "orthogonal" peel as much rank per step as e1 allows
     (always feasible); "orthonormal-padded" uses full copies of e1 plus one
     remainder, which requires (n-1) * rank_b(e1) <= rank_b(f) <= n * rank_b(e1)
@@ -212,10 +198,10 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     if mode not in ("general", "orthogonal", "orthonormal-padded"):
         raise InvalidInput("unknown mode %r" % (mode,))
     f = np.asarray(f, dtype=complex)
-    if not linalg.is_projection_matrix(f, tol):
-        res = max(linalg.projection_residuals(f))
-        raise NotAProjection("prescribed support is not a projection (residual %.3g)" % res)
+    r1, r2 = linalg.projection_residuals(f)
     scale = 1.0 + linalg.operator_norm(f)
+    if not (r1 <= tol * scale and r2 <= tol * scale):
+        raise NotAProjection("prescribed support is not a projection (residual %.3g)" % max(r1, r2))
     wd = bc.m1_wedd
     if wd.roundtrip_residual(f) > tol * scale:
         raise InvalidInput("prescribed support does not lie in M1")
@@ -254,6 +240,7 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     f_vecs = [_range_vectors(f_abs[b], ranks_f[b]) if ranks_f[b] else None for b in range(nblocks)]
     used = [0] * nblocks
     elements = []
+    one = bc.amb.vec(bc.amb.identity())[:, None]
     for s in steps:
         blocks = []
         for b, d in enumerate(wd.block_dims):
@@ -264,7 +251,10 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
                 v = w @ u.conj().T
                 used[b] += s[b]
             blocks.append(v)
-        elements.append(bc.pushdown(wd.from_abstract(blocks)))
+        # v e1 = v on M1's blocks; v is a partial isometry, so 1 + ||v|| = 2
+        if max(linalg.operator_norm(c @ e - c) for c, e in zip(blocks, e_abs)) > linalg.EPS_REL * 2.0:
+            raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
+        elements.append(bc.amb.unvec(wd.apply(blocks, one)[:, 0]))  # x = v 1^, so v = L_x e1
     if not elements:
         raise InvalidInput("prescribed support is zero; the empty family has no classification")
     sys = classify(elements, bc.sub, side="right", bc=bc, tol=tol)

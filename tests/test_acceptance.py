@@ -358,7 +358,7 @@ def test_criterion_11_pushdown_roundtrip(report):
             mp = pool[i % 4]
             bc = bcs[i % 4]
             x = mp.ambient.random_element(rng)
-            y = bc.pushdown(bc.lift(x))
+            y = bc.pushdown(bc.amb.left_op(x) @ bc.e1)
             worst = max(np.max(np.abs(a - b)) for a, b in zip(y.blocks, x.blocks))
             assert worst <= 1e-12
 

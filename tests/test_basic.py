@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ppbasis import (
     BasicConstruction,
@@ -16,7 +17,8 @@ from ppbasis import (
     wedderburn,
 )
 from ppbasis import linalg, models
-from ppbasis.errors import InvalidInput, NonConnected, NotSupportedOnE1
+from ppbasis.errors import InfeasibleSupport, InvalidInput, NonConnected, NotSupportedOnE1
+from test_closure import connected_pairs
 
 
 def test_markov_trace_values():
@@ -65,7 +67,7 @@ def test_e1_implements_expectation():
         x = mp.ambient.random_element(rng)
         assert mp.ambient.unvec(bc.e1 @ mp.ambient.vec(x)).allclose(mp.sub.expect(x), tol=1e-11)
     # e1 is a projection of rank dim(N)
-    assert linalg.is_projection_matrix(bc.e1, tol=1e-10)
+    assert max(linalg.projection_residuals(bc.e1)) <= 1e-10
     assert linalg.rank(bc.e1) == bc.sub.dim == 2
 
 
@@ -169,7 +171,7 @@ def test_construction_is_lazy(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", forbidden)
     bc = BasicConstruction(mp.sub)
     monkeypatch.undo()
-    bc.pushdown(bc.lift(mp.ambient.identity()))
+    bc.pushdown(bc.amb.left_op(mp.ambient.identity()) @ bc.e1)
     assert "m1" not in vars(bc)  # projection onto M1 never forms the D^2-row matrix
     assert bc.m1.dim == 27
 
@@ -185,7 +187,7 @@ def test_closed_form_m1_at_diag_in_m6():
     rng = linalg.rng_from_seed(4)
     for _ in range(3):
         x = mp.ambient.random_element(rng)
-        assert bc.pushdown(bc.lift(x)).allclose(x, tol=1e-10)
+        assert bc.pushdown(bc.amb.left_op(x) @ bc.e1).allclose(x, tol=1e-10)
 
 
 def test_pushdown_lift_roundtrip():
@@ -194,7 +196,7 @@ def test_pushdown_lift_roundtrip():
         rng = linalg.rng_from_seed(7)
         for _ in range(10):
             x = mp.ambient.random_element(rng)
-            y = bc.pushdown(bc.lift(x))
+            y = bc.pushdown(bc.amb.left_op(x) @ bc.e1)
             assert y.allclose(x, tol=1e-10)
 
 
@@ -236,7 +238,7 @@ def test_markov_extension_expectation():
     assert ex.allclose(mp.ambient.scalar(0.5), tol=1e-9)
     for _ in range(5):
         x = mp.ambient.random_element(rng)
-        m = bc.lift(x)
+        m = bc.amb.left_op(x) @ bc.e1
         ey = tr2.expect_onto_ambient(m)
         assert abs(ey.trace() - tr2.trace(m)) < 1e-9
 
@@ -294,6 +296,114 @@ def test_m1_from_abstract_matches_kron_form(build):
     blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in wd.block_dims]
     ref = sum(w @ np.kron(np.eye(m), c) @ w.conj().T for w, m, c in zip(wd.isometries, wd.mults, blocks))
     assert np.abs(wd.from_abstract(blocks) - ref).max() <= 1e-12
+
+
+# -- M1 in closed form against the right-operator route -----------------------
+# V_i was an orthonormal basis of the range of the D x D operator R(e^i_00),
+# and W_{i,p} = R(e^i_0p) V_i; the closed form reads both off N's blocks.
+
+
+def oracle_isometries(bc):
+    """The W_i through D x D right operators and D-row SVDs."""
+    out = []
+    for units in bc.sub_wedd.units:
+        v = linalg.orthonormal_columns(bc.amb.right_op(units[0][0]))
+        out.append(np.concatenate([bc.amb.right_op(u) @ v for u in units[0]], axis=1))
+    return out
+
+
+def _rotated_pair():
+    rng = linalg.rng_from_seed(8)
+    return models.explicit_pair((1, 2), [[1, 1], [1, 0]], unitaries=[linalg.random_unitary(n, rng) for n in (3, 1)])
+
+
+ISOMETRY_MODELS = [
+    ("diag-in-m3", lambda: models.diagonal_in_matrix(3)),
+    ("c+m2-in-m3", lambda: models.explicit_pair((1, 2), [[1], [1]])),
+    ("m2-in-m2+m2", lambda: models.explicit_pair((2,), [[1, 1]])),
+    ("c+m2-in-m3+c-rotated", _rotated_pair),
+    ("z4-over-z2-span", lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0, 2])),
+]
+
+
+def check_isometries(sub):
+    bc = BasicConstruction(sub)
+    wd, ref = bc.m1_wedd, oracle_isometries(bc)
+    assert wd.block_dims == tuple(r.shape[1] // m for r, m in zip(ref, wd.mults))
+    for w, r in zip(wd.isometries, ref):
+        assert w.shape == r.shape
+        assert np.abs(w @ w.conj().T - r @ r.conj().T).max() <= 1e-12
+        assert np.abs(w.conj().T @ w - np.eye(w.shape[1])).max() <= 1e-12
+
+
+@pytest.mark.parametrize("build", [b for _, b in ISOMETRY_MODELS], ids=[n for n, _ in ISOMETRY_MODELS])
+def test_closed_form_isometries_match_right_operator_oracle(build):
+    check_isometries(build().sub)
+
+
+@settings(max_examples=25)
+@given(connected_pairs())
+def test_drawn_inclusions_isometries_match_right_operator_oracle(mp):
+    check_isometries(mp.sub)
+
+
+@pytest.mark.parametrize("build", [b for _, b in ISOMETRY_MODELS], ids=[n for n, _ in ISOMETRY_MODELS])
+def test_apply_to_one_matches_pushdown(build):
+    # x = v 1^ read off v's blocks, against the D x D route through pushdown
+    bc = BasicConstruction(build().sub)
+    wd = bc.m1_wedd
+    e_abs = wd.to_abstract(bc.e1)
+    one = bc.amb.vec(bc.amb.identity())[:, None]
+    rng = linalg.rng_from_seed(6)
+    for _ in range(3):
+        blocks = [(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) @ e for k, e in zip(wd.block_dims, e_abs)]
+        assert max(linalg.operator_norm(c @ e - c) for c, e in zip(blocks, e_abs)) <= 1e-12
+        got = bc.amb.unvec(wd.apply(blocks, one)[:, 0])
+        want = bc.pushdown(wd.from_abstract(blocks))
+        assert max(np.abs(a - b).max() for a, b in zip(got.blocks, want.blocks)) <= 1e-12
+
+
+def test_m1_and_support_construction_form_no_gns_operators(monkeypatch):
+    # M1's isometries take n_j-square SVDs only; the construction pushes down
+    # from M1's blocks, so its D-row SVDs are f's norm, f's idempotency and
+    # support_match, whatever the size of the family
+    bc = BasicConstruction(models.diagonal_in_matrix(3).sub)
+    d, rows, svd = bc.gns_dim, [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        rows.append(np.shape(a)[-2])
+        return svd(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no D x D right operator and no pushdown")
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(MultiMatrixAlgebra, "right_op", forbidden)
+    monkeypatch.setattr(BasicConstruction, "pushdown", forbidden)
+    bc.m1_wedd
+    assert rows and d not in rows
+    for f, size in ((bc.e1, 1), (np.eye(d), 3)):
+        rows.clear()
+        assert construct_system_with_support(f, bc).size == size
+        assert rows.count(d) == 3
+
+
+@pytest.mark.parametrize("mode", ["general", "orthogonal", "orthonormal-padded"])
+@pytest.mark.parametrize("build", [b for _, b in ISOMETRY_MODELS], ids=[n for n, _ in ISOMETRY_MODELS])
+def test_support_match_on_e1_one_and_central_projections(build, mode):
+    bc = BasicConstruction(build().sub)
+    supports = [bc.e1, np.eye(bc.gns_dim)] + [w @ w.conj().T for w in bc.m1_wedd.isometries]
+    built = 0
+    for f in supports:
+        try:
+            sys = construct_system_with_support(f, bc, mode=mode)
+        except InfeasibleSupport:
+            assert mode == "orthonormal-padded"  # one padding count must fit every block
+            continue
+        assert sys.flags["system"]
+        assert sys.residuals["support_match"] <= 1e-12
+        built += 1
+    assert built == len(supports) or (mode == "orthonormal-padded" and built >= 1)  # e1 always fits
 
 
 def _random_m1(bc, rng):

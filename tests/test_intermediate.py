@@ -28,7 +28,7 @@ def test_intermediate_projection_dominates_e1():
     q = models.masa_quadruple()
     bc = BasicConstruction(q.n_sub)
     ep = intermediate_projection(q.p_sub, bc)
-    assert linalg.is_projection_matrix(ep, tol=1e-10)
+    assert max(linalg.projection_residuals(ep)) <= 1e-10
     assert linalg.rank(ep) == q.p_sub.dim
     assert linalg.operator_norm(ep @ bc.e1 - bc.e1) < 1e-10
 

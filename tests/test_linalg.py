@@ -81,14 +81,14 @@ def test_block_diag_shapes_and_content():
 
 def test_projection_predicates():
     p = np.diag([1.0, 1.0, 0.0])
-    assert linalg.is_projection_matrix(p)
     r1, r2 = linalg.projection_residuals(p)
     assert r1 == 0.0 and r2 == 0.0
-    # a non-idempotent hermitian matrix fails
-    assert not linalg.is_projection_matrix(np.diag([0.5, 1.0, 0.0]))
-    # a non-selfadjoint idempotent fails
-    q = np.array([[1.0, 1.0], [0.0, 0.0]])
-    assert not linalg.is_projection_matrix(q)
+    # a non-idempotent hermitian matrix fails the first test only
+    r1, r2 = linalg.projection_residuals(np.diag([0.5, 1.0, 0.0]))
+    assert r1 == 0.25 and r2 == 0.0
+    # a non-selfadjoint idempotent fails the second test only
+    r1, r2 = linalg.projection_residuals(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    assert r1 == 0.0 and r2 > 0.5
 
 
 def test_projection_residuals_of_a_stack_are_its_largest_block_residuals():

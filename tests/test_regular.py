@@ -716,7 +716,7 @@ def test_crossed_product_action_check_matches_compose():
             CrossedProductModel(base, group, autos)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, "1e-8", None, True, [1e-8]])
 def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
     # nan once ended as "candidate 0 is not unitary"; inf would pass every flag
     mp = models.crossed_product_diag(2)
@@ -729,3 +729,21 @@ def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
     ):
         with pytest.raises(InvalidInput, match="tol must be finite and positive, got"):
             call()
+
+
+def test_pipeline_takes_no_norm_of_a_projection(monkeypatch):
+    # when the cosets do not fill M, the e_P test is scaled by 2 = 1 + ||e_P||
+    mp = models.diagonal_in_matrix(4)
+    d, seen, norm = mp.ambient.gns_dim, [], linalg.operator_norm
+
+    def spy(a):
+        a = np.asarray(a)
+        if a.shape == (d, d):
+            idem, adj = np.abs(a @ a - a).max(), np.abs(a - a.conj().T).max()
+            seen.append(idem <= 1e-9 and adj <= 1e-9 and np.trace(a).real >= 0.5)
+        return norm(a)
+
+    monkeypatch.setattr(linalg, "operator_norm", spy)
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates[:2])
+    assert rep.issues == ("IncompleteCosets",)
+    assert seen and not any(seen)

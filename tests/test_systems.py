@@ -23,7 +23,7 @@ from ppbasis.errors import (
     NotASystem,
 )
 from ppbasis.regular import GroupTable
-from ppbasis.systems import _gram_residuals, require_basis, support_operator
+from ppbasis.systems import _gram_residuals, require_basis
 from test_closure import connected_pairs
 
 
@@ -82,14 +82,6 @@ def test_gram_matrix_entries_live_in_sub():
         gram_matrix(elems, mp.sub, side="middle")
 
 
-def test_support_operator_warns_on_non_system():
-    amb, scal = scalars_in_m2()
-    bc = BasicConstruction(scal)
-    x = amb.element([np.array([[1.0, 0], [0, 0]], dtype=complex)])
-    with pytest.warns(UserWarning):
-        support_operator([x], bc)
-
-
 def test_construct_with_support_e1():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
@@ -145,7 +137,8 @@ def test_construct_padded_infeasible_reports_deficits():
     # one central summand of M1 needs two steps, the other can't fill them
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
-    z0 = bc.m1_wedd.central_projections[0]
+    w0 = bc.m1_wedd.isometries[0]
+    z0 = w0 @ w0.conj().T
     with pytest.raises(InfeasibleSupport) as ei:
         construct_system_with_support(z0, bc, mode="orthonormal-padded")
     deficits = ei.value.deficits
@@ -427,9 +420,10 @@ def test_require_basis_reports_the_first_failed_check():
     assert max(full.residuals["right_support_target"], full.residuals["left_support_target"]) < 1e-12
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, "1e-8", None, True, [1e-8]])
 def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
-    # inf would pass every flag and nan fail every one
+    # inf would pass every flag and nan fail every one; a string once escaped as a
+    # TypeError, and True passed as 1.0
     amb, scal = scalars_in_m2()
     bc = BasicConstruction(scal)
     basis = scalar_basis(amb)
@@ -442,6 +436,7 @@ def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
     ):
         with pytest.raises(InvalidInput, match="tol must be finite and positive, got"):
             call()
+    assert classify(basis, scal, tol=np.float64(1e-8)).flags["basis"]  # a numpy float is a real number
 
 
 # -- n^2-product oracle ------------------------------------------------------
