@@ -340,8 +340,7 @@ class Subalgebra:
         keeps the images of the matrix units of ``source`` as its Wedderburn data."""
         units = [[[embed(source.unit(i, p, q)) for q in range(m)] for p in range(m)] for i, m in enumerate(source.dims)]
         sub = cls.span(ambient, [x for block in units for row in block for x in row], check=False)
-        centrals = [ambient.unvec(sum(u[p][p].vec() for p in range(len(u)))) for u in units]
-        sub._units = WedderburnData(sub, source.dims, [u[0][0].trace().real for u in units], units, centrals)
+        sub._units = WedderburnData(sub, source.dims, [u[0][0].trace().real for u in units], units)
         return sub
 
     @classmethod
@@ -441,7 +440,7 @@ def _closed_form(wd, join):
     = e^i_pq f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j; their
     sums over p = q, the f_ab, those of the block M_{Lambda_ij} of N' cap M, of trace m_i t_j."""
     amb = wd.subalgebra.ambient
-    traces, units, centrals = [], [], []
+    traces, units = [], []
     for m, e in zip(wd.block_dims, wd.units):
         for j, t in enumerate(amb.trace_vector):
             v = linalg.orthonormal_columns(e[0][0].blocks[j])
@@ -451,12 +450,11 @@ def _closed_form(wd, join):
             f = np.einsum("pxa,qyb->paqbxy", w, w.conj())
             f = f.reshape(m * v.shape[1], m * v.shape[1], *f.shape[-2:]) if join else np.einsum("papbxy->abxy", f)
             units.append([[_in_block(amb, j, x) for x in row] for row in f])
-            centrals.append(_in_block(amb, j, np.einsum("aaxy->xy", f)))
             traces.append(t if join else m * t)
     # the units scaled by 1/sqrt(trace) are orthonormal
     mat = np.stack([x.vec() / np.sqrt(t) for t, block in zip(traces, units) for row in block for x in row], axis=1)
     sub = Subalgebra(amb, mat)
-    sub._units = WedderburnData(sub, [len(u) for u in units], traces, units, centrals)
+    sub._units = WedderburnData(sub, [len(u) for u in units], traces, units)
     return sub._units
 
 
@@ -471,20 +469,19 @@ def join_wedderburn(wd):
 
 
 class WedderburnData:
-    """Block structure of a subalgebra: central projections and matrix units.
+    """Block structure of a subalgebra: its block dims and matrix units.
 
-    ``units[b][p][q]`` are elements of the ambient algebra satisfying the
-    matrix-unit relations inside block b; ``block_traces[b]`` is the ambient
-    trace of a minimal projection of that block, so the abstract copy carries
-    the restricted trace; the columns of ``unit_mat`` are the units' GNS coordinates.
+    ``units[b][p][q]`` are elements of the ambient algebra satisfying the matrix-unit
+    relations inside block b, with the units[b][p][p] summing to 1; ``block_traces[b]``
+    is the ambient trace of a minimal projection of that block, so the abstract copy
+    carries the restricted trace; the columns of ``unit_mat`` are the units' GNS coordinates.
     """
 
-    def __init__(self, subalgebra, block_dims, block_traces, units, central_projections):
+    def __init__(self, subalgebra, block_dims, block_traces, units):
         self.subalgebra = subalgebra
         self.block_dims = tuple(block_dims)
         self.block_traces = tuple(block_traces)
         self.units = units
-        self.central_projections = central_projections
         self.unit_mat = np.stack([x.vec() for block in units for row in block for x in row], axis=1)
         self._scale = np.repeat(self.block_traces, [d * d for d in self.block_dims])
         self._cuts = np.cumsum([d * d for d in self.block_dims])[:-1]
@@ -502,7 +499,7 @@ class WedderburnData:
 
     def to_abstract(self, x):
         """Coefficient blocks of ``x`` in the matrix-unit basis."""
-        return self.abstract_blocks(x.vec() @ self.unit_mat.conj())
+        return self.abstract_blocks((x.vec().conj() @ self.unit_mat).conj())
 
     def from_abstract(self, blocks):
         flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in blocks])
@@ -528,16 +525,14 @@ def _spectral_split(h):
     return [m for m, _ in clusters], [v for _, v in eigdata], np.split(member, np.cumsum(h.alg.dims)[:-1])
 
 
-def _unit_residual(sub, u, p):
-    """Largest GNS-norm residual of one block's matrix units u_pq: u_pq u_rs =
-    delta_qr u_ps (one batched product pass), u_p0* = u_0p, u_pq in the
-    subalgebra, and sum_p u_pp = p."""
-    d = len(u)
-    us = np.stack([x.vec() for row in u for x in row], axis=1)
-    want = np.einsum("qr,xps->xpqrs", np.eye(d), us.reshape(-1, d, d)).reshape(-1, d ** 4)
-    res = [sub.ambient.products(us, us) - want, (np.einsum("xpp->x", us.reshape(-1, d, d)) - p.vec())[:, None]]
-    adjoint = max((u[q][0].adjoint() - u[0][q]).norm() for q in range(d))
-    return max(adjoint, float(sub.residuals(us).max()), *(float(np.linalg.norm(r, axis=0).max()) for r in res))
+def _row_residual(sub, row, qs):
+    """Largest GNS-norm residual of row 0 of a block's matrix units, the partial
+    isometries w_p = u_0p: each w_p lies in the subalgebra, w_p w_p* = u_00 = q_0 and
+    w_p* w_p = q_p, the block's p-th minimal projection.  The units u_pq = w_p* w_q
+    then satisfy every matrix-unit relation, from 2d products instead of d^4."""
+    adj = [w.adjoint() for w in row]
+    res = [(w * a - qs[0]).norm() for w, a in zip(row, adj)] + [(a * w - q).norm() for w, a, q in zip(row, adj, qs)]
+    return max(float(sub.residuals(np.stack([w.vec() for w in row], axis=1)).max()), *res)
 
 
 def _random_combination(sub, rng, hermitian=True):
@@ -549,8 +544,9 @@ def _random_combination(sub, rng, hermitian=True):
 def _attempt_wedderburn(sub, rng):
     """One seeded pass: the spectral projections q_c of a random Hermitian h in A, and
     a random g in A, whose links q_a g q_c are nonzero exactly within a block.  Each q_c
-    joins the first block whose leader q_0 links to it, and the normalized links q_0 g q_c
-    are row 0 of the block's units.  A = C 1 draws no random numbers."""
+    joins the first block whose leader q_0 links to it; the normalized links q_0 g q_c are
+    row 0 of the block's units, checked before the u_pq = u_0p* u_0q are formed.  A = C 1
+    draws no random numbers."""
     amb = sub.ambient
     if sub.dim == 1:
         h = g = amb.identity()
@@ -581,17 +577,15 @@ def _attempt_wedderburn(sub, rng):
         for c in grp[1:]:
             w = row0[0] * g * qs[c]
             row0.append(w / np.sqrt((w * w.adjoint()).trace().real / row0[0].trace().real))
+        worst = _row_residual(sub, row0, [qs[c] for c in grp])
+        if worst > linalg.EPS_WEDD:
+            raise DegenerateSpectrum("matrix-unit relations violated (residual %.3g)" % worst)
         d = len(row0)
         units = [[row0[p].adjoint() * row0[q] for q in range(d)] for p in range(d)]
-        p = sum((qs[c] for c in grp[1:]), qs[grp[0]])
-        blocks.append({"mean": means[grp[0]], "d": d, "t": units[0][0].trace().real, "units": units, "p": p})
+        blocks.append({"mean": means[grp[0]], "d": d, "t": units[0][0].trace().real, "units": units})
     # deterministic ordering independent of the random eigenvalues where possible
     blocks.sort(key=lambda b: (b["d"], round(b["t"], 9), b["mean"]))
-    # verify the matrix-unit relations before accepting the attempt
-    worst = max(_unit_residual(sub, b["units"], b["p"]) for b in blocks)
-    if worst > linalg.EPS_WEDD:
-        raise DegenerateSpectrum("matrix-unit relations violated (residual %.3g)" % worst)
-    return WedderburnData(sub, *([b[key] for b in blocks] for key in ("d", "t", "units", "p")))
+    return WedderburnData(sub, *([b[key] for b in blocks] for key in ("d", "t", "units")))
 
 
 def wedderburn(sub, seed=0):
@@ -601,8 +595,8 @@ def wedderburn(sub, seed=0):
     of one random Hermitian element, and one random element links those of a
     block (Murota, Kanno, Kojima and Kojima, JJIAM 27, 2010).  An attempt is
     accepted when each projection lies in the subalgebra, the block dims give
-    sum d^2 = dim and the matrix-unit relations hold, all to EPS_WEDD;
-    WEDD_TRIES seeds before DegenerateSpectrum.
+    sum d^2 = dim and each block's row 0 passes ``_row_residual``, all to
+    EPS_WEDD; WEDD_TRIES seeds before DegenerateSpectrum.
     """
     last = None
     for attempt in range(linalg.WEDD_TRIES):

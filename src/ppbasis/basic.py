@@ -232,6 +232,7 @@ class WatataniData:
 
 def watatani_index(elements, tol=linalg.EPS_FLAG):
     """Sum of lambda_i lambda_i* with centrality and scalarity flags."""
+    linalg.check_tol(tol)
     if not elements:
         raise InvalidInput("need at least one element")
     alg = elements[0].alg

@@ -18,6 +18,7 @@ from .systems import _Family, require_basis
 
 def check_intermediate(sub, mid, tol=EPS_FLAG):
     """Verify N <= P inside the common ambient algebra; returns the residual."""
+    linalg.check_tol(tol)
     if mid.ambient is not sub.ambient:
         raise InvalidInput("subalgebras live in different ambient algebras")
     res = float(mid.residuals(sub.mat).max())
@@ -68,6 +69,7 @@ def is_commuting_square(n_sub, p_sub, q_sub, tol=EPS_REL):
     GNS norm of a column of (e_P e_Q - e_N) U or (e_Q e_P - e_N) U, where the
     columns of U are the units' coordinates; returns (flag, worst residual).
     """
+    linalg.check_tol(tol)
     amb = p_sub.ambient
     if q_sub.ambient is not amb or n_sub.ambient is not amb:
         raise InvalidInput("subalgebras live in different ambient algebras")

@@ -247,6 +247,7 @@ def normalizer_residual(u, sub):
 
 
 def check_normalizer(u, sub, tol=EPS_FLAG):
+    linalg.check_tol(tol)
     if not u.is_unitary(tol):
         raise NotUnitary("normalizer candidate is not unitary")
     return normalizer_residual(u, sub) <= tol
@@ -254,6 +255,7 @@ def check_normalizer(u, sub, tol=EPS_FLAG):
 
 def coset_distinct(u, v, r_sub, tol=EPS_FLAG):
     """Whether u, v fall in distinct cosets: E_R(u v*) must vanish."""
+    linalg.check_tol(tol)
     return r_sub.expect(u * v.adjoint()).norm() <= tol
 
 

@@ -7,8 +7,9 @@ closure, the product pass they replaced, the closure itself and the nullspace
 of ``relative_commutant``; the batched commutator stack of
 ``relative_commutant`` against the per-element GNS operators it replaced; and
 the matrix units a model-built N keeps against ``wedderburn`` of a span-only
-copy at seeds 0-4.  All run on the benchmark's pipeline models and on drawn
-explicit inclusions.
+copy at seeds 0-4, whose row-0 unit check meets the d^4 loop it replaced.  All
+run on the benchmark's pipeline models and on drawn explicit inclusions; the
+draws also check rank e1 = dim N and the Perron residual of ``markov_trace``.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from ppbasis import (
     Automorphism,
+    BasicConstruction,
     CrossedProductModel,
     GroupTable,
     MultiMatrixAlgebra,
@@ -32,6 +34,7 @@ from ppbasis import (
 )
 from ppbasis.algebra import commutant_wedderburn
 from ppbasis.errors import AlgebraError, NonConnected
+from test_algebra import check_row_residual
 
 TOL = 1e-12
 
@@ -88,14 +91,13 @@ def projection_gap(a, b):
 
 
 def check_matrix_units(wd):
-    """Matrix-unit relations, block traces and central projections of ``wd``
-    within 1e-12; every unit lies in the subalgebra."""
+    """Matrix-unit relations and block traces of ``wd`` within 1e-12, with the
+    u_pp of all blocks summing to 1; every unit lies in the subalgebra."""
     amb = wd.subalgebra.ambient
     unit_sum = amb.zero()
-    for d, t, units, z in zip(wd.block_dims, wd.block_traces, wd.units, wd.central_projections):
-        block_sum = amb.zero()
+    for d, t, units in zip(wd.block_dims, wd.block_traces, wd.units):
         for p in range(d):
-            block_sum = block_sum + units[p][p]
+            unit_sum = unit_sum + units[p][p]
             assert abs(units[p][p].trace().real - t) <= TOL
             for q in range(d):
                 assert (units[p][q].adjoint() - units[q][p]).norm() <= TOL
@@ -104,8 +106,6 @@ def check_matrix_units(wd):
                         want = units[p][s] if q == r else amb.zero()
                         assert (units[p][q] * units[r][s] - want).norm() <= TOL
                 assert wd.subalgebra.residual(units[p][q]) <= TOL
-        assert (block_sum - z).norm() <= TOL
-        unit_sum = unit_sum + z
     assert (unit_sum - amb.identity()).norm() <= TOL
 
 
@@ -134,12 +134,14 @@ def _pipeline_numbers(sub, candidates, seed):
 def check_seeded_units(sub, candidates=(), seed=0):
     """The units N keeps against ``wedderburn`` of a span-only copy at ``seed``: the
     same (block dim, trace) multiset, valid units, the same inclusion matrix up to
-    block order and the same pipeline verdict."""
+    block order and the same pipeline verdict; the copy's row-0 check against the
+    d^4 oracle (``check_row_residual``)."""
     wd = sub.wedderburn_data(seed)
     if sub._units is not None:
         assert sub.wedderburn_data(seed + 3) is wd
     copy = Subalgebra(sub.ambient, sub.mat)
     ref = wedderburn(copy, seed=seed)
+    check_row_residual(copy, ref, sub.ambient.random_element(linalg.rng_from_seed(seed)))
     got, want = sorted(zip(wd.block_dims, wd.block_traces)), sorted(zip(ref.block_dims, ref.block_traces))
     assert [d for d, _ in got] == [d for d, _ in want]
     assert max(abs(t - u) for (_, t), (_, u) in zip(got, want)) <= TOL
@@ -320,3 +322,14 @@ def test_drawn_seeded_units_match_wedderburn(mp):
     for seed in range(5):
         check_seeded_units(mp.sub, seed=seed)
     assert projection_gap(relative_commutant(mp.sub), relative_commutant_oracle(mp.sub)) <= TOL
+
+
+@settings(max_examples=25)
+@given(connected_pairs())
+def test_drawn_e1_rank_and_perron_residual(mp):
+    # rank e1 = dim N, and the Markov trace solves Lambda^T Lambda t = beta t to EPS_REL beta
+    wd = mp.sub.wedderburn_data()
+    assert linalg.rank(BasicConstruction(mp.sub).e1) == mp.sub.dim
+    lam = inclusion_matrix(wd)
+    md = markov_trace(lam, wd.block_dims)
+    assert np.linalg.norm(lam.T @ lam @ md.trace_amb - md.beta * md.trace_amb) <= linalg.EPS_REL * md.beta

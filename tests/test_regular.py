@@ -718,7 +718,8 @@ def test_crossed_product_action_check_matches_compose():
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, "1e-8", None, True, [1e-8]])
 def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
-    # nan once ended as "candidate 0 is not unitary"; inf would pass every flag
+    # nan once ended as "candidate 0 is not unitary", also in check_normalizer;
+    # inf would pass every flag, and passed check_normalizer and coset_distinct
     mp = models.crossed_product_diag(2)
     reps, one = tuple(mp.candidates), mp.ambient.identity()
     for call in (
@@ -726,6 +727,8 @@ def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
         lambda: coset_system(reps, mp.sub, mp.sub, tol=tol),
         lambda: patch_bases([one], reps, mp.sub, mp.sub, tol=tol),
         lambda: patch_bases([one], reps, mp.sub, mp.sub, tol=tol, check=False),
+        lambda: check_normalizer(reps[1], mp.sub, tol=tol),
+        lambda: coset_distinct(reps[0], reps[1], mp.sub, tol=tol),
     ):
         with pytest.raises(InvalidInput, match="tol must be finite and positive, got"):
             call()

@@ -6,12 +6,16 @@ from ppbasis import (
     BasicConstruction,
     MultiMatrixAlgebra,
     Subalgebra,
+    check_intermediate,
     classify,
     complete_to_basis,
     construct_system_with_support,
     gram_matrix,
     interchange_operator,
+    intermediate_projection,
+    is_commuting_square,
     scalar_basis,
+    watatani_index,
 )
 from ppbasis import linalg, models
 from ppbasis.algebra import join_wedderburn
@@ -423,7 +427,8 @@ def test_require_basis_reports_the_first_failed_check():
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, "1e-8", None, True, [1e-8]])
 def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
     # inf would pass every flag and nan fail every one; a string once escaped as a
-    # TypeError, and True passed as 1.0
+    # TypeError, and True passed as 1.0.  With nan, watatani_index once reported a
+    # non-central index and check_intermediate passed
     amb, scal = scalars_in_m2()
     bc = BasicConstruction(scal)
     basis = scalar_basis(amb)
@@ -433,6 +438,10 @@ def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
         lambda: require_basis(basis, scal, scal, tol=tol),
         lambda: construct_system_with_support(bc.e1, bc, tol=tol),
         lambda: complete_to_basis(start, bc, tol=tol),
+        lambda: watatani_index(basis, tol=tol),
+        lambda: is_commuting_square(scal, scal, scal, tol=tol),
+        lambda: check_intermediate(scal, scal, tol=tol),
+        lambda: intermediate_projection(scal, bc, tol=tol),
     ):
         with pytest.raises(InvalidInput, match="tol must be finite and positive, got"):
             call()
