@@ -101,12 +101,7 @@ class MultiMatrixAlgebra:
 
     def units(self):
         """All matrix units, ordered by (block, row, column)."""
-        out = []
-        for b, n in enumerate(self.dims):
-            for p in range(n):
-                for q in range(n):
-                    out.append(self.unit(b, p, q))
-        return out
+        return [self.unit(b, p, q) for b, n in enumerate(self.dims) for p in range(n) for q in range(n)]
 
     def random_element(self, rng, hermitian=False):
         blocks = []
@@ -204,7 +199,7 @@ class AlgebraElement:
 
     def op_norm(self):
         """Largest block norm, from one stacked ``operator_norm`` call per block size."""
-        return max(linalg.operator_norm(np.stack([b for b in self.blocks if len(b) == n])) for n in set(self.alg.dims))
+        return max(linalg.operator_norm(s) for s in linalg.stacks(self.blocks))
 
     def vec(self):
         return self.alg.vec(self)
@@ -290,17 +285,9 @@ class UnitalEmbedding:
 
     def apply(self, x):
         blocks = []
-        for j, n in enumerate(self.target.dims):
-            parts = []
-            for i in range(self.source.nblocks):
-                mult = self.inclusion[i, j]
-                if mult > 0:
-                    parts.append(np.kron(np.eye(mult), x.blocks[i]))
-            blk = linalg.block_diag(parts)
-            if self.block_unitaries is not None:
-                u = self.block_unitaries[j]
-                blk = u @ blk @ u.conj().T
-            blocks.append(blk)
+        for j, u in enumerate(self.block_unitaries or [None] * self.target.nblocks):
+            blk = linalg.block_diag([x.blocks[i] for i, mult in enumerate(self.inclusion[:, j]) for _ in range(mult)])
+            blocks.append(blk if u is None else u @ blk @ u.conj().T)
         return AlgebraElement(self.target, blocks)
 
     def image(self):
@@ -323,6 +310,7 @@ class Subalgebra:
         self._projection = None
         self._wedderburn = None
         self._units = None
+        self._m1 = None  # M1's block data over this subalgebra (basic.m1_wedderburn)
 
     @classmethod
     def span(cls, ambient, elements, check=True):
@@ -407,7 +395,7 @@ class Subalgebra:
 
     def residuals(self, cols):
         """GNS distances to the subalgebra of the elements whose coordinates are the columns of ``cols``."""
-        return np.linalg.norm(cols - self.mat @ (self.mat.conj().T @ cols), axis=0)
+        return np.linalg.norm(cols - self.mat @ (cols.conj().T @ self.mat).conj().T, axis=0)
 
     def residual(self, x):
         return float(self.residuals(self.ambient.vec(x)[:, None])[0])
@@ -438,7 +426,10 @@ def _closed_form(wd, join):
     (Goodman, de la Harpe and Jones).  For N's block i and M's block j, with v_a an
     orthonormal basis of the range of e^i_00 in block j, the (e^i_p0 v_a)(e^i_q0 v_b)*
     = e^i_pq f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j; their
-    sums over p = q, the f_ab, those of the block M_{Lambda_ij} of N' cap M, of trace m_i t_j."""
+    sums over p = q, the f_ab, those of the block M_{Lambda_ij} of N' cap M, of trace m_i t_j.
+    Each is built once per ``wd`` and kept on it, so what is kept on R (M1's blocks) is built once too."""
+    if join in wd._closed:
+        return wd._closed[join]
     amb = wd.subalgebra.ambient
     traces, units = [], []
     for m, e in zip(wd.block_dims, wd.units):
@@ -454,7 +445,7 @@ def _closed_form(wd, join):
     # the units scaled by 1/sqrt(trace) are orthonormal
     mat = np.stack([x.vec() / np.sqrt(t) for t, block in zip(traces, units) for row in block for x in row], axis=1)
     sub = Subalgebra(amb, mat)
-    sub._units = WedderburnData(sub, [len(u) for u in units], traces, units)
+    sub._units = wd._closed[join] = WedderburnData(sub, [len(u) for u in units], traces, units)
     return sub._units
 
 
@@ -485,6 +476,7 @@ class WedderburnData:
         self.unit_mat = np.stack([x.vec() for block in units for row in block for x in row], axis=1)
         self._scale = np.repeat(self.block_traces, [d * d for d in self.block_dims])
         self._cuts = np.cumsum([d * d for d in self.block_dims])[:-1]
+        self._closed = {}  # N' cap M and R, read off these units by _closed_form
 
     def abstract(self):
         # renormalize away float drift so the trace-sum check stays exact

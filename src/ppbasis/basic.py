@@ -3,10 +3,10 @@
 For N inside M acting on the GNS space L2(M) of dimension D, e1 is the
 orthogonal projection onto the closure of N, and M1 = <M, e1> is the
 commutant of the right action R of N (Jones: M1 = J N' J).  Members of M1
-are plain D x D arrays over the GNS coordinates, or their abstract blocks.
+are their abstract blocks, or plain D x D arrays over the GNS coordinates.
 
-Only e1 is computed eagerly.  On first use M1 is read off N's matrix units
-e^i_{pq} in closed form, with no nullspace and no D x D operator.  On block j
+Only e1 is computed eagerly.  M1 is read off N's matrix units e^i_{pq} in
+closed form once per N (``m1_wedderburn``), with no D x D operator.  On block j
 of M, R(e^i_{00}) is 1_{n_j} (x) conj(e^i_{00}), so the isometry V_i onto its
 range is 1_{n_j} (x) conj(v_j) for an orthonormal basis v_j of the range of
 block j of e^i_{00}; W_{i,p} = R(e^i_{0p}) V_i, and M1 = {sum_{i,p} W_{i,p} C_i
@@ -14,7 +14,9 @@ W_{i,p}^*}.  So M1 is the direct sum of M_{(Lambda n)_i}, block i sits over N's
 block i, and an element of M1 given by its blocks C_i acts on columns through
 the W's (``M1Wedderburn.apply``).  A Pimsner-Popa element v = L_x e1 is pushed
 down as x = v 1^ (Pimsner and Popa), so the support construction reads each x
-off v's blocks.  The D^2-row Subalgebra ``m1`` is built only when a caller reads it.
+off v's blocks, and a projection cols cols^* in M1 has blocks read off row 0
+(``M1Wedderburn.outer_blocks``).  The D^2-row Subalgebra ``m1`` is built only
+when a caller reads it.
 
 The Markov extension is a closed form in M1's central projections W_i W_i^*:
 tr2 = Tr(. Z) with Z = sum_i (trace_sub[i] / (beta m_i)) W_i W_i^*, and the
@@ -82,7 +84,6 @@ class BasicConstruction:
         self.amb = sub.ambient
         self.seed = seed
         self.e1 = sub.projection_matrix()
-        self._m1_wedd = None
         self._identity_vec = self.amb.vec(self.amb.identity())
 
     @property
@@ -96,9 +97,7 @@ class BasicConstruction:
 
     @property
     def m1_wedd(self):
-        if self._m1_wedd is None:
-            self._m1_wedd = M1Wedderburn(self.sub_wedd)
-        return self._m1_wedd
+        return m1_wedderburn(self.sub, self.seed)
 
     @functools.cached_property
     def m1(self):
@@ -132,6 +131,20 @@ class BasicConstruction:
         return M1Trace(self, markov)
 
 
+def m1_wedderburn(sub, seed=0):
+    """M1's block data over N, built from ``sub.wedderburn_data(seed)`` once and kept on N."""
+    if sub._m1 is None:
+        sub._m1 = M1Wedderburn(sub.wedderburn_data(seed))
+    return sub._m1
+
+
+def _kron_eye(n, v):
+    """1_n (x) v, without np.kron's overhead."""
+    out = np.zeros((n, v.shape[0], n, v.shape[1]), dtype=complex)
+    out[np.arange(n), :, np.arange(n)] = v
+    return out.reshape(n * v.shape[0], -1)
+
+
 class M1Wedderburn:
     """Block structure of M1 read off N's matrix units; block i sits over N's block i.
 
@@ -145,14 +158,24 @@ class M1Wedderburn:
 
     def __init__(self, sub_wedd):
         amb = sub_wedd.subalgebra.ambient
-        self.gns_dim = amb.gns_dim
-        self.isometries = []
-        for units in sub_wedd.units:
-            ranges = [linalg.orthonormal_columns(b) for b in units[0][0].blocks]  # n_j-square SVDs
-            v = linalg.block_diag([np.kron(np.eye(n), r.conj()) for n, r in zip(amb.dims, ranges)])
-            self.isometries.append(np.concatenate([amb.products(v, u.vec()[:, None]) for u in units[0]], axis=1))
-        self.mults = tuple(sub_wedd.block_dims)
-        self.block_dims = tuple(w.shape[1] // m for w, m in zip(self.isometries, self.mults))
+        self.gns_dim, self.mults, self._amb = amb.gns_dim, tuple(sub_wedd.block_dims), amb
+        self._rows = [units[0] for units in sub_wedd.units]
+        parts = [[] for _ in self._rows]
+        for j, n in enumerate(amb.dims):  # v_j for every e^i_00 from one eigh call per block of M
+            vals, vecs = linalg.eigh(np.stack([row[0].blocks[j] for row in self._rows]))
+            for i, v in enumerate(parts):
+                v.append(_kron_eye(n, vecs[i][:, vals[i] > 0.5].conj()))
+        self._v = [linalg.block_diag(v) for v in parts]  # V_i = W_{i,0}
+        self.block_dims = tuple(v.shape[1] for v in self._v)
+        # the V_i^* stacked by block size, so that blocks of one size come from one batched product
+        self._sizes = [(k, [i for i, d in enumerate(self.block_dims) if d == k]) for k in sorted(set(self.block_dims))]
+        self._row0h = np.concatenate([self._v[i] for _, grp in self._sizes for i in grp], axis=1).conj().T
+
+    @functools.cached_property
+    def isometries(self):
+        """The [W_{i,0}, ..., W_{i,m_i-1}], built on first use: ``outer_blocks`` reads only the V_i."""
+        return [np.concatenate([self._amb.products(v, u.vec()[:, None]) for u in row], axis=1)
+                for v, row in zip(self._v, self._rows)]
 
     def to_abstract(self, t):
         """Blocks C_i = (1/m_i) sum_p W_{i,p}^* T W_{i,p} of an operator T."""
@@ -162,22 +185,37 @@ class M1Wedderburn:
             out.append(np.einsum("papb->ab", s) / m)
         return out
 
+    def outer_blocks(self, cols):
+        """Blocks C_i = W_{i,0}^* cols cols^* W_{i,0} of cols cols^*, which must lie in M1:
+        a support W W^*, e1 (cols = N's basis) or e_P for P >= N (cols = P's basis)."""
+        rows, out, lo = self._row0h @ cols, [None] * len(self.block_dims), 0
+        for k, grp in self._sizes:
+            r = rows[lo:lo + k * len(grp)].reshape(len(grp), k, -1)
+            lo += k * len(grp)
+            for i, c in zip(grp, r @ r.conj().transpose(0, 2, 1)):
+                out[i] = c
+        return out
+
+    def _checked(self, blocks):
+        shapes = [np.shape(c) for c in blocks]
+        if shapes != [(k, k) for k in self.block_dims]:
+            raise InvalidInput("abstract blocks have the wrong shapes")
+        return [np.asarray(c, dtype=complex) for c in blocks]
+
     def apply(self, blocks, cols):
         """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols: the element of M1 with abstract blocks C_i
         applied to the columns of ``cols``, without forming it."""
-        if len(blocks) != len(self.block_dims):
-            raise InvalidInput("abstract blocks have the wrong shapes")
         out = np.zeros(cols.shape, dtype=complex)
-        for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, blocks):
-            c = np.asarray(c, dtype=complex)
-            if c.shape != (k, k):
-                raise InvalidInput("abstract blocks have the wrong shapes")
+        for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, self._checked(blocks)):
             out += w @ (c @ (w.conj().T @ cols).reshape(m, k, -1)).reshape(m * k, -1)
         return out
 
     def from_abstract(self, blocks):
-        """The D x D operator sum_{i,p} W_{i,p} C_i W_{i,p}^* of M1."""
-        return self.apply(blocks, np.eye(self.gns_dim))
+        """The D x D operator sum_i W_i (1_{m_i} (x) C_i) W_i^* of M1."""
+        out = np.zeros((self.gns_dim, self.gns_dim), dtype=complex)
+        for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, self._checked(blocks)):
+            out += (w.reshape(-1, m, k) @ c).reshape(-1, m * k) @ w.conj().T
+        return out
 
     def roundtrip_residual(self, t):
         """||T - E_M1(T)||_HS / sqrt(D), with E_M1(T) = from_abstract(to_abstract(T))."""

@@ -5,7 +5,7 @@ For bases (lambda_i) of P over N and (mu_j) of Q over N, the interchange
 operator is p = sum_ij L(lambda_i mu_j) e1 L(lambda_i mu_j)*.  It is a
 projection exactly when the two intermediate algebras commute in the right
 way; modular conjugation swaps the two arguments.  Each basis is checked by
-``systems.require_basis`` against e_P, after ``intermediate_projection``.
+``systems.require_basis`` against e_P, which also checks N <= P.
 """
 
 import numpy as np
@@ -13,18 +13,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInput, NotIntermediate
 from .linalg import EPS_FLAG, EPS_REL
-from .systems import _Family, require_basis
-
-
-def check_intermediate(sub, mid, tol=EPS_FLAG):
-    """Verify N <= P inside the common ambient algebra; returns the residual."""
-    linalg.check_tol(tol)
-    if mid.ambient is not sub.ambient:
-        raise InvalidInput("subalgebras live in different ambient algebras")
-    res = float(mid.residuals(sub.mat).max())
-    if res > tol:
-        raise NotIntermediate("containment fails with residual %.3g" % res)
-    return res
+from .systems import _Family, check_intermediate, require_basis
 
 
 def intermediate_projection(mid, bc, tol=EPS_FLAG):
@@ -39,16 +28,16 @@ def intermediate_projection(mid, bc, tol=EPS_FLAG):
 
 def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check=True):
     """p(P, Q) = sum_ij L(lambda_i) L(mu_j) e1 L(mu_j)* L(lambda_i)*, the right
-    support of the products lambda_i mu_j.
+    support of the products lambda_i mu_j, formed as a D x D array from its
+    blocks in M1.
 
     ``basis_p`` must be a right basis of P over N and ``basis_q`` one of Q
     over N; with ``check`` the basis property is verified first.
     """
     if check:
         for mid, basis, label in ((p_sub, basis_p, "first"), (q_sub, basis_q, "second")):
-            intermediate_projection(mid, bc, tol)
             require_basis(basis, bc.sub, mid, side="right", tol=tol, label=label)
-    return _Family([lam * mu for lam in basis_p for mu in basis_q], bc.sub, "right").support()
+    return bc.m1_wedd.from_abstract(_Family([lam * mu for lam in basis_p for mu in basis_q], bc.sub, "right").support())
 
 
 def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check=True):

@@ -41,6 +41,7 @@ def _typed(f):
 
 
 eigh = _typed(lambda h: np.linalg.eigh(h))
+eigvalsh = _typed(lambda h: np.linalg.eigvalsh(h))
 
 
 def check_tol(tol):
@@ -65,10 +66,9 @@ def operator_norm(a):
     return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
 
 
-@_typed
 def hermitian_norm(h):
     """Operator norm of a Hermitian matrix (or a stack of them), read off its eigenvalues."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(h)), initial=0.0))
+    return float(np.abs(eigvalsh(h)).max(initial=0.0))
 
 
 @_typed
@@ -155,6 +155,11 @@ def block_diag(blocks):
         r += b.shape[0]
         c += b.shape[1]
     return out
+
+
+def stacks(blocks):
+    """Square arrays stacked by size: one factorization per size reads their block-diagonal sum."""
+    return [np.array([b for b in blocks if len(b) == n]) for n in {len(b) for b in blocks}]  # faster than np.stack
 
 
 def projection_residuals(p):

@@ -49,10 +49,7 @@ def explicit_pair(dims, inclusion, trace="markov", unitaries=None, name="explici
 
 
 def _shift_matrix(k):
-    u = np.zeros((k, k))
-    for i in range(k):
-        u[(i + 1) % k, i] = 1.0
-    return u
+    return np.roll(np.eye(k), 1, axis=0)  # e_i -> e_{i+1 mod k}
 
 
 def scalar_in_full(n, trace=None):

@@ -43,12 +43,7 @@ class BratteliDiagram:
         self.inclusion = lam
         self.bottom_dims = tuple(int(x) for x in (lam.T @ np.asarray(m)))
         self.edges0 = [Edge0(i, a) for i in range(len(m)) for a in range(m[i])]
-        self.edges01 = [
-            Edge01(i, j, c)
-            for i in range(lam.shape[0])
-            for j in range(lam.shape[1])
-            for c in range(lam[i, j])
-        ]
+        self.edges01 = [Edge01(i, j, c) for (i, j), k in np.ndenumerate(lam) for c in range(k)]
         # full paths enumerated lexicographically within each bottom block
         self.paths = []
         self.block_paths = [[] for _ in self.bottom_dims]
@@ -108,11 +103,8 @@ class PathModel:
         """Embedded matrix unit of the middle algebra: sum over common extensions."""
         if th.block != tp.block:
             raise InvalidPathPair("middle paths end at different middle blocks")
-        acc = self.bottom.zero()
-        for kappa in self.diagram.edges01:
-            if kappa.source == th.block:
-                acc = acc + self.unit(Path(th, kappa), Path(tp, kappa))
-        return acc
+        ext = (self.unit(Path(th, k), Path(tp, k)) for k in self.diagram.edges01 if k.source == th.block)
+        return sum(ext, self.bottom.zero())
 
     def middle_subalgebra(self):
         """The middle algebra inside the bottom one; it keeps the middle units as its matrix units."""
@@ -141,15 +133,8 @@ class PathModel:
 
     def j_projection(self, block):
         """Averaged middle projection (1/m_p) sum of all middle units at p."""
-        m = self.diagram.middle_dims[block]
-        acc = self.bottom.zero()
-        for th in self.diagram.edges0:
-            if th.block != block:
-                continue
-            for tp in self.diagram.edges0:
-                if tp.block == block:
-                    acc = acc + self.middle_unit(th, tp)
-        return acc / m
+        ends = [th for th in self.diagram.edges0 if th.block == block]
+        return sum((self.middle_unit(th, tp) for th in ends for tp in ends), self.bottom.zero()) / len(ends)
 
     def orthogonal_system(self):
         """Path-indexed orthogonal system over the middle algebra.
@@ -158,17 +143,13 @@ class PathModel:
         full path with the same bottom block: the normalized sum over top
         extensions of kappa.  Returns (labels, elements).
         """
-        labels = []
-        elements = []
+        labels, elements = [], []
         for kappa in self.diagram.edges01:
             for beta in self.diagram.block_paths[kappa.target]:
-                acc = self.bottom.zero()
-                for th in self.diagram.edges0:
-                    if th.block == kappa.source:
-                        acc = acc + self.unit(Path(th, kappa), beta)
+                tops = (self.unit(Path(th, kappa), beta) for th in self.diagram.edges0 if th.block == kappa.source)
                 c = self.diagram.middle_dims[kappa.source] * self.t1[kappa.target] / self.t0[kappa.source]
                 labels.append((kappa, beta))
-                elements.append((c ** -0.5) * acc)
+                elements.append((c ** -0.5) * sum(tops, self.bottom.zero()))
         return labels, elements
 
 
@@ -177,10 +158,5 @@ def scalar_basis(alg):
 
     Size is the sum of squared block dims; ordered by (block, row, column).
     """
-    out = []
-    for j, n in enumerate(alg.dims):
-        s = 1.0 / np.sqrt(alg.trace_vector[j])
-        for p in range(n):
-            for q in range(n):
-                out.append(s * alg.unit(j, p, q))
-    return out
+    scales = 1.0 / np.sqrt(alg.trace_vector)
+    return [scales[j] * alg.unit(j, p, q) for j, n in enumerate(alg.dims) for p in range(n) for q in range(n)]

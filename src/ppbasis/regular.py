@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import MultiMatrixAlgebra, Subalgebra, commutant_wedderburn, inclusion_matrix, join_wedderburn
-from .basic import markov_trace, watatani_index
+from .basic import m1_wedderburn, markov_trace, watatani_index
 from .errors import (
     DegenerateCommutantModel,
     DuplicateCoset,
@@ -31,7 +31,7 @@ from .errors import (
     NotUnitary,
 )
 from .linalg import EPS_FLAG
-from .systems import _entry_norms, classify, require_basis
+from .systems import _entry_norms, _m1_norm, check_intermediate, classify, require_basis
 
 II1_NOTE = (
     "equality of beta with |reps| * dim(N' cap M) is the statement for regular "
@@ -79,15 +79,8 @@ class GroupTable:
     @classmethod
     def direct_product(cls, a, b):
         """Product group on pairs, ordered (g, h) -> g * len(b) + h."""
-        nb = len(b)
-        size = len(a) * nb
-        t = np.empty((size, size), dtype=int)
-        for x in range(size):
-            for y in range(size):
-                g = a.mult(x // nb, y // nb)
-                h = b.mult(x % nb, y % nb)
-                t[x, y] = g * nb + h
-        return cls(t)
+        t = a.table[:, None, :, None] * len(b) + b.table[None, :, None, :]  # t[g, h, g', h'] = (g g') len(b) + h h'
+        return cls(t.reshape(len(a) * len(b), -1))
 
     @classmethod
     def from_permutations(cls, perms):
@@ -164,10 +157,7 @@ class Automorphism:
 
     def distance(self, other):
         """Largest deviation on matrix units; zero iff equal as maps."""
-        worst = 0.0
-        for e in self.alg.units():
-            worst = max(worst, (self.apply(e) - other.apply(e)).norm())
-        return worst
+        return max((self.apply(e) - other.apply(e)).norm() for e in self.alg.units())
 
 
 class CrossedProductModel:
@@ -418,12 +408,13 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     orthonormal = sys_r.flags["system"] and sys_r.flags["orthonormal"] and sys_r.flags["orthonormal_over_n"]
     if len(reps) * r_alg.dim == amb.dim:
         # coset_system showed E_R(u_i u_j*) = 0: the R u_i are orthogonal, of dim R each, so they fill M and e_P = 1
-        ep_res, ep_scale = sys_r.residuals["right_support_identity"], 2.0
+        ep_res = sys_r.residuals["right_support_identity"]
     else:
-        ep = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps)).projection_matrix()
-        # 1 + the norm of e_P, a nonzero projection: no SVD needed
-        ep_res, ep_scale = linalg.operator_norm(sys_r.support["right"] - ep), 2.0
-    support_eq = ep_res <= tol * ep_scale
+        p_alg = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps))
+        check_intermediate(r_alg, p_alg, tol)  # e_P lies in <M, e_R>, where the supports over R do, only for P >= R
+        ep = m1_wedderburn(r_alg).outer_blocks(p_alg.mat)
+        ep_res = _m1_norm([c - e for c, e in zip(sys_r.support["right"], ep)])
+    support_eq = ep_res <= tol * 2.0  # 1 + the norm of e_P, a nonzero projection: no SVD needed
     complete = sys_r.flags["basis"]
 
     patched = None

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import MultiMatrixAlgebra, check_unital_dims, inclusion_matrix
-from .basic import BasicConstruction, markov_trace, watatani_index
+from .basic import BasicConstruction, m1_wedderburn, markov_trace, watatani_index
 from .errors import AlgebraError, ScenarioError
 from .intermediate import interchange_operator, interchange_pair, is_commuting_square
 from .models import (
@@ -352,7 +352,9 @@ def _task_classify_system(task, model, eps):
 def _task_support(task, model, eps):
     sys = _classify_elements(task, model, "right", eps)
     out = _system_payload(sys)
-    out["numbers"]["support_rank"] = int(round(float(np.trace(sys.support["right"]).real)))
+    wd = m1_wedderburn(sys.sub)  # the support's block C_i occurs m_i times in M1
+    rank = sum(m * np.trace(c).real for m, c in zip(wd.mults, sys.support["right"]))
+    out["numbers"]["support_rank"] = int(round(rank))
     out["numbers"]["e1_rank"] = sys.sub.dim
     return out
 
@@ -377,14 +379,11 @@ def _task_path_basis(task, model, eps):
     labels, elems = pm.orthogonal_system()
     mid = pm.middle_subalgebra()
     sys = classify(elems, mid, side="left", tol=eps)
-    expect_res = 0.0
-    for lam in pm.diagram.paths:
-        for mu in pm.diagram.block_paths[pm.diagram.pos[lam][0]]:
-            expect_res = max(expect_res, (pm.expect_unit(lam, mu) - mid.expect(pm.unit(lam, mu))).norm())
-    j_res = 0.0
-    for p in range(pm.middle_skeleton.nblocks):
-        jp = pm.j_projection(p)
-        j_res = max(j_res, ((jp * jp) - jp).norm(), (jp - jp.adjoint()).norm())
+    d = pm.diagram
+    expect_res = max((pm.expect_unit(lam, mu) - mid.expect(pm.unit(lam, mu))).norm()
+                     for lam in d.paths for mu in d.block_paths[d.pos[lam][0]])
+    jps = [pm.j_projection(p) for p in range(pm.middle_skeleton.nblocks)]
+    j_res = max(max(((jp * jp) - jp).norm(), (jp - jp.adjoint()).norm()) for jp in jps)
     out = _system_payload(sys)
     out["numbers"]["expectation_residual"] = expect_res
     out["numbers"]["j_projection_residual"] = j_res

@@ -13,8 +13,10 @@ the same C*-norms and trace 2-norms as in M_n(M).  It is tested there, as one
 (``sub.wedderburn_data()``) per block.  They are read off the pairings
 <x_j, x_i e_pq>, from one product pass over the D x n GNS coordinates of the
 family; no product x_i* x_j is formed, and only ``gram_matrix`` makes elements
-of the entries.  The support is W W* with W = [L_1 Q, ..., L_n Q], Q = sub.mat,
-from a second product pass.
+of the entries.  The support W W*, W = [L_1 Q, ..., L_n Q] from a second product
+pass and Q = sub.mat, is kept as its blocks in M1 (``M1Wedderburn.outer_blocks``).
+An element of M1 has the norm of its largest block, so every support test runs
+on blocks, and no D x D operator is formed.
 Classification builds no basic construction; one passed as ``bc`` is kept for
 completion.  ``require_basis`` is the one basis check of the regular chain and
 interchange.
@@ -26,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .basic import BasicConstruction
-from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, NotASystem, NotSupportedOnE1
+from .basic import BasicConstruction, m1_wedderburn
+from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, NotASystem, NotIntermediate
+from .errors import NotSupportedOnE1
 from .linalg import EPS_FLAG
 
 
@@ -59,9 +62,13 @@ class _Family:
         return blocks
 
     def support(self):
-        """sum_i L_i e1 L_i* = W W*, where column (i, s) of W is vec(x_i q_s), Q = sub.mat."""
-        w = self.sub.ambient.products(self.x, self.sub.mat)
-        return w @ w.conj().T
+        """M1's blocks of sum_i L_i e1 L_i* = W W*, where column (i, s) of W is vec(x_i q_s), Q = sub.mat."""
+        return m1_wedderburn(self.sub).outer_blocks(self.sub.ambient.products(self.x, self.sub.mat))
+
+
+def _m1_norm(blocks, shift=0.0):
+    """Operator norm of T - shift 1 for a Hermitian T in M1 given by its blocks, one eigvalsh call per block size."""
+    return max(float(np.abs(linalg.eigvalsh(s) - shift).max()) for s in linalg.stacks(blocks))
 
 
 def _entry_norms(blocks, wd):
@@ -75,7 +82,7 @@ def _gram_residuals(blocks, wd):
     off-diagonal entries, of q^2 - q or q - q* for the diagonal entries q, and of q - 1."""
     n = blocks[0].shape[0]
     big = [g.transpose(0, 2, 1, 3).reshape(n * g.shape[2], -1) for g in blocks]
-    stacks = [np.stack([b for b in big if len(b) == size]) for size in {len(b) for b in big}]
+    stacks = linalg.stacks(big)
     norm = max(linalg.operator_norm(s) for s in stacks)
     res = max(max(linalg.projection_residuals(s)) for s in stacks)
     diag = [g[np.arange(n), np.arange(n)] for g in blocks]
@@ -95,7 +102,8 @@ def gram_matrix(elements, sub, side="right"):
 @dataclass
 class PPSystem:
     """A classified family over a subalgebra N; ``gram[side]`` is the list of the
-    Gram matrix's (n, n, m_i, m_i) arrays, one per block M_{m_i} of N."""
+    Gram matrix's (n, n, m_i, m_i) arrays, one per block M_{m_i} of N, and
+    ``support[side]`` the list of the support's k_i-square blocks in M1, in ``M1Wedderburn`` order."""
 
     elements: tuple
     sub: object
@@ -116,8 +124,8 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
 
     ``side`` is "right", "left" or "two-sided"; two-sided requires both
     handed tests to pass.  Classification is eager: Gram matrices (in N's units)
-    and supports for each requested side are computed and kept on the result.
-    ``bc`` is not read; it is kept on the result for ``complete_to_basis``.
+    and supports (in M1's blocks) for each requested side are kept on the result.
+    ``bc`` is not read; it is kept on the result for ``complete_to_basis`` to extend in.
     """
     linalg.check_tol(tol)
     elements = tuple(elements)
@@ -132,7 +140,7 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
         g = grams[s] = family.gram()
         r, scale, off, diag_proj, diag_one = _gram_residuals(g, wd)
         supports[s] = family.support()
-        basis_res = linalg.hermitian_norm(supports[s] - np.eye(sub.ambient.gns_dim))
+        basis_res = _m1_norm(supports[s], 1.0)
         residuals["%s_gram_projection" % s] = r / scale
         residuals["%s_offdiag" % s] = off
         residuals["%s_diag_projection" % s] = diag_proj
@@ -147,12 +155,24 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
     return PPSystem(elements, sub, side, flags, residuals, grams, supports, bc)
 
 
+def check_intermediate(sub, mid, tol=EPS_FLAG):
+    """Verify N <= P inside the common ambient algebra; returns the residual."""
+    linalg.check_tol(tol)
+    if mid.ambient is not sub.ambient:
+        raise InvalidInput("subalgebras live in different ambient algebras")
+    res = float(mid.residuals(sub.mat).max())
+    if res > tol:
+        raise NotIntermediate("containment fails with residual %.3g" % res)
+    return res
+
+
 def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, label="family"):
     """Classify a family that must be a basis of ``target`` (None: all of M) over ``sub``.
 
-    Raises NotABasis at the first failed test, in this order: an element leaves
-    the target, the family is not a system, a tested support differs from the
-    GNS projection of the target (its residual is kept as ``<side>_support_target``).
+    Raises at the first failed test, in this order: NotABasis if an element leaves
+    the target, NotIntermediate if the target does not contain N (only then does
+    e_P lie in M1), NotABasis if the family is not a system or if a tested support
+    differs from e_P in M1 (the residual is kept as ``<side>_support_target``).
     """
     linalg.check_tol(tol)
     elements = tuple(elements)
@@ -160,14 +180,16 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
         res = target.residuals(np.stack([target.ambient.vec(x) for x in elements], axis=1))
         for k in np.flatnonzero(res > tol)[:1]:
             raise NotABasis("%s element %d leaves its algebra (residual %.3g)" % (label, k, res[k]))
+    if target is not None:
+        check_intermediate(sub, target, tol)
     sys = classify(elements, sub, side=side, tol=tol)
     if not sys.flags["system"]:
         res = max(sys.residuals[s + "_gram_projection"] for s in sys.support)
         raise NotABasis("%s family fails the Gram projection test (residual %.3g)" % (label, res))
-    et = np.eye(sub.ambient.gns_dim) if target is None else target.projection_matrix()
-    scale = 2.0  # 1 + the norm of et, which is 1 or a nonzero projection: no SVD needed
-    for s in sys.support:  # the tested sides, right before left
-        res = linalg.operator_norm(sys.support[s] - et)
+    et = None if target is None else m1_wedderburn(sub).outer_blocks(target.mat)
+    scale = 2.0  # 1 + the norm of e_P, which is 1 or a nonzero projection: no SVD needed
+    for s, sup in sys.support.items():  # the tested sides, right before left
+        res = sys.residuals[s + "_support_identity"] if et is None else _m1_norm([c - e for c, e in zip(sup, et)])
         sys.residuals[s + "_support_target"] = res
         if res > tol * scale:
             raise NotABasis("%s family has wrong %s support (residual %.3g)" % (label, s, res))
@@ -175,20 +197,24 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
 
 
 def _range_vectors(block, count):
-    """First ``count`` orthonormal eigenvectors of an abstract projection block."""
+    """First ``count`` orthonormal eigenvectors of an abstract projection block, by descending eigenvalue."""
     vals, vecs = linalg.eigh(block)
-    keep = [i for i in range(vals.size) if vals[i] > 0.5]
-    if len(keep) < count:
-        raise NotAProjection("projection block has rank %d < %d" % (len(keep), count))
-    keep = keep[::-1]  # descending eigenvalue order, deterministic
-    return vecs[:, keep[:count]]
+    if np.count_nonzero(vals > 0.5) < count:
+        raise NotAProjection("projection block has rank %d < %d" % (np.count_nonzero(vals > 0.5), count))
+    return vecs[:, ::-1][:, :count]
+
+
+def _scale(blocks):
+    """1 + the operator norm of the element of M1 with these blocks."""
+    return 1.0 + max(linalg.operator_norm(s) for s in linalg.stacks(blocks))
 
 
 def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     """Build a system whose support is the prescribed projection f in M1.
 
-    Partial isometries v_i in M1 with v_i* v_i under e1 and ranges summing to
-    f are assembled in M1's blocks and pushed down there: x_i = v_i 1^.
+    f, a D x D array, is read once into M1's blocks.  Partial isometries v_i in
+    M1 with v_i* v_i under e1 and ranges summing to f are assembled in M1's
+    blocks and pushed down there: x_i = v_i 1^.
     Modes "general" and "orthogonal" peel as much rank per step as e1 allows
     (always feasible); "orthonormal-padded" uses full copies of e1 plus one
     remainder, which requires (n-1) * rank_b(e1) <= rank_b(f) <= n * rank_b(e1)
@@ -197,60 +223,45 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     linalg.check_tol(tol)
     if mode not in ("general", "orthogonal", "orthonormal-padded"):
         raise InvalidInput("unknown mode %r" % (mode,))
-    f = np.asarray(f, dtype=complex)
-    r1, r2 = linalg.projection_residuals(f)
-    scale = 1.0 + linalg.operator_norm(f)
-    if not (r1 <= tol * scale and r2 <= tol * scale):
-        raise NotAProjection("prescribed support is not a projection (residual %.3g)" % max(r1, r2))
     wd = bc.m1_wedd
-    if wd.roundtrip_residual(f) > tol * scale:
-        raise InvalidInput("prescribed support does not lie in M1")
+    f = np.asarray(f, dtype=complex)
+    if f.shape != (wd.gns_dim, wd.gns_dim) or not np.isfinite(f).all():
+        raise InvalidInput("prescribed support must be a finite D x D array")
     f_abs = wd.to_abstract(f)
-    e_abs = wd.to_abstract(bc.e1)
+    if wd.roundtrip_residual(f) > tol * _scale(f_abs):
+        raise InvalidInput("prescribed support does not lie in M1")
+    return _construct(f_abs, bc, mode, tol)
+
+
+def _construct(f_abs, bc, mode, tol):
+    """``construct_system_with_support`` for f given by its blocks in M1."""
+    scale = _scale(f_abs)
+    r = max(max(linalg.projection_residuals(s)) for s in linalg.stacks(f_abs))
+    if not r <= tol * scale:
+        raise NotAProjection("prescribed support is not a projection (residual %.3g)" % r)
+    wd = bc.m1_wedd
+    e_abs = wd.outer_blocks(bc.sub.mat)
     ranks_f = [linalg.integer_trace(b, NotAProjection) for b in f_abs]
     ranks_e = [linalg.integer_trace(b, NotAProjection) for b in e_abs]
     nblocks = len(ranks_f)
     bad = {b: ranks_f[b] for b in range(nblocks) if ranks_f[b] > 0 and ranks_e[b] == 0}
     if bad:
         raise InfeasibleSupport("support demands rank in blocks where e1 vanishes", deficits=bad)
-    if mode == "orthonormal-padded":
-        nsteps = max((math.ceil(rf / re) for rf, re in zip(ranks_f, ranks_e) if rf > 0), default=0)
-        deficits = {
-            b: (nsteps - 1) * ranks_e[b] - ranks_f[b]
-            for b in range(nblocks)
-            if (nsteps - 1) * ranks_e[b] > ranks_f[b]
-        }
+    if mode == "orthonormal-padded":  # the steps below are then full copies of e1 and one remainder
+        pad = max((math.ceil(rf / re) for rf, re in zip(ranks_f, ranks_e) if rf > 0), default=0) - 1
+        deficits = {b: pad * re - rf for b, (rf, re) in enumerate(zip(ranks_f, ranks_e)) if pad * re > rf}
         if deficits:
-            raise InfeasibleSupport(
-                "no single padding count fits every block (deficits %r)" % (deficits,), deficits=deficits
-            )
-        steps = [list(ranks_e)] * (nsteps - 1) if nsteps > 1 else []
-        last = [rf - (nsteps - 1) * re for rf, re in zip(ranks_f, ranks_e)]
-        if any(last):
-            steps = steps + [last]
-    else:
-        steps = []
-        rem = list(ranks_f)
-        while any(rem):
-            s = [min(r, e) for r, e in zip(rem, ranks_e)]
-            steps.append(s)
-            rem = [r - x for r, x in zip(rem, s)]
-    # eigenvector pools: e1 vectors are reused each step, f vectors are consumed
-    e_vecs = [_range_vectors(e_abs[b], ranks_e[b]) if ranks_e[b] else None for b in range(nblocks)]
-    f_vecs = [_range_vectors(f_abs[b], ranks_f[b]) if ranks_f[b] else None for b in range(nblocks)]
-    used = [0] * nblocks
-    elements = []
+            msg = "no single padding count fits every block (deficits %r)" % (deficits,)
+            raise InfeasibleSupport(msg, deficits=deficits)
+    # each step peels as much rank per block as e1 has; e1's vectors are reused each step, f's are consumed
+    e_vecs = [_range_vectors(e, r) for e, r in zip(e_abs, ranks_e)]
+    f_vecs = [_range_vectors(f, r) for f, r in zip(f_abs, ranks_f)]
+    used, elements = np.zeros(nblocks, dtype=int), []
     one = bc.amb.vec(bc.amb.identity())[:, None]
-    for s in steps:
-        blocks = []
-        for b, d in enumerate(wd.block_dims):
-            v = np.zeros((d, d), dtype=complex)
-            if s[b]:
-                w = f_vecs[b][:, used[b]:used[b] + s[b]]
-                u = e_vecs[b][:, :s[b]]
-                v = w @ u.conj().T
-                used[b] += s[b]
-            blocks.append(v)
+    while (used < ranks_f).any():
+        s = np.minimum(ranks_f - used, ranks_e)
+        blocks = [fv[:, u:u + k] @ ev[:, :k].conj().T for fv, ev, u, k in zip(f_vecs, e_vecs, used, s)]
+        used += s
         # v e1 = v on M1's blocks; v is a partial isometry, so 1 + ||v|| = 2
         if max(linalg.operator_norm(c @ e - c) for c, e in zip(blocks, e_abs)) > linalg.EPS_REL * 2.0:
             raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
@@ -258,16 +269,16 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     if not elements:
         raise InvalidInput("prescribed support is zero; the empty family has no classification")
     sys = classify(elements, bc.sub, side="right", bc=bc, tol=tol)
-    sys.residuals["support_match"] = linalg.operator_norm(sys.support["right"] - f)
+    sys.residuals["support_match"] = _m1_norm([c - b for c, b in zip(sys.support["right"], f_abs)])
     return sys
 
 
 def complete_to_basis(system, bc=None, tol=EPS_FLAG):
     """Extend a right system to a right basis, keeping the input elements.
 
-    The complement 1 - support is handed to the general construction; the
-    returned system starts with the original elements verbatim.  The basic
-    construction is ``bc``, else the system's, else a new one over its N.
+    The complement 1 - support is handed to the general construction in M1's
+    blocks; the returned system starts with the original elements verbatim.
+    The basic construction is ``bc``, else the system's, else a new one over its N.
     """
     linalg.check_tol(tol)
     if not isinstance(system, PPSystem):
@@ -276,11 +287,10 @@ def complete_to_basis(system, bc=None, tol=EPS_FLAG):
         raise InvalidInput("completion is implemented for right systems")
     if not system.flags["system"]:
         raise NotASystem("cannot complete: the Gram matrix is not a projection")
-    g = np.eye(system.sub.ambient.gns_dim) - system.support["right"]
-    if linalg.operator_norm(g) <= tol:
+    if system.residuals["right_support_identity"] <= tol:  # the norm of the complement 1 - support
         return system
     bc = bc or system.bc or BasicConstruction(system.sub)
-    extension = construct_system_with_support(g, bc, mode="general", tol=tol)
+    extension = _construct([np.eye(len(c)) - c for c in system.support["right"]], bc, "general", tol)
     combined = tuple(system.elements) + tuple(extension.elements)
     out = classify(combined, system.sub, side="right", bc=bc, tol=tol)
     assert out.elements[: system.size] == tuple(system.elements)

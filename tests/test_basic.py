@@ -364,20 +364,22 @@ def test_apply_to_one_matches_pushdown(build):
 
 
 def test_m1_and_support_construction_form_no_gns_operators(monkeypatch):
-    # M1's isometries take n_j-square SVDs only; the construction pushes down
-    # from M1's blocks, so its D-row SVDs are f's norm, f's idempotency and
-    # support_match, whatever the size of the family
+    # M1's isometries take n_j-square eigendecompositions only; the construction
+    # reads f into M1's blocks and pushes down from them, so it factors no D-row
+    # matrix, whatever the size of the family
     bc = BasicConstruction(models.diagonal_in_matrix(3).sub)
-    d, rows, svd = bc.gns_dim, [], np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        rows.append(np.shape(a)[-2])
-        return svd(a, *args, **kwargs)
+    d, rows = bc.gns_dim, []
 
     def forbidden(*args, **kwargs):
         raise AssertionError("no D x D right operator and no pushdown")
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    for name in ("svd", "eigh"):
+
+        def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
+            rows.append(np.shape(a)[-2])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
     monkeypatch.setattr(MultiMatrixAlgebra, "right_op", forbidden)
     monkeypatch.setattr(BasicConstruction, "pushdown", forbidden)
     bc.m1_wedd
@@ -385,7 +387,7 @@ def test_m1_and_support_construction_form_no_gns_operators(monkeypatch):
     for f, size in ((bc.e1, 1), (np.eye(d), 3)):
         rows.clear()
         assert construct_system_with_support(f, bc).size == size
-        assert rows.count(d) == 3
+        assert rows and d not in rows
 
 
 @pytest.mark.parametrize("mode", ["general", "orthogonal", "orthonormal-padded"])

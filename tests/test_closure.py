@@ -33,6 +33,7 @@ from ppbasis import (
     wedderburn,
 )
 from ppbasis.algebra import commutant_wedderburn
+from ppbasis.basic import m1_wedderburn
 from ppbasis.errors import AlgebraError, NonConnected
 from test_algebra import check_row_residual
 
@@ -214,7 +215,14 @@ def test_coset_support_matches_the_closure(monkeypatch, build):
     settled = len(rep.reps) * r_alg.dim == amb.dim
     assert len(closures) == (1 if settled else 2)
     ep = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(rep.reps)).projection_matrix()
-    res = linalg.operator_norm(rep.coset.support["right"] - ep)
+    # the dense support W W* over R, W = [L_i Q_R], is the reference; the coset system keeps its blocks
+    w = amb.products(np.stack([amb.vec(u) for u in rep.reps], axis=1), r_alg.mat)
+    support = w @ w.conj().T
+    m1 = m1_wedderburn(r_alg)
+    assert m1.roundtrip_residual(support) <= TOL
+    for got, want in zip(rep.coset.support["right"], m1.to_abstract(support)):
+        assert np.abs(got - want).max() <= TOL
+    res = linalg.operator_norm(support - ep)
     assert abs(rep.numbers["support_eP_residual"] - res) <= TOL
     assert rep.flags["support_equals_eP"] == (res <= linalg.EPS_FLAG * (1.0 + linalg.operator_norm(ep)))
     assert rep.flags["support_equals_eP"] == settled

@@ -43,8 +43,9 @@ def test_interchange_check_rejects_a_non_intermediate_algebra():
 
 
 def test_checked_interchange_forms_each_projection_once(monkeypatch):
-    # intermediate_projection and require_basis both read e_P; it is formed
-    # once per algebra and kept read-only
+    # the checked interchange compares supports with e_P's blocks in M1, read off
+    # P's basis, so it forms no D x D projection; intermediate_projection forms
+    # e_P once per algebra and keeps it read-only
     q = models.masa_quadruple()
     bc = BasicConstruction(q.n_sub)
     formed = []
@@ -56,9 +57,12 @@ def test_checked_interchange_forms_each_projection_once(monkeypatch):
 
     monkeypatch.setattr(Subalgebra, "projection_matrix", recording)
     interchange_operator(q.p_sub, q.bases_p[0], q.q_sub, q.bases_q[0], bc)
+    assert formed == []
     for mid in (q.p_sub, q.q_sub):
+        for _ in range(2):
+            intermediate_projection(mid, bc)
         mats = [m for s, m in formed if s is mid]
-        assert len(mats) == 2  # both readers ask for it
+        assert len(mats) == 2  # once per call
         assert len({id(m) for m in mats}) == 1  # references are kept, so ids are not reused
         assert not mats[0].flags.writeable
 

@@ -32,7 +32,7 @@ from ppbasis import (
 )
 from ppbasis.algebra import AlgebraElement, commutant_wedderburn
 from ppbasis.basic import watatani_index
-from ppbasis.errors import DegenerateSpectrum, InvalidInput, NotABasis, NotSubalgebra
+from ppbasis.errors import DegenerateSpectrum, InvalidInput, NotABasis, NotIntermediate, NotSubalgebra
 from ppbasis.intermediate import check_intermediate, is_commuting_square
 from ppbasis.regular import normalizer_residual
 from ppbasis.systems import require_basis
@@ -212,11 +212,18 @@ def test_require_basis_membership_matches_loop(name):
     for target in subs:
         for family in _families(subs, elements):
             want = membership_oracle(family, target, linalg.EPS_FLAG, "probe")
+            # a target must contain N; that test comes right after the membership test
+            contained = intermediate_oracle(subs[0], target) <= linalg.EPS_FLAG
             try:
                 require_basis(family, subs[0], target, label="probe")
                 got = None
+                assert contained
             except NotABasis as exc:
                 got = str(exc)
+                assert contained or "leaves its algebra" in got
+            except NotIntermediate:
+                assert want is None and not contained
+                got = None
             if want is None:
                 assert got is None or "leaves its algebra" not in got
             else:

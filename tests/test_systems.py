@@ -19,12 +19,14 @@ from ppbasis import (
 )
 from ppbasis import linalg, models
 from ppbasis.algebra import join_wedderburn
+from ppbasis.basic import m1_wedderburn
 from ppbasis.errors import (
     InfeasibleSupport,
     InvalidInput,
     NotABasis,
     NotAProjection,
     NotASystem,
+    NotIntermediate,
 )
 from ppbasis.regular import GroupTable
 from ppbasis.systems import _gram_residuals, require_basis
@@ -256,6 +258,15 @@ def oracle_classify(elements, sub, bc, tol=1e-8):
     return flags, residuals
 
 
+def check_support_blocks(blocks, support, sub):
+    """The dense reference support lies in M1, and its blocks there are ``blocks``, entrywise to 1e-12."""
+    m1 = m1_wedderburn(sub)
+    assert m1.roundtrip_residual(support) <= 1e-12
+    assert [b.shape for b in blocks] == [(k, k) for k in m1.block_dims]
+    for got, want in zip(blocks, m1.to_abstract(support)):
+        assert np.abs(got - want).max() <= 1e-12
+
+
 def oracle_support(elements, bc, side):
     acc = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex)
     for lam in elements:
@@ -343,7 +354,7 @@ def test_classify_matches_left_regular_oracle(name):
     for key, val in residuals.items():
         assert abs(sys.residuals[key] - val) <= 1e-12, (key, sys.residuals[key], val)
     for side in ("right", "left"):
-        assert np.abs(sys.support[side] - oracle_support(elements, bc, side)).max() <= 1e-12
+        check_support_blocks(sys.support[side], oracle_support(elements, bc, side), sub)
 
 
 def test_gram_matrix_matches_entrywise_expectation():
@@ -424,6 +435,39 @@ def test_require_basis_reports_the_first_failed_check():
     assert max(full.residuals["right_support_target"], full.residuals["left_support_target"]) < 1e-12
 
 
+def test_require_basis_rejects_a_target_not_containing_n():
+    # e_P lies in M1 only for P >= N; the scalars do not contain the diagonal, so
+    # the support e1 of {1} cannot be compared with their e_P
+    mp = models.diagonal_in_matrix(3)
+    scal = Subalgebra.span(mp.ambient, [mp.ambient.identity()])
+    with pytest.raises(NotIntermediate, match="containment fails"):
+        require_basis([mp.ambient.identity()], mp.sub, scal, side="right")
+
+
+def test_support_tests_take_no_gns_sized_factorization(monkeypatch):
+    # diag-in-M6: D = 36 and M1 is six blocks of size 6.  The basis flag, the
+    # target test and the completion read supports in M1's blocks, so no D-row
+    # matrix reaches a factorization
+    mp = models.diagonal_in_matrix(6)
+    amb, d, shifts = mp.ambient, mp.ambient.gns_dim, mp.candidates
+    target = Subalgebra.generated(amb, list(mp.sub.basis_elements()) + [shifts[3]])  # three copies of M2
+    rows = []
+    for name in ("eigvalsh", "eigh", "svd"):
+
+        def spy(a, *args, real=getattr(np.linalg, name), **kwargs):
+            rows.append(np.shape(a)[-2])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    assert classify(shifts, mp.sub, side="two-sided").flags["basis"]
+    sys = require_basis([amb.identity(), shifts[3]], mp.sub, target)
+    assert max(sys.residuals["right_support_target"], sys.residuals["left_support_target"]) <= 1e-12
+    bc = BasicConstruction(mp.sub)
+    full = complete_to_basis(classify([amb.identity()], mp.sub, side="right", bc=bc), bc)
+    assert full.size == 6 and full.flags["basis"]
+    assert rows and d not in rows
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0, "1e-8", None, True, [1e-8]])
 def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
     # inf would pass every flag and nan fail every one; a string once escaped as a
@@ -479,7 +523,7 @@ def check_against_product_oracle(elements, sub):
         assert [g.shape for g in sys.gram[side]] == [g.shape for g in gram]
         for got, want in zip(sys.gram[side], gram):
             assert np.abs(got - want).max() <= 1e-12
-        assert np.abs(sys.support[side] - support).max() <= 1e-12
+        check_support_blocks(sys.support[side], support, sub)
         r, scale, off, proj, one = _gram_residuals(gram, sub.wedderburn_data())
         want = {
             "gram_projection": r / scale,
@@ -512,7 +556,7 @@ def test_classify_makes_two_product_passes_per_side(monkeypatch, k):
     # the Gram (the x_i e_pq) and the support (the x_i q_s) take one pass of
     # n * dim N products each; the n^2 products x_i* x_j are never formed
     mk = models.scalar_in_full(k)
-    mk.sub.wedderburn_data()
+    m1_wedderburn(mk.sub)  # N's and M1's block data are paid before counting
     pairs, products = [], MultiMatrixAlgebra.products
 
     def counted(self, a, b):
