@@ -56,14 +56,14 @@ def rng_from_seed(seed=0):
     return np.random.default_rng(seed)
 
 
-@_typed
+operator_norms = _typed(lambda a: np.linalg.svd(a, compute_uv=False)[..., 0])  # one per matrix of a stack
+
+
 def operator_norm(a):
     """Operator norm; a stack of matrices is read as its block-diagonal sum,
     whose norm is the largest block norm."""
     a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[..., 0].max())
+    return float(operator_norms(a).max()) if a.size else 0.0
 
 
 def hermitian_norm(h):
@@ -120,15 +120,8 @@ def cluster_values(values):
     if vals.size == 0:
         return []
     order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
     scale = max(1.0, float(np.max(np.abs(vals))))
-    groups = []
-    start = 0
-    for i in range(1, vals.size):
-        if sorted_vals[i] - sorted_vals[i - 1] > GAP_TOL * scale:
-            groups.append(order[start:i])
-            start = i
-    groups.append(order[start:])
+    groups = np.split(order, np.flatnonzero(np.diff(vals[order]) > GAP_TOL * scale) + 1)
     return [(float(np.mean(vals[g])), np.array(g)) for g in groups]
 
 
@@ -144,16 +137,11 @@ def random_unitary(n, rng):
 
 def block_diag(blocks):
     blocks = [np.asarray(b, dtype=complex) for b in blocks]
-    if not blocks:
-        return np.zeros((0, 0), dtype=complex)
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=complex)
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), dtype=complex)
     r = c = 0
     for b in blocks:
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
+        r, c = r + b.shape[0], c + b.shape[1]
     return out
 
 

@@ -2,24 +2,26 @@
 R = N v (N' cap M), basis patching, and a pipeline that assembles the whole
 chain into one report.
 
-N' cap M and R are read off N's matrix units in closed form, and the algebras
-that N and R generate with the normalizers are Krylov closures
-(``Subalgebra.generated``), R's only when |reps| dim R < dim M.  Cosets of the
-normalizer are separated by the vanishing of E_R(u v*); representatives are
-filtered from model-supplied candidates rather than enumerated, and
-regularity is certified relative to those candidates: N and the ones that
-pass the normalizer test must generate M.  Every test is a ``classify`` (``require_basis`` for a
-basis), so the chain builds no basic construction and verifies each
-precondition of the patching once.  Flags compare against ``tol``;
+N' cap M, R and the Markov data are read off N's matrix units and kept on them.
+The candidates are tested together, from their blocks stacked per block of M,
+and cosets of the normalizer are separated by the vanishing of E_R(u v*), read
+off one Gram matrix over R; representatives are filtered from model-supplied
+candidates rather than enumerated.  U(N' cap M) normalizes N, so N is regular
+when R and the normalizers generate M: the coset system shows it when the R u_i
+fill M, and otherwise a Krylov closure (``Subalgebra.generated``) decides.  A
+NotRegular verdict is relative to the candidates.  Every test is a ``classify``
+(``require_basis`` for a basis), each family is classified once, and the chain
+builds no basic construction.  Flags compare against ``tol``;
 automorphisms and a crossed product's covariance must hold to EPS_INPUT.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
 from .algebra import MultiMatrixAlgebra, Subalgebra, commutant_wedderburn, inclusion_matrix, join_wedderburn
+from .algebra import _unitarity_residuals
 from .basic import m1_wedderburn, markov_trace, watatani_index
 from .errors import (
     DegenerateCommutantModel,
@@ -31,7 +33,7 @@ from .errors import (
     NotUnitary,
 )
 from .linalg import EPS_FLAG
-from .systems import _entry_norms, _m1_norm, check_intermediate, classify, require_basis
+from .systems import _entry_norms, _Family, _m1_norm, check_intermediate, classify, require_basis
 
 II1_NOTE = (
     "equality of beta with |reps| * dim(N' cap M) is the statement for regular "
@@ -102,13 +104,9 @@ class GroupTable:
             raise InvalidInput("permutation list lacks the identity")
         order = [ident] + [p for p in perms if p != ident]
         index = {p: i for i, p in enumerate(order)}
-        t = np.empty((len(order), len(order)), dtype=int)
-        for i, p in enumerate(order):
-            for j, q in enumerate(order):
-                comp = tuple(p[q[v]] for v in range(m))
-                if comp not in index:
-                    raise InvalidInput("permutations are not closed under composition")
-                t[i, j] = index[comp]
+        t = [[index.get(tuple(p[v] for v in q), -1) for q in order] for p in order]  # p after q
+        if min(map(min, t)) < 0:
+            raise InvalidInput("permutations are not closed under composition")
         return cls(t), order
 
 
@@ -228,25 +226,48 @@ def _coords(x):
     return np.concatenate([blk.reshape(-1) for blk in x.blocks])
 
 
+def _stacked(elements, amb):
+    """The elements' blocks stacked per block of M, checked first: InvalidInput names the first
+    element that is not a finite element of M."""
+    for k, u in enumerate(elements):
+        if u.alg is not amb and not amb.same_structure(u.alg) or not all(np.isfinite(b).all() for b in u.blocks):
+            raise InvalidInput("candidate %d is not a finite element of the ambient algebra" % k)
+    return [np.array([u.blocks[j] for u in elements]) for j in range(amb.nblocks)]
+
+
+def _normalizer_residuals(blocks, sub):
+    """How far u sub u* leaves the subalgebra, for each u of a ``_stacked`` family: the largest
+    residual of u b u* over the basis b, from one product per block of M and one ``residuals`` call
+    (on block j, b's GNS coordinates are its entries times sqrt(t_j), and so are u b u*'s)."""
+    amb, cols = sub.ambient, []
+    for u, n, lo in zip(blocks, amb.dims, amb._offsets):
+        b = sub.mat[lo:lo + n * n].T.reshape(-1, n, n)
+        cols.append((u[:, None] @ b @ u.conj().transpose(0, 2, 1)[:, None]).reshape(-1, n * n).T)
+    return sub.residuals(np.concatenate(cols)).reshape(len(blocks[0]), sub.dim).max(axis=1)
+
+
+def _coset_norms(elements, r_sub):
+    """GNS norms of E_R(x_i x_j*) for every pair, read off one left Gram matrix over R."""
+    return _entry_norms(_Family(tuple(elements), r_sub, "left").gram(), r_sub.wedderburn_data())
+
+
 def normalizer_residual(u, sub):
-    """How far u sub u* leaves the subalgebra: the largest residual of u b u* over
-    its basis b, from two product passes (u b, then (u b) u*)."""
-    amb = sub.ambient
-    conj = amb.products(amb.products(amb.vec(u)[:, None], sub.mat), amb.vec(u.adjoint())[:, None])
-    return float(sub.residuals(conj).max())
+    """How far u sub u* leaves the subalgebra: the largest residual of u b u* over its basis b."""
+    return float(_normalizer_residuals(_stacked([u], sub.ambient), sub)[0])
 
 
 def check_normalizer(u, sub, tol=EPS_FLAG):
     linalg.check_tol(tol)
-    if not u.is_unitary(tol):
+    blocks = _stacked([u], sub.ambient)
+    if _unitarity_residuals(blocks)[0] > tol:
         raise NotUnitary("normalizer candidate is not unitary")
-    return normalizer_residual(u, sub) <= tol
+    return _normalizer_residuals(blocks, sub)[0] <= tol
 
 
 def coset_distinct(u, v, r_sub, tol=EPS_FLAG):
     """Whether u, v fall in distinct cosets: E_R(u v*) must vanish."""
     linalg.check_tol(tol)
-    return r_sub.expect(u * v.adjoint()).norm() <= tol
+    return _coset_norms((u, v), r_sub)[0, 1] <= tol
 
 
 def coset_system(reps, n_sub, r_sub, tol=EPS_FLAG):
@@ -283,12 +304,14 @@ def patch_bases(inner, outer, n_sub, p_sub, tol=EPS_FLAG, check=True):
     if check:
         require_basis(inner, n_sub, p_sub, tol=tol, label="inner")
         require_basis(outer, p_sub, tol=tol, label="outer")
-        for j, mu in enumerate(outer):
-            if not mu.is_unitary(tol):
+        blocks = _stacked(outer, n_sub.ambient)  # require_basis has checked them
+        res = zip(_unitarity_residuals(blocks), _normalizer_residuals(blocks, n_sub), _normalizer_residuals(blocks, p_sub))
+        for j, (mu, (unit, res_n, res_p)) in enumerate(zip(outer, res)):
+            if unit > tol:
                 raise NotUnitary("outer element %d is not unitary" % j)
-            if normalizer_residual(mu, n_sub) > tol:
+            if res_n > tol:
                 raise NotANormalizer("outer element %d does not normalize the base algebra" % j)
-            if normalizer_residual(mu, p_sub) > tol:
+            if res_p > tol:
                 raise NotANormalizer("outer element %d does not normalize the intermediate algebra" % j)
             conj = [mu * lam * mu.adjoint() for lam in inner]
             require_basis(conj, n_sub, p_sub, tol=tol, label="conjugated inner")
@@ -349,107 +372,94 @@ class WeylReport:
 
 
 def _inner_basis(sub, comm, r_alg, tol):
-    """Two-sided basis of R over N built from the relative commutant.
-
-    When R = N the unit alone is a basis.  Otherwise the inner family is the
-    basis of ``comm``, the trace-scaled matrix units of N' cap M; both its
-    supports must equal e_R on L2(M), which for a family inside R is support 1
-    on L2(R).  Failure is reported as a degenerate commutant model.
-    """
+    """Two-sided basis of R over N and its classification over N: the unit and None when
+    R = N, else the trace-scaled matrix units of N' cap M (``comm``), whose supports must
+    equal e_R on L2(M); failure is reported as a degenerate commutant model."""
     if r_alg.dim == sub.dim:
-        return (sub.ambient.identity(),)
-    inner = comm.basis_elements()
+        return (sub.ambient.identity(),), None
+    inner = tuple(comm.basis_elements())
     try:
-        require_basis(inner, sub, r_alg, tol=tol, label="commutant")
+        return inner, require_basis(inner, sub, r_alg, tol=tol, label="commutant")
     except NotABasis as exc:
         raise DegenerateCommutantModel(str(exc)) from exc
-    return inner
+
+
+def _as_classified(sys):
+    """``sys`` with only the flags and residuals that ``classify`` gives its family."""
+    res = {k: v for k, v in sys.residuals.items() if not k.startswith("over_n_") and not k.endswith("_support_target")}
+    return replace(sys, flags={k: sys.flags[k] for k in ("system", "orthogonal", "orthonormal", "basis")}, residuals=res)
 
 
 def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     """Run the full chain for N inside its ambient algebra.
 
-    Computes N' cap M and R from N's matrix units, the scalar basis of R over
-    N, the coset representatives filtered from the candidates, the regularity
-    and coset-completeness checks, and, when both pass, the patched two-sided
-    basis with its Watatani index.  Non-normalizer candidates are recorded
-    and take no part in the regularity test; failed regularity or incomplete
-    cosets leave a partial report rather than raising.
+    Reads the Markov data, N' cap M, R and the basis of R over N off N's matrix
+    units, then tests the candidates together: each must be a finite element of M
+    (InvalidInput) and unitary (NotUnitary); those that do not normalize N are
+    recorded as rejected and take no part further on.  The normalizers are
+    filtered into coset representatives, which must fill M for regularity to
+    need no closure, and, when N is regular and the cosets complete, patched
+    with the inner basis into a two-sided basis with its Watatani index.
+    Failed regularity or incomplete cosets leave a partial report, not an error.
     """
     linalg.check_tol(tol)
-    amb = sub.ambient
-    candidates = tuple(candidates)
+    amb, candidates = sub.ambient, tuple(candidates)
     wd_n = sub.wedderburn_data(seed)
-    markov = markov_trace(inclusion_matrix(wd_n), wd_n.block_dims)
+    if "markov" not in wd_n._closed:  # kept only once found, so NonConnected is raised on every call
+        wd_n._closed["markov"] = markov_trace(inclusion_matrix(wd_n), wd_n.block_dims)
+    markov = wd_n._closed["markov"]
     comm = commutant_wedderburn(wd_n).subalgebra
     r_alg = join_wedderburn(wd_n).subalgebra
-    inner = _inner_basis(sub, comm, r_alg, tol)
+    inner, sys_inner = _inner_basis(sub, comm, r_alg, tol)
 
-    reps = [amb.identity()]
-    normalizers = []
-    rejected = []
-    for idx, u in enumerate(candidates):
-        if not u.is_unitary(tol):
+    rejected, normalizers = [], []
+    if candidates:
+        blocks = _stacked(candidates, amb)
+        for idx in np.flatnonzero(_unitarity_residuals(blocks) > tol)[:1]:
             raise NotUnitary("candidate %d is not unitary" % idx)
-        res = normalizer_residual(u, sub)
-        if res > tol:
-            rejected.append((idx, res))
-            continue
-        normalizers.append(u)
-        if all(coset_distinct(u, v, r_alg, tol) for v in reps):
-            reps.append(u)
-    reps = tuple(reps)
-
-    gen = Subalgebra.generated(amb, list(sub.basis_elements()) + normalizers)
-    regular = gen.dim == amb.dim
-    issues = [] if regular else ["NotRegular"]
+        res = _normalizer_residuals(blocks, sub)
+        rejected = [(idx, float(r)) for idx, r in enumerate(res) if r > tol]
+        normalizers = [u for u, r in zip(candidates, res) if r <= tol]
+    family = [amb.identity()] + normalizers
+    same = _coset_norms(family, r_alg) > tol  # E_R(u v*) does not vanish: first come, first kept
+    keep = [0]
+    for k in range(1, len(family)):
+        if not same[k, keep].any():
+            keep.append(k)
+    reps = tuple(family[k] for k in keep)
 
     sys_r = coset_system(reps, sub, r_alg, tol=tol)
     orthonormal = sys_r.flags["system"] and sys_r.flags["orthonormal"] and sys_r.flags["orthonormal_over_n"]
     if len(reps) * r_alg.dim == amb.dim:
-        # coset_system showed E_R(u_i u_j*) = 0: the R u_i are orthogonal, of dim R each, so they fill M and e_P = 1
-        ep_res = sys_r.residuals["right_support_identity"]
+        # coset_system showed E_R(u_i u_j*) = 0: the R u_i are orthogonal, of dim R each, so they fill M and e_P = 1.
+        # N and U(N' cap M), which normalizes N, generate R, so the normalizer of N generates M: N is regular
+        regular, ep_res = True, sys_r.residuals["right_support_identity"]
     else:
+        regular = Subalgebra.generated(amb, list(r_alg.basis_elements()) + normalizers).dim == amb.dim
         p_alg = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps))
         check_intermediate(r_alg, p_alg, tol)  # e_P lies in <M, e_R>, where the supports over R do, only for P >= R
         ep = m1_wedderburn(r_alg).outer_blocks(p_alg.mat)
         ep_res = _m1_norm([c - e for c, e in zip(sys_r.support["right"], ep)])
+    issues = [] if regular else ["NotRegular"]
     support_eq = ep_res <= tol * 2.0  # 1 + the norm of e_P, a nonzero projection: no SVD needed
-    complete = sys_r.flags["basis"]
 
-    patched = None
-    wat = None
-    if regular and complete:
-        patched = patch_bases(inner, reps, sub, r_alg, tol=tol, check=False)  # preconditions settled above
+    patched = wat = None
+    if regular and sys_r.flags["basis"]:
+        if sys_inner is None:  # R = N: the products mu * 1 are the reps, classified over R = N by coset_system
+            patched = _as_classified(sys_r)
+        elif len(reps) == 1:  # the products 1 * lam are the inner family, classified over N by require_basis
+            patched = _as_classified(sys_inner)
+        else:
+            patched = patch_bases(inner, reps, sub, r_alg, tol=tol, check=False)  # preconditions settled above
         wat = watatani_index(patched.elements)
     elif regular:
         issues.append("IncompleteCosets")
 
-    flags = {
-        "regular": regular,
-        "coset_system_orthonormal": orthonormal,
-        "support_equals_eP": support_eq,
-        "patched_basis_two_sided": bool(patched is not None and patched.flags["system"] and patched.flags["basis"]),
-    }
-    numbers = {
-        "beta": markov.beta,
-        "dim_commutant": comm.dim,
-        "reps": len(reps),
-        "product": len(reps) * comm.dim,
-        "support_eP_residual": ep_res,
-    }
-    return WeylReport(
-        sub=sub,
-        commutant=comm,
-        r_algebra=r_alg,
-        inner=tuple(inner),
-        reps=reps,
-        rejected=tuple(rejected),
-        coset=sys_r,
-        patched=patched,
-        watatani=wat,
-        flags=flags,
-        numbers=numbers,
-        issues=tuple(issues),
-        markov=markov,
-    )
+    two_sided = bool(patched is not None and patched.flags["system"] and patched.flags["basis"])
+    flags = {"regular": regular, "coset_system_orthonormal": orthonormal, "support_equals_eP": support_eq,
+             "patched_basis_two_sided": two_sided}
+    numbers = {"beta": markov.beta, "dim_commutant": comm.dim, "reps": len(reps), "product": len(reps) * comm.dim,
+               "support_eP_residual": ep_res}
+    return WeylReport(sub=sub, commutant=comm, r_algebra=r_alg, inner=inner, reps=reps, rejected=tuple(rejected),
+                      coset=sys_r, patched=patched, watatani=wat, flags=flags, numbers=numbers, issues=tuple(issues),
+                      markov=markov)

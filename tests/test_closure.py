@@ -1,10 +1,12 @@
 """The regular pipeline's structure against its oracles.
 
 The Krylov closure of ``Subalgebra.generated``, the closed-form matrix units
-of N' cap M and of R = N v (N' cap M), and the count that skips the closure
-of R with the coset representatives are checked against the brute-force span
-closure, the product pass they replaced, the closure itself and the nullspace
-of ``relative_commutant``; the batched commutator stack of
+of N' cap M and of R = N v (N' cap M), and the coset count that skips both
+closures of the pipeline (R with the representatives, R with the normalizers)
+are checked against the brute-force span closure, the product pass they
+replaced, the closures themselves (the regular flag against the closure from N
+and the normalizers, also on the selftest's pipeline scenarios) and the
+nullspace of ``relative_commutant``; the batched commutator stack of
 ``relative_commutant`` against the per-element GNS operators it replaced; and
 the matrix units a model-built N keeps against ``wedderburn`` of a span-only
 copy at seeds 0-4, whose row-0 unit check meets the d^4 loop it replaced.  All
@@ -35,6 +37,7 @@ from ppbasis import (
 from ppbasis.algebra import commutant_wedderburn
 from ppbasis.basic import m1_wedderburn
 from ppbasis.errors import AlgebraError, NonConnected
+from ppbasis.scenarios import build_model, selftest_corpus
 from test_algebra import check_row_residual
 
 TOL = 1e-12
@@ -194,9 +197,9 @@ def _two_shifts():
     "build", [b for _, b in PIPELINE_MODELS] + [_two_shifts], ids=[n for n, _ in PIPELINE_MODELS] + ["diag-in-m4-two-shifts"]
 )
 def test_coset_support_matches_the_closure(monkeypatch, build):
-    # the pipeline runs the closure P = <R, reps> only when |reps| dim R < dim M;
-    # otherwise it takes e_P = 1.  The closure, kept here as the oracle, gives the
-    # same support_equals_eP flag and residual
+    # the pipeline runs the closures P = <R, reps> and <R, normalizers> only when
+    # |reps| dim R < dim M; otherwise it takes e_P = 1 and runs none.  The closure P,
+    # kept here as the oracle, gives the same support_equals_eP flag and residual
     mp = build()
     closures = []
     original = Subalgebra.generated.__func__
@@ -213,7 +216,7 @@ def test_coset_support_matches_the_closure(monkeypatch, build):
     monkeypatch.undo()
     amb, r_alg = mp.ambient, rep.r_algebra
     settled = len(rep.reps) * r_alg.dim == amb.dim
-    assert len(closures) == (1 if settled else 2)
+    assert len(closures) == (0 if settled else 2)
     ep = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(rep.reps)).projection_matrix()
     # the dense support W W* over R, W = [L_i Q_R], is the reference; the coset system keeps its blocks
     w = amb.products(np.stack([amb.vec(u) for u in rep.reps], axis=1), r_alg.mat)
@@ -226,6 +229,47 @@ def test_coset_support_matches_the_closure(monkeypatch, build):
     assert abs(rep.numbers["support_eP_residual"] - res) <= TOL
     assert rep.flags["support_equals_eP"] == (res <= linalg.EPS_FLAG * (1.0 + linalg.operator_norm(ep)))
     assert rep.flags["support_equals_eP"] == settled
+
+
+# the pipeline models and the selftest scenarios that run the pipeline, each built as (pair, seed)
+REGULARITY_CASES = [(name, lambda build=build: (build(), 0)) for name, build in PIPELINE_MODELS] + [
+    ("selftest-" + d["name"], lambda d=d: (build_model(d["model"], seed=d["seed"]).require_pair(), d["seed"]))
+    for d in selftest_corpus()
+    if any(task["task"] == "regular_pipeline" for task in d["tasks"])
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in REGULARITY_CASES], ids=[n for n, _ in REGULARITY_CASES])
+def test_regular_flag_matches_the_closure_from_n(build):
+    # the closure from N and the normalizers, which the pipeline ran before it read
+    # regularity off the coset count, is the oracle of the regular flag
+    mp, seed = build()
+    try:
+        rep = regular_pipeline(mp.sub, candidates=mp.candidates, seed=seed)
+    except NonConnected:  # z2-in-z2xz2: the chain stops at the Markov trace
+        return
+    rejected = {idx for idx, _ in rep.rejected}
+    normalizers = [u for idx, u in enumerate(mp.candidates) if idx not in rejected]
+    gen = Subalgebra.generated(mp.ambient, list(mp.sub.basis_elements()) + normalizers)
+    assert rep.flags["regular"] == (gen.dim == mp.ambient.dim)
+
+
+@pytest.mark.parametrize("build", [b for _, b in PIPELINE_MODELS], ids=[n for n, _ in PIPELINE_MODELS])
+def test_pipeline_runs_no_closure_when_the_cosets_fill_m(monkeypatch, build):
+    # on every pipeline model the coset representatives fill M, which shows that N is
+    # regular: Subalgebra.generated is never called
+    mp = build()
+
+    def closure(cls, amb, elements):
+        raise AssertionError("Subalgebra.generated was called")
+
+    monkeypatch.setattr(Subalgebra, "generated", classmethod(closure))
+    try:
+        rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    except NonConnected:  # z2-in-z2xz2: the chain stops at the Markov trace
+        return
+    assert len(rep.reps) * rep.r_algebra.dim == mp.ambient.dim
+    assert all(rep.flags.values())
 
 
 @pytest.mark.parametrize("name, build", PIPELINE_MODELS, ids=[n for n, _ in PIPELINE_MODELS])

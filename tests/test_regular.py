@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from ppbasis.errors import (
     DuplicateCoset,
     InvalidInput,
     InvalidSubgroup,
+    NonConnected,
     NotAnAction,
     NotANormalizer,
     NotUnitary,
@@ -433,6 +436,79 @@ def test_pipeline_rejects_non_unitary_candidate():
         regular_pipeline(mp.sub, candidates=(bad,))
 
 
+def test_pipeline_rejects_bad_candidates_with_typed_errors():
+    # every candidate must be a finite element of M before any product is formed, then
+    # all are tested for unitarity, and only then for normalizing N; the first bad index
+    # is named and no warning is raised (a NaN once ended as FactorizationFailed after a
+    # matmul warning).  The public single-candidate tests reject the same inputs
+    mp = models.diagonal_in_matrix(3)
+    amb, shift = mp.ambient, mp.candidates[1]
+    nan = amb.element([np.full((3, 3), np.nan)])
+    block = shift.blocks[0].copy()
+    block[0, 1] = np.inf
+    inf = amb.element([block])
+    foreign = MultiMatrixAlgebra((2,), (0.5,)).identity()
+    half = 0.5 * amb.identity()
+    generic = amb.element([linalg.random_unitary(3, linalg.rng_from_seed(4))])
+    cases = [
+        ((shift, nan), InvalidInput, "candidate 1 is not a finite element of the ambient algebra"),
+        ((inf, shift), InvalidInput, "candidate 0 is not a finite element"),
+        ((shift, foreign), InvalidInput, "candidate 1 is not a finite element"),
+        ((half, shift, nan), InvalidInput, "candidate 2 is not a finite element"),
+        ((shift, 1e200 * shift, half), NotUnitary, "candidate 1 is not unitary"),
+        ((generic, half), NotUnitary, "candidate 1 is not unitary"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for candidates, error, match in cases:
+            with pytest.raises(error, match=match):
+                regular_pipeline(mp.sub, candidates=candidates)
+        for bad in (nan, inf, foreign):
+            for call in (normalizer_residual, check_normalizer, lambda u, sub: coset_distinct(u, shift, sub)):
+                with pytest.raises(InvalidInput):
+                    call(bad, mp.sub)
+        with pytest.raises(NotUnitary):
+            check_normalizer(1e200 * shift, mp.sub)
+
+
+def test_pipeline_candidate_free_verdicts():
+    # U(N' cap M) normalizes N, so the scalars in M3 are regular with no candidates:
+    # one coset, and the trace-scaled units of N' cap M = M3 are a two-sided basis.
+    # The closure from N alone read NotRegular.  Where N' cap M = N (the diagonal
+    # of M3, and C + C in M2), no candidate still means no regularity
+    rep = regular_pipeline(models.scalar_in_full(3).sub)
+    assert all(rep.flags.values()) and rep.issues == ()
+    assert rep.numbers["reps"] == 1 and rep.numbers["dim_commutant"] == 9
+    assert len(rep.patched.elements) == 9
+    assert rep.watatani.scalar == pytest.approx(9.0, abs=1e-8)
+    for mp in (models.diagonal_in_matrix(3), models.explicit_pair((1, 1), [[1], [1]])):
+        rep = regular_pipeline(mp.sub)
+        assert rep.issues == ("NotRegular",) and not rep.flags["regular"]
+
+
+def test_pipeline_keeps_the_markov_data_on_n(monkeypatch):
+    # the Markov data is computed once per N and kept beside N' cap M and R; a
+    # disconnected inclusion keeps nothing and raises NonConnected on every call
+    calls = []
+    original = regular.markov_trace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(regular, "markov_trace", counting)
+    mp = models.diagonal_in_matrix(3)
+    first = regular_pipeline(mp.sub, candidates=mp.candidates)
+    second = regular_pipeline(mp.sub, candidates=mp.candidates)
+    assert len(calls) == 1 and second.markov is first.markov
+    z2 = GroupTable.cyclic(2)
+    pair = models.group_algebra_pair(GroupTable.direct_product(z2, z2), [0, 1])
+    for count in (2, 3):
+        with pytest.raises(NonConnected):
+            regular_pipeline(pair.sub, candidates=pair.candidates)
+        assert len(calls) == count
+
+
 def test_pipeline_records_rejected_candidates():
     mp = models.diagonal_in_matrix(3)
     u = mp.ambient.element([linalg.random_unitary(3, linalg.rng_from_seed(4))])
@@ -535,7 +611,12 @@ def test_pipeline_patching_matches_checked_patch_bases(build):
     assert len(checked.elements) == len(rep.patched.elements)
     for x, y in zip(checked.elements, rep.patched.elements):
         assert all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
+    # the reused classification of the reps (R = N) or of the inner family (one coset)
+    # carries the flags and residual keys of a fresh classify of the products, and no others
     assert checked.flags == rep.patched.flags
+    assert checked.residuals.keys() == rep.patched.residuals.keys()
+    for key, val in checked.residuals.items():
+        assert abs(rep.patched.residuals[key] - val) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -582,20 +663,27 @@ def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
 
 
 def test_pipeline_tests_each_coset_pair_once(monkeypatch):
-    # on diag-in-M5 the candidate loop makes 1 + 1 + 2 + 3 + 4 coset tests;
-    # coset_system reads its 10 pairs off the Gram matrix over R
+    # on diag-in-M5 the coset filter reads every pair of [1] + the 5 normalizers off
+    # one left Gram pass over R, with no coset_distinct call; the two other Gram
+    # passes are the sides of coset_system's classification of the 5 reps
     mp = models.diagonal_in_matrix(5)
-    calls = []
-    original = regular.coset_distinct
+    calls, grams = [], []
+    original, original_gram = regular.coset_distinct, systems._Family.gram
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def gram(family):
+        grams.append(family.x.shape[1])
+        return original_gram(family)
+
     monkeypatch.setattr(regular, "coset_distinct", counting)
+    monkeypatch.setattr(systems._Family, "gram", gram)
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
     assert rep.flags["patched_basis_two_sided"]
-    assert len(calls) == 11
+    assert calls == []
+    assert sorted(grams) == [5, 5, 6]
 
 
 @pytest.mark.parametrize(
@@ -648,8 +736,9 @@ def test_pipeline_decomposes_only_n(monkeypatch, build, model_built):
 
 def test_coset_system_classifies_once_when_r_is_n(monkeypatch):
     # diag-in-M4: N' cap M = N, so R = N and one classification of the coset
-    # system serves over R and over N: 2 classify calls (coset system,
-    # patching), not 3, with every flag and over_n residual as over N
+    # system serves over R, over N and as the patched basis (the products
+    # mu * 1 are the reps): 1 classify call, with every flag and over_n
+    # residual as over N
     mp = models.diagonal_in_matrix(4)
     calls = []
     original = systems.classify
@@ -662,7 +751,7 @@ def test_coset_system_classifies_once_when_r_is_n(monkeypatch):
     monkeypatch.setattr(regular, "classify", counting)
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
     assert rep.r_algebra.dim == mp.sub.dim
-    assert len(calls) == 2
+    assert len(calls) == 1
     monkeypatch.undo()
     over_n = classify(rep.reps, mp.sub, side="two-sided")
     assert rep.coset.flags["orthonormal_over_n"] == (over_n.flags["system"] and over_n.flags["orthonormal"])
