@@ -274,9 +274,11 @@ def watatani_index(elements, tol=linalg.EPS_FLAG):
     if not elements:
         raise InvalidInput("need at least one element")
     alg = elements[0].alg
-    acc = alg.zero()
     for lam in elements:
-        acc = acc + lam * lam.adjoint()
+        alg.check_owns(lam)
+    # block j of the sum is L L* for the n_j x (count n_j) matrix L = [lam_1, lam_2, ...] of the blocks j
+    rows = [np.concatenate([lam.blocks[j] for lam in elements], axis=1) for j in range(alg.nblocks)]
+    acc = alg.element([r @ r.conj().T for r in rows])
     scale = 1.0 + acc.op_norm()
     # the commutators [acc, e] with every matrix unit e, whose coordinates are the columns of units
     a, units = alg.vec(acc)[:, None], np.diag(alg.gns_weights)

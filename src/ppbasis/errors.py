@@ -97,10 +97,6 @@ class IncompleteCosets(AlgebraError):
     """Coset representatives fail the basis test over the intermediate algebra."""
 
 
-class DegenerateCommutantModel(AlgebraError):
-    """The scalar basis of the relative commutant does not transfer to R over N."""
-
-
 class InvalidSubgroup(AlgebraError):
     """A subset of a group table is not closed under products and inverses."""
 

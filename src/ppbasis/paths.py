@@ -16,7 +16,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, Subalgebra
+from .algebra import MultiMatrixAlgebra, UnitalEmbedding
 from .basic import markov_trace
 from .errors import InvalidInput, InvalidPathPair, NonUnitalInclusion, TraceMismatch
 
@@ -44,14 +44,14 @@ class BratteliDiagram:
         self.bottom_dims = tuple(int(x) for x in (lam.T @ np.asarray(m)))
         self.edges0 = [Edge0(i, a) for i in range(len(m)) for a in range(m[i])]
         self.edges01 = [Edge01(i, j, c) for (i, j), k in np.ndenumerate(lam) for c in range(k)]
-        # full paths enumerated lexicographically within each bottom block
+        # full paths of each bottom block, copy before slot: the order of UnitalEmbedding's copies
         self.paths = []
         self.block_paths = [[] for _ in self.bottom_dims]
         self.pos = {}
         for j in range(lam.shape[1]):
             for i in range(lam.shape[0]):
-                for a in range(m[i]):
-                    for c in range(lam[i, j]):
+                for c in range(lam[i, j]):
+                    for a in range(m[i]):
                         p = Path(Edge0(i, a), Edge01(i, j, c))
                         self.pos[p] = (j, len(self.block_paths[j]))
                         self.block_paths[j].append(p)
@@ -77,17 +77,14 @@ class PathModel:
             if bottom_trace != "markov":
                 raise InvalidInput("bottom_trace must be a vector or 'markov'")
             bottom_trace = diagram.markov().trace_amb
-        t1 = np.asarray(bottom_trace, dtype=float)
-        self.bottom = MultiMatrixAlgebra(diagram.bottom_dims, t1)
-        t0 = diagram.inclusion @ t1
+        self.bottom = MultiMatrixAlgebra(diagram.bottom_dims, bottom_trace)
+        self.embedding = UnitalEmbedding.canonical(diagram.middle_dims, self.bottom, diagram.inclusion)
+        self.middle_skeleton = self.embedding.source
+        self.t1, self.t0 = self.bottom.trace_vector, self.middle_skeleton.trace_vector
         if middle_trace is not None:
             supplied = np.asarray(middle_trace, dtype=float)
-            if supplied.shape != t0.shape or np.max(np.abs(supplied - t0)) > linalg.EPS_INPUT:
+            if supplied.shape != self.t0.shape or np.max(np.abs(supplied - self.t0)) > linalg.EPS_INPUT:
                 raise TraceMismatch("middle trace is not the restriction of the bottom trace")
-        self.t1 = t1
-        self.t0 = t0
-        self.middle_skeleton = MultiMatrixAlgebra(diagram.middle_dims, t0)
-        self._middle_sub = None
 
     def unit(self, lam, mu):
         """Matrix unit of the bottom algebra indexed by two full paths."""
@@ -100,21 +97,17 @@ class PathModel:
         return self.bottom.unit(j1, p, q)
 
     def middle_unit(self, th, tp):
-        """Embedded matrix unit of the middle algebra: sum over common extensions."""
+        """Embedded matrix unit of the middle algebra: the sum over common extensions,
+        kept by the embedding's image."""
+        if th not in self.diagram.edges0 or tp not in self.diagram.edges0:
+            raise InvalidInput("unknown middle path")
         if th.block != tp.block:
             raise InvalidPathPair("middle paths end at different middle blocks")
-        ext = (self.unit(Path(th, k), Path(tp, k)) for k in self.diagram.edges01 if k.source == th.block)
-        return sum(ext, self.bottom.zero())
+        return self.middle_subalgebra().wedderburn_data().units[th.block][th.slot][tp.slot]
 
     def middle_subalgebra(self):
         """The middle algebra inside the bottom one; it keeps the middle units as its matrix units."""
-        if self._middle_sub is None:
-            pairs = [(th, tp) for th in self.diagram.edges0 for tp in self.diagram.edges0 if th.block == tp.block]
-            def embed(x):
-                terms = (x.blocks[a.block][a.slot, b.slot] * self.middle_unit(a, b) for a, b in pairs)
-                return sum(terms, self.bottom.zero())
-            self._middle_sub = Subalgebra.embedded(self.bottom, self.middle_skeleton, embed)
-        return self._middle_sub
+        return self.embedding.image()
 
     def expect_unit(self, lam, mu):
         """Closed-form conditional expectation of a matrix unit onto the middle.

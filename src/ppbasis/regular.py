@@ -3,19 +3,24 @@ R = N v (N' cap M), basis patching, and a pipeline that assembles the whole
 chain into one report.
 
 N' cap M, R and the Markov data are read off N's matrix units and kept on them.
-The candidates are tested together, from their blocks stacked per block of M,
-and cosets of the normalizer are separated by the vanishing of E_R(u v*), read
-off one Gram matrix over R; representatives are filtered from model-supplied
-candidates rather than enumerated.  U(N' cap M) normalizes N, so N is regular
-when R and the normalizers generate M: the coset system shows it when the R u_i
-fill M, and otherwise a Krylov closure (``Subalgebra.generated``) decides.  A
-NotRegular verdict is relative to the candidates.  Every test is a ``classify``
-(``require_basis`` for a basis), each family is classified once, and the chain
-builds no basic construction.  Flags compare against ``tol``;
+The inner basis of R over N is in closed form: each matrix unit f_ab of the
+block (i, j) of N' cap M, scaled by sqrt(T_i / t_j) so that E_N(x* x) = z_i,
+N's i-th central projection (T_i: the trace of a minimal projection of N's
+block i, t_j: M's weight on block j); the Pimsner-Popa expansion
+y = sum x E_N(x* y) then holds on R.  The candidates are tested together, from
+their blocks stacked per block of M, and cosets of the normalizer are separated
+by the vanishing of E_R(u v*), read off one Gram matrix over R; representatives
+are filtered from model-supplied candidates rather than enumerated.
+U(N' cap M) normalizes N, so N is regular when R and the normalizers generate
+M: the coset system shows it when the R u_i fill M, and otherwise a Krylov
+closure (``Subalgebra.generated``) decides.  A NotRegular verdict is relative
+to the candidates.  The coset system is classified over R only, and the patched
+basis is that classification when R = N, else one ``classify`` of the products;
+the chain builds no basic construction.  Flags compare against ``tol``;
 automorphisms and a crossed product's covariance must hold to EPS_INPUT.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,15 +28,7 @@ from . import linalg
 from .algebra import MultiMatrixAlgebra, Subalgebra, commutant_wedderburn, inclusion_matrix, join_wedderburn
 from .algebra import _unitarity_residuals
 from .basic import m1_wedderburn, markov_trace, watatani_index
-from .errors import (
-    DegenerateCommutantModel,
-    DuplicateCoset,
-    InvalidInput,
-    NotABasis,
-    NotANormalizer,
-    NotAnAction,
-    NotUnitary,
-)
+from .errors import DuplicateCoset, InvalidInput, NotANormalizer, NotAnAction, NotUnitary
 from .linalg import EPS_FLAG
 from .systems import _entry_norms, _Family, _m1_norm, check_intermediate, classify, require_basis
 
@@ -270,53 +267,48 @@ def coset_distinct(u, v, r_sub, tol=EPS_FLAG):
     return _coset_norms((u, v), r_sub)[0, 1] <= tol
 
 
-def coset_system(reps, n_sub, r_sub, tol=EPS_FLAG):
+def coset_system(reps, r_sub, tol=EPS_FLAG):
     """Classify pairwise-distinct coset representatives as a system over R.
 
     The coset test of each pair reads the GNS norm of E_R(u_i u_j*) off the
-    left Gram blocks; the first pair above ``tol`` raises DuplicateCoset.  The
-    classification over N (the one over R when R = N) is folded in under
-    ``over_n`` keys; the primary data is over R.
+    left Gram blocks; the first pair above ``tol`` raises DuplicateCoset.  No
+    second classification over N is needed: for N <= R the Gram matrix over N
+    is (id (x) E_N) of the one over R, a contraction, so every residual over N
+    is at most the one over R, and orthonormal over R implies orthonormal over N.
     """
     sys_r = classify(reps, r_sub, side="two-sided", tol=tol)
     norms = _entry_norms(sys_r.gram["left"], r_sub.wedderburn_data())
     for i, j in np.argwhere(np.triu(norms > tol, 1))[:1]:
         raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
-    sys_n = sys_r if r_sub.dim == n_sub.dim else classify(reps, n_sub, side="two-sided", tol=tol)
-    for key, val in list(sys_n.residuals.items()):
-        sys_r.residuals["over_n_" + key] = val
-    sys_r.flags["orthonormal_over_n"] = sys_n.flags["system"] and sys_n.flags["orthonormal"]
     return sys_r
 
 
-def patch_bases(inner, outer, n_sub, p_sub, tol=EPS_FLAG, check=True):
+def patch_bases(inner, outer, n_sub, p_sub, tol=EPS_FLAG):
     """Patch a basis of P over N with a basis of M over P into one of M over N.
 
     Outer elements must be unitaries normalizing both N and P; the returned
-    family is the products mu * lam, outer index slowest.  With ``check`` the
-    preconditions are verified, including that each conjugate {mu lam mu*}
-    is again a basis of P over N.
+    family is the products mu * lam, outer index slowest.  The preconditions
+    are verified first, including that each conjugate {mu lam mu*} is again a
+    basis of P over N.
     """
     inner = tuple(inner)
     outer = tuple(outer)
     if not inner or not outer:
         raise InvalidInput("both families must be nonempty")
-    if check:
-        require_basis(inner, n_sub, p_sub, tol=tol, label="inner")
-        require_basis(outer, p_sub, tol=tol, label="outer")
-        blocks = _stacked(outer, n_sub.ambient)  # require_basis has checked them
-        res = zip(_unitarity_residuals(blocks), _normalizer_residuals(blocks, n_sub), _normalizer_residuals(blocks, p_sub))
-        for j, (mu, (unit, res_n, res_p)) in enumerate(zip(outer, res)):
-            if unit > tol:
-                raise NotUnitary("outer element %d is not unitary" % j)
-            if res_n > tol:
-                raise NotANormalizer("outer element %d does not normalize the base algebra" % j)
-            if res_p > tol:
-                raise NotANormalizer("outer element %d does not normalize the intermediate algebra" % j)
-            conj = [mu * lam * mu.adjoint() for lam in inner]
-            require_basis(conj, n_sub, p_sub, tol=tol, label="conjugated inner")
-    products = [mu * lam for mu in outer for lam in inner]
-    return classify(products, n_sub, side="two-sided", tol=tol)
+    require_basis(inner, n_sub, p_sub, tol=tol, label="inner")
+    require_basis(outer, p_sub, tol=tol, label="outer")
+    blocks = _stacked(outer, n_sub.ambient)  # require_basis has checked them
+    res = zip(_unitarity_residuals(blocks), _normalizer_residuals(blocks, n_sub), _normalizer_residuals(blocks, p_sub))
+    for j, (mu, (unit, res_n, res_p)) in enumerate(zip(outer, res)):
+        if unit > tol:
+            raise NotUnitary("outer element %d is not unitary" % j)
+        if res_n > tol:
+            raise NotANormalizer("outer element %d does not normalize the base algebra" % j)
+        if res_p > tol:
+            raise NotANormalizer("outer element %d does not normalize the intermediate algebra" % j)
+        conj = [mu * lam * mu.adjoint() for lam in inner]
+        require_basis(conj, n_sub, p_sub, tol=tol, label="conjugated inner")
+    return classify([mu * lam for mu in outer for lam in inner], n_sub, side="two-sided", tol=tol)
 
 
 @dataclass
@@ -371,23 +363,15 @@ class WeylReport:
         return out
 
 
-def _inner_basis(sub, comm, r_alg, tol):
-    """Two-sided basis of R over N and its classification over N: the unit and None when
-    R = N, else the trace-scaled matrix units of N' cap M (``comm``), whose supports must
-    equal e_R on L2(M); failure is reported as a degenerate commutant model."""
-    if r_alg.dim == sub.dim:
-        return (sub.ambient.identity(),), None
-    inner = tuple(comm.basis_elements())
-    try:
-        return inner, require_basis(inner, sub, r_alg, tol=tol, label="commutant")
-    except NotABasis as exc:
-        raise DegenerateCommutantModel(str(exc)) from exc
-
-
-def _as_classified(sys):
-    """``sys`` with only the flags and residuals that ``classify`` gives its family."""
-    res = {k: v for k, v in sys.residuals.items() if not k.startswith("over_n_") and not k.endswith("_support_target")}
-    return replace(sys, flags={k: sys.flags[k] for k in ("system", "orthogonal", "orthonormal", "basis")}, residuals=res)
+def _inner_basis(wd_n, lam):
+    """Two-sided basis of R over N: sqrt(T_i / t_j) f_ab for every matrix unit f_ab of the
+    block (i, j) of N' cap M, whose blocks follow the nonzero Lambda_ij row by row.
+    E_N(f_bb) = (t_j / T_i) z_i, since f_bb <= z_i commutes with N and has trace m_i t_j;
+    so E_N(x* y) = sqrt(t_j / T_i) n_ab for y = sum n_ab f_ab in R's block (i, j), and
+    sum x E_N(x* y) = y, on either side."""
+    amb, units = wd_n.subalgebra.ambient, commutant_wedderburn(wd_n).units
+    return tuple(np.sqrt(wd_n.block_traces[i] / amb.trace_vector[j]) * f
+                 for (i, j), block in zip(np.argwhere(lam), units) for row in block for f in row)
 
 
 def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
@@ -405,12 +389,13 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     linalg.check_tol(tol)
     amb, candidates = sub.ambient, tuple(candidates)
     wd_n = sub.wedderburn_data(seed)
+    lam = inclusion_matrix(wd_n)
     if "markov" not in wd_n._closed:  # kept only once found, so NonConnected is raised on every call
-        wd_n._closed["markov"] = markov_trace(inclusion_matrix(wd_n), wd_n.block_dims)
+        wd_n._closed["markov"] = markov_trace(lam, wd_n.block_dims)
     markov = wd_n._closed["markov"]
     comm = commutant_wedderburn(wd_n).subalgebra
     r_alg = join_wedderburn(wd_n).subalgebra
-    inner, sys_inner = _inner_basis(sub, comm, r_alg, tol)
+    inner = (amb.identity(),) if r_alg.dim == sub.dim else _inner_basis(wd_n, lam)
 
     rejected, normalizers = [], []
     if candidates:
@@ -428,8 +413,8 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
             keep.append(k)
     reps = tuple(family[k] for k in keep)
 
-    sys_r = coset_system(reps, sub, r_alg, tol=tol)
-    orthonormal = sys_r.flags["system"] and sys_r.flags["orthonormal"] and sys_r.flags["orthonormal_over_n"]
+    sys_r = coset_system(reps, r_alg, tol=tol)
+    orthonormal = sys_r.flags["system"] and sys_r.flags["orthonormal"]
     if len(reps) * r_alg.dim == amb.dim:
         # coset_system showed E_R(u_i u_j*) = 0: the R u_i are orthogonal, of dim R each, so they fill M and e_P = 1.
         # N and U(N' cap M), which normalizes N, generate R, so the normalizer of N generates M: N is regular
@@ -445,12 +430,8 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
 
     patched = wat = None
     if regular and sys_r.flags["basis"]:
-        if sys_inner is None:  # R = N: the products mu * 1 are the reps, classified over R = N by coset_system
-            patched = _as_classified(sys_r)
-        elif len(reps) == 1:  # the products 1 * lam are the inner family, classified over N by require_basis
-            patched = _as_classified(sys_inner)
-        else:
-            patched = patch_bases(inner, reps, sub, r_alg, tol=tol, check=False)  # preconditions settled above
+        # R = N: the products mu * 1 are the reps, which coset_system has classified over R = N
+        patched = sys_r if r_alg.dim == sub.dim else classify([mu * x for mu in reps for x in inner], sub, tol=tol)
         wat = watatani_index(patched.elements)
     elif regular:
         issues.append("IncompleteCosets")

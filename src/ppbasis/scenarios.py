@@ -22,7 +22,6 @@ from .basic import BasicConstruction, m1_wedderburn, markov_trace, watatani_inde
 from .errors import AlgebraError, ScenarioError
 from .intermediate import interchange_operator, interchange_pair, is_commuting_square
 from .models import (
-    crossed_product_diag,
     crossed_product_pair,
     degenerate_quadruple,
     diagonal_in_matrix,
@@ -188,11 +187,8 @@ class LoadedModel:
         return PathModel(diagram, bottom_trace=np.asarray(emb.target.trace_vector))
 
     def inclusion_data(self):
-        """(inclusion matrix, sub dims) from the embedding or by decomposition."""
-        pair = self.require_pair()
-        if pair.embedding is not None:
-            return np.asarray(pair.embedding.inclusion), pair.embedding.source.dims
-        wd = pair.sub.wedderburn_data(self.seed)
+        """(inclusion matrix, sub dims) read off N's matrix units: an embedded N keeps its own."""
+        wd = self.require_pair().sub.wedderburn_data(self.seed)
         return inclusion_matrix(wd), wd.block_dims
 
     def elements(self, source):
@@ -255,8 +251,6 @@ def _crossed_product_model(spec, seed):
     base_dims = tuple(_count(d, "base_dims") for d in spec["base_dims"])
     group, _ = _group_from_spec(spec["group"])
     action = spec.get("action", "trivial")
-    if action == "cyclic_shift" and set(base_dims) == {1} and len(group) == len(base_dims):
-        return {"pair": crossed_product_diag(len(base_dims), seed=seed)}
     trace = spec.get("base_trace")
     if trace is None:
         total = float(sum(d * d for d in base_dims))

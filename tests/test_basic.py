@@ -489,6 +489,21 @@ def test_watatani_index_non_scalar_case():
         watatani_index([])
 
 
+def test_watatani_sum_matches_the_elementwise_sum():
+    # the sum is one product per block of M over the stacked blocks; the oracle adds
+    # lambda lambda* one element at a time.  An element of another algebra is InvalidInput
+    rng = linalg.rng_from_seed(3)
+    for alg in (MultiMatrixAlgebra((1, 2, 3), (0.1, 0.15, 0.2)), models.diagonal_in_matrix(4).ambient):
+        family = [alg.random_element(rng) for _ in range(5)]
+        oracle = alg.zero()
+        for lam in family:
+            oracle = oracle + lam * lam.adjoint()
+        wat = watatani_index(family)
+        assert (wat.element - oracle).norm() <= 1e-12 * (1.0 + oracle.norm())
+        with pytest.raises(InvalidInput):
+            watatani_index(family + [MultiMatrixAlgebra((2,), (0.5,)).identity()])
+
+
 def test_watatani_independent_of_basis_choice():
     # two different two-sided bases of the same inclusion agree on the index
     mp = models.diagonal_in_matrix(2)

@@ -130,7 +130,7 @@ def _pipeline_numbers(sub, candidates, seed):
     """The pipeline's flags, beta, dim N' cap M and |reps|, or the name of its error."""
     try:
         rep = regular_pipeline(sub, candidates=candidates, seed=seed)
-    except AlgebraError as exc:  # NonConnected, or a trace under which N' cap M gives no basis
+    except AlgebraError as exc:  # NonConnected
         return type(exc).__name__
     return rep.flags, rep.numbers["beta"], rep.numbers["dim_commutant"], rep.numbers["reps"]
 

@@ -111,6 +111,25 @@ def test_middle_subalgebra_keeps_the_middle_units(monkeypatch):
     assert classify(elems, mid, side="left").flags["orthogonal"]
 
 
+@pytest.mark.parametrize("middle_dims, inclusion", [((1, 2), [[1], [1]]), ((2, 1), [[2, 1], [1, 0]]), ((2,), [[3]])])
+def test_middle_units_are_the_sums_over_common_extensions(middle_dims, inclusion):
+    # the paths of each bottom block run copy before slot, the order of UnitalEmbedding's
+    # copies, so the image's kept units are the sums over common extensions of two middle
+    # paths, and the image of each middle unit under the embedding
+    pm = PathModel(BratteliDiagram(middle_dims, inclusion))
+    d = pm.diagram
+    for th in d.edges0:
+        for tp in d.edges0:
+            if th.block != tp.block:
+                continue
+            ext = [pm.unit(Path(th, k), Path(tp, k)) for k in d.edges01 if k.source == th.block]
+            want = sum(ext, pm.bottom.zero())
+            assert pm.middle_unit(th, tp).allclose(want, tol=0.0)
+            assert pm.embedding.apply(pm.middle_skeleton.unit(th.block, th.slot, tp.slot)).allclose(want, tol=0.0)
+    with pytest.raises(InvalidInput):
+        pm.middle_unit(d.edges0[0]._replace(slot=99), d.edges0[0])
+
+
 def test_expect_unit_matches_subalgebra_expectation():
     # closed-form coefficient against the GNS projection, every unit pair
     for pm in (models.path_cc_m2(), models.path_c_cm2(), models.path_cm2_m3()):

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from ppbasis import (
     Automorphism,
@@ -19,7 +20,6 @@ from ppbasis import (
 )
 from ppbasis import algebra, linalg, models, regular, systems
 from ppbasis.errors import (
-    DegenerateCommutantModel,
     DuplicateCoset,
     InvalidInput,
     InvalidSubgroup,
@@ -29,7 +29,8 @@ from ppbasis.errors import (
     NotUnitary,
 )
 from ppbasis.regular import II1_NOTE, normalizer_residual
-from ppbasis.systems import classify
+from ppbasis.systems import classify, require_basis
+from test_closure import PIPELINE_MODELS, connected_pairs
 
 
 # ---------------------------------------------------------------- group tables
@@ -250,18 +251,37 @@ def test_coset_distinct():
 def test_coset_system_classification():
     mp = models.crossed_product_diag(3)
     reps = tuple(mp.candidates)
-    sys = coset_system(reps, mp.sub, mp.sub)
+    sys = coset_system(reps, mp.sub)
     assert sys.flags["system"]
     assert sys.flags["orthonormal"]
-    assert sys.flags["orthonormal_over_n"]
-    assert "over_n_right_offdiag" in sys.residuals
+    assert not any(key.startswith("over_n_") for key in sys.residuals)
+    assert sys.residuals.keys() == classify(reps, mp.sub).residuals.keys()
+
+
+@pytest.mark.parametrize("build", [b for _, b in PIPELINE_MODELS], ids=[n for n, _ in PIPELINE_MODELS])
+def test_coset_system_over_r_is_orthonormal_over_n(build):
+    # the Gram matrix over N is (id (x) E_N) of the one over R, a contraction: wherever
+    # coset_system finds the reps orthonormal over R, a classification over N (the oracle)
+    # finds them orthonormal too, with no larger residual
+    mp = build()
+    try:
+        rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    except NonConnected:  # z2-in-z2xz2: the chain stops at the Markov trace
+        return
+    assert rep.flags["coset_system_orthonormal"]
+    over_n = classify(rep.reps, mp.sub)
+    assert over_n.flags["system"] and over_n.flags["orthonormal"]
+    for key in ("offdiag", "diag_identity"):  # E_N(E_R(y)) = E_N(y), and E_N(q) - 1 = E_N(q - 1)
+        for side in ("right", "left"):
+            name = "%s_%s" % (side, key)
+            assert over_n.residuals[name] <= rep.coset.residuals[name] + 1e-12
 
 
 def test_coset_system_rejects_duplicates():
     mp = models.crossed_product_diag(2)
     one = mp.ambient.identity()
     with pytest.raises(DuplicateCoset):
-        coset_system((one, 1j * one), mp.sub, mp.sub)
+        coset_system((one, 1j * one), mp.sub)
 
 
 def test_coset_system_names_the_first_duplicate_pair():
@@ -269,7 +289,7 @@ def test_coset_system_names_the_first_duplicate_pair():
     u0, u1 = mp.candidates[:2]
     # pairs (1, 2) and (0, 3) are both duplicates; (0, 3) comes first
     with pytest.raises(DuplicateCoset, match="representatives 0 and 3"):
-        coset_system((u0, u1, 1j * u1, -u0), mp.sub, mp.sub)
+        coset_system((u0, u1, 1j * u1, -u0), mp.sub)
 
 
 def test_coset_expectations_vanish_both_orders():
@@ -530,15 +550,24 @@ def test_rejected_candidates_take_no_part_in_the_regularity_test():
     assert rep.issues == ("NotRegular",) == regular_pipeline(mp.sub).issues
 
 
+def _not_regular_with_inner_basis(sub):
+    """The candidate-free pipeline on an N with N < R < M: NotRegular, no patched basis,
+    and the closed-form inner family a two-sided basis of R over N (require_basis raises if not)."""
+    rep = regular_pipeline(sub)
+    assert sub.dim < rep.r_algebra.dim < sub.ambient.dim
+    assert rep.issues == ("NotRegular",) and not rep.flags["regular"]
+    assert rep.patched is None and rep.watatani is None
+    require_basis(rep.inner, sub, rep.r_algebra)
+
+
 def test_pipeline_degenerate_commutant_model():
-    # N spanned by diag(x, x, y) in M3: R = M2 + C sits strictly between,
-    # and the trace-scaled commutant units fail the Gram projection test
+    # N spanned by diag(x, x, y) in M3: R = M2 + C sits strictly between.  The normalizer
+    # cannot swap blocks of unequal rank, so it generates R only, while the inner family
+    # (the units of N' cap M at sqrt(T_i / t_j), not at 1/sqrt(tr f)) is a basis of R over N
     amb = MultiMatrixAlgebra((3,), (1.0 / 3,))
     a = amb.element([np.diag([1.0, 1.0, 0.0])])
     b = amb.element([np.diag([0.0, 0.0, 1.0])])
-    sub = Subalgebra.span(amb, [a, b])
-    with pytest.raises(DegenerateCommutantModel):
-        regular_pipeline(sub)
+    _not_regular_with_inner_basis(Subalgebra.span(amb, [a, b]))
 
 
 @pytest.mark.parametrize(
@@ -547,14 +576,65 @@ def test_pipeline_degenerate_commutant_model():
     ids=["1-1-over-m3", "1-2-over-m3+c", "2-1-over-m4"],
 )
 def test_pipeline_degenerate_commutant_model_explicit_pairs(dims, inclusion):
-    # Markov-trace pairs with N < R < M strictly: the scalar commutant family
-    # is tested against e_R on L2(M) and fails
+    # Markov-trace pairs with N < R < M strictly: with no candidate they read NotRegular,
+    # and the inner family is a basis of R over N
     mp = models.explicit_pair(dims, inclusion)
     comm = relative_commutant(mp.sub)
     r_alg = Subalgebra.generated(mp.ambient, list(mp.sub.basis_elements()) + list(comm.basis_elements()))
     assert mp.sub.dim < r_alg.dim < mp.ambient.dim
-    with pytest.raises(DegenerateCommutantModel):
-        regular_pipeline(mp.sub)
+    _not_regular_with_inner_basis(mp.sub)
+
+
+def _block_swap_pair(k):
+    """C^2 with multiplicity k in M_2k (N = diag(a 1_k, b 1_k)), with the swap of the two
+    k x k blocks as candidate: R = M_k + M_k lies strictly between N and M."""
+    mp = models.explicit_pair((1, 1), [[k], [k]])
+    w = np.zeros((2 * k, 2 * k))
+    w[k:, :k] = w[:k, k:] = np.eye(k)
+    mp.candidates = (mp.ambient.element([w]),)
+    return mp
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pipeline_patches_when_r_lies_strictly_between(k):
+    # the paper's case N < R < M: the inner basis of R over N (2 k^2 elements) times the
+    # two coset representatives is a two-sided basis of M over N with Watatani index beta
+    # = 2 k^2
+    mp = _block_swap_pair(k)
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    beta = 2 * k * k
+    assert mp.sub.dim < rep.r_algebra.dim < mp.ambient.dim
+    assert all(rep.flags.values()), rep.flags
+    assert rep.issues == ()
+    assert rep.numbers["beta"] == pytest.approx(beta, abs=1e-10)
+    assert rep.numbers["reps"] == 2 and rep.numbers["dim_commutant"] == beta
+    assert len(rep.inner) == beta and len(rep.patched.elements) == 4 * k * k
+    assert rep.watatani.is_central and rep.watatani.scalar == pytest.approx(beta, abs=1e-8)
+    # the public, checked patching accepts the same families and gives the same basis
+    checked = patch_bases(rep.inner, rep.reps, mp.sub, rep.r_algebra)
+    assert checked.flags == rep.patched.flags
+    for x, y in zip(checked.elements, rep.patched.elements):
+        assert all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
+    # without the swap the normalizer generates R only
+    assert regular_pipeline(mp.sub).issues == ("NotRegular",)
+
+
+@settings(max_examples=25)
+@given(connected_pairs())
+def test_drawn_inner_family_is_a_basis_of_r_over_n(mp):
+    # require_basis is the oracle of the closed-form inner family: on every drawn connected
+    # inclusion (random traces and block unitaries included) the family passes
+    # require_basis(inner, N, R) two-sided, with E_N(x* x) = z_i for each of its elements
+    wd_n = mp.sub.wedderburn_data()
+    lam = algebra.inclusion_matrix(wd_n)
+    r_alg = algebra.join_wedderburn(wd_n).subalgebra
+    inner = regular._inner_basis(wd_n, lam)
+    assert len(inner) == algebra.commutant_wedderburn(wd_n).subalgebra.dim
+    require_basis(inner, mp.sub, r_alg)
+    zs = [sum((u[p][p] for p in range(len(u))), mp.ambient.zero()) for u in wd_n.units]
+    for x in inner:
+        e = mp.sub.expect(x.adjoint() * x)
+        assert min((e - z).norm() for z in zs) <= 1e-12
 
 
 def test_pipeline_group_algebra():
@@ -607,12 +687,12 @@ def test_pipeline_patching_matches_checked_patch_bases(build):
     mp = build()
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
     assert rep.flags["patched_basis_two_sided"]
-    checked = patch_bases(rep.inner, rep.reps, mp.sub, rep.r_algebra, check=True)
+    checked = patch_bases(rep.inner, rep.reps, mp.sub, rep.r_algebra)
     assert len(checked.elements) == len(rep.patched.elements)
     for x, y in zip(checked.elements, rep.patched.elements):
         assert all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
-    # the reused classification of the reps (R = N) or of the inner family (one coset)
-    # carries the flags and residual keys of a fresh classify of the products, and no others
+    # the coset classification the pipeline reuses when R = N carries the flags and
+    # residual keys of a fresh classify of the products, and no others
     assert checked.flags == rep.patched.flags
     assert checked.residuals.keys() == rep.patched.residuals.keys()
     for key, val in checked.residuals.items():
@@ -620,16 +700,20 @@ def test_pipeline_patching_matches_checked_patch_bases(build):
 
 
 @pytest.mark.parametrize(
-    "build, most",
+    "build, count",
     [
-        (lambda: models.diagonal_in_matrix(3), 3),
-        (lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0]), 4),
+        (lambda: models.diagonal_in_matrix(3), 1),
+        (lambda: models.diagonal_in_matrix(4), 1),
+        (lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0]), 2),
+        (models.two_block_over_factor, 2),
+        (lambda: _block_swap_pair(2), 2),
     ],
-    ids=["diag-in-m3", "z4-over-e"],
+    ids=["diag-in-m3", "diag-in-m4", "z4-over-e", "m2-in-m2+m2", "swap-in-m4"],
 )
-def test_pipeline_classifies_each_family_once(monkeypatch, build, most):
-    # inner basis, coset system over R and over N, and the patched basis:
-    # no precondition is classified a second time
+def test_pipeline_classifies_each_family_once(monkeypatch, build, count):
+    # the coset system over R, and the products mu * lam when R != N: no precondition
+    # is classified, and nothing a second time (R = N on the diagonals: the coset
+    # system is the patched basis)
     mp = build()
     calls = []
     original = systems.classify
@@ -642,7 +726,7 @@ def test_pipeline_classifies_each_family_once(monkeypatch, build, most):
     monkeypatch.setattr(regular, "classify", counting)
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
     assert rep.flags["patched_basis_two_sided"]
-    assert len(calls) <= most
+    assert len(calls) == count
 
 
 def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
@@ -737,8 +821,8 @@ def test_pipeline_decomposes_only_n(monkeypatch, build, model_built):
 def test_coset_system_classifies_once_when_r_is_n(monkeypatch):
     # diag-in-M4: N' cap M = N, so R = N and one classification of the coset
     # system serves over R, over N and as the patched basis (the products
-    # mu * 1 are the reps): 1 classify call, with every flag and over_n
-    # residual as over N
+    # mu * 1 are the reps): 1 classify call, with every flag and residual of a
+    # classification over N, the oracle
     mp = models.diagonal_in_matrix(4)
     calls = []
     original = systems.classify
@@ -754,10 +838,11 @@ def test_coset_system_classifies_once_when_r_is_n(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     over_n = classify(rep.reps, mp.sub, side="two-sided")
-    assert rep.coset.flags["orthonormal_over_n"] == (over_n.flags["system"] and over_n.flags["orthonormal"])
-    assert rep.coset.flags["orthonormal_over_n"]
+    assert rep.coset.flags == over_n.flags and over_n.flags["orthonormal"]
+    assert rep.coset.residuals.keys() == over_n.residuals.keys()
     for key, val in over_n.residuals.items():
-        assert abs(rep.coset.residuals["over_n_" + key] - val) <= 1e-12
+        assert abs(rep.coset.residuals[key] - val) <= 1e-12
+    assert rep.patched is rep.coset
     assert all(rep.flags.values())
 
 
@@ -813,9 +898,8 @@ def test_non_finite_or_non_positive_tol_is_invalid_input(tol):
     reps, one = tuple(mp.candidates), mp.ambient.identity()
     for call in (
         lambda: regular_pipeline(mp.sub, candidates=mp.candidates, tol=tol),
-        lambda: coset_system(reps, mp.sub, mp.sub, tol=tol),
+        lambda: coset_system(reps, mp.sub, tol=tol),
         lambda: patch_bases([one], reps, mp.sub, mp.sub, tol=tol),
-        lambda: patch_bases([one], reps, mp.sub, mp.sub, tol=tol, check=False),
         lambda: check_normalizer(reps[1], mp.sub, tol=tol),
         lambda: coset_distinct(reps[0], reps[1], mp.sub, tol=tol),
     ):

@@ -405,6 +405,6 @@ def test_coset_system_of_the_m4_shifts_builds_no_element(built):
     d4 = models.diagonal_in_matrix(4)
     reps = tuple(d4.candidates)
     built.clear()
-    sys = coset_system(reps, d4.sub, d4.sub)
-    assert sys.flags["basis"] and sys.flags["orthonormal_over_n"]
+    sys = coset_system(reps, d4.sub)
+    assert sys.flags["basis"] and sys.flags["orthonormal"]
     assert built == []

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppbasis import MultiMatrixAlgebra, scenarios
+from ppbasis import MultiMatrixAlgebra, inclusion_matrix, models, scenarios
 from ppbasis.errors import ScenarioError
 from ppbasis.scenarios import (
     _group_from_spec,
@@ -116,6 +116,29 @@ def test_path_task_through_scenario():
     entry = report["results"][0]
     assert entry["numbers"]["expectation_residual"] < 1e-9
     assert entry["numbers"]["j_projection_residual"] < 1e-9
+
+
+def test_cyclic_shift_scenario_builds_the_crossed_product_diag():
+    # the generic crossed-product path gets the base, group and automorphisms of
+    # models.crossed_product_diag, so the two build the same inclusion
+    for k in (2, 3):
+        spec = {"kind": "crossed_product", "base_dims": [1] * k, "group": "cyclic:%d" % k, "action": "cyclic_shift"}
+        got, want = build_model(spec).require_pair(), models.crossed_product_diag(k)
+        assert got.ambient.dims == want.ambient.dims == (k,)
+        assert np.array_equal(got.ambient.trace_vector, want.ambient.trace_vector)
+        assert np.abs(got.sub.projection_matrix() - want.sub.projection_matrix()).max() <= 1e-12
+        for u, v in zip(got.candidates, want.candidates):
+            assert u.allclose(v, tol=1e-12)
+
+
+def test_inclusion_data_of_an_embedding_is_its_inclusion():
+    # an embedded N keeps its units, so the inclusion matrix read off them is the embedding's
+    for dims, lam in (((1,), [[1, 2]]), ((1, 2), [[1, 1], [1, 0]]), ((2, 1), [[1], [2]])):
+        model = build_model({"kind": "explicit", "dims": list(dims), "inclusion": lam})
+        emb = model.require_pair().embedding
+        got_lam, got_dims = model.inclusion_data()
+        assert np.array_equal(got_lam, emb.inclusion) and tuple(got_dims) == emb.source.dims
+        assert np.array_equal(inclusion_matrix(model.require_pair().sub.wedderburn_data()), got_lam)
 
 
 def test_quadruple_interchange_through_scenario():
