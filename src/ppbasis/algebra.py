@@ -531,14 +531,19 @@ def _spectral_split(h):
     return [m for m, _ in clusters], [v for _, v in eigdata], np.split(member, np.cumsum(h.alg.dims)[:-1])
 
 
-def _row_residual(sub, row, qs):
-    """Largest GNS-norm residual of row 0 of a block's matrix units, the partial
-    isometries w_p = u_0p: each w_p lies in the subalgebra, w_p w_p* = u_00 = q_0 and
-    w_p* w_p = q_p, the block's p-th minimal projection.  The units u_pq = w_p* w_q
-    then satisfy every matrix-unit relation, from 2d products instead of d^4."""
-    adj = [w.adjoint() for w in row]
-    res = [(w * a - qs[0]).norm() for w, a in zip(row, adj)] + [(a * w - q).norm() for w, a, q in zip(row, adj, qs)]
-    return max(float(sub.residuals(np.stack([w.vec() for w in row], axis=1)).max()), *res)
+def _row_residuals(sub, rows, qss):
+    """Largest GNS-norm residual of row 0 of each block's matrix units, the partial
+    isometries w_p = u_0p: each w_p lies in the subalgebra (one ``residuals`` call for
+    every block), w_p w_p* = u_00 = q_0 and w_p* w_p = q_p, the block's p-th minimal
+    projection.  The units u_pq = w_p* w_q then satisfy every matrix-unit relation,
+    from 2d products instead of d^4."""
+    member = sub.residuals(np.stack([w.vec() for row in rows for w in row], axis=1))
+    out = []
+    for row, qs, res in zip(rows, qss, np.split(member, np.cumsum([len(row) for row in rows])[:-1])):
+        adj = [w.adjoint() for w in row]
+        rel = [(w * a - qs[0]).norm() for w, a in zip(row, adj)] + [(a * w - q).norm() for w, a, q in zip(row, adj, qs)]
+        out.append(max(float(res.max()), *rel))
+    return out
 
 
 def _random_combination(sub, rng, hermitian=True):
@@ -563,8 +568,9 @@ def _attempt_wedderburn(sub, rng):
     for c in range(len(means)):
         cols = [v[:, m[:, c]] for v, m in zip(vecs, masks)]
         qs.append(AlgebraElement(amb, [x @ x.conj().T for x in cols]))
-        if not qs[c].is_projection(linalg.EPS_WEDD) or sub.residual(qs[c]) > linalg.EPS_WEDD:
-            raise DegenerateSpectrum("spectral projection left the subalgebra")
+    member = sub.residuals(np.stack([q.vec() for q in qs], axis=1))  # one call for every projection
+    if member.max() > linalg.EPS_WEDD or not all(q.is_projection(linalg.EPS_WEDD) for q in qs):
+        raise DegenerateSpectrum("spectral projection left the subalgebra")
     # the GNS norms of all q_a g q_c, read off g in the eigenbases: sum over blocks of t |V_a* g V_c|^2
     links = np.sqrt(sum(t * m.T @ np.abs(v.conj().T @ x @ v) ** 2 @ m
                         for t, v, m, x in zip(amb.trace_vector, vecs, masks, g.blocks)))
@@ -577,21 +583,18 @@ def _attempt_wedderburn(sub, rng):
             grp.append(c)
     if sum(len(grp) ** 2 for grp in groups) != sub.dim:
         raise DegenerateSpectrum("block dimensions do not add up to the subalgebra dimension")
-    blocks = []
+    rows = []
     for grp in groups:
-        row0 = [qs[grp[0]]]
-        for c in grp[1:]:
-            w = row0[0] * g * qs[c]
-            row0.append(w / np.sqrt((w * w.adjoint()).trace().real / row0[0].trace().real))
-        worst = _row_residual(sub, row0, [qs[c] for c in grp])
+        ws = [qs[grp[0]] * g * qs[c] for c in grp[1:]]
+        rows.append([qs[grp[0]]] + [w / np.sqrt((w * w.adjoint()).trace().real / qs[grp[0]].trace().real) for w in ws])
+    for worst in _row_residuals(sub, rows, [[qs[c] for c in grp] for grp in groups]):
         if worst > linalg.EPS_WEDD:
             raise DegenerateSpectrum("matrix-unit relations violated (residual %.3g)" % worst)
-        d = len(row0)
-        units = [[row0[p].adjoint() * row0[q] for q in range(d)] for p in range(d)]
-        blocks.append({"mean": means[grp[0]], "d": d, "t": units[0][0].trace().real, "units": units})
+    units = [[[a.adjoint() * b for b in row] for a in row] for row in rows]
+    traces = [u[0][0].trace().real for u in units]
     # deterministic ordering independent of the random eigenvalues where possible
-    blocks.sort(key=lambda b: (b["d"], round(b["t"], 9), b["mean"]))
-    return WedderburnData(sub, *([b[key] for b in blocks] for key in ("d", "t", "units")))
+    order = sorted(range(len(units)), key=lambda k: (len(units[k]), round(traces[k], 9), means[groups[k][0]]))
+    return WedderburnData(sub, [len(units[k]) for k in order], [traces[k] for k in order], [units[k] for k in order])
 
 
 def wedderburn(sub, seed=0):
@@ -601,7 +604,7 @@ def wedderburn(sub, seed=0):
     of one random Hermitian element, and one random element links those of a
     block (Murota, Kanno, Kojima and Kojima, JJIAM 27, 2010).  An attempt is
     accepted when each projection lies in the subalgebra, the block dims give
-    sum d^2 = dim and each block's row 0 passes ``_row_residual``, all to
+    sum d^2 = dim and each block's row 0 passes ``_row_residuals``, all to
     EPS_WEDD; WEDD_TRIES seeds before DegenerateSpectrum.
     """
     last = None

@@ -89,14 +89,6 @@ class DuplicateCoset(AlgebraError):
     """Two coset representatives lie in the same coset."""
 
 
-class NotRegular(AlgebraError):
-    """Candidates plus the subalgebra do not generate the ambient algebra."""
-
-
-class IncompleteCosets(AlgebraError):
-    """Coset representatives fail the basis test over the intermediate algebra."""
-
-
 class InvalidSubgroup(AlgebraError):
     """A subset of a group table is not closed under products and inverses."""
 

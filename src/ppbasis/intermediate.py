@@ -40,12 +40,13 @@ def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check
     return bc.m1_wedd.from_abstract(_Family([lam * mu for lam in basis_p for mu in basis_q], bc.sub, "right").support())
 
 
-def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check=True):
+def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG):
     """Both interchange operators and the modular-conjugation symmetry residual.
 
-    Returns (p(P,Q), p(Q,P), residual of J p(P,Q) J - p(Q,P)).
+    Both bases are checked first.  Returns (p(P,Q), p(Q,P), residual of
+    J p(P,Q) J - p(Q,P)).
     """
-    pq = interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol, check)
+    pq = interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol)
     qp = interchange_operator(q_sub, basis_q, p_sub, basis_p, bc, tol, check=False)
     j_res = linalg.operator_norm(bc.amb.sandwich_j(pq) - qp)
     return pq, qp, j_res

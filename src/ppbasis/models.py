@@ -194,9 +194,5 @@ def crossed_product_pair(base, group, autos, seed=0, name="crossed-product"):
 def crossed_product_diag(k, seed=0):
     """C^k shifted cyclically: the crossed product is a single k x k block."""
     base = MultiMatrixAlgebra((1,) * k, (1.0 / k,) * k)
-    group = GroupTable.cyclic(k)
-    autos = [
-        Automorphism(base, perm=tuple((j - g) % k for j in range(k)))
-        for g in range(k)
-    ]
-    return crossed_product_pair(base, group, autos, seed=seed, name="crossed-product-diag-%d" % k)
+    autos = Automorphism.cyclic_shifts(base)
+    return crossed_product_pair(base, GroupTable.cyclic(k), autos, seed=seed, name="crossed-product-diag-%d" % k)

@@ -16,8 +16,10 @@ M: the coset system shows it when the R u_i fill M, and otherwise a Krylov
 closure (``Subalgebra.generated``) decides.  A NotRegular verdict is relative
 to the candidates.  The coset system is classified over R only, and the patched
 basis is that classification when R = N, else one ``classify`` of the products;
-the chain builds no basic construction.  Flags compare against ``tol``;
-automorphisms and a crossed product's covariance must hold to EPS_INPUT.
+the chain builds no basic construction.  A crossed product B x| G is the span
+of the pi(b) u_g inside M_|G|(B), whose own trace is the canonical trace there.
+Flags compare against ``tol``; automorphisms and a crossed product's covariance
+must hold to EPS_INPUT.
 """
 
 from dataclasses import dataclass, field
@@ -140,6 +142,12 @@ class Automorphism:
     def identity(cls, alg):
         return cls(alg)
 
+    @classmethod
+    def cyclic_shifts(cls, alg):
+        """The k cyclic shifts of the k blocks: shift g moves block j - g to block j."""
+        k = alg.nblocks
+        return [cls(alg, perm=tuple((j - g) % k for j in range(k))) for g in range(k)]
+
     def apply(self, x):
         blocks = [u @ x.blocks[s] @ u.conj().T for u, s in zip(self.unitaries, self.perm)]
         return self.alg.element(blocks)
@@ -156,15 +164,14 @@ class Automorphism:
 
 
 class CrossedProductModel:
-    """B acted on by a finite group, realized inside one ambient algebra.
-
-    The covariance algebra acts on |G| copies of L2(B): pi(b), formed once per
-    matrix unit of B, has diagonal blocks L(alpha_{h^-1}(b)), and u_g moves
-    block h to block gh.  The span of {pi(b) u_g} is decomposed into blocks;
-    the ambient algebra carries the trace b_g -> tr_B(b_e), so the copy of B
-    sits trace compatibly inside M and keeps the images of B's matrix units.
-    The action and the covariance (one stacked norm of the diagonal blocks of
-    u_g pi(b) u_g* - pi(alpha_g(b))) must hold to EPS_INPUT.
+    """B acted on by a finite group, realized inside M_|G|(B) = sum of the M_{|G| n_i}
+    with B's trace vector over |G|: pi(b) holds alpha_{h^-1}(b) at copy h, and u_g
+    moves copy h to copy gh (Jones and Sunder, 1997).  The span of {pi(b) u_g} is
+    decomposed into blocks.  Each alpha preserves tr_B and u_g moves every copy for
+    g != e, so the ambient trace restricts to the canonical one, b_g -> tr_B(b_e);
+    the blocks carry it, and the copy of B keeps the images of B's matrix units.
+    The action and the covariance (one stacked norm of u_g pi(b) u_g* -
+    pi(alpha_g(b)) over the copies, per block of B) must hold to EPS_INPUT.
     """
 
     def __init__(self, base, group, autos, seed=0):
@@ -172,7 +179,6 @@ class CrossedProductModel:
             raise NotAnAction("need one automorphism per group element")
         self.base, self.group, self.autos = base, group, list(autos)
         n, db, units = len(group), base.gns_dim, base.units()
-        dv = db * n
         # coords[g, b] holds alpha_g(e_b) in the matrix units; the GNS norm weights block i by sqrt(t_i)
         coords = np.array([[_coords(autos[g].apply(b)) for b in units] for g in range(n)])
         weight = base.gns_weights
@@ -181,41 +187,38 @@ class CrossedProductModel:
         dev = np.linalg.norm((np.einsum("hbc,gcd->ghbd", coords, coords) - coords[group.table]) * weight, axis=-1).max(-1)
         for g, h in np.argwhere(dev > linalg.EPS_INPUT)[:1]:
             raise NotAnAction("action is not multiplicative at (%d, %d): deviation %.3g" % (g, h, dev[g, h]))
-        # pi is linear: block h of pi(e_b) is L(alpha_{h^-1}(e_b)), as (unit b, block h, db, db)
+        # pi[k, b] is copy k of pi(e_b), alpha_{k^-1}(e_b); copy k of u_g pi(e_b) u_g* is copy g^-1 k of pi(e_b)
         inv = [group.inverse(g) for g in range(n)]
-        pi = np.einsum("hbc,cxy->bhxy", coords[inv], np.array([base.left_op(e) for e in units]))
-        # block k of u_g pi(b) u_g* is block g^-1 k of pi(b)
-        cov = pi[:, group.table[inv]].transpose(1, 0, 2, 3, 4) - np.einsum("gbc,ckxy->gbkxy", coords, pi)
-        if linalg.operator_norm(cov) > linalg.EPS_INPUT:
-            g = next(g for g in range(n) if linalg.operator_norm(cov[g]) > linalg.EPS_INPUT)
+        pi = coords[inv]
+        cov = pi[group.table[inv]].transpose(0, 2, 1, 3) - np.einsum("gbc,kcd->gbkd", coords, pi)
+        cuts = list(zip(base.dims, base._offsets, base._offsets[1:]))
+        dev = np.max([linalg.operator_norms(cov[..., lo:hi].reshape(n, -1, d, d)).max(1) for d, lo, hi in cuts], 0)
+        for g in np.flatnonzero(dev > linalg.EPS_INPUT)[:1]:
             raise NotAnAction("covariance fails for group element %d" % g)
-        self._pi = np.einsum("bkxy,kl->bkxly", pi, np.eye(n)).reshape(db, dv, dv)
-        # u[g] is the identity on the blocks (gh, h) and zero elsewhere
-        u = np.kron(group.table[:, None, :] == np.arange(n)[None, :, None], np.eye(db))
-        op_alg = MultiMatrixAlgebra((dv,), (1.0 / dv,))
-        spanning = [op_alg.element([x @ ug]) for x in self._pi for ug in u]
-        span = Subalgebra.span(op_alg, spanning, check=False)
-        if span.dim != base.dim * n:
-            raise NotAnAction("covariance span has dimension %d, expected %d" % (span.dim, base.dim * n))
-        self.op_span = span
-        self.wedd = span.wedderburn_data(seed)
-        # the canonical trace of a minimal projection reads its (e, e) corner
-        traces = [base.unvec(e[0][0].blocks[0][:db, :db] @ base.vec(base.identity())).trace() for e in self.wedd.units]
-        if any(t.real <= 0 or abs(t.imag) > linalg.EPS_INPUT for t in traces):
-            raise NotAnAction("canonical trace is not faithful on the span")
-        traces = [t.real for t in traces]
-        total = sum(d * t for d, t in zip(self.wedd.block_dims, traces))
-        self.algebra = MultiMatrixAlgebra(self.wedd.block_dims, tuple(t / total for t in traces))
-        self.unitaries = tuple(self.to_model(ug) for ug in u)
+        # block i of pi(e_b) u_g holds copy k of pi(e_b)'s block i at copies (k, h) with k = gh: cols[(k, p, h, q), b, g]
+        amb = MultiMatrixAlgebra(tuple(n * d for d in base.dims), base.trace_vector / n)
+        cols, (gs, hs) = np.zeros((amb.dim, db, n), dtype=complex), np.indices((n, n))
+        for (d, lo, hi), a in zip(cuts, amb._offsets):
+            blk = pi[group.table, :, lo:hi].reshape(n, n, db, d, d).transpose(0, 1, 3, 4, 2)
+            cols[a:a + n * d * n * d].reshape(n, d, n, d, db, n)[group.table, :, hs, :, :, gs] = blk
+        cols *= amb.gns_weights[:, None, None]
+        self.span = Subalgebra(amb, linalg.orthonormal_columns(cols.reshape(amb.dim, -1)))
+        if self.span.dim != base.dim * n:
+            raise NotAnAction("covariance span has dimension %d, expected %d" % (self.span.dim, base.dim * n))
+        self.wedd = self.span.wedderburn_data(seed)
+        self.algebra = self.wedd.abstract()
+        self.unitaries = tuple(self._to_model(cols.transpose(0, 2, 1) @ _coords(base.identity())))
+        self._base_cols = cols[:, :, 0].copy()  # pi(x) has the coordinates _base_cols @ _coords(x)
         self.base_image = Subalgebra.embedded(self.algebra, base, self.embed)
 
     def embed(self, b):
-        """The copy of a base element inside the ambient algebra."""
-        return self.to_model(np.tensordot(_coords(b), self._pi, 1))
+        """The copy of a base element inside the crossed product."""
+        return self._to_model((self._base_cols @ _coords(b))[:, None])[0]
 
-    def to_model(self, mat):
-        op = self.op_span.ambient.element([np.asarray(mat, dtype=complex)])
-        return self.algebra.element(self.wedd.to_abstract(op))
+    def _to_model(self, vecs):
+        """The elements of the model whose coordinates in M_|G|(B) are the columns of ``vecs``."""
+        blocks = self.wedd.abstract_blocks((vecs.conj().T @ self.wedd.unit_mat).conj())
+        return [self.algebra.element(x) for x in zip(*blocks)]
 
 
 def _coords(x):

@@ -132,10 +132,9 @@ def _action_from_spec(spec, base, group):
     if spec in (None, "trivial"):
         return [Automorphism.identity(base) for _ in range(len(group))]
     if spec == "cyclic_shift":
-        k = base.nblocks
-        if len(group) != k:
+        if len(group) != base.nblocks:
             raise ScenarioError("cyclic_shift needs |G| equal to the number of blocks")
-        return [Automorphism(base, perm=tuple((j - g) % k for j in range(k))) for g in range(len(group))]
+        return Automorphism.cyclic_shifts(base)
     if isinstance(spec, list):
         if len(spec) != len(group):
             raise ScenarioError("need one automorphism per group element")

@@ -215,13 +215,13 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     f, a D x D array, is read once into M1's blocks.  Partial isometries v_i in
     M1 with v_i* v_i under e1 and ranges summing to f are assembled in M1's
     blocks and pushed down there: x_i = v_i 1^.
-    Modes "general" and "orthogonal" peel as much rank per step as e1 allows
-    (always feasible); "orthonormal-padded" uses full copies of e1 plus one
+    Mode "general" peels as much rank per step as e1 allows (always
+    feasible); "orthonormal-padded" uses full copies of e1 plus one
     remainder, which requires (n-1) * rank_b(e1) <= rank_b(f) <= n * rank_b(e1)
     for a single n in every block and raises InfeasibleSupport otherwise.
     """
     linalg.check_tol(tol)
-    if mode not in ("general", "orthogonal", "orthonormal-padded"):
+    if mode not in ("general", "orthonormal-padded"):
         raise InvalidInput("unknown mode %r" % (mode,))
     wd = bc.m1_wedd
     f = np.asarray(f, dtype=complex)

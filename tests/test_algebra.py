@@ -337,7 +337,7 @@ ROW_RATIO = 4.0
 
 
 def check_row_residual(sub, wd, outside):
-    """``_row_residual`` of each block's row 0 u_0p, against its units u_pp, and the
+    """``_row_residuals`` of each block's row 0 u_0p, against its units u_pp, and the
     d^4 oracle of the units u_0p* u_0q built from it: both within 1e-12 on valid units;
     both above EPS_WEDD, and within ROW_RATIO of each other, on row 0 with w_0 scaled
     by 1.5, with w_{d-1} moved by 0.1i times ``outside`` or scaled by 1 + 1e-5."""
@@ -346,7 +346,7 @@ def check_row_residual(sub, wd, outside):
         p = sum(qs[1:], qs[0])
         broken = [[row[0] * 1.5] + row[1:], row[:-1] + [row[-1] + 0.1j * outside], row[:-1] + [row[-1] * (1 + 1e-5)]]
         for k, w in enumerate([row] + broken):
-            new = algebra._row_residual(sub, w, qs)
+            new = algebra._row_residuals(sub, [w], [qs])[0]
             old = unit_residual_oracle(sub, [[a.adjoint() * b for b in w] for a in w], p)
             if k == 0:
                 assert max(new, old) <= 1e-12

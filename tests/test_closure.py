@@ -294,7 +294,7 @@ def _covariance_spans():
     point = MultiMatrixAlgebra((1,), (1.0,))
     m2 = MultiMatrixAlgebra((2,), (0.5,))
     return {
-        "crossed-diag-3": (diag3, GroupTable.cyclic(3), [Automorphism(diag3, perm=[(j - g) % 3 for j in range(3)]) for g in range(3)]),
+        "crossed-diag-3": (diag3, GroupTable.cyclic(3), Automorphism.cyclic_shifts(diag3)),
         "z6-over-e": (point, GroupTable.cyclic(6), [Automorphism.identity(point)] * 6),
         "m2-trivial-z2": (m2, GroupTable.cyclic(2), [Automorphism.identity(m2)] * 2),
     }
@@ -302,7 +302,7 @@ def _covariance_spans():
 
 @pytest.mark.parametrize("name", sorted(_covariance_spans()))
 def test_batched_commutant_on_covariance_spans(name):
-    span = CrossedProductModel(*_covariance_spans()[name]).op_span
+    span = CrossedProductModel(*_covariance_spans()[name]).span
     centre = relative_commutant(span, within=span)
     assert projection_gap(centre, relative_commutant_oracle(span, within=span)) <= TOL
     assert projection_gap(relative_commutant(span), relative_commutant_oracle(span)) <= TOL
@@ -310,8 +310,8 @@ def test_batched_commutant_on_covariance_spans(name):
 
 def test_no_gns_operator_inside_commutant_and_wedderburn(monkeypatch):
     # the commutator stack and the unit check are batched products: no
-    # left_op/right_op inside relative_commutant or wedderburn, and none on
-    # the operator algebra of Z16 over {e} (one 16 x 16 block) at all
+    # left_op/right_op inside relative_commutant or wedderburn, and none at all
+    # while C[Z16] or crossed_product_diag(6) is built inside M_|G|(B)
     calls = []
     for name in ("left_op", "right_op"):
         orig = getattr(MultiMatrixAlgebra, name)
@@ -319,7 +319,8 @@ def test_no_gns_operator_inside_commutant_and_wedderburn(monkeypatch):
             MultiMatrixAlgebra, name, lambda self, x, orig=orig, name=name: calls.append((name, self.dims)) or orig(self, x)
         )
     models.group_algebra_pair(GroupTable.cyclic(16), [0])
-    assert calls and all(dims != (16,) for _, dims in calls)
+    models.crossed_product_diag(6)
+    assert calls == []
     subs = [models.diagonal_in_matrix(4).sub, models.two_block_over_factor().sub, models.group_algebra_pair(_klein(), [0, 1]).sub]
     calls.clear()
     for sub in subs:

@@ -117,6 +117,14 @@ def test_automorphism_block_permutation():
     assert abs(y.blocks[1][0, 0] - 2.0) < 1e-14
 
 
+def test_cyclic_shifts_move_block_j_minus_g_to_block_j():
+    alg = MultiMatrixAlgebra((1,) * 4, (0.25,) * 4)
+    shifts = Automorphism.cyclic_shifts(alg)
+    assert [a.perm for a in shifts] == [tuple((j - g) % 4 for j in range(4)) for g in range(4)]
+    x = alg.element([np.array([[v]]) for v in (1.0, 2.0, 3.0, 4.0)])
+    assert [b[0, 0].real for b in shifts[1].apply(x).blocks] == [4.0, 1.0, 2.0, 3.0]
+
+
 def test_automorphism_rejections():
     alg = MultiMatrixAlgebra((1, 2), (0.2, 0.4))
     with pytest.raises(NotAnAction):
@@ -187,6 +195,90 @@ def test_crossed_product_rejects_bad_actions():
         CrossedProductModel(base, GroupTable.cyclic(2), [flip, ident])  # identity must act trivially
     with pytest.raises(NotAnAction):
         CrossedProductModel(base, z3, [ident, flip, flip])  # flip has order 2, not 3
+
+
+def crossed_product_oracle(base, group, autos, seed=0):
+    """B x| G as it was built on |G| copies of L2(B): pi(b) has the diagonal blocks
+    L(alpha_{h^-1}(b)) and u_g moves block h to block gh, the span of the pi(b) u_g is
+    decomposed in the one-block algebra of those operators, and the canonical trace of a
+    minimal projection is read off its (e, e) corner.  Returns (algebra, base image, unitaries)."""
+    n, db, units = len(group), base.gns_dim, base.units()
+    dv = db * n
+    coords = np.array([[regular._coords(autos[g].apply(b)) for b in units] for g in range(n)])
+    inv = [group.inverse(g) for g in range(n)]
+    pi = np.einsum("hbc,cxy->bhxy", coords[inv], np.array([base.left_op(e) for e in units]))
+    pi = np.einsum("bkxy,kl->bkxly", pi, np.eye(n)).reshape(db, dv, dv)
+    u = np.kron(group.table[:, None, :] == np.arange(n)[None, :, None], np.eye(db))
+    op_alg = MultiMatrixAlgebra((dv,), (1.0 / dv,))
+    wd = Subalgebra.span(op_alg, [op_alg.element([x @ ug]) for x in pi for ug in u], check=False).wedderburn_data(seed)
+    traces = [base.unvec(e[0][0].blocks[0][:db, :db] @ base.vec(base.identity())).trace().real for e in wd.units]
+    total = sum(d * t for d, t in zip(wd.block_dims, traces))
+    alg = MultiMatrixAlgebra(wd.block_dims, [t / total for t in traces])
+
+    def to_model(mat):
+        return alg.element(wd.to_abstract(op_alg.element([mat])))
+
+    image = Subalgebra.embedded(alg, base, lambda b: to_model(np.tensordot(regular._coords(b), pi, 1)))
+    return alg, image, tuple(to_model(ug) for ug in u)
+
+
+def _oracle_actions():
+    def diag(k):
+        base = MultiMatrixAlgebra((1,) * k, (1.0 / k,) * k)
+        return base, GroupTable.cyclic(k), Automorphism.cyclic_shifts(base)
+
+    point, base_m2, base = MultiMatrixAlgebra((1,), (1.0,)), m2(), MultiMatrixAlgebra((2, 1, 1), (0.3, 0.2, 0.2))
+    flip = Automorphism(base_m2, unitaries=[np.diag([1.0, -1.0])])
+    ident = Automorphism.identity(base)
+    swap = Automorphism(base, perm=(0, 2, 1))
+    turn = Automorphism(base, perm=(0, 2, 1), unitaries=[[[0.0, -1.0], [1.0, 0.0]], np.eye(1), np.eye(1)])
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    turn4 = Automorphism(base, perm=(0, 2, 1), unitaries=[[[c, -s], [s, c]], np.eye(1), np.eye(1)])
+    s3, perms = GroupTable.from_permutations([(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)])
+    c3 = MultiMatrixAlgebra((1,) * 3, (1.0 / 3,) * 3)
+    moves = [Automorphism(c3, perm=np.argsort(p)) for p in perms]  # block i goes to block p(i)
+    return {
+        **{"crossed-diag-%d" % k: diag(k) for k in (2, 3, 4, 5, 6)},
+        **{"z%d-over-e" % n: (point, GroupTable.cyclic(n), [Automorphism.identity(point)] * n) for n in (2, 3, 6, 8)},
+        "klein-over-e": (point, GroupTable.direct_product(*[GroupTable.cyclic(2)] * 2), [Automorphism.identity(point)] * 4),
+        "s3-over-e": (point, s3, [Automorphism.identity(point)] * 6),
+        "s3-on-c3": (c3, s3, moves),
+        "m2-by-inner-flip": (base_m2, GroupTable.cyclic(2), [Automorphism.identity(base_m2), flip]),
+        "m2-trivial-z2": (base_m2, GroupTable.cyclic(2), [Automorphism.identity(base_m2)] * 2),
+        "211-swap": (base, GroupTable.cyclic(2), [ident, swap]),
+        "211-turn": (base, GroupTable.cyclic(2), [ident, turn]),
+        "211-turn-z4": (base, GroupTable.cyclic(4), [ident, turn4, turn4.compose(turn4), turn4.compose(turn4).compose(turn4)]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_oracle_actions()))
+def test_crossed_product_matches_the_copies_of_l2b_oracle(name):
+    # the model inside M_|G|(B) and the operators on |G| copies of L2(B): the same
+    # (block dim, trace) multiset and inclusion matrix up to block order, and the same
+    # pipeline verdict (or error) on B with the group unitaries; the GNS space has |G|^2 dim B rows
+    base, group, autos = _oracle_actions()[name]
+    cp = CrossedProductModel(base, group, autos)
+    alg, image, unitaries = crossed_product_oracle(base, group, autos)
+    assert cp.span.ambient.gns_dim == len(group) ** 2 * base.dim
+
+    def blocks(amb, sub):
+        lam = algebra.inclusion_matrix(sub.wedderburn_data())
+        return sorted(zip(amb.dims, amb.trace_vector, map(tuple, lam.T)), key=lambda b: (b[0], round(b[1], 9), b[2]))
+
+    got, want = blocks(cp.algebra, cp.base_image), blocks(alg, image)
+    assert [(d, col) for d, _, col in got] == [(d, col) for d, _, col in want]
+    assert max(abs(a[1] - b[1]) for a, b in zip(got, want)) <= 1e-12
+    assert _verdict(cp.base_image, cp.unitaries) == _verdict(image, unitaries)
+
+
+def _verdict(sub, candidates):
+    """The pipeline's flags, |reps| and issues, or the error it raises (B = M2 + C + C
+    under the swap is not connected in B x| Z2 = M2 + M2 + M2)."""
+    try:
+        rep = regular_pipeline(sub, candidates)
+    except NonConnected as exc:
+        return str(exc)
+    return rep.flags, rep.numbers["reps"], rep.issues
 
 
 def test_group_algebra_pair_and_subgroup_check():

@@ -119,8 +119,9 @@ def test_path_task_through_scenario():
 
 
 def test_cyclic_shift_scenario_builds_the_crossed_product_diag():
-    # the generic crossed-product path gets the base, group and automorphisms of
-    # models.crossed_product_diag, so the two build the same inclusion
+    # the generic crossed-product path gets the base, group and automorphisms
+    # (Automorphism.cyclic_shifts) of models.crossed_product_diag, so the two
+    # build the same inclusion
     for k in (2, 3):
         spec = {"kind": "crossed_product", "base_dims": [1] * k, "group": "cyclic:%d" % k, "action": "cyclic_shift"}
         got, want = build_model(spec).require_pair(), models.crossed_product_diag(k)

@@ -101,12 +101,11 @@ def test_construct_with_full_support_is_basis():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
     one = np.eye(bc.gns_dim)
-    for mode in ("general", "orthogonal"):
-        sys = construct_system_with_support(one, bc, mode=mode)
-        assert sys.size == 2
-        assert sys.flags["basis"]
-        assert sys.flags["orthogonal"]
-        assert sys.residuals["support_match"] < 1e-9
+    sys = construct_system_with_support(one, bc)
+    assert sys.size == 2
+    assert sys.flags["basis"]
+    assert sys.flags["orthogonal"]
+    assert sys.residuals["support_match"] < 1e-9
 
 
 def test_construct_orthonormal_padded_full_support():
@@ -123,8 +122,9 @@ def test_construct_rejects_non_projection():
     bc = BasicConstruction(mp.sub)
     with pytest.raises(NotAProjection):
         construct_system_with_support(0.5 * bc.e1, bc)
-    with pytest.raises(InvalidInput):
-        construct_system_with_support(bc.e1, bc, mode="banana")
+    for mode in ("banana", "orthogonal"):
+        with pytest.raises(InvalidInput, match="unknown mode"):
+            construct_system_with_support(bc.e1, bc, mode=mode)
 
 
 def test_construct_rejects_support_outside_m1():
