@@ -3,6 +3,8 @@ expectations, basic constructions, Pimsner-Popa systems and bases, path
 models, interchange operators and regular-inclusion basis patching.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     AlgebraElement,
     MultiMatrixAlgebra,
@@ -38,42 +40,5 @@ from .systems import PPSystem, classify, complete_to_basis, construct_system_wit
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "AlgebraError",
-    "Automorphism",
-    "BasicConstruction",
-    "BratteliDiagram",
-    "CrossedProductModel",
-    "GroupTable",
-    "M1Trace",
-    "MarkovData",
-    "MultiMatrixAlgebra",
-    "PPSystem",
-    "PathModel",
-    "Subalgebra",
-    "UnitalEmbedding",
-    "WatataniData",
-    "WedderburnData",
-    "WeylReport",
-    "check_intermediate",
-    "check_normalizer",
-    "classify",
-    "complete_to_basis",
-    "construct_system_with_support",
-    "coset_distinct",
-    "coset_system",
-    "gram_matrix",
-    "inclusion_matrix",
-    "interchange_operator",
-    "interchange_pair",
-    "intermediate_projection",
-    "is_commuting_square",
-    "markov_trace",
-    "patch_bases",
-    "regular_pipeline",
-    "relative_commutant",
-    "scalar_basis",
-    "wedderburn",
-    "watatani_index",
-]
+# every public name imported above, so the list cannot drift from the imports
+__all__ = sorted(name for name, obj in globals().items() if not name.startswith("_") and not isinstance(obj, _ModuleType))

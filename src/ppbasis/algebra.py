@@ -6,8 +6,8 @@ assigns a positive weight t_i to the i-th block's matrix trace, normalized so
 the whole functional is a state: sum n_i t_i = 1.  The induced inner product
 <x, y> = tr(y* x) makes the algebra a Hilbert space (its GNS space); vec()
 maps elements to coordinates in which that inner product is the standard one,
-so subalgebras, conditional expectations and commutants below are ordinary
-orthogonal-projection and nullspace computations.
+so subalgebras and conditional expectations below are orthogonal projections
+onto orthonormal bases, read off matrix units or eigenvectors wherever they give one.
 """
 
 import functools
@@ -28,7 +28,7 @@ class MultiMatrixAlgebra:
     """Direct sum of matrix blocks with a faithful tracial state."""
 
     def __init__(self, dims, trace_vector):
-        dims = tuple(int(n) for n in dims)
+        dims = tuple(linalg.integers(dims, "block dims").tolist())
         if not dims or any(n < 1 for n in dims):
             raise InvalidInput("block dims must be positive integers, got %r" % (dims,))
         t = np.asarray(trace_vector, dtype=float)
@@ -208,10 +208,6 @@ class AlgebraElement:
         """u x u* for a (typically unitary) element u."""
         return u * self * u.adjoint()
 
-    def is_projection(self, tol=linalg.EPS_FLAG):
-        scale = 1.0 + self.op_norm()
-        return ((self * self) - self).op_norm() <= tol * scale and (self - self.adjoint()).op_norm() <= tol * scale
-
     def is_unitary(self, tol=linalg.EPS_FLAG):
         return bool(_unitarity_residuals([b[None] for b in self.blocks])[0] <= tol)
 
@@ -337,13 +333,20 @@ class Subalgebra:
         return sub
 
     @classmethod
+    def from_units(cls, ambient, traces, units):
+        """The span of matrix units ``units[b][p][q]``, kept as its Wedderburn data: units are orthogonal
+        with ||e_pq||^2 = traces[b], the trace of their block, so the e_pq / sqrt(traces[b]) are orthonormal."""
+        wd = WedderburnData(None, [len(u) for u in units], traces, units)
+        sub = cls(ambient, wd.unit_mat / np.sqrt(wd._scale))
+        sub._units, wd.subalgebra = wd, sub
+        return sub
+
+    @classmethod
     def embedded(cls, ambient, source, embed):
         """The image of ``source`` under the unital *-embedding ``embed``, which
         keeps the images of the matrix units of ``source`` as its Wedderburn data."""
         units = [[[embed(source.unit(i, p, q)) for q in range(m)] for p in range(m)] for i, m in enumerate(source.dims)]
-        sub = cls.span(ambient, [x for block in units for row in block for x in row], check=False)
-        sub._units = WedderburnData(sub, source.dims, [u[0][0].trace().real for u in units], units)
-        return sub
+        return cls.from_units(ambient, [u[0][0].trace().real for u in units], units)
 
     @classmethod
     def generated(cls, ambient, elements):
@@ -437,8 +440,8 @@ def _in_block(alg, j, x):
 
 def _closed_form(wd, join):
     """N' cap M, or with ``join`` R = N v (N' cap M), keeping matrix units read off N's
-    (Goodman, de la Harpe and Jones).  For N's block i and M's block j, with v_a an
-    orthonormal basis of the range of e^i_00 in block j, the (e^i_p0 v_a)(e^i_q0 v_b)*
+    (Goodman, de la Harpe and Jones).  For N's block i and M's block j, with v_a the basis
+    ``wd.ranges[i][j]`` of the range of e^i_00 in block j, the (e^i_p0 v_a)(e^i_q0 v_b)*
     = e^i_pq f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j; their
     sums over p = q, the f_ab, those of the block M_{Lambda_ij} of N' cap M, of trace m_i t_j.
     Each is built once per ``wd`` and kept on it, so what is kept on R (M1's blocks) is built once too."""
@@ -446,9 +449,8 @@ def _closed_form(wd, join):
         return wd._closed[join]
     amb = wd.subalgebra.ambient
     traces, units = [], []
-    for m, e in zip(wd.block_dims, wd.units):
-        for j, t in enumerate(amb.trace_vector):
-            v = linalg.orthonormal_columns(e[0][0].blocks[j])
+    for m, e, vs in zip(wd.block_dims, wd.units, wd.ranges):
+        for j, (t, v) in enumerate(zip(amb.trace_vector, vs)):
             if not v.shape[1]:
                 continue
             w = np.stack([e[p][0].blocks[j] @ v for p in range(m)])  # the e^i_p0 v_a, as (m, n_j, Lambda_ij)
@@ -456,11 +458,8 @@ def _closed_form(wd, join):
             f = f.reshape(m * v.shape[1], m * v.shape[1], *f.shape[-2:]) if join else np.einsum("papbxy->abxy", f)
             units.append([[_in_block(amb, j, x) for x in row] for row in f])
             traces.append(t if join else m * t)
-    # the units scaled by 1/sqrt(trace) are orthonormal
-    mat = np.stack([x.vec() / np.sqrt(t) for t, block in zip(traces, units) for row in block for x in row], axis=1)
-    sub = Subalgebra(amb, mat)
-    sub._units = wd._closed[join] = WedderburnData(sub, [len(u) for u in units], traces, units)
-    return sub._units
+    wd._closed[join] = Subalgebra.from_units(amb, traces, units)._units
+    return wd._closed[join]
 
 
 def commutant_wedderburn(wd):
@@ -491,6 +490,12 @@ class WedderburnData:
         self._scale = np.repeat(self.block_traces, [d * d for d in self.block_dims])
         self._cuts = np.cumsum([d * d for d in self.block_dims])[:-1]
         self._closed = {}  # N' cap M and R, read off these units by _closed_form
+
+    @functools.cached_property
+    def ranges(self):
+        """``ranges[i][j]``: orthonormal basis of the range of block j of e^i_00, one batched eigh per block of M."""
+        eig = [linalg.eigh(np.stack(blocks)) for blocks in zip(*(u[0][0].blocks for u in self.units))]
+        return [[vecs[i][:, vals[i] > 0.5] for vals, vecs in eig] for i in range(len(self.units))]
 
     def abstract(self):
         # renormalize away float drift so the trace-sum check stays exact
@@ -533,16 +538,17 @@ def _spectral_split(h):
 
 def _row_residuals(sub, rows, qss):
     """Largest GNS-norm residual of row 0 of each block's matrix units, the partial
-    isometries w_p = u_0p: each w_p lies in the subalgebra (one ``residuals`` call for
-    every block), w_p w_p* = u_00 = q_0 and w_p* w_p = q_p, the block's p-th minimal
-    projection.  The units u_pq = w_p* w_q then satisfy every matrix-unit relation,
-    from 2d products instead of d^4."""
-    member = sub.residuals(np.stack([w.vec() for row in rows for w in row], axis=1))
+    isometries w_p = u_0p: each link w_p, p >= 1, lies in the subalgebra (one ``residuals``
+    call for every block; the leader w_0 = q_0 is tested with the spectral projections),
+    w_p w_p* = u_00 = q_0 and w_p* w_p = q_p, the block's p-th minimal projection.  The
+    units u_pq = w_p* w_q then satisfy every matrix-unit relation, from 2d products instead of d^4."""
+    links = [w.vec() for row in rows for w in row[1:]]
+    member = sub.residuals(np.stack(links, axis=1)) if links else np.zeros(0)
     out = []
-    for row, qs, res in zip(rows, qss, np.split(member, np.cumsum([len(row) for row in rows])[:-1])):
+    for row, qs, res in zip(rows, qss, np.split(member, np.cumsum([len(row) - 1 for row in rows])[:-1])):
         adj = [w.adjoint() for w in row]
         rel = [(w * a - qs[0]).norm() for w, a in zip(row, adj)] + [(a * w - q).norm() for w, a, q in zip(row, adj, qs)]
-        out.append(max(float(res.max()), *rel))
+        out.append(max(float(res.max(initial=0.0)), *rel))
     return out
 
 
@@ -564,12 +570,16 @@ def _attempt_wedderburn(sub, rng):
     else:
         h, g = _random_combination(sub, rng), _random_combination(sub, rng, hermitian=False)
     means, vecs, masks = _spectral_split(h)
+    # q_c^2 - q_c = V_c (V_c* V_c - 1) V_c*: eigh's eigenvectors certify every spectral projection at once
+    dev = max(linalg.hermitian_norm(v.conj().T @ v - np.eye(len(v))) for v in vecs)
+    if dev > linalg.EPS_WEDD:
+        raise DegenerateSpectrum("eigenvectors are not orthonormal (residual %.3g)" % dev)
     qs = []
     for c in range(len(means)):
         cols = [v[:, m[:, c]] for v, m in zip(vecs, masks)]
         qs.append(AlgebraElement(amb, [x @ x.conj().T for x in cols]))
     member = sub.residuals(np.stack([q.vec() for q in qs], axis=1))  # one call for every projection
-    if member.max() > linalg.EPS_WEDD or not all(q.is_projection(linalg.EPS_WEDD) for q in qs):
+    if member.max() > linalg.EPS_WEDD:
         raise DegenerateSpectrum("spectral projection left the subalgebra")
     # the GNS norms of all q_a g q_c, read off g in the eigenbases: sum over blocks of t |V_a* g V_c|^2
     links = np.sqrt(sum(t * m.T @ np.abs(v.conj().T @ x @ v) ** 2 @ m
@@ -603,7 +613,8 @@ def wedderburn(sub, seed=0):
     No centre is formed: the minimal projections are the spectral projections
     of one random Hermitian element, and one random element links those of a
     block (Murota, Kanno, Kojima and Kojima, JJIAM 27, 2010).  An attempt is
-    accepted when each projection lies in the subalgebra, the block dims give
+    accepted when the eigenvectors are orthonormal (so each q_c = V_c V_c* is a
+    projection) and each q_c lies in the subalgebra, the block dims give
     sum d^2 = dim and each block's row 0 passes ``_row_residuals``, all to
     EPS_WEDD; WEDD_TRIES seeds before DegenerateSpectrum.
     """

@@ -8,11 +8,12 @@ are their abstract blocks, or plain D x D arrays over the GNS coordinates.
 Only e1 is computed eagerly.  M1 is read off N's matrix units e^i_{pq} in
 closed form once per N (``m1_wedderburn``), with no D x D operator.  On block j
 of M, R(e^i_{00}) is 1_{n_j} (x) conj(e^i_{00}), so the isometry V_i onto its
-range is 1_{n_j} (x) conj(v_j) for an orthonormal basis v_j of the range of
-block j of e^i_{00}; W_{i,p} = R(e^i_{0p}) V_i, and M1 = {sum_{i,p} W_{i,p} C_i
-W_{i,p}^*}.  So M1 is the direct sum of M_{(Lambda n)_i}, block i sits over N's
-block i, and an element of M1 given by its blocks C_i acts on columns through
-the W's (``M1Wedderburn.apply``).  A Pimsner-Popa element v = L_x e1 is pushed
+range is 1_{n_j} (x) conj(v_j) for the basis v_j of the range of block j of
+e^i_{00} kept on N (``WedderburnData.ranges``, which N' cap M and R read too);
+W_{i,p} = R(e^i_{0p}) V_i, and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  So M1 is
+the direct sum of M_{(Lambda n)_i}, block i sits over N's block i, and an
+element of M1 given by its blocks C_i acts on columns through the W's
+(``M1Wedderburn.apply``).  A Pimsner-Popa element v = L_x e1 is pushed
 down as x = v 1^ (Pimsner and Popa), so the support construction reads each x
 off v's blocks, and a projection cols cols^* in M1 has blocks read off row 0
 (``M1Wedderburn.outer_blocks``).  The D^2-row Subalgebra ``m1`` is built only
@@ -150,9 +151,9 @@ class M1Wedderburn:
 
     ``isometries[i]`` is the D x (m_i k_i) matrix [W_{i,0}, ..., W_{i,m_i-1}]
     with W_{i,p} = R(e^i_{0p}) V_i, and V_i is 1_{n_j} (x) conj(v_j) on block j
-    of M (see the module docstring).  Its columns are an orthonormal basis of
-    the range of the i-th central projection, and in them an operator of M1 is
-    1_{m_i} (x) C_i; C_i is the operator's abstract block.  ``apply`` acts with
+    of M for v_j in ``sub_wedd.ranges`` (see the module docstring).  Its columns
+    are an orthonormal basis of the range of the i-th central projection, and in
+    them an operator of M1 is 1_{m_i} (x) C_i; C_i is the operator's abstract block.  ``apply`` acts with
     an element of M1 on columns from its blocks, one product per block.
     """
 
@@ -160,12 +161,8 @@ class M1Wedderburn:
         amb = sub_wedd.subalgebra.ambient
         self.gns_dim, self.mults, self._amb = amb.gns_dim, tuple(sub_wedd.block_dims), amb
         self._rows = [units[0] for units in sub_wedd.units]
-        parts = [[] for _ in self._rows]
-        for j, n in enumerate(amb.dims):  # v_j for every e^i_00 from one eigh call per block of M
-            vals, vecs = linalg.eigh(np.stack([row[0].blocks[j] for row in self._rows]))
-            for i, v in enumerate(parts):
-                v.append(_kron_eye(n, vecs[i][:, vals[i] > 0.5].conj()))
-        self._v = [linalg.block_diag(v) for v in parts]  # V_i = W_{i,0}
+        self._v = [  # V_i = W_{i,0}
+            linalg.block_diag([_kron_eye(n, v.conj()) for n, v in zip(amb.dims, vs)]) for vs in sub_wedd.ranges]
         self.block_dims = tuple(v.shape[1] for v in self._v)
         # the V_i^* stacked by block size, so that blocks of one size come from one batched product
         self._sizes = [(k, [i for i, d in enumerate(self.block_dims) if d == k]) for k in sorted(set(self.block_dims))]

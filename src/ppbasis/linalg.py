@@ -157,12 +157,21 @@ def projection_residuals(p):
     return operator_norm(p @ p - p), hermitian_norm(1j * (p - p.conj().swapaxes(-2, -1)))
 
 
+def integers(a, what):
+    """``a`` as an int array; InvalidInput naming ``what`` unless its entries are nonnegative
+    real numbers within EPS_FLAG of integers: 3 and 3.0 pass, 2.5, "3", -1 and nan do not."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "buif" or not np.all((a >= 0) & (np.abs(a - np.round(a)) <= EPS_FLAG)):
+        raise InvalidInput("%s must be nonnegative integers" % what)
+    return np.round(a).astype(int)
+
+
 def integer_matrix(a, what):
     """``a`` as an int matrix; InvalidInput unless its entries are nonnegative integers to EPS_FLAG."""
-    a = np.asarray(a)
-    if a.ndim != 2 or np.any(a < 0) or not np.allclose(a, np.round(a), rtol=0, atol=EPS_FLAG):
+    a = integers(a, what)
+    if a.ndim != 2:
         raise InvalidInput("%s must be a matrix of nonnegative integers" % what)
-    return np.round(a).astype(int)
+    return a
 
 
 def integer_trace(block, error):

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .algebra import MultiMatrixAlgebra, Subalgebra, UnitalEmbedding
 from .basic import markov_trace
 from .errors import InvalidInput, InvalidSubgroup
@@ -62,6 +63,7 @@ def scalar_in_full(n, trace=None):
 
 def diagonal_in_matrix(k, trace="markov"):
     """Diagonal matrices inside M_k, with the cyclic shifts as candidates."""
+    k = int(linalg.integers(k, "k"))
     if k < 1:
         raise InvalidInput("k must be positive")
     pair = explicit_pair((1,) * k, [[1]] * k, trace=trace, name="diag-in-m%d" % k)
@@ -193,6 +195,7 @@ def crossed_product_pair(base, group, autos, seed=0, name="crossed-product"):
 
 def crossed_product_diag(k, seed=0):
     """C^k shifted cyclically: the crossed product is a single k x k block."""
+    k = int(linalg.integers(k, "k"))
     base = MultiMatrixAlgebra((1,) * k, (1.0 / k,) * k)
     autos = Automorphism.cyclic_shifts(base)
     return crossed_product_pair(base, GroupTable.cyclic(k), autos, seed=seed, name="crossed-product-diag-%d" % k)

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .algebra import MultiMatrixAlgebra, UnitalEmbedding
 from .basic import markov_trace
-from .errors import InvalidInput, InvalidPathPair, NonUnitalInclusion, TraceMismatch
+from .errors import InvalidInput, InvalidPathPair, NonUnitalInclusion
 
 Edge0 = namedtuple("Edge0", "block slot")
 Edge01 = namedtuple("Edge01", "source target slot")
@@ -29,7 +29,7 @@ class BratteliDiagram:
     """Two-level diagram: middle dims plus an inclusion matrix to the bottom."""
 
     def __init__(self, middle_dims, inclusion):
-        m = tuple(int(x) for x in middle_dims)
+        m = tuple(linalg.integers(middle_dims, "middle dims").tolist())
         if not m or any(x < 1 for x in m):
             raise InvalidInput("middle dims must be positive integers")
         lam = linalg.integer_matrix(inclusion, "inclusion matrix")
@@ -67,11 +67,10 @@ class PathModel:
     """Concrete path-algebra realization of a two-level diagram.
 
     ``bottom_trace`` may be a vector or the string "markov".  The middle
-    trace is the restriction through the inclusion matrix unless supplied
-    explicitly, in which case it is validated against it.
+    trace is its restriction through the inclusion matrix.
     """
 
-    def __init__(self, diagram, bottom_trace="markov", middle_trace=None):
+    def __init__(self, diagram, bottom_trace="markov"):
         self.diagram = diagram
         if isinstance(bottom_trace, str):
             if bottom_trace != "markov":
@@ -81,10 +80,6 @@ class PathModel:
         self.embedding = UnitalEmbedding.canonical(diagram.middle_dims, self.bottom, diagram.inclusion)
         self.middle_skeleton = self.embedding.source
         self.t1, self.t0 = self.bottom.trace_vector, self.middle_skeleton.trace_vector
-        if middle_trace is not None:
-            supplied = np.asarray(middle_trace, dtype=float)
-            if supplied.shape != self.t0.shape or np.max(np.abs(supplied - self.t0)) > linalg.EPS_INPUT:
-                raise TraceMismatch("middle trace is not the restriction of the bottom trace")
 
     def unit(self, lam, mu):
         """Matrix unit of the bottom algebra indexed by two full paths."""

@@ -75,6 +75,7 @@ class GroupTable:
 
     @classmethod
     def cyclic(cls, n):
+        n = int(linalg.integers(n, "group order"))
         return cls([[(g + h) % n for h in range(n)] for g in range(n)])
 
     @classmethod
@@ -89,7 +90,7 @@ class GroupTable:
 
         Products compose left-over-right: (p * q)(i) = p(q(i)).
         """
-        perms = [tuple(int(v) for v in p) for p in perms]
+        perms = [tuple(linalg.integers(p, "permutation %d" % k).tolist()) for k, p in enumerate(perms)]
         if not perms:
             raise InvalidInput("permutation list is empty")
         m = len(perms[0])
@@ -117,7 +118,7 @@ class Automorphism:
     def __init__(self, alg, perm=None, unitaries=None):
         self.alg = alg
         k = alg.nblocks
-        perm = tuple(range(k)) if perm is None else tuple(int(p) for p in perm)
+        perm = tuple(range(k)) if perm is None else tuple(linalg.integers(perm, "block permutation").tolist())
         if sorted(perm) != list(range(k)):
             raise NotAnAction("block permutation must permute the %d blocks" % k)
         for j, s in enumerate(perm):
@@ -170,6 +171,8 @@ class CrossedProductModel:
     decomposed into blocks.  Each alpha preserves tr_B and u_g moves every copy for
     g != e, so the ambient trace restricts to the canonical one, b_g -> tr_B(b_e);
     the blocks carry it, and the copy of B keeps the images of B's matrix units.
+    <pi(e_b) u_g, pi(e_c) u_h> = delta_gh delta_bc t_b for B's matrix units, as different g fill
+    disjoint pairs of copies and each alpha preserves tr_B: the columns scaled to norm 1 are orthonormal.
     The action and the covariance (one stacked norm of u_g pi(b) u_g* -
     pi(alpha_g(b)) over the copies, per block of B) must hold to EPS_INPUT.
     """
@@ -202,9 +205,8 @@ class CrossedProductModel:
             blk = pi[group.table, :, lo:hi].reshape(n, n, db, d, d).transpose(0, 1, 3, 4, 2)
             cols[a:a + n * d * n * d].reshape(n, d, n, d, db, n)[group.table, :, hs, :, :, gs] = blk
         cols *= amb.gns_weights[:, None, None]
-        self.span = Subalgebra(amb, linalg.orthonormal_columns(cols.reshape(amb.dim, -1)))
-        if self.span.dim != base.dim * n:
-            raise NotAnAction("covariance span has dimension %d, expected %d" % (self.span.dim, base.dim * n))
+        flat = cols.reshape(amb.dim, -1)
+        self.span = Subalgebra(amb, flat / np.linalg.norm(flat, axis=0))
         self.wedd = self.span.wedderburn_data(seed)
         self.algebra = self.wedd.abstract()
         self.unitaries = tuple(self._to_model(cols.transpose(0, 2, 1) @ _coords(base.identity())))

@@ -257,13 +257,14 @@ def test_failed_factorization_in_the_model_exits_2(tmp_path, capsys, monkeypatch
     import numpy as np
 
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    # the diagonal model's build takes no SVD; its Markov trace takes an eigh
+    monkeypatch.setattr(np.linalg, "eigh", fail)
     code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, DIAG_SCENARIO))
     assert code == 2
     assert out == ""
-    assert err == "error: model construction failed: FactorizationFailed: SVD did not converge\n"
+    assert err == "error: model construction failed: FactorizationFailed: Eigenvalues did not converge\n"
 
 
 MALFORMED = {

@@ -18,7 +18,7 @@ from ppbasis import (
     regular_pipeline,
     relative_commutant,
 )
-from ppbasis import algebra, linalg, models, regular, systems
+from ppbasis import algebra, basic, linalg, models, regular, systems
 from ppbasis.errors import (
     DuplicateCoset,
     InvalidInput,
@@ -908,6 +908,44 @@ def test_pipeline_decomposes_only_n(monkeypatch, build, model_built):
             calls["wedderburn"].clear()
             regular_pipeline(sub, candidates=mp.candidates, seed=seed)
             assert calls == {"relative_commutant": [], "wedderburn": []}
+
+
+@pytest.mark.parametrize("build", [lambda: models.crossed_product_diag(6), lambda: models.diagonal_in_matrix(6)],
+                         ids=["crossed-diag-6", "diag-in-m6"])
+def test_bases_are_read_off_structure(monkeypatch, build):
+    # the covariance span is scaled column by column, embedded and closed-form units are
+    # their own basis, and the ranges of N's minimal projections come from one batched eigh
+    # per block of M, shared by N' cap M, R and M1: nothing is orthonormalized
+    calls = {"orthonormal_columns": 0, "eigh": 0}
+    for name in calls:
+        def spy(*args, name=name, original=getattr(linalg, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    mp = build()
+    calls["eigh"] = 0
+    wd = mp.sub.wedderburn_data()
+    comm, r_alg, m1 = algebra.commutant_wedderburn(wd), algebra.join_wedderburn(wd), basic.m1_wedderburn(mp.sub)
+    assert calls == {"orthonormal_columns": 0, "eigh": mp.ambient.nblocks}
+    assert (comm.block_dims, r_alg.block_dims, m1.block_dims) == ((1,) * 6, (1,) * 6, (6,) * 6)
+
+
+@pytest.mark.parametrize("build", [b for _, b in PIPELINE_MODELS], ids=[n for n, _ in PIPELINE_MODELS])
+def test_bases_read_off_structure_are_orthonormal(monkeypatch, build):
+    # the span of a crossed product or group algebra, N, N' cap M and R, all to 1e-12
+    spans = []
+
+    class Recording(CrossedProductModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            spans.append(self.span)
+
+    monkeypatch.setattr(models, "CrossedProductModel", Recording)
+    mp = build()
+    wd = mp.sub.wedderburn_data()
+    for sub in spans + [mp.sub, algebra.commutant_wedderburn(wd).subalgebra, algebra.join_wedderburn(wd).subalgebra]:
+        assert linalg.hermitian_norm(sub.mat.conj().T @ sub.mat - np.eye(sub.dim)) <= 1e-12
 
 
 def test_coset_system_classifies_once_when_r_is_n(monkeypatch):

@@ -350,6 +350,22 @@ def test_non_generic_draws_exhaust_the_attempts(monkeypatch):
     )
 
 
+def test_spectral_projections_are_certified_from_the_eigenvectors(monkeypatch):
+    # q_c = V_c V_c*, so eigenvectors scaled by 1 + 1e-5 make every q_c miss idempotency
+    # by about 2e-5; the check on V* V - 1 rejects every attempt before any q_c is formed
+    eigh = linalg.eigh
+
+    def scaled(h):
+        vals, vecs = eigh(h)
+        return vals, vecs * (1 + 1e-5)
+
+    monkeypatch.setattr(linalg, "eigh", scaled)
+    pair = models.explicit_pair((1, 2), [[1], [1]])
+    with pytest.raises(DegenerateSpectrum) as exc:
+        wedderburn(_span_only(pair.sub))
+    assert str(exc.value).startswith("wedderburn failed after 5 attempts: eigenvectors are not orthonormal (residual 2")
+
+
 # ---------------------------------------------------------------- foreign families
 
 

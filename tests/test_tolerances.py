@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ppbasis
-from ppbasis import linalg
+from ppbasis import Automorphism, BratteliDiagram, GroupTable, MultiMatrixAlgebra, linalg, models
 from ppbasis.errors import InvalidInput, NotAProjection
 
 SOURCES = sorted(pathlib.Path(ppbasis.__file__).parent.glob("*.py"))
@@ -62,6 +62,34 @@ def test_integer_matrix():
     for bad in ([[1, -1]], [[0.5]], [1, 2], [[3 + 1e-7]], [[np.nan]]):
         with pytest.raises(InvalidInput, match="nonnegative integers"):
             linalg.integer_matrix(bad, "m")
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: MultiMatrixAlgebra((2.5,), (0.5,)), "block dims"),
+        (lambda: MultiMatrixAlgebra(("3",), (1.0 / 3,)), "block dims"),
+        (lambda: BratteliDiagram((1.7,), [[2]]), "middle dims"),
+        (lambda: Automorphism(MultiMatrixAlgebra((1, 1), (0.5, 0.5)), perm=(1.9, 0.2)), "block permutation"),
+        (lambda: GroupTable.from_permutations([(0, 1), (1.5, 0)]), "permutation 1"),
+        (lambda: models.diagonal_in_matrix(2.5), "k"),
+        (lambda: models.crossed_product_diag(2.5), "k"),
+        (lambda: GroupTable.cyclic(2.5), "group order"),
+    ],
+    ids=["dims-float", "dims-string", "middle-dims", "perm", "permutation", "diag-k", "crossed-k", "cyclic-n"],
+)
+def test_non_integer_counts_are_invalid_input(build, field):
+    # each was truncated by int() or ended in a raw TypeError
+    with pytest.raises(InvalidInput, match="^%s must be nonnegative integers" % field):
+        build()
+
+
+def test_integral_counts_are_accepted():
+    assert MultiMatrixAlgebra((2.0,), (0.5,)).dims == (2,)
+    assert BratteliDiagram((np.int64(1),), [[2]]).middle_dims == (1,)
+    assert Automorphism(MultiMatrixAlgebra((1, 1), (0.5, 0.5)), perm=(1.0, 0.0)).perm == (1, 0)
+    assert len(GroupTable.cyclic(3.0)) == 3
+    assert models.diagonal_in_matrix(np.int64(3)).ambient.dims == (3,)
 
 
 def test_integer_trace():
