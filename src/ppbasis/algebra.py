@@ -539,16 +539,18 @@ def _spectral_split(h):
 def _row_residuals(sub, rows, qss):
     """Largest GNS-norm residual of row 0 of each block's matrix units, the partial
     isometries w_p = u_0p: each link w_p, p >= 1, lies in the subalgebra (one ``residuals``
-    call for every block; the leader w_0 = q_0 is tested with the spectral projections),
-    w_p w_p* = u_00 = q_0 and w_p* w_p = q_p, the block's p-th minimal projection.  The
-    units u_pq = w_p* w_q then satisfy every matrix-unit relation, from 2d products instead of d^4."""
+    call for every block), w_p w_p* = u_00 = q_0 and w_p* w_p = q_p, the block's p-th
+    minimal projection.  The units u_pq = w_p* w_q then satisfy every matrix-unit
+    relation, from 2d products instead of d^4.  The leader w_0 = q_0 is not tested here:
+    its relations restate q_0^2 = q_0, which the eigenvector check of ``_attempt_wedderburn``
+    certifies, ||q^2 - q||_2 <= ||q^2 - q||_op <= (1 + dev) dev, and its membership is
+    tested with the spectral projections; a 1 x 1 block forms no relation."""
     links = [w.vec() for row in rows for w in row[1:]]
     member = sub.residuals(np.stack(links, axis=1)) if links else np.zeros(0)
     out = []
     for row, qs, res in zip(rows, qss, np.split(member, np.cumsum([len(row) - 1 for row in rows])[:-1])):
-        adj = [w.adjoint() for w in row]
-        rel = [(w * a - qs[0]).norm() for w, a in zip(row, adj)] + [(a * w - q).norm() for w, a, q in zip(row, adj, qs)]
-        out.append(max(float(res.max(initial=0.0)), *rel))
+        rel = [max((w * w.adjoint() - qs[0]).norm(), (w.adjoint() * w - q).norm()) for w, q in zip(row[1:], qs[1:])]
+        out.append(max([float(res.max(initial=0.0)), *rel]))
     return out
 
 

@@ -2,26 +2,27 @@
 
 For N inside M acting on the GNS space L2(M) of dimension D, e1 is the
 orthogonal projection onto the closure of N, and M1 = <M, e1> is the
-commutant of the right action R of N (Jones: M1 = J N' J).  Members of M1
-are their abstract blocks, or plain D x D arrays over the GNS coordinates.
+commutant of the right action R of N (Jones: M1 = J N' J).  An element of M1
+enters and leaves this module, ``systems``, ``intermediate`` and ``scenarios``
+as its list of blocks C_i, one k_i-square array per block of M1.
 
-Only e1 is computed eagerly.  M1 is read off N's matrix units e^i_{pq} in
-closed form once per N (``m1_wedderburn``), with no D x D operator.  On block j
-of M, R(e^i_{00}) is 1_{n_j} (x) conj(e^i_{00}), so the isometry V_i onto its
-range is 1_{n_j} (x) conj(v_j) for the basis v_j of the range of block j of
-e^i_{00} kept on N (``WedderburnData.ranges``, which N' cap M and R read too);
+M1 is read off N's matrix units e^i_{pq} in closed form once per N
+(``m1_wedderburn``), with no D x D operator.  On block j of M, R(e^i_{00}) is
+1_{n_j} (x) conj(e^i_{00}), so the isometry V_i onto its range is
+1_{n_j} (x) conj(v_ij) for the basis v_ij of the range of block j of e^i_{00}
+kept on N (``WedderburnData.ranges``, which N' cap M and R read too);
 W_{i,p} = R(e^i_{0p}) V_i, and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  So M1 is
-the direct sum of M_{(Lambda n)_i}, block i sits over N's block i, and an
-element of M1 given by its blocks C_i acts on columns through the W's
-(``M1Wedderburn.apply``).  A Pimsner-Popa element v = L_x e1 is pushed
-down as x = v 1^ (Pimsner and Popa), so the support construction reads each x
-off v's blocks, and a projection cols cols^* in M1 has blocks read off row 0
-(``M1Wedderburn.outer_blocks``).  The D^2-row Subalgebra ``m1`` is built only
-when a caller reads it.
+the direct sum of M_{(Lambda n)_i} (Goodman, de la Harpe and Jones), block i
+sits over N's block i, and C_i's rows on block j of M are ordered (r, a) with
+r < n_j and a < Lambda_ij.  An element of M1 acts on columns through the W's
+(``M1Wedderburn.apply``), and a projection cols cols^* in M1, such as e1 or a
+support, has blocks read off row 0 (``M1Wedderburn.outer_blocks``).  An element
+v = L_x e1 is pushed down as x = v 1^ (Pimsner and Popa: M1 e1 = M e1).
 
-The Markov extension is a closed form in M1's central projections W_i W_i^*:
-tr2 = Tr(. Z) with Z = sum_i (trace_sub[i] / (beta m_i)) W_i W_i^*, and the
-expectation E_M: M1 -> M is a partial trace of T Z on each block of M.
+The Markov extension is a closed form in the blocks: with w_i = trace_sub[i]/beta,
+tr2(C) = sum_i w_i Tr C_i, and E_M(C) on block j of M is
+sum_i w_i Tr_{Lambda_ij}(C_i^{(jj)}) / sum_i w_i Lambda_ij, a partial trace of
+the (n_j Lambda_ij)-square diagonal piece of each C_i over block j.
 """
 
 import functools
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, Subalgebra
 from .errors import InvalidInput, NonConnected, NotSupportedOnE1
 
 
@@ -55,7 +55,7 @@ def markov_trace(inclusion, sub_dims):
     lam = linalg.integer_matrix(inclusion, "inclusion matrix")
     if np.any(lam.sum(axis=1) == 0) or np.any(lam.sum(axis=0) == 0):
         raise NonConnected("inclusion matrix has a zero row or column")
-    m = np.asarray(sub_dims, dtype=float)
+    m = linalg.integers(sub_dims, "sub_dims")
     if m.shape != (lam.shape[0],) or np.any(m < 1):
         raise InvalidInput("sub_dims must list one positive dimension per row of the inclusion matrix")
     n = lam.T @ m
@@ -74,18 +74,16 @@ def markov_trace(inclusion, sub_dims):
 
 
 class BasicConstruction:
-    """e1, M1 and the pushdown map for an inclusion N <= M.
+    """e1, M1 and the pushdown map for an inclusion N <= M, in M1's blocks.
 
-    Only e1 is computed up front; M1 is built from N's matrix units on first
-    use (``m1_wedd``), and the D^2-row ``m1`` only when a caller reads it.
+    Nothing is computed up front; M1's blocks are read off N's matrix units on
+    first use (``m1_wedd``), and e1 is its blocks there.
     """
 
     def __init__(self, sub, seed=0):
         self.sub = sub
         self.amb = sub.ambient
         self.seed = seed
-        self.e1 = sub.projection_matrix()
-        self._identity_vec = self.amb.vec(self.amb.identity())
 
     @property
     def gns_dim(self):
@@ -101,35 +99,41 @@ class BasicConstruction:
         return m1_wedderburn(self.sub, self.seed)
 
     @functools.cached_property
-    def m1(self):
-        """M1 as a Subalgebra of the D x D operators, spanned by its matrix units
-        sum_p W_{i,p}[:, a] W_{i,p}[:, b]^* (D^2 rows; built on demand)."""
-        wd, d = self.m1_wedd, self.gns_dim
-        cols = []
-        for w, m, k in zip(wd.isometries, wd.mults, wd.block_dims):
-            w = w.reshape(-1, m, k)
-            units = np.einsum("xpa,ypb->abxy", w, w.conj()).reshape(k * k, -1)
-            # each unit has HS norm sqrt(m), and GNS vec scales by 1/sqrt(D)
-            cols.append(units.T / np.sqrt(m))
-        return Subalgebra(MultiMatrixAlgebra((d,), (1.0 / d,)), np.concatenate(cols, axis=1))
+    def e1(self):
+        """e1's blocks in M1, read-only: the projection Q Q^* onto N's closure, Q = sub.mat."""
+        blocks = self.m1_wedd.outer_blocks(self.sub.mat)
+        for c in blocks:
+            c.flags.writeable = False
+        return blocks
+
+    @functools.cached_property
+    def _one_and_q(self):
+        """[1^, Q]: the GNS vector of 1, then N's orthonormal basis Q = sub.mat."""
+        return np.concatenate([self.amb.vec(self.amb.identity())[:, None], self.sub.mat], axis=1)
 
     def pushdown(self, v):
-        """The unique x in M with v = L_x e1, for v in M1 satisfying v e1 = v."""
-        v = np.asarray(v, dtype=complex)
-        scale = 1.0 + linalg.operator_norm(v)
-        if linalg.operator_norm(v @ self.e1 - v) > linalg.EPS_REL * scale:
+        """The unique x in M with v = L_x e1, for v in M1 given by its blocks with v e1 = v: x = v 1^."""
+        wd = self.m1_wedd
+        v = wd._checked(v)
+        scale = 1.0 + m1_norm(v)
+        if m1_norm([c @ e - c for c, e in zip(v, self.e1)]) > linalg.EPS_REL * scale:
             raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
-        if self.m1_wedd.roundtrip_residual(v) > linalg.EPS_REL * scale:
-            raise InvalidInput("pushdown input must lie in M1")
-        x = self.amb.unvec(v @ self._identity_vec)
-        q = self.sub.mat  # v = v e1 and L_x e1 vanish off e1's range Q: compare them on Q
-        if linalg.operator_norm(self.amb.products(self.amb.vec(x)[:, None], q) - v @ q) > linalg.EPS_FLAG * scale:
+        # v = v e1 and L_x e1 vanish off e1's range Q: compare them on Q
+        cols = wd.apply(v, self._one_and_q)
+        x = self.amb.unvec(cols[:, 0])
+        r = self.amb.products(self.amb.vec(x)[:, None], self.sub.mat) - cols[:, 1:]
+        if np.sqrt(linalg.hermitian_norm(r.conj().T @ r)) > linalg.EPS_FLAG * scale:  # ||r|| from the dim N-square r* r
             raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
         return x
 
     def markov_extension(self, markov):
         """Trace on M1 extending the ambient trace in Markov mode."""
         return M1Trace(self, markov)
+
+
+def m1_norm(blocks):
+    """Operator norm of the element of M1 with these blocks: its largest block norm, one call per block size."""
+    return max(linalg.operator_norm(s) for s in linalg.stacks(blocks))
 
 
 def m1_wedderburn(sub, seed=0):
@@ -174,14 +178,6 @@ class M1Wedderburn:
         return [np.concatenate([self._amb.products(v, u.vec()[:, None]) for u in row], axis=1)
                 for v, row in zip(self._v, self._rows)]
 
-    def to_abstract(self, t):
-        """Blocks C_i = (1/m_i) sum_p W_{i,p}^* T W_{i,p} of an operator T."""
-        out = []
-        for w, m, k in zip(self.isometries, self.mults, self.block_dims):
-            s = (w.conj().T @ t @ w).reshape(m, k, m, k)
-            out.append(np.einsum("papb->ab", s) / m)
-        return out
-
     def outer_blocks(self, cols):
         """Blocks C_i = W_{i,0}^* cols cols^* W_{i,0} of cols cols^*, which must lie in M1:
         a support W W^*, e1 (cols = N's basis) or e_P for P >= N (cols = P's basis)."""
@@ -194,16 +190,20 @@ class M1Wedderburn:
         return out
 
     def _checked(self, blocks):
+        """``blocks`` as complex arrays; InvalidInput unless they are finite and one k_i-square array per block."""
         shapes = [np.shape(c) for c in blocks]
         if shapes != [(k, k) for k in self.block_dims]:
-            raise InvalidInput("abstract blocks have the wrong shapes")
-        return [np.asarray(c, dtype=complex) for c in blocks]
+            raise InvalidInput("M1's blocks must be %d arrays of shapes %s" % (len(self.block_dims), self.block_dims))
+        out = [np.asarray(c, dtype=complex) for c in blocks]
+        if not all(np.isfinite(c).all() for c in out):
+            raise InvalidInput("M1's blocks must be finite")
+        return out
 
     def apply(self, blocks, cols):
         """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols: the element of M1 with abstract blocks C_i
-        applied to the columns of ``cols``, without forming it."""
+        (checked by the caller) applied to the columns of ``cols``, without forming it."""
         out = np.zeros(cols.shape, dtype=complex)
-        for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, self._checked(blocks)):
+        for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, blocks):
             out += w @ (c @ (w.conj().T @ cols).reshape(m, k, -1)).reshape(m * k, -1)
         return out
 
@@ -214,48 +214,40 @@ class M1Wedderburn:
             out += (w.reshape(-1, m, k) @ c).reshape(-1, m * k) @ w.conj().T
         return out
 
-    def roundtrip_residual(self, t):
-        """||T - E_M1(T)||_HS / sqrt(D), with E_M1(T) = from_abstract(to_abstract(T))."""
-        t = np.asarray(t, dtype=complex)
-        return float(np.linalg.norm(t - self.from_abstract(self.to_abstract(t)))) / np.sqrt(self.gns_dim)
-
 
 class M1Trace:
     """The Markov extension tr2 = (trace of sub)/beta on the blocks of M1.
 
-    With W_i W_i^* M1's central projections and w_i = trace_sub[i]/beta, tr2 is
-    Tr(. Z) for Z = sum_i (w_i/m_i) W_i W_i^*.  Z is central in M1, so on L(M) tr2
-    weighs block j of M by c_j = Tr(Z_jj)/n_j, and the tr2-preserving
-    expectation E_M: M1 -> M is, on block j, the partial trace of (T Z)_jj
-    over its right tensor factor, divided by c_j.
+    With w_i = trace_sub[i]/beta, tr2(C) = sum_i w_i Tr C_i, so tr2(L_x) weighs
+    block j of M by c_j = sum_i w_i Lambda_ij.  The tr2-preserving expectation
+    E_M: M1 -> M is, on block j, sum_i w_i Tr_{Lambda_ij}(C_i^{(jj)}) / c_j, the
+    partial trace over a of the diagonal piece of C_i with rows (r, a) on block j.
     """
 
     def __init__(self, bc, markov):
         self.bc = bc
         self.markov = markov
-        wd = bc.m1_wedd
         # M1 block i sits over block i of bc.sub_wedd; markov.trace_sub follows that order
-        if len(markov.trace_sub) != len(wd.block_dims):
+        if len(markov.trace_sub) != len(bc.m1_wedd.block_dims):
             raise InvalidInput("the Markov data needs one trace per block of the subalgebra")
-        w = np.asarray(markov.trace_sub, dtype=float) / markov.beta
-        self.z = sum(wi / m * (u @ u.conj().T) for wi, m, u in zip(w, wd.mults, wd.isometries))
-        offs = np.cumsum([0] + [n * n for n in bc.amb.dims])
-        self._cuts = list(zip(bc.amb.dims, offs, offs[1:]))
-        # c_j, the weight of block j of M: tr2(L_x) = sum_j c_j Tr(x_j)
-        self._c = [np.trace(self.z[lo:hi, lo:hi]).real / n for n, lo, hi in self._cuts]
+        self._w = np.asarray(markov.trace_sub, dtype=float) / markov.beta
+        self._lam = np.array([[v.shape[1] for v in vs] for vs in bc.sub_wedd.ranges])  # Lambda_ij
+        self._c = self._w @ self._lam
 
-    def trace(self, mat):
-        """tr2 of an operator in M1."""
-        return complex(np.sum(np.asarray(mat, dtype=complex) * self.z.T))
+    def trace(self, blocks):
+        """tr2 of the element of M1 with these blocks."""
+        return complex(sum(w * np.trace(c) for w, c in zip(self._w, self.bc.m1_wedd._checked(blocks))))
 
-    def expect_onto_ambient(self, mat):
-        """Trace-preserving conditional expectation of M1 onto the ambient algebra."""
-        tz = np.asarray(mat, dtype=complex) @ self.z
-        blocks = [
-            np.einsum("prqr->pq", tz[lo:hi, lo:hi].reshape(n, n, n, n)) / c
-            for (n, lo, hi), c in zip(self._cuts, self._c)
-        ]
-        return self.bc.amb.element(blocks)
+    def expect_onto_ambient(self, blocks):
+        """Trace-preserving conditional expectation onto the ambient algebra of the element of M1 with these blocks."""
+        dims = self.bc.amb.dims
+        out = [np.zeros((n, n), dtype=complex) for n in dims]
+        for w, lam, c in zip(self._w, self._lam, self.bc.m1_wedd._checked(blocks)):
+            lo = 0
+            for j, (n, k) in enumerate(zip(dims, lam)):
+                out[j] += w * np.einsum("rasa->rs", c[lo:lo + n * k, lo:lo + n * k].reshape(n, k, n, k))
+                lo += n * k
+        return self.bc.amb.element([x / c for x, c in zip(out, self._c)])
 
 
 @dataclass

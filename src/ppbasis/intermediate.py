@@ -5,22 +5,24 @@ For bases (lambda_i) of P over N and (mu_j) of Q over N, the interchange
 operator is p = sum_ij L(lambda_i mu_j) e1 L(lambda_i mu_j)*.  It is a
 projection exactly when the two intermediate algebras commute in the right
 way; modular conjugation swaps the two arguments.  Each basis is checked by
-``systems.require_basis`` against e_P, which also checks N <= P.
+``systems.require_basis`` against e_P's blocks in M1, which also checks N <= P.
+The interchange operators are returned as D x D arrays; e_P as its blocks in M1.
 """
 
 import numpy as np
 
 from . import linalg
+from .basic import m1_norm
 from .errors import InvalidInput, NotIntermediate
 from .linalg import EPS_FLAG, EPS_REL
 from .systems import _Family, check_intermediate, require_basis
 
 
 def intermediate_projection(mid, bc, tol=EPS_FLAG):
-    """GNS projection e_P of an intermediate algebra; checks e1 <= e_P."""
+    """Blocks in M1 of the GNS projection e_P of an intermediate algebra; checks e1 <= e_P there."""
     check_intermediate(bc.sub, mid, tol)
-    ep = mid.projection_matrix()
-    res = linalg.operator_norm(ep @ bc.e1 - bc.e1)
+    ep = bc.m1_wedd.outer_blocks(mid.mat)
+    res = m1_norm([p @ e - e for p, e in zip(ep, bc.e1)])
     if res > tol:
         raise NotIntermediate("e1 is not dominated by e_P (residual %.3g)" % res)
     return ep

@@ -303,22 +303,21 @@ def build_model(spec, seed=0):
 
 
 def _resolve_f(spec, bc):
-    """A support projection in M1: "e1", "one", or {"m1_central": b}.
+    """M1's blocks of a support projection: "e1", "one", or {"m1_central": b}.
 
     ``m1_central`` b is the central projection of the M1 block that sits over
     block b of N's Wedderburn decomposition.
     """
     if spec in (None, "e1"):
         return bc.e1
+    dims = bc.m1_wedd.block_dims
     if spec == "one":
-        return np.eye(bc.gns_dim)
+        return [np.eye(d) for d in dims]
     if isinstance(spec, dict) and "m1_central" in spec:
         b = _count(spec["m1_central"], "m1_central")
-        wd = bc.m1_wedd
-        if b >= len(wd.block_dims):
+        if b >= len(dims):
             raise ScenarioError("m1_central index %d out of range" % b)
-        blocks = [np.eye(d) if i == b else np.zeros((d, d)) for i, d in enumerate(wd.block_dims)]
-        return wd.from_abstract(blocks)
+        return [np.eye(d) * (i == b) for i, d in enumerate(dims)]
     raise ScenarioError("unknown support spec %r" % (spec,))
 
 

@@ -16,7 +16,9 @@ family; no product x_i* x_j is formed, and only ``gram_matrix`` makes elements
 of the entries.  The support W W*, W = [L_1 Q, ..., L_n Q] from a second product
 pass and Q = sub.mat, is kept as its blocks in M1 (``M1Wedderburn.outer_blocks``).
 An element of M1 has the norm of its largest block, so every support test runs
-on blocks, and no D x D operator is formed.
+on blocks, and no D x D operator is formed.  The prescribed support of
+``construct_system_with_support`` is given by its blocks too, and each element
+of the system is pushed down from blocks by ``BasicConstruction.pushdown``.
 Classification builds no basic construction; one passed as ``bc`` is kept for
 completion.  ``require_basis`` is the one basis check of the regular chain and
 interchange.
@@ -28,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .basic import BasicConstruction, m1_wedderburn
+from .basic import BasicConstruction, m1_norm, m1_wedderburn
 from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, NotASystem, NotIntermediate
-from .errors import NotSupportedOnE1
 from .linalg import EPS_FLAG
 
 
@@ -204,17 +205,12 @@ def _range_vectors(block, count):
     return vecs[:, ::-1][:, :count]
 
 
-def _scale(blocks):
-    """1 + the operator norm of the element of M1 with these blocks."""
-    return 1.0 + max(linalg.operator_norm(s) for s in linalg.stacks(blocks))
-
-
 def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     """Build a system whose support is the prescribed projection f in M1.
 
-    f, a D x D array, is read once into M1's blocks.  Partial isometries v_i in
-    M1 with v_i* v_i under e1 and ranges summing to f are assembled in M1's
-    blocks and pushed down there: x_i = v_i 1^.
+    f is given by its blocks in M1 (``bc.e1``, for instance).  Partial
+    isometries v_i in M1 with v_i* v_i under e1 and ranges summing to f are
+    assembled in M1's blocks and pushed down there: x_i = v_i 1^.
     Mode "general" peels as much rank per step as e1 allows (always
     feasible); "orthonormal-padded" uses full copies of e1 plus one
     remainder, which requires (n-1) * rank_b(e1) <= rank_b(f) <= n * rank_b(e1)
@@ -223,26 +219,12 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     linalg.check_tol(tol)
     if mode not in ("general", "orthonormal-padded"):
         raise InvalidInput("unknown mode %r" % (mode,))
-    wd = bc.m1_wedd
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (wd.gns_dim, wd.gns_dim) or not np.isfinite(f).all():
-        raise InvalidInput("prescribed support must be a finite D x D array")
-    f_abs = wd.to_abstract(f)
-    if wd.roundtrip_residual(f) > tol * _scale(f_abs):
-        raise InvalidInput("prescribed support does not lie in M1")
-    return _construct(f_abs, bc, mode, tol)
-
-
-def _construct(f_abs, bc, mode, tol):
-    """``construct_system_with_support`` for f given by its blocks in M1."""
-    scale = _scale(f_abs)
-    r = max(max(linalg.projection_residuals(s)) for s in linalg.stacks(f_abs))
-    if not r <= tol * scale:
+    f = bc.m1_wedd._checked(f)
+    r = max(max(linalg.projection_residuals(s)) for s in linalg.stacks(f))
+    if not r <= tol * (1.0 + m1_norm(f)):
         raise NotAProjection("prescribed support is not a projection (residual %.3g)" % r)
-    wd = bc.m1_wedd
-    e_abs = wd.outer_blocks(bc.sub.mat)
-    ranks_f = [linalg.integer_trace(b, NotAProjection) for b in f_abs]
-    ranks_e = [linalg.integer_trace(b, NotAProjection) for b in e_abs]
+    ranks_f = [linalg.integer_trace(b, NotAProjection) for b in f]
+    ranks_e = [linalg.integer_trace(b, NotAProjection) for b in bc.e1]
     nblocks = len(ranks_f)
     bad = {b: ranks_f[b] for b in range(nblocks) if ranks_f[b] > 0 and ranks_e[b] == 0}
     if bad:
@@ -254,22 +236,18 @@ def _construct(f_abs, bc, mode, tol):
             msg = "no single padding count fits every block (deficits %r)" % (deficits,)
             raise InfeasibleSupport(msg, deficits=deficits)
     # each step peels as much rank per block as e1 has; e1's vectors are reused each step, f's are consumed
-    e_vecs = [_range_vectors(e, r) for e, r in zip(e_abs, ranks_e)]
-    f_vecs = [_range_vectors(f, r) for f, r in zip(f_abs, ranks_f)]
+    e_vecs = [_range_vectors(e, r) for e, r in zip(bc.e1, ranks_e)]
+    f_vecs = [_range_vectors(b, r) for b, r in zip(f, ranks_f)]
     used, elements = np.zeros(nblocks, dtype=int), []
-    one = bc.amb.vec(bc.amb.identity())[:, None]
     while (used < ranks_f).any():
         s = np.minimum(ranks_f - used, ranks_e)
-        blocks = [fv[:, u:u + k] @ ev[:, :k].conj().T for fv, ev, u, k in zip(f_vecs, e_vecs, used, s)]
+        v = [fv[:, u:u + k] @ ev[:, :k].conj().T for fv, ev, u, k in zip(f_vecs, e_vecs, used, s)]
+        elements.append(bc.pushdown(v))  # x = v 1^, so v = L_x e1
         used += s
-        # v e1 = v on M1's blocks; v is a partial isometry, so 1 + ||v|| = 2
-        if max(linalg.operator_norm(c @ e - c) for c, e in zip(blocks, e_abs)) > linalg.EPS_REL * 2.0:
-            raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
-        elements.append(bc.amb.unvec(wd.apply(blocks, one)[:, 0]))  # x = v 1^, so v = L_x e1
     if not elements:
         raise InvalidInput("prescribed support is zero; the empty family has no classification")
     sys = classify(elements, bc.sub, side="right", bc=bc, tol=tol)
-    sys.residuals["support_match"] = _m1_norm([c - b for c, b in zip(sys.support["right"], f_abs)])
+    sys.residuals["support_match"] = _m1_norm([c - b for c, b in zip(sys.support["right"], f)])
     return sys
 
 
@@ -290,7 +268,7 @@ def complete_to_basis(system, bc=None, tol=EPS_FLAG):
     if system.residuals["right_support_identity"] <= tol:  # the norm of the complement 1 - support
         return system
     bc = bc or system.bc or BasicConstruction(system.sub)
-    extension = _construct([np.eye(len(c)) - c for c in system.support["right"]], bc, "general", tol)
+    extension = construct_system_with_support([np.eye(len(c)) - c for c in system.support["right"]], bc, tol=tol)
     combined = tuple(system.elements) + tuple(extension.elements)
     out = classify(combined, system.sub, side="right", bc=bc, tol=tol)
     assert out.elements[: system.size] == tuple(system.elements)

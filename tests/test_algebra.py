@@ -331,28 +331,42 @@ def unit_residual_oracle(sub, u, p):
 
 # On the perturbations below, the d^4 oracle lies between 1/ROW_RATIO and ROW_RATIO
 # times the row-0 residual.  Measured on span-only copies of the pipeline models at
-# seeds 0-4, with 20 seeds of the outside element: 0.31 to 2.25.  The top is exact:
-# scaling w_0 by s moves u_00 u_00 - u_00 by s^2 times as much as w_0* w_0 - q_0.
+# seeds 0-4, with 20 seeds of the outside element: 0.31 to 2.25, the top from a
+# perturbation of the leader w_0 = q_0, which the row-0 check no longer takes.
 ROW_RATIO = 4.0
 
 
 def check_row_residual(sub, wd, outside):
     """``_row_residuals`` of each block's row 0 u_0p, against its units u_pp, and the
-    d^4 oracle of the units u_0p* u_0q built from it: both within 1e-12 on valid units;
-    both above EPS_WEDD, and within ROW_RATIO of each other, on row 0 with w_0 scaled
-    by 1.5, with w_{d-1} moved by 0.1i times ``outside`` or scaled by 1 + 1e-5."""
+    d^4 oracle of the units u_0p* u_0q built from it: both within 1e-12 on valid units,
+    and exactly 0 from the row-0 check of a 1 x 1 block, which forms no relation; on a
+    block of size d >= 2, both above EPS_WEDD, and within ROW_RATIO of each other, on
+    row 0 with w_{d-1} moved by 0.1i times ``outside`` or scaled by 1 + 1e-5."""
     for u in wd.units:
         row, qs = list(u[0]), [u[p][p] for p in range(len(u))]
         p = sum(qs[1:], qs[0])
-        broken = [[row[0] * 1.5] + row[1:], row[:-1] + [row[-1] + 0.1j * outside], row[:-1] + [row[-1] * (1 + 1e-5)]]
+        broken = [row[:-1] + [row[-1] + 0.1j * outside], row[:-1] + [row[-1] * (1 + 1e-5)]] if len(row) > 1 else []
         for k, w in enumerate([row] + broken):
             new = algebra._row_residuals(sub, [w], [qs])[0]
             old = unit_residual_oracle(sub, [[a.adjoint() * b for b in w] for a in w], p)
             if k == 0:
                 assert max(new, old) <= 1e-12
+                assert len(row) > 1 or new == 0.0
             else:
                 assert min(new, old) > linalg.EPS_WEDD
                 assert new / ROW_RATIO <= old <= ROW_RATIO * new
+
+
+def test_eigenvector_check_certifies_the_leader():
+    # the row-0 check takes no relation of w_0 = q_0 = V V*: with dev = ||V* V - 1||,
+    # ||q^2 - q|| = ||V (V* V - 1) V*|| <= ||V||^2 dev <= (1 + dev) dev
+    rng = linalg.rng_from_seed(4)
+    for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+        v = np.linalg.qr(rng.standard_normal((6, 3)))[0] + eps * rng.standard_normal((6, 3))
+        dev = linalg.hermitian_norm(v.conj().T @ v - np.eye(3))
+        q = v @ v.conj().T
+        assert linalg.operator_norm(q @ q - q) <= (1 + dev) * dev + 1e-14  # and rounding
+        assert linalg.operator_norm(q @ q - q) >= 0.5 * dev  # and the check is not vacuous
 
 
 @pytest.mark.parametrize("build", [models.two_block_over_factor, lambda: models.explicit_pair((2, 1), [[1, 1], [1, 0]])])

@@ -8,8 +8,10 @@ from ppbasis import (
     MultiMatrixAlgebra,
     Subalgebra,
     classify,
+    complete_to_basis,
     construct_system_with_support,
     inclusion_matrix,
+    intermediate_projection,
     markov_trace,
     relative_commutant,
     scalar_basis,
@@ -17,7 +19,10 @@ from ppbasis import (
     wedderburn,
 )
 from ppbasis import linalg, models
+from ppbasis.basic import M1Wedderburn
 from ppbasis.errors import InfeasibleSupport, InvalidInput, NonConnected, NotSupportedOnE1
+from ppbasis.scenarios import run_scenario_dict
+from oracles import GramM1Trace, e1_matrix, lift, m1_subalgebra, nullspace_m1, roundtrip_residual, to_abstract
 from test_closure import connected_pairs
 
 
@@ -62,32 +67,38 @@ def test_markov_trace_rejects_disconnected():
 def test_e1_implements_expectation():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
+    e1 = e1_matrix(bc)
     rng = linalg.rng_from_seed(3)
     for _ in range(10):
         x = mp.ambient.random_element(rng)
-        assert mp.ambient.unvec(bc.e1 @ mp.ambient.vec(x)).allclose(mp.sub.expect(x), tol=1e-11)
-    # e1 is a projection of rank dim(N)
-    assert max(linalg.projection_residuals(bc.e1)) <= 1e-10
-    assert linalg.rank(bc.e1) == bc.sub.dim == 2
+        assert mp.ambient.unvec(e1 @ mp.ambient.vec(x)).allclose(mp.sub.expect(x), tol=1e-11)
+    # e1's blocks in M1 are those of the D x D projection, a projection of rank dim(N):
+    # block C_i occurs m_i times in M1
+    assert max(np.abs(a - b).max() for a, b in zip(bc.e1, to_abstract(bc.m1_wedd, e1))) <= 1e-12
+    assert max(max(linalg.projection_residuals(s)) for s in linalg.stacks(bc.e1)) <= 1e-10
+    assert bc.e1 is bc.e1 and not any(c.flags.writeable for c in bc.e1)  # kept, and shared read-only
+    assert round(sum(m * np.trace(c).real for m, c in zip(bc.m1_wedd.mults, bc.e1))) == bc.sub.dim == 2
 
 
 def test_e1_commutes_with_subalgebra_action():
     mp = models.diagonal_in_matrix(3)
     bc = BasicConstruction(mp.sub)
+    e1 = e1_matrix(bc)
     for b in mp.sub.basis_elements():
         lb = bc.amb.left_op(b)
-        assert linalg.operator_norm(lb @ bc.e1 - bc.e1 @ lb) < 1e-10
+        assert linalg.operator_norm(lb @ e1 - e1 @ lb) < 1e-10
 
 
 def test_e1_conjugation_relation():
     # e1 x e1 = E(x) e1 as GNS operators
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
+    e1 = e1_matrix(bc)
     rng = linalg.rng_from_seed(1)
     for _ in range(10):
         x = mp.ambient.random_element(rng)
-        lhs = bc.e1 @ bc.amb.left_op(x) @ bc.e1
-        rhs = bc.amb.left_op(mp.sub.expect(x)) @ bc.e1
+        lhs = e1 @ bc.amb.left_op(x) @ e1
+        rhs = bc.amb.left_op(mp.sub.expect(x)) @ e1
         assert linalg.operator_norm(lhs - rhs) < 1e-10
 
 
@@ -97,12 +108,12 @@ def test_m1_is_commutant_of_jnj():
     amb = mp.ambient
     # M1 contains both L_M and e1
     for u in amb.units():
-        assert bc.m1_wedd.roundtrip_residual(bc.amb.left_op(u)) < 1e-9
-    assert bc.m1_wedd.roundtrip_residual(bc.e1) < 1e-9
+        assert roundtrip_residual(bc.m1_wedd, bc.amb.left_op(u)) < 1e-9
+    assert roundtrip_residual(bc.m1_wedd, e1_matrix(bc)) < 1e-9
     # JNJ commutes with everything in M1
     for b in mp.sub.basis_elements():
         r = amb.sandwich_j(amb.left_op(b))
-        for el in bc.m1.basis_elements():
+        for el in m1_subalgebra(bc).basis_elements():
             m = el.blocks[0]
             assert linalg.operator_norm(r @ m - m @ r) < 1e-8
 
@@ -110,24 +121,8 @@ def test_m1_is_commutant_of_jnj():
 def test_m1_dimension_diag_in_m2():
     # M1 for diagonal in M2 is M2 + M2 acting on a 4-dim GNS space
     bc = BasicConstruction(models.diagonal_in_matrix(2).sub)
-    assert bc.m1.dim == 8
+    assert m1_subalgebra(bc).dim == 8
     assert tuple(sorted(bc.m1_wedd.block_dims)) == (2, 2)
-
-
-def nullspace_m1(bc):
-    """Reference M1: the commutant of N's right action as a D^2 x D^2 nullspace.
-
-    Orthonormal columns are row-major vecs of D x D operators T solving
-    T R_b = R_b T for a basis b of N.  Dense and O(D^6); an oracle for the
-    closed-form construction on small models only.
-    """
-    d = bc.gns_dim
-    eye = np.eye(d)
-    maps = []
-    for b in bc.sub.basis_elements():
-        r = bc.amb.right_op(b)
-        maps.append(np.kron(eye, r.T) - np.kron(r, eye))
-    return linalg.nullspace(np.vstack(maps))
 
 
 ORACLE_MODELS = [
@@ -149,9 +144,10 @@ def test_closed_form_m1_matches_nullspace_oracle(build):
     lam = inclusion_matrix(bc.sub_wedd)
     dims = tuple(int(k) for k in lam @ np.asarray(mp.ambient.dims))
     assert bc.m1_wedd.block_dims == dims
-    assert ker.shape[1] == bc.m1.dim == sum(k * k for k in dims)
+    m1 = m1_subalgebra(bc)
+    assert ker.shape[1] == m1.dim == sum(k * k for k in dims)
     # same subspace of the D^2-dim operator space: every principal cosine is 1
-    cosines = np.linalg.svd(ker.conj().T @ bc.m1.mat, compute_uv=False)
+    cosines = np.linalg.svd(ker.conj().T @ m1.mat, compute_uv=False)
     assert cosines.min() >= 1.0 - 1e-12
     # the closed-form projection agrees with the oracle's orthogonal projection
     rng = linalg.rng_from_seed(5)
@@ -159,21 +155,21 @@ def test_closed_form_m1_matches_nullspace_oracle(build):
         t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         v = t.reshape(-1)
         ref = np.linalg.norm(v - ker @ (ker.conj().T @ v)) / np.sqrt(d)
-        assert abs(bc.m1_wedd.roundtrip_residual(t) - ref) <= 1e-12
+        assert abs(roundtrip_residual(bc.m1_wedd, t) - ref) <= 1e-12
 
 
 def test_construction_is_lazy(monkeypatch):
     mp = models.diagonal_in_matrix(3)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("BasicConstruction() must not take a nullspace")
+        raise AssertionError("the basic construction must not take a nullspace")
 
     monkeypatch.setattr(linalg, "nullspace", forbidden)
     bc = BasicConstruction(mp.sub)
+    assert vars(bc).keys() == {"sub", "amb", "seed"}  # nothing is formed up front
+    assert bc.pushdown(bc.e1).allclose(mp.ambient.identity(), tol=1e-12)  # e1 = L_1 e1
     monkeypatch.undo()
-    bc.pushdown(bc.amb.left_op(mp.ambient.identity()) @ bc.e1)
-    assert "m1" not in vars(bc)  # projection onto M1 never forms the D^2-row matrix
-    assert bc.m1.dim == 27
+    assert m1_subalgebra(bc).dim == 27
 
 
 def test_closed_form_m1_at_diag_in_m6():
@@ -181,13 +177,13 @@ def test_closed_form_m1_at_diag_in_m6():
     mp = models.diagonal_in_matrix(6)
     bc = BasicConstruction(mp.sub)
     assert bc.m1_wedd.block_dims == (6,) * 6
-    sys = construct_system_with_support(np.eye(36), bc)
+    sys = construct_system_with_support([np.eye(6)] * 6, bc)
     assert sys.size == 6
     assert sys.flags["basis"]
     rng = linalg.rng_from_seed(4)
     for _ in range(3):
         x = mp.ambient.random_element(rng)
-        assert bc.pushdown(bc.amb.left_op(x) @ bc.e1).allclose(x, tol=1e-10)
+        assert bc.pushdown(lift(bc, x)).allclose(x, tol=1e-10)
 
 
 def test_pushdown_lift_roundtrip():
@@ -196,21 +192,16 @@ def test_pushdown_lift_roundtrip():
         rng = linalg.rng_from_seed(7)
         for _ in range(10):
             x = mp.ambient.random_element(rng)
-            y = bc.pushdown(bc.amb.left_op(x) @ bc.e1)
+            y = bc.pushdown(lift(bc, x))
             assert y.allclose(x, tol=1e-10)
 
 
 def test_pushdown_rejects_bad_input():
     bc = BasicConstruction(models.diagonal_in_matrix(2).sub)
     with pytest.raises(NotSupportedOnE1):
-        bc.pushdown(np.eye(bc.gns_dim))  # identity is not supported on e1
-    # something supported on e1 but outside M1: e1 compressed by a rank-one
-    v = np.zeros((bc.gns_dim, bc.gns_dim))
-    v[0, 0] = 1.0
-    probe = v @ bc.e1
-    if linalg.operator_norm(probe @ bc.e1 - probe) < 1e-12 and bc.m1_wedd.roundtrip_residual(probe) > 1e-6:
-        with pytest.raises(InvalidInput):
-            bc.pushdown(probe)
+        bc.pushdown([np.eye(k) for k in bc.m1_wedd.block_dims])  # the identity is not supported on e1
+    with pytest.raises(InvalidInput, match="M1's blocks must be"):
+        bc.pushdown(e1_matrix(bc))  # a D x D array is no list of M1's blocks
 
 
 def test_markov_extension_trace_values():
@@ -219,13 +210,13 @@ def test_markov_extension_trace_values():
     mk = markov_trace([[1], [1]], (1, 1))
     tr2 = bc.markov_extension(mk)
     # normalized: tr2(1) = 1, tr2(e1) = 1/beta
-    assert abs(tr2.trace(np.eye(bc.gns_dim)) - 1.0) < 1e-10
+    assert abs(tr2.trace([np.eye(k) for k in bc.m1_wedd.block_dims]) - 1.0) < 1e-10
     assert abs(tr2.trace(bc.e1) - 0.5) < 1e-10
     # extends the ambient trace through the left action
     rng = linalg.rng_from_seed(2)
     for _ in range(10):
         x = mp.ambient.random_element(rng)
-        assert abs(tr2.trace(bc.amb.left_op(x)) - x.trace()) < 1e-10
+        assert abs(tr2.trace(_left(bc, x)) - x.trace()) < 1e-10
 
 
 def test_markov_extension_expectation():
@@ -238,7 +229,7 @@ def test_markov_extension_expectation():
     assert ex.allclose(mp.ambient.scalar(0.5), tol=1e-9)
     for _ in range(5):
         x = mp.ambient.random_element(rng)
-        m = bc.amb.left_op(x) @ bc.e1
+        m = lift(bc, x)
         ey = tr2.expect_onto_ambient(m)
         assert abs(ey.trace() - tr2.trace(m)) < 1e-9
 
@@ -260,28 +251,9 @@ def markov_of(bc):
     return markov_trace(inclusion_matrix(wd), wd.block_dims)
 
 
-class GramM1Trace:
-    """Reference Markov extension: tr2 = sum_i (trace_sub[i]/beta) Tr(C_i) on M1's
-    abstract blocks, and E_M(T) from the Gram system tr2(L_a* L_b) over all D
-    matrix units of M.  O(D^4) set-up; an oracle for M1Trace's closed forms."""
-
-    def __init__(self, bc, markov):
-        self.bc = bc
-        self.weights = np.asarray(markov.trace_sub) / markov.beta
-        self.units = bc.amb.units()
-        self.ops = [bc.amb.left_op(u) for u in self.units]
-        self.gram = np.array([[self.trace(a.conj().T @ b) for b in self.ops] for a in self.ops])
-
-    def trace(self, mat):
-        blocks = self.bc.m1_wedd.to_abstract(mat)
-        return complex(sum(w * np.trace(b) for w, b in zip(self.weights, blocks)))
-
-    def expect_onto_ambient(self, mat):
-        coeff = np.linalg.solve(self.gram, [self.trace(op.conj().T @ mat) for op in self.ops])
-        acc = self.bc.amb.zero()
-        for c, u in zip(coeff, self.units):
-            acc = acc + c * u
-        return acc
+def _left(bc, x):
+    """M1's blocks of L_x, through the D x D operator."""
+    return to_abstract(bc.m1_wedd, bc.amb.left_op(x))
 
 
 @pytest.mark.parametrize(
@@ -349,29 +321,28 @@ def test_drawn_inclusions_isometries_match_right_operator_oracle(mp):
 
 @pytest.mark.parametrize("build", [b for _, b in ISOMETRY_MODELS], ids=[n for n, _ in ISOMETRY_MODELS])
 def test_apply_to_one_matches_pushdown(build):
-    # x = v 1^ read off v's blocks, against the D x D route through pushdown
+    # x = v 1^ read off v's blocks by pushdown, against the D x D operator v applied to 1^
     bc = BasicConstruction(build().sub)
     wd = bc.m1_wedd
-    e_abs = wd.to_abstract(bc.e1)
-    one = bc.amb.vec(bc.amb.identity())[:, None]
+    one = bc.amb.vec(bc.amb.identity())
     rng = linalg.rng_from_seed(6)
     for _ in range(3):
-        blocks = [(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) @ e for k, e in zip(wd.block_dims, e_abs)]
-        assert max(linalg.operator_norm(c @ e - c) for c, e in zip(blocks, e_abs)) <= 1e-12
-        got = bc.amb.unvec(wd.apply(blocks, one)[:, 0])
-        want = bc.pushdown(wd.from_abstract(blocks))
+        blocks = [(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) @ e
+                  for k, e in zip(wd.block_dims, bc.e1)]
+        got = bc.pushdown(blocks)
+        want = bc.amb.unvec(wd.from_abstract(blocks) @ one)
         assert max(np.abs(a - b).max() for a, b in zip(got.blocks, want.blocks)) <= 1e-12
 
 
 def test_m1_and_support_construction_form_no_gns_operators(monkeypatch):
     # M1's isometries take n_j-square eigendecompositions only; the construction
-    # reads f into M1's blocks and pushes down from them, so it factors no D-row
+    # takes f as M1's blocks and pushes down from them, so it factors no D-row
     # matrix, whatever the size of the family
     bc = BasicConstruction(models.diagonal_in_matrix(3).sub)
     d, rows = bc.gns_dim, []
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("no D x D right operator and no pushdown")
+        raise AssertionError("no D x D right operator")
 
     for name in ("svd", "eigh"):
 
@@ -381,10 +352,9 @@ def test_m1_and_support_construction_form_no_gns_operators(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, spy)
     monkeypatch.setattr(MultiMatrixAlgebra, "right_op", forbidden)
-    monkeypatch.setattr(BasicConstruction, "pushdown", forbidden)
     bc.m1_wedd
     assert rows and d not in rows
-    for f, size in ((bc.e1, 1), (np.eye(d), 3)):
+    for f, size in ((bc.e1, 1), ([np.eye(3)] * 3, 3)):
         rows.clear()
         assert construct_system_with_support(f, bc).size == size
         assert rows and d not in rows
@@ -394,7 +364,9 @@ def test_m1_and_support_construction_form_no_gns_operators(monkeypatch):
 @pytest.mark.parametrize("build", [b for _, b in ISOMETRY_MODELS], ids=[n for n, _ in ISOMETRY_MODELS])
 def test_support_match_on_e1_one_and_central_projections(build, mode):
     bc = BasicConstruction(build().sub)
-    supports = [bc.e1, np.eye(bc.gns_dim)] + [w @ w.conj().T for w in bc.m1_wedd.isometries]
+    dims = bc.m1_wedd.block_dims
+    central = [[np.eye(k) * (i == b) for i, k in enumerate(dims)] for b in range(len(dims))]
+    supports = [bc.e1, [np.eye(k) for k in dims]] + central
     built = 0
     for f in supports:
         try:
@@ -409,21 +381,25 @@ def test_support_match_on_e1_one_and_central_projections(build, mode):
 
 
 def _random_m1(bc, rng):
-    """T = L_x e1 L_y + L_z for random x, y, z in M: a generic element of M1."""
+    """T = L_x e1 L_y + L_z for random x, y, z in M, a generic element of M1, as a D x D array."""
     amb = bc.amb
     x, y, z = (amb.random_element(rng) for _ in range(3))
-    return amb.left_op(x) @ bc.e1 @ amb.left_op(y) + amb.left_op(z)
+    return amb.left_op(x) @ e1_matrix(bc) @ amb.left_op(y) + amb.left_op(z)
+
+
+def check_markov_extension(bc, rng, count=3):
+    """tr2 and E_M of 1, e1 and ``count`` generic elements against ``GramM1Trace``, to 1e-12."""
+    mk = markov_of(bc)
+    tr2, ref = bc.markov_extension(mk), GramM1Trace(bc, mk)
+    for t in [np.eye(bc.gns_dim), e1_matrix(bc)] + [_random_m1(bc, rng) for _ in range(count)]:
+        blocks = to_abstract(bc.m1_wedd, t)
+        assert abs(tr2.trace(blocks) - ref.trace(t)) <= 1e-12
+        assert (tr2.expect_onto_ambient(blocks) - ref.expect_onto_ambient(t)).norm() <= 1e-12
 
 
 @pytest.mark.parametrize("build", [b for _, b in MARKOV_MODELS], ids=[n for n, _ in MARKOV_MODELS])
 def test_markov_extension_matches_gram_oracle(build):
-    bc = BasicConstruction(build().sub)
-    mk = markov_of(bc)
-    tr2, ref = bc.markov_extension(mk), GramM1Trace(bc, mk)
-    rng = linalg.rng_from_seed(13)
-    for t in [np.eye(bc.gns_dim), bc.e1] + [_random_m1(bc, rng) for _ in range(3)]:
-        assert abs(tr2.trace(t) - ref.trace(t)) <= 1e-12
-        assert (tr2.expect_onto_ambient(t) - ref.expect_onto_ambient(t)).norm() <= 1e-12
+    check_markov_extension(BasicConstruction(build().sub), linalg.rng_from_seed(13))
 
 
 @pytest.mark.parametrize("build", [b for _, b in MARKOV_MODELS], ids=[n for n, _ in MARKOV_MODELS])
@@ -436,21 +412,23 @@ def test_markov_expectation_is_a_bimodule_projection(build):
         t = _random_m1(bc, rng)
         a, b, x = (amb.random_element(rng) for _ in range(3))
         scale = 1.0 + linalg.operator_norm(t)
-        et = tr2.expect_onto_ambient(t)
+        blocks = to_abstract(bc.m1_wedd, t)
+        et = tr2.expect_onto_ambient(blocks)
         # E(L_a T L_b) = a E(T) b
-        got = tr2.expect_onto_ambient(amb.left_op(a) @ t @ amb.left_op(b))
+        got = tr2.expect_onto_ambient(to_abstract(bc.m1_wedd, amb.left_op(a) @ t @ amb.left_op(b)))
         assert (got - a * et * b).norm() <= 1e-10 * scale * (1.0 + a.op_norm()) * (1.0 + b.op_norm())
         # tr2(L_{E(T)}) = tr2(T)
-        assert abs(tr2.trace(amb.left_op(et)) - tr2.trace(t)) <= 1e-10 * scale
+        assert abs(tr2.trace(_left(bc, et)) - tr2.trace(blocks)) <= 1e-10 * scale
         # E(L_x) = x
-        assert (tr2.expect_onto_ambient(amb.left_op(x)) - x).norm() <= 1e-10 * (1.0 + x.op_norm())
+        assert (tr2.expect_onto_ambient(_left(bc, x)) - x).norm() <= 1e-10 * (1.0 + x.op_norm())
 
 
 def test_markov_extension_builds_no_left_operators(monkeypatch):
     bc = BasicConstruction(models.diagonal_in_matrix(3).sub)
     amb = bc.amb
-    t = _random_m1(bc, linalg.rng_from_seed(19))
+    t = to_abstract(bc.m1_wedd, _random_m1(bc, linalg.rng_from_seed(19)))
     x = amb.random_element(linalg.rng_from_seed(20))
+    lx = _left(bc, x)
     bc.m1_wedd  # M1's block structure is paid before counting
     calls = []
     real = MultiMatrixAlgebra.left_op
@@ -466,7 +444,7 @@ def test_markov_extension_builds_no_left_operators(monkeypatch):
     tr2.expect_onto_ambient(bc.e1)
     monkeypatch.undo()
     assert calls == []
-    assert tr2.expect_onto_ambient(amb.left_op(x)).allclose(x, tol=1e-10)
+    assert tr2.expect_onto_ambient(lx).allclose(x, tol=1e-10)
 
 
 def test_watatani_index_scalar_case():
@@ -510,8 +488,6 @@ def test_watatani_independent_of_basis_choice():
     bc = BasicConstruction(mp.sub)
     basis1 = scalar_basis(mp.ambient)  # over scalars, size 4: not what we want
     del basis1
-    from ppbasis import complete_to_basis, construct_system_with_support
-
     sys1 = complete_to_basis(construct_system_with_support(bc.e1, bc), bc)
     w1 = watatani_index(sys1.elements)
     # rotate by a unitary of N: lambda_i -> lambda_i u stays a basis
@@ -521,3 +497,101 @@ def test_watatani_independent_of_basis_choice():
     w2 = watatani_index(sys2.elements)
     assert (w1.element - w2.element).norm() < 1e-9
     assert abs(w1.scalar - 2.0) < 1e-8 and abs(w2.scalar - 2.0) < 1e-8
+
+
+@pytest.mark.parametrize("bad", [2.5, "3", -1, np.nan])
+def test_non_integer_subalgebra_dims_are_invalid_input(bad):
+    # 2.5 once gave Markov data and "3" a beta of 4; explicit_pair named the trace sum
+    with pytest.raises(InvalidInput, match="^sub_dims must be nonnegative integers"):
+        markov_trace([[1]], (bad,))
+    with pytest.raises(InvalidInput, match="^dims must be nonnegative integers"):
+        models.explicit_pair((bad,), [[1]])
+
+
+def _malformed(dims, kind):
+    """M1's blocks broken in one way: one block short, each one row and column too large, nan or inf."""
+    good = [np.eye(k) for k in dims]
+    if kind == "count":
+        return good[:-1]
+    if kind == "shape":
+        return [np.eye(k + 1) for k in dims]
+    good[-1][0, 0] = np.nan if kind == "nan" else np.inf
+    return good
+
+
+@pytest.mark.parametrize("kind", ["count", "shape", "nan", "inf"])
+@pytest.mark.parametrize("entry", ["construct_system_with_support", "pushdown", "trace", "expect_onto_ambient"])
+def test_malformed_m1_blocks_are_invalid_input(entry, kind):
+    bc = BasicConstruction(models.explicit_pair((1, 2), [[1], [1]]).sub)  # M1 = M2 + M3
+    tr2 = bc.markov_extension(markov_of(bc))
+    call = {
+        "construct_system_with_support": lambda f: construct_system_with_support(f, bc),
+        "pushdown": bc.pushdown,
+        "trace": tr2.trace,
+        "expect_onto_ambient": tr2.expect_onto_ambient,
+    }[entry]
+    with pytest.raises(InvalidInput, match="M1's blocks must be"):
+        call(_malformed(bc.m1_wedd.block_dims, kind))
+
+
+def test_block_paths_form_no_gns_operator(monkeypatch):
+    # e1, prescribed supports, pushdown, the Markov extension and e_P go in and out
+    # as M1's blocks: no D x D projection onto a subalgebra and no D x D element of M1
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a D x D operator formed on a block path")
+
+    monkeypatch.setattr(Subalgebra, "projection_matrix", forbidden)
+    monkeypatch.setattr(M1Wedderburn, "from_abstract", forbidden)
+    mp = models.diagonal_in_matrix(3)
+    bc = BasicConstruction(mp.sub)
+    dims = bc.m1_wedd.block_dims
+    assert [c.shape for c in bc.e1] == [(k, k) for k in dims]
+    central = [np.eye(k) * (i == 0) for i, k in enumerate(dims)]
+    for f, size in ((bc.e1, 1), ([np.eye(k) for k in dims], 3), (central, 3)):
+        sys = construct_system_with_support(f, bc)
+        assert sys.size == size and sys.residuals["support_match"] <= 1e-12
+    full = complete_to_basis(construct_system_with_support(bc.e1, bc), bc)
+    assert full.flags["basis"]
+    assert bc.pushdown(bc.e1).allclose(mp.ambient.identity(), tol=1e-12)
+    tr2 = bc.markov_extension(markov_of(bc))
+    assert abs(tr2.trace(bc.e1) - 1.0 / 3.0) <= 1e-12
+    assert tr2.expect_onto_ambient(bc.e1).allclose(mp.ambient.scalar(1.0 / 3.0), tol=1e-12)
+    q = models.masa_quadruple()
+    assert len(intermediate_projection(q.p_sub, BasicConstruction(q.n_sub))) == 1
+    tasks = [{"task": "construct_with_support", "f": f} for f in ("e1", "one", {"m1_central": 1})]
+    tasks += [{"task": "complete_to_basis", "f": "e1", "expect": {"basis": True}}]
+    report, _ = run_scenario_dict({"model": {"kind": "diagonal_in_matrix", "k": 3}, "tasks": tasks})
+    assert [r["pass"] for r in report["results"]] == [True] * 4
+
+
+# -- the paper's identities on drawn connected inclusions ----------------------
+
+
+@settings(max_examples=10)
+@given(connected_pairs())
+def test_drawn_pushdown_round_trip(mp):
+    # x -> the blocks of L_x e1 (through the D x D operators) -> pushdown gives x back
+    bc = BasicConstruction(mp.sub)
+    rng = linalg.rng_from_seed(0)
+    for _ in range(2):
+        x = mp.ambient.random_element(rng)
+        assert max(np.abs(a - b).max() for a, b in zip(bc.pushdown(lift(bc, x)).blocks, x.blocks)) <= 1e-12
+
+
+@settings(max_examples=10)
+@given(connected_pairs())
+def test_drawn_construct_then_complete_is_a_basis(mp):
+    # from f = 1 the construction is a right basis already, and completion keeps it;
+    # from f = e1 completion extends it to one, keeping its elements
+    bc = BasicConstruction(mp.sub)
+    full = construct_system_with_support([np.eye(k) for k in bc.m1_wedd.block_dims], bc)
+    assert full.flags["basis"] and complete_to_basis(full, bc) is full
+    start = construct_system_with_support(bc.e1, bc)
+    done = complete_to_basis(start, bc)
+    assert done.flags["basis"] and done.elements[: start.size] == start.elements
+
+
+@settings(max_examples=10)
+@given(connected_pairs())
+def test_drawn_markov_extension_matches_gram_oracle(mp):
+    check_markov_extension(BasicConstruction(mp.sub), linalg.rng_from_seed(0), count=1)

@@ -38,6 +38,7 @@ from ppbasis.algebra import commutant_wedderburn
 from ppbasis.basic import m1_wedderburn
 from ppbasis.errors import AlgebraError, NonConnected
 from ppbasis.scenarios import build_model, selftest_corpus
+from oracles import roundtrip_residual, to_abstract
 from test_algebra import check_row_residual
 
 TOL = 1e-12
@@ -222,8 +223,8 @@ def test_coset_support_matches_the_closure(monkeypatch, build):
     w = amb.products(np.stack([amb.vec(u) for u in rep.reps], axis=1), r_alg.mat)
     support = w @ w.conj().T
     m1 = m1_wedderburn(r_alg)
-    assert m1.roundtrip_residual(support) <= TOL
-    for got, want in zip(rep.coset.support["right"], m1.to_abstract(support)):
+    assert roundtrip_residual(m1, support) <= TOL
+    for got, want in zip(rep.coset.support["right"], to_abstract(m1, support)):
         assert np.abs(got - want).max() <= TOL
     res = linalg.operator_norm(support - ep)
     assert abs(rep.numbers["support_eP_residual"] - res) <= TOL
@@ -382,7 +383,8 @@ def test_drawn_seeded_units_match_wedderburn(mp):
 def test_drawn_e1_rank_and_perron_residual(mp):
     # rank e1 = dim N, and the Markov trace solves Lambda^T Lambda t = beta t to EPS_REL beta
     wd = mp.sub.wedderburn_data()
-    assert linalg.rank(BasicConstruction(mp.sub).e1) == mp.sub.dim
+    bc = BasicConstruction(mp.sub)  # e1's block C_i occurs m_i times in M1
+    assert sum(m * linalg.rank(c) for m, c in zip(bc.m1_wedd.mults, bc.e1)) == mp.sub.dim
     lam = inclusion_matrix(wd)
     md = markov_trace(lam, wd.block_dims)
     assert np.linalg.norm(lam.T @ lam @ md.trace_amb - md.beta * md.trace_amb) <= linalg.EPS_REL * md.beta

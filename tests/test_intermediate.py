@@ -12,6 +12,7 @@ from ppbasis import (
 )
 from ppbasis import linalg, models
 from ppbasis.errors import InvalidInput, NotABasis, NotIntermediate
+from oracles import e1_matrix, to_abstract
 
 
 def test_check_intermediate_accepts_and_rejects():
@@ -28,9 +29,11 @@ def test_intermediate_projection_dominates_e1():
     q = models.masa_quadruple()
     bc = BasicConstruction(q.n_sub)
     ep = intermediate_projection(q.p_sub, bc)
-    assert max(linalg.projection_residuals(ep)) <= 1e-10
-    assert linalg.rank(ep) == q.p_sub.dim
-    assert linalg.operator_norm(ep @ bc.e1 - bc.e1) < 1e-10
+    # e_P's blocks in M1 are those of the D x D projection; block C_i occurs m_i times in M1
+    assert max(np.abs(a - b).max() for a, b in zip(ep, to_abstract(bc.m1_wedd, q.p_sub.projection_matrix()))) <= 1e-12
+    assert max(max(linalg.projection_residuals(c)) for c in ep) <= 1e-10
+    assert round(sum(m * np.trace(c).real for m, c in zip(bc.m1_wedd.mults, ep))) == q.p_sub.dim
+    assert max(linalg.operator_norm(p @ e - e) for p, e in zip(ep, bc.e1)) < 1e-10
 
 
 def test_interchange_check_rejects_a_non_intermediate_algebra():
@@ -44,8 +47,8 @@ def test_interchange_check_rejects_a_non_intermediate_algebra():
 
 def test_checked_interchange_forms_each_projection_once(monkeypatch):
     # the checked interchange compares supports with e_P's blocks in M1, read off
-    # P's basis, so it forms no D x D projection; intermediate_projection forms
-    # e_P once per algebra and keeps it read-only
+    # P's basis, and intermediate_projection returns those blocks: neither forms
+    # a D x D projection
     q = models.masa_quadruple()
     bc = BasicConstruction(q.n_sub)
     formed = []
@@ -59,12 +62,10 @@ def test_checked_interchange_forms_each_projection_once(monkeypatch):
     interchange_operator(q.p_sub, q.bases_p[0], q.q_sub, q.bases_q[0], bc)
     assert formed == []
     for mid in (q.p_sub, q.q_sub):
-        for _ in range(2):
-            intermediate_projection(mid, bc)
-        mats = [m for s, m in formed if s is mid]
-        assert len(mats) == 2  # once per call
-        assert len({id(m) for m in mats}) == 1  # references are kept, so ids are not reused
-        assert not mats[0].flags.writeable
+        intermediate_projection(mid, bc)
+    assert formed == []
+    ep = q.p_sub.projection_matrix()  # is_commuting_square's e_P: formed once per algebra, kept read-only
+    assert ep is q.p_sub.projection_matrix() and not ep.flags.writeable
 
 
 def test_interchange_is_projection_for_masa_pair():
@@ -142,7 +143,7 @@ def test_trivial_intermediate_cases():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
     ep = intermediate_projection(mp.sub, bc)
-    assert linalg.operator_norm(ep - bc.e1) < 1e-12
+    assert max(linalg.operator_norm(a - b) for a, b in zip(ep, bc.e1)) < 1e-12
     one = [mp.ambient.identity()]
     p = interchange_operator(mp.sub, one, mp.sub, one, bc)
-    assert linalg.operator_norm(p - bc.e1) < 1e-12
+    assert linalg.operator_norm(p - e1_matrix(bc)) < 1e-12
