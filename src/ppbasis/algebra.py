@@ -439,23 +439,24 @@ def _in_block(alg, j, x):
 
 
 def _closed_form(wd, join):
-    """N' cap M, or with ``join`` R = N v (N' cap M), keeping matrix units read off N's
-    (Goodman, de la Harpe and Jones).  For N's block i and M's block j, with v_a the basis
-    ``wd.ranges[i][j]`` of the range of e^i_00 in block j, the (e^i_p0 v_a)(e^i_q0 v_b)*
-    = e^i_pq f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j; their
-    sums over p = q, the f_ab, those of the block M_{Lambda_ij} of N' cap M, of trace m_i t_j.
-    Each is built once per ``wd`` and kept on it, so what is kept on R (M1's blocks) is built once too."""
+    """N' cap M, or with ``join`` R = N v (N' cap M), keeping matrix units read off N's (Goodman,
+    de la Harpe and Jones).  For N's block i and the columns w_pa = e^i_p0 v_a of ``wd.frames[j]``,
+    the w_pa w_qb* = e^i_pq f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j, and their
+    sums over p = q, the f_ab, those of N' cap M's block M_{Lambda_ij}, of trace m_i t_j.  Each is
+    built once per ``wd`` and kept on it, so what is kept on R (M1's blocks) is built once too."""
     if join in wd._closed:
         return wd._closed[join]
     amb = wd.subalgebra.ambient
-    traces, units = [], []
-    for m, e, vs in zip(wd.block_dims, wd.units, wd.ranges):
-        for j, (t, v) in enumerate(zip(amb.trace_vector, vs)):
-            if not v.shape[1]:
+    traces, units, lo = [], [], [0] * amb.nblocks  # lo[j]: the first column of N's block i in frames[j]
+    for m, vs in zip(wd.block_dims, wd.ranges):
+        for j, (n, t, v) in enumerate(zip(amb.dims, amb.trace_vector, vs)):
+            k = v.shape[1]
+            w = wd.frames[j][:, lo[j]:lo[j] + m * k].reshape(n, m, k).transpose(1, 0, 2)  # the e^i_p0 v_a, (m, n_j, k)
+            lo[j] += m * k
+            if not k:
                 continue
-            w = np.stack([e[p][0].blocks[j] @ v for p in range(m)])  # the e^i_p0 v_a, as (m, n_j, Lambda_ij)
             f = np.einsum("pxa,qyb->paqbxy", w, w.conj())
-            f = f.reshape(m * v.shape[1], m * v.shape[1], *f.shape[-2:]) if join else np.einsum("papbxy->abxy", f)
+            f = f.reshape(m * k, m * k, *f.shape[-2:]) if join else np.einsum("papbxy->abxy", f)
             units.append([[_in_block(amb, j, x) for x in row] for row in f])
             traces.append(t if join else m * t)
     wd._closed[join] = Subalgebra.from_units(amb, traces, units)._units
@@ -496,6 +497,19 @@ class WedderburnData:
         """``ranges[i][j]``: orthonormal basis of the range of block j of e^i_00, one batched eigh per block of M."""
         eig = [linalg.eigh(np.stack(blocks)) for blocks in zip(*(u[0][0].blocks for u in self.units))]
         return [[vecs[i][:, vals[i] > 0.5] for vals, vecs in eig] for i in range(len(self.units))]
+
+    @functools.cached_property
+    def frames(self):
+        """``frames[j]``: the unitary with the columns e^i_p0 v_a over i, p < m_i and v_a in ``ranges[i][j]``, on
+        which e^i_pq is |i,p><i,q| (x) 1; the products of one shape (n_j, Lambda_ij) are one batched product."""
+        vs, cols = self.ranges, {}
+        keys = [(j, i, p) for j in range(len(vs[0])) for i, m in enumerate(self.block_dims) if vs[i][j].size
+                for p in range(m)]
+        for shape in {vs[i][j].shape for j, i, _ in keys}:
+            grp = [(j, i, p) for j, i, p in keys if vs[i][j].shape == shape]
+            e = np.stack([self.units[i][p][0].blocks[j] for j, i, p in grp])
+            cols.update(zip(grp, e @ np.stack([vs[i][j] for j, i, _ in grp])))
+        return [np.concatenate([cols[key] for key in keys if key[0] == j], axis=1) for j in range(len(vs[0]))]
 
     def abstract(self):
         # renormalize away float drift so the trace-sum check stays exact

@@ -1,28 +1,20 @@
 """Basic construction for a unital inclusion with a fixed trace.
 
 For N inside M acting on the GNS space L2(M) of dimension D, e1 is the
-orthogonal projection onto the closure of N, and M1 = <M, e1> is the
-commutant of the right action R of N (Jones: M1 = J N' J).  An element of M1
-enters and leaves this module, ``systems``, ``intermediate`` and ``scenarios``
-as its list of blocks C_i, one k_i-square array per block of M1.
+orthogonal projection onto the closure of N, and M1 = <M, e1> = J N' J is the
+sum of the M_{(Lambda n)_i} over N's blocks i (Goodman, de la Harpe and Jones).
+An element of M1 enters and leaves this module, ``systems``, ``intermediate``
+and ``scenarios`` as its list of blocks C_i, one k_i-square array per block.
 
-M1 is read off N's matrix units e^i_{pq} in closed form once per N
-(``m1_wedderburn``), with no D x D operator.  On block j of M, R(e^i_{00}) is
-1_{n_j} (x) conj(e^i_{00}), so the isometry V_i onto its range is
-1_{n_j} (x) conj(v_ij) for the basis v_ij of the range of block j of e^i_{00}
-kept on N (``WedderburnData.ranges``, which N' cap M and R read too);
-W_{i,p} = R(e^i_{0p}) V_i, and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  So M1 is
-the direct sum of M_{(Lambda n)_i} (Goodman, de la Harpe and Jones), block i
-sits over N's block i, and C_i's rows on block j of M are ordered (r, a) with
-r < n_j and a < Lambda_ij.  An element of M1 acts on columns through the W's
-(``M1Wedderburn.apply``), and a projection cols cols^* in M1, such as e1 or a
-support, has blocks read off row 0 (``M1Wedderburn.outer_blocks``).  An element
-v = L_x e1 is pushed down as x = v 1^ (Pimsner and Popa: M1 e1 = M e1).
-
-The Markov extension is a closed form in the blocks: with w_i = trace_sub[i]/beta,
-tr2(C) = sum_i w_i Tr C_i, and E_M(C) on block j of M is
-sum_i w_i Tr_{Lambda_ij}(C_i^{(jj)}) / sum_i w_i Lambda_ij, a partial trace of
-the (n_j Lambda_ij)-square diagonal piece of each C_i over block j.
+On block j of M the e^i_p0 v_a, for the basis v_a of the range of e^i_00 there,
+are the columns of a unitary, the frame U_j (``WedderburnData.frames``).  A GNS
+column X, read as the n_j-square matrix X_j on each block j, rotates to X_j U_j,
+whose columns (i, p, a) hold W_{i,p}^* X with rows (r, a): W_{i,p} = R(e^i_0p) V_i
+for V_i = 1_{n_j} (x) conj(v_ij), and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  The
+Gram matrix and the support of a family, e1 (the support of {1}), e_P, the action
+of M1 and the pushdown x = v 1^ (Pimsner and Popa: M1 e1 = M e1) are contractions
+of that one rotation (``M1Wedderburn.rows``).  The Markov extension is a closed
+form in the blocks (``M1Trace``).
 """
 
 import functools
@@ -100,16 +92,12 @@ class BasicConstruction:
 
     @functools.cached_property
     def e1(self):
-        """e1's blocks in M1, read-only: the projection Q Q^* onto N's closure, Q = sub.mat."""
-        blocks = self.m1_wedd.outer_blocks(self.sub.mat)
+        """e1's blocks in M1, read-only: the support of the family {1}."""
+        wd = self.m1_wedd
+        blocks = wd.support(wd.rows(self.amb.vec(self.amb.identity())[:, None]))
         for c in blocks:
             c.flags.writeable = False
         return blocks
-
-    @functools.cached_property
-    def _one_and_q(self):
-        """[1^, Q]: the GNS vector of 1, then N's orthonormal basis Q = sub.mat."""
-        return np.concatenate([self.amb.vec(self.amb.identity())[:, None], self.sub.mat], axis=1)
 
     def pushdown(self, v):
         """The unique x in M with v = L_x e1, for v in M1 given by its blocks with v e1 = v: x = v 1^."""
@@ -118,13 +106,12 @@ class BasicConstruction:
         scale = 1.0 + m1_norm(v)
         if m1_norm([c @ e - c for c, e in zip(v, self.e1)]) > linalg.EPS_REL * scale:
             raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
-        # v = v e1 and L_x e1 vanish off e1's range Q: compare them on Q
-        cols = wd.apply(v, self._one_and_q)
-        x = self.amb.unvec(cols[:, 0])
-        r = self.amb.products(self.amb.vec(x)[:, None], self.sub.mat) - cols[:, 1:]
-        if np.sqrt(linalg.hermitian_norm(r.conj().T @ r)) > linalg.EPS_FLAG * scale:  # ||r|| from the dim N-square r* r
+        one = self.amb.vec(self.amb.identity())[:, None]
+        x = wd.apply(v, one)
+        lift = wd.support(wd.rows(x), wd.rows(one))  # L_x e1, from the rows of x^ and of 1^
+        if m1_norm([a - c for a, c in zip(lift, v)]) > linalg.EPS_FLAG * scale:
             raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
-        return x
+        return self.amb.unvec(x[:, 0])
 
     def markov_extension(self, markov):
         """Trace on M1 extending the ambient trace in Markov mode."""
@@ -143,51 +130,49 @@ def m1_wedderburn(sub, seed=0):
     return sub._m1
 
 
-def _kron_eye(n, v):
-    """1_n (x) v, without np.kron's overhead."""
-    out = np.zeros((n, v.shape[0], n, v.shape[1]), dtype=complex)
-    out[np.arange(n), :, np.arange(n)] = v
-    return out.reshape(n * v.shape[0], -1)
-
-
 class M1Wedderburn:
     """Block structure of M1 read off N's matrix units; block i sits over N's block i.
 
-    ``isometries[i]`` is the D x (m_i k_i) matrix [W_{i,0}, ..., W_{i,m_i-1}]
-    with W_{i,p} = R(e^i_{0p}) V_i, and V_i is 1_{n_j} (x) conj(v_j) on block j
-    of M for v_j in ``sub_wedd.ranges`` (see the module docstring).  Its columns
-    are an orthonormal basis of the range of the i-th central projection, and in
-    them an operator of M1 is 1_{m_i} (x) C_i; C_i is the operator's abstract block.  ``apply`` acts with
-    an element of M1 on columns from its blocks, one product per block.
+    ``rows`` rotates columns into the frames of ``sub_wedd`` (see the module docstring), and an
+    element of M1 acts as C_i on each (i, p) slice of the rows, W_{i,p}^* cols (``apply``).
     """
 
     def __init__(self, sub_wedd):
         amb = sub_wedd.subalgebra.ambient
-        self.gns_dim, self.mults, self._amb = amb.gns_dim, tuple(sub_wedd.block_dims), amb
-        self._rows = [units[0] for units in sub_wedd.units]
-        self._v = [  # V_i = W_{i,0}
-            linalg.block_diag([_kron_eye(n, v.conj()) for n, v in zip(amb.dims, vs)]) for vs in sub_wedd.ranges]
-        self.block_dims = tuple(v.shape[1] for v in self._v)
-        # the V_i^* stacked by block size, so that blocks of one size come from one batched product
-        self._sizes = [(k, [i for i, d in enumerate(self.block_dims) if d == k]) for k in sorted(set(self.block_dims))]
-        self._row0h = np.concatenate([self._v[i] for _, grp in self._sizes for i in grp], axis=1).conj().T
+        self.sub_wedd, self.gns_dim, self.dims = sub_wedd, amb.gns_dim, amb.dims
+        self.mults, self.traces = tuple(sub_wedd.block_dims), sub_wedd.block_traces
+        self.lam = np.array([[v.shape[1] for v in vs] for vs in sub_wedd.ranges])  # Lambda_ij
+        self.block_dims = tuple(int(k) for k in self.lam @ amb.dims)
+        self._frames = sub_wedd.frames
+        self._offsets = np.cumsum((0,) + tuple(n * n for n in amb.dims))
+        # rows takes the rotated coordinates (j, r, c) of a column, c = (i, p, a), to the order (i, p, j, r, a)
+        ip = np.repeat(np.arange(len(self.mults)), self.mults)  # N's block i of each pair (i, p)
+        pair = [np.tile(np.repeat(np.arange(len(ip)), self.lam[ip, j]), n) for j, n in enumerate(amb.dims)]
+        self._perm = np.argsort(np.concatenate(pair), kind="stable")
+        ends = np.cumsum(np.multiply(self.mults, self.block_dims)).tolist()
+        self._slices = [(lo, hi, m) for lo, hi, m in zip([0] + ends, ends, self.mults)]  # block i's columns of rows
 
-    @functools.cached_property
-    def isometries(self):
-        """The [W_{i,0}, ..., W_{i,m_i-1}], built on first use: ``outer_blocks`` reads only the V_i."""
-        return [np.concatenate([self._amb.products(v, u.vec()[:, None]) for u in row], axis=1)
-                for v, row in zip(self._v, self._rows)]
+    def _rotate(self, x, inverse=False):
+        """Each row of the (ncols, D) array ``x``, an n_j-square X_j on block j, sent to X_j U_j (or X_j U_j^*)."""
+        out = [(x[:, lo:hi].reshape(-1, n, n) @ (u.conj().T if inverse else u)).reshape(len(x), -1)
+               for n, u, lo, hi in zip(self.dims, self._frames, self._offsets, self._offsets[1:])]
+        return np.concatenate(out, axis=1)
+
+    def rows(self, cols):
+        """W_{i,p}^* cols for every block i of M1 and p < m_i, as one (ncols, m_i, k_i) array per i."""
+        y = self._rotate(cols.T)[:, self._perm]
+        return [y[:, lo:hi].reshape(len(y), m, -1) for lo, hi, m in self._slices]
+
+    def support(self, rows, right=None):
+        """Blocks sum_{s,p} r[s, p] r'[s, p]^* / T_i, r' = r unless ``right`` is given: the support
+        sum_s L_s e1 L_s^* of the family with rows r, or L_x e1 for the rows r of x^ and r' of 1^."""
+        right = rows if right is None else right
+        return [r.reshape(-1, r.shape[-1]).T @ q.reshape(-1, q.shape[-1]).conj() / t
+                for r, q, t in zip(rows, right, self.traces)]
 
     def outer_blocks(self, cols):
-        """Blocks C_i = W_{i,0}^* cols cols^* W_{i,0} of cols cols^*, which must lie in M1:
-        a support W W^*, e1 (cols = N's basis) or e_P for P >= N (cols = P's basis)."""
-        rows, out, lo = self._row0h @ cols, [None] * len(self.block_dims), 0
-        for k, grp in self._sizes:
-            r = rows[lo:lo + k * len(grp)].reshape(len(grp), k, -1)
-            lo += k * len(grp)
-            for i, c in zip(grp, r @ r.conj().transpose(0, 2, 1)):
-                out[i] = c
-        return out
+        """Blocks W_{i,0}^* cols cols^* W_{i,0} of a projection cols cols^* in M1, e_P from P >= N's basis."""
+        return [r[:, 0].T @ r[:, 0].conj() for r in self.rows(cols)]
 
     def _checked(self, blocks):
         """``blocks`` as complex arrays; InvalidInput unless they are finite and one k_i-square array per block."""
@@ -200,19 +185,16 @@ class M1Wedderburn:
         return out
 
     def apply(self, blocks, cols):
-        """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols: the element of M1 with abstract blocks C_i
-        (checked by the caller) applied to the columns of ``cols``, without forming it."""
-        out = np.zeros(cols.shape, dtype=complex)
-        for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, blocks):
-            out += w @ (c @ (w.conj().T @ cols).reshape(m, k, -1)).reshape(m * k, -1)
-        return out
+        """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols: the element of M1 with abstract blocks C_i (checked by
+        the caller) applied to the columns of ``cols``, without forming it: C_i on the rows, rotated back."""
+        z = [(r @ c.T).reshape(cols.shape[1], -1) for r, c in zip(self.rows(cols), blocks)]
+        y = np.empty((cols.shape[1], self.gns_dim), dtype=complex)
+        y[:, self._perm] = np.concatenate(z, axis=1)
+        return self._rotate(y, inverse=True).T
 
     def from_abstract(self, blocks):
-        """The D x D operator sum_i W_i (1_{m_i} (x) C_i) W_i^* of M1."""
-        out = np.zeros((self.gns_dim, self.gns_dim), dtype=complex)
-        for w, m, k, c in zip(self.isometries, self.mults, self.block_dims, self._checked(blocks)):
-            out += (w.reshape(-1, m, k) @ c).reshape(-1, m * k) @ w.conj().T
-        return out
+        """The D x D operator sum_{i,p} W_{i,p} C_i W_{i,p}^* of M1."""
+        return self.apply(self._checked(blocks), np.eye(self.gns_dim))
 
 
 class M1Trace:
@@ -231,8 +213,7 @@ class M1Trace:
         if len(markov.trace_sub) != len(bc.m1_wedd.block_dims):
             raise InvalidInput("the Markov data needs one trace per block of the subalgebra")
         self._w = np.asarray(markov.trace_sub, dtype=float) / markov.beta
-        self._lam = np.array([[v.shape[1] for v in vs] for vs in bc.sub_wedd.ranges])  # Lambda_ij
-        self._c = self._w @ self._lam
+        self._c = self._w @ bc.m1_wedd.lam
 
     def trace(self, blocks):
         """tr2 of the element of M1 with these blocks."""
@@ -242,7 +223,7 @@ class M1Trace:
         """Trace-preserving conditional expectation onto the ambient algebra of the element of M1 with these blocks."""
         dims = self.bc.amb.dims
         out = [np.zeros((n, n), dtype=complex) for n in dims]
-        for w, lam, c in zip(self._w, self._lam, self.bc.m1_wedd._checked(blocks)):
+        for w, lam, c in zip(self._w, self.bc.m1_wedd.lam, self.bc.m1_wedd._checked(blocks)):
             lo = 0
             for j, (n, k) in enumerate(zip(dims, lam)):
                 out[j] += w * np.einsum("rasa->rs", c[lo:lo + n * k, lo:lo + n * k].reshape(n, k, n, k))

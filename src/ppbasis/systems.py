@@ -6,22 +6,16 @@ entries E_N(lambda_i* lambda_j) and the right support is the GNS operator
 sum lambda_i e1 lambda_i*.  The family is a system when the Gram matrix is a
 projection over N, orthogonal when the Gram matrix is diagonal with projection
 entries, orthonormal when the diagonal entries are 1, and a basis when the
-support is the identity.  Left-handed versions swap the adjoints.  The Gram
-matrix lies in M_n(N), the sum of the M_{n m_i} over N's blocks M_{m_i}, with
-the same C*-norms and trace 2-norms as in M_n(M).  It is tested there, as one
-(n, n, m_i, m_i) array of coefficients in N's matrix units e_pq
-(``sub.wedderburn_data()``) per block.  They are read off the pairings
-<x_j, x_i e_pq>, from one product pass over the D x n GNS coordinates of the
-family; no product x_i* x_j is formed, and only ``gram_matrix`` makes elements
-of the entries.  The support W W*, W = [L_1 Q, ..., L_n Q] from a second product
-pass and Q = sub.mat, is kept as its blocks in M1 (``M1Wedderburn.outer_blocks``).
-An element of M1 has the norm of its largest block, so every support test runs
-on blocks, and no D x D operator is formed.  The prescribed support of
+support is the identity.  Left-handed versions swap the adjoints.  Both are
+contractions of the family rotated once into M's frames (``M1Wedderburn.rows``):
+the Gram matrix, in M_n(N) with the norms of M_n(M), as one (n, n, m_i, m_i)
+array of coefficients in N's matrix units per block, and the support as its
+blocks in M1, where an element has the norm of its largest block.  Neither a
+product x_i* x_j nor a D x D operator is formed.  The prescribed support of
 ``construct_system_with_support`` is given by its blocks too, and each element
-of the system is pushed down from blocks by ``BasicConstruction.pushdown``.
-Classification builds no basic construction; one passed as ``bc`` is kept for
-completion.  ``require_basis`` is the one basis check of the regular chain and
-interchange.
+is pushed down from them by ``BasicConstruction.pushdown``.  Classification
+builds no basic construction; one passed as ``bc`` is kept for completion.
+``require_basis`` is the one basis check of the regular chain and interchange.
 """
 
 import math
@@ -36,35 +30,37 @@ from .linalg import EPS_FLAG
 
 
 class _Family:
-    """One side of a family as the D x n array ``x`` of its GNS coordinates; the left
-    side holds J x, the coordinates of the adjoints, so only right-handed formulas follow."""
+    """One side of a family as its rows in M1's frames, ``M1Wedderburn.rows`` of its GNS coordinates x;
+    the left side holds J x, the coordinates of the adjoints, so only right-handed formulas follow."""
 
     def __init__(self, elements, sub, side):
         if side not in ("right", "left"):
             raise InvalidInput("side must be 'right' or 'left'")
         if not elements:
             raise InvalidInput("cannot test an empty family")
-        self.sub, amb = sub, sub.ambient
-        with np.errstate(invalid="ignore"):  # inf times a GNS weight; reported below
+        self.m1, amb = m1_wedderburn(sub), sub.ambient
+        with np.errstate(over="ignore", invalid="ignore"):  # inf times a GNS weight, or an overflow: reported by gram
             x = np.stack([amb.vec(e) for e in elements], axis=1)
-        if not np.isfinite(x).all():
-            raise InvalidInput("non-finite element block")
-        self.x = x if side == "right" else amb.modular_conjugation(x)
+            if not np.isfinite(x).all():
+                raise InvalidInput("non-finite element block")
+            self.rows = self.m1.rows(x if side == "right" else amb.modular_conjugation(x))
 
     def gram(self):
-        """Gram entries E_N(x_i* x_j) in N's matrix units, as (n, n, m_i, m_i) arrays, read off
-        the pairings <x_j, x_i e_pq> = tr(e_qp x_i* x_j): one product pass and one GEMM."""
-        wd, n = self.sub.wedderburn_data(), self.x.shape[1]
+        """Gram entries E_N(x_s* x_t) in N's matrix units, as (n, n, m_i, m_i) arrays: the coefficient of
+        e^i_pq is tr(e^i_qp x_s* x_t) / T_i = <W_{i,q}^* x_t, W_{i,p}^* x_s> / T_i, one GEMM per block."""
+        blocks = []
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            pairs = self.sub.ambient.products(self.x, wd.unit_mat).conj().T @ self.x
-            blocks = wd.abstract_blocks(pairs.reshape(n, -1, n).transpose(0, 2, 1))
+            for r, t in zip(self.rows, self.m1.traces):
+                n, m, k = r.shape
+                a = r.reshape(n * m, k)
+                blocks.append((a.conj() @ a.T / t).reshape(n, m, n, m).transpose(0, 2, 1, 3))
         if not all(np.isfinite(g).all() for g in blocks):
             raise InvalidInput("non-finite Gram entry")
         return blocks
 
     def support(self):
-        """M1's blocks of sum_i L_i e1 L_i* = W W*, where column (i, s) of W is vec(x_i q_s), Q = sub.mat."""
-        return m1_wedderburn(self.sub).outer_blocks(self.sub.ambient.products(self.x, self.sub.mat))
+        """M1's blocks of sum_s L_s e1 L_s*."""
+        return self.m1.support(self.rows)
 
 
 def _m1_norm(blocks, shift=0.0):

@@ -1,16 +1,22 @@
-"""D x D oracles for M1 = <M, e1> on the GNS space L2(M) of dimension D.
+"""Dense oracles for M1 = <M, e1> on the GNS space L2(M) of dimension D.
 
-The library takes and returns M1's elements as their blocks C_i
-(``M1Wedderburn``).  These oracles form the operators themselves: they read a
-D x D operator into blocks and measure how far it lies from M1, build M1 as a
-D^2-row subalgebra or as the nullspace of the commutator with N's right action,
-lift x in M to the blocks of L_x e1, and compute the Markov extension from a
-Gram system over M's matrix units.  Dense and O(D^4) or worse; small models only.
+The library takes and returns M1's elements as their blocks C_i and reads every
+one of them off the family rotated into M's frames (``M1Wedderburn``).  These
+oracles take the dense route instead: the D-row isometries W_{i,p} of each block,
+the blocks of a projection cols cols^* from V_i^* cols, and the Gram matrix from
+one product pass against N's matrix units.  They also read a D x D operator into
+blocks and measure how far it lies from M1, build M1 as a D^2-row subalgebra or as
+the nullspace of the commutator with N's right action, lift x in M to the blocks of
+L_x e1, and compute the Markov extension from a Gram system over M's matrix units.
+Dense and O(D^4) or worse; small models only.
 """
+
+import functools
 
 import numpy as np
 
 from ppbasis import MultiMatrixAlgebra, Subalgebra, linalg
+from ppbasis.basic import m1_wedderburn
 
 
 def e1_matrix(bc):
@@ -18,10 +24,75 @@ def e1_matrix(bc):
     return bc.sub.projection_matrix()
 
 
+def _kron_eye(n, v):
+    """1_n (x) v, without np.kron's overhead."""
+    out = np.zeros((n, v.shape[0], n, v.shape[1]), dtype=complex)
+    out[np.arange(n), :, np.arange(n)] = v
+    return out.reshape(n * v.shape[0], -1)
+
+
+def range_isometries(wd):
+    """The D x k_i isometries V_i = 1_{n_j} (x) conj(v_ij) on block j of M onto the ranges of
+    R(e^i_00), for ``wd`` an ``M1Wedderburn`` and v_ij its ``sub_wedd.ranges``."""
+    return [linalg.block_diag([_kron_eye(n, v.conj()) for n, v in zip(wd.dims, vs)]) for vs in wd.sub_wedd.ranges]
+
+
+@functools.lru_cache(maxsize=8)
+def isometries(wd):
+    """The D x (m_i k_i) matrices [W_{i,0}, ..., W_{i,m_i-1}], W_{i,p} = R(e^i_0p) V_i, from one
+    D-row product pass per unit; their columns are an orthonormal basis of the i-th central
+    projection of M1, in which an operator of M1 is 1_{m_i} (x) C_i."""
+    amb = wd.sub_wedd.subalgebra.ambient
+    return [np.concatenate([amb.products(v, u.vec()[:, None]) for u in units[0]], axis=1)
+            for v, units in zip(range_isometries(wd), wd.sub_wedd.units)]
+
+
+def outer_blocks(wd, cols):
+    """Blocks (V_i^* cols)(V_i^* cols)^* of a projection cols cols^* in M1, from the stacked V_i^*."""
+    out = []
+    for v in range_isometries(wd):
+        r = v.conj().T @ cols
+        out.append(r @ r.conj().T)
+    return out
+
+
+def family_columns(elements, sub, side):
+    """GNS coordinates of the family, or with side "left" of its adjoints, as a D x n array."""
+    amb = sub.ambient
+    x = np.stack([amb.vec(e) for e in elements], axis=1)
+    return x if side == "right" else amb.modular_conjugation(x)
+
+
+def product_gram(elements, sub, side):
+    """Gram entries in N's units, (n, n, m_i, m_i) arrays, from the pairings <x_t, x_s e_pq> of one
+    product pass of the family into N's matrix units (``unit_mat``)."""
+    x, wd = family_columns(elements, sub, side), sub.wedderburn_data()
+    pairs = sub.ambient.products(x, wd.unit_mat).conj().T @ x
+    return wd.abstract_blocks(pairs.reshape(x.shape[1], -1, x.shape[1]).transpose(0, 2, 1))
+
+
+def product_support(elements, sub, side):
+    """Blocks of the support W W^*, column (s, u) of W the product x_s q_u with N's basis Q = sub.mat."""
+    return outer_blocks(m1_wedderburn(sub), sub.ambient.products(family_columns(elements, sub, side), sub.mat))
+
+
+def apply(wd, blocks, cols):
+    """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols through the dense isometries."""
+    out = np.zeros(cols.shape, dtype=complex)
+    for w, m, k, c in zip(isometries(wd), wd.mults, wd.block_dims, blocks):
+        out += w @ (c @ (w.conj().T @ cols).reshape(m, k, -1)).reshape(m * k, -1)
+    return out
+
+
+def from_abstract(wd, blocks):
+    """The D x D operator sum_i W_i (1_{m_i} (x) C_i) W_i^*."""
+    return sum(w @ np.kron(np.eye(m), c) @ w.conj().T for w, m, c in zip(isometries(wd), wd.mults, blocks))
+
+
 def to_abstract(wd, t):
     """Blocks C_i = (1/m_i) sum_p W_{i,p}^* T W_{i,p} of an operator T, for ``wd`` an ``M1Wedderburn``."""
     out = []
-    for w, m, k in zip(wd.isometries, wd.mults, wd.block_dims):
+    for w, m, k in zip(isometries(wd), wd.mults, wd.block_dims):
         s = (w.conj().T @ np.asarray(t, dtype=complex) @ w).reshape(m, k, m, k)
         out.append(np.einsum("papb->ab", s) / m)
     return out
@@ -30,7 +101,7 @@ def to_abstract(wd, t):
 def roundtrip_residual(wd, t):
     """||T - E_M1(T)||_HS / sqrt(D), with E_M1(T) = from_abstract(to_abstract(T)): zero exactly on M1."""
     t = np.asarray(t, dtype=complex)
-    return float(np.linalg.norm(t - wd.from_abstract(to_abstract(wd, t)))) / np.sqrt(wd.gns_dim)
+    return float(np.linalg.norm(t - from_abstract(wd, to_abstract(wd, t)))) / np.sqrt(wd.gns_dim)
 
 
 def lift(bc, x):
@@ -43,7 +114,7 @@ def m1_subalgebra(bc):
     sum_p W_{i,p}[:, a] W_{i,p}[:, b]^* (D^2 rows)."""
     wd, d = bc.m1_wedd, bc.gns_dim
     cols = []
-    for w, m, k in zip(wd.isometries, wd.mults, wd.block_dims):
+    for w, m, k in zip(isometries(wd), wd.mults, wd.block_dims):
         w = w.reshape(-1, m, k)
         units = np.einsum("xpa,ypb->abxy", w, w.conj()).reshape(k * k, -1)
         # each unit has HS norm sqrt(m), and GNS vec scales by 1/sqrt(D)

@@ -22,6 +22,7 @@ from ppbasis import linalg, models
 from ppbasis.basic import M1Wedderburn
 from ppbasis.errors import InfeasibleSupport, InvalidInput, NonConnected, NotSupportedOnE1
 from ppbasis.scenarios import run_scenario_dict
+import oracles
 from oracles import GramM1Trace, e1_matrix, lift, m1_subalgebra, nullspace_m1, roundtrip_residual, to_abstract
 from test_closure import connected_pairs
 
@@ -262,17 +263,17 @@ def _left(bc, x):
     ids=["diag-in-m3", "c+m2-in-m3"],
 )
 def test_m1_from_abstract_matches_kron_form(build):
-    # sum_p W_p C W_p* from one batched product per block, against W (1_m (x) C) W*
+    # sum_p W_p C W_p* from one rotation into M's frames, against W (1_m (x) C) W* through the dense isometries
     wd = BasicConstruction(build().sub).m1_wedd
     rng = linalg.rng_from_seed(4)
     blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in wd.block_dims]
-    ref = sum(w @ np.kron(np.eye(m), c) @ w.conj().T for w, m, c in zip(wd.isometries, wd.mults, blocks))
-    assert np.abs(wd.from_abstract(blocks) - ref).max() <= 1e-12
+    assert np.abs(wd.from_abstract(blocks) - oracles.from_abstract(wd, blocks)).max() <= 1e-12
 
 
 # -- M1 in closed form against the right-operator route -----------------------
 # V_i was an orthonormal basis of the range of the D x D operator R(e^i_00),
-# and W_{i,p} = R(e^i_0p) V_i; the closed form reads both off N's blocks.
+# and W_{i,p} = R(e^i_0p) V_i; the frames give every W_{i,p}^* from N's blocks:
+# the rows of the identity's columns are the conjugates of the W's entries.
 
 
 def oracle_isometries(bc):
@@ -302,7 +303,8 @@ def check_isometries(sub):
     bc = BasicConstruction(sub)
     wd, ref = bc.m1_wedd, oracle_isometries(bc)
     assert wd.block_dims == tuple(r.shape[1] // m for r, m in zip(ref, wd.mults))
-    for w, r in zip(wd.isometries, ref):
+    for w, r in zip(wd.rows(np.eye(bc.gns_dim)), ref):
+        w = w.reshape(len(w), -1).conj()
         assert w.shape == r.shape
         assert np.abs(w @ w.conj().T - r @ r.conj().T).max() <= 1e-12
         assert np.abs(w.conj().T @ w - np.eye(w.shape[1])).max() <= 1e-12
@@ -321,7 +323,7 @@ def test_drawn_inclusions_isometries_match_right_operator_oracle(mp):
 
 @pytest.mark.parametrize("build", [b for _, b in ISOMETRY_MODELS], ids=[n for n, _ in ISOMETRY_MODELS])
 def test_apply_to_one_matches_pushdown(build):
-    # x = v 1^ read off v's blocks by pushdown, against the D x D operator v applied to 1^
+    # x = v 1^ read off v's blocks by pushdown, against v applied to 1^ through the dense isometries
     bc = BasicConstruction(build().sub)
     wd = bc.m1_wedd
     one = bc.amb.vec(bc.amb.identity())
@@ -330,7 +332,7 @@ def test_apply_to_one_matches_pushdown(build):
         blocks = [(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) @ e
                   for k, e in zip(wd.block_dims, bc.e1)]
         got = bc.pushdown(blocks)
-        want = bc.amb.unvec(wd.from_abstract(blocks) @ one)
+        want = bc.amb.unvec(oracles.apply(wd, blocks, one[:, None])[:, 0])
         assert max(np.abs(a - b).max() for a, b in zip(got.blocks, want.blocks)) <= 1e-12
 
 

@@ -851,7 +851,7 @@ def test_pipeline_tests_each_coset_pair_once(monkeypatch):
         return original(*args, **kwargs)
 
     def gram(family):
-        grams.append(family.x.shape[1])
+        grams.append(len(family.rows[0]))
         return original_gram(family)
 
     monkeypatch.setattr(regular, "coset_distinct", counting)

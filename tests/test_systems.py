@@ -28,9 +28,12 @@ from ppbasis.errors import (
     NotASystem,
     NotIntermediate,
 )
+from ppbasis.linalg import EPS_FLAG
 from ppbasis.regular import GroupTable
-from ppbasis.systems import _gram_residuals, require_basis
+from ppbasis.systems import _gram_residuals, _m1_norm, require_basis
+import oracles
 from oracles import e1_matrix, roundtrip_residual, to_abstract
+from test_basic import ISOMETRY_MODELS
 from test_closure import connected_pairs
 
 
@@ -538,19 +541,90 @@ def test_drawn_inclusions_match_product_oracle(mp):
     check_against_product_oracle(family, mp.sub)
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_classify_makes_two_product_passes_per_side(monkeypatch, k):
-    # the Gram (the x_i e_pq) and the support (the x_i q_s) take one pass of
-    # n * dim N products each; the n^2 products x_i* x_j are never formed
-    mk = models.scalar_in_full(k)
-    m1_wedderburn(mk.sub)  # N's and M1's block data are paid before counting
-    pairs, products = [], MultiMatrixAlgebra.products
+def _flags_of(residuals, tol=EPS_FLAG):
+    """classify's two-sided flags, read off its residuals."""
+    ok = lambda *keys: all(residuals["%s_%s" % (s, k)] <= tol for s in ("right", "left") for k in keys)
+    system, orthogonal = ok("gram_projection"), ok("offdiag", "diag_projection")
+    return {"system": system, "orthogonal": orthogonal, "orthonormal": orthogonal and ok("diag_identity"),
+            "basis": system and ok("support_identity")}
 
-    def counted(self, a, b):
-        pairs.append(a.shape[1] * b.shape[1])
-        return products(self, a, b)
 
-    monkeypatch.setattr(MultiMatrixAlgebra, "products", counted)
-    sys = classify(scalar_basis(mk.ambient), mk.sub, side="two-sided")
-    assert sys.flags["basis"]
-    assert pairs == [k * k * mk.sub.dim] * 4
+def _close(got, want):
+    assert [np.shape(g) for g in got] == [np.shape(w) for w in want]
+    return max(float(np.abs(g - w).max()) for g, w in zip(got, want)) <= 1e-12
+
+
+def check_rotation_against_dense_oracle(sub, family):
+    """Every M1 quantity from one rotation into M's frames, against the D-row route it replaced: the
+    products Gram, the supports and e1 through the V_i, e_R from R's basis, and the dense isometries
+    applied to columns and summed into a D x D operator; the flags from the oracle's residuals."""
+    rng = linalg.rng_from_seed(0)
+    bc = BasicConstruction(sub)
+    wd = bc.m1_wedd
+    sys = classify(family, sub, side="two-sided")
+    residuals = {}
+    for side in ("right", "left"):
+        gram, support = oracles.product_gram(family, sub, side), oracles.product_support(family, sub, side)
+        assert _close(sys.gram[side], gram) and _close(sys.support[side], support)
+        r, scale, off, proj, one = _gram_residuals(gram, sub.wedderburn_data())
+        residuals.update({side + "_gram_projection": r / scale, side + "_offdiag": off, side + "_diag_projection": proj,
+                          side + "_diag_identity": one, side + "_support_identity": _m1_norm(support, 1.0)})
+    assert sys.flags == _flags_of(residuals) == _flags_of(sys.residuals)
+    assert _close(bc.e1, oracles.outer_blocks(wd, sub.mat))
+    r_alg = join_wedderburn(sub.wedderburn_data()).subalgebra
+    assert _close(wd.outer_blocks(r_alg.mat), oracles.outer_blocks(wd, r_alg.mat))
+    blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in wd.block_dims]
+    cols = rng.standard_normal((bc.gns_dim, 3)) + 1j * rng.standard_normal((bc.gns_dim, 3))
+    assert _close([wd.apply(blocks, cols)], [oracles.apply(wd, blocks, cols)])
+    assert _close([wd.from_abstract(blocks)], [oracles.from_abstract(wd, blocks)])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES) + [name for name, _ in ISOMETRY_MODELS])
+def test_rotation_matches_dense_oracle(name):
+    # the oracle families, span-only N included, and the isometry models with the scalar basis
+    if name in ORACLE_FAMILIES:
+        sub, family = ORACLE_FAMILIES[name]
+    else:
+        mp = dict(ISOMETRY_MODELS)[name]()
+        sub, family = mp.sub, scalar_basis(mp.ambient)
+    check_rotation_against_dense_oracle(sub, tuple(family))
+
+
+@settings(max_examples=5)
+@given(connected_pairs())
+def test_drawn_rotation_matches_dense_oracle(mp):
+    rng = linalg.rng_from_seed(0)
+    family = tuple(scalar_basis(mp.ambient)) + tuple(mp.ambient.random_element(rng) for _ in range(2))
+    check_rotation_against_dense_oracle(mp.sub, family)
+
+
+GUARD_MODELS = {
+    "scalars-in-m2": lambda: models.scalar_in_full(2),
+    "scalars-in-m3": lambda: models.scalar_in_full(3),
+    "scalars-in-m5": lambda: models.scalar_in_full(5),
+    "diag-in-m3": lambda: models.diagonal_in_matrix(3),
+    "c+m2-in-m3": lambda: models.explicit_pair((1, 2), [[1], [1]]),
+    "z4-over-z2": lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_MODELS))
+def test_m1_paths_make_no_product_pass(monkeypatch, name):
+    # once N's and M1's block data are built, the Gram, the supports, e1, the pushdown, the
+    # construction with a prescribed support and the completion read everything off the
+    # family rotated into M's frames: no product pass over the family's GNS columns
+    mp = GUARD_MODELS[name]()
+    bc = BasicConstruction(mp.sub)
+    bc.m1_wedd
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a product pass on an M1 path")
+
+    monkeypatch.setattr(MultiMatrixAlgebra, "products", forbidden)
+    basis = scalar_basis(mp.ambient)
+    assert classify(basis, mp.sub, side="two-sided").support.keys() == {"right", "left"}
+    assert len(gram_matrix(basis[:2], mp.sub)) == 2
+    assert bc.pushdown(bc.e1).allclose(mp.ambient.identity(), tol=1e-12)
+    full = construct_system_with_support([np.eye(k) for k in bc.m1_wedd.block_dims], bc)
+    start = construct_system_with_support(bc.e1, bc)
+    assert full.flags["basis"] and complete_to_basis(start, bc).flags["basis"]
