@@ -199,7 +199,7 @@ class AlgebraElement:
 
     def op_norm(self):
         """Largest block norm, from one stacked ``operator_norm`` call per block size."""
-        return max(linalg.operator_norm(s) for s in linalg.stacks(self.blocks))
+        return linalg.block_norm(self.blocks)
 
     def vec(self):
         return self.alg.vec(self)
@@ -220,8 +220,8 @@ class AlgebraElement:
 
 
 def _unitarity_residuals(blocks):
-    """max(||u u* - 1||, ||u* u - 1||) for each element u of a family whose blocks are stacked, one
-    (n, n_j, n_j) array per block of the algebra: one stacked norm per block; an overflow reads as inf."""
+    """max(||u u* - 1||, ||u* u - 1||) for each element u of a family whose blocks are stacked, one (n, n_j, n_j)
+    array per block of the algebra: one eigvalsh of the stacked Hermitian defects per block; overflow reads as inf."""
     res = 0.0
     for u in blocks:
         uh = u.conj().transpose(0, 2, 1)
@@ -229,7 +229,7 @@ def _unitarity_residuals(blocks):
             dev = np.concatenate([u @ uh, uh @ u]) - np.eye(u.shape[-1])
         finite = np.isfinite(dev).all(axis=(1, 2))
         norms = np.full(len(dev), np.inf)
-        norms[finite] = linalg.operator_norms(dev[finite])
+        norms[finite] = np.abs(linalg.eigvalsh(dev[finite])).max(axis=-1)
         res = np.maximum(res, norms.reshape(2, -1).max(axis=0))
     return res
 
@@ -274,7 +274,7 @@ class UnitalEmbedding:
             if len(block_unitaries) != target.nblocks:
                 raise InvalidInput("need one unitary per target block")
             for u, n in zip(block_unitaries, target.dims):
-                if u.shape != (n, n) or linalg.operator_norm(u @ u.conj().T - np.eye(n)) > linalg.EPS_INPUT:
+                if u.shape != (n, n) or _unitarity_residuals([u[None]])[0] > linalg.EPS_INPUT:
                     raise NotUnitary("block unitary is not a unitary of the right size")
         self.source = source
         self.target = target
@@ -645,13 +645,10 @@ def wedderburn(sub, seed=0):
 
 
 def inclusion_matrix(wd):
-    """Multiplicity matrix of the subalgebra's blocks inside the ambient blocks.
-
-    Entry (i, j) is the rank of the j-th ambient block of a minimal projection
-    of subalgebra block i.
-    """
+    """Multiplicity matrix Lambda of the subalgebra's blocks inside the ambient blocks: Lambda_ij is the rank
+    of block j of a minimal projection e^i_00 of block i, the column count of ``wd.ranges[i][j]``."""
     amb = wd.subalgebra.ambient
-    lam = np.array([[linalg.integer_trace(b, InvalidInput) for b in u[0][0].blocks] for u in wd.units], dtype=int)
+    lam = np.array([[v.shape[1] for v in vs] for vs in wd.ranges])
     if not np.array_equal(lam.T @ np.asarray(wd.block_dims), np.asarray(amb.dims)):
         raise NonUnitalInclusion("block multiplicities inconsistent with a unital inclusion")
     return lam

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .algebra import inclusion_matrix
 from .errors import InvalidInput, NonConnected, NotSupportedOnE1
 
 
@@ -103,24 +104,19 @@ class BasicConstruction:
         """The unique x in M with v = L_x e1, for v in M1 given by its blocks with v e1 = v: x = v 1^."""
         wd = self.m1_wedd
         v = wd._checked(v)
-        scale = 1.0 + m1_norm(v)
-        if m1_norm([c @ e - c for c, e in zip(v, self.e1)]) > linalg.EPS_REL * scale:
+        scale = 1.0 + linalg.block_norm(v)
+        if linalg.block_norm([c @ e - c for c, e in zip(v, self.e1)]) > linalg.EPS_REL * scale:
             raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
         one = self.amb.vec(self.amb.identity())[:, None]
         x = wd.apply(v, one)
         lift = wd.support(wd.rows(x), wd.rows(one))  # L_x e1, from the rows of x^ and of 1^
-        if m1_norm([a - c for a, c in zip(lift, v)]) > linalg.EPS_FLAG * scale:
+        if linalg.block_norm([a - c for a, c in zip(lift, v)]) > linalg.EPS_FLAG * scale:
             raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
         return self.amb.unvec(x[:, 0])
 
     def markov_extension(self, markov):
         """Trace on M1 extending the ambient trace in Markov mode."""
         return M1Trace(self, markov)
-
-
-def m1_norm(blocks):
-    """Operator norm of the element of M1 with these blocks: its largest block norm, one call per block size."""
-    return max(linalg.operator_norm(s) for s in linalg.stacks(blocks))
 
 
 def m1_wedderburn(sub, seed=0):
@@ -141,7 +137,7 @@ class M1Wedderburn:
         amb = sub_wedd.subalgebra.ambient
         self.sub_wedd, self.gns_dim, self.dims = sub_wedd, amb.gns_dim, amb.dims
         self.mults, self.traces = tuple(sub_wedd.block_dims), sub_wedd.block_traces
-        self.lam = np.array([[v.shape[1] for v in vs] for vs in sub_wedd.ranges])  # Lambda_ij
+        self.lam = inclusion_matrix(sub_wedd)  # Lambda_ij
         self.block_dims = tuple(int(k) for k in self.lam @ amb.dims)
         self._frames = sub_wedd.frames
         self._offsets = np.cumsum((0,) + tuple(n * n for n in amb.dims))
@@ -239,7 +235,8 @@ class WatataniData:
 
 
 def watatani_index(elements, tol=linalg.EPS_FLAG):
-    """Sum of lambda_i lambda_i* with centrality and scalarity flags."""
+    """Sum A = sum lambda_i lambda_i* with centrality and scalarity flags; for a unit e_pq of a block B of A of weight
+    t, ||[A, e_pq]||_2^2 = t (||column p of B off the diagonal||^2 + ||row q off it||^2 + |B_pp - B_qq|^2)."""
     linalg.check_tol(tol)
     if not elements:
         raise InvalidInput("need at least one element")
@@ -249,12 +246,12 @@ def watatani_index(elements, tol=linalg.EPS_FLAG):
     # block j of the sum is L L* for the n_j x (count n_j) matrix L = [lam_1, lam_2, ...] of the blocks j
     rows = [np.concatenate([lam.blocks[j] for lam in elements], axis=1) for j in range(alg.nblocks)]
     acc = alg.element([r @ r.conj().T for r in rows])
-    scale = 1.0 + acc.op_norm()
-    # the commutators [acc, e] with every matrix unit e, whose coordinates are the columns of units
-    a, units = alg.vec(acc)[:, None], np.diag(alg.gns_weights)
-    central = bool(np.linalg.norm(alg.products(a, units) - alg.products(units, a), axis=0).max() <= tol * scale)
+    scale = 1.0 + linalg.hermitian_block_norm(acc.blocks)  # acc is positive
+    worst = []  # the largest ||[A, e_pq]||_2^2 = ||[sqrt(t) B, e_pq]||_F^2 over the blocks B of each size
+    for a in linalg.stacks([np.sqrt(t) * b for t, b in zip(alg.trace_vector, acc.blocks)]):
+        d, off = np.diagonal(a, axis1=1, axis2=2), np.abs(a) ** 2 * (1.0 - np.eye(a.shape[-1]))  # off-diagonal squares
+        worst.append((off.sum(1)[:, :, None] + off.sum(2)[:, None] + np.abs(d[:, :, None] - d[:, None]) ** 2).max())
+    central = bool(np.sqrt(np.max(worst)) <= tol * scale)  # a nan reads as not central
     c = acc.trace().real
-    scalar = None
-    if (acc - alg.scalar(c)).norm() <= tol * scale:
-        scalar = float(c)
+    scalar = float(c) if (acc - alg.scalar(c)).norm() <= tol * scale else None
     return WatataniData(element=acc, is_central=central, scalar=scalar)

@@ -12,7 +12,6 @@ The interchange operators are returned as D x D arrays; e_P as its blocks in M1.
 import numpy as np
 
 from . import linalg
-from .basic import m1_norm
 from .errors import InvalidInput, NotIntermediate
 from .linalg import EPS_FLAG, EPS_REL
 from .systems import _Family, check_intermediate, require_basis
@@ -22,7 +21,7 @@ def intermediate_projection(mid, bc, tol=EPS_FLAG):
     """Blocks in M1 of the GNS projection e_P of an intermediate algebra; checks e1 <= e_P there."""
     check_intermediate(bc.sub, mid, tol)
     ep = bc.m1_wedd.outer_blocks(mid.mat)
-    res = m1_norm([p @ e - e for p, e in zip(ep, bc.e1)])
+    res = linalg.block_norm([p @ e - e for p, e in zip(ep, bc.e1)])
     if res > tol:
         raise NotIntermediate("e1 is not dominated by e_P (residual %.3g)" % res)
     return ep
@@ -58,14 +57,13 @@ def is_commuting_square(n_sub, p_sub, q_sub, tol=EPS_REL):
     """Whether E_P E_Q = E_N = E_Q E_P on the ambient algebra.
 
     Tested on all matrix units of the ambient algebra at once: the largest
-    GNS norm of a column of (e_P e_Q - e_N) U or (e_Q e_P - e_N) U, where the
-    columns of U are the units' coordinates; returns (flag, worst residual).
+    GNS norm of a column of e_P e_Q - e_N or e_Q e_P - e_N times the GNS weight
+    of that column, the unit's one coordinate; returns (flag, worst residual).
     """
     linalg.check_tol(tol)
     amb = p_sub.ambient
     if q_sub.ambient is not amb or n_sub.ambient is not amb:
         raise InvalidInput("subalgebras live in different ambient algebras")
     ep, eq, en = (s.projection_matrix() for s in (p_sub, q_sub, n_sub))
-    units = np.diag(amb.gns_weights)
-    worst = max(float(np.linalg.norm((a @ b - en) @ units, axis=0).max()) for a, b in ((ep, eq), (eq, ep)))
+    worst = max(float((np.linalg.norm(a @ b - en, axis=0) * amb.gns_weights).max()) for a, b in ((ep, eq), (eq, ep)))
     return worst <= tol, worst

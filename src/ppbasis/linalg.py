@@ -67,8 +67,18 @@ def operator_norm(a):
 
 
 def hermitian_norm(h):
-    """Operator norm of a Hermitian matrix (or a stack of them), read off its eigenvalues."""
-    return float(np.abs(eigvalsh(h)).max(initial=0.0))
+    """Operator norm of a Hermitian matrix (or a stack of them) from its eigenvalues; an exact 0 is not factorized."""
+    return float(np.abs(eigvalsh(h)).max(initial=0.0)) if np.any(h) else 0.0
+
+
+def block_norm(blocks):
+    """Operator norm of the block-diagonal sum of square ``blocks``: its largest block norm, one call per size."""
+    return max(operator_norm(s) for s in stacks(blocks))
+
+
+def hermitian_block_norm(blocks, shift=0.0):
+    """Operator norm of H - shift 1 for the block-diagonal sum H of Hermitian ``blocks``, one eigvalsh per size."""
+    return max(float(np.abs(eigvalsh(s) - shift).max()) for s in stacks(blocks))
 
 
 @_typed

@@ -32,7 +32,7 @@ from .algebra import _unitarity_residuals
 from .basic import m1_wedderburn, markov_trace, watatani_index
 from .errors import DuplicateCoset, InvalidInput, NotANormalizer, NotAnAction, NotUnitary
 from .linalg import EPS_FLAG
-from .systems import _entry_norms, _Family, _m1_norm, check_intermediate, classify, require_basis
+from .systems import _entry_norms, _Family, check_intermediate, classify, require_basis
 
 II1_NOTE = (
     "equality of beta with |reps| * dim(N' cap M) is the statement for regular "
@@ -133,7 +133,7 @@ class Automorphism:
             u = np.asarray(u, dtype=complex)
             if u.shape != (alg.dims[j], alg.dims[j]):
                 raise NotAnAction("unitary %d has the wrong shape" % j)
-            if linalg.operator_norm(u @ u.conj().T - np.eye(alg.dims[j])) > linalg.EPS_INPUT:
+            if _unitarity_residuals([u[None]])[0] > linalg.EPS_INPUT:
                 raise NotUnitary("block %d of the automorphism is not unitary" % j)
             us.append(u)
         self.perm = perm
@@ -429,7 +429,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
         p_alg = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps))
         check_intermediate(r_alg, p_alg, tol)  # e_P lies in <M, e_R>, where the supports over R do, only for P >= R
         ep = m1_wedderburn(r_alg).outer_blocks(p_alg.mat)
-        ep_res = _m1_norm([c - e for c, e in zip(sys_r.support["right"], ep)])
+        ep_res = linalg.hermitian_block_norm([c - e for c, e in zip(sys_r.support["right"], ep)])
     issues = [] if regular else ["NotRegular"]
     support_eq = ep_res <= tol * 2.0  # 1 + the norm of e_P, a nonzero projection: no SVD needed
 

@@ -10,12 +10,13 @@ support is the identity.  Left-handed versions swap the adjoints.  Both are
 contractions of the family rotated once into M's frames (``M1Wedderburn.rows``):
 the Gram matrix, in M_n(N) with the norms of M_n(M), as one (n, n, m_i, m_i)
 array of coefficients in N's matrix units per block, and the support as its
-blocks in M1, where an element has the norm of its largest block.  Neither a
-product x_i* x_j nor a D x D operator is formed.  The prescribed support of
-``construct_system_with_support`` is given by its blocks too, and each element
-is pushed down from them by ``BasicConstruction.pushdown``.  Classification
-builds no basic construction; one passed as ``bc`` is kept for completion.
-``require_basis`` is the one basis check of the regular chain and interchange.
+blocks in M1, where an element has the norm of its largest block.  Both are
+Hermitian, so every flag reads eigenvalues, one eigvalsh per block size: no
+product x_i* x_j, no D x D operator and no singular value.  A prescribed support
+(``construct_system_with_support``) is given by its blocks, and each element is
+pushed down by ``BasicConstruction.pushdown``; classification builds no basic
+construction (a ``bc`` passed in is kept for completion).  ``require_basis`` is
+the one basis check of the regular chain and interchange.
 """
 
 import math
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .basic import BasicConstruction, m1_norm, m1_wedderburn
+from .basic import BasicConstruction, m1_wedderburn
 from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, NotASystem, NotIntermediate
-from .linalg import EPS_FLAG
+from .linalg import EPS_FLAG, hermitian_block_norm
 
 
 class _Family:
@@ -63,25 +64,21 @@ class _Family:
         return self.m1.support(self.rows)
 
 
-def _m1_norm(blocks, shift=0.0):
-    """Operator norm of T - shift 1 for a Hermitian T in M1 given by its blocks, one eigvalsh call per block size."""
-    return max(float(np.abs(linalg.eigvalsh(s) - shift).max()) for s in linalg.stacks(blocks))
-
-
 def _entry_norms(blocks, wd):
     """GNS 2-norms of the elements stacked in per-block arrays (..., m_i, m_i) of coefficients in ``wd``'s units."""
     return np.sqrt(sum(t * np.sum((a.conj() * a).real, axis=(-2, -1)) for t, a in zip(wd.block_traces, blocks)))
 
 
 def _gram_residuals(blocks, wd):
-    """Projection residual and 1 + norm of the Gram matrix, from its n m_i-square blocks
-    (one call per size); largest GNS 2-norms, from the block traces of N's ``wd``, of the
-    off-diagonal entries, of q^2 - q or q - q* for the diagonal entries q, and of q - 1."""
+    """Projection residual and 1 + norm of the Hermitian Gram matrix G from the eigenvalues l of its n m_i-square
+    blocks, one call per size (max |l^2 - l|, next to ||i(G - G*)||, and max |l|); largest GNS 2-norms, from N's
+    ``wd``, of the off-diagonal entries, of q^2 - q or q - q* for the diagonal entries q, and of q - 1."""
     n = blocks[0].shape[0]
-    big = [g.transpose(0, 2, 1, 3).reshape(n * g.shape[2], -1) for g in blocks]
-    stacks = linalg.stacks(big)
-    norm = max(linalg.operator_norm(s) for s in stacks)
-    res = max(max(linalg.projection_residuals(s)) for s in stacks)
+    stacks = linalg.stacks([g.transpose(0, 2, 1, 3).reshape(n * g.shape[2], -1) for g in blocks])
+    vals = [linalg.eigvalsh(s) for s in stacks]
+    norm = max(float(np.abs(v).max()) for v in vals)
+    res = max(max(float(np.abs(v * v - v).max()), linalg.hermitian_norm(1j * (s - s.conj().swapaxes(-2, -1))))
+              for v, s in zip(vals, stacks))
     diag = [g[np.arange(n), np.arange(n)] for g in blocks]
     off = _entry_norms(blocks, wd)[~np.eye(n, dtype=bool)].max(initial=0.0)
     proj = _entry_norms([np.concatenate([q @ q - q, q - q.conj().transpose(0, 2, 1)]) for q in diag], wd).max()
@@ -137,7 +134,7 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
         g = grams[s] = family.gram()
         r, scale, off, diag_proj, diag_one = _gram_residuals(g, wd)
         supports[s] = family.support()
-        basis_res = _m1_norm(supports[s], 1.0)
+        basis_res = hermitian_block_norm(supports[s], 1.0)
         residuals["%s_gram_projection" % s] = r / scale
         residuals["%s_offdiag" % s] = off
         residuals["%s_diag_projection" % s] = diag_proj
@@ -186,7 +183,7 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
     et = None if target is None else m1_wedderburn(sub).outer_blocks(target.mat)
     scale = 2.0  # 1 + the norm of e_P, which is 1 or a nonzero projection: no SVD needed
     for s, sup in sys.support.items():  # the tested sides, right before left
-        res = sys.residuals[s + "_support_identity"] if et is None else _m1_norm([c - e for c, e in zip(sup, et)])
+        res = hermitian_block_norm([c - e for c, e in zip(sup, et)]) if et else sys.residuals[s + "_support_identity"]
         sys.residuals[s + "_support_target"] = res
         if res > tol * scale:
             raise NotABasis("%s family has wrong %s support (residual %.3g)" % (label, s, res))
@@ -217,7 +214,7 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
         raise InvalidInput("unknown mode %r" % (mode,))
     f = bc.m1_wedd._checked(f)
     r = max(max(linalg.projection_residuals(s)) for s in linalg.stacks(f))
-    if not r <= tol * (1.0 + m1_norm(f)):
+    if not r <= tol * (1.0 + linalg.block_norm(f)):
         raise NotAProjection("prescribed support is not a projection (residual %.3g)" % r)
     ranks_f = [linalg.integer_trace(b, NotAProjection) for b in f]
     ranks_e = [linalg.integer_trace(b, NotAProjection) for b in bc.e1]
@@ -243,7 +240,7 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     if not elements:
         raise InvalidInput("prescribed support is zero; the empty family has no classification")
     sys = classify(elements, bc.sub, side="right", bc=bc, tol=tol)
-    sys.residuals["support_match"] = _m1_norm([c - b for c, b in zip(sys.support["right"], f)])
+    sys.residuals["support_match"] = hermitian_block_norm([c - b for c, b in zip(sys.support["right"], f)])
     return sys
 
 

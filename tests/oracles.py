@@ -8,7 +8,9 @@ one product pass against N's matrix units.  They also read a D x D operator into
 blocks and measure how far it lies from M1, build M1 as a D^2-row subalgebra or as
 the nullspace of the commutator with N's right action, lift x in M to the blocks of
 L_x e1, and compute the Markov extension from a Gram system over M's matrix units.
-Dense and O(D^4) or worse; small models only.
+Dense and O(D^4) or worse; small models only.  The Gram projection test and the
+unitarity defects are also measured through singular values, the route that the
+library's eigenvalues of these Hermitian matrices replaced.
 """
 
 import functools
@@ -74,6 +76,29 @@ def product_gram(elements, sub, side):
 def product_support(elements, sub, side):
     """Blocks of the support W W^*, column (s, u) of W the product x_s q_u with N's basis Q = sub.mat."""
     return outer_blocks(m1_wedderburn(sub), sub.ambient.products(family_columns(elements, sub, side), sub.mat))
+
+
+def svd_gram_residuals(blocks):
+    """Projection residual and 1 + norm of the Gram matrix from its (n, n, m_i, m_i) arrays, through singular
+    values: ``projection_residuals`` and ``operator_norm`` of its n m_i-square matrices, stacked by size."""
+    n = blocks[0].shape[0]
+    stacks = linalg.stacks([g.transpose(0, 2, 1, 3).reshape(n * g.shape[2], -1) for g in blocks])
+    return max(max(linalg.projection_residuals(s)) for s in stacks), 1.0 + max(linalg.operator_norm(s) for s in stacks)
+
+
+def svd_unitarity_residuals(blocks):
+    """max(||u u* - 1||, ||u* u - 1||) for each element u of a family stacked per block, one
+    (n, n_j, n_j) array per block, from the largest singular values; an overflow reads as inf."""
+    res = 0.0
+    for u in blocks:
+        uh = u.conj().transpose(0, 2, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dev = np.concatenate([u @ uh, uh @ u]) - np.eye(u.shape[-1])
+        finite = np.isfinite(dev).all(axis=(1, 2))
+        norms = np.full(len(dev), np.inf)
+        norms[finite] = linalg.operator_norms(dev[finite])
+        res = np.maximum(res, norms.reshape(2, -1).max(axis=0))
+    return res
 
 
 def apply(wd, blocks, cols):

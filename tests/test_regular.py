@@ -17,6 +17,7 @@ from ppbasis import (
     patch_bases,
     regular_pipeline,
     relative_commutant,
+    scalar_basis,
 )
 from ppbasis import algebra, basic, linalg, models, regular, systems
 from ppbasis.errors import (
@@ -1054,3 +1055,41 @@ def test_pipeline_takes_no_norm_of_a_projection(monkeypatch):
     rep = regular_pipeline(mp.sub, candidates=mp.candidates[:2])
     assert rep.issues == ("IncompleteCosets",)
     assert not seen
+
+
+# the pipeline models whose coset representatives fill M: all but z2-in-z2xz2, which is not connected
+FILL_MODELS = [(name, build) for name, build in PIPELINE_MODELS if name != "z2-in-z2xz2"]
+
+
+def _pipeline_flags(mp):
+    """The flags of the pipeline, of its coset and patched systems, of coset_system and of the Watatani index."""
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    wat = basic.watatani_index(rep.patched.elements)
+    return (rep.flags, rep.coset.flags, rep.patched.flags, coset_system(rep.reps, rep.r_algebra).flags,
+            wat.is_central, wat.scalar is not None)
+
+
+def _basis_flags(mp):
+    """The flags of the two-sided tests of the scalar basis: classify, require_basis, coset_system and Watatani."""
+    basis = scalar_basis(mp.ambient)
+    wat = basic.watatani_index(basis)
+    return (classify(basis, mp.sub).flags, require_basis(basis, mp.sub).flags, coset_system(basis, mp.sub).flags,
+            wat.is_central, wat.scalar is not None)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in FILL_MODELS] + ["m5-scalar-basis"])
+def test_flags_take_no_svd(monkeypatch, name):
+    # every matrix these flags test is Hermitian by construction (Gram stacks, supports, the
+    # unitarity defects, the Watatani sum), so eigenvalues decide them and the blocks decide
+    # centrality: with the models built, no singular value is needed.  Every flag is true here:
+    # the cosets fill M, and the scalar basis is an orthonormal two-sided basis
+    if name == "m5-scalar-basis":
+        mp, run = models.scalar_in_full(5), _basis_flags
+    else:
+        mp, run = dict(FILL_MODELS)[name](), _pipeline_flags
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an SVD on a flag path")
+
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    assert all(all(f.values()) if isinstance(f, dict) else f for f in run(mp))

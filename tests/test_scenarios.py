@@ -213,19 +213,22 @@ def test_selftest_matches_golden_report():
 
 
 def test_failed_factorization_is_recorded_and_the_run_goes_on(monkeypatch):
-    # SVD fails inside the first task only: that task records FactorizationFailed
-    # and the second task still runs
-    real_svd, pipeline = np.linalg.svd, scenarios.TASKS["regular_pipeline"]
+    # every factorization (SVD, eigh, eigvalsh) fails inside the first task only: that
+    # task records FactorizationFailed and the second task still runs
+    real = {name: getattr(np.linalg, name) for name in ("svd", "eigh", "eigvalsh")}
+    pipeline = scenarios.TASKS["regular_pipeline"]
 
-    def no_svd(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+    def no_factorization(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
 
     def failing_pipeline(*args):
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for name in real:
+            monkeypatch.setattr(np.linalg, name, no_factorization)
         try:
             return pipeline(*args)
         finally:
-            monkeypatch.setattr(np.linalg, "svd", real_svd)
+            for name, f in real.items():
+                monkeypatch.setattr(np.linalg, name, f)
 
     monkeypatch.setitem(scenarios.TASKS, "regular_pipeline", failing_pipeline)
     report, lines = run_scenario_dict(
@@ -235,7 +238,7 @@ def test_failed_factorization_is_recorded_and_the_run_goes_on(monkeypatch):
         }
     )
     first, second = report["results"]
-    assert first["error"] == "FactorizationFailed" and first["message"] == "SVD did not converge"
+    assert first["error"] == "FactorizationFailed" and first["message"] == "did not converge"
     assert not first["pass"]
     assert second["pass"] and second["numbers"]["beta"] == 2.0
-    assert "  error: FactorizationFailed: SVD did not converge" in lines
+    assert "  error: FactorizationFailed: did not converge" in lines

@@ -18,7 +18,7 @@ from ppbasis import (
     watatani_index,
 )
 from ppbasis import linalg, models
-from ppbasis.algebra import join_wedderburn
+from ppbasis.algebra import _unitarity_residuals, join_wedderburn
 from ppbasis.basic import m1_wedderburn
 from ppbasis.errors import (
     InfeasibleSupport,
@@ -28,9 +28,9 @@ from ppbasis.errors import (
     NotASystem,
     NotIntermediate,
 )
-from ppbasis.linalg import EPS_FLAG
-from ppbasis.regular import GroupTable
-from ppbasis.systems import _gram_residuals, _m1_norm, require_basis
+from ppbasis.linalg import EPS_FLAG, EPS_INPUT
+from ppbasis.regular import GroupTable, _stacked
+from ppbasis.systems import _gram_residuals, require_basis
 import oracles
 from oracles import e1_matrix, roundtrip_residual, to_abstract
 from test_basic import ISOMETRY_MODELS
@@ -568,7 +568,8 @@ def check_rotation_against_dense_oracle(sub, family):
         assert _close(sys.gram[side], gram) and _close(sys.support[side], support)
         r, scale, off, proj, one = _gram_residuals(gram, sub.wedderburn_data())
         residuals.update({side + "_gram_projection": r / scale, side + "_offdiag": off, side + "_diag_projection": proj,
-                          side + "_diag_identity": one, side + "_support_identity": _m1_norm(support, 1.0)})
+                          side + "_diag_identity": one,
+                          side + "_support_identity": linalg.hermitian_block_norm(support, 1.0)})
     assert sys.flags == _flags_of(residuals) == _flags_of(sys.residuals)
     assert _close(bc.e1, oracles.outer_blocks(wd, sub.mat))
     r_alg = join_wedderburn(sub.wedderburn_data()).subalgebra
@@ -596,6 +597,45 @@ def test_drawn_rotation_matches_dense_oracle(mp):
     rng = linalg.rng_from_seed(0)
     family = tuple(scalar_basis(mp.ambient)) + tuple(mp.ambient.random_element(rng) for _ in range(2))
     check_rotation_against_dense_oracle(mp.sub, family)
+
+
+# -- singular-value oracle ---------------------------------------------------
+# The Gram stacks (a^* a^T / T_i) and the unitarity defects u u* - 1, u* u - 1 are Hermitian by
+# construction, and the library reads their norms off eigenvalues; the oracle reads them off
+# singular values, as the library did before.
+
+
+def check_against_svd_oracle(family, sub):
+    """The Gram projection residual and 1 + ||G|| of each side within 1e-12 (1 + ||G||) of the singular-value
+    route, the unitarity residuals within 1e-12 (1 + residual), and every flag they decide equal."""
+    sys, wd, system = classify(family, sub, side="two-sided"), sub.wedderburn_data(), True
+    for side in ("right", "left"):
+        r, scale = oracles.svd_gram_residuals(sys.gram[side])
+        got_r, got_scale = _gram_residuals(sys.gram[side], wd)[:2]
+        assert abs(got_r - r) <= 1e-12 * scale and abs(got_scale - scale) <= 1e-12 * scale
+        assert abs(sys.residuals[side + "_gram_projection"] - r / scale) <= 1e-12
+        system &= r <= EPS_FLAG * scale
+    assert sys.flags["system"] == system
+    blocks = _stacked(family, sub.ambient)
+    got, want = _unitarity_residuals(blocks), oracles.svd_unitarity_residuals(blocks)
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want))
+    for tol in (EPS_INPUT, EPS_FLAG):  # the block unitaries of embeddings and automorphisms; candidates
+        assert np.array_equal(got <= tol, want <= tol)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_eigenvalue_residuals_match_svd_oracle(name):
+    sub, elements = ORACLE_FAMILIES[name]
+    check_against_svd_oracle(tuple(elements), sub)
+
+
+@settings(max_examples=10)
+@given(connected_pairs())
+def test_drawn_eigenvalue_residuals_match_svd_oracle(mp):
+    rng, amb = linalg.rng_from_seed(0), mp.ambient
+    unitaries = tuple(amb.element([linalg.random_unitary(n, rng) for n in amb.dims]) for _ in range(2))
+    family = tuple(scalar_basis(amb)) + tuple(amb.random_element(rng) for _ in range(2)) + unitaries
+    check_against_svd_oracle(family, mp.sub)
 
 
 GUARD_MODELS = {
