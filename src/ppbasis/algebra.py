@@ -8,6 +8,8 @@ the whole functional is a state: sum n_i t_i = 1.  The induced inner product
 maps elements to coordinates in which that inner product is the standard one,
 so subalgebras and conditional expectations below are orthogonal projections
 onto orthonormal bases, read off matrix units or eigenvectors wherever they give one.
+Matrix units are kept as GNS columns (``wd.unit_mat``, one read back by ``wd.unit(b, p, q)``),
+and N' cap M and R are read off N's once (``wd.commutant``, ``wd.join``).
 """
 
 import functools
@@ -23,6 +25,12 @@ from .errors import (
     NotUnitary,
     TraceMismatch,
 )
+
+def _check_unit(dims, b, p, q):
+    """InvalidInput unless (b, p, q) names a matrix unit e^b_pq of blocks of the sizes ``dims``."""
+    if not (0 <= b < len(dims) and 0 <= p < dims[b] and 0 <= q < dims[b]):
+        raise InvalidInput("unit (%d, %d, %d) out of range for blocks of sizes %r" % (b, p, q, tuple(dims)))
+
 
 class MultiMatrixAlgebra:
     """Direct sum of matrix blocks with a faithful tracial state."""
@@ -91,10 +99,8 @@ class MultiMatrixAlgebra:
         return AlgebraElement(self, [c * np.eye(n, dtype=complex) for n in self.dims])
 
     def unit(self, block, p, q):
-        """Matrix unit e_{pq} inside the given block."""
-        n = self.dims[block]
-        if not (0 <= p < n and 0 <= q < n):
-            raise InvalidInput("unit index (%d,%d) out of range for block of size %d" % (p, q, n))
+        """Matrix unit e_{pq} inside the given block; InvalidInput for an index out of range."""
+        _check_unit(self.dims, block, p, q)
         blocks = [np.zeros((m, m), dtype=complex) for m in self.dims]
         blocks[block][p, q] = 1.0
         return AlgebraElement(self, blocks)
@@ -133,14 +139,6 @@ class MultiMatrixAlgebra:
             x, y = (m[lo:hi].T.reshape(-1, n, n) for m in (a, b))
             cols.append((x[:, None] @ y[None]).reshape(-1, n * n).T / np.sqrt(t))
         return np.concatenate(cols)
-
-    def left_op(self, x):
-        """Matrix of left multiplication by ``x`` on the GNS space."""
-        return linalg.block_diag([np.kron(x.blocks[i], np.eye(n)) for i, n in enumerate(self.dims)])
-
-    def right_op(self, x):
-        """Matrix of right multiplication by ``x`` on the GNS space."""
-        return linalg.block_diag([np.kron(np.eye(n), x.blocks[i].T) for i, n in enumerate(self.dims)])
 
     def modular_conjugation(self, v):
         """J acting on GNS coordinates (a vector or a column stack): the conjugate-linear map x^ -> (x*)^."""
@@ -318,8 +316,7 @@ class Subalgebra:
             raise InvalidInput("basis matrix must be GNS-dim x s")
         self._elements = None
         self._projection = None
-        self._wedderburn = None
-        self._units = None
+        self._wedd = None  # its Wedderburn data: the units it was built from, or one wedderburn call
         self._m1 = None  # M1's block data over this subalgebra (basic.m1_wedderburn)
 
     @classmethod
@@ -333,20 +330,20 @@ class Subalgebra:
         return sub
 
     @classmethod
-    def from_units(cls, ambient, traces, units):
-        """The span of matrix units ``units[b][p][q]``, kept as its Wedderburn data: units are orthogonal
-        with ||e_pq||^2 = traces[b], the trace of their block, so the e_pq / sqrt(traces[b]) are orthonormal."""
-        wd = WedderburnData(None, [len(u) for u in units], traces, units)
-        sub = cls(ambient, wd.unit_mat / np.sqrt(wd._scale))
-        sub._units, wd.subalgebra = wd, sub
+    def from_units(cls, ambient, dims, traces, unit_mat):
+        """The span of the units in the columns of ``unit_mat`` (``WedderburnData``), kept as its Wedderburn data:
+        ||e_pq||^2 = traces[b], the trace of their block, so the e_pq / sqrt(traces[b]) are orthonormal."""
+        sub = cls(ambient, unit_mat / np.sqrt(np.repeat(traces, np.square(dims))))
+        sub._wedd = WedderburnData(sub, dims, traces, unit_mat)
         return sub
 
     @classmethod
     def embedded(cls, ambient, source, embed):
         """The image of ``source`` under the unital *-embedding ``embed``, which
         keeps the images of the matrix units of ``source`` as its Wedderburn data."""
-        units = [[[embed(source.unit(i, p, q)) for q in range(m)] for p in range(m)] for i, m in enumerate(source.dims)]
-        return cls.from_units(ambient, [u[0][0].trace().real for u in units], units)
+        units = [[embed(source.unit(i, p, q)) for p in range(m) for q in range(m)] for i, m in enumerate(source.dims)]
+        cols = np.stack([x.vec() for block in units for x in block], axis=1)
+        return cls.from_units(ambient, source.dims, [block[0].trace().real for block in units], cols)
 
     @classmethod
     def generated(cls, ambient, elements):
@@ -389,13 +386,11 @@ class Subalgebra:
         return self._elements
 
     def wedderburn_data(self, seed=0):
-        """The kept matrix units of a subalgebra built from them (``embedded``, ``_closed_form``);
+        """The kept matrix units of a subalgebra built from them (``from_units``);
         otherwise ``wedderburn(self, seed)``, decomposed once, at the seed of the first call."""
-        if self._units is not None:
-            return self._units
-        if self._wedderburn is None:
-            self._wedderburn = wedderburn(self, seed=seed)
-        return self._wedderburn
+        if self._wedd is None:
+            self._wedd = wedderburn(self, seed=seed)
+        return self._wedd
 
     def projection_matrix(self):
         """Orthogonal projection of the GNS space onto the subalgebra, formed
@@ -433,83 +428,76 @@ def relative_commutant(sub, within=None):
     return Subalgebra(amb, linalg.orthonormal_columns(w @ coeff))
 
 
-def _in_block(alg, j, x):
-    """The element of ``alg`` with block j equal to x and every other block zero."""
-    return AlgebraElement(alg, [x if k == j else np.zeros((n, n)) for k, n in enumerate(alg.dims)])
-
-
 def _closed_form(wd, join):
-    """N' cap M, or with ``join`` R = N v (N' cap M), keeping matrix units read off N's (Goodman,
-    de la Harpe and Jones).  For N's block i and the columns w_pa = e^i_p0 v_a of ``wd.frames[j]``,
-    the w_pa w_qb* = e^i_pq f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j, and their
-    sums over p = q, the f_ab, those of N' cap M's block M_{Lambda_ij}, of trace m_i t_j.  Each is
-    built once per ``wd`` and kept on it, so what is kept on R (M1's blocks) is built once too."""
-    if join in wd._closed:
-        return wd._closed[join]
-    amb = wd.subalgebra.ambient
-    traces, units, lo = [], [], [0] * amb.nblocks  # lo[j]: the first column of N's block i in frames[j]
-    for m, vs in zip(wd.block_dims, wd.ranges):
-        for j, (n, t, v) in enumerate(zip(amb.dims, amb.trace_vector, vs)):
-            k = v.shape[1]
-            w = wd.frames[j][:, lo[j]:lo[j] + m * k].reshape(n, m, k).transpose(1, 0, 2)  # the e^i_p0 v_a, (m, n_j, k)
-            lo[j] += m * k
-            if not k:
-                continue
-            f = np.einsum("pxa,qyb->paqbxy", w, w.conj())
-            f = f.reshape(m * k, m * k, *f.shape[-2:]) if join else np.einsum("papbxy->abxy", f)
-            units.append([[_in_block(amb, j, x) for x in row] for row in f])
-            traces.append(t if join else m * t)
-    wd._closed[join] = Subalgebra.from_units(amb, traces, units)._units
-    return wd._closed[join]
-
-
-def commutant_wedderburn(wd):
-    """Matrix units of N' cap M = sum of the M_{Lambda_ij}, in closed form from N's."""
-    return _closed_form(wd, join=False)
-
-
-def join_wedderburn(wd):
-    """Matrix units of R = N v (N' cap M) = sum of the M_{m_i Lambda_ij}, in closed form from N's."""
-    return _closed_form(wd, join=True)
+    """N' cap M, or with ``join`` R = N v (N' cap M), as the Wedderburn data of units read off N's (Goodman, de la
+    Harpe and Jones).  For N's block i and the columns w_pa = e^i_p0 v_a of ``wd.frames[j]``, the w_pa w_qb* = e^i_pq
+    f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j, and their sums over p = q, the f_ab, those of
+    N' cap M's block M_{Lambda_ij}, of trace m_i t_j; each is written straight into its GNS column."""
+    amb, m = wd.subalgebra.ambient, np.array(wd.block_dims)[:, None]
+    lam = np.array([[v.shape[1] for v in vs] for vs in wd.ranges])  # Lambda_ij, the widths of the ranges
+    sizes, first = m * lam if join else lam, np.cumsum(m * lam, axis=0) - m * lam  # first: N's block i in frames[j]
+    unit_mat, col = np.zeros((amb.gns_dim, int(np.sum(sizes ** 2))), dtype=complex), 0
+    for i, j in np.argwhere(lam):
+        n, k, d, rows = amb.dims[j], lam[i, j], sizes[i, j], slice(amb._offsets[j], amb._offsets[j + 1])
+        w = wd.frames[j][:, first[i, j]:first[i, j] + m[i, 0] * k].reshape(n, m[i, 0], k).transpose(1, 0, 2)
+        f = np.einsum("pxa,qyb->paqbxy", w, w.conj())  # the e^i_p0 v_a are w[p, :, a]
+        f = (f if join else np.einsum("papbxy->abxy", f)).reshape(d * d, -1).T
+        np.multiply(f, amb.gns_weights[rows, None], out=unit_mat[rows, col:col + d * d])
+        col += d * d
+    traces = (np.where(join, 1, m) * amb.trace_vector)[lam > 0]
+    return Subalgebra.from_units(amb, sizes[lam > 0].tolist(), traces, unit_mat).wedderburn_data()
 
 
 class WedderburnData:
     """Block structure of a subalgebra: its block dims and matrix units.
 
-    ``units[b][p][q]`` are elements of the ambient algebra satisfying the matrix-unit
-    relations inside block b, with the units[b][p][p] summing to 1; ``block_traces[b]``
-    is the ambient trace of a minimal projection of that block, so the abstract copy
-    carries the restricted trace; the columns of ``unit_mat`` are the units' GNS coordinates.
+    The columns of ``unit_mat``, ordered by (b, p, q), are the GNS coordinates of the matrix units e^b_pq
+    (``unit(b, p, q)``), with the matrix-unit relations inside block b and the e^b_pp summing to 1;
+    ``block_traces[b]`` is the ambient trace of a minimal projection of block b, so the abstract copy carries
+    the restricted trace.  N' cap M and R = N v (N' cap M) are read off the units once (``commutant``, ``join``).
     """
 
-    def __init__(self, subalgebra, block_dims, block_traces, units):
+    def __init__(self, subalgebra, block_dims, block_traces, unit_mat):
         self.subalgebra = subalgebra
         self.block_dims = tuple(block_dims)
         self.block_traces = tuple(block_traces)
-        self.units = units
-        self.unit_mat = np.stack([x.vec() for block in units for row in block for x in row], axis=1)
+        self.unit_mat = unit_mat
+        self._starts = np.cumsum((0,) + tuple(d * d for d in self.block_dims))  # the column of each block's e_00
         self._scale = np.repeat(self.block_traces, [d * d for d in self.block_dims])
-        self._cuts = np.cumsum([d * d for d in self.block_dims])[:-1]
-        self._closed = {}  # N' cap M and R, read off these units by _closed_form
+
+    def unit(self, b, p, q):
+        """The matrix unit e^b_pq as an element of the ambient algebra; InvalidInput for an index out of range."""
+        _check_unit(self.block_dims, b, p, q)
+        return self.subalgebra.ambient.element(self._blocks(self._starts[b] + p * self.block_dims[b] + q))
+
+    def _blocks(self, col):
+        """The blocks of the unit in column ``col``, the weights divided out of re and im apart: a 1 stays exact."""
+        amb, x = self.subalgebra.ambient, self.unit_mat[:, col]
+        x = x.real / amb.gns_weights + 1j * (x.imag / amb.gns_weights)
+        return [x[lo:hi].reshape(n, n) for n, lo, hi in zip(amb.dims, amb._offsets, amb._offsets[1:])]
+
+    @functools.cached_property
+    def commutant(self):
+        """Wedderburn data of N' cap M = sum of the M_{Lambda_ij} (``_closed_form``)."""
+        return _closed_form(self, join=False)
+
+    @functools.cached_property
+    def join(self):
+        """Wedderburn data of R = N v (N' cap M) = sum of the M_{m_i Lambda_ij} (``_closed_form``)."""
+        return _closed_form(self, join=True)
 
     @functools.cached_property
     def ranges(self):
         """``ranges[i][j]``: orthonormal basis of the range of block j of e^i_00, one batched eigh per block of M."""
-        eig = [linalg.eigh(np.stack(blocks)) for blocks in zip(*(u[0][0].blocks for u in self.units))]
-        return [[vecs[i][:, vals[i] > 0.5] for vals, vecs in eig] for i in range(len(self.units))]
+        eig = [linalg.eigh(np.stack(blocks)) for blocks in zip(*map(self._blocks, self._starts[:-1]))]
+        return [[vecs[i][:, vals[i] > 0.5] for vals, vecs in eig] for i in range(len(self.block_dims))]
 
     @functools.cached_property
     def frames(self):
-        """``frames[j]``: the unitary with the columns e^i_p0 v_a over i, p < m_i and v_a in ``ranges[i][j]``, on
-        which e^i_pq is |i,p><i,q| (x) 1; the products of one shape (n_j, Lambda_ij) are one batched product."""
-        vs, cols = self.ranges, {}
-        keys = [(j, i, p) for j in range(len(vs[0])) for i, m in enumerate(self.block_dims) if vs[i][j].size
-                for p in range(m)]
-        for shape in {vs[i][j].shape for j, i, _ in keys}:
-            grp = [(j, i, p) for j, i, p in keys if vs[i][j].shape == shape]
-            e = np.stack([self.units[i][p][0].blocks[j] for j, i, p in grp])
-            cols.update(zip(grp, e @ np.stack([vs[i][j] for j, i, _ in grp])))
-        return [np.concatenate([cols[key] for key in keys if key[0] == j], axis=1) for j in range(len(vs[0]))]
+        """``frames[j]``: the unitary with the columns e^i_p0 v_a over i, p < m_i and v_a in ``ranges[i][j]``,
+        on which e^i_pq is |i,p><i,q| (x) 1."""
+        heads = [(i, self._blocks(self._starts[i] + p * d)) for i, d in enumerate(self.block_dims) for p in range(d)]
+        return [np.concatenate([e[j] @ self.ranges[i][j] for i, e in heads], axis=1) for j in range(len(self.ranges[0]))]
 
     def abstract(self):
         # renormalize away float drift so the trace-sum check stays exact
@@ -519,22 +507,14 @@ class WedderburnData:
     def abstract_blocks(self, pairings):
         """Coefficient blocks of E(x) in the matrix-unit basis, one (..., d, d) array per block,
         for the elements x whose pairings <x, e_pq> = tr(e_qp x) run along the last axis."""
-        coeffs = np.split(pairings / self._scale, self._cuts, axis=-1)
+        coeffs = np.split(pairings / self._scale, self._starts[1:-1], axis=-1)
         return [c.reshape(*pairings.shape[:-1], d, d) for c, d in zip(coeffs, self.block_dims)]
-
-    def to_abstract(self, x):
-        """Coefficient blocks of ``x`` in the matrix-unit basis."""
-        return self.abstract_blocks((x.vec().conj() @ self.unit_mat).conj())
 
     def from_abstract(self, blocks):
         flat = np.concatenate([np.asarray(b, dtype=complex).reshape(-1) for b in blocks])
         if flat.shape != (self.unit_mat.shape[1],):
             raise InvalidInput("abstract blocks have the wrong shapes")
         return self.subalgebra.ambient.unvec(self.unit_mat @ flat)
-
-    def roundtrip_residual(self, x):
-        return (x - self.from_abstract(self.to_abstract(x))).norm()
-
 
 def _spectral_split(h):
     """Spectral data of a Hermitian element: (means, vecs, masks).  ``vecs`` holds the
@@ -616,11 +596,12 @@ def _attempt_wedderburn(sub, rng):
     for worst in _row_residuals(sub, rows, [[qs[c] for c in grp] for grp in groups]):
         if worst > linalg.EPS_WEDD:
             raise DegenerateSpectrum("matrix-unit relations violated (residual %.3g)" % worst)
-    units = [[[a.adjoint() * b for b in row] for a in row] for row in rows]
-    traces = [u[0][0].trace().real for u in units]
+    units = [[a.adjoint() * b for a in row for b in row] for row in rows]  # u_pq at p d + q
+    traces = [u[0].trace().real for u in units]
     # deterministic ordering independent of the random eigenvalues where possible
-    order = sorted(range(len(units)), key=lambda k: (len(units[k]), round(traces[k], 9), means[groups[k][0]]))
-    return WedderburnData(sub, [len(units[k]) for k in order], [traces[k] for k in order], [units[k] for k in order])
+    order = sorted(range(len(units)), key=lambda k: (len(rows[k]), round(traces[k], 9), means[groups[k][0]]))
+    cols = np.stack([x.vec() for k in order for x in units[k]], axis=1)
+    return WedderburnData(sub, [len(rows[k]) for k in order], [traces[k] for k in order], cols)
 
 
 def wedderburn(sub, seed=0):

@@ -14,7 +14,8 @@ for V_i = 1_{n_j} (x) conj(v_ij), and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  T
 Gram matrix and the support of a family, e1 (the support of {1}), e_P, the action
 of M1 and the pushdown x = v 1^ (Pimsner and Popa: M1 e1 = M e1) are contractions
 of that one rotation (``M1Wedderburn.rows``).  The Markov extension is a closed
-form in the blocks (``M1Trace``).
+form in the blocks (``M1Trace``).  Lambda, its Markov data and e1 are read once per N
+and kept on M1's block data over N (``m1.lam``, ``m1.markov``, ``m1.e1``).
 """
 
 import functools
@@ -69,8 +70,8 @@ def markov_trace(inclusion, sub_dims):
 class BasicConstruction:
     """e1, M1 and the pushdown map for an inclusion N <= M, in M1's blocks.
 
-    Nothing is computed up front; M1's blocks are read off N's matrix units on
-    first use (``m1_wedd``), and e1 is its blocks there.
+    Nothing is computed up front; M1's blocks, e1 among them, are read off N's
+    matrix units on first use and kept on N (``m1_wedd``).
     """
 
     def __init__(self, sub, seed=0):
@@ -91,14 +92,10 @@ class BasicConstruction:
     def m1_wedd(self):
         return m1_wedderburn(self.sub, self.seed)
 
-    @functools.cached_property
+    @property
     def e1(self):
-        """e1's blocks in M1, read-only: the support of the family {1}."""
-        wd = self.m1_wedd
-        blocks = wd.support(wd.rows(self.amb.vec(self.amb.identity())[:, None]))
-        for c in blocks:
-            c.flags.writeable = False
-        return blocks
+        """e1's blocks in M1, read-only and kept on N (``M1Wedderburn.e1``)."""
+        return self.m1_wedd.e1
 
     def pushdown(self, v):
         """The unique x in M with v = L_x e1, for v in M1 given by its blocks with v e1 = v: x = v 1^."""
@@ -131,6 +128,7 @@ class M1Wedderburn:
 
     ``rows`` rotates columns into the frames of ``sub_wedd`` (see the module docstring), and an
     element of M1 acts as C_i on each (i, p) slice of the rows, W_{i,p}^* cols (``apply``).
+    Lambda, its Markov data and e1 are kept here once per N (``lam``; ``markov``, ``e1`` lazily).
     """
 
     def __init__(self, sub_wedd):
@@ -147,6 +145,19 @@ class M1Wedderburn:
         self._perm = np.argsort(np.concatenate(pair), kind="stable")
         ends = np.cumsum(np.multiply(self.mults, self.block_dims)).tolist()
         self._slices = [(lo, hi, m) for lo, hi, m in zip([0] + ends, ends, self.mults)]  # block i's columns of rows
+
+    @functools.cached_property
+    def markov(self):
+        """``markov_trace`` of Lambda, kept once found: a disconnected N raises NonConnected on every read."""
+        return markov_trace(self.lam, self.mults)
+
+    @functools.cached_property
+    def e1(self):
+        """e1's blocks in M1, read-only: the support of the family {1}."""
+        blocks = self.support(self.rows(self.sub_wedd.subalgebra.ambient.identity().vec()[:, None]))
+        for c in blocks:
+            c.flags.writeable = False
+        return blocks
 
     def _rotate(self, x, inverse=False):
         """Each row of the (ncols, D) array ``x``, an n_j-square X_j on block j, sent to X_j U_j (or X_j U_j^*)."""
@@ -245,7 +256,11 @@ def watatani_index(elements, tol=linalg.EPS_FLAG):
         alg.check_owns(lam)
     # block j of the sum is L L* for the n_j x (count n_j) matrix L = [lam_1, lam_2, ...] of the blocks j
     rows = [np.concatenate([lam.blocks[j] for lam in elements], axis=1) for j in range(alg.nblocks)]
-    acc = alg.element([r @ r.conj().T for r in rows])
+    with np.errstate(over="ignore", invalid="ignore"):  # a nan, an inf or an overflow is named below
+        acc = alg.element([r @ r.conj().T for r in rows])
+    if not all(np.isfinite(b).all() for b in acc.blocks):  # checked before any factorization
+        bad = [k for k, lam in enumerate(elements) if not all(np.isfinite(b).all() for b in lam.blocks)]
+        raise InvalidInput("element %d has a non-finite block" % bad[0] if bad else "the Watatani sum overflows")
     scale = 1.0 + linalg.hermitian_block_norm(acc.blocks)  # acc is positive
     worst = []  # the largest ||[A, e_pq]||_2^2 = ||[sqrt(t) B, e_pq]||_F^2 over the blocks B of each size
     for a in linalg.stacks([np.sqrt(t) * b for t, b in zip(alg.trace_vector, acc.blocks)]):

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernel and the tolerance table of the package.
 
-Everything downstream reduces to complex matrix work: SVD-based rank and
-nullspace calls, orthonormalization, eigenvalue clustering for spectral
-projections, and seeded randomness.  All routines are deterministic for a
+Everything downstream reduces to complex matrix work: SVD-based nullspaces
+and orthonormalization, eigenvalue clustering for spectral projections, and
+seeded randomness.  All routines are deterministic for a
 fixed input and seed on a fixed platform; nothing here keeps global state.
 
 Every numerical decision in ``ppbasis`` compares a residual against one of
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import FactorizationFailed, InvalidInput
 
 EPS_TRACE = 1e-12  # trace normalization sum n_i t_i = 1, same_structure, Perron positivity
-EPS_RANK = 1e-10   # relative singular-value cutoff: rank, nullspace, orthonormal_columns
+EPS_RANK = 1e-10   # relative singular-value cutoff: nullspace, orthonormal_columns
 EPS_INPUT = 1e-10  # exactness of structural input: unitary blocks, trace compatibility, actions, allclose
 EPS_REL = 1e-9     # linear identities: span closure, pushdown, Perron gap, commuting-square and expect floors
 EPS_FLAG = 1e-8    # default of every flag decision (system, basis, normalizer, projection, ...); integer entries
@@ -82,22 +82,11 @@ def hermitian_block_norm(blocks, shift=0.0):
 
 
 @_typed
-def rank(a):
-    """Numerical rank by singular values above EPS_RANK * max(1, s_max)."""
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = EPS_RANK * max(1.0, float(s[0]))
-    return int(np.count_nonzero(s > cutoff))
-
-
-@_typed
 def nullspace(a):
     """Orthonormal columns spanning the right kernel of ``a``.
 
-    Uses the same cutoff rule as :func:`rank`, so rank + nullity always
-    equals the column count.  The square U factor is only formed when rows <
+    Singular values up to EPS_RANK * max(1, s_max) count as zero, as in
+    ``orthonormal_columns``.  The square U factor is only formed when rows <
     cols, where vh needs padding to a full cols x cols basis.
     """
     a = np.asarray(a, dtype=complex)

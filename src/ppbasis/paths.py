@@ -98,7 +98,7 @@ class PathModel:
             raise InvalidInput("unknown middle path")
         if th.block != tp.block:
             raise InvalidPathPair("middle paths end at different middle blocks")
-        return self.middle_subalgebra().wedderburn_data().units[th.block][th.slot][tp.slot]
+        return self.middle_subalgebra().wedderburn_data().unit(th.block, th.slot, tp.slot)
 
     def middle_subalgebra(self):
         """The middle algebra inside the bottom one; it keeps the middle units as its matrix units."""

@@ -2,7 +2,8 @@
 R = N v (N' cap M), basis patching, and a pipeline that assembles the whole
 chain into one report.
 
-N' cap M, R and the Markov data are read off N's matrix units and kept on them.
+N' cap M and R are read off N's matrix units once (``wd.commutant``, ``wd.join``),
+Lambda and the Markov data off M1's block data over N (``m1.lam``, ``m1.markov``).
 The inner basis of R over N is in closed form: each matrix unit f_ab of the
 block (i, j) of N' cap M, scaled by sqrt(T_i / t_j) so that E_N(x* x) = z_i,
 N's i-th central projection (T_i: the trace of a minimal projection of N's
@@ -16,7 +17,7 @@ M: the coset system shows it when the R u_i fill M, and otherwise a Krylov
 closure (``Subalgebra.generated``) decides.  A NotRegular verdict is relative
 to the candidates.  The coset system is classified over R only, and the patched
 basis is that classification when R = N, else one ``classify`` of the products;
-the chain builds no basic construction.  A crossed product B x| G is the span
+the chain builds no ``BasicConstruction``.  A crossed product B x| G is the span
 of the pi(b) u_g inside M_|G|(B), whose own trace is the canonical trace there.
 Flags compare against ``tol``; automorphisms and a crossed product's covariance
 must hold to EPS_INPUT.
@@ -27,9 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, Subalgebra, commutant_wedderburn, inclusion_matrix, join_wedderburn
-from .algebra import _unitarity_residuals
-from .basic import m1_wedderburn, markov_trace, watatani_index
+from .algebra import MultiMatrixAlgebra, Subalgebra, _unitarity_residuals
+from .basic import m1_wedderburn, watatani_index
 from .errors import DuplicateCoset, InvalidInput, NotANormalizer, NotAnAction, NotUnitary
 from .linalg import EPS_FLAG
 from .systems import _entry_norms, _Family, check_intermediate, classify, require_basis
@@ -374,9 +374,9 @@ def _inner_basis(wd_n, lam):
     E_N(f_bb) = (t_j / T_i) z_i, since f_bb <= z_i commutes with N and has trace m_i t_j;
     so E_N(x* y) = sqrt(t_j / T_i) n_ab for y = sum n_ab f_ab in R's block (i, j), and
     sum x E_N(x* y) = y, on either side."""
-    amb, units = wd_n.subalgebra.ambient, commutant_wedderburn(wd_n).units
-    return tuple(np.sqrt(wd_n.block_traces[i] / amb.trace_vector[j]) * f
-                 for (i, j), block in zip(np.argwhere(lam), units) for row in block for f in row)
+    amb, comm = wd_n.subalgebra.ambient, wd_n.commutant
+    return tuple(np.sqrt(wd_n.block_traces[i] / amb.trace_vector[j]) * comm.unit(b, p, q)
+                 for b, (i, j) in enumerate(np.argwhere(lam)) for p in range(lam[i, j]) for q in range(lam[i, j]))
 
 
 def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
@@ -393,13 +393,9 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     """
     linalg.check_tol(tol)
     amb, candidates = sub.ambient, tuple(candidates)
-    wd_n = sub.wedderburn_data(seed)
-    lam = inclusion_matrix(wd_n)
-    if "markov" not in wd_n._closed:  # kept only once found, so NonConnected is raised on every call
-        wd_n._closed["markov"] = markov_trace(lam, wd_n.block_dims)
-    markov = wd_n._closed["markov"]
-    comm = commutant_wedderburn(wd_n).subalgebra
-    r_alg = join_wedderburn(wd_n).subalgebra
+    m1 = m1_wedderburn(sub, seed)
+    wd_n, lam, markov = m1.sub_wedd, m1.lam, m1.markov
+    comm, r_alg = wd_n.commutant.subalgebra, wd_n.join.subalgebra
     inner = (amb.identity(),) if r_alg.dim == sub.dim else _inner_basis(wd_n, lam)
 
     rejected, normalizers = [], []

@@ -17,8 +17,8 @@ import json
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, check_unital_dims, inclusion_matrix
-from .basic import BasicConstruction, m1_wedderburn, markov_trace, watatani_index
+from .algebra import MultiMatrixAlgebra, check_unital_dims
+from .basic import BasicConstruction, m1_wedderburn, watatani_index
 from .errors import AlgebraError, ScenarioError
 from .intermediate import interchange_operator, interchange_pair, is_commuting_square
 from .models import (
@@ -186,9 +186,9 @@ class LoadedModel:
         return PathModel(diagram, bottom_trace=np.asarray(emb.target.trace_vector))
 
     def inclusion_data(self):
-        """(inclusion matrix, sub dims) read off N's matrix units: an embedded N keeps its own."""
-        wd = self.require_pair().sub.wedderburn_data(self.seed)
-        return inclusion_matrix(wd), wd.block_dims
+        """(Lambda, sub dims, Markov data) kept on M1's block data over N: an embedded N keeps its own units."""
+        m1 = m1_wedderburn(self.require_pair().sub, self.seed)
+        return m1.lam, m1.mults, m1.markov
 
     def elements(self, source):
         pair = self.require_pair()
@@ -383,8 +383,7 @@ def _task_path_basis(task, model, eps):
 
 
 def _task_markov(task, model, eps):
-    lam, sub_dims = model.inclusion_data()
-    md = markov_trace(lam, sub_dims)
+    lam, _, md = model.inclusion_data()
     t0 = np.asarray(md.trace_sub, dtype=float)
     eig = float(np.linalg.norm(lam @ lam.T @ t0 - md.beta * t0))
     return {

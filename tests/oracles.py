@@ -10,7 +10,9 @@ the nullspace of the commutator with N's right action, lift x in M to the blocks
 L_x e1, and compute the Markov extension from a Gram system over M's matrix units.
 Dense and O(D^4) or worse; small models only.  The Gram projection test and the
 unitarity defects are also measured through singular values, the route that the
-library's eigenvalues of these Hermitian matrices replaced.
+library's eigenvalues of these Hermitian matrices replaced.  The dense left and right
+actions of M on its GNS space, N's units as a nested list, the coefficients of an
+element of N in them and the SVD rank are here too: no path of the library uses them.
 """
 
 import functools
@@ -19,6 +21,41 @@ import numpy as np
 
 from ppbasis import MultiMatrixAlgebra, Subalgebra, linalg
 from ppbasis.basic import m1_wedderburn
+
+
+def left_op(alg, x):
+    """Matrix of left multiplication by ``x`` on the GNS space of ``alg``."""
+    return linalg.block_diag([np.kron(x.blocks[i], np.eye(n)) for i, n in enumerate(alg.dims)])
+
+
+def right_op(alg, x):
+    """Matrix of right multiplication by ``x`` on the GNS space of ``alg``."""
+    return linalg.block_diag([np.kron(np.eye(n), x.blocks[i].T) for i, n in enumerate(alg.dims)])
+
+
+@linalg._typed
+def rank(a):
+    """Numerical rank by singular values above EPS_RANK * max(1, s_max), the cutoff of ``nullspace``."""
+    a = np.asarray(a, dtype=complex)
+    if a.size == 0:
+        return 0
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.count_nonzero(s > linalg.EPS_RANK * max(1.0, float(s[0]))))
+
+
+def units(wd):
+    """The matrix units of a ``WedderburnData`` as elements, ``units(wd)[b][p][q]`` = ``wd.unit(b, p, q)``."""
+    return [[[wd.unit(b, p, q) for q in range(d)] for p in range(d)] for b, d in enumerate(wd.block_dims)]
+
+
+def unit_coefficients(wd, x):
+    """Coefficient blocks of the element ``x`` in the matrix units of a ``WedderburnData``: those of E_N(x)."""
+    return wd.abstract_blocks((x.vec().conj() @ wd.unit_mat).conj())
+
+
+def unit_roundtrip_residual(wd, x):
+    """||x - E_N(x)||_2 through the matrix units: zero exactly on N."""
+    return (x - wd.from_abstract(unit_coefficients(wd, x))).norm()
 
 
 def e1_matrix(bc):
@@ -44,9 +81,9 @@ def isometries(wd):
     """The D x (m_i k_i) matrices [W_{i,0}, ..., W_{i,m_i-1}], W_{i,p} = R(e^i_0p) V_i, from one
     D-row product pass per unit; their columns are an orthonormal basis of the i-th central
     projection of M1, in which an operator of M1 is 1_{m_i} (x) C_i."""
-    amb = wd.sub_wedd.subalgebra.ambient
-    return [np.concatenate([amb.products(v, u.vec()[:, None]) for u in units[0]], axis=1)
-            for v, units in zip(range_isometries(wd), wd.sub_wedd.units)]
+    sw = wd.sub_wedd
+    return [np.concatenate([sw.subalgebra.ambient.products(v, sw.unit_mat[:, [s + q]]) for q in range(m)], axis=1)
+            for v, s, m in zip(range_isometries(wd), sw._starts, sw.block_dims)]
 
 
 def outer_blocks(wd, cols):
@@ -131,7 +168,7 @@ def roundtrip_residual(wd, t):
 
 def lift(bc, x):
     """M1's blocks of L_x e1, through the D x D operators."""
-    return to_abstract(bc.m1_wedd, bc.amb.left_op(x) @ e1_matrix(bc))
+    return to_abstract(bc.m1_wedd, left_op(bc.amb, x) @ e1_matrix(bc))
 
 
 def m1_subalgebra(bc):
@@ -157,7 +194,7 @@ def nullspace_m1(bc):
     eye = np.eye(d)
     maps = []
     for b in bc.sub.basis_elements():
-        r = bc.amb.right_op(b)
+        r = right_op(bc.amb, b)
         maps.append(np.kron(eye, r.T) - np.kron(r, eye))
     return linalg.nullspace(np.vstack(maps))
 
@@ -171,7 +208,7 @@ class GramM1Trace:
         self.bc = bc
         self.weights = np.asarray(markov.trace_sub) / markov.beta
         self.units = bc.amb.units()
-        self.ops = [bc.amb.left_op(u) for u in self.units]
+        self.ops = [left_op(bc.amb, u) for u in self.units]
         self.gram = np.array([[self.trace(a.conj().T @ b) for b in self.ops] for a in self.ops])
 
     def trace(self, mat):

@@ -24,7 +24,7 @@ from ppbasis import (
 )
 from ppbasis import linalg, models, scenarios
 from ppbasis.regular import II1_NOTE
-from oracles import e1_matrix, lift, to_abstract
+from oracles import e1_matrix, left_op, lift, to_abstract
 
 
 @pytest.fixture
@@ -223,7 +223,7 @@ def test_criterion_05_gram_projection_property(report):
             f_abs = to_abstract(bc.m1_wedd, f)  # f lies in M1: e1, 1 or e_P for P >= N
             assert max(linalg.operator_norm(c - b) for c, b in zip(sys.support["right"], f_abs)) <= 1e-7
             for lam in elements:
-                ll = bc.amb.left_op(lam)
+                ll = left_op(bc.amb, lam)
                 assert linalg.operator_norm(ll @ f - f @ ll) <= 1e-8
             assert sys.residuals["right_gram_projection"] <= 1e-8
 

@@ -19,6 +19,7 @@ from ppbasis.errors import (
     NotUnitary,
     TraceMismatch,
 )
+from oracles import left_op, right_op, unit_coefficients, unit_roundtrip_residual, units
 
 
 def two_one():
@@ -80,6 +81,22 @@ def test_units_are_matrix_units():
         alg.unit(1, 0, 1)
 
 
+@pytest.mark.parametrize("block", [-1, 2])
+@pytest.mark.parametrize("owner", ["algebra", "wedderburn-data"])
+def test_unit_checks_its_block_index(owner, block):
+    # on dims (1, 2), block -1 would read the last block's unit and block 2 would raise a raw
+    # IndexError; the algebra's units and N's kept units (C + M2 in M3) both raise InvalidInput
+    if owner == "algebra":
+        units = MultiMatrixAlgebra((1, 2), (1.0 / 3, 1.0 / 3))
+    else:
+        units = models.explicit_pair((1, 2), [[1], [1]]).sub.wedderburn_data()
+        assert units.block_dims == (1, 2) and units.unit(1, 0, 1).allclose(units.unit(1, 1, 0).adjoint(), tol=0.0)
+    with pytest.raises(InvalidInput, match="out of range"):
+        units.unit(block, 0, 0)
+    with pytest.raises(InvalidInput, match="out of range"):
+        units.unit(0, 0, 1)
+
+
 def test_vec_unvec_roundtrip_and_inner_product():
     alg = two_one()
     rng = linalg.rng_from_seed(5)
@@ -99,11 +116,11 @@ def test_left_right_actions_commute():
         x = alg.random_element(rng)
         y = alg.random_element(rng)
         z = alg.random_element(rng)
-        lv = alg.left_op(x) @ alg.vec(y)
+        lv = left_op(alg, x) @ alg.vec(y)
         assert np.linalg.norm(lv - alg.vec(x * y)) < 1e-12
-        rv = alg.right_op(x) @ alg.vec(y)
+        rv = right_op(alg, x) @ alg.vec(y)
         assert np.linalg.norm(rv - alg.vec(y * x)) < 1e-12
-        comm = alg.left_op(x) @ alg.right_op(z) - alg.right_op(z) @ alg.left_op(x)
+        comm = left_op(alg, x) @ right_op(alg, z) - right_op(alg, z) @ left_op(alg, x)
         assert linalg.operator_norm(comm) < 1e-12
 
 
@@ -115,7 +132,7 @@ def test_modular_conjugation():
         jv = alg.modular_conjugation(alg.vec(x))
         assert np.linalg.norm(jv - alg.vec(x.adjoint())) < 1e-12
         # J L_x J is right multiplication by x*
-        d = alg.sandwich_j(alg.left_op(x)) - alg.right_op(x.adjoint())
+        d = alg.sandwich_j(left_op(alg, x)) - right_op(alg, x.adjoint())
         assert linalg.operator_norm(d) < 1e-12
 
 
@@ -267,7 +284,7 @@ def test_wedderburn_units_multiply_correctly():
     rng = linalg.rng_from_seed(2)
     for _ in range(10):
         x = mp.sub.expect(mp.ambient.random_element(rng))
-        assert wd.roundtrip_residual(x) < 1e-9
+        assert unit_roundtrip_residual(wd, x) < 1e-9
 
 
 def test_wedderburn_abstract_transport_is_homomorphism():
@@ -278,7 +295,7 @@ def test_wedderburn_abstract_transport_is_homomorphism():
         x = mp.sub.expect(mp.ambient.random_element(rng))
         y = mp.sub.expect(mp.ambient.random_element(rng))
         ab = wd.abstract()
-        ax, ay, axy = (ab.element(wd.to_abstract(z)) for z in (x, y, x * y))
+        ax, ay, axy = (ab.element(unit_coefficients(wd, z)) for z in (x, y, x * y))
         assert (ax * ay).allclose(axy, tol=1e-9)
 
 
@@ -293,7 +310,7 @@ def test_one_dimensional_wedderburn_draws_no_random_numbers(monkeypatch):
     monkeypatch.setattr(linalg, "rng_from_seed", no_generator)
     wd = wedderburn(sub)
     assert wd.block_dims == (1,)
-    assert (wd.units[0][0][0] - sub.ambient.identity()).norm() <= 1e-12
+    assert (wd.unit(0, 0, 0) - sub.ambient.identity()).norm() <= 1e-12
 
 
 def test_inclusion_matrix_diagonal_in_matrix():
@@ -342,7 +359,7 @@ def check_row_residual(sub, wd, outside):
     and exactly 0 from the row-0 check of a 1 x 1 block, which forms no relation; on a
     block of size d >= 2, both above EPS_WEDD, and within ROW_RATIO of each other, on
     row 0 with w_{d-1} moved by 0.1i times ``outside`` or scaled by 1 + 1e-5."""
-    for u in wd.units:
+    for u in units(wd):
         row, qs = list(u[0]), [u[p][p] for p in range(len(u))]
         p = sum(qs[1:], qs[0])
         broken = [row[:-1] + [row[-1] + 0.1j * outside], row[:-1] + [row[-1] * (1 + 1e-5)]] if len(row) > 1 else []

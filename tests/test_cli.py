@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ppbasis import cli, scenarios
+from ppbasis import basic, cli, scenarios
 
 
 def run_cli(capsys, *argv):
@@ -246,7 +246,7 @@ def test_leftover_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypat
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(scenarios, "markov_trace", fail)
+    monkeypatch.setattr(basic, "markov_trace", fail)
     code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, DIAG_SCENARIO))
     assert code == 2
     assert out == ""

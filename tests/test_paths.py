@@ -95,7 +95,7 @@ def test_middle_subalgebra_keeps_the_middle_units(monkeypatch):
     for th in pm.diagram.edges0:
         for tp in pm.diagram.edges0:
             if th.block == tp.block:
-                assert wd.units[th.block][th.slot][tp.slot].allclose(pm.middle_unit(th, tp), tol=0.0)
+                assert wd.unit(th.block, th.slot, tp.slot).allclose(pm.middle_unit(th, tp), tol=0.0)
 
     def no_wedderburn(*args, **kwargs):
         raise AssertionError("the middle algebra was decomposed")

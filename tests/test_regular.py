@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -31,6 +32,8 @@ from ppbasis.errors import (
 )
 from ppbasis.regular import II1_NOTE, normalizer_residual
 from ppbasis.systems import classify, require_basis
+import oracles
+from oracles import left_op, unit_coefficients
 from test_closure import PIPELINE_MODELS, connected_pairs
 
 
@@ -207,17 +210,18 @@ def crossed_product_oracle(base, group, autos, seed=0):
     dv = db * n
     coords = np.array([[regular._coords(autos[g].apply(b)) for b in units] for g in range(n)])
     inv = [group.inverse(g) for g in range(n)]
-    pi = np.einsum("hbc,cxy->bhxy", coords[inv], np.array([base.left_op(e) for e in units]))
+    pi = np.einsum("hbc,cxy->bhxy", coords[inv], np.array([left_op(base, e) for e in units]))
     pi = np.einsum("bkxy,kl->bkxly", pi, np.eye(n)).reshape(db, dv, dv)
     u = np.kron(group.table[:, None, :] == np.arange(n)[None, :, None], np.eye(db))
     op_alg = MultiMatrixAlgebra((dv,), (1.0 / dv,))
     wd = Subalgebra.span(op_alg, [op_alg.element([x @ ug]) for x in pi for ug in u], check=False).wedderburn_data(seed)
-    traces = [base.unvec(e[0][0].blocks[0][:db, :db] @ base.vec(base.identity())).trace().real for e in wd.units]
+    traces = [base.unvec(e[0][0].blocks[0][:db, :db] @ base.vec(base.identity())).trace().real
+              for e in oracles.units(wd)]
     total = sum(d * t for d, t in zip(wd.block_dims, traces))
     alg = MultiMatrixAlgebra(wd.block_dims, [t / total for t in traces])
 
     def to_model(mat):
-        return alg.element(wd.to_abstract(op_alg.element([mat])))
+        return alg.element(unit_coefficients(wd, op_alg.element([mat])))
 
     image = Subalgebra.embedded(alg, base, lambda b: to_model(np.tensordot(regular._coords(b), pi, 1)))
     return alg, image, tuple(to_model(ug) for ug in u)
@@ -600,26 +604,73 @@ def test_pipeline_candidate_free_verdicts():
 
 
 def test_pipeline_keeps_the_markov_data_on_n(monkeypatch):
-    # the Markov data is computed once per N and kept beside N' cap M and R; a
-    # disconnected inclusion keeps nothing and raises NonConnected on every call
-    calls = []
-    original = regular.markov_trace
+    # what is read off N is built once per N and kept: Lambda, the Markov data and e1 on
+    # M1's data over N (itself kept on N), N' cap M and R on N's Wedderburn data.  Two
+    # pipeline calls and two basic constructions read them; M1's data over R, which the
+    # coset tests use, is built once too.  A disconnected inclusion keeps no Markov data
+    # and raises NonConnected on every call
+    calls = {"lam": [], "markov": [], "closed": [], "m1": []}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def spy(module, name, key):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(regular, "markov_trace", counting)
+        def counting(*args, **kwargs):
+            calls[key].append(args + tuple(kwargs.values()))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name, key in ((basic, "inclusion_matrix", "lam"), (basic, "markov_trace", "markov"),
+                              (algebra, "_closed_form", "closed"), (basic, "M1Wedderburn", "m1")):
+        spy(module, name, key)
     mp = models.diagonal_in_matrix(3)
+    wd = mp.sub.wedderburn_data()
     first = regular_pipeline(mp.sub, candidates=mp.candidates)
     second = regular_pipeline(mp.sub, candidates=mp.candidates)
-    assert len(calls) == 1 and second.markov is first.markov
+    bcs = [BasicConstruction(mp.sub), BasicConstruction(mp.sub, seed=1)]
+    m1 = basic.m1_wedderburn(mp.sub)
+    assert bcs[0].e1 is bcs[1].e1 is m1.e1 and all(bc.m1_wedd is m1 for bc in bcs)
+    r_wd = first.r_algebra.wedderburn_data()
+    assert calls["closed"] == [(wd, False), (wd, True)]
+    assert (wd.commutant.subalgebra, r_wd) == (first.commutant, wd.join)
+    assert second.commutant is first.commutant and second.r_algebra is first.r_algebra
+    assert calls["m1"] == calls["lam"] == [(wd,), (r_wd,)]
+    assert len(calls["markov"]) == 1 and second.markov is first.markov is m1.markov
     z2 = GroupTable.cyclic(2)
     pair = models.group_algebra_pair(GroupTable.direct_product(z2, z2), [0, 1])
     for count in (2, 3):
         with pytest.raises(NonConnected):
             regular_pipeline(pair.sub, candidates=pair.candidates)
-        assert len(calls) == count
+        assert len(calls["markov"]) == count
+    with pytest.raises(NonConnected):
+        basic.m1_wedderburn(pair.sub).markov
+    assert len(calls["markov"]) == 4
+
+
+def _pipeline_outcome(sub, candidates):
+    """The flags, numbers and number of reps of ``regular_pipeline``, or the name of its typed error."""
+    try:
+        rep = regular_pipeline(sub, candidates=candidates)
+    except NonConnected:
+        return "NonConnected"
+    return rep.flags, rep.numbers, len(rep.reps)
+
+
+@pytest.mark.parametrize("build", [b for _, b in PIPELINE_MODELS], ids=[n for n, _ in PIPELINE_MODELS])
+def test_kept_structure_survives_pickling(monkeypatch, build):
+    # the benchmark pickles its set-up state: N's units, N' cap M, R, M1's data over N and R
+    # and the Markov data travel with N, so the pipeline on the loaded copy reads the same
+    # answer without a decomposition, a closed form or an M1 build
+    mp = build()
+    want = _pipeline_outcome(mp.sub, mp.candidates)
+    sub, candidates = pickle.loads(pickle.dumps((mp.sub, mp.candidates)))
+    built = []
+    for module, name in ((algebra, "wedderburn"), (algebra, "_closed_form"), (basic, "M1Wedderburn")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, name=name, original=original, **kwargs:
+                            built.append(name) or original(*args, **kwargs))
+    assert _pipeline_outcome(sub, candidates) == want
+    assert built == []
 
 
 def test_pipeline_records_rejected_candidates():
@@ -720,11 +771,11 @@ def test_drawn_inner_family_is_a_basis_of_r_over_n(mp):
     # require_basis(inner, N, R) two-sided, with E_N(x* x) = z_i for each of its elements
     wd_n = mp.sub.wedderburn_data()
     lam = algebra.inclusion_matrix(wd_n)
-    r_alg = algebra.join_wedderburn(wd_n).subalgebra
+    r_alg = wd_n.join.subalgebra
     inner = regular._inner_basis(wd_n, lam)
-    assert len(inner) == algebra.commutant_wedderburn(wd_n).subalgebra.dim
+    assert len(inner) == wd_n.commutant.subalgebra.dim
     require_basis(inner, mp.sub, r_alg)
-    zs = [sum((u[p][p] for p in range(len(u))), mp.ambient.zero()) for u in wd_n.units]
+    zs = [sum((u[p][p] for p in range(len(u))), mp.ambient.zero()) for u in oracles.units(wd_n)]
     for x in inner:
         e = mp.sub.expect(x.adjoint() * x)
         assert min((e - z).norm() for z in zs) <= 1e-12
@@ -905,7 +956,7 @@ def test_pipeline_decomposes_only_n(monkeypatch, build, model_built):
             rep = regular_pipeline(sub, candidates=mp.candidates, seed=seed)
             assert rep.flags["patched_basis_two_sided"]
             assert calls == {"relative_commutant": [], "wedderburn": decomposed}
-            assert rep.r_algebra.wedderburn_data() is rep.r_algebra._units
+            assert rep.r_algebra.wedderburn_data() is sub.wedderburn_data().join
             calls["wedderburn"].clear()
             regular_pipeline(sub, candidates=mp.candidates, seed=seed)
             assert calls == {"relative_commutant": [], "wedderburn": []}
@@ -927,7 +978,7 @@ def test_bases_are_read_off_structure(monkeypatch, build):
     mp = build()
     calls["eigh"] = 0
     wd = mp.sub.wedderburn_data()
-    comm, r_alg, m1 = algebra.commutant_wedderburn(wd), algebra.join_wedderburn(wd), basic.m1_wedderburn(mp.sub)
+    comm, r_alg, m1 = wd.commutant, wd.join, basic.m1_wedderburn(mp.sub)
     assert calls == {"orthonormal_columns": 0, "eigh": mp.ambient.nblocks}
     assert (comm.block_dims, r_alg.block_dims, m1.block_dims) == ((1,) * 6, (1,) * 6, (6,) * 6)
 
@@ -945,7 +996,7 @@ def test_bases_read_off_structure_are_orthonormal(monkeypatch, build):
     monkeypatch.setattr(models, "CrossedProductModel", Recording)
     mp = build()
     wd = mp.sub.wedderburn_data()
-    for sub in spans + [mp.sub, algebra.commutant_wedderburn(wd).subalgebra, algebra.join_wedderburn(wd).subalgebra]:
+    for sub in spans + [mp.sub, wd.commutant.subalgebra, wd.join.subalgebra]:
         assert linalg.hermitian_norm(sub.mat.conj().T @ sub.mat - np.eye(sub.dim)) <= 1e-12
 
 

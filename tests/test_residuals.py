@@ -30,7 +30,7 @@ from ppbasis import (
     scalar_basis,
     wedderburn,
 )
-from ppbasis.algebra import AlgebraElement, commutant_wedderburn
+from ppbasis.algebra import AlgebraElement
 from ppbasis.basic import watatani_index
 from ppbasis.errors import DegenerateSpectrum, InvalidInput, NotABasis, NotIntermediate, NotSubalgebra
 from ppbasis.intermediate import check_intermediate, is_commuting_square
@@ -112,7 +112,7 @@ def _pipeline_case(build):
     """N, N' cap M and R of a pipeline model, with its candidates as elements."""
     mp = build()
     amb = mp.ambient
-    comm = commutant_wedderburn(mp.sub.wedderburn_data(0)).subalgebra
+    comm = mp.sub.wedderburn_data(0).commutant.subalgebra
     r_alg = Subalgebra(amb, linalg.orthonormal_columns(amb.products(mp.sub.mat, comm.mat)))
     return [mp.sub, comm, r_alg], list(mp.candidates)
 

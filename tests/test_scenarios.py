@@ -137,7 +137,7 @@ def test_inclusion_data_of_an_embedding_is_its_inclusion():
     for dims, lam in (((1,), [[1, 2]]), ((1, 2), [[1, 1], [1, 0]]), ((2, 1), [[1], [2]])):
         model = build_model({"kind": "explicit", "dims": list(dims), "inclusion": lam})
         emb = model.require_pair().embedding
-        got_lam, got_dims = model.inclusion_data()
+        got_lam, got_dims, _ = model.inclusion_data()
         assert np.array_equal(got_lam, emb.inclusion) and tuple(got_dims) == emb.source.dims
         assert np.array_equal(inclusion_matrix(model.require_pair().sub.wedderburn_data()), got_lam)
 

@@ -18,7 +18,7 @@ from ppbasis import (
     watatani_index,
 )
 from ppbasis import linalg, models
-from ppbasis.algebra import _unitarity_residuals, join_wedderburn
+from ppbasis.algebra import _unitarity_residuals
 from ppbasis.basic import m1_wedderburn
 from ppbasis.errors import (
     InfeasibleSupport,
@@ -32,7 +32,7 @@ from ppbasis.linalg import EPS_FLAG, EPS_INPUT
 from ppbasis.regular import GroupTable, _stacked
 from ppbasis.systems import _gram_residuals, require_basis
 import oracles
-from oracles import e1_matrix, roundtrip_residual, to_abstract
+from oracles import e1_matrix, left_op, roundtrip_residual, to_abstract
 from test_basic import ISOMETRY_MODELS
 from test_closure import connected_pairs
 
@@ -228,7 +228,7 @@ def oracle_classify(elements, sub, bc, tol=1e-8):
             [sub.expect(x.adjoint() * y if s == "right" else x * y.adjoint()) for y in elements]
             for x in elements
         ]
-        big = np.block([[alg.left_op(q) for q in row] for row in g])
+        big = np.block([[left_op(alg, q) for q in row] for row in g])
         scale = 1.0 + linalg.operator_norm(big)
         r = max(linalg.operator_norm(big @ big - big), linalg.operator_norm(big - big.conj().T))
         residuals[s + "_gram_projection"] = r / scale
@@ -260,7 +260,7 @@ def check_support_blocks(blocks, support, sub):
 def oracle_support(elements, bc, side):
     acc, e1 = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex), e1_matrix(bc)
     for lam in elements:
-        ll = bc.amb.left_op(lam)
+        ll = left_op(bc.amb, lam)
         acc += ll @ e1 @ ll.conj().T if side == "right" else ll.conj().T @ e1 @ ll
     return acc
 
@@ -268,9 +268,9 @@ def oracle_support(elements, bc, side):
 def oracle_interchange(basis_p, basis_q, bc):
     acc, e1 = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex), e1_matrix(bc)
     for lam in basis_p:
-        ll = bc.amb.left_op(lam)
+        ll = left_op(bc.amb, lam)
         for mu in basis_q:
-            w = ll @ bc.amb.left_op(mu)
+            w = ll @ left_op(bc.amb, mu)
             acc += w @ e1 @ w.conj().T
     return acc
 
@@ -291,8 +291,8 @@ def _oracle_families():
     z4_z2 = models.group_algebra_pair(GroupTable.cyclic(4), [0, 2])
     two = models.two_block_over_factor()
     # R = N v (N' cap M) with its closed-form units: N itself here, all of M2 + M2 there
-    r_cp3 = join_wedderburn(cp3.sub.wedderburn_data()).subalgebra
-    r_two = join_wedderburn(two.sub.wedderburn_data()).subalgebra
+    r_cp3 = cp3.sub.wedderburn_data().join.subalgebra
+    r_two = two.sub.wedderburn_data().join.subalgebra
     return {
         "m5-scalar": (m5.sub, scalar),
         "m5-conjugated": (m5.sub, [x.conj_by(u) for x in scalar]),
@@ -572,7 +572,7 @@ def check_rotation_against_dense_oracle(sub, family):
                           side + "_support_identity": linalg.hermitian_block_norm(support, 1.0)})
     assert sys.flags == _flags_of(residuals) == _flags_of(sys.residuals)
     assert _close(bc.e1, oracles.outer_blocks(wd, sub.mat))
-    r_alg = join_wedderburn(sub.wedderburn_data()).subalgebra
+    r_alg = sub.wedderburn_data().join.subalgebra
     assert _close(wd.outer_blocks(r_alg.mat), oracles.outer_blocks(wd, r_alg.mat))
     blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in wd.block_dims]
     cols = rng.standard_normal((bc.gns_dim, 3)) + 1j * rng.standard_normal((bc.gns_dim, 3))
