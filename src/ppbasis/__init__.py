@@ -11,7 +11,6 @@ from .algebra import (
     Subalgebra,
     UnitalEmbedding,
     WedderburnData,
-    inclusion_matrix,
     relative_commutant,
     wedderburn,
 )

@@ -8,8 +8,8 @@ the whole functional is a state: sum n_i t_i = 1.  The induced inner product
 maps elements to coordinates in which that inner product is the standard one,
 so subalgebras and conditional expectations below are orthogonal projections
 onto orthonormal bases, read off matrix units or eigenvectors wherever they give one.
-Matrix units are kept as GNS columns (``wd.unit_mat``, one read back by ``wd.unit(b, p, q)``),
-and N' cap M and R are read off N's once (``wd.commutant``, ``wd.join``).
+Matrix units are kept as GNS columns (``wd.unit_mat``, one read back by ``wd.unit(b, p, q)``), and what
+is read off N's is kept on them once (``wd.lam``, ``wd.m1``, ``wd.commutant``, ``wd.join``, ``wd.inner_basis``).
 """
 
 import functools
@@ -17,6 +17,7 @@ import functools
 import numpy as np
 
 from . import linalg
+from .basic import M1Wedderburn
 from .errors import (
     DegenerateSpectrum,
     InvalidInput,
@@ -127,9 +128,13 @@ class MultiMatrixAlgebra:
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.gns_dim,):
             raise InvalidInput("vector length %r != GNS dimension %d" % (v.shape, self.gns_dim))
-        v = v / self.gns_weights
-        cuts = zip(self.dims, self._offsets, self._offsets[1:])
-        return AlgebraElement(self, [v[lo:hi].reshape(n, n) for n, lo, hi in cuts])
+        return AlgebraElement(self, self._read_back(v))
+
+    def _read_back(self, v):
+        """The blocks of the element with GNS coordinates ``v``, the weights divided out of re and im apart:
+        a complex division would round, and a 1 stays exact."""
+        v = v.real / self.gns_weights + 1j * (v.imag / self.gns_weights)
+        return [v[lo:hi].reshape(n, n) for n, lo, hi in zip(self.dims, self._offsets, self._offsets[1:])]
 
     def products(self, a, b):
         """GNS coordinates of the products x y, with x and y over the elements whose
@@ -234,8 +239,8 @@ def _unitarity_residuals(blocks):
 
 def check_unital_dims(source_dims, inclusion, ambient_dims):
     """Dims side of unitality: ambient dims must equal inclusion^T @ source dims."""
-    lam = np.round(np.asarray(inclusion)).astype(int)
-    if lam.ndim != 2 or lam.shape[0] != len(source_dims):
+    lam = linalg.integer_matrix(inclusion, "inclusion matrix")
+    if lam.shape[0] != len(source_dims):
         raise InvalidInput("inclusion matrix needs one row per source block")
     expected = lam.T @ np.asarray(source_dims)
     if not np.array_equal(expected, np.asarray(ambient_dims)):
@@ -317,7 +322,10 @@ class Subalgebra:
         self._elements = None
         self._projection = None
         self._wedd = None  # its Wedderburn data: the units it was built from, or one wedderburn call
-        self._m1 = None  # M1's block data over this subalgebra (basic.m1_wedderburn)
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        linalg.read_only([] if self._projection is None else [self._projection])  # a pickle drops the flag
 
     @classmethod
     def span(cls, ambient, elements, check=True):
@@ -396,8 +404,7 @@ class Subalgebra:
         """Orthogonal projection of the GNS space onto the subalgebra, formed
         once and kept as a read-only array."""
         if self._projection is None:
-            self._projection = self.mat @ self.mat.conj().T
-            self._projection.flags.writeable = False
+            self._projection = linalg.read_only([self.mat @ self.mat.conj().T])[0]
         return self._projection
 
     def expect(self, x):
@@ -433,8 +440,7 @@ def _closed_form(wd, join):
     Harpe and Jones).  For N's block i and the columns w_pa = e^i_p0 v_a of ``wd.frames[j]``, the w_pa w_qb* = e^i_pq
     f_ab are the units of R's block M_{m_i Lambda_ij}, of trace t_j, and their sums over p = q, the f_ab, those of
     N' cap M's block M_{Lambda_ij}, of trace m_i t_j; each is written straight into its GNS column."""
-    amb, m = wd.subalgebra.ambient, np.array(wd.block_dims)[:, None]
-    lam = np.array([[v.shape[1] for v in vs] for vs in wd.ranges])  # Lambda_ij, the widths of the ranges
+    amb, m, lam = wd.subalgebra.ambient, np.array(wd.block_dims)[:, None], wd.lam
     sizes, first = m * lam if join else lam, np.cumsum(m * lam, axis=0) - m * lam  # first: N's block i in frames[j]
     unit_mat, col = np.zeros((amb.gns_dim, int(np.sum(sizes ** 2))), dtype=complex), 0
     for i, j in np.argwhere(lam):
@@ -454,7 +460,8 @@ class WedderburnData:
     The columns of ``unit_mat``, ordered by (b, p, q), are the GNS coordinates of the matrix units e^b_pq
     (``unit(b, p, q)``), with the matrix-unit relations inside block b and the e^b_pp summing to 1;
     ``block_traces[b]`` is the ambient trace of a minimal projection of block b, so the abstract copy carries
-    the restricted trace.  N' cap M and R = N v (N' cap M) are read off the units once (``commutant``, ``join``).
+    the restricted trace.  What is read off the units is kept here once: Lambda (``lam``), N' cap M and
+    R = N v (N' cap M) (``commutant``, ``join``), the basis of R over N (``inner_basis``) and M1 (``m1``).
     """
 
     def __init__(self, subalgebra, block_dims, block_traces, unit_mat):
@@ -465,16 +472,32 @@ class WedderburnData:
         self._starts = np.cumsum((0,) + tuple(d * d for d in self.block_dims))  # the column of each block's e_00
         self._scale = np.repeat(self.block_traces, [d * d for d in self.block_dims])
 
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for x in state.get("inner_basis", ()):
+            linalg.read_only(x.blocks)  # a pickle drops the flag
+
     def unit(self, b, p, q):
         """The matrix unit e^b_pq as an element of the ambient algebra; InvalidInput for an index out of range."""
         _check_unit(self.block_dims, b, p, q)
         return self.subalgebra.ambient.element(self._blocks(self._starts[b] + p * self.block_dims[b] + q))
 
-    def _blocks(self, col):
-        """The blocks of the unit in column ``col``, the weights divided out of re and im apart: a 1 stays exact."""
-        amb, x = self.subalgebra.ambient, self.unit_mat[:, col]
-        x = x.real / amb.gns_weights + 1j * (x.imag / amb.gns_weights)
-        return [x[lo:hi].reshape(n, n) for n, lo, hi in zip(amb.dims, amb._offsets, amb._offsets[1:])]
+    def _blocks(self, col):  # the blocks of the unit in column ``col``
+        return self.subalgebra.ambient._read_back(self.unit_mat[:, col])
+
+    @functools.cached_property
+    def lam(self):
+        """Multiplicity matrix Lambda of the blocks inside the ambient blocks: Lambda_ij is the rank of block j
+        of a minimal projection e^i_00 of block i, the column count of ``ranges[i][j]``."""
+        lam = np.array([[v.shape[1] for v in vs] for vs in self.ranges])
+        if not np.array_equal(lam.T @ np.asarray(self.block_dims), np.asarray(self.subalgebra.ambient.dims)):
+            raise NonUnitalInclusion("block multiplicities inconsistent with a unital inclusion")
+        return lam
+
+    @functools.cached_property
+    def m1(self):
+        """M1's block data over this subalgebra (``basic.M1Wedderburn``), with Lambda's Markov data and e1."""
+        return M1Wedderburn(self)
 
     @functools.cached_property
     def commutant(self):
@@ -485,6 +508,23 @@ class WedderburnData:
     def join(self):
         """Wedderburn data of R = N v (N' cap M) = sum of the M_{m_i Lambda_ij} (``_closed_form``)."""
         return _closed_form(self, join=True)
+
+    @functools.cached_property
+    def inner_basis(self):
+        """Two-sided basis of R over N, with read-only blocks: 1 when R = N, else sqrt(T_i / t_j) f_ab for each
+        unit column f_ab of the block (i, j) of N' cap M, whose blocks follow the nonzero Lambda_ij row by row.
+        E_N(f_bb) = (t_j / T_i) z_i, since f_bb <= z_i commutes with N and has trace m_i t_j; so
+        E_N(x* y) = sqrt(t_j / T_i) n_ab for y = sum n_ab f_ab in R's block (i, j), and sum x E_N(x* y) = y."""
+        amb, comm = self.subalgebra.ambient, self.commutant
+        if self.join.subalgebra.dim == self.subalgebra.dim:
+            out = (amb.identity(),)
+        else:
+            scales = [np.sqrt(self.block_traces[i] / amb.trace_vector[j]) for i, j in np.argwhere(self.lam)]
+            cols = enumerate(np.repeat(scales, np.square(comm.block_dims)))
+            out = tuple(amb.element([s * b for b in comm._blocks(c)]) for c, s in cols)
+        for x in out:
+            linalg.read_only(x.blocks)
+        return out
 
     @functools.cached_property
     def ranges(self):
@@ -624,12 +664,3 @@ def wedderburn(sub, seed=0):
             last = exc
     raise DegenerateSpectrum("wedderburn failed after %d attempts: %s" % (linalg.WEDD_TRIES, last))
 
-
-def inclusion_matrix(wd):
-    """Multiplicity matrix Lambda of the subalgebra's blocks inside the ambient blocks: Lambda_ij is the rank
-    of block j of a minimal projection e^i_00 of block i, the column count of ``wd.ranges[i][j]``."""
-    amb = wd.subalgebra.ambient
-    lam = np.array([[v.shape[1] for v in vs] for vs in wd.ranges])
-    if not np.array_equal(lam.T @ np.asarray(wd.block_dims), np.asarray(amb.dims)):
-        raise NonUnitalInclusion("block multiplicities inconsistent with a unital inclusion")
-    return lam

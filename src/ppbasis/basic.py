@@ -14,8 +14,9 @@ for V_i = 1_{n_j} (x) conj(v_ij), and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  T
 Gram matrix and the support of a family, e1 (the support of {1}), e_P, the action
 of M1 and the pushdown x = v 1^ (Pimsner and Popa: M1 e1 = M e1) are contractions
 of that one rotation (``M1Wedderburn.rows``).  The Markov extension is a closed
-form in the blocks (``M1Trace``).  Lambda, its Markov data and e1 are read once per N
-and kept on M1's block data over N (``m1.lam``, ``m1.markov``, ``m1.e1``).
+form in the blocks (``M1Trace``).  M1's block data (``wd.m1``, with ``markov`` and ``e1``) is kept on N's
+Wedderburn data beside Lambda and the inner basis of R over N (``wd.lam``, ``wd.inner_basis``): ``algebra``
+imports this module, and this module nothing from it.
 """
 
 import functools
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .algebra import inclusion_matrix
 from .errors import InvalidInput, NonConnected, NotSupportedOnE1
 
 
@@ -71,7 +71,7 @@ class BasicConstruction:
     """e1, M1 and the pushdown map for an inclusion N <= M, in M1's blocks.
 
     Nothing is computed up front; M1's blocks, e1 among them, are read off N's
-    matrix units on first use and kept on N (``m1_wedd``).
+    matrix units on first use and kept on N's Wedderburn data (``m1_wedd``).
     """
 
     def __init__(self, sub, seed=0):
@@ -80,17 +80,9 @@ class BasicConstruction:
         self.seed = seed
 
     @property
-    def gns_dim(self):
-        return self.amb.gns_dim
-
-    @property
-    def sub_wedd(self):
-        """Wedderburn data of N (kept on N); block i of M1 sits over its block i."""
-        return self.sub.wedderburn_data(self.seed)
-
-    @property
     def m1_wedd(self):
-        return m1_wedderburn(self.sub, self.seed)
+        """``wd.m1`` for N's Wedderburn data wd; block i of M1 sits over N's block i."""
+        return self.sub.wedderburn_data(self.seed).m1
 
     @property
     def e1(self):
@@ -111,16 +103,9 @@ class BasicConstruction:
             raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
         return self.amb.unvec(x[:, 0])
 
-    def markov_extension(self, markov):
-        """Trace on M1 extending the ambient trace in Markov mode."""
-        return M1Trace(self, markov)
-
-
-def m1_wedderburn(sub, seed=0):
-    """M1's block data over N, built from ``sub.wedderburn_data(seed)`` once and kept on N."""
-    if sub._m1 is None:
-        sub._m1 = M1Wedderburn(sub.wedderburn_data(seed))
-    return sub._m1
+    def markov_extension(self):
+        """Trace on M1 extending the ambient trace in Markov mode, from the kept ``m1_wedd.markov``."""
+        return M1Trace(self)
 
 
 class M1Wedderburn:
@@ -128,36 +113,36 @@ class M1Wedderburn:
 
     ``rows`` rotates columns into the frames of ``sub_wedd`` (see the module docstring), and an
     element of M1 acts as C_i on each (i, p) slice of the rows, W_{i,p}^* cols (``apply``).
-    Lambda, its Markov data and e1 are kept here once per N (``lam``; ``markov``, ``e1`` lazily).
+    Lambda's Markov data and e1 are kept here once per N, on first use (``markov``, ``e1``).
     """
 
     def __init__(self, sub_wedd):
-        amb = sub_wedd.subalgebra.ambient
+        amb, lam = sub_wedd.subalgebra.ambient, sub_wedd.lam  # Lambda_ij
         self.sub_wedd, self.gns_dim, self.dims = sub_wedd, amb.gns_dim, amb.dims
         self.mults, self.traces = tuple(sub_wedd.block_dims), sub_wedd.block_traces
-        self.lam = inclusion_matrix(sub_wedd)  # Lambda_ij
-        self.block_dims = tuple(int(k) for k in self.lam @ amb.dims)
+        self.block_dims = tuple(int(k) for k in lam @ amb.dims)
         self._frames = sub_wedd.frames
         self._offsets = np.cumsum((0,) + tuple(n * n for n in amb.dims))
         # rows takes the rotated coordinates (j, r, c) of a column, c = (i, p, a), to the order (i, p, j, r, a)
         ip = np.repeat(np.arange(len(self.mults)), self.mults)  # N's block i of each pair (i, p)
-        pair = [np.tile(np.repeat(np.arange(len(ip)), self.lam[ip, j]), n) for j, n in enumerate(amb.dims)]
+        pair = [np.tile(np.repeat(np.arange(len(ip)), lam[ip, j]), n) for j, n in enumerate(amb.dims)]
         self._perm = np.argsort(np.concatenate(pair), kind="stable")
         ends = np.cumsum(np.multiply(self.mults, self.block_dims)).tolist()
         self._slices = [(lo, hi, m) for lo, hi, m in zip([0] + ends, ends, self.mults)]  # block i's columns of rows
 
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        linalg.read_only(state.get("e1", []))  # a pickle drops the flag
+
     @functools.cached_property
     def markov(self):
         """``markov_trace`` of Lambda, kept once found: a disconnected N raises NonConnected on every read."""
-        return markov_trace(self.lam, self.mults)
+        return markov_trace(self.sub_wedd.lam, self.mults)
 
     @functools.cached_property
     def e1(self):
         """e1's blocks in M1, read-only: the support of the family {1}."""
-        blocks = self.support(self.rows(self.sub_wedd.subalgebra.ambient.identity().vec()[:, None]))
-        for c in blocks:
-            c.flags.writeable = False
-        return blocks
+        return linalg.read_only(self.support(self.rows(self.sub_wedd.subalgebra.ambient.identity().vec()[:, None])))
 
     def _rotate(self, x, inverse=False):
         """Each row of the (ncols, D) array ``x``, an n_j-square X_j on block j, sent to X_j U_j (or X_j U_j^*)."""
@@ -213,14 +198,11 @@ class M1Trace:
     partial trace over a of the diagonal piece of C_i with rows (r, a) on block j.
     """
 
-    def __init__(self, bc, markov):
+    def __init__(self, bc):
         self.bc = bc
-        self.markov = markov
-        # M1 block i sits over block i of bc.sub_wedd; markov.trace_sub follows that order
-        if len(markov.trace_sub) != len(bc.m1_wedd.block_dims):
-            raise InvalidInput("the Markov data needs one trace per block of the subalgebra")
-        self._w = np.asarray(markov.trace_sub, dtype=float) / markov.beta
-        self._c = self._w @ bc.m1_wedd.lam
+        self.markov = bc.m1_wedd.markov  # M1 block i sits over N's block i, and trace_sub follows that order
+        self._w = np.asarray(self.markov.trace_sub, dtype=float) / self.markov.beta
+        self._c = self._w @ bc.m1_wedd.sub_wedd.lam
 
     def trace(self, blocks):
         """tr2 of the element of M1 with these blocks."""
@@ -228,9 +210,9 @@ class M1Trace:
 
     def expect_onto_ambient(self, blocks):
         """Trace-preserving conditional expectation onto the ambient algebra of the element of M1 with these blocks."""
-        dims = self.bc.amb.dims
+        dims, m1 = self.bc.amb.dims, self.bc.m1_wedd
         out = [np.zeros((n, n), dtype=complex) for n in dims]
-        for w, lam, c in zip(self._w, self.bc.m1_wedd.lam, self.bc.m1_wedd._checked(blocks)):
+        for w, lam, c in zip(self._w, m1.sub_wedd.lam, m1._checked(blocks)):
             lo = 0
             for j, (n, k) in enumerate(zip(dims, lam)):
                 out[j] += w * np.einsum("rasa->rs", c[lo:lo + n * k, lo:lo + n * k].reshape(n, k, n, k))

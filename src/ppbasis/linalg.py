@@ -144,6 +144,13 @@ def block_diag(blocks):
     return out
 
 
+def read_only(arrays):
+    """The arrays, flagged read-only: kept data is shared, and a pickle round trip drops the flag."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def stacks(blocks):
     """Square arrays stacked by size: one factorization per size reads their block-diagonal sum."""
     return [np.array([b for b in blocks if len(b) == n]) for n in {len(b) for b in blocks}]  # faster than np.stack
@@ -157,10 +164,11 @@ def projection_residuals(p):
 
 
 def integers(a, what):
-    """``a`` as an int array; InvalidInput naming ``what`` unless its entries are nonnegative
-    real numbers within EPS_FLAG of integers: 3 and 3.0 pass, 2.5, "3", -1 and nan do not."""
+    """``a`` as an int array; InvalidInput naming ``what`` unless its entries are nonnegative real numbers within
+    EPS_FLAG of integers below 2**63, checked before any cast: 3 and 3.0 pass, 2.5, "3", -1, nan and 2**63 do not."""
     a = np.asarray(a)
-    if a.dtype.kind not in "buif" or not np.all((a >= 0) & (np.abs(a - np.round(a)) <= EPS_FLAG)):
+    in_range = a.dtype.kind in "buif" and ((a >= 0) & (a < 2 ** 63)).all()  # nan and inf fail here
+    if not in_range or a.dtype.kind == "f" and not (np.abs(a - np.round(a)) <= EPS_FLAG).all():
         raise InvalidInput("%s must be nonnegative integers" % what)
     return np.round(a).astype(int)
 

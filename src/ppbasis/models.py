@@ -34,7 +34,7 @@ def explicit_pair(dims, inclusion, trace="markov", unitaries=None, name="explici
     ``trace`` is either the ambient trace vector or "markov"; ambient dims
     are forced by unitality.
     """
-    dims, lam = linalg.integers(dims, "dims"), np.asarray(inclusion)
+    dims, lam = linalg.integers(dims, "dims"), linalg.integer_matrix(inclusion, "inclusion matrix")
     if dims.ndim != 1 or lam.ndim != 2 or lam.shape[0] != len(dims):
         raise InvalidInput("inclusion matrix needs one row per subalgebra block")
     if isinstance(trace, str):
@@ -43,7 +43,7 @@ def explicit_pair(dims, inclusion, trace="markov", unitaries=None, name="explici
         trace_vec = markov_trace(lam, dims).trace_amb
     else:
         trace_vec = np.asarray(trace, dtype=float)
-    amb_dims = np.round(lam).astype(int).T @ dims
+    amb_dims = lam.T @ dims
     ambient = MultiMatrixAlgebra(tuple(int(n) for n in amb_dims), trace_vec)
     emb = UnitalEmbedding.canonical(dims, ambient, lam, block_unitaries=unitaries)
     return ModelPair(name=name, ambient=ambient, sub=emb.image(), embedding=emb)

@@ -2,13 +2,10 @@
 R = N v (N' cap M), basis patching, and a pipeline that assembles the whole
 chain into one report.
 
-N' cap M and R are read off N's matrix units once (``wd.commutant``, ``wd.join``),
-Lambda and the Markov data off M1's block data over N (``m1.lam``, ``m1.markov``).
-The inner basis of R over N is in closed form: each matrix unit f_ab of the
-block (i, j) of N' cap M, scaled by sqrt(T_i / t_j) so that E_N(x* x) = z_i,
-N's i-th central projection (T_i: the trace of a minimal projection of N's
-block i, t_j: M's weight on block j); the Pimsner-Popa expansion
-y = sum x E_N(x* y) then holds on R.  The candidates are tested together, from
+Lambda and its Markov data, N' cap M, R and the inner basis of R over N (in
+closed form, from the units of N' cap M) are read off N's matrix units once and
+kept on N's Wedderburn data wd (``wd.lam``, ``wd.m1.markov``, ``wd.commutant``,
+``wd.join``, ``wd.inner_basis``).  The candidates are tested together, from
 their blocks stacked per block of M, and cosets of the normalizer are separated
 by the vanishing of E_R(u v*), read off one Gram matrix over R; representatives
 are filtered from model-supplied candidates rather than enumerated.
@@ -29,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import MultiMatrixAlgebra, Subalgebra, _unitarity_residuals
-from .basic import m1_wedderburn, watatani_index
+from .basic import watatani_index
 from .errors import DuplicateCoset, InvalidInput, NotANormalizer, NotAnAction, NotUnitary
 from .linalg import EPS_FLAG
 from .systems import _entry_norms, _Family, check_intermediate, classify, require_basis
@@ -368,17 +365,6 @@ class WeylReport:
         return out
 
 
-def _inner_basis(wd_n, lam):
-    """Two-sided basis of R over N: sqrt(T_i / t_j) f_ab for every matrix unit f_ab of the
-    block (i, j) of N' cap M, whose blocks follow the nonzero Lambda_ij row by row.
-    E_N(f_bb) = (t_j / T_i) z_i, since f_bb <= z_i commutes with N and has trace m_i t_j;
-    so E_N(x* y) = sqrt(t_j / T_i) n_ab for y = sum n_ab f_ab in R's block (i, j), and
-    sum x E_N(x* y) = y, on either side."""
-    amb, comm = wd_n.subalgebra.ambient, wd_n.commutant
-    return tuple(np.sqrt(wd_n.block_traces[i] / amb.trace_vector[j]) * comm.unit(b, p, q)
-                 for b, (i, j) in enumerate(np.argwhere(lam)) for p in range(lam[i, j]) for q in range(lam[i, j]))
-
-
 def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     """Run the full chain for N inside its ambient algebra.
 
@@ -392,11 +378,8 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     Failed regularity or incomplete cosets leave a partial report, not an error.
     """
     linalg.check_tol(tol)
-    amb, candidates = sub.ambient, tuple(candidates)
-    m1 = m1_wedderburn(sub, seed)
-    wd_n, lam, markov = m1.sub_wedd, m1.lam, m1.markov
-    comm, r_alg = wd_n.commutant.subalgebra, wd_n.join.subalgebra
-    inner = (amb.identity(),) if r_alg.dim == sub.dim else _inner_basis(wd_n, lam)
+    amb, candidates, wd_n = sub.ambient, tuple(candidates), sub.wedderburn_data(seed)
+    markov, comm, r_alg, inner = wd_n.m1.markov, wd_n.commutant.subalgebra, wd_n.join.subalgebra, wd_n.inner_basis
 
     rejected, normalizers = [], []
     if candidates:
@@ -424,7 +407,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
         regular = Subalgebra.generated(amb, list(r_alg.basis_elements()) + normalizers).dim == amb.dim
         p_alg = Subalgebra.generated(amb, list(r_alg.basis_elements()) + list(reps))
         check_intermediate(r_alg, p_alg, tol)  # e_P lies in <M, e_R>, where the supports over R do, only for P >= R
-        ep = m1_wedderburn(r_alg).outer_blocks(p_alg.mat)
+        ep = r_alg.wedderburn_data().m1.outer_blocks(p_alg.mat)
         ep_res = linalg.hermitian_block_norm([c - e for c, e in zip(sys_r.support["right"], ep)])
     issues = [] if regular else ["NotRegular"]
     support_eq = ep_res <= tol * 2.0  # 1 + the norm of e_P, a nonzero projection: no SVD needed

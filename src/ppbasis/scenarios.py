@@ -7,7 +7,9 @@ digits and the printed lines show exactly the rounded values, so a report is
 byte-stable for a fixed seed.  Model kinds and tasks are looked up in the
 MODEL_KINDS and TASKS tables; a missing or malformed field is a ScenarioError.
 Integer fields (seed, sizes, indices) take nonnegative JSON integers only: a
-float, a bool or a digit string is malformed, not rounded.
+float, a bool or a digit string is malformed, not rounded.  Tasks read what is
+kept on N's Wedderburn data wd (``wd.lam``, ``wd.m1``, and through the pipeline
+``wd.inner_basis``), so each is built once per model.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import MultiMatrixAlgebra, check_unital_dims
-from .basic import BasicConstruction, m1_wedderburn, watatani_index
+from .basic import BasicConstruction, watatani_index
 from .errors import AlgebraError, ScenarioError
 from .intermediate import interchange_operator, interchange_pair, is_commuting_square
 from .models import (
@@ -185,11 +187,6 @@ class LoadedModel:
         diagram = BratteliDiagram(emb.source.dims, emb.inclusion)
         return PathModel(diagram, bottom_trace=np.asarray(emb.target.trace_vector))
 
-    def inclusion_data(self):
-        """(Lambda, sub dims, Markov data) kept on M1's block data over N: an embedded N keeps its own units."""
-        m1 = m1_wedderburn(self.require_pair().sub, self.seed)
-        return m1.lam, m1.mults, m1.markov
-
     def elements(self, source):
         pair = self.require_pair()
         amb = pair.ambient
@@ -242,6 +239,8 @@ def _group_model(spec, seed):
     group, index_map = _group_from_spec(spec["group"])
     subgroup = [_count(h, "subgroup") for h in spec["subgroup"]]
     if index_map is not None:
+        if max(subgroup, default=0) >= len(index_map):
+            raise ScenarioError("subgroup index %d out of range for %d permutations" % (max(subgroup), len(index_map)))
         subgroup = [index_map[h] for h in subgroup]
     return {"pair": group_algebra_pair(group, subgroup, seed=seed)}
 
@@ -344,8 +343,8 @@ def _task_classify_system(task, model, eps):
 def _task_support(task, model, eps):
     sys = _classify_elements(task, model, "right", eps)
     out = _system_payload(sys)
-    wd = m1_wedderburn(sys.sub)  # the support's block C_i occurs m_i times in M1
-    rank = sum(m * np.trace(c).real for m, c in zip(wd.mults, sys.support["right"]))
+    mults = sys.sub.wedderburn_data().block_dims  # the support's block C_i occurs m_i times in M1
+    rank = sum(m * np.trace(c).real for m, c in zip(mults, sys.support["right"]))
     out["numbers"]["support_rank"] = int(round(rank))
     out["numbers"]["e1_rank"] = sys.sub.dim
     return out
@@ -383,7 +382,8 @@ def _task_path_basis(task, model, eps):
 
 
 def _task_markov(task, model, eps):
-    lam, _, md = model.inclusion_data()
+    wd = model.require_pair().sub.wedderburn_data(model.seed)  # an embedded N keeps its own units
+    lam, md = wd.lam, wd.m1.markov
     t0 = np.asarray(md.trace_sub, dtype=float)
     eig = float(np.linalg.norm(lam @ lam.T @ t0 - md.beta * t0))
     return {

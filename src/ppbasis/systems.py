@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .basic import BasicConstruction, m1_wedderburn
+from .basic import BasicConstruction
 from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, NotASystem, NotIntermediate
 from .linalg import EPS_FLAG, hermitian_block_norm
 
@@ -39,7 +39,7 @@ class _Family:
             raise InvalidInput("side must be 'right' or 'left'")
         if not elements:
             raise InvalidInput("cannot test an empty family")
-        self.m1, amb = m1_wedderburn(sub), sub.ambient
+        self.m1, amb = sub.wedderburn_data().m1, sub.ambient
         with np.errstate(over="ignore", invalid="ignore"):  # inf times a GNS weight, or an overflow: reported by gram
             x = np.stack([amb.vec(e) for e in elements], axis=1)
             if not np.isfinite(x).all():
@@ -180,7 +180,7 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
     if not sys.flags["system"]:
         res = max(sys.residuals[s + "_gram_projection"] for s in sys.support)
         raise NotABasis("%s family fails the Gram projection test (residual %.3g)" % (label, res))
-    et = None if target is None else m1_wedderburn(sub).outer_blocks(target.mat)
+    et = None if target is None else sub.wedderburn_data().m1.outer_blocks(target.mat)
     scale = 2.0  # 1 + the norm of e_P, which is 1 or a nonzero projection: no SVD needed
     for s, sup in sys.support.items():  # the tested sides, right before left
         res = hermitian_block_norm([c - e for c, e in zip(sup, et)]) if et else sys.residuals[s + "_support_identity"]

@@ -20,7 +20,6 @@ import functools
 import numpy as np
 
 from ppbasis import MultiMatrixAlgebra, Subalgebra, linalg
-from ppbasis.basic import m1_wedderburn
 
 
 def left_op(alg, x):
@@ -112,7 +111,7 @@ def product_gram(elements, sub, side):
 
 def product_support(elements, sub, side):
     """Blocks of the support W W^*, column (s, u) of W the product x_s q_u with N's basis Q = sub.mat."""
-    return outer_blocks(m1_wedderburn(sub), sub.ambient.products(family_columns(elements, sub, side), sub.mat))
+    return outer_blocks(sub.wedderburn_data().m1, sub.ambient.products(family_columns(elements, sub, side), sub.mat))
 
 
 def svd_gram_residuals(blocks):
@@ -174,7 +173,7 @@ def lift(bc, x):
 def m1_subalgebra(bc):
     """M1 as a Subalgebra of the D x D operators, spanned by its matrix units
     sum_p W_{i,p}[:, a] W_{i,p}[:, b]^* (D^2 rows)."""
-    wd, d = bc.m1_wedd, bc.gns_dim
+    wd, d = bc.m1_wedd, bc.amb.gns_dim
     cols = []
     for w, m, k in zip(isometries(wd), wd.mults, wd.block_dims):
         w = w.reshape(-1, m, k)
@@ -190,7 +189,7 @@ def nullspace_m1(bc):
     Orthonormal columns are row-major vecs of D x D operators T solving
     T R_b = R_b T for a basis b of N.  Dense and O(D^6).
     """
-    d = bc.gns_dim
+    d = bc.amb.gns_dim
     eye = np.eye(d)
     maps = []
     for b in bc.sub.basis_elements():

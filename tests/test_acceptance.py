@@ -182,20 +182,20 @@ def test_criterion_05_gram_projection_property(report):
         bc_k = BasicConstruction(kp.sub)
         mid = Subalgebra.generated(kp.ambient, list(kp.sub.basis_elements()) + [blockshift])
         instances.append(([kp.ambient.identity(), blockshift], kp.sub, bc_k, mid.projection_matrix()))
-        instances.append((krep.patched.elements, kp.sub, bc_k, np.eye(bc_k.gns_dim)))
+        instances.append((krep.patched.elements, kp.sub, bc_k, np.eye(bc_k.amb.gns_dim)))
 
         for key in ("diag2", "diag3", "two_block"):
             rep = _pipeline(key)
             bc = BasicConstruction(rep.sub)
-            instances.append((rep.patched.elements, rep.sub, bc, np.eye(bc.gns_dim)))
+            instances.append((rep.patched.elements, rep.sub, bc, np.eye(bc.amb.gns_dim)))
 
         sp = models.scalar_in_full(2)
         bc_s = BasicConstruction(sp.sub)
-        instances.append((scalar_basis(sp.ambient), sp.sub, bc_s, np.eye(bc_s.gns_dim)))
+        instances.append((scalar_basis(sp.ambient), sp.sub, bc_s, np.eye(bc_s.amb.gns_dim)))
         alg5 = MultiMatrixAlgebra((1, 2), (0.2, 0.4))
         scal5 = Subalgebra.span(alg5, [alg5.identity()])
         bc_5 = BasicConstruction(scal5)
-        instances.append((scalar_basis(alg5), scal5, bc_5, np.eye(bc_5.gns_dim)))
+        instances.append((scalar_basis(alg5), scal5, bc_5, np.eye(bc_5.amb.gns_dim)))
 
         mp2 = models.diagonal_in_matrix(2)
         bc2 = BasicConstruction(mp2.sub)

@@ -3,11 +3,12 @@ import pytest
 
 from ppbasis import (
     AlgebraElement,
+    BratteliDiagram,
     GroupTable,
     MultiMatrixAlgebra,
+    PathModel,
     Subalgebra,
     UnitalEmbedding,
-    inclusion_matrix,
     relative_commutant,
     wedderburn,
 )
@@ -107,6 +108,16 @@ def test_vec_unvec_roundtrip_and_inner_product():
         # GNS inner product agrees with the trace form tr(y* x)
         ip = np.vdot(alg.vec(y), alg.vec(x))
         assert abs(ip - (y.adjoint() * x).trace()) < 1e-12
+
+
+def test_unvec_reads_back_the_middle_units_exactly():
+    # unvec divides the weights out of re and im apart, as the kept units are read back:
+    # a complex division turned an entry 1 into 1 + 1.1e-16 on some of these units
+    pm = PathModel(BratteliDiagram((2, 1), [[2, 1], [1, 0]]))
+    amb = pm.bottom
+    for block in units(pm.middle_subalgebra().wedderburn_data()):
+        for x in (x for row in block for x in row):
+            assert amb.unvec(amb.vec(x)).allclose(x, tol=0)
 
 
 def test_left_right_actions_commute():
@@ -273,7 +284,7 @@ def test_wedderburn_recovers_structure():
     assert abs(wd.block_traces[0] - 0.5) < 1e-10
     ab = wd.abstract()
     assert ab.dims == (2,)
-    lam = inclusion_matrix(wd)
+    lam = wd.lam
     assert lam.tolist() == [[1, 1]]
 
 
@@ -316,7 +327,7 @@ def test_one_dimensional_wedderburn_draws_no_random_numbers(monkeypatch):
 def test_inclusion_matrix_diagonal_in_matrix():
     mp = models.diagonal_in_matrix(3)
     wd = wedderburn(mp.sub, seed=0)
-    lam = inclusion_matrix(wd)
+    lam = wd.lam
     assert lam.shape == (3, 1)
     assert lam.tolist() == [[1], [1], [1]]
 

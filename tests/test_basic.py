@@ -10,7 +10,6 @@ from ppbasis import (
     classify,
     complete_to_basis,
     construct_system_with_support,
-    inclusion_matrix,
     intermediate_projection,
     markov_trace,
     relative_commutant,
@@ -142,9 +141,9 @@ def test_closed_form_m1_matches_nullspace_oracle(build):
     mp = build()
     bc = BasicConstruction(mp.sub)
     ker = nullspace_m1(bc)
-    d = bc.gns_dim
+    d = bc.amb.gns_dim
     # block i of M1 sits over N's block i with size (Lambda n)_i
-    lam = inclusion_matrix(bc.sub_wedd)
+    lam = mp.sub.wedderburn_data().lam
     dims = tuple(int(k) for k in lam @ np.asarray(mp.ambient.dims))
     assert bc.m1_wedd.block_dims == dims
     m1 = m1_subalgebra(bc)
@@ -211,7 +210,9 @@ def test_markov_extension_trace_values():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
     mk = markov_trace([[1], [1]], (1, 1))
-    tr2 = bc.markov_extension(mk)
+    tr2 = bc.markov_extension()  # from the Markov data kept on N
+    assert tr2.markov.beta == pytest.approx(mk.beta, abs=1e-12)
+    assert np.allclose(tr2.markov.trace_sub, mk.trace_sub, rtol=0, atol=1e-12)
     # normalized: tr2(1) = 1, tr2(e1) = 1/beta
     assert abs(tr2.trace([np.eye(k) for k in bc.m1_wedd.block_dims]) - 1.0) < 1e-10
     assert abs(tr2.trace(bc.e1) - 0.5) < 1e-10
@@ -225,7 +226,7 @@ def test_markov_extension_trace_values():
 def test_markov_extension_expectation():
     mp = models.diagonal_in_matrix(2)
     bc = BasicConstruction(mp.sub)
-    tr2 = bc.markov_extension(markov_trace([[1], [1]], (1, 1)))
+    tr2 = bc.markov_extension()
     rng = linalg.rng_from_seed(9)
     # E(e1) = 1/beta, and the expectation preserves tr2
     ex = tr2.expect_onto_ambient(bc.e1)
@@ -247,11 +248,6 @@ MARKOV_MODELS = [
     ("z4-over-e", lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0])),
     ("crossed-product-diag-3", lambda: models.crossed_product_diag(3)),
 ]
-
-
-def markov_of(bc):
-    wd = bc.sub_wedd
-    return markov_trace(inclusion_matrix(wd), wd.block_dims)
 
 
 def _left(bc, x):
@@ -281,7 +277,7 @@ def test_m1_from_abstract_matches_kron_form(build):
 def oracle_isometries(bc):
     """The W_i through D x D right operators and D-row SVDs."""
     out = []
-    for units in oracles.units(bc.sub_wedd):
+    for units in oracles.units(bc.m1_wedd.sub_wedd):
         v = linalg.orthonormal_columns(right_op(bc.amb, units[0][0]))
         out.append(np.concatenate([right_op(bc.amb, u) @ v for u in units[0]], axis=1))
     return out
@@ -305,7 +301,7 @@ def check_isometries(sub):
     bc = BasicConstruction(sub)
     wd, ref = bc.m1_wedd, oracle_isometries(bc)
     assert wd.block_dims == tuple(r.shape[1] // m for r, m in zip(ref, wd.mults))
-    for w, r in zip(wd.rows(np.eye(bc.gns_dim)), ref):
+    for w, r in zip(wd.rows(np.eye(bc.amb.gns_dim)), ref):
         w = w.reshape(len(w), -1).conj()
         assert w.shape == r.shape
         assert np.abs(w @ w.conj().T - r @ r.conj().T).max() <= 1e-12
@@ -343,7 +339,7 @@ def test_m1_and_support_construction_form_no_gns_operators(monkeypatch):
     # takes f as M1's blocks and pushes down from them, so it factors no D-row
     # matrix, whatever the size of the family
     bc = BasicConstruction(models.diagonal_in_matrix(3).sub)
-    d, rows = bc.gns_dim, []
+    d, rows = bc.amb.gns_dim, []
 
     for name in ("svd", "eigh"):
 
@@ -390,9 +386,8 @@ def _random_m1(bc, rng):
 
 def check_markov_extension(bc, rng, count=3):
     """tr2 and E_M of 1, e1 and ``count`` generic elements against ``GramM1Trace``, to 1e-12."""
-    mk = markov_of(bc)
-    tr2, ref = bc.markov_extension(mk), GramM1Trace(bc, mk)
-    for t in [np.eye(bc.gns_dim), e1_matrix(bc)] + [_random_m1(bc, rng) for _ in range(count)]:
+    tr2, ref = bc.markov_extension(), GramM1Trace(bc, bc.m1_wedd.markov)
+    for t in [np.eye(bc.amb.gns_dim), e1_matrix(bc)] + [_random_m1(bc, rng) for _ in range(count)]:
         blocks = to_abstract(bc.m1_wedd, t)
         assert abs(tr2.trace(blocks) - ref.trace(t)) <= 1e-12
         assert (tr2.expect_onto_ambient(blocks) - ref.expect_onto_ambient(t)).norm() <= 1e-12
@@ -407,7 +402,7 @@ def test_markov_extension_matches_gram_oracle(build):
 def test_markov_expectation_is_a_bimodule_projection(build):
     bc = BasicConstruction(build().sub)
     amb = bc.amb
-    tr2 = bc.markov_extension(markov_of(bc))
+    tr2 = bc.markov_extension()
     rng = linalg.rng_from_seed(17)
     for _ in range(3):
         t = _random_m1(bc, rng)
@@ -431,7 +426,7 @@ def test_markov_extension_builds_no_left_operators():
     x = amb.random_element(linalg.rng_from_seed(20))
     lx = _left(bc, x)
     assert not hasattr(MultiMatrixAlgebra, "left_op")  # the D x D left operator is a test oracle only
-    tr2 = bc.markov_extension(markov_of(bc))
+    tr2 = bc.markov_extension()
     tr2.trace(t)
     tr2.expect_onto_ambient(t)
     tr2.expect_onto_ambient(bc.e1)
@@ -528,7 +523,7 @@ def _malformed(dims, kind):
 @pytest.mark.parametrize("entry", ["construct_system_with_support", "pushdown", "trace", "expect_onto_ambient"])
 def test_malformed_m1_blocks_are_invalid_input(entry, kind):
     bc = BasicConstruction(models.explicit_pair((1, 2), [[1], [1]]).sub)  # M1 = M2 + M3
-    tr2 = bc.markov_extension(markov_of(bc))
+    tr2 = bc.markov_extension()
     call = {
         "construct_system_with_support": lambda f: construct_system_with_support(f, bc),
         "pushdown": bc.pushdown,
@@ -558,7 +553,7 @@ def test_block_paths_form_no_gns_operator(monkeypatch):
     full = complete_to_basis(construct_system_with_support(bc.e1, bc), bc)
     assert full.flags["basis"]
     assert bc.pushdown(bc.e1).allclose(mp.ambient.identity(), tol=1e-12)
-    tr2 = bc.markov_extension(markov_of(bc))
+    tr2 = bc.markov_extension()
     assert abs(tr2.trace(bc.e1) - 1.0 / 3.0) <= 1e-12
     assert tr2.expect_onto_ambient(bc.e1).allclose(mp.ambient.scalar(1.0 / 3.0), tol=1e-12)
     q = models.masa_quadruple()

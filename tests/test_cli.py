@@ -297,6 +297,17 @@ MALFORMED = {
         "model": {"kind": "crossed_product", "base_dims": [1, 1], "group": "cyclic:2", "action": [5, 6]},
         "tasks": [{"task": "markov"}],
     },
+    # a raw IndexError and exit 1 once
+    "subgroup-index": {
+        "model": {"kind": "group_algebra_pair", "group": {"permutations": [[0, 1], [1, 0]]}, "subgroup": [0, 5]},
+        "tasks": [{"task": "markov"}],
+    },
+    # two numpy cast warnings, then a message about block dims, once
+    "inclusion-huge": {"model": {"kind": "explicit", "dims": [1], "inclusion": [[1e300]]}, "tasks": [{"task": "markov"}]},
+    "inclusion-huge-ambient-dims": {
+        "model": {"kind": "explicit", "dims": [1], "inclusion": [[1e300]], "ambient_dims": [1]},
+        "tasks": [{"task": "markov"}],
+    },
 }
 
 

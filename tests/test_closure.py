@@ -26,7 +26,6 @@ from ppbasis import (
     GroupTable,
     MultiMatrixAlgebra,
     Subalgebra,
-    inclusion_matrix,
     linalg,
     markov_trace,
     models,
@@ -34,7 +33,6 @@ from ppbasis import (
     relative_commutant,
     wedderburn,
 )
-from ppbasis.basic import m1_wedderburn
 from ppbasis.errors import AlgebraError, NonConnected
 from ppbasis.scenarios import build_model, selftest_corpus
 import oracles
@@ -118,7 +116,7 @@ def check_commutant_units(sub):
     """The closed-form units of N' cap M: relations, dimension and trace."""
     wd_n = sub.wedderburn_data(0)
     wd = wd_n.commutant
-    lam = inclusion_matrix(wd_n)
+    lam = wd_n.lam
     assert sorted(wd.block_dims) == sorted(int(x) for x in lam.reshape(-1) if x)
     assert wd.subalgebra.dim == int(np.sum(lam ** 2))
     check_matrix_units(wd)
@@ -150,7 +148,7 @@ def check_seeded_units(sub, candidates=(), seed=0):
     assert [d for d, _ in got] == [d for d, _ in want]
     assert max(abs(t - u) for (_, t), (_, u) in zip(got, want)) <= TOL
     check_matrix_units(wd)
-    assert sorted(map(tuple, inclusion_matrix(wd))) == sorted(map(tuple, inclusion_matrix(ref)))
+    assert sorted(map(tuple, wd.lam)) == sorted(map(tuple, ref.lam))
     got, want = _pipeline_numbers(sub, candidates, seed), _pipeline_numbers(copy, candidates, seed)
     assert type(got) is type(want)
     if isinstance(got, str):
@@ -221,7 +219,7 @@ def test_coset_support_matches_the_closure(monkeypatch, build):
     # the dense support W W* over R, W = [L_i Q_R], is the reference; the coset system keeps its blocks
     w = amb.products(np.stack([amb.vec(u) for u in rep.reps], axis=1), r_alg.mat)
     support = w @ w.conj().T
-    m1 = m1_wedderburn(r_alg)
+    m1 = r_alg.wedderburn_data().m1
     assert roundtrip_residual(m1, support) <= TOL
     for got, want in zip(rep.coset.support["right"], to_abstract(m1, support)):
         assert np.abs(got - want).max() <= TOL
@@ -377,6 +375,6 @@ def test_drawn_e1_rank_and_perron_residual(mp):
     wd = mp.sub.wedderburn_data()
     bc = BasicConstruction(mp.sub)  # e1's block C_i occurs m_i times in M1
     assert sum(m * rank(c) for m, c in zip(bc.m1_wedd.mults, bc.e1)) == mp.sub.dim
-    lam = inclusion_matrix(wd)
+    lam = wd.lam
     md = markov_trace(lam, wd.block_dims)
     assert np.linalg.norm(lam.T @ lam @ md.trace_amb - md.beta * md.trace_amb) <= linalg.EPS_REL * md.beta

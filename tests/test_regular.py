@@ -20,7 +20,7 @@ from ppbasis import (
     relative_commutant,
     scalar_basis,
 )
-from ppbasis import algebra, basic, linalg, models, regular, systems
+from ppbasis import algebra, basic, linalg, models, regular, scenarios, systems
 from ppbasis.errors import (
     DuplicateCoset,
     InvalidInput,
@@ -267,7 +267,7 @@ def test_crossed_product_matches_the_copies_of_l2b_oracle(name):
     assert cp.span.ambient.gns_dim == len(group) ** 2 * base.dim
 
     def blocks(amb, sub):
-        lam = algebra.inclusion_matrix(sub.wedderburn_data())
+        lam = sub.wedderburn_data().lam
         return sorted(zip(amb.dims, amb.trace_vector, map(tuple, lam.T)), key=lambda b: (b[0], round(b[1], 9), b[2]))
 
     got, want = blocks(cp.algebra, cp.base_image), blocks(alg, image)
@@ -604,38 +604,43 @@ def test_pipeline_candidate_free_verdicts():
 
 
 def test_pipeline_keeps_the_markov_data_on_n(monkeypatch):
-    # what is read off N is built once per N and kept: Lambda, the Markov data and e1 on
-    # M1's data over N (itself kept on N), N' cap M and R on N's Wedderburn data.  Two
-    # pipeline calls and two basic constructions read them; M1's data over R, which the
-    # coset tests use, is built once too.  A disconnected inclusion keeps no Markov data
-    # and raises NonConnected on every call
-    calls = {"lam": [], "markov": [], "closed": [], "m1": []}
+    # what is read off N is built once per N and kept on its Wedderburn data: Lambda, N' cap M,
+    # R, the inner basis of R over N and M1's data, which keeps the Markov data and e1.  Two
+    # pipeline calls, two basic constructions, a Markov extension and a markov task read them;
+    # Lambda and M1's data over R, which the coset tests use, are built once too.  A
+    # disconnected inclusion keeps no Markov data and raises NonConnected on every call
+    calls = {"lam": [], "markov": [], "closed": [], "m1": [], "inner": []}
 
-    def spy(module, name, key):
-        original = getattr(module, name)
-
-        def counting(*args, **kwargs):
+    def counting(original, key):
+        def spy(*args, **kwargs):
             calls[key].append(args + tuple(kwargs.values()))
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, counting)
+        return spy
 
-    for module, name, key in ((basic, "inclusion_matrix", "lam"), (basic, "markov_trace", "markov"),
-                              (algebra, "_closed_form", "closed"), (basic, "M1Wedderburn", "m1")):
-        spy(module, name, key)
+    for module, name, key in ((basic, "markov_trace", "markov"), (algebra, "_closed_form", "closed"),
+                              (algebra, "M1Wedderburn", "m1")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name), key))
+    for name, key in (("lam", "lam"), ("inner_basis", "inner")):  # the kept properties' own functions
+        prop = vars(algebra.WedderburnData)[name]
+        monkeypatch.setattr(prop, "func", counting(prop.func, key))
     mp = models.diagonal_in_matrix(3)
     wd = mp.sub.wedderburn_data()
     first = regular_pipeline(mp.sub, candidates=mp.candidates)
     second = regular_pipeline(mp.sub, candidates=mp.candidates)
     bcs = [BasicConstruction(mp.sub), BasicConstruction(mp.sub, seed=1)]
-    m1 = basic.m1_wedderburn(mp.sub)
+    tr2 = bcs[0].markov_extension()
+    task = scenarios._task_markov({"task": "markov"}, scenarios.LoadedModel("diagonal_in_matrix", pair=mp), 1e-8)
+    m1 = wd.m1
     assert bcs[0].e1 is bcs[1].e1 is m1.e1 and all(bc.m1_wedd is m1 for bc in bcs)
     r_wd = first.r_algebra.wedderburn_data()
     assert calls["closed"] == [(wd, False), (wd, True)]
     assert (wd.commutant.subalgebra, r_wd) == (first.commutant, wd.join)
     assert second.commutant is first.commutant and second.r_algebra is first.r_algebra
     assert calls["m1"] == calls["lam"] == [(wd,), (r_wd,)]
-    assert len(calls["markov"]) == 1 and second.markov is first.markov is m1.markov
+    assert calls["inner"] == [(wd,)] and second.inner is first.inner is wd.inner_basis
+    assert len(calls["markov"]) == 1 and second.markov is first.markov is tr2.markov is m1.markov
+    assert task["numbers"]["beta"] == m1.markov.beta
     z2 = GroupTable.cyclic(2)
     pair = models.group_algebra_pair(GroupTable.direct_product(z2, z2), [0, 1])
     for count in (2, 3):
@@ -643,7 +648,7 @@ def test_pipeline_keeps_the_markov_data_on_n(monkeypatch):
             regular_pipeline(pair.sub, candidates=pair.candidates)
         assert len(calls["markov"]) == count
     with pytest.raises(NonConnected):
-        basic.m1_wedderburn(pair.sub).markov
+        pair.sub.wedderburn_data().m1.markov
     assert len(calls["markov"]) == 4
 
 
@@ -658,19 +663,25 @@ def _pipeline_outcome(sub, candidates):
 
 @pytest.mark.parametrize("build", [b for _, b in PIPELINE_MODELS], ids=[n for n, _ in PIPELINE_MODELS])
 def test_kept_structure_survives_pickling(monkeypatch, build):
-    # the benchmark pickles its set-up state: N's units, N' cap M, R, M1's data over N and R
-    # and the Markov data travel with N, so the pipeline on the loaded copy reads the same
-    # answer without a decomposition, a closed form or an M1 build
+    # the benchmark pickles its set-up state: N's units, N' cap M, R, the inner basis, M1's
+    # data over N and R and the Markov data travel with N, so the pipeline on the loaded copy
+    # reads the same answer without a decomposition, a closed form or an M1 build; what is
+    # kept read-only (N's projection, e1's blocks, the inner basis) stays read-only
     mp = build()
     want = _pipeline_outcome(mp.sub, mp.candidates)
+    wd = mp.sub.wedderburn_data()
+    mp.sub.projection_matrix(), wd.m1.e1, wd.inner_basis  # what is kept read-only, built before the round trip
     sub, candidates = pickle.loads(pickle.dumps((mp.sub, mp.candidates)))
     built = []
-    for module, name in ((algebra, "wedderburn"), (algebra, "_closed_form"), (basic, "M1Wedderburn")):
+    for module, name in ((algebra, "wedderburn"), (algebra, "_closed_form"), (algebra, "M1Wedderburn")):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, name=name, original=original, **kwargs:
                             built.append(name) or original(*args, **kwargs))
     assert _pipeline_outcome(sub, candidates) == want
     assert built == []
+    wd = sub.wedderburn_data()
+    kept = [sub.projection_matrix(), *wd.m1.e1, *(b for x in wd.inner_basis for b in x.blocks)]
+    assert built == [] and not any(a.flags.writeable for a in kept)
 
 
 def test_pipeline_records_rejected_candidates():
@@ -770,12 +781,12 @@ def test_drawn_inner_family_is_a_basis_of_r_over_n(mp):
     # inclusion (random traces and block unitaries included) the family passes
     # require_basis(inner, N, R) two-sided, with E_N(x* x) = z_i for each of its elements
     wd_n = mp.sub.wedderburn_data()
-    lam = algebra.inclusion_matrix(wd_n)
-    r_alg = wd_n.join.subalgebra
-    inner = regular._inner_basis(wd_n, lam)
-    assert len(inner) == wd_n.commutant.subalgebra.dim
+    r_alg, inner = wd_n.join.subalgebra, wd_n.inner_basis
+    same = r_alg.dim == mp.sub.dim  # R = N: the kept basis is {1}, with E_N(1* 1) = 1
+    assert len(inner) == (1 if same else wd_n.commutant.subalgebra.dim)
     require_basis(inner, mp.sub, r_alg)
     zs = [sum((u[p][p] for p in range(len(u))), mp.ambient.zero()) for u in oracles.units(wd_n)]
+    zs = [mp.ambient.identity()] if same else zs
     for x in inner:
         e = mp.sub.expect(x.adjoint() * x)
         assert min((e - z).norm() for z in zs) <= 1e-12
@@ -884,10 +895,10 @@ def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
 
     monkeypatch.setattr(algebra, "wedderburn", counting)
     bc = BasicConstruction(mp.sub, seed=0)
-    assert bc.sub_wedd is mp.sub.wedderburn_data(0)
+    assert bc.m1_wedd.sub_wedd is mp.sub.wedderburn_data(0)
     regular_pipeline(mp.sub, candidates=mp.candidates, seed=0)
     assert sum(sub is mp.sub for sub in decomposed) == 1
-    assert mp.sub.wedderburn_data(1) is bc.sub_wedd  # one decomposition per object, whatever the seed
+    assert mp.sub.wedderburn_data(1) is bc.m1_wedd.sub_wedd  # one decomposition per object, whatever the seed
 
 
 def test_pipeline_tests_each_coset_pair_once(monkeypatch):
@@ -978,7 +989,7 @@ def test_bases_are_read_off_structure(monkeypatch, build):
     mp = build()
     calls["eigh"] = 0
     wd = mp.sub.wedderburn_data()
-    comm, r_alg, m1 = wd.commutant, wd.join, basic.m1_wedderburn(mp.sub)
+    comm, r_alg, m1 = wd.commutant, wd.join, wd.m1
     assert calls == {"orthonormal_columns": 0, "eigh": mp.ambient.nblocks}
     assert (comm.block_dims, r_alg.block_dims, m1.block_dims) == ((1,) * 6, (1,) * 6, (6,) * 6)
 

@@ -310,7 +310,7 @@ def test_wedderburn_forms_no_centre(monkeypatch):
     pair = models.explicit_pair((1, 2), [[1], [1]])
     wd = wedderburn(_span_only(pair.sub))
     assert wd.block_dims == (1, 2)
-    assert algebra.inclusion_matrix(wd).tolist() == [[1], [1]]
+    assert wd.lam.tolist() == [[1], [1]]
 
 
 def _identity_draws(monkeypatch, attempts):
@@ -336,7 +336,7 @@ def test_non_generic_draw_is_rejected_and_retried(monkeypatch):
     wd = wedderburn(_span_only(pair.sub))
     assert len(draws) == 2
     assert wd.block_dims == (1, 2)
-    assert algebra.inclusion_matrix(wd).tolist() == [[1], [1]]
+    assert wd.lam.tolist() == [[1], [1]]
 
 
 def test_non_generic_draws_exhaust_the_attempts(monkeypatch):

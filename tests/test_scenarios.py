@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppbasis import MultiMatrixAlgebra, inclusion_matrix, models, scenarios
+from ppbasis import MultiMatrixAlgebra, models, scenarios
 from ppbasis.errors import ScenarioError
 from ppbasis.scenarios import (
     _group_from_spec,
@@ -133,13 +133,13 @@ def test_cyclic_shift_scenario_builds_the_crossed_product_diag():
 
 
 def test_inclusion_data_of_an_embedding_is_its_inclusion():
-    # an embedded N keeps its units, so the inclusion matrix read off them is the embedding's
+    # an embedded N keeps its units, so the inclusion matrix read off them (``wd.lam``, which the
+    # markov task reads) is the embedding's
     for dims, lam in (((1,), [[1, 2]]), ((1, 2), [[1, 1], [1, 0]]), ((2, 1), [[1], [2]])):
         model = build_model({"kind": "explicit", "dims": list(dims), "inclusion": lam})
         emb = model.require_pair().embedding
-        got_lam, got_dims, _ = model.inclusion_data()
-        assert np.array_equal(got_lam, emb.inclusion) and tuple(got_dims) == emb.source.dims
-        assert np.array_equal(inclusion_matrix(model.require_pair().sub.wedderburn_data()), got_lam)
+        wd = model.require_pair().sub.wedderburn_data(model.seed)
+        assert np.array_equal(wd.lam, emb.inclusion) and wd.block_dims == emb.source.dims
 
 
 def test_quadruple_interchange_through_scenario():

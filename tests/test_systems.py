@@ -19,7 +19,6 @@ from ppbasis import (
 )
 from ppbasis import linalg, models
 from ppbasis.algebra import _unitarity_residuals
-from ppbasis.basic import m1_wedderburn
 from ppbasis.errors import (
     InfeasibleSupport,
     InvalidInput,
@@ -220,7 +219,7 @@ def test_random_supports_roundtrip():
 def oracle_classify(elements, sub, bc, tol=1e-8):
     """Two-sided flags and residuals through the left-regular representation."""
     alg = sub.ambient
-    one, eye = alg.identity(), np.eye(bc.gns_dim)
+    one, eye = alg.identity(), np.eye(bc.amb.gns_dim)
     residuals = {}
     flags = {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
     for s in ("right", "left"):
@@ -250,7 +249,7 @@ def oracle_classify(elements, sub, bc, tol=1e-8):
 
 def check_support_blocks(blocks, support, sub):
     """The dense reference support lies in M1, and its blocks there are ``blocks``, entrywise to 1e-12."""
-    m1 = m1_wedderburn(sub)
+    m1 = sub.wedderburn_data().m1
     assert roundtrip_residual(m1, support) <= 1e-12
     assert [b.shape for b in blocks] == [(k, k) for k in m1.block_dims]
     for got, want in zip(blocks, to_abstract(m1, support)):
@@ -258,7 +257,7 @@ def check_support_blocks(blocks, support, sub):
 
 
 def oracle_support(elements, bc, side):
-    acc, e1 = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex), e1_matrix(bc)
+    acc, e1 = np.zeros((bc.amb.gns_dim, bc.amb.gns_dim), dtype=complex), e1_matrix(bc)
     for lam in elements:
         ll = left_op(bc.amb, lam)
         acc += ll @ e1 @ ll.conj().T if side == "right" else ll.conj().T @ e1 @ ll
@@ -266,7 +265,7 @@ def oracle_support(elements, bc, side):
 
 
 def oracle_interchange(basis_p, basis_q, bc):
-    acc, e1 = np.zeros((bc.gns_dim, bc.gns_dim), dtype=complex), e1_matrix(bc)
+    acc, e1 = np.zeros((bc.amb.gns_dim, bc.amb.gns_dim), dtype=complex), e1_matrix(bc)
     for lam in basis_p:
         ll = left_op(bc.amb, lam)
         for mu in basis_q:
@@ -575,7 +574,7 @@ def check_rotation_against_dense_oracle(sub, family):
     r_alg = sub.wedderburn_data().join.subalgebra
     assert _close(wd.outer_blocks(r_alg.mat), oracles.outer_blocks(wd, r_alg.mat))
     blocks = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in wd.block_dims]
-    cols = rng.standard_normal((bc.gns_dim, 3)) + 1j * rng.standard_normal((bc.gns_dim, 3))
+    cols = rng.standard_normal((bc.amb.gns_dim, 3)) + 1j * rng.standard_normal((bc.amb.gns_dim, 3))
     assert _close([wd.apply(blocks, cols)], [oracles.apply(wd, blocks, cols)])
     assert _close([wd.from_abstract(blocks)], [oracles.from_abstract(wd, blocks)])
 

@@ -59,9 +59,17 @@ def test_integer_matrix():
     assert lam.dtype.kind == "i" and lam.tolist() == [[1, 2], [0, 1]]
     assert linalg.integer_matrix([[3 + 1e-9]], "m").tolist() == [[3]]
     # rtol is 0: numpy's default rtol=1e-5 would have accepted 3 + 1e-7
-    for bad in ([[1, -1]], [[0.5]], [1, 2], [[3 + 1e-7]], [[np.nan]]):
+    for bad in ([[1, -1]], [[0.5]], [1, 2], [[3 + 1e-7]], [[np.nan]], [[2 ** 63]], [[1e300]], [[np.inf]]):
         with pytest.raises(InvalidInput, match="nonnegative integers"):
             linalg.integer_matrix(bad, "m")
+    # entries that do not fit an int64 are refused before the cast, which wrapped 2**63
+    # round to -2**63 and warned on 1e300
+    assert linalg.integers([2 ** 63 - 1], "x").tolist() == [2 ** 63 - 1]
+    for bad in ([2 ** 63], [1e300], [2 ** 64]):
+        with pytest.raises(InvalidInput, match="^x must be nonnegative integers"):
+            linalg.integers(bad, "x")
+    with pytest.raises(InvalidInput, match="^inclusion matrix must be nonnegative integers"):
+        models.explicit_pair((1,), [[1e300]], trace=(1.0,))
 
 
 @pytest.mark.parametrize(
