@@ -61,6 +61,23 @@ class MultiMatrixAlgebra:
         # vec(x*) = conj(vec(x))[_conj_idx]: the transpose of each block's coordinates
         self._conj_idx = np.concatenate([lo + np.arange(n * n).reshape(n, n).T.ravel() for n, lo in zip(dims, offs)])
 
+    @functools.cached_property
+    def size_groups(self):
+        """Per block size, in order of first appearance: (block indices, GNS coordinates, a slice if adjacent)."""
+        groups = [[j for j, d in enumerate(self.dims) if d == n] for n in dict.fromkeys(self.dims)]
+        coords = [np.concatenate([np.arange(*self._offsets[j:j + 2]) for j in js]) for js in groups]
+        return [(js, slice(c[0], c[-1] + 1) if np.all(np.diff(c) == 1) else c) for js, c in zip(groups, coords)]
+
+    def stacked(self, elements):
+        """The elements' blocks as one (count, g, n, n) array per ``size_groups`` entry; ``unstacked`` reverses it."""
+        for x in elements:
+            self.check_owns(x)
+        return [np.array([[x.blocks[j] for j in js] for x in elements]) for js, _ in self.size_groups]
+
+    def unstacked(self, stacks):
+        where = sorted((j, g, p) for g, (js, _) in enumerate(self.size_groups) for p, j in enumerate(js))
+        return [AlgebraElement(self, [stacks[g][k, p] for _, g, p in where]) for k in range(len(stacks[0]))]
+
     @property
     def dim(self):
         """Linear dimension sum n_i^2 (same as the GNS dimension)."""
@@ -212,7 +229,7 @@ class AlgebraElement:
         return u * self * u.adjoint()
 
     def is_unitary(self, tol=linalg.EPS_FLAG):
-        return bool(_unitarity_residuals([b[None] for b in self.blocks])[0] <= tol)
+        return bool(_unitarity_residuals(self.alg.stacked([self]))[0] <= tol)
 
     def allclose(self, other, tol=linalg.EPS_INPUT):
         self.alg.check_owns(other)
@@ -223,16 +240,16 @@ class AlgebraElement:
 
 
 def _unitarity_residuals(blocks):
-    """max(||u u* - 1||, ||u* u - 1||) for each element u of a family whose blocks are stacked, one (n, n_j, n_j)
-    array per block of the algebra: one eigvalsh of the stacked Hermitian defects per block; overflow reads as inf."""
+    """max(||u u* - 1||, ||u* u - 1||) for each element u of a family whose blocks are stacked, one (n, ..., d, d) array
+    per block size (``stacked``) or block: one eigvalsh of the stacked Hermitian defects each; overflow reads as inf."""
     res = 0.0
     for u in blocks:
-        uh = u.conj().transpose(0, 2, 1)
+        uh = u.conj().swapaxes(-1, -2)
         with np.errstate(over="ignore", invalid="ignore"):
-            dev = np.concatenate([u @ uh, uh @ u]) - np.eye(u.shape[-1])
-        finite = np.isfinite(dev).all(axis=(1, 2))
+            dev = (np.concatenate([u @ uh, uh @ u]) - np.eye(u.shape[-1])).reshape(2 * len(u), -1, *u.shape[-2:])
+        finite = np.isfinite(dev).all(axis=(1, 2, 3))
         norms = np.full(len(dev), np.inf)
-        norms[finite] = np.abs(linalg.eigvalsh(dev[finite])).max(axis=-1)
+        norms[finite] = np.abs(linalg.eigvalsh(dev[finite])).max(axis=(1, 2))
         res = np.maximum(res, norms.reshape(2, -1).max(axis=0))
     return res
 

@@ -13,7 +13,9 @@ whose columns (i, p, a) hold W_{i,p}^* X with rows (r, a): W_{i,p} = R(e^i_0p) V
 for V_i = 1_{n_j} (x) conj(v_ij), and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  The
 Gram matrix and the support of a family, e1 (the support of {1}), e_P, the action
 of M1 and the pushdown x = v 1^ (Pimsner and Popa: M1 e1 = M e1) are contractions
-of that one rotation (``M1Wedderburn.rows``).  The Markov extension is a closed
+of that one rotation (``M1Wedderburn.rows``), one matmul per block size of M, whose
+rows come per group of M1's blocks of one shape (m_i, k_i): each contraction is one
+batched product per group, listed per block as views.  The Markov extension is a closed
 form in the blocks (``M1Trace``).  M1's block data (``wd.m1``, with ``markov`` and ``e1``) is kept on N's
 Wedderburn data beside Lambda and the inner basis of R over N (``wd.lam``, ``wd.inner_basis``): ``algebra``
 imports this module, and this module nothing from it.
@@ -98,7 +100,8 @@ class BasicConstruction:
             raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
         one = self.amb.vec(self.amb.identity())[:, None]
         x = wd.apply(v, one)
-        lift = wd.support(wd.rows(x), wd.rows(one))  # L_x e1, from the rows of x^ and of 1^
+        rows = wd.rows(np.concatenate([x, one], axis=1))
+        lift = wd.per_block(wd.support([r[:, :1] for r in rows], [r[:, 1:] for r in rows]))  # L_x e1: x^'s rows, 1^'s
         if linalg.block_norm([a - c for a, c in zip(lift, v)]) > linalg.EPS_FLAG * scale:
             raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
         return self.amb.unvec(x[:, 0])
@@ -111,8 +114,9 @@ class BasicConstruction:
 class M1Wedderburn:
     """Block structure of M1 read off N's matrix units; block i sits over N's block i.
 
-    ``rows`` rotates columns into the frames of ``sub_wedd`` (see the module docstring), and an
-    element of M1 acts as C_i on each (i, p) slice of the rows, W_{i,p}^* cols (``apply``).
+    ``rows`` rotates columns into the frames of ``sub_wedd`` (see the module docstring), per group of M1's blocks
+    of one shape, and every contraction of the rows is one batched product per group, listed per block in block
+    order (``per_block``); an element of M1 acts as C_i on each (i, p) slice of the rows, W_{i,p}^* cols (``apply``).
     Lambda's Markov data and e1 are kept here once per N, on first use (``markov``, ``e1``).
     """
 
@@ -121,14 +125,18 @@ class M1Wedderburn:
         self.sub_wedd, self.gns_dim, self.dims = sub_wedd, amb.gns_dim, amb.dims
         self.mults, self.traces = tuple(sub_wedd.block_dims), sub_wedd.block_traces
         self.block_dims = tuple(int(k) for k in lam @ amb.dims)
-        self._frames = sub_wedd.frames
-        self._offsets = np.cumsum((0,) + tuple(n * n for n in amb.dims))
-        # rows takes the rotated coordinates (j, r, c) of a column, c = (i, p, a), to the order (i, p, j, r, a)
+        # M's blocks of one size rotate together, their frames stacked; rows takes the rotated coordinates (j, r, c)
+        # of a column, c = (i, p, a), to the order (i, p, j, r, a), with M1's blocks i grouped by shape (m_i, k_i)
+        self._frames = [(c, np.stack([sub_wedd.frames[j] for j in js])) for js, c in amb.size_groups]
+        keys = list(zip(self.mults, self.block_dims))
+        shapes = {key: [i for i, k in enumerate(keys) if k == key] for key in dict.fromkeys(keys)}
         ip = np.repeat(np.arange(len(self.mults)), self.mults)  # N's block i of each pair (i, p)
-        pair = [np.tile(np.repeat(np.arange(len(ip)), lam[ip, j]), n) for j, n in enumerate(amb.dims)]
-        self._perm = np.argsort(np.concatenate(pair), kind="stable")
-        ends = np.cumsum(np.multiply(self.mults, self.block_dims)).tolist()
-        self._slices = [(lo, hi, m) for lo, hi, m in zip([0] + ends, ends, self.mults)]  # block i's columns of rows
+        pair = np.concatenate([np.tile(np.repeat(np.arange(len(ip)), lam[ip, j]), n) for j, n in enumerate(amb.dims)])
+        self._perm = np.lexsort((pair, np.argsort(sum(shapes.values(), []))[ip[pair]]))  # stable: (j, r, a) kept
+        cut = np.cumsum([0] + [len(idx) * m * k for (m, k), idx in shapes.items()])
+        self._groups = [(idx, m, k, lo, hi) for ((m, k), idx), lo, hi in zip(shapes.items(), cut, cut[1:])]
+        self._traces = [np.array(self.traces)[idx] for idx in shapes.values()]  # T_i of each group's blocks
+        self._where = sorted((i, (g, p)) for g, idx in enumerate(shapes.values()) for p, i in enumerate(idx))
 
     def __setstate__(self, state):
         self.__dict__.update(state)
@@ -142,29 +150,36 @@ class M1Wedderburn:
     @functools.cached_property
     def e1(self):
         """e1's blocks in M1, read-only: the support of the family {1}."""
-        return linalg.read_only(self.support(self.rows(self.sub_wedd.subalgebra.ambient.identity().vec()[:, None])))
+        one = self.sub_wedd.subalgebra.ambient.identity().vec()[:, None]
+        return linalg.read_only(self.per_block(self.support(self.rows(one))))
 
     def _rotate(self, x, inverse=False):
         """Each row of the (ncols, D) array ``x``, an n_j-square X_j on block j, sent to X_j U_j (or X_j U_j^*)."""
-        out = [(x[:, lo:hi].reshape(-1, n, n) @ (u.conj().T if inverse else u)).reshape(len(x), -1)
-               for n, u, lo, hi in zip(self.dims, self._frames, self._offsets, self._offsets[1:])]
-        return np.concatenate(out, axis=1)
+        y = np.empty(x.shape, dtype=complex)
+        for c, u in self._frames:  # one matmul per block size of M
+            u = u.conj().swapaxes(1, 2) if inverse else u
+            y[:, c] = (x[:, c].reshape(len(x), *u.shape) @ u).reshape(len(x), -1)
+        return y
 
     def rows(self, cols):
-        """W_{i,p}^* cols for every block i of M1 and p < m_i, as one (ncols, m_i, k_i) array per i."""
+        """W_{i,p}^* cols for every block i of M1 and p < m_i, one (g, ncols, m, k) array per group (``_groups``)."""
         y = self._rotate(cols.T)[:, self._perm]
-        return [y[:, lo:hi].reshape(len(y), m, -1) for lo, hi, m in self._slices]
+        return [y[:, lo:hi].reshape(len(y), len(idx), m, k).swapaxes(0, 1) for idx, m, k, lo, hi in self._groups]
+
+    def per_block(self, stacks):
+        """The per-group ``stacks`` (group axis first) as one array per block of M1, in block order, as views."""
+        return [stacks[g][p] for _, (g, p) in self._where]
 
     def support(self, rows, right=None):
-        """Blocks sum_{s,p} r[s, p] r'[s, p]^* / T_i, r' = r unless ``right`` is given: the support
-        sum_s L_s e1 L_s^* of the family with rows r, or L_x e1 for the rows r of x^ and r' of 1^."""
+        """Per group, the blocks sum_{s,p} r[s, p] r'[s, p]^* / T_i (r' = r unless ``right`` is given, and leading
+        axes kept): the support sum_s L_s e1 L_s^* of the family with rows r, or L_x e1 for x^'s rows r, 1^'s r'."""
         right = rows if right is None else right
-        return [r.reshape(-1, r.shape[-1]).T @ q.reshape(-1, q.shape[-1]).conj() / t
-                for r, q, t in zip(rows, right, self.traces)]
+        flat = [[a.reshape(*a.shape[:-3], -1, a.shape[-1]) for a in pair] for pair in zip(rows, right)]
+        return [r.swapaxes(-1, -2) @ q.conj() / t[:, None, None] for (r, q), t in zip(flat, self._traces)]
 
     def outer_blocks(self, cols):
         """Blocks W_{i,0}^* cols cols^* W_{i,0} of a projection cols cols^* in M1, e_P from P >= N's basis."""
-        return [r[:, 0].T @ r[:, 0].conj() for r in self.rows(cols)]
+        return self.per_block([r[:, :, 0].swapaxes(1, 2) @ r[:, :, 0].conj() for r in self.rows(cols)])
 
     def _checked(self, blocks):
         """``blocks`` as complex arrays; InvalidInput unless they are finite and one k_i-square array per block."""
@@ -179,7 +194,8 @@ class M1Wedderburn:
     def apply(self, blocks, cols):
         """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols: the element of M1 with abstract blocks C_i (checked by
         the caller) applied to the columns of ``cols``, without forming it: C_i on the rows, rotated back."""
-        z = [(r @ c.T).reshape(cols.shape[1], -1) for r, c in zip(self.rows(cols), blocks)]
+        z = [(r @ np.array([blocks[i].T for i in idx])[:, None]).swapaxes(0, 1).reshape(cols.shape[1], -1)
+             for r, (idx, *_) in zip(self.rows(cols), self._groups)]
         y = np.empty((cols.shape[1], self.gns_dim), dtype=complex)
         y[:, self._perm] = np.concatenate(z, axis=1)
         return self._rotate(y, inverse=True).T
@@ -234,21 +250,21 @@ def watatani_index(elements, tol=linalg.EPS_FLAG):
     if not elements:
         raise InvalidInput("need at least one element")
     alg = elements[0].alg
-    for lam in elements:
-        alg.check_owns(lam)
-    # block j of the sum is L L* for the n_j x (count n_j) matrix L = [lam_1, lam_2, ...] of the blocks j
-    rows = [np.concatenate([lam.blocks[j] for lam in elements], axis=1) for j in range(alg.nblocks)]
+    stacks = alg.stacked(elements)  # block j of the sum is L L* for L = [lam_1, lam_2, ...] of the blocks j, per size
+    rows = [s.transpose(1, 2, 0, 3).reshape(s.shape[1], s.shape[2], -1) for s in stacks]
     with np.errstate(over="ignore", invalid="ignore"):  # a nan, an inf or an overflow is named below
-        acc = alg.element([r @ r.conj().T for r in rows])
-    if not all(np.isfinite(b).all() for b in acc.blocks):  # checked before any factorization
-        bad = [k for k, lam in enumerate(elements) if not all(np.isfinite(b).all() for b in lam.blocks)]
-        raise InvalidInput("element %d has a non-finite block" % bad[0] if bad else "the Watatani sum overflows")
-    scale = 1.0 + linalg.hermitian_block_norm(acc.blocks)  # acc is positive
-    worst = []  # the largest ||[A, e_pq]||_2^2 = ||[sqrt(t) B, e_pq]||_F^2 over the blocks B of each size
-    for a in linalg.stacks([np.sqrt(t) * b for t, b in zip(alg.trace_vector, acc.blocks)]):
-        d, off = np.diagonal(a, axis1=1, axis2=2), np.abs(a) ** 2 * (1.0 - np.eye(a.shape[-1]))  # off-diagonal squares
+        sums = [r @ r.conj().swapaxes(1, 2) for r in rows]
+    if not all(np.isfinite(b).all() for b in sums):  # checked before any factorization
+        bad = np.flatnonzero(~np.all([np.isfinite(s).all(axis=(1, 2, 3)) for s in stacks], axis=0))
+        raise InvalidInput("element %d has a non-finite block" % bad[0] if len(bad) else "the Watatani sum overflows")
+    acc = alg.unstacked([a[None] for a in sums])[0]
+    scale = 1.0 + max(float(np.abs(linalg.eigvalsh(a)).max()) for a in sums)  # acc is positive
+    c, worst, dev = acc.trace().real, [], 0.0  # dev: ||A - c 1||_2^2, from the blocks of each size
+    for (js, _), b in zip(alg.size_groups, sums):  # the largest ||[A, e_pq]||_2^2 = ||[sqrt(t) B, e_pq]||_F^2
+        a, eye = np.sqrt(alg.trace_vector[js])[:, None, None] * b, np.eye(b.shape[-1])
+        d, off = np.diagonal(a, axis1=1, axis2=2), np.abs(a) ** 2 * (1.0 - eye)  # off-diagonal squares
         worst.append((off.sum(1)[:, :, None] + off.sum(2)[:, None] + np.abs(d[:, :, None] - d[:, None]) ** 2).max())
+        dev += float(alg.trace_vector[js] @ (np.abs(b - c * eye) ** 2).sum(axis=(1, 2)))
     central = bool(np.sqrt(np.max(worst)) <= tol * scale)  # a nan reads as not central
-    c = acc.trace().real
-    scalar = float(c) if (acc - alg.scalar(c)).norm() <= tol * scale else None
+    scalar = float(c) if np.sqrt(dev) <= tol * scale else None
     return WatataniData(element=acc, is_central=central, scalar=scalar)

@@ -5,6 +5,7 @@ input (unparseable file, bad model data, unknown task) or a failed factorization
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -100,9 +101,14 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The parser, built once per process on first use: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, OSError, np.linalg.LinAlgError) as exc:

@@ -14,7 +14,7 @@ import numpy as np
 from . import linalg
 from .errors import InvalidInput, NotIntermediate
 from .linalg import EPS_FLAG, EPS_REL
-from .systems import _Family, check_intermediate, require_basis
+from .systems import _rows, check_intermediate, require_basis
 
 
 def intermediate_projection(mid, bc, tol=EPS_FLAG):
@@ -38,7 +38,8 @@ def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check
     if check:
         for mid, basis, label in ((p_sub, basis_p, "first"), (q_sub, basis_q, "second")):
             require_basis(basis, bc.sub, mid, side="right", tol=tol, label=label)
-    return bc.m1_wedd.from_abstract(_Family([lam * mu for lam in basis_p for mu in basis_q], bc.sub, "right").support())
+    m1, products = bc.m1_wedd, bc.amb.stacked([lam * mu for lam in basis_p for mu in basis_q])
+    return m1.from_abstract(m1.per_block([s[0] for s in m1.support(_rows(products, bc.sub, ("right",)))]))
 
 
 def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG):

@@ -76,9 +76,9 @@ def block_norm(blocks):
     return max(operator_norm(s) for s in stacks(blocks))
 
 
-def hermitian_block_norm(blocks, shift=0.0):
-    """Operator norm of H - shift 1 for the block-diagonal sum H of Hermitian ``blocks``, one eigvalsh per size."""
-    return max(float(np.abs(eigvalsh(s) - shift).max()) for s in stacks(blocks))
+def hermitian_block_norm(blocks):
+    """Operator norm of the block-diagonal sum of Hermitian ``blocks``, one eigvalsh per size."""
+    return max(float(np.abs(eigvalsh(s)).max()) for s in stacks(blocks))
 
 
 @_typed

@@ -6,16 +6,18 @@ Lambda and its Markov data, N' cap M, R and the inner basis of R over N (in
 closed form, from the units of N' cap M) are read off N's matrix units once and
 kept on N's Wedderburn data wd (``wd.lam``, ``wd.m1.markov``, ``wd.commutant``,
 ``wd.join``, ``wd.inner_basis``).  The candidates are tested together, from
-their blocks stacked per block of M, and cosets of the normalizer are separated
-by the vanishing of E_R(u v*), read off one Gram matrix over R; representatives
-are filtered from model-supplied candidates rather than enumerated.
+their blocks stacked per block size of M, and cosets of the normalizer are
+separated by the vanishing of E_R(u v*), read off one left Gram matrix over R,
+whose rotation also holds the representatives' left side; representatives are
+filtered from model-supplied candidates rather than enumerated.
 U(N' cap M) normalizes N, so N is regular when R and the normalizers generate
 M: the coset system shows it when the R u_i fill M, and otherwise a Krylov
 closure (``Subalgebra.generated``) decides.  A NotRegular verdict is relative
 to the candidates.  The coset system is classified over R only, and the patched
-basis is that classification when R = N, else one ``classify`` of the products;
-the chain builds no ``BasicConstruction``.  A crossed product B x| G is the span
-of the pi(b) u_g inside M_|G|(B), whose own trace is the canonical trace there.
+basis is that classification when R = N, else one of the products, formed by
+one matmul per block size; the chain builds no ``BasicConstruction``.  A crossed
+product B x| G is the span of the pi(b) u_g inside M_|G|(B), whose own trace is
+the canonical trace there.
 Flags compare against ``tol``; automorphisms and a crossed product's covariance
 must hold to EPS_INPUT.
 """
@@ -29,7 +31,7 @@ from .algebra import MultiMatrixAlgebra, Subalgebra, _unitarity_residuals
 from .basic import watatani_index
 from .errors import DuplicateCoset, InvalidInput, NotANormalizer, NotAnAction, NotUnitary
 from .linalg import EPS_FLAG
-from .systems import _entry_norms, _Family, check_intermediate, classify, require_basis
+from .systems import _classified, _grams, _rows, check_intermediate, classify, require_basis
 
 II1_NOTE = (
     "equality of beta with |reps| * dim(N' cap M) is the statement for regular "
@@ -226,28 +228,26 @@ def _coords(x):
 
 
 def _stacked(elements, amb):
-    """The elements' blocks stacked per block of M, checked first: InvalidInput names the first
-    element that is not a finite element of M."""
+    """The elements' blocks stacked per block size (``MultiMatrixAlgebra.stacked``), checked: InvalidInput names
+    the first element that is not a finite element of M."""
     for k, u in enumerate(elements):
-        if u.alg is not amb and not amb.same_structure(u.alg) or not all(np.isfinite(b).all() for b in u.blocks):
+        if u.alg is not amb and not amb.same_structure(u.alg):
             raise InvalidInput("candidate %d is not a finite element of the ambient algebra" % k)
-    return [np.array([u.blocks[j] for u in elements]) for j in range(amb.nblocks)]
+    stacks = amb.stacked(elements)
+    for k in np.flatnonzero(~np.all([np.isfinite(s).all(axis=(1, 2, 3)) for s in stacks], axis=0))[:1]:
+        raise InvalidInput("candidate %d is not a finite element of the ambient algebra" % k)
+    return stacks
 
 
-def _normalizer_residuals(blocks, sub):
+def _normalizer_residuals(stacks, sub):
     """How far u sub u* leaves the subalgebra, for each u of a ``_stacked`` family: the largest
-    residual of u b u* over the basis b, from one product per block of M and one ``residuals`` call
+    residual of u b u* over the basis b, from one product per block size of M and one ``residuals`` call
     (on block j, b's GNS coordinates are its entries times sqrt(t_j), and so are u b u*'s)."""
-    amb, cols = sub.ambient, []
-    for u, n, lo in zip(blocks, amb.dims, amb._offsets):
-        b = sub.mat[lo:lo + n * n].T.reshape(-1, n, n)
-        cols.append((u[:, None] @ b @ u.conj().transpose(0, 2, 1)[:, None]).reshape(-1, n * n).T)
-    return sub.residuals(np.concatenate(cols)).reshape(len(blocks[0]), sub.dim).max(axis=1)
-
-
-def _coset_norms(elements, r_sub):
-    """GNS norms of E_R(x_i x_j*) for every pair, read off one left Gram matrix over R."""
-    return _entry_norms(_Family(tuple(elements), r_sub, "left").gram(), r_sub.wedderburn_data())
+    amb, cols = sub.ambient, np.empty((sub.ambient.gns_dim, len(stacks[0]) * sub.dim), dtype=complex)
+    for u, (_, idx) in zip(stacks, amb.size_groups):
+        b = sub.mat[idx].T.reshape(-1, *u.shape[1:])
+        cols[idx] = (u[:, None] @ b @ u.conj().swapaxes(-1, -2)[:, None]).reshape(cols.shape[1], -1).T
+    return sub.residuals(cols).reshape(len(stacks[0]), sub.dim).max(axis=1)
 
 
 def normalizer_residual(u, sub):
@@ -266,7 +266,8 @@ def check_normalizer(u, sub, tol=EPS_FLAG):
 def coset_distinct(u, v, r_sub, tol=EPS_FLAG):
     """Whether u, v fall in distinct cosets: E_R(u v*) must vanish."""
     linalg.check_tol(tol)
-    return _coset_norms((u, v), r_sub)[0, 1] <= tol
+    left = _rows(r_sub.ambient.stacked((u, v)), r_sub, ("left",))  # E_R(u v*) from one left Gram matrix over R
+    return _grams(left, r_sub.wedderburn_data().m1)[1][0, 0, 1] <= tol
 
 
 def coset_system(reps, r_sub, tol=EPS_FLAG):
@@ -278,9 +279,8 @@ def coset_system(reps, r_sub, tol=EPS_FLAG):
     is (id (x) E_N) of the one over R, a contraction, so every residual over N
     is at most the one over R, and orthonormal over R implies orthonormal over N.
     """
-    sys_r = classify(reps, r_sub, side="two-sided", tol=tol)
-    norms = _entry_norms(sys_r.gram["left"], r_sub.wedderburn_data())
-    for i, j in np.argwhere(np.triu(norms > tol, 1))[:1]:
+    sys_r, norms = _classified(tuple(reps), r_sub, "two-sided", None, tol)
+    for i, j in np.argwhere(np.triu(norms[1] > tol, 1))[:1]:
         raise DuplicateCoset("representatives %d and %d fall in the same coset" % (i, j))
     return sys_r
 
@@ -381,7 +381,8 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     amb, candidates, wd_n = sub.ambient, tuple(candidates), sub.wedderburn_data(seed)
     markov, comm, r_alg, inner = wd_n.m1.markov, wd_n.commutant.subalgebra, wd_n.join.subalgebra, wd_n.inner_basis
 
-    rejected, normalizers = [], []
+    one = amb.identity()
+    rejected, normalizers, stacks = [], [], amb.stacked([one])  # stacks: the blocks of [1] + the normalizers
     if candidates:
         blocks = _stacked(candidates, amb)
         for idx in np.flatnonzero(_unitarity_residuals(blocks) > tol)[:1]:
@@ -389,18 +390,21 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
         res = _normalizer_residuals(blocks, sub)
         rejected = [(idx, float(r)) for idx, r in enumerate(res) if r > tol]
         normalizers = [u for u, r in zip(candidates, res) if r <= tol]
-    family = [amb.identity()] + normalizers
-    same = _coset_norms(family, r_alg) > tol  # E_R(u v*) does not vanish: first come, first kept
+        stacks = [np.concatenate([e, b[res <= tol]]) for e, b in zip(stacks, blocks)]
+    family, left = [one] + normalizers, _rows(stacks, r_alg, ("left",))  # the left rows over R of the family and reps
+    same = _grams(left, r_alg.wedderburn_data().m1)[1][0] > tol  # E_R(u v*) does not vanish: first come, first kept
     keep = [0]
     for k in range(1, len(family)):
         if not same[k, keep].any():
             keep.append(k)
-    reps = tuple(family[k] for k in keep)
+    reps, stacks = tuple(family[k] for k in keep), [s[keep] for s in stacks]
 
-    sys_r = coset_system(reps, r_alg, tol=tol)
+    # coset_system's classification over R, with no DuplicateCoset check: the filter kept no pair with E_R(u v*) != 0
+    rows = [np.concatenate([r, q[:, :, keep]]) for r, q in zip(_rows(stacks, r_alg, ("right",)), left)]
+    sys_r = _classified(reps, r_alg, "two-sided", None, tol, rows)[0]
     orthonormal = sys_r.flags["system"] and sys_r.flags["orthonormal"]
     if len(reps) * r_alg.dim == amb.dim:
-        # coset_system showed E_R(u_i u_j*) = 0: the R u_i are orthogonal, of dim R each, so they fill M and e_P = 1.
+        # sys_r showed E_R(u_i u_j*) = 0: the R u_i are orthogonal, of dim R each, so they fill M and e_P = 1.
         # N and U(N' cap M), which normalizes N, generate R, so the normalizer of N generates M: N is regular
         regular, ep_res = True, sys_r.residuals["right_support_identity"]
     else:
@@ -414,8 +418,11 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
 
     patched = wat = None
     if regular and sys_r.flags["basis"]:
-        # R = N: the products mu * 1 are the reps, which coset_system has classified over R = N
-        patched = sys_r if r_alg.dim == sub.dim else classify([mu * x for mu in reps for x in inner], sub, tol=tol)
+        if r_alg.dim == sub.dim:  # R = N: the products mu * 1 are the reps, classified over R = N above
+            patched = sys_r
+        else:  # the products mu * lam, mu slowest, one matmul per block size
+            stacks = [(a[:, None] @ b[None]).reshape(-1, *a.shape[1:]) for a, b in zip(stacks, amb.stacked(inner))]
+            patched = classify(amb.unstacked(stacks), sub, tol=tol)
         wat = watatani_index(patched.elements)
     elif regular:
         issues.append("IncompleteCosets")

@@ -501,9 +501,10 @@ def run_scenario_dict(data):
     name = data.get("name", "unnamed")
     with _fields_of("scenario"):
         seed = _count(data.get("seed", 0), "seed")
-        eps = float(data.get("eps", linalg.EPS_FLAG))
-    if not 0 < eps < np.inf:  # false for nan too: a non-finite tolerance would pass every check
-        raise ScenarioError("scenario eps must be finite and positive, got %r" % eps)
+    eps = data.get("eps", linalg.EPS_FLAG)  # a JSON number: true would read as 1.0 and "0.5" as 0.5
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < np.inf:  # nan fails too
+        raise ScenarioError("scenario eps must be a finite positive number, got %r" % (eps,))
+    eps = float(eps)
     tasks = data.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise ScenarioError("scenario needs a nonempty task list")

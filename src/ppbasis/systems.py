@@ -7,12 +7,13 @@ sum lambda_i e1 lambda_i*.  The family is a system when the Gram matrix is a
 projection over N, orthogonal when the Gram matrix is diagonal with projection
 entries, orthonormal when the diagonal entries are 1, and a basis when the
 support is the identity.  Left-handed versions swap the adjoints.  Both are
-contractions of the family rotated once into M's frames (``M1Wedderburn.rows``):
-the Gram matrix, in M_n(N) with the norms of M_n(M), as one (n, n, m_i, m_i)
-array of coefficients in N's matrix units per block, and the support as its
+contractions of the family's GNS columns x, formed once, and J x rotated together
+into M's frames (``M1Wedderburn.rows``), the sides stacked along the group axis of
+M1's blocks of one shape: the Gram matrix, in M_n(N) with the norms of M_n(M), as
+(n, n, m_i, m_i) arrays of coefficients in N's matrix units, and the support as
 blocks in M1, where an element has the norm of its largest block.  Both are
-Hermitian, so every flag reads eigenvalues, one eigvalsh per block size: no
-product x_i* x_j, no D x D operator and no singular value.  A prescribed support
+Hermitian, so every flag reads eigenvalues, one eigvalsh of each per group for both
+sides: no product x_i* x_j, no D x D operator and no singular value.  A prescribed support
 (``construct_system_with_support``) is given by its blocks, and each element is
 pushed down by ``BasicConstruction.pushdown``; classification builds no basic
 construction (a ``bc`` passed in is kept for completion).  ``require_basis`` is
@@ -30,74 +31,56 @@ from .errors import InfeasibleSupport, InvalidInput, NotABasis, NotAProjection, 
 from .linalg import EPS_FLAG, hermitian_block_norm
 
 
-class _Family:
-    """One side of a family as its rows in M1's frames, ``M1Wedderburn.rows`` of its GNS coordinates x;
-    the left side holds J x, the coordinates of the adjoints, so only right-handed formulas follow."""
+def _rows(stacks, sub, sides):
+    """Rows in M1's frames (``M1Wedderburn.rows``) of the GNS columns x of a ``stacked`` family (right) and of J x, the
+    adjoints' (left), from one rotation: per group of M1's blocks a (S, g, n, m, k) array, the S ``sides`` first."""
+    amb = sub.ambient
+    if not len(stacks[0]):
+        raise InvalidInput("cannot test an empty family")
+    x = np.empty((amb.gns_dim, len(stacks[0])), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf times a GNS weight, or an overflow: reported below
+        for a, (_, c) in zip(stacks, amb.size_groups):
+            x[c] = a.reshape(len(a), -1).T * amb.gns_weights[c, None]
+    if not np.isfinite(x).all():
+        raise InvalidInput("non-finite element block")
+    cols = np.concatenate([x if s == "right" else amb.modular_conjugation(x) for s in sides], axis=1)
+    return [np.ascontiguousarray(r.reshape(len(r), len(sides), -1, *r.shape[2:]).swapaxes(0, 1))
+            for r in sub.wedderburn_data().m1.rows(cols)]
 
-    def __init__(self, elements, sub, side):
-        if side not in ("right", "left"):
-            raise InvalidInput("side must be 'right' or 'left'")
-        if not elements:
-            raise InvalidInput("cannot test an empty family")
-        self.m1, amb = sub.wedderburn_data().m1, sub.ambient
-        with np.errstate(over="ignore", invalid="ignore"):  # inf times a GNS weight, or an overflow: reported by gram
-            x = np.stack([amb.vec(e) for e in elements], axis=1)
-            if not np.isfinite(x).all():
-                raise InvalidInput("non-finite element block")
-            self.rows = self.m1.rows(x if side == "right" else amb.modular_conjugation(x))
 
-    def gram(self):
-        """Gram entries E_N(x_s* x_t) in N's matrix units, as (n, n, m_i, m_i) arrays: the coefficient of
-        e^i_pq is tr(e^i_qp x_s* x_t) / T_i = <W_{i,q}^* x_t, W_{i,p}^* x_s> / T_i, one GEMM per block."""
-        blocks = []
+def _grams(rows, m1):
+    """Gram entries E_N(x_s* x_t) in N's units, the coefficient of e^i_pq being <W_{i,q}^* x_t, W_{i,p}^* x_s> / T_i,
+    one GEMM per group of ``_rows``: (S, g, n m, n m) matrices and their (S, g, n, n, m, m) view; and the GNS 2-norms
+    of the entries (S, n, n) and of q^2 - q, q - q* and q - 1 for the diagonal entries q (S, 3, n)."""
+    grams, norms = [], 0.0
+    for r, t in zip(rows, m1._traces):
+        s, g, n, m, k = r.shape
+        a = r.reshape(s, g, n * m, k)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            for r, t in zip(self.rows, self.m1.traces):
-                n, m, k = r.shape
-                a = r.reshape(n * m, k)
-                blocks.append((a.conj() @ a.T / t).reshape(n, m, n, m).transpose(0, 2, 1, 3))
-        if not all(np.isfinite(g).all() for g in blocks):
+            mat = a.conj() @ a.swapaxes(-1, -2) / t[:, None, None]
+        if not np.isfinite(mat).all():
             raise InvalidInput("non-finite Gram entry")
-        return blocks
-
-    def support(self):
-        """M1's blocks of sum_s L_s e1 L_s*."""
-        return self.m1.support(self.rows)
-
-
-def _entry_norms(blocks, wd):
-    """GNS 2-norms of the elements stacked in per-block arrays (..., m_i, m_i) of coefficients in ``wd``'s units."""
-    return np.sqrt(sum(t * np.sum((a.conj() * a).real, axis=(-2, -1)) for t, a in zip(wd.block_traces, blocks)))
-
-
-def _gram_residuals(blocks, wd):
-    """Projection residual and 1 + norm of the Hermitian Gram matrix G from the eigenvalues l of its n m_i-square
-    blocks, one call per size (max |l^2 - l|, next to ||i(G - G*)||, and max |l|); largest GNS 2-norms, from N's
-    ``wd``, of the off-diagonal entries, of q^2 - q or q - q* for the diagonal entries q, and of q - 1."""
-    n = blocks[0].shape[0]
-    stacks = linalg.stacks([g.transpose(0, 2, 1, 3).reshape(n * g.shape[2], -1) for g in blocks])
-    vals = [linalg.eigvalsh(s) for s in stacks]
-    norm = max(float(np.abs(v).max()) for v in vals)
-    res = max(max(float(np.abs(v * v - v).max()), linalg.hermitian_norm(1j * (s - s.conj().swapaxes(-2, -1))))
-              for v, s in zip(vals, stacks))
-    diag = [g[np.arange(n), np.arange(n)] for g in blocks]
-    off = _entry_norms(blocks, wd)[~np.eye(n, dtype=bool)].max(initial=0.0)
-    proj = _entry_norms([np.concatenate([q @ q - q, q - q.conj().transpose(0, 2, 1)]) for q in diag], wd).max()
-    one = _entry_norms([q - np.eye(q.shape[-1]) for q in diag], wd).max()
-    return res, 1.0 + norm, float(off), float(proj), float(one)
+        grams.append((mat, mat.reshape(s, g, n, m, n, m).transpose(0, 1, 2, 4, 3, 5)))
+        q = grams[-1][1][:, :, np.arange(n), np.arange(n)]  # (S, g, n, m, m)
+        e = np.concatenate([grams[-1][1], np.stack([q @ q - q, q - q.conj().swapaxes(-1, -2), q - np.eye(m)], 2)], 2)
+        norms = norms + (t[:, None, None] * (e.conj() * e).real.sum(axis=(-2, -1))).sum(axis=1)
+    return grams, np.sqrt(norms[:, :n]), np.sqrt(norms[:, n:])
 
 
 def gram_matrix(elements, sub, side="right"):
     """n x n matrix of Gram entries in N (right: E(x_i* x_j), left: E(x_i x_j*)), as elements."""
-    g = _Family(tuple(elements), sub, side).gram()
-    n, wd = len(g[0]), sub.wedderburn_data()
-    return [[wd.from_abstract([b[i, j] for b in g]) for j in range(n)] for i in range(n)]
+    if side not in ("right", "left"):
+        raise InvalidInput("side must be 'right' or 'left'")
+    wd = sub.wedderburn_data()
+    g = wd.m1.per_block([e[0] for _, e in _grams(_rows(sub.ambient.stacked(tuple(elements)), sub, (side,)), wd.m1)[0]])
+    return [[wd.from_abstract([b[i, j] for b in g]) for j in range(len(g[0]))] for i in range(len(g[0]))]
 
 
 @dataclass
 class PPSystem:
     """A classified family over a subalgebra N; ``gram[side]`` is the list of the
     Gram matrix's (n, n, m_i, m_i) arrays, one per block M_{m_i} of N, and
-    ``support[side]`` the list of the support's k_i-square blocks in M1, in ``M1Wedderburn`` order."""
+    ``support[side]`` the list of the support's k_i-square blocks in M1, in ``M1Wedderburn`` order (views)."""
 
     elements: tuple
     sub: object
@@ -121,32 +104,50 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
     and supports (in M1's blocks) for each requested side are kept on the result.
     ``bc`` is not read; it is kept on the result for ``complete_to_basis`` to extend in.
     """
-    linalg.check_tol(tol)
     elements = tuple(elements)
     if side not in ("right", "left", "two-sided"):
         raise InvalidInput("side must be 'right', 'left' or 'two-sided'")
-    sides = ("right", "left") if side == "two-sided" else (side,)
-    wd = sub.wedderburn_data()
-    grams, supports, residuals = {}, {}, {}
+    return _classified(elements, sub, side, bc, tol)[0]
+
+
+def _gram_residuals(grams, norms, diag, supports):
+    """Per side, (S,) arrays from ``_grams`` and M1's ``support``, both sides at once per group: the projection residual
+    and 1 + norm of the Gram matrix G from one eigvalsh (max |l^2 - l|, next to ||i(G - G*)||, and max |l|), the largest
+    norms of the off-diagonal entries, of q^2 - q or q - q* and of q - 1, and ||support - 1|| from one eigvalsh."""
+    res = norm = basis = 0.0
+    for (mat, _), sup in zip(grams, supports):
+        vals, defect = linalg.eigvalsh(mat).reshape(len(mat), -1), 1j * (mat - mat.conj().swapaxes(-1, -2))
+        herm = np.abs(linalg.eigvalsh(defect)).reshape(len(mat), -1).max(axis=1) if np.any(defect) else 0.0
+        res = np.maximum(res, np.maximum(np.abs(vals * vals - vals).max(axis=1), herm))
+        norm = np.maximum(norm, np.abs(vals).max(axis=1))
+        basis = np.maximum(basis, np.abs(linalg.eigvalsh(sup) - 1.0).reshape(len(mat), -1).max(axis=1))
+    off = norms[:, ~np.eye(norms.shape[-1], dtype=bool)].max(axis=1, initial=0.0)
+    return res, 1.0 + norm, off, diag[:, :2].max(axis=(1, 2)), diag[:, 2].max(axis=1), basis
+
+
+def _classified(elements, sub, side, bc, tol, rows=None):
+    """``classify`` from the family's ``_rows`` (formed here unless given), and the (S, n, n) GNS 2-norms of the
+    Gram entries; each side's residuals are read off its slice of ``_gram_residuals``."""
+    linalg.check_tol(tol)
+    sides, m1 = ("right", "left") if side == "two-sided" else (side,), sub.wedderburn_data().m1
+    rows = _rows(sub.ambient.stacked(elements), sub, sides) if rows is None else rows
+    (grams, norms, diag), supports = _grams(rows, m1), m1.support(rows)
+    values = _gram_residuals(grams, norms, diag, supports)
+    grams_out, supports_out, residuals = {}, {}, {}
     flags = {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
-    for s in sides:
-        family = _Family(elements, sub, s)
-        g = grams[s] = family.gram()
-        r, scale, off, diag_proj, diag_one = _gram_residuals(g, wd)
-        supports[s] = family.support()
-        basis_res = hermitian_block_norm(supports[s], 1.0)
-        residuals["%s_gram_projection" % s] = r / scale
-        residuals["%s_offdiag" % s] = off
-        residuals["%s_diag_projection" % s] = diag_proj
-        residuals["%s_diag_identity" % s] = diag_one
-        residuals["%s_support_identity" % s] = basis_res
+    for k, s in enumerate(sides):
+        grams_out[s] = m1.per_block([e[k] for _, e in grams])
+        supports_out[s] = m1.per_block([x[k] for x in supports])
+        r, scale, off, proj, one, basis = (float(v[k]) for v in values)
+        residuals.update({s + "_gram_projection": r / scale, s + "_offdiag": off, s + "_diag_projection": proj,
+                          s + "_diag_identity": one, s + "_support_identity": basis})
         flags["system"] &= r <= tol * scale
-        flags["orthogonal"] &= off <= tol and diag_proj <= tol
-        flags["orthonormal"] &= diag_one <= tol
-        flags["basis"] &= basis_res <= tol
+        flags["orthogonal"] &= off <= tol and proj <= tol
+        flags["orthonormal"] &= one <= tol
+        flags["basis"] &= basis <= tol
     flags["orthonormal"] = flags["orthonormal"] and flags["orthogonal"]
     flags["basis"] = flags["basis"] and flags["system"]
-    return PPSystem(elements, sub, side, flags, residuals, grams, supports, bc)
+    return PPSystem(elements, sub, side, flags, residuals, grams_out, supports_out, bc), norms
 
 
 def check_intermediate(sub, mid, tol=EPS_FLAG):

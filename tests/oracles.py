@@ -114,6 +114,30 @@ def product_support(elements, sub, side):
     return outer_blocks(sub.wedderburn_data().m1, sub.ambient.products(family_columns(elements, sub, side), sub.mat))
 
 
+def entry_norms(blocks, wd):
+    """GNS 2-norms of the elements stacked in per-block arrays (..., m_i, m_i) of coefficients in ``wd``'s units."""
+    return np.sqrt(sum(t * np.sum((a.conj() * a).real, axis=(-2, -1)) for t, a in zip(wd.block_traces, blocks)))
+
+
+def gram_residuals(blocks, wd):
+    """The Gram residuals of a classification, block by block: projection residual and 1 + norm of the Hermitian
+    Gram matrix G from the eigenvalues l of its n m_i-square blocks (max |l^2 - l|, next to ||i(G - G*)||, and
+    max |l|); largest GNS 2-norms, from N's ``wd``, of the off-diagonal entries, of q^2 - q or q - q* for the
+    diagonal entries q, and of q - 1.  The library reads the same numbers off its Gram matrices batched by the
+    shape of M1's blocks, both sides at once."""
+    n = blocks[0].shape[0]
+    stacks = linalg.stacks([g.transpose(0, 2, 1, 3).reshape(n * g.shape[2], -1) for g in blocks])
+    vals = [linalg.eigvalsh(s) for s in stacks]
+    norm = max(float(np.abs(v).max()) for v in vals)
+    res = max(max(float(np.abs(v * v - v).max()), linalg.hermitian_norm(1j * (s - s.conj().swapaxes(-2, -1))))
+              for v, s in zip(vals, stacks))
+    diag = [g[np.arange(n), np.arange(n)] for g in blocks]
+    off = entry_norms(blocks, wd)[~np.eye(n, dtype=bool)].max(initial=0.0)
+    proj = entry_norms([np.concatenate([q @ q - q, q - q.conj().transpose(0, 2, 1)]) for q in diag], wd).max()
+    one = entry_norms([q - np.eye(q.shape[-1]) for q in diag], wd).max()
+    return res, 1.0 + norm, float(off), float(proj), float(one)
+
+
 def svd_gram_residuals(blocks):
     """Projection residual and 1 + norm of the Gram matrix from its (n, n, m_i, m_i) arrays, through singular
     values: ``projection_residuals`` and ``operator_norm`` of its n m_i-square matrices, stacked by size."""

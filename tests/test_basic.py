@@ -288,12 +288,20 @@ def _rotated_pair():
     return models.explicit_pair((1, 2), [[1, 1], [1, 0]], unitaries=[linalg.random_unitary(n, rng) for n in (3, 1)])
 
 
+def _interleaved_pair():
+    # M = M2 + C + M2: the blocks of size 2 are not adjacent; rotated, so the frames are not permutations
+    rng = linalg.rng_from_seed(9)
+    unitaries = [linalg.random_unitary(n, rng) for n in (2, 1, 2)]
+    return models.explicit_pair((1, 1), [[1, 1, 1], [1, 0, 1]], unitaries=unitaries)
+
+
 ISOMETRY_MODELS = [
     ("diag-in-m3", lambda: models.diagonal_in_matrix(3)),
     ("c+m2-in-m3", lambda: models.explicit_pair((1, 2), [[1], [1]])),
     ("m2-in-m2+m2", lambda: models.explicit_pair((2,), [[1, 1]])),
     ("c+m2-in-m3+c-rotated", _rotated_pair),
     ("z4-over-z2-span", lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0, 2])),
+    ("c+c-in-m2+c+m2-rotated", _interleaved_pair),
 ]
 
 
@@ -301,7 +309,7 @@ def check_isometries(sub):
     bc = BasicConstruction(sub)
     wd, ref = bc.m1_wedd, oracle_isometries(bc)
     assert wd.block_dims == tuple(r.shape[1] // m for r, m in zip(ref, wd.mults))
-    for w, r in zip(wd.rows(np.eye(bc.amb.gns_dim)), ref):
+    for w, r in zip(wd.per_block(wd.rows(np.eye(bc.amb.gns_dim))), ref):  # rows per group, listed per block
         w = w.reshape(len(w), -1).conj()
         assert w.shape == r.shape
         assert np.abs(w @ w.conj().T - r @ r.conj().T).max() <= 1e-12

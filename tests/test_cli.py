@@ -280,6 +280,17 @@ MALFORMED = {
     "eps-inf": {"eps": "inf", "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
     "eps-negative": {"eps": -1, "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
     "eps-zero": {"eps": 0, "model": {"kind": "diagonal_in_matrix", "k": 2}, "tasks": [{"task": "markov"}]},
+    # only a JSON number is a tolerance: true once read as 1.0, under which the identity alone passed as a basis
+    "eps-bool": {
+        "eps": True,
+        "model": {"kind": "diagonal_in_matrix", "k": 3},
+        "tasks": [{"task": "classify_system", "elements": "identity"}],
+    },
+    "eps-string": {
+        "eps": "0.5",
+        "model": {"kind": "diagonal_in_matrix", "k": 3},
+        "tasks": [{"task": "classify_system", "elements": "identity"}],
+    },
     "cyclic-group": {
         "model": {"kind": "group_algebra_pair", "group": {"cyclic": "z"}, "subgroup": [0]},
         "tasks": [{"task": "markov"}],
@@ -392,6 +403,23 @@ def test_infinite_eps_override_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eps_override_replaces_a_malformed_eps(tmp_path, capsys):
+    # --eps is parsed as a float, so it passes the number check that the file's "0.5" fails
+    spec = dict(MALFORMED["eps-string"], tasks=[{"task": "markov", "expect": {"beta": 3.0}}])
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, spec), "--eps", "1e-8")
+    assert (code, err) == (0, "")
+    assert out.endswith("result: pass\n")
+
+
+def test_main_twice_in_one_process_gives_identical_output(capsys):
+    # the parser is built once per process; parsing other arguments in between leaves it unchanged
+    runs = [run_cli(capsys, *argv) for argv in (("generate", "diagonal_in_matrix", "--k", "3"),
+                                                 ("generate", "quadruple"),
+                                                 ("generate", "diagonal_in_matrix", "--k", "3"))]
+    assert runs[0] == runs[2] and runs[0][0] == 0
+    assert runs[1] != runs[0]
 
 
 def test_seed_override_on_non_object_scenario_exits_2(tmp_path, capsys):

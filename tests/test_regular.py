@@ -868,17 +868,18 @@ def test_pipeline_patching_matches_checked_patch_bases(build):
 def test_pipeline_classifies_each_family_once(monkeypatch, build, count):
     # the coset system over R, and the products mu * lam when R != N: no precondition
     # is classified, and nothing a second time (R = N on the diagonals: the coset
-    # system is the patched basis)
+    # system is the patched basis); every classification, classify's and the
+    # pipeline's own over R, goes through systems._classified
     mp = build()
     calls = []
-    original = systems.classify
+    original = systems._classified
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(systems, "classify", counting)
-    monkeypatch.setattr(regular, "classify", counting)
+    monkeypatch.setattr(systems, "_classified", counting)
+    monkeypatch.setattr(regular, "_classified", counting)
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
     assert rep.flags["patched_basis_two_sided"]
     assert len(calls) == count
@@ -903,26 +904,33 @@ def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
 
 def test_pipeline_tests_each_coset_pair_once(monkeypatch):
     # on diag-in-M5 the coset filter reads every pair of [1] + the 5 normalizers off
-    # one left Gram pass over R, with no coset_distinct call; the two other Gram
-    # passes are the sides of coset_system's classification of the 5 reps
+    # one left rotation over R, with no coset_distinct call; that rotation also
+    # holds the reps' left side, so the classification of the 5 reps over R takes
+    # one more rotation, of their right side: 2 rotations, 6 left columns and 5 right
     mp = models.diagonal_in_matrix(5)
-    calls, grams = [], []
-    original, original_gram = regular.coset_distinct, systems._Family.gram
+    calls, rows, sides = [], [], []
+    original, original_rows, original_sides = regular.coset_distinct, basic.M1Wedderburn.rows, systems._rows
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    def gram(family):
-        grams.append(len(family.rows[0]))
-        return original_gram(family)
+    def rotation(m1, cols):
+        rows.append(cols.shape[1])
+        return original_rows(m1, cols)
+
+    def family_rows(stacks, sub, which):
+        sides.append((which, len(stacks[0])))
+        return original_sides(stacks, sub, which)
 
     monkeypatch.setattr(regular, "coset_distinct", counting)
-    monkeypatch.setattr(systems._Family, "gram", gram)
+    monkeypatch.setattr(basic.M1Wedderburn, "rows", rotation)
+    monkeypatch.setattr(regular, "_rows", family_rows)
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
     assert rep.flags["patched_basis_two_sided"]
     assert calls == []
-    assert sorted(grams) == [5, 5, 6]
+    assert rows == [6, 5]
+    assert sides == [(("left",), 6), (("right",), 5)]
 
 
 @pytest.mark.parametrize(
@@ -1014,18 +1022,19 @@ def test_bases_read_off_structure_are_orthonormal(monkeypatch, build):
 def test_coset_system_classifies_once_when_r_is_n(monkeypatch):
     # diag-in-M4: N' cap M = N, so R = N and one classification of the coset
     # system serves over R, over N and as the patched basis (the products
-    # mu * 1 are the reps): 1 classify call, with every flag and residual of a
+    # mu * 1 are the reps): 1 classification (systems._classified, behind classify
+    # and the pipeline's coset system), with every flag and residual of a
     # classification over N, the oracle
     mp = models.diagonal_in_matrix(4)
     calls = []
-    original = systems.classify
+    original = systems._classified
 
     def counting(family, sub, *args, **kwargs):
         calls.append(sub)
         return original(family, sub, *args, **kwargs)
 
-    monkeypatch.setattr(systems, "classify", counting)
-    monkeypatch.setattr(regular, "classify", counting)
+    monkeypatch.setattr(systems, "_classified", counting)
+    monkeypatch.setattr(regular, "_classified", counting)
     rep = regular_pipeline(mp.sub, candidates=mp.candidates)
     assert rep.r_algebra.dim == mp.sub.dim
     assert len(calls) == 1

@@ -29,10 +29,10 @@ from ppbasis.errors import (
 )
 from ppbasis.linalg import EPS_FLAG, EPS_INPUT
 from ppbasis.regular import GroupTable, _stacked
-from ppbasis.systems import _gram_residuals, require_basis
+from ppbasis.systems import _grams, _gram_residuals, _rows, require_basis
 import oracles
 from oracles import e1_matrix, left_op, roundtrip_residual, to_abstract
-from test_basic import ISOMETRY_MODELS
+from test_basic import ISOMETRY_MODELS, _interleaved_pair
 from test_closure import connected_pairs
 
 
@@ -292,6 +292,10 @@ def _oracle_families():
     # R = N v (N' cap M) with its closed-form units: N itself here, all of M2 + M2 there
     r_cp3 = cp3.sub.wedderburn_data().join.subalgebra
     r_two = two.sub.wedderburn_data().join.subalgebra
+    # equal shapes that are not adjacent, so the batches per shape gather and scatter: N = C + M2 + C in M4 has M1
+    # blocks of shapes (m, k) = (1, 4), (2, 4), (1, 4), and M = M2 + C + M2 has blocks of sizes 2, 1, 2
+    rotation = linalg.random_unitary(4, linalg.rng_from_seed(10))
+    c_m2_c, m2_c_m2 = models.explicit_pair((1, 2, 1), [[1], [1], [1]], unitaries=[rotation]), _interleaved_pair()
     return {
         "m5-scalar": (m5.sub, scalar),
         "m5-conjugated": (m5.sub, [x.conj_by(u) for x in scalar]),
@@ -313,6 +317,9 @@ def _oracle_families():
         "z4-over-z2-unitaries": (z4_z2.sub, z4_z2.candidates),
         "r-of-crossed-product-diag-3": (r_cp3, cp3.candidates),
         "r-of-m2-in-m2+m2": (r_two, list(two.candidates) + [two.ambient.random_element(rng) for _ in range(2)]),
+        "c+m2+c-in-m4-random": (c_m2_c.sub, [c_m2_c.ambient.random_element(rng) for _ in range(3)]),
+        "c+c-in-m2+c+m2-random": (m2_c_m2.sub, [m2_c_m2.ambient.random_element(rng) for _ in range(3)]),
+        "c+c-in-m2+c+m2-scalar": (m2_c_m2.sub, scalar_basis(m2_c_m2.ambient)),
     }
 
 
@@ -513,7 +520,7 @@ def check_against_product_oracle(elements, sub):
         for got, want in zip(sys.gram[side], gram):
             assert np.abs(got - want).max() <= 1e-12
         check_support_blocks(sys.support[side], support, sub)
-        r, scale, off, proj, one = _gram_residuals(gram, sub.wedderburn_data())
+        r, scale, off, proj, one = oracles.gram_residuals(gram, sub.wedderburn_data())
         want = {
             "gram_projection": r / scale,
             "offdiag": off,
@@ -565,10 +572,10 @@ def check_rotation_against_dense_oracle(sub, family):
     for side in ("right", "left"):
         gram, support = oracles.product_gram(family, sub, side), oracles.product_support(family, sub, side)
         assert _close(sys.gram[side], gram) and _close(sys.support[side], support)
-        r, scale, off, proj, one = _gram_residuals(gram, sub.wedderburn_data())
+        r, scale, off, proj, one = oracles.gram_residuals(gram, sub.wedderburn_data())
+        basis = linalg.hermitian_block_norm([s - np.eye(len(s)) for s in support])
         residuals.update({side + "_gram_projection": r / scale, side + "_offdiag": off, side + "_diag_projection": proj,
-                          side + "_diag_identity": one,
-                          side + "_support_identity": linalg.hermitian_block_norm(support, 1.0)})
+                          side + "_diag_identity": one, side + "_support_identity": basis})
     assert sys.flags == _flags_of(residuals) == _flags_of(sys.residuals)
     assert _close(bc.e1, oracles.outer_blocks(wd, sub.mat))
     r_alg = sub.wedderburn_data().join.subalgebra
@@ -607,16 +614,19 @@ def test_drawn_rotation_matches_dense_oracle(mp):
 def check_against_svd_oracle(family, sub):
     """The Gram projection residual and 1 + ||G|| of each side within 1e-12 (1 + ||G||) of the singular-value
     route, the unitarity residuals within 1e-12 (1 + residual), and every flag they decide equal."""
-    sys, wd, system = classify(family, sub, side="two-sided"), sub.wedderburn_data(), True
-    for side in ("right", "left"):
+    sys, m1, system = classify(family, sub, side="two-sided"), sub.wedderburn_data().m1, True
+    rows = _rows(sub.ambient.stacked(family), sub, ("right", "left"))  # the batched route, both sides at once
+    batched = _gram_residuals(*_grams(rows, m1), m1.support(rows))
+    for k, side in enumerate(("right", "left")):
         r, scale = oracles.svd_gram_residuals(sys.gram[side])
-        got_r, got_scale = _gram_residuals(sys.gram[side], wd)[:2]
+        got_r, got_scale = batched[0][k], batched[1][k]
         assert abs(got_r - r) <= 1e-12 * scale and abs(got_scale - scale) <= 1e-12 * scale
         assert abs(sys.residuals[side + "_gram_projection"] - r / scale) <= 1e-12
         system &= r <= EPS_FLAG * scale
     assert sys.flags["system"] == system
-    blocks = _stacked(family, sub.ambient)
-    got, want = _unitarity_residuals(blocks), oracles.svd_unitarity_residuals(blocks)
+    amb = sub.ambient  # the library stacks the blocks per block size, the oracle per block
+    got = _unitarity_residuals(_stacked(family, amb))
+    want = oracles.svd_unitarity_residuals([np.array([u.blocks[j] for u in family]) for j in range(amb.nblocks)])
     assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + want))
     for tol in (EPS_INPUT, EPS_FLAG):  # the block unitaries of embeddings and automorphisms; candidates
         assert np.array_equal(got <= tol, want <= tol)
