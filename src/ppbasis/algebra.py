@@ -10,6 +10,8 @@ so subalgebras and conditional expectations below are orthogonal projections
 onto orthonormal bases, read off matrix units or eigenvectors wherever they give one.
 Matrix units are kept as GNS columns (``wd.unit_mat``, one read back by ``wd.unit(b, p, q)``), and what
 is read off N's is kept on them once (``wd.lam``, ``wd.m1``, ``wd.commutant``, ``wd.join``, ``wd.inner_basis``).
+An inclusion is embedded one way, by ``UnitalEmbedding(source_dims, target, inclusion)``: its source carries the
+restricted trace inclusion @ t_target, compatible by construction.
 """
 
 import functools
@@ -24,7 +26,6 @@ from .errors import (
     NonUnitalInclusion,
     NotSubalgebra,
     NotUnitary,
-    TraceMismatch,
 )
 
 def _check_unit(dims, b, p, q):
@@ -255,40 +256,36 @@ def _unitarity_residuals(blocks):
 
 
 def check_unital_dims(source_dims, inclusion, ambient_dims):
-    """Dims side of unitality: ambient dims must equal inclusion^T @ source dims."""
+    """The checked inclusion matrix Lambda, one row per source block and one column per ambient block;
+    NonUnitalInclusion unless the ambient dims are Lambda^T @ the source dims."""
     lam = linalg.integer_matrix(inclusion, "inclusion matrix")
-    if lam.shape[0] != len(source_dims):
-        raise InvalidInput("inclusion matrix needs one row per source block")
+    if lam.shape != (len(source_dims), len(ambient_dims)):
+        raise InvalidInput("inclusion matrix shape %r != (%d, %d)" % (lam.shape, len(source_dims), len(ambient_dims)))
     expected = lam.T @ np.asarray(source_dims)
     if not np.array_equal(expected, np.asarray(ambient_dims)):
         raise NonUnitalInclusion(
             "unitality requires ambient dims = inclusion^T @ source dims: got %r, need %r"
             % (list(ambient_dims), list(expected))
         )
+    return lam
 
 
 class UnitalEmbedding:
-    """Canonical unital *-embedding described by a multiplicity matrix.
+    """Canonical unital *-embedding of the blocks ``source_dims`` into ``target``.
 
     ``inclusion[i, j]`` counts how many times source block i repeats inside
-    target block j.  Unitality forces n_j = sum_i inclusion[i, j] * m_i and
-    trace compatibility forces t_src = inclusion @ t_tgt; both are validated.
+    target block j.  Unitality forces n_j = sum_i inclusion[i, j] * m_i, which
+    is validated, and the source carries the restricted trace inclusion @ t_tgt.
     Optional per-target-block unitaries rotate the embedded copy.
     """
 
-    def __init__(self, source, target, inclusion, block_unitaries=None):
-        lam = np.asarray(inclusion)
-        if lam.shape != (source.nblocks, target.nblocks):
-            raise InvalidInput("inclusion matrix shape %r != (%d, %d)" % (lam.shape, source.nblocks, target.nblocks))
-        lam = linalg.integer_matrix(lam, "inclusion matrix")
+    def __init__(self, source_dims, target, inclusion, block_unitaries=None):
+        # dims and unitality first, so a dims mismatch is reported as such
+        # rather than as a trace normalization failure
+        lam = check_unital_dims(source_dims, inclusion, target.dims)
         if np.any(lam.sum(axis=1) == 0):
             raise NonUnitalInclusion("a source block is annihilated (zero row in the inclusion matrix)")
-        check_unital_dims(source.dims, lam, target.dims)
-        restricted = lam @ target.trace_vector
-        if np.max(np.abs(restricted - source.trace_vector)) > linalg.EPS_INPUT:
-            raise TraceMismatch(
-                "source trace %r != inclusion @ target trace %r" % (list(source.trace_vector), list(restricted))
-            )
+        self.source = MultiMatrixAlgebra(source_dims, lam @ target.trace_vector)
         if block_unitaries is not None:
             block_unitaries = [np.asarray(u, dtype=complex) for u in block_unitaries]
             if len(block_unitaries) != target.nblocks:
@@ -296,22 +293,10 @@ class UnitalEmbedding:
             for u, n in zip(block_unitaries, target.dims):
                 if u.shape != (n, n) or _unitarity_residuals([u[None]])[0] > linalg.EPS_INPUT:
                     raise NotUnitary("block unitary is not a unitary of the right size")
-        self.source = source
         self.target = target
         self.inclusion = lam
         self.block_unitaries = block_unitaries
         self._image = None
-
-    @classmethod
-    def canonical(cls, source_dims, target, inclusion, block_unitaries=None):
-        """Build the source algebra with the restricted trace, then embed."""
-        lam = np.asarray(inclusion)
-        # check shape and unitality up front so a dims mismatch is reported
-        # as such rather than as a trace normalization failure
-        check_unital_dims(source_dims, lam, target.dims)
-        t_src = lam @ target.trace_vector
-        source = MultiMatrixAlgebra(source_dims, t_src)
-        return cls(source, target, lam, block_unitaries)
 
     def apply(self, x):
         blocks = []

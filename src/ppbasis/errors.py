@@ -30,10 +30,6 @@ class NonUnitalInclusion(AlgebraError):
     """Inclusion data whose multiplicities cannot describe a unital embedding."""
 
 
-class TraceMismatch(AlgebraError):
-    """Trace vectors incompatible with the inclusion matrix (t_sub != Lambda t_amb)."""
-
-
 class InvalidPathPair(AlgebraError):
     """Two paths that do not share an endpoint cannot index a matrix unit."""
 

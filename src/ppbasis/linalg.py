@@ -21,7 +21,7 @@ from .errors import FactorizationFailed, InvalidInput
 
 EPS_TRACE = 1e-12  # trace normalization sum n_i t_i = 1, same_structure, Perron positivity
 EPS_RANK = 1e-10   # relative singular-value cutoff: nullspace, orthonormal_columns
-EPS_INPUT = 1e-10  # exactness of structural input: unitary blocks, trace compatibility, actions, allclose
+EPS_INPUT = 1e-10  # exactness of structural input: unitary blocks, actions, allclose
 EPS_REL = 1e-9     # linear identities: span closure, pushdown, Perron gap, commuting-square and expect floors
 EPS_FLAG = 1e-8    # default of every flag decision (system, basis, normalizer, projection, ...); integer entries
 EPS_WEDD = 1e-7    # acceptance of a Wedderburn attempt: minimal projections and matrix-unit relations
@@ -165,9 +165,9 @@ def projection_residuals(p):
 
 def integers(a, what):
     """``a`` as an int array; InvalidInput naming ``what`` unless its entries are nonnegative real numbers within
-    EPS_FLAG of integers below 2**63, checked before any cast: 3 and 3.0 pass, 2.5, "3", -1, nan and 2**63 do not."""
+    EPS_FLAG of integers below 2**63, checked before any cast: 3 and 3.0 pass; 2.5, "3", True, -1, nan, 2**63 do not."""
     a = np.asarray(a)
-    in_range = a.dtype.kind in "buif" and ((a >= 0) & (a < 2 ** 63)).all()  # nan and inf fail here
+    in_range = a.dtype.kind in "uif" and ((a >= 0) & (a < 2 ** 63)).all()  # a bool is refused first; nan and inf here
     if not in_range or a.dtype.kind == "f" and not (np.abs(a - np.round(a)) <= EPS_FLAG).all():
         raise InvalidInput("%s must be nonnegative integers" % what)
     return np.round(a).astype(int)

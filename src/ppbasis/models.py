@@ -13,7 +13,7 @@ from . import linalg
 from .algebra import MultiMatrixAlgebra, Subalgebra, UnitalEmbedding
 from .basic import markov_trace
 from .errors import InvalidInput, InvalidSubgroup
-from .paths import BratteliDiagram, PathModel
+from .paths import PathModel
 from .regular import Automorphism, CrossedProductModel, GroupTable
 
 
@@ -31,21 +31,19 @@ class ModelPair:
 def explicit_pair(dims, inclusion, trace="markov", unitaries=None, name="explicit"):
     """Inclusion from raw data: sub dims, multiplicity matrix, ambient trace.
 
-    ``trace`` is either the ambient trace vector or "markov"; ambient dims
-    are forced by unitality.
+    The one builder of an inclusion from this data; the path models view its
+    embedding.  ``trace`` is either the ambient trace vector or "markov";
+    ambient dims are forced by unitality.
     """
     dims, lam = linalg.integers(dims, "dims"), linalg.integer_matrix(inclusion, "inclusion matrix")
-    if dims.ndim != 1 or lam.ndim != 2 or lam.shape[0] != len(dims):
+    if dims.ndim != 1 or lam.shape[0] != len(dims):
         raise InvalidInput("inclusion matrix needs one row per subalgebra block")
     if isinstance(trace, str):
         if trace != "markov":
             raise InvalidInput("trace must be a vector or the string 'markov'")
-        trace_vec = markov_trace(lam, dims).trace_amb
-    else:
-        trace_vec = np.asarray(trace, dtype=float)
-    amb_dims = lam.T @ dims
-    ambient = MultiMatrixAlgebra(tuple(int(n) for n in amb_dims), trace_vec)
-    emb = UnitalEmbedding.canonical(dims, ambient, lam, block_unitaries=unitaries)
+        trace = markov_trace(lam, dims).trace_amb
+    ambient = MultiMatrixAlgebra(tuple((lam.T @ dims).tolist()), trace)
+    emb = UnitalEmbedding(dims, ambient, lam, block_unitaries=unitaries)
     return ModelPair(name=name, ambient=ambient, sub=emb.image(), embedding=emb)
 
 
@@ -146,15 +144,15 @@ def degenerate_quadruple():
 
 def path_cc_m2():
     """Scalars inside M2 as a one-edge-pair path model."""
-    return PathModel(BratteliDiagram((1,), [[2]]))
+    return PathModel(explicit_pair((1,), [[2]]).embedding)
 
 def path_c_cm2():
     """Scalars inside C + M2 (canonical trace 1/5, 2/5)."""
-    return PathModel(BratteliDiagram((1,), [[1, 2]]))
+    return PathModel(explicit_pair((1,), [[1, 2]]).embedding)
 
 def path_cm2_m3():
     """C + M2 inside M3."""
-    return PathModel(BratteliDiagram((1, 2), [[1], [1]]))
+    return PathModel(explicit_pair((1, 2), [[1], [1]]).embedding)
 
 
 def _check_subgroup(group, subset):

@@ -5,7 +5,10 @@ m_i, and a bottom layer determined by a nonnegative integer inclusion matrix;
 m_i parallel edges join the top vertex to middle block i and inclusion[i, j]
 edges join middle block i to bottom block j.  Paths from the top to the
 bottom index the matrix units of the bottom algebra; summing over extensions
-of shorter paths realizes the middle algebra inside it.  The conditional
+of shorter paths realizes the middle algebra inside it.  A PathModel is a
+view of an untwisted UnitalEmbedding (``models.explicit_pair(...).embedding``):
+its diagram is read off the embedding's dims and inclusion matrix, and its
+algebras, traces and middle units are the embedding's.  The conditional
 expectation onto the middle algebra acts on matrix units by a closed-form
 coefficient, and suitably normalized sums of units over middle paths give
 path-indexed orthogonal systems and scalar two-sided bases.
@@ -16,8 +19,6 @@ from collections import namedtuple
 import numpy as np
 
 from . import linalg
-from .algebra import MultiMatrixAlgebra, UnitalEmbedding
-from .basic import markov_trace
 from .errors import InvalidInput, InvalidPathPair, NonUnitalInclusion
 
 Edge0 = namedtuple("Edge0", "block slot")
@@ -59,26 +60,21 @@ class BratteliDiagram:
         for j, n in enumerate(self.bottom_dims):
             assert len(self.block_paths[j]) == n
 
-    def markov(self):
-        return markov_trace(self.inclusion, self.middle_dims)
-
 
 class PathModel:
-    """Concrete path-algebra realization of a two-level diagram.
+    """Path-algebra view of an untwisted unital embedding of the middle algebra into the bottom one.
 
-    ``bottom_trace`` may be a vector or the string "markov".  The middle
-    trace is its restriction through the inclusion matrix.
+    The diagram is read off the embedding's source dims and inclusion matrix;
+    the bottom algebra is its target, and the middle trace the restriction of
+    the bottom one through the inclusion matrix.
     """
 
-    def __init__(self, diagram, bottom_trace="markov"):
-        self.diagram = diagram
-        if isinstance(bottom_trace, str):
-            if bottom_trace != "markov":
-                raise InvalidInput("bottom_trace must be a vector or 'markov'")
-            bottom_trace = diagram.markov().trace_amb
-        self.bottom = MultiMatrixAlgebra(diagram.bottom_dims, bottom_trace)
-        self.embedding = UnitalEmbedding.canonical(diagram.middle_dims, self.bottom, diagram.inclusion)
-        self.middle_skeleton = self.embedding.source
+    def __init__(self, embedding):
+        if embedding.block_unitaries is not None:
+            raise InvalidInput("a path model reads an untwisted embedding, not one with block unitaries")
+        self.embedding = embedding
+        self.diagram = BratteliDiagram(embedding.source.dims, embedding.inclusion)
+        self.bottom, self.middle_skeleton = embedding.target, embedding.source
         self.t1, self.t0 = self.bottom.trace_vector, self.middle_skeleton.trace_vector
 
     def unit(self, lam, mu):

@@ -31,7 +31,7 @@ from .models import (
     group_algebra_pair,
     masa_quadruple,
 )
-from .paths import BratteliDiagram, PathModel, scalar_basis
+from .paths import PathModel, scalar_basis
 from .regular import Automorphism, GroupTable, regular_pipeline
 from .systems import classify, complete_to_basis, construct_system_with_support
 
@@ -58,10 +58,15 @@ def _round_tree(obj):
     raise ScenarioError("cannot serialize value of type %s" % type(obj).__name__)
 
 
+def _is_number(v):
+    """Whether ``v`` is a JSON number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_scalar(v):
-    if isinstance(v, (int, float)):
+    if _is_number(v):
         return complex(v)
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(c, (int, float)) for c in v):
+    if isinstance(v, list) and len(v) == 2 and all(_is_number(c) for c in v):
         return complex(v[0], v[1])
     raise ScenarioError("scalar entries must be numbers or [re, im] pairs, got %r" % (v,))
 
@@ -100,7 +105,7 @@ def _count(value, field):
 def _parse_trace(spec):
     if spec is None or spec == "markov":
         return "markov"
-    if isinstance(spec, list) and all(isinstance(v, (int, float)) for v in spec):
+    if isinstance(spec, list) and all(_is_number(v) for v in spec):
         return tuple(float(v) for v in spec)
     raise ScenarioError("trace must be 'markov' or a list of numbers")
 
@@ -184,8 +189,7 @@ class LoadedModel:
         emb = self.require_pair().embedding
         if emb is None or emb.block_unitaries is not None:
             raise ScenarioError("path tasks need an untwisted explicit inclusion")
-        diagram = BratteliDiagram(emb.source.dims, emb.inclusion)
-        return PathModel(diagram, bottom_trace=np.asarray(emb.target.trace_vector))
+        return PathModel(emb)
 
     def elements(self, source):
         pair = self.require_pair()
@@ -253,6 +257,8 @@ def _crossed_product_model(spec, seed):
     if trace is None:
         total = float(sum(d * d for d in base_dims))
         trace = tuple(d / total for d in base_dims)
+    elif not isinstance(trace, list) or not all(_is_number(v) for v in trace):
+        raise ScenarioError("base_trace must be a list of numbers, got %r" % (trace,))
     base = MultiMatrixAlgebra(base_dims, trace)
     pair = crossed_product_pair(base, group, _action_from_spec(action, base, group), seed=seed)
     return {"pair": pair}
@@ -268,10 +274,9 @@ def _quadruple_model(spec, seed):
 
 
 def _path_model(spec, seed):
-    diagram = BratteliDiagram(tuple(_count(d, "middle_dims") for d in spec["middle_dims"]), spec["inclusion"])
-    trace = _parse_trace(spec.get("trace", "markov"))
-    pm = PathModel(diagram, bottom_trace="markov" if trace == "markov" else np.asarray(trace))
-    return {"path": pm}
+    dims = tuple(_count(d, "middle_dims") for d in spec["middle_dims"])
+    pair = explicit_pair(dims, spec["inclusion"], trace=_parse_trace(spec.get("trace", "markov")))
+    return {"path": PathModel(pair.embedding)}
 
 
 # each builder returns the pair, quadruple or path model of a LoadedModel
@@ -476,14 +481,13 @@ def _check_expect(expect, result, eps):
         flags = result.get("flags", {})
         numbers = result.get("numbers", {})
         if key in flags:
-            if bool(flags[key]) != bool(want):
+            if not isinstance(want, bool):
+                failures.append("%s has non-boolean expectation %r" % (key, want))
+            elif bool(flags[key]) != want:
                 failures.append("%s = %s, expected %s" % (key, flags[key], want))
         elif key in numbers:
             got = numbers[key]
-            if isinstance(want, bool) or isinstance(got, bool):
-                if bool(got) != bool(want):
-                    failures.append("%s = %s, expected %s" % (key, got, want))
-            elif not isinstance(want, (int, float)):
+            if not _is_number(want):
                 failures.append("%s has non-numeric expectation %r" % (key, want))
             elif not isinstance(got, (int, float, np.integer, np.floating)):
                 failures.append("%s is not a number, expected %s" % (key, want))
@@ -502,7 +506,7 @@ def run_scenario_dict(data):
     with _fields_of("scenario"):
         seed = _count(data.get("seed", 0), "seed")
     eps = data.get("eps", linalg.EPS_FLAG)  # a JSON number: true would read as 1.0 and "0.5" as 0.5
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0 < eps < np.inf:  # nan fails too
+    if not _is_number(eps) or not 0 < eps < np.inf:  # nan fails too
         raise ScenarioError("scenario eps must be a finite positive number, got %r" % (eps,))
     eps = float(eps)
     tasks = data.get("tasks")

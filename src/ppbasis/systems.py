@@ -51,7 +51,7 @@ def _rows(stacks, sub, sides):
 def _grams(rows, m1):
     """Gram entries E_N(x_s* x_t) in N's units, the coefficient of e^i_pq being <W_{i,q}^* x_t, W_{i,p}^* x_s> / T_i,
     one GEMM per group of ``_rows``: (S, g, n m, n m) matrices and their (S, g, n, n, m, m) view; and the GNS 2-norms
-    of the entries (S, n, n) and of q^2 - q, q - q* and q - 1 for the diagonal entries q (S, 3, n)."""
+    of the entries (S, n, n)."""
     grams, norms = [], 0.0
     for r, t in zip(rows, m1._traces):
         s, g, n, m, k = r.shape
@@ -61,10 +61,13 @@ def _grams(rows, m1):
         if not np.isfinite(mat).all():
             raise InvalidInput("non-finite Gram entry")
         grams.append((mat, mat.reshape(s, g, n, m, n, m).transpose(0, 1, 2, 4, 3, 5)))
-        q = grams[-1][1][:, :, np.arange(n), np.arange(n)]  # (S, g, n, m, m)
-        e = np.concatenate([grams[-1][1], np.stack([q @ q - q, q - q.conj().swapaxes(-1, -2), q - np.eye(m)], 2)], 2)
-        norms = norms + (t[:, None, None] * (e.conj() * e).real.sum(axis=(-2, -1))).sum(axis=1)
-    return grams, np.sqrt(norms[:, :n]), np.sqrt(norms[:, n:])
+        norms = norms + _weighted_norms(grams[-1][1], t)
+    return grams, np.sqrt(norms)
+
+
+def _weighted_norms(blocks, traces):
+    """Squared GNS 2-norms of the (S, g, a, b, m, m) blocks of a group with block traces ``traces``, summed over g."""
+    return (traces[:, None, None] * (blocks.conj() * blocks).real.sum(axis=(-2, -1))).sum(axis=1)
 
 
 def gram_matrix(elements, sub, side="right"):
@@ -110,18 +113,22 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
     return _classified(elements, sub, side, bc, tol)[0]
 
 
-def _gram_residuals(grams, norms, diag, supports):
+def _gram_residuals(grams, norms, supports, m1):
     """Per side, (S,) arrays from ``_grams`` and M1's ``support``, both sides at once per group: the projection residual
     and 1 + norm of the Gram matrix G from one eigvalsh (max |l^2 - l|, next to ||i(G - G*)||, and max |l|), the largest
-    norms of the off-diagonal entries, of q^2 - q or q - q* and of q - 1, and ||support - 1|| from one eigvalsh."""
-    res = norm = basis = 0.0
-    for (mat, _), sup in zip(grams, supports):
+    norms of the off-diagonal entries, of q^2 - q or q - q* and of q - 1 for the diagonal entries q, and
+    ||support - 1|| from one eigvalsh."""
+    res = norm = basis = diag = 0.0
+    for (mat, view), sup, t in zip(grams, supports, m1._traces):
+        n, m = view.shape[2], view.shape[-1]
+        q = view[:, :, np.arange(n), np.arange(n)]  # (S, g, n, m, m)
+        diag = diag + _weighted_norms(np.stack([q @ q - q, q - q.conj().swapaxes(-1, -2), q - np.eye(m)], 2), t)
         vals, defect = linalg.eigvalsh(mat).reshape(len(mat), -1), 1j * (mat - mat.conj().swapaxes(-1, -2))
         herm = np.abs(linalg.eigvalsh(defect)).reshape(len(mat), -1).max(axis=1) if np.any(defect) else 0.0
         res = np.maximum(res, np.maximum(np.abs(vals * vals - vals).max(axis=1), herm))
         norm = np.maximum(norm, np.abs(vals).max(axis=1))
         basis = np.maximum(basis, np.abs(linalg.eigvalsh(sup) - 1.0).reshape(len(mat), -1).max(axis=1))
-    off = norms[:, ~np.eye(norms.shape[-1], dtype=bool)].max(axis=1, initial=0.0)
+    off, diag = norms[:, ~np.eye(norms.shape[-1], dtype=bool)].max(axis=1, initial=0.0), np.sqrt(diag)
     return res, 1.0 + norm, off, diag[:, :2].max(axis=(1, 2)), diag[:, 2].max(axis=1), basis
 
 
@@ -131,8 +138,8 @@ def _classified(elements, sub, side, bc, tol, rows=None):
     linalg.check_tol(tol)
     sides, m1 = ("right", "left") if side == "two-sided" else (side,), sub.wedderburn_data().m1
     rows = _rows(sub.ambient.stacked(elements), sub, sides) if rows is None else rows
-    (grams, norms, diag), supports = _grams(rows, m1), m1.support(rows)
-    values = _gram_residuals(grams, norms, diag, supports)
+    (grams, norms), supports = _grams(rows, m1), m1.support(rows)
+    values = _gram_residuals(grams, norms, supports, m1)
     grams_out, supports_out, residuals = {}, {}, {}
     flags = {"system": True, "orthogonal": True, "orthonormal": True, "basis": True}
     for k, s in enumerate(sides):

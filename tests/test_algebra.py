@@ -3,7 +3,6 @@ import pytest
 
 from ppbasis import (
     AlgebraElement,
-    BratteliDiagram,
     GroupTable,
     MultiMatrixAlgebra,
     PathModel,
@@ -18,7 +17,6 @@ from ppbasis.errors import (
     NonUnitalInclusion,
     NotSubalgebra,
     NotUnitary,
-    TraceMismatch,
 )
 from oracles import left_op, right_op, unit_coefficients, unit_roundtrip_residual, units
 
@@ -113,7 +111,7 @@ def test_vec_unvec_roundtrip_and_inner_product():
 def test_unvec_reads_back_the_middle_units_exactly():
     # unvec divides the weights out of re and im apart, as the kept units are read back:
     # a complex division turned an entry 1 into 1 + 1.1e-16 on some of these units
-    pm = PathModel(BratteliDiagram((2, 1), [[2, 1], [1, 0]]))
+    pm = PathModel(models.explicit_pair((2, 1), [[2, 1], [1, 0]]).embedding)
     amb = pm.bottom
     for block in units(pm.middle_subalgebra().wedderburn_data()):
         for x in (x for row in block for x in row):
@@ -174,30 +172,32 @@ def test_modular_conjugation_matches_permutation_matrix(alg):
 
 
 def test_embedding_requires_unitality():
-    src = MultiMatrixAlgebra((1, 1), (0.5, 0.5))
     amb = MultiMatrixAlgebra((3,), (1.0 / 3,))
     with pytest.raises(NonUnitalInclusion) as ei:
-        UnitalEmbedding.canonical((1, 1), amb, [[1], [1]])
+        UnitalEmbedding((1, 1), amb, [[1], [1]])
     assert "inclusion^T" in str(ei.value)
     with pytest.raises(NonUnitalInclusion):
-        UnitalEmbedding.canonical((1, 2), amb, [[1], [0]])
-    # correct column sums work
-    emb = UnitalEmbedding.canonical((1, 2), amb, [[1], [1]])
+        UnitalEmbedding((1, 2), amb, [[1], [0]])
+    # a zero row would give the source a zero trace weight; it reads as the annihilated block it is
+    with pytest.raises(NonUnitalInclusion, match="annihilated"):
+        UnitalEmbedding((1, 1), MultiMatrixAlgebra((1,), (1.0,)), [[1], [0]])
+    # correct column sums work, and the source carries the restricted trace
+    emb = UnitalEmbedding((1, 2), amb, [[1], [1]])
     assert emb.source.same_structure(MultiMatrixAlgebra((1, 2), (1.0 / 3, 1.0 / 3)))
-    del src
 
 
-def test_embedding_trace_mismatch():
-    amb = MultiMatrixAlgebra((2,), (0.5,))
-    bad = MultiMatrixAlgebra((1, 1), (0.3, 0.7))  # compatible trace needs (0.5, 0.5)
-    with pytest.raises(TraceMismatch):
-        UnitalEmbedding(bad, amb, [[1], [1]])
+@pytest.mark.parametrize("inclusion", [[[1, 1]], [[1], [1]], [[[1]]]])
+def test_embedding_refuses_an_inclusion_of_the_wrong_shape(inclusion):
+    # one row per source block and one column per target block; a wrong column count is
+    # a malformed matrix, not a unitality failure
+    with pytest.raises(InvalidInput):
+        UnitalEmbedding((1,), MultiMatrixAlgebra((1,), (1.0,)), inclusion)
 
 
 def test_embedding_rejects_bad_unitaries():
     amb = MultiMatrixAlgebra((2,), (0.5,))
     with pytest.raises(NotUnitary):
-        UnitalEmbedding.canonical((1, 1), amb, [[1], [1]], block_unitaries=[np.ones((2, 2))])
+        UnitalEmbedding((1, 1), amb, [[1], [1]], block_unitaries=[np.ones((2, 2))])
 
 
 def test_embedding_is_star_homomorphism():

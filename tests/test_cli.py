@@ -319,6 +319,29 @@ MALFORMED = {
         "model": {"kind": "explicit", "dims": [1], "inclusion": [[1e300]], "ambient_dims": [1]},
         "tasks": [{"task": "markov"}],
     },
+    # a raw OverflowError once: a bool array was compared with 2**63
+    "inclusion-bool": {
+        "model": {"kind": "explicit", "dims": [1], "inclusion": [[True, True]]},
+        "tasks": [{"task": "markov"}],
+    },
+    "perm-bool": {
+        "model": {"kind": "crossed_product", "base_dims": [1, 1], "group": "cyclic:2",
+                  "action": [{"perm": [False, True]}, {"perm": [True, False]}]},
+        "tasks": [{"task": "markov"}],
+    },
+    # a JSON true once read as the number 1, and each run passed
+    "trace-bool": {
+        "model": {"kind": "explicit", "dims": [1], "inclusion": [[1]], "trace": [True]},
+        "tasks": [{"task": "markov"}],
+    },
+    "candidate-bool": {
+        "model": {"kind": "explicit", "dims": [1], "inclusion": [[1]], "trace": [1.0], "candidates": [[[[True]]]]},
+        "tasks": [{"task": "markov"}],
+    },
+    "base-trace-bool": {
+        "model": {"kind": "crossed_product", "base_dims": [1], "group": "cyclic:2", "base_trace": [True]},
+        "tasks": [{"task": "markov"}],
+    },
 }
 
 
@@ -382,6 +405,26 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     if case in INTEGER_FIELDS:
         assert err.startswith("error: %s must be a nonnegative integer, got " % INTEGER_FIELDS[case][0])
+
+
+# an expectation is compared by its type: a flag's must be a JSON boolean and a number's a number;
+# on diag-in-M2 each of these once passed by truthiness (its shifts form a two-sided basis, beta = 2)
+EXPECTATIONS = {
+    "flag-string": ("classify_system", {"basis": "false"}, "basis has non-boolean expectation 'false'"),
+    "flag-number": ("classify_system", {"basis": 0.5}, "basis has non-boolean expectation 0.5"),
+    "number-bool": ("markov", {"beta": True}, "beta has non-numeric expectation True"),
+    "pipeline-flag-string": ("regular_pipeline", {"regular": "no"}, "regular has non-boolean expectation 'no'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTATIONS))
+def test_expectation_of_the_wrong_type_is_a_mismatch(tmp_path, capsys, case):
+    task, expect, message = EXPECTATIONS[case]
+    spec = {"model": {"kind": "diagonal_in_matrix", "k": 2},
+            "tasks": [{"task": task, "elements": "candidates", "expect": expect}]}
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, spec))
+    assert (code, err) == (1, "")
+    assert "  mismatch: %s\n" % message in out and out.endswith("result: FAIL\n")
 
 
 def test_list_valued_result_against_a_number_is_a_mismatch(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ppbasis import BratteliDiagram, PathModel, Subalgebra, classify, scalar_basis
+from ppbasis import BratteliDiagram, PathModel, Subalgebra, classify, markov_trace, scalar_basis
 from ppbasis import algebra, linalg, models
 from ppbasis.errors import (
     InvalidInput,
@@ -34,9 +34,10 @@ def test_diagram_path_count():
 
 
 def test_path_model_middle_trace_validation():
-    d = BratteliDiagram((1, 2), [[1], [1]])
+    # the path model reads the middle units off an untwisted embedding only
+    twisted = models.explicit_pair((1, 1), [[1], [1]], unitaries=[[[0.6, 0.8], [-0.8, 0.6]]]).embedding
     with pytest.raises(InvalidInput):
-        PathModel(d, bottom_trace="uniform")
+        PathModel(twisted)
 
 
 def test_unit_indexing_errors():
@@ -110,7 +111,7 @@ def test_middle_units_are_the_sums_over_common_extensions(middle_dims, inclusion
     # the paths of each bottom block run copy before slot, the order of UnitalEmbedding's
     # copies, so the image's kept units are the sums over common extensions of two middle
     # paths, and the image of each middle unit under the embedding
-    pm = PathModel(BratteliDiagram(middle_dims, inclusion))
+    pm = PathModel(models.explicit_pair(middle_dims, inclusion).embedding)
     d = pm.diagram
     for th in d.edges0:
         for tp in d.edges0:
@@ -193,6 +194,6 @@ def test_scalar_basis_size_multi_block():
 def test_markov_through_diagram():
     # beta is the Perron eigenvalue of inclusion^T inclusion
     d = BratteliDiagram((1, 2), [[1], [1]])
-    assert abs(d.markov().beta - 2.0) < 1e-12
+    assert abs(markov_trace(d.inclusion, d.middle_dims).beta - 2.0) < 1e-12
     d2 = BratteliDiagram((1,), [[1, 1]])
-    assert abs(d2.markov().beta - 2.0) < 1e-12
+    assert abs(markov_trace(d2.inclusion, d2.middle_dims).beta - 2.0) < 1e-12

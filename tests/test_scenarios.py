@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppbasis import MultiMatrixAlgebra, models, scenarios
+from ppbasis import MultiMatrixAlgebra, Subalgebra, models, scenarios
 from ppbasis.errors import ScenarioError
 from ppbasis.scenarios import (
     _group_from_spec,
@@ -104,14 +104,90 @@ def test_run_scenario_dict_validation():
         )
 
 
+S3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1], [1, 0, 2], [0, 2, 1], [2, 1, 0]]  # the identity first, then A3's 3-cycles
+REGULAR = dict.fromkeys(("regular", "coset_system_orthonormal", "support_equals_eP", "patched_basis_two_sided"), True)
+TWIST = [[[0.6, 0.8], [-0.8, 0.6]]]
+
+# scenarios of the model kinds and tasks that the selftest corpus does not run, all of them passing
+SCENARIOS = {
+    "path": {
+        "name": "path-check",
+        "model": {"kind": "path", "middle_dims": [1, 2], "inclusion": [[1], [1]]},
+        "tasks": [{"task": "path_basis", "expect": {"orthogonal": True}}],
+    },
+    # the support of the identity is e1 (rank 3 in M1); the three shifts fill M1 (rank 9) and form a basis
+    "support": {
+        "model": {"kind": "diagonal_in_matrix", "k": 3},
+        "tasks": [
+            {"task": "support", "elements": "identity", "expect": {"support_rank": 3, "e1_rank": 3, "basis": False}},
+            {"task": "support", "elements": "candidates", "expect": {"support_rank": 9, "basis": True}},
+        ],
+    },
+    "action-list": {
+        "model": {"kind": "crossed_product", "base_dims": [1, 1], "group": "cyclic:2",
+                  "action": [{"perm": [0, 1]}, {"perm": [1, 0]}]},
+        "tasks": [{"task": "regular_pipeline",
+                   "expect": dict(REGULAR, beta=2.0, dim_commutant=2, reps=2, basis_size=2)}],
+    },
+    "twisted": {
+        "model": {"kind": "explicit", "dims": [1, 1], "inclusion": [[1], [1]], "unitaries": TWIST},
+        "tasks": [{"task": "regular_pipeline", "expect": {"beta": 2.0, "regular": False}}],
+    },
+    "s3-over-e": {
+        "model": {"kind": "group_algebra_pair", "group": {"permutations": S3}, "subgroup": [0]},
+        "tasks": [{"task": "regular_pipeline",
+                   "expect": dict(REGULAR, beta=6.0, dim_commutant=6, reps=1, basis_size=6)}],
+    },
+    # C[A3] in C[S3]: the trivial and sign characters both restrict to A3's trivial one, so Lambda is disconnected
+    "s3-over-a3": {
+        "model": {"kind": "group_algebra_pair", "group": {"permutations": S3}, "subgroup": [0, 1, 2]},
+        "tasks": [{"task": "regular_pipeline", "expect": {"error": "NonConnected"}}],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_passes(name):
+    report, _ = run_scenario_dict(SCENARIOS[name])
+    assert report["pass"]
+
+
+def test_every_model_kind_and_task_is_run_by_a_scenario():
+    corpus = list(SCENARIOS.values()) + scenarios.selftest_corpus()
+    assert {data["model"]["kind"] for data in corpus} == set(scenarios.MODEL_KINDS)
+    assert {task["task"] for data in corpus for task in data["tasks"]} == set(scenarios.TASKS)
+
+
+def _pipeline_entry(model):
+    return run_scenario_dict({"model": model, "tasks": [{"task": "regular_pipeline"}]})[0]["results"][0]
+
+
+def test_action_given_as_a_list_matches_the_cyclic_shift():
+    shift = dict(SCENARIOS["action-list"]["model"], action="cyclic_shift")
+    assert _pipeline_entry(SCENARIOS["action-list"]["model"]) == _pipeline_entry(shift)
+
+
+def test_twisted_explicit_model_reads_as_the_untwisted_one():
+    twisted = _pipeline_entry(SCENARIOS["twisted"]["model"])
+    plain = _pipeline_entry(dict(SCENARIOS["twisted"]["model"], unitaries=None))
+    assert twisted["flags"] == plain["flags"] and twisted["issues"] == plain["issues"] == ["NotRegular"]
+    assert abs(twisted["numbers"].pop("beta") - plain["numbers"].pop("beta")) <= 1e-12
+    ints = {k: v for k, v in plain["numbers"].items() if isinstance(v, int)}
+    assert ints and ints == {k: v for k, v in twisted["numbers"].items() if isinstance(v, int)}
+
+
+def test_path_task_on_an_explicit_model_embeds_the_middle_algebra_once(monkeypatch):
+    # the path model is a view of the pair's embedding, not a second build of the same inclusion
+    calls, embedded = [], Subalgebra.embedded.__func__
+    spy = classmethod(lambda cls, *args: calls.append(args) or embedded(cls, *args))
+    monkeypatch.setattr(Subalgebra, "embedded", spy)
+    report, _ = run_scenario_dict({"model": {"kind": "explicit", "dims": [1], "inclusion": [[1, 2]]},
+                                   "tasks": [{"task": "path_basis", "expect": {"orthogonal": True}}]})
+    assert report["pass"] and len(calls) == 1
+
+
 def test_path_task_through_scenario():
-    report, lines = run_scenario_dict(
-        {
-            "name": "path-check",
-            "model": {"kind": "path", "middle_dims": [1, 2], "inclusion": [[1], [1]]},
-            "tasks": [{"task": "path_basis", "expect": {"orthogonal": True}}],
-        }
-    )
+    report, lines = run_scenario_dict(SCENARIOS["path"])
     assert report["pass"]
     entry = report["results"][0]
     assert entry["numbers"]["expectation_residual"] < 1e-9

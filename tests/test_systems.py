@@ -616,7 +616,7 @@ def check_against_svd_oracle(family, sub):
     route, the unitarity residuals within 1e-12 (1 + residual), and every flag they decide equal."""
     sys, m1, system = classify(family, sub, side="two-sided"), sub.wedderburn_data().m1, True
     rows = _rows(sub.ambient.stacked(family), sub, ("right", "left"))  # the batched route, both sides at once
-    batched = _gram_residuals(*_grams(rows, m1), m1.support(rows))
+    batched = _gram_residuals(*_grams(rows, m1), m1.support(rows), m1)
     for k, side in enumerate(("right", "left")):
         r, scale = oracles.svd_gram_residuals(sys.gram[side])
         got_r, got_scale = batched[0][k], batched[1][k]

@@ -59,7 +59,8 @@ def test_integer_matrix():
     assert lam.dtype.kind == "i" and lam.tolist() == [[1, 2], [0, 1]]
     assert linalg.integer_matrix([[3 + 1e-9]], "m").tolist() == [[3]]
     # rtol is 0: numpy's default rtol=1e-5 would have accepted 3 + 1e-7
-    for bad in ([[1, -1]], [[0.5]], [1, 2], [[3 + 1e-7]], [[np.nan]], [[2 ** 63]], [[1e300]], [[np.inf]]):
+    for bad in ([[1, -1]], [[0.5]], [1, 2], [[3 + 1e-7]], [[np.nan]], [[2 ** 63]], [[1e300]], [[np.inf]], [True],
+                [[True, True]]):
         with pytest.raises(InvalidInput, match="nonnegative integers"):
             linalg.integer_matrix(bad, "m")
     # entries that do not fit an int64 are refused before the cast, which wrapped 2**63
@@ -70,6 +71,16 @@ def test_integer_matrix():
             linalg.integers(bad, "x")
     with pytest.raises(InvalidInput, match="^inclusion matrix must be nonnegative integers"):
         models.explicit_pair((1,), [[1e300]], trace=(1.0,))
+
+
+def test_explicit_pair_checks_its_inclusion_matrix_once_per_reader(monkeypatch):
+    # explicit_pair, markov_trace and UnitalEmbedding each check Lambda once; a trace vector needs no markov_trace
+    calls, check = [], linalg.integer_matrix
+    monkeypatch.setattr(linalg, "integer_matrix", lambda a, what: calls.append(what) or check(a, what))
+    models.explicit_pair((1, 2), [[1], [1]])
+    assert len(calls) == 3
+    models.explicit_pair((1, 2), [[1], [1]], trace=(1.0 / 3,))
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize(
