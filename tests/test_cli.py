@@ -407,6 +407,87 @@ def test_malformed_field_exits_2_with_one_line(tmp_path, capsys, case):
         assert err.startswith("error: %s must be a nonnegative integer, got " % INTEGER_FIELDS[case][0])
 
 
+D2 = {"kind": "diagonal_in_matrix", "k": 2}
+
+# each refusal of the runner names what it refused, on one line
+SCENARIO_ERRORS = {
+    "missing-k": ({"kind": "diagonal_in_matrix"}, {"task": "markov"}, "model spec is missing field 'k'"),
+    "dims-not-a-list": (
+        {"kind": "explicit", "dims": 3, "inclusion": [[1]]},
+        {"task": "markov"},
+        "model spec has a malformed field: 'int' object is not iterable",
+    ),
+    "cyclic-shift-order": (
+        {"kind": "crossed_product", "base_dims": [1, 1, 1], "group": "cyclic:2", "action": "cyclic_shift"},
+        {"task": "markov"},
+        "cyclic_shift needs |G| equal to the number of blocks",
+    ),
+    "action-length": (
+        {"kind": "crossed_product", "base_dims": [1, 1], "group": "cyclic:2", "action": [{"perm": [0, 1]}]},
+        {"task": "markov"},
+        "need one automorphism per group element",
+    ),
+    "action-unknown": (
+        {"kind": "crossed_product", "base_dims": [1, 1], "group": "cyclic:2", "action": "flip"},
+        {"task": "markov"},
+        "unknown action spec 'flip'",
+    ),
+    "quadruple-unknown": ({"kind": "quadruple", "which": "tilted"}, {"task": "interchange"}, "unknown quadruple 'tilted'"),
+    "elements-unknown": (D2, {"task": "classify_system", "elements": "everything"}, "unknown element source 'everything'"),
+    "support-unknown": (D2, {"task": "construct_with_support", "f": "two"}, "unknown support spec 'two'"),
+    "m1-central-range": (D2, {"task": "construct_with_support", "f": {"m1_central": 5}}, "m1_central index 5 out of range"),
+    "no-candidates": (
+        {"kind": "explicit", "dims": [1], "inclusion": [[1, 2]]},
+        {"task": "classify_system", "elements": "candidates"},
+        "model has no candidates",
+    ),
+    "path-twisted": (
+        {"kind": "explicit", "dims": [1, 1], "inclusion": [[1], [1]], "unitaries": [[[0.6, 0.8], [-0.8, 0.6]]]},
+        {"task": "path_basis"},
+        "path tasks need an untwisted explicit inclusion",
+    ),
+    "path-group-algebra": (
+        {"kind": "group_algebra_pair", "group": "cyclic:2", "subgroup": [0]},
+        {"task": "path_basis"},
+        "path tasks need an untwisted explicit inclusion",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCENARIO_ERRORS))
+def test_scenario_error_exits_2_with_its_message(tmp_path, capsys, case):
+    model, task, message = SCENARIO_ERRORS[case]
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, {"model": model, "tasks": [task]}))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+
+
+def test_action_given_with_unitaries_builds(tmp_path, capsys):
+    # Ad diag(1, -1) on M2 is an inner action of Z2: the crossed product is M2 + M2 over M2
+    flip = [{"perm": [0]}, {"perm": [0], "unitaries": [[[1, 0], [0, -1]]]}]
+    spec = {"model": {"kind": "crossed_product", "base_dims": [2], "group": "cyclic:2", "action": flip},
+            "tasks": [{"task": "markov", "expect": {"beta": 2.0}}]}
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, spec))
+    assert (code, err) == (0, "")
+    assert out.endswith("result: pass\n")
+
+
+# an expectation that the result does not meet is a mismatch line and exit 1
+MISMATCHES = {
+    "flag": ("regular_pipeline", {"regular": False}, "regular = True, expected False"),
+    "no-such-value": ("markov", {"gamma": 1.0}, "no value named gamma in the result"),
+    "error-not-raised": ("markov", {"error": "NonConnected"}, "expected error NonConnected was not raised"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISMATCHES))
+def test_unmet_expectation_exits_1_with_a_mismatch_line(tmp_path, capsys, case):
+    task, expect, message = MISMATCHES[case]
+    spec = {"model": D2, "tasks": [{"task": task, "expect": expect}]}
+    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, spec))
+    assert (code, err) == (1, "")
+    assert "  mismatch: %s\n" % message in out and out.endswith("result: FAIL\n")
+
+
 # an expectation is compared by its type: a flag's must be a JSON boolean and a number's a number;
 # on diag-in-M2 each of these once passed by truthiness (its shifts form a two-sided basis, beta = 2)
 EXPECTATIONS = {

@@ -158,6 +158,40 @@ def test_every_model_kind_and_task_is_run_by_a_scenario():
     assert {task["task"] for data in corpus for task in data["tasks"]} == set(scenarios.TASKS)
 
 
+# one small model of each kind, and the tasks that refuse it with a ScenarioError; each other task runs
+GRID = {
+    "explicit": {"kind": "explicit", "dims": [1], "inclusion": [[1, 2]]},
+    "diagonal_in_matrix": {"kind": "diagonal_in_matrix", "k": 2},
+    "group_algebra_pair": {"kind": "group_algebra_pair", "group": "cyclic:2", "subgroup": [0]},
+    "crossed_product": {"kind": "crossed_product", "base_dims": [1, 1], "group": "cyclic:2", "action": "cyclic_shift"},
+    "quadruple": {"kind": "quadruple", "which": "masa"},
+    "path": {"kind": "path", "middle_dims": [1], "inclusion": [[1, 2]]},
+}
+QUADRUPLE_TASKS = {"interchange", "commuting_square"}
+REFUSED = {
+    "explicit": QUADRUPLE_TASKS,
+    "diagonal_in_matrix": QUADRUPLE_TASKS,
+    "group_algebra_pair": QUADRUPLE_TASKS | {"path_basis"},
+    "crossed_product": QUADRUPLE_TASKS | {"path_basis"},
+    "quadruple": set(scenarios.TASKS) - QUADRUPLE_TASKS,
+    "path": set(scenarios.TASKS) - {"path_basis"},
+}
+
+
+def test_every_task_on_every_model_kind_runs_or_is_refused():
+    assert set(GRID) == set(scenarios.MODEL_KINDS)
+    refused = {kind: set() for kind in GRID}
+    for kind, model in GRID.items():
+        for task in scenarios.TASKS:
+            try:
+                report, _ = run_scenario_dict({"model": model, "tasks": [{"task": task}]})
+            except ScenarioError:
+                refused[kind].add(task)
+                continue
+            assert report["pass"] and len(report["results"]) == 1, (kind, task)
+    assert refused == REFUSED
+
+
 def _pipeline_entry(model):
     return run_scenario_dict({"model": model, "tasks": [{"task": "regular_pipeline"}]})[0]["results"][0]
 
