@@ -102,6 +102,11 @@ def _count(value, field):
     return value
 
 
+def _count_rows(rows, field):
+    """A matrix of nonnegative JSON integers, read entry by entry with ``_count``."""
+    return [[_count(v, field) for v in row] for row in rows]
+
+
 def _parse_trace(spec):
     if spec is None or spec == "markov":
         return "markov"
@@ -126,7 +131,7 @@ def _group_from_spec(spec):
         if "cyclic" in spec:
             return GroupTable.cyclic(_count(spec["cyclic"], "cyclic")), None
         if "table" in spec:
-            return GroupTable(spec["table"]), None
+            return GroupTable(_count_rows(spec["table"], "table")), None
         if "permutations" in spec:
             perms = [tuple(_count(v, "permutations") for v in p) for p in spec["permutations"]]
             group, order = GroupTable.from_permutations(perms)
@@ -150,6 +155,8 @@ def _action_from_spec(spec, base, group):
             if not isinstance(a, dict):
                 raise ScenarioError("each automorphism must be an object, got %r" % (a,))
             perm = a.get("perm")
+            if perm is not None:
+                perm = [_count(v, "perm") for v in perm]
             units = a.get("unitaries")
             if units is not None:
                 units = [_parse_matrix(u) for u in units]
@@ -222,7 +229,7 @@ def _fields_of(what):
 
 def _explicit_model(spec, seed):
     dims = tuple(_count(d, "dims") for d in spec["dims"])
-    lam = np.asarray(spec["inclusion"])
+    lam = _count_rows(spec["inclusion"], "inclusion")
     if "ambient_dims" in spec:
         check_unital_dims(dims, lam, [_count(n, "ambient_dims") for n in spec["ambient_dims"]])
     unitaries = spec.get("unitaries")
@@ -275,7 +282,7 @@ def _quadruple_model(spec, seed):
 
 def _path_model(spec, seed):
     dims = tuple(_count(d, "middle_dims") for d in spec["middle_dims"])
-    pair = explicit_pair(dims, spec["inclusion"], trace=_parse_trace(spec.get("trace", "markov")))
+    pair = explicit_pair(dims, _count_rows(spec["inclusion"], "inclusion"), trace=_parse_trace(spec.get("trace", "markov")))
     return {"path": PathModel(pair.embedding)}
 
 

@@ -350,7 +350,8 @@ def _markov(model, **fields):
 
 
 # integer fields take JSON integers only.  Each case below was once coerced and ran
-# to exit 0 (2.9 -> 2, true -> 1, "12" -> (1, 2), "02" -> [0, 2], 1.7 -> 1), except
+# to exit 0 (2.9 -> 2, true -> 1, "12" -> (1, 2), "02" -> [0, 2], 1.7 -> 1, a true
+# among the integers of an inclusion, a perm or a group table -> 1), except
 # the negative seed, which exited 2 as a malformed field of the model spec once a
 # decomposition drew from it; each error names its field
 INTEGER_FIELDS = {
@@ -392,6 +393,16 @@ INTEGER_FIELDS = {
     "int-permutation-bool": (
         "permutations",
         _markov({"kind": "group_algebra_pair", "group": {"permutations": [[0, 1], [True, False]]}, "subgroup": [0]}),
+    ),
+    "inclusion-mixed-bool": ("inclusion", _markov({"kind": "explicit", "dims": [1], "inclusion": [[True, 2]]})),
+    "perm-mixed-bool": (
+        "perm",
+        _markov({"kind": "crossed_product", "base_dims": [1, 1], "group": "cyclic:2",
+                 "action": [{"perm": [0, 1]}, {"perm": [True, 0]}]}),
+    ),
+    "table-mixed-bool": (
+        "table",
+        _markov({"kind": "group_algebra_pair", "group": {"table": [[0, True], [True, 0]]}, "subgroup": [0]}),
     ),
 }
 MALFORMED.update((case, spec) for case, (_, spec) in INTEGER_FIELDS.items())
