@@ -329,7 +329,6 @@ class WeylReport:
     flags: dict
     numbers: dict
     issues: tuple = ()
-    note: str = II1_NOTE
     markov: object = field(default=None, repr=False)
 
     def format_lines(self):
@@ -339,7 +338,7 @@ class WeylReport:
             "dim(N' cap M) = %d" % n["dim_commutant"],
             "|reps| = %d" % n["reps"],
             "|reps| * dim(N' cap M) = %d * %d = %d" % (n["reps"], n["dim_commutant"], n["product"]),
-            self.note,
+            II1_NOTE,
         ]
         for key in ("regular", "coset_system_orthonormal", "support_equals_eP", "patched_basis_two_sided"):
             lines.append("%s = %s" % (key, "true" if self.flags[key] else "false"))
@@ -350,19 +349,6 @@ class WeylReport:
         for issue in self.issues:
             lines.append("issue: %s" % issue)
         return lines
-
-    def to_dict(self):
-        out = {
-            "flags": dict(self.flags),
-            "numbers": dict(self.numbers),
-            "issues": list(self.issues),
-            "note": self.note,
-        }
-        if self.patched is not None:
-            out["patched_size"] = len(self.patched.elements)
-        if self.watatani is not None:
-            out["watatani_scalar"] = self.watatani.scalar
-        return out
 
 
 def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):

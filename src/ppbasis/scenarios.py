@@ -6,14 +6,15 @@ trace.  Every number in the machine report is rounded to 12 significant
 digits and the printed lines show exactly the rounded values, so a report is
 byte-stable for a fixed seed.  Model kinds and tasks are looked up in the
 MODEL_KINDS and TASKS tables; a missing or malformed field is a ScenarioError.
-Integer fields (seed, sizes, indices) take nonnegative JSON integers only: a
-float, a bool or a digit string is malformed, not rounded.  Tasks read what is
-kept on N's Wedderburn data wd (``wd.lam``, ``wd.m1``, and through the pipeline
-``wd.inner_basis``), so each is built once per model.
+Integer fields (seed, sizes, indices, the entries of an inclusion, a perm or a
+group table) take nonnegative JSON integers only: a float, a bool or a digit
+string is malformed, not rounded.  A model is a ModelPair or a MasaQuadruple;
+the seed decomposes a pair's N once, when it is built, and tasks read what is
+kept on N's Wedderburn data wd (``wd.lam``, ``wd.m1``, ``wd.inner_basis``), so
+the order of the tasks does not change a report.
 """
 
 import contextlib
-import functools
 import json
 
 import numpy as np
@@ -24,6 +25,8 @@ from .basic import BasicConstruction, watatani_index
 from .errors import AlgebraError, ScenarioError
 from .intermediate import interchange_operator, interchange_pair, is_commuting_square
 from .models import (
+    MasaQuadruple,
+    ModelPair,
     crossed_product_pair,
     degenerate_quadruple,
     diagonal_in_matrix,
@@ -165,55 +168,6 @@ def _action_from_spec(spec, base, group):
     raise ScenarioError("unknown action spec %r" % (spec,))
 
 
-class LoadedModel:
-    """A scenario's model, resolved to algebra objects, with lazy extras."""
-
-    def __init__(self, kind, pair=None, quad=None, path=None, seed=0):
-        self.kind = kind
-        self.pair = pair
-        self.quad = quad
-        self.path = path
-        self.seed = seed
-
-    def require_pair(self):
-        if self.pair is None:
-            raise ScenarioError("task needs an inclusion model, not %r" % self.kind)
-        return self.pair
-
-    def require_quad(self):
-        if self.quad is None:
-            raise ScenarioError("task needs a quadruple model, not %r" % self.kind)
-        return self.quad
-
-    @functools.cached_property
-    def bc(self):
-        return BasicConstruction(self.require_pair().sub, seed=self.seed)
-
-    @functools.cached_property
-    def path_model(self):
-        if self.path is not None:
-            return self.path
-        emb = self.require_pair().embedding
-        if emb is None or emb.block_unitaries is not None:
-            raise ScenarioError("path tasks need an untwisted explicit inclusion")
-        return PathModel(emb)
-
-    def elements(self, source):
-        pair = self.require_pair()
-        amb = pair.ambient
-        if source == "identity":
-            return (amb.identity(),)
-        if source == "scalar_basis":
-            return tuple(scalar_basis(amb))
-        if source in ("candidates", "unitaries"):
-            if not pair.candidates:
-                raise ScenarioError("model has no candidates")
-            return tuple(pair.candidates)
-        if isinstance(source, list):
-            return tuple(parse_element(amb, e) for e in source)
-        raise ScenarioError("unknown element source %r" % (source,))
-
-
 @contextlib.contextmanager
 def _fields_of(what):
     """Report a missing or malformed field of ``what`` as a ScenarioError."""
@@ -238,12 +192,11 @@ def _explicit_model(spec, seed):
     pair = explicit_pair(dims, lam, trace=_parse_trace(spec.get("trace", "markov")), unitaries=unitaries)
     if "candidates" in spec:
         pair.candidates = tuple(parse_element(pair.ambient, e) for e in spec["candidates"])
-    return {"pair": pair}
+    return pair
 
 
 def _diagonal_model(spec, seed):
-    pair = diagonal_in_matrix(_count(spec["k"], "k"), trace=_parse_trace(spec.get("trace", "markov")))
-    return {"pair": pair}
+    return diagonal_in_matrix(_count(spec["k"], "k"), trace=_parse_trace(spec.get("trace", "markov")))
 
 
 def _group_model(spec, seed):
@@ -253,7 +206,7 @@ def _group_model(spec, seed):
         if max(subgroup, default=0) >= len(index_map):
             raise ScenarioError("subgroup index %d out of range for %d permutations" % (max(subgroup), len(index_map)))
         subgroup = [index_map[h] for h in subgroup]
-    return {"pair": group_algebra_pair(group, subgroup, seed=seed)}
+    return group_algebra_pair(group, subgroup, seed=seed)
 
 
 def _crossed_product_model(spec, seed):
@@ -267,26 +220,24 @@ def _crossed_product_model(spec, seed):
     elif not isinstance(trace, list) or not all(_is_number(v) for v in trace):
         raise ScenarioError("base_trace must be a list of numbers, got %r" % (trace,))
     base = MultiMatrixAlgebra(base_dims, trace)
-    pair = crossed_product_pair(base, group, _action_from_spec(action, base, group), seed=seed)
-    return {"pair": pair}
+    return crossed_product_pair(base, group, _action_from_spec(action, base, group), seed=seed)
 
 
 def _quadruple_model(spec, seed):
     which = spec.get("which", "masa")
     if which == "masa":
-        return {"quad": masa_quadruple()}
+        return masa_quadruple()
     if which == "degenerate":
-        return {"quad": degenerate_quadruple()}
+        return degenerate_quadruple()
     raise ScenarioError("unknown quadruple %r" % (which,))
 
 
 def _path_model(spec, seed):
     dims = tuple(_count(d, "middle_dims") for d in spec["middle_dims"])
-    pair = explicit_pair(dims, _count_rows(spec["inclusion"], "inclusion"), trace=_parse_trace(spec.get("trace", "markov")))
-    return {"path": PathModel(pair.embedding)}
+    return explicit_pair(dims, _count_rows(spec["inclusion"], "inclusion"), trace=_parse_trace(spec.get("trace", "markov")))
 
 
-# each builder returns the pair, quadruple or path model of a LoadedModel
+# each builder returns a ModelPair or a MasaQuadruple
 MODEL_KINDS = {
     "explicit": _explicit_model,
     "diagonal_in_matrix": _diagonal_model,
@@ -298,6 +249,7 @@ MODEL_KINDS = {
 
 
 def build_model(spec, seed=0):
+    """The ModelPair or MasaQuadruple a model spec describes; a pair's N is decomposed here, at ``seed``."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioError("model spec must be an object with a 'kind'")
     kind = spec["kind"]
@@ -305,12 +257,42 @@ def build_model(spec, seed=0):
         raise ScenarioError("unknown model kind %r" % (kind,))
     with _fields_of("model spec"):
         try:
-            parts = MODEL_KINDS[kind](spec, seed)
+            model = MODEL_KINDS[kind](spec, seed)
+            if isinstance(model, ModelPair):
+                model.sub.wedderburn_data(seed)  # an embedded N keeps its own units; a spanned one is decomposed
         except ScenarioError:
             raise
         except AlgebraError as exc:
             raise ScenarioError("model construction failed: %s: %s" % (type(exc).__name__, exc))
-    return LoadedModel(kind, seed=seed, **parts)
+    return model
+
+
+def _pair(model):
+    if not isinstance(model, ModelPair):
+        raise ScenarioError("task needs an inclusion model, not a quadruple")
+    return model
+
+
+def _quadruple(model):
+    if not isinstance(model, MasaQuadruple):
+        raise ScenarioError("task needs a quadruple model, not an inclusion")
+    return model
+
+
+def _elements(task, model):
+    pair = _pair(model)
+    source, amb = task.get("elements", "identity"), pair.ambient
+    if source == "identity":
+        return (amb.identity(),)
+    if source == "scalar_basis":
+        return tuple(scalar_basis(amb))
+    if source in ("candidates", "unitaries"):
+        if not pair.candidates:
+            raise ScenarioError("model has no candidates")
+        return tuple(pair.candidates)
+    if isinstance(source, list):
+        return tuple(parse_element(amb, e) for e in source)
+    raise ScenarioError("unknown element source %r" % (source,))
 
 
 def _resolve_f(spec, bc):
@@ -339,11 +321,11 @@ def _system_payload(sys):
 
 
 def _classify_elements(task, model, side, eps):
-    return classify(model.elements(task.get("elements", "identity")), model.require_pair().sub, side=side, tol=eps)
+    return classify(_elements(task, model), model.sub, side=side, tol=eps)
 
 
 def _construct(task, model, eps):
-    bc = model.bc
+    bc = BasicConstruction(_pair(model).sub)  # a handle on the M1 data kept on N
     f = _resolve_f(task.get("f", "e1"), bc)
     return construct_system_with_support(f, bc, mode=task.get("mode", "general"), tol=eps)
 
@@ -368,7 +350,7 @@ def _task_construct_with_support(task, model, eps):
 
 def _task_complete_to_basis(task, model, eps):
     start = _construct(task, model, eps) if "f" in task else _classify_elements(task, model, "right", eps)
-    full = complete_to_basis(start, model.bc, tol=eps)
+    full = complete_to_basis(start, tol=eps)
     out = _system_payload(full)
     out["numbers"]["initial_size"] = len(start.elements)
     out["flags"]["prefix_preserved"] = all(
@@ -378,7 +360,10 @@ def _task_complete_to_basis(task, model, eps):
 
 
 def _task_path_basis(task, model, eps):
-    pm = model.path_model
+    emb = _pair(model).embedding
+    if emb is None or emb.block_unitaries is not None:
+        raise ScenarioError("path tasks need an untwisted explicit inclusion")
+    pm = PathModel(emb)
     labels, elems = pm.orthogonal_system()
     mid = pm.middle_subalgebra()
     sys = classify(elems, mid, side="left", tol=eps)
@@ -394,7 +379,7 @@ def _task_path_basis(task, model, eps):
 
 
 def _task_markov(task, model, eps):
-    wd = model.require_pair().sub.wedderburn_data(model.seed)  # an embedded N keeps its own units
+    wd = _pair(model).sub.wedderburn_data()
     lam, md = wd.lam, wd.m1.markov
     t0 = np.asarray(md.trace_sub, dtype=float)
     eig = float(np.linalg.norm(lam @ lam.T @ t0 - md.beta * t0))
@@ -410,7 +395,7 @@ def _task_markov(task, model, eps):
 
 
 def _task_watatani(task, model, eps):
-    wat = watatani_index(model.elements(task.get("elements", "identity")), tol=eps)
+    wat = watatani_index(_elements(task, model), tol=eps)
     numbers = {}
     if wat.scalar is not None:
         numbers["scalar"] = wat.scalar
@@ -418,8 +403,8 @@ def _task_watatani(task, model, eps):
 
 
 def _task_interchange(task, model, eps):
-    q = model.require_quad()
-    bc = BasicConstruction(q.n_sub, seed=model.seed)
+    q = _quadruple(model)
+    bc = BasicConstruction(q.n_sub)
     pq, qp, j_res = interchange_pair(q.p_sub, q.bases_p[0], q.q_sub, q.bases_q[0], bc, tol=eps)
     idem = linalg.operator_norm(pq @ pq - pq)
     adj = linalg.operator_norm(pq - pq.conj().T)
@@ -436,14 +421,14 @@ def _task_interchange(task, model, eps):
 
 
 def _task_commuting_square(task, model, eps):
-    q = model.require_quad()
+    q = _quadruple(model)
     flag, worst = is_commuting_square(q.n_sub, q.p_sub, q.q_sub, tol=max(eps, linalg.EPS_REL))
     return {"flags": {"commuting": flag}, "numbers": {"residual": worst}}
 
 
 def _task_regular_pipeline(task, model, eps):
-    pair = model.require_pair()
-    rep = regular_pipeline(pair.sub, pair.candidates, seed=model.seed, tol=eps)
+    pair = _pair(model)
+    rep = regular_pipeline(pair.sub, pair.candidates, tol=eps)
     numbers = dict(rep.numbers)
     if rep.patched is not None:
         numbers["basis_size"] = len(rep.patched.elements)

@@ -231,7 +231,7 @@ def test_coset_support_matches_the_closure(monkeypatch, build):
 
 # the pipeline models and the selftest scenarios that run the pipeline, each built as (pair, seed)
 REGULARITY_CASES = [(name, lambda build=build: (build(), 0)) for name, build in PIPELINE_MODELS] + [
-    ("selftest-" + d["name"], lambda d=d: (build_model(d["model"], seed=d["seed"]).require_pair(), d["seed"]))
+    ("selftest-" + d["name"], lambda d=d: (build_model(d["model"], seed=d["seed"]), d["seed"]))
     for d in selftest_corpus()
     if any(task["task"] == "regular_pipeline" for task in d["tasks"])
 ]

@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 from ppbasis import MultiMatrixAlgebra, Subalgebra, models, scenarios
 from ppbasis.errors import ScenarioError
+from ppbasis.regular import regular_pipeline
 from ppbasis.scenarios import (
     _group_from_spec,
     _parse_matrix,
@@ -174,7 +176,7 @@ REFUSED = {
     "group_algebra_pair": QUADRUPLE_TASKS | {"path_basis"},
     "crossed_product": QUADRUPLE_TASKS | {"path_basis"},
     "quadruple": set(scenarios.TASKS) - QUADRUPLE_TASKS,
-    "path": set(scenarios.TASKS) - {"path_basis"},
+    "path": QUADRUPLE_TASKS,  # a path model is an explicit inclusion, so every pair task runs on it
 }
 
 
@@ -190,6 +192,24 @@ def test_every_task_on_every_model_kind_runs_or_is_refused():
                 continue
             assert report["pass"] and len(report["results"]) == 1, (kind, task)
     assert refused == REFUSED
+
+
+def test_the_order_of_tasks_does_not_change_a_report():
+    # N = C[Z2] in C[S3] is spanned, not embedded, so the scenario's seed picks its decomposition;
+    # it is made once, when the model is built, and not by whichever task runs first
+    perms = [list(p) for p in itertools.permutations(range(3))]
+    model = {"kind": "group_algebra_pair", "group": {"permutations": perms}, "subgroup": [0, 1]}
+    tasks = [{"task": "classify_system", "elements": "candidates"}, {"task": "regular_pipeline"}]
+    forward = run_scenario_dict({"seed": 3, "model": model, "tasks": tasks})[0]["results"]
+    backward = run_scenario_dict({"seed": 3, "model": model, "tasks": tasks[::-1]})[0]["results"]
+    assert forward == backward[::-1]
+    group, index = _group_from_spec(model["group"])
+    pair = models.group_algebra_pair(group, [index[0], index[1]], seed=3)
+    pair.sub.wedderburn_data(3)
+    want = regular_pipeline(pair.sub, pair.candidates, seed=3).numbers["support_eP_residual"]
+    assert forward[1]["numbers"]["support_eP_residual"] == scenarios.round12(want)
+    assert forward[1]["numbers"]["support_eP_residual"] == pytest.approx(2.07021748024e-15, rel=1e-6)
+    assert forward[0]["numbers"]["right_diag_projection"] == pytest.approx(1.05325004057e-15, rel=1e-6)
 
 
 def _pipeline_entry(model):
@@ -234,7 +254,7 @@ def test_cyclic_shift_scenario_builds_the_crossed_product_diag():
     # build the same inclusion
     for k in (2, 3):
         spec = {"kind": "crossed_product", "base_dims": [1] * k, "group": "cyclic:%d" % k, "action": "cyclic_shift"}
-        got, want = build_model(spec).require_pair(), models.crossed_product_diag(k)
+        got, want = build_model(spec), models.crossed_product_diag(k)
         assert got.ambient.dims == want.ambient.dims == (k,)
         assert np.array_equal(got.ambient.trace_vector, want.ambient.trace_vector)
         assert np.abs(got.sub.projection_matrix() - want.sub.projection_matrix()).max() <= 1e-12
@@ -247,8 +267,7 @@ def test_inclusion_data_of_an_embedding_is_its_inclusion():
     # markov task reads) is the embedding's
     for dims, lam in (((1,), [[1, 2]]), ((1, 2), [[1, 1], [1, 0]]), ((2, 1), [[1], [2]])):
         model = build_model({"kind": "explicit", "dims": list(dims), "inclusion": lam})
-        emb = model.require_pair().embedding
-        wd = model.require_pair().sub.wedderburn_data(model.seed)
+        emb, wd = model.embedding, model.sub.wedderburn_data()
         assert np.array_equal(wd.lam, emb.inclusion) and wd.block_dims == emb.source.dims
 
 
