@@ -443,10 +443,16 @@ SCENARIO_ERRORS = {
         {"task": "markov"},
         "unknown action spec 'flip'",
     ),
-    "quadruple-unknown": ({"kind": "quadruple", "which": "tilted"}, {"task": "interchange"}, "unknown quadruple 'tilted'"),
-    "elements-unknown": (D2, {"task": "classify_system", "elements": "everything"}, "unknown element source 'everything'"),
+    "quadruple-unknown": (
+        {"kind": "quadruple", "which": "tilted"}, {"task": "interchange"}, "unknown quadruple 'tilted'"
+    ),
+    "elements-unknown": (
+        D2, {"task": "classify_system", "elements": "everything"}, "unknown element source 'everything'"
+    ),
     "support-unknown": (D2, {"task": "construct_with_support", "f": "two"}, "unknown support spec 'two'"),
-    "m1-central-range": (D2, {"task": "construct_with_support", "f": {"m1_central": 5}}, "m1_central index 5 out of range"),
+    "m1-central-range": (
+        D2, {"task": "construct_with_support", "f": {"m1_central": 5}}, "m1_central index 5 out of range"
+    ),
     "no-candidates": (
         {"kind": "explicit", "dims": [1], "inclusion": [[1, 2]]},
         {"task": "classify_system", "elements": "candidates"},
@@ -457,6 +463,10 @@ SCENARIO_ERRORS = {
         {"task": "path_basis"},
         "path tasks need an untwisted explicit inclusion",
     ),
+    "pair-task-on-a-quadruple": (
+        {"kind": "quadruple"}, {"task": "markov"}, "task needs an inclusion model, not a quadruple"
+    ),
+    "quadruple-task-on-a-pair": (D2, {"task": "interchange"}, "task needs a quadruple model, not an inclusion"),
     "path-group-algebra": (
         {"kind": "group_algebra_pair", "group": "cyclic:2", "subgroup": [0]},
         {"task": "path_basis"},
@@ -472,33 +482,6 @@ def test_scenario_error_exits_2_with_its_message(tmp_path, capsys, case):
     assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
-def test_action_given_with_unitaries_builds(tmp_path, capsys):
-    # Ad diag(1, -1) on M2 is an inner action of Z2: the crossed product is M2 + M2 over M2
-    flip = [{"perm": [0]}, {"perm": [0], "unitaries": [[[1, 0], [0, -1]]]}]
-    spec = {"model": {"kind": "crossed_product", "base_dims": [2], "group": "cyclic:2", "action": flip},
-            "tasks": [{"task": "markov", "expect": {"beta": 2.0}}]}
-    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, spec))
-    assert (code, err) == (0, "")
-    assert out.endswith("result: pass\n")
-
-
-# an expectation that the result does not meet is a mismatch line and exit 1
-MISMATCHES = {
-    "flag": ("regular_pipeline", {"regular": False}, "regular = True, expected False"),
-    "no-such-value": ("markov", {"gamma": 1.0}, "no value named gamma in the result"),
-    "error-not-raised": ("markov", {"error": "NonConnected"}, "expected error NonConnected was not raised"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MISMATCHES))
-def test_unmet_expectation_exits_1_with_a_mismatch_line(tmp_path, capsys, case):
-    task, expect, message = MISMATCHES[case]
-    spec = {"model": D2, "tasks": [{"task": task, "expect": expect}]}
-    code, out, err = run_cli(capsys, "run", write_scenario(tmp_path, spec))
-    assert (code, err) == (1, "")
-    assert "  mismatch: %s\n" % message in out and out.endswith("result: FAIL\n")
-
-
 # an expectation is compared by its type: a flag's must be a JSON boolean and a number's a number;
 # on diag-in-M2 each of these once passed by truthiness (its shifts form a two-sided basis, beta = 2)
 EXPECTATIONS = {
@@ -506,6 +489,10 @@ EXPECTATIONS = {
     "flag-number": ("classify_system", {"basis": 0.5}, "basis has non-boolean expectation 0.5"),
     "number-bool": ("markov", {"beta": True}, "beta has non-numeric expectation True"),
     "pipeline-flag-string": ("regular_pipeline", {"regular": "no"}, "regular has non-boolean expectation 'no'"),
+    # an expectation of the right type that the result does not meet
+    "flag-unmet": ("regular_pipeline", {"regular": False}, "regular = True, expected False"),
+    "no-such-value": ("markov", {"gamma": 1.0}, "no value named gamma in the result"),
+    "error-not-raised": ("markov", {"error": "NonConnected"}, "expected error NonConnected was not raised"),
 }
 
 

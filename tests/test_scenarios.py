@@ -131,6 +131,12 @@ SCENARIOS = {
         "tasks": [{"task": "regular_pipeline",
                    "expect": dict(REGULAR, beta=2.0, dim_commutant=2, reps=2, basis_size=2)}],
     },
+    # Ad diag(1, -1) on M2 is an inner action of Z2: the crossed product is M2 + M2 over M2
+    "action-unitaries": {
+        "model": {"kind": "crossed_product", "base_dims": [2], "group": "cyclic:2",
+                  "action": [{"perm": [0]}, {"perm": [0], "unitaries": [[[1, 0], [0, -1]]]}]},
+        "tasks": [{"task": "markov", "expect": {"beta": 2.0}}],
+    },
     "twisted": {
         "model": {"kind": "explicit", "dims": [1, 1], "inclusion": [[1], [1]], "unitaries": TWIST},
         "tasks": [{"task": "regular_pipeline", "expect": {"beta": 2.0, "regular": False}}],
