@@ -211,7 +211,6 @@ def test_the_order_of_tasks_does_not_change_a_report():
     assert forward == backward[::-1]
     group, index = _group_from_spec(model["group"])
     pair = models.group_algebra_pair(group, [index[0], index[1]], seed=3)
-    pair.sub.wedderburn_data(3)
     want = regular_pipeline(pair.sub, pair.candidates, seed=3).numbers["support_eP_residual"]
     assert forward[1]["numbers"]["support_eP_residual"] == scenarios.round12(want)
     assert forward[1]["numbers"]["support_eP_residual"] == pytest.approx(2.07021748024e-15, rel=1e-6)
