@@ -463,7 +463,7 @@ class WedderburnData:
     (``unit(b, p, q)``), with the matrix-unit relations inside block b and the e^b_pp summing to 1;
     ``block_traces[b]`` is the ambient trace of a minimal projection of block b, so the abstract copy carries
     the restricted trace.  What is read off the units is kept here once: Lambda (``lam``), N' cap M and
-    R = N v (N' cap M) (``commutant``, ``join``), the basis of R over N (``inner_basis``) and M1 (``m1``).
+    R = N v (N' cap M) (``commutant``, ``join``), the basis of R over N (``inner_basis``, ``inner_stacks``), M1 (``m1``).
     """
 
     def __init__(self, subalgebra, block_dims, block_traces, unit_mat):
@@ -478,6 +478,7 @@ class WedderburnData:
         self.__dict__.update(state)
         for x in state.get("inner_basis", ()):
             linalg.read_only(x.blocks)  # a pickle drops the flag
+        linalg.read_only(state.get("inner_stacks", ()))
 
     def unit(self, b, p, q):
         """The matrix unit e^b_pq as an element of the ambient algebra; InvalidInput for an index out of range."""
@@ -527,6 +528,11 @@ class WedderburnData:
         for x in out:
             linalg.read_only(x.blocks)
         return out
+
+    @functools.cached_property
+    def inner_stacks(self):
+        """``inner_basis`` stacked per block size of M (``MultiMatrixAlgebra.stacked``), read-only."""
+        return linalg.read_only(self.subalgebra.ambient.stacked(self.inner_basis))
 
     @functools.cached_property
     def ranges(self):

@@ -174,25 +174,33 @@ def _check_subgroup(group, subset):
 def group_algebra_pair(group, subgroup, seed=0):
     """C[H] inside C[G] for a subgroup H, via the regular representation.
 
-    Candidates are all group unitaries; the subalgebra is the span of the
-    subgroup's unitaries.
+    Candidates are all group unitaries.  For an abelian H the subalgebra keeps the units
+    p_psi = |H|^-1 sum_h conj(psi(h)) u_h over its characters psi, 1 x 1 blocks of trace 1/|H|; otherwise
+    it is the span of H's unitaries.  ``seed`` is read only by ``CrossedProductModel``, for a non-abelian G; the
+    parameter stays for the callers that pass it.
     """
     subset = _check_subgroup(group, subgroup)
     base = MultiMatrixAlgebra((1,), (1.0,))
     autos = [Automorphism.identity(base) for _ in range(len(group))]
     pair = crossed_product_pair(base, group, autos, seed=seed, name="group-algebra-pair")
-    pair.sub = Subalgebra.span(pair.ambient, [pair.candidates[h] for h in subset], check=False)
+    units, chars, h = [pair.candidates[k] for k in subset], group.characters(subset), len(subset)
+    if chars is None:
+        pair.sub = Subalgebra.span(pair.ambient, units, check=False)
+    else:
+        cols = np.stack([u.vec() for u in units], axis=1) @ (np.exp(-2j * np.pi * chars / h) / h).T
+        pair.sub = Subalgebra.from_units(pair.ambient, (1,) * h, (1.0 / h,) * h, cols)
     return pair
 
 
 def crossed_product_pair(base, group, autos, seed=0, name="crossed-product"):
-    """B inside its crossed product by the action, with the group unitaries as candidates."""
+    """B inside its crossed product by the action, with the group unitaries as candidates; ``seed`` is read only
+    where ``CrossedProductModel`` has no closed-form units, and stays for the callers that pass it."""
     model = CrossedProductModel(base, group, autos, seed=seed)
     return ModelPair(name=name, ambient=model.algebra, sub=model.base_image, candidates=tuple(model.unitaries))
 
 
 def crossed_product_diag(k, seed=0):
-    """C^k shifted cyclically: the crossed product is a single k x k block."""
+    """C^k shifted cyclically: the crossed product is one k x k block, with closed-form units; ``seed`` is unread."""
     k = int(linalg.integers(k, "k"))
     base = MultiMatrixAlgebra((1,) * k, (1.0 / k,) * k)
     autos = Automorphism.cyclic_shifts(base)

@@ -17,7 +17,8 @@ to the candidates.  The coset system is classified over R only, and the patched
 basis is that classification when R = N, else one of the products, formed by
 one matmul per block size; the chain builds no ``BasicConstruction``.  A crossed
 product B x| G is the span of the pi(b) u_g inside M_|G|(B), whose own trace is
-the canonical trace there.
+the canonical trace there; its units are read off the action when that permutes
+B's blocks with abelian stabilizers, and otherwise off a seeded ``wedderburn``.
 Flags compare against ``tol``; automorphisms and a crossed product's covariance
 must hold to EPS_INPUT.
 """
@@ -71,6 +72,24 @@ class GroupTable:
 
     def inverse(self, g):
         return int(self._inv[g])
+
+    def characters(self, members):
+        """The characters chi(s) = exp(2 pi i k / |S|) of the subgroup S = ``members`` as integer exponents k, one row
+        per character and one column per member, or None unless S is abelian.  Exact extension from H = {e}: for a not
+        in H with a^r in H, each psi of H extends to the a^j h by the r-th roots of psi(a^r)."""
+        sub, n = self.table[np.ix_(members, members)], len(members)
+        if not np.array_equal(sub, sub.T):
+            return None
+        elems, chars = [0], np.zeros((1, 1), dtype=int)
+        for a in members:
+            powers = [0, a]
+            while powers[-1] not in elems:
+                powers.append(self.mult(powers[-1], a))
+            r, j = len(powers) - 1, np.arange(len(powers) - 1)
+            roots = (chars[:, elems.index(powers[-1])][:, None] + n * j) // r  # psi'(a) for each psi and root
+            chars = ((j[:, None] * roots[:, :, None, None] + chars[:, None, None]) % n).reshape(r * len(chars), -1)
+            elems = [self.mult(p, h) for p in powers[:-1] for h in elems]
+        return chars[:, [elems.index(s) for s in members]]
 
     @classmethod
     def cyclic(cls, n):
@@ -164,16 +183,16 @@ class Automorphism:
 
 
 class CrossedProductModel:
-    """B acted on by a finite group, realized inside M_|G|(B) = sum of the M_{|G| n_i}
-    with B's trace vector over |G|: pi(b) holds alpha_{h^-1}(b) at copy h, and u_g
-    moves copy h to copy gh (Jones and Sunder, 1997).  The span of {pi(b) u_g} is
-    decomposed into blocks.  Each alpha preserves tr_B and u_g moves every copy for
-    g != e, so the ambient trace restricts to the canonical one, b_g -> tr_B(b_e);
-    the blocks carry it, and the copy of B keeps the images of B's matrix units.
-    <pi(e_b) u_g, pi(e_c) u_h> = delta_gh delta_bc t_b for B's matrix units, as different g fill
-    disjoint pairs of copies and each alpha preserves tr_B: the columns scaled to norm 1 are orthonormal.
-    The action and the covariance (one stacked norm of u_g pi(b) u_g* -
-    pi(alpha_g(b)) over the copies, per block of B) must hold to EPS_INPUT.
+    """B acted on by a finite group, realized inside M_|G|(B) = sum of the M_{|G| n_i} with B's trace vector over |G|:
+    pi(b) holds alpha_{h^-1}(b) at copy h, and u_g moves copy h to copy gh (Jones and Sunder, 1997).  Each alpha
+    preserves tr_B and u_g moves every copy for g != e, so the ambient trace restricts to the canonical one,
+    b_g -> tr_B(b_e); the blocks carry it, and the copy of B keeps the images of B's matrix units.  The span of
+    {pi(b) u_g} takes its units in closed form when the action permutes B's blocks with abelian stabilizers
+    (``_action_span``); otherwise ``wedderburn`` decomposes it at ``seed``, the one place ``seed`` is read.
+    <pi(e_b) u_g, pi(e_c) u_h> = delta_gh delta_bc t_b for B's matrix units, as different g fill disjoint pairs of
+    copies and each alpha preserves tr_B: the columns scaled to norm 1 are orthonormal.  The action and the
+    covariance (one stacked norm of u_g pi(b) u_g* - pi(alpha_g(b)) over the copies, per block size of B, the modulus
+    on 1 x 1 blocks) must hold to EPS_INPUT.
     """
 
     def __init__(self, base, group, autos, seed=0):
@@ -193,19 +212,19 @@ class CrossedProductModel:
         inv = [group.inverse(g) for g in range(n)]
         pi = coords[inv]
         cov = pi[group.table[inv]].transpose(0, 2, 1, 3) - np.einsum("gbc,kcd->gbkd", coords, pi)
-        cuts = list(zip(base.dims, base._offsets, base._offsets[1:]))
-        dev = np.max([linalg.operator_norms(cov[..., lo:hi].reshape(n, -1, d, d)).max(1) for d, lo, hi in cuts], 0)
-        for g in np.flatnonzero(dev > linalg.EPS_INPUT)[:1]:
+        stacks = (cov[..., c].reshape(n, -1, base.dims[js[0]], base.dims[js[0]]) for js, c in base.size_groups)
+        dev = [(np.abs(x[..., 0, 0]) if x.shape[-1] == 1 else linalg.operator_norms(x)).max(1) for x in stacks]
+        for g in np.flatnonzero(np.max(dev, 0) > linalg.EPS_INPUT)[:1]:  # one SVD per block size, |x| on size 1
             raise NotAnAction("covariance fails for group element %d" % g)
         # block i of pi(e_b) u_g holds copy k of pi(e_b)'s block i at copies (k, h) with k = gh: cols[(k, p, h, q), b, g]
         amb = MultiMatrixAlgebra(tuple(n * d for d in base.dims), base.trace_vector / n)
         cols, (gs, hs) = np.zeros((amb.dim, db, n), dtype=complex), np.indices((n, n))
-        for (d, lo, hi), a in zip(cuts, amb._offsets):
+        for d, lo, hi, a in zip(base.dims, base._offsets, base._offsets[1:], amb._offsets):
             blk = pi[group.table, :, lo:hi].reshape(n, n, db, d, d).transpose(0, 1, 3, 4, 2)
             cols[a:a + n * d * n * d].reshape(n, d, n, d, db, n)[group.table, :, hs, :, :, gs] = blk
         cols *= amb.gns_weights[:, None, None]
         flat = cols.reshape(amb.dim, -1)
-        self.span = Subalgebra(amb, flat / np.linalg.norm(flat, axis=0))
+        self.span = _action_span(base, group, autos, flat, amb) or Subalgebra(amb, flat / np.linalg.norm(flat, axis=0))
         self.wedd = self.span.wedderburn_data(seed)
         self.algebra = self.wedd.abstract()
         self.unitaries = tuple(self._to_model(cols.transpose(0, 2, 1) @ _coords(base.identity())))
@@ -220,6 +239,31 @@ class CrossedProductModel:
         """The elements of the model whose coordinates in M_|G|(B) are the columns of ``vecs``."""
         blocks = self.wedd.abstract_blocks((vecs.conj().T @ self.wedd.unit_mat).conj())
         return [self.algebra.element(x) for x in zip(*blocks)]
+
+
+def _action_span(base, group, autos, flat, amb):
+    """B x| G in ``amb`` with its units read off the action (``from_units``), or None unless each alpha_g permutes
+    B's blocks with identity unitaries (to EPS_INPUT) and the stabilizer S of the first block i of each orbit O is
+    abelian.  For a character chi of S and the first c_x with c_x i = x, the E_(x,p),(y,q) = |S|^-1 sum_s
+    conj(chi(s)) pi(e^x_pq) u_{c_x s c_y^-1} are the units of a block M_{n_i |O|} of trace t_i / |S| (Jones and
+    Sunder, 1997): each is a sum of |S| columns of ``flat``, whose column b |G| + g is pi(e_b) u_g."""
+    if any(np.abs(u - np.eye(len(u))).max() > linalg.EPS_INPUT for a in autos for u in a.unitaries):
+        return None
+    n, t, offs = len(group), group.table, np.array(base._offsets)
+    act = np.argsort([a.perm for a in autos], axis=1)  # act[g, x]: the block to which alpha_g moves block x
+    dims, traces, unit_mat, col = [], [], np.empty_like(flat), 0
+    for i in np.flatnonzero(act.min(axis=0) == np.arange(base.nblocks)):  # the first block of each orbit
+        orbit, stab = np.flatnonzero(np.bincount(act[:, i], minlength=base.nblocks)), np.flatnonzero(act[:, i] == i)
+        chars, m, s, d = group.characters(stab), base.dims[i], len(stab), base.dims[i] * len(orbit)
+        if chars is None:
+            return None
+        c = np.argmax(act[:, i] == orbit[:, None], axis=1)
+        g = t[t[np.ix_(c, stab)].T[:, :, None], group._inv[c]]  # g[s, x, y] = c_x s c_y^-1
+        b = offs[orbit, None, None] + np.arange(m * m).reshape(m, m)  # b[x, p, q]: the unit e^x_pq
+        w, idx = np.exp(-2j * np.pi * chars / s) / s, (b[None, :, :, None] * n + g[:, :, None, :, None]).reshape(s, -1)
+        np.matmul(w, flat.take(idx, axis=1), out=unit_mat[:, col:col + s * d * d].reshape(len(flat), s, d * d))
+        dims, traces, col = dims + [d] * s, traces + [float(base.trace_vector[i]) / s] * s, col + s * d * d
+    return Subalgebra.from_units(amb, dims, traces, unit_mat)
 
 
 def _coords(x):
@@ -407,7 +451,7 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
         if r_alg.dim == sub.dim:  # R = N: the products mu * 1 are the reps, classified over R = N above
             patched = sys_r
         else:  # the products mu * lam, mu slowest, one matmul per block size
-            stacks = [(a[:, None] @ b[None]).reshape(-1, *a.shape[1:]) for a, b in zip(stacks, amb.stacked(inner))]
+            stacks = [(a[:, None] @ b[None]).reshape(-1, *a.shape[1:]) for a, b in zip(stacks, wd_n.inner_stacks)]
             patched = classify(amb.unstacked(stacks), sub, tol=tol)
         wat = watatani_index(patched.elements)
     elif regular:

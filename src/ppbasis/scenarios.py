@@ -249,7 +249,8 @@ MODEL_KINDS = {
 
 
 def build_model(spec, seed=0):
-    """The ModelPair or MasaQuadruple a model spec describes; a pair's N is decomposed here, at ``seed``."""
+    """The ModelPair or MasaQuadruple a model spec describes; a pair's N, if it keeps no units, is decomposed here at
+    ``seed``, which also seeds a crossed product that has no closed-form units (``CrossedProductModel``)."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ScenarioError("model spec must be an object with a 'kind'")
     kind = spec["kind"]

@@ -3,6 +3,8 @@ import pytest
 
 from ppbasis import (
     AlgebraElement,
+    Automorphism,
+    CrossedProductModel,
     GroupTable,
     MultiMatrixAlgebra,
     PathModel,
@@ -408,9 +410,11 @@ def test_batched_unit_check_matches_loop(build):
 
 
 def test_wedderburn_forms_no_block_sized_product_pass(monkeypatch):
-    # the d x d block of crossed_product_diag(6) is checked from its row 0: no
-    # product pass inside wedderburn returns more than d^2 = 36 columns (the d^4
-    # check returned 1296)
+    # the d x d block of a span copy of crossed_product_diag(6)'s covariance span (the model
+    # itself keeps closed-form units) is checked from its row 0: no product pass inside
+    # wedderburn returns more than d^2 = 36 columns (the d^4 check returned 1296)
+    base = MultiMatrixAlgebra((1,) * 6, (1.0 / 6,) * 6)
+    span = CrossedProductModel(base, GroupTable.cyclic(6), Automorphism.cyclic_shifts(base)).span
     inside, seen, widths = [], [], []
     products, decompose = MultiMatrixAlgebra.products, algebra.wedderburn
 
@@ -430,6 +434,6 @@ def test_wedderburn_forms_no_block_sized_product_pass(monkeypatch):
 
     monkeypatch.setattr(MultiMatrixAlgebra, "products", spy_products)
     monkeypatch.setattr(algebra, "wedderburn", spy_wedderburn)
-    mp = models.crossed_product_diag(6)
-    assert seen == [36] and mp.ambient.dims == (6,)  # one decomposition, of M_6 in its covariance span
+    wd = Subalgebra(span.ambient, span.mat).wedderburn_data()
+    assert seen == [36] and wd.block_dims == (6,)  # one decomposition, of M_6 in its covariance span
     assert max(widths, default=0) <= 36

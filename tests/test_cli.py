@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ppbasis import basic, cli, scenarios
+from ppbasis import basic, cli, linalg, scenarios
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +194,30 @@ def test_generate_other_kinds(tmp_path, capsys):
         code2, out2, _ = run_cli(capsys, "run", str(path))
         assert code2 == 0, (argv, out2)
         assert "result: pass" in out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["group_algebra_pair", "--group", "cyclic:2", "--subgroup", "0"],
+    ["group_algebra_pair", "--group", "cyclic:4", "--subgroup", "0"],
+    ["group_algebra_pair", "--group", "cyclic:8", "--subgroup", "0"],
+    ["crossed_product", "--base-dims", "1,1", "--group", "cyclic:2", "--action", "cyclic_shift"],
+    ["crossed_product", "--base-dims", "1,1,1", "--group", "cyclic:3", "--action", "cyclic_shift"],
+    ["crossed_product", "--base-dims", "2", "--group", "cyclic:2", "--action", "trivial"],
+    ["crossed_product", "--base-dims", "1,1,1,1", "--group", "cyclic:4", "--action", "cyclic_shift"],
+])
+def test_generated_group_models_make_no_random_generator(monkeypatch, tmp_path, capsys, argv):
+    # generate's groups are cyclic, so its crossed products and group algebras take
+    # closed-form units: generating and running them makes no random generator
+    def no_generator(seed=0):
+        raise AssertionError("a random generator was made for seed %r" % (seed,))
+
+    monkeypatch.setattr(linalg, "rng_from_seed", no_generator)
+    code, out, err = run_cli(capsys, "generate", *argv)
+    assert code == 0, err
+    path = tmp_path / "g.json"
+    path.write_text(out)
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 0 and "result: pass" in out, out
 
 
 def test_generate_validates_parameters(capsys):

@@ -19,6 +19,7 @@ from ppbasis import (
     regular_pipeline,
     relative_commutant,
     scalar_basis,
+    wedderburn,
 )
 from ppbasis import algebra, basic, linalg, models, regular, scenarios, systems
 from ppbasis.errors import (
@@ -34,7 +35,7 @@ from ppbasis.regular import II1_NOTE, normalizer_residual
 from ppbasis.systems import classify, require_basis
 import oracles
 from oracles import left_op, unit_coefficients
-from test_closure import PIPELINE_MODELS, connected_pairs
+from test_closure import PIPELINE_MODELS, check_matrix_units, connected_pairs
 
 
 # ---------------------------------------------------------------- group tables
@@ -284,6 +285,78 @@ def _verdict(sub, candidates):
     except NonConnected as exc:
         return str(exc)
     return rep.flags, rep.numbers["reps"], rep.issues
+
+
+def _closed_form_actions():
+    """Actions that permute B's blocks, with an abelian stabilizer of each orbit's first block."""
+    point, base_m2, base = MultiMatrixAlgebra((1,), (1.0,)), m2(), MultiMatrixAlgebra((1, 1, 2), (0.25, 0.25, 0.25))
+    z2, acts = GroupTable.cyclic(2), _oracle_actions()
+    groups = {**{"z%d" % n: GroupTable.cyclic(n) for n in range(2, 9)},
+              "z2xz2": GroupTable.direct_product(z2, z2), "z2xz4": GroupTable.direct_product(z2, GroupTable.cyclic(4))}
+    return {
+        **{name: acts[name] for name in ["crossed-diag-%d" % k for k in range(2, 7)] + ["s3-on-c3"]},
+        **{"%s-over-e" % name: (point, g, [Automorphism.identity(point)] * len(g)) for name, g in groups.items()},
+        **{"m2-trivial-z%d" % n: (base_m2, GroupTable.cyclic(n), [Automorphism.identity(base_m2)] * n) for n in (2, 3)},
+        "112-swap": (base, z2, [Automorphism.identity(base), Automorphism(base, perm=(1, 0, 2))]),
+    }
+
+
+def _counting_wedderburn(monkeypatch):
+    calls, original = [], algebra.wedderburn
+    monkeypatch.setattr(algebra, "wedderburn", lambda sub, **kwargs: calls.append(sub) or original(sub, **kwargs))
+    return calls
+
+
+@pytest.mark.parametrize("name", list(_closed_form_actions()))
+def test_closed_form_units_match_the_seeded_build(monkeypatch, name):
+    # B x| G takes its units from the characters of the stabilizers, with no wedderburn call;
+    # wedderburn of the same span and the seeded build are the oracles: the same (block dim,
+    # trace) multiset and Lambda up to block order, the unit relations within 1e-12 and the
+    # same pipeline verdict (NonConnected on both for the swap of B = C + C + M2)
+    base, group, autos = _closed_form_actions()[name]
+    calls = _counting_wedderburn(monkeypatch)
+    cp = CrossedProductModel(base, group, autos)
+    assert calls == [] and cp.span.wedderburn_data() is cp.wedd
+    ref = wedderburn(Subalgebra(cp.span.ambient, cp.span.mat))
+    got, want = sorted(zip(cp.wedd.block_dims, cp.wedd.block_traces)), sorted(zip(ref.block_dims, ref.block_traces))
+    assert [d for d, _ in got] == [d for d, _ in want]
+    assert max(abs(t - u) for (_, t), (_, u) in zip(got, want)) <= 1e-12
+    assert sorted(map(tuple, cp.wedd.lam)) == sorted(map(tuple, ref.lam))
+    check_matrix_units(cp.wedd)
+    monkeypatch.setattr(regular, "_action_span", lambda *args: None)
+    seeded = CrossedProductModel(base, group, autos)
+    assert calls == [seeded.span]
+    assert _verdict(cp.base_image, cp.unitaries) == _verdict(seeded.base_image, seeded.unitaries)
+
+
+@pytest.mark.parametrize("name", ["s3-over-e", "m2-by-inner-flip"])
+def test_other_actions_take_the_seeded_route(monkeypatch, name):
+    # a non-abelian stabilizer (S3 fixes the one block of C) or a unitary that moves B's
+    # matrix units: the span is decomposed by one wedderburn call; N keeps its units
+    # (C[{e}] of C[S3] too)
+    base, group, autos = _oracle_actions()[name]
+    calls = _counting_wedderburn(monkeypatch)
+    mp = models.group_algebra_pair(group, [0]) if name == "s3-over-e" else models.crossed_product_pair(base, group, autos)
+    assert len(calls) == 1 and mp.sub._wedd is not None
+
+
+def test_characters_are_orthonormal_homomorphisms():
+    # exact exponents: chi(ab) = chi(a) chi(b) holds mod |S| in integers, and the
+    # characters are orthonormal under |S|^-1 sum_s on every abelian table and stabilizer
+    z2, z4 = GroupTable.cyclic(2), GroupTable.cyclic(4)
+    s3, _ = GroupTable.from_permutations([(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)])
+    cases = [(GroupTable.cyclic(n), list(range(n))) for n in range(1, 9)]
+    cases += [(g, list(range(len(g)))) for g in (GroupTable.direct_product(z2, z2), GroupTable.direct_product(z2, z4))]
+    cases += [(z4, [0, 2]), (s3, [0, 1]), (s3, [0, 4, 5]), (GroupTable.direct_product(z2, z4), [0, 2, 4, 6])]
+    for group, members in cases:
+        chars, n, pos = group.characters(members), len(members), {s: k for k, s in enumerate(members)}
+        assert chars.shape == (n, n)
+        for a in members:
+            for b in members:
+                assert np.all((chars[:, pos[group.mult(a, b)]] - chars[:, pos[a]] - chars[:, pos[b]]) % n == 0)
+        values = np.exp(2j * np.pi * chars / n)
+        assert linalg.operator_norm(values @ values.conj().T / n - np.eye(n)) <= 1e-12
+    assert s3.characters(list(range(6))) is None
 
 
 def test_group_algebra_pair_and_subgroup_check():
@@ -680,6 +753,20 @@ def test_kept_structure_survives_pickling(monkeypatch, build):
     assert built == [] and not any(a.flags.writeable for a in kept)
 
 
+def test_pipeline_stacks_the_inner_basis_once(monkeypatch):
+    # R != N on m2-in-m2+m2: the products mu * lam read the inner basis stacked once,
+    # kept read-only on N's Wedderburn data, also through a pickle
+    mp = models.two_block_over_factor()
+    wd = mp.sub.wedderburn_data()
+    seen, original = [], MultiMatrixAlgebra.stacked
+    monkeypatch.setattr(MultiMatrixAlgebra, "stacked", lambda self, elements: seen.append(elements) or original(self, elements))
+    first, second = [regular_pipeline(mp.sub, candidates=mp.candidates) for _ in range(2)]
+    assert first.flags == second.flags and first.flags["patched_basis_two_sided"]
+    assert sum(e is wd.inner_basis for e in seen) == 1
+    wd = pickle.loads(pickle.dumps(mp.sub)).wedderburn_data()
+    assert "inner_stacks" in vars(wd) and not any(a.flags.writeable for a in wd.inner_stacks)
+
+
 def test_pipeline_records_rejected_candidates():
     mp = models.diagonal_in_matrix(3)
     u = mp.ambient.element([linalg.random_unitary(3, linalg.rng_from_seed(4))])
@@ -883,6 +970,7 @@ def test_pipeline_classifies_each_family_once(monkeypatch, build, count):
 
 def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
     mp = models.group_algebra_pair(GroupTable.cyclic(2), [0])
+    sub = Subalgebra(mp.ambient, mp.sub.mat)  # a span copy: C[H] itself keeps closed-form units
     decomposed = []
     original = algebra.wedderburn
 
@@ -891,11 +979,11 @@ def test_pipeline_reads_the_decomposition_kept_on_n(monkeypatch):
         return original(sub, *args, **kwargs)
 
     monkeypatch.setattr(algebra, "wedderburn", counting)
-    bc = BasicConstruction(mp.sub, seed=0)
-    assert bc.m1_wedd.sub_wedd is mp.sub.wedderburn_data(0)
-    regular_pipeline(mp.sub, candidates=mp.candidates, seed=0)
-    assert sum(sub is mp.sub for sub in decomposed) == 1
-    assert mp.sub.wedderburn_data(1) is bc.m1_wedd.sub_wedd  # one decomposition per object, whatever the seed
+    bc = BasicConstruction(sub, seed=0)
+    assert bc.m1_wedd.sub_wedd is sub.wedderburn_data(0)
+    regular_pipeline(sub, candidates=mp.candidates, seed=0)
+    assert sum(d is sub for d in decomposed) == 1
+    assert sub.wedderburn_data(1) is bc.m1_wedd.sub_wedd  # one decomposition per object, whatever the seed
 
 
 def test_pipeline_tests_each_coset_pair_once(monkeypatch):
@@ -933,17 +1021,17 @@ def test_pipeline_tests_each_coset_pair_once(monkeypatch):
     "build, model_built",
     [
         (lambda: models.diagonal_in_matrix(4), True),
-        (lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0]), False),
+        (lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0]), True),
         (lambda: models.crossed_product_diag(4), True),
     ],
     ids=["diag-in-m4", "z4-over-e", "crossed-diag-4"],
 )
 def test_pipeline_decomposes_only_n(monkeypatch, build, model_built):
     # N' cap M comes from N's matrix units: no nullspace of relative_commutant
-    # in the pipeline.  An N built by an embedding or a crossed product keeps
-    # its units and is never decomposed; a span-only N (C[H] here, or a copy)
-    # is decomposed once, by one wedderburn call, at any seed: classify over N
-    # reads that decomposition, and R gets closed-form units, never wedderburn.
+    # in the pipeline.  An N built by an embedding, a crossed product or an
+    # abelian subgroup keeps its units and is never decomposed; a span-only N
+    # (a copy here) is decomposed once, by one wedderburn call, at any seed: classify
+    # over N reads that decomposition, and R gets closed-form units, never wedderburn.
     models_by_seed = {seed: build() for seed in (0, 1)}
     calls = {"relative_commutant": [], "wedderburn": []}
     inside = []

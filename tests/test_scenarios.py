@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ppbasis import MultiMatrixAlgebra, Subalgebra, models, scenarios
+from ppbasis import MultiMatrixAlgebra, Subalgebra, linalg, models, scenarios
 from ppbasis.errors import ScenarioError
 from ppbasis.regular import regular_pipeline
 from ppbasis.scenarios import (
@@ -344,6 +344,17 @@ def test_selftest_matches_golden_report():
     # residuals near 1e-16 may move with BLAS rounding; everything else is frozen
     report, _ = scenarios.run_selftest()
     _assert_matches(report, json.loads(GOLDEN.read_text()))
+
+
+def test_selftest_makes_no_random_generator(monkeypatch):
+    # every N, crossed product and group algebra of the corpus has closed-form units,
+    # so no seeded wedderburn runs
+    def no_generator(seed=0):
+        raise AssertionError("a random generator was made for seed %r" % (seed,))
+
+    monkeypatch.setattr(linalg, "rng_from_seed", no_generator)
+    report, _ = scenarios.run_selftest()
+    assert report["pass"]
 
 
 def test_failed_factorization_is_recorded_and_the_run_goes_on(monkeypatch):
