@@ -309,7 +309,7 @@ class UnitalEmbedding:
         """The embedded copy of the source, as a Subalgebra of the target that
         keeps the images of the source's matrix units."""
         if self._image is None:
-            self._image = Subalgebra.embedded(self.target, self.source, self.apply)
+            self._image = Subalgebra.embedded(self.target, self.source, [self.apply(u) for u in self.source.units()])
         return self._image
 
 
@@ -348,12 +348,11 @@ class Subalgebra:
         return sub
 
     @classmethod
-    def embedded(cls, ambient, source, embed):
-        """The image of ``source`` under the unital *-embedding ``embed``, which
-        keeps the images of the matrix units of ``source`` as its Wedderburn data."""
-        units = [[embed(source.unit(i, p, q)) for p in range(m) for q in range(m)] for i, m in enumerate(source.dims)]
-        cols = np.stack([x.vec() for block in units for x in block], axis=1)
-        return cls.from_units(ambient, source.dims, [block[0].trace().real for block in units], cols)
+    def embedded(cls, ambient, source, images):
+        """The image of ``source`` under a unital *-embedding, given as the ``images`` of ``source.units()``, which
+        it keeps as its Wedderburn data."""
+        traces = [images[s].trace().real for s in np.cumsum([0] + [m * m for m in source.dims[:-1]])]  # of each e_00
+        return cls.from_units(ambient, source.dims, traces, np.stack([x.vec() for x in images], axis=1))
 
     @classmethod
     def generated(cls, ambient, elements):

@@ -12,11 +12,11 @@ column X, read as the n_j-square matrix X_j on each block j, rotates to X_j U_j,
 whose columns (i, p, a) hold W_{i,p}^* X with rows (r, a): W_{i,p} = R(e^i_0p) V_i
 for V_i = 1_{n_j} (x) conj(v_ij), and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  The
 Gram matrix and the support of a family, e1 (the support of {1}), e_P, the action
-of M1 and the pushdown x = v 1^ (Pimsner and Popa: M1 e1 = M e1) are contractions
+of M1 and the pushdown x_s = v_s 1^ of a whole family (Pimsner and Popa: M1 e1 = M e1) are contractions
 of that one rotation (``M1Wedderburn.rows``), one matmul per block size of M, whose
 rows come per group of M1's blocks of one shape (m_i, k_i): each contraction is one
 batched product per group, listed per block as views.  The Markov extension is a closed
-form in the blocks (``M1Trace``).  M1's block data (``wd.m1``, with ``markov`` and ``e1``) is kept on N's
+form in the blocks (``M1Trace``).  M1's block data (``wd.m1``, with ``markov``, ``e1`` and ``e1_ranges``) is kept on N's
 Wedderburn data beside Lambda and the inner basis of R over N (``wd.lam``, ``wd.inner_basis``): ``algebra``
 imports this module, and this module nothing from it.
 """
@@ -91,20 +91,24 @@ class BasicConstruction:
         """e1's blocks in M1, read-only and kept on N (``M1Wedderburn.e1``)."""
         return self.m1_wedd.e1
 
-    def pushdown(self, v):
-        """The unique x in M with v = L_x e1, for v in M1 given by its blocks with v e1 = v: x = v 1^."""
+    def pushdown(self, vs):
+        """The unique x_s in M with v_s = L_{x_s} e1, for each v_s in M1 given by its blocks with v_s e1 = v_s:
+        x_s = v_s 1^, from one ``apply`` of the blocks stacked (n, k_i, k_i) and one ``rows`` pass of the x_s beside
+        1^ for the L_{x_s} e1; both checks take one stacked norm per block size and name the first v_s that fails."""
         wd = self.m1_wedd
-        v = wd._checked(v)
-        scale = 1.0 + linalg.block_norm(v)
-        if linalg.block_norm([c @ e - c for c, e in zip(v, self.e1)]) > linalg.EPS_REL * scale:
-            raise NotSupportedOnE1("pushdown input must satisfy v e1 = v")
+        v = [np.array(c) for c in zip(*map(wd._checked, vs))]  # per block of M1, the family's blocks
         one = self.amb.vec(self.amb.identity())[:, None]
-        x = wd.apply(v, one)
-        rows = wd.rows(np.concatenate([x, one], axis=1))
-        lift = wd.per_block(wd.support([r[:, :1] for r in rows], [r[:, 1:] for r in rows]))  # L_x e1: x^'s rows, 1^'s
-        if linalg.block_norm([a - c for a, c in zip(lift, v)]) > linalg.EPS_FLAG * scale:
-            raise InvalidInput("pushdown reconstruction failed; input is not of the form L_x e1")
-        return self.amb.unvec(x[:, 0])
+        x = wd.apply(v, one)[..., 0]
+        rows = wd.rows(np.concatenate([x.T, one], axis=1))  # L_x e1 per group: x^'s rows, element axis first, 1^'s
+        lift = wd.support([r[:, :-1].swapaxes(0, 1)[:, :, None] for r in rows], [r[:, -1:] for r in rows])
+        lift = wd.per_block([s.swapaxes(0, 1) for s in lift])
+        checks = linalg.stacks([np.concatenate([c, c @ e - c, a - c]) for c, e, a in zip(v, self.e1, lift)])
+        size, defect, res = np.max([linalg.operator_norms(s).max(0) for s in checks], 0).reshape(3, -1)  # per v_s
+        for k in np.flatnonzero(defect > linalg.EPS_REL * (1.0 + size))[:1]:
+            raise NotSupportedOnE1("pushdown input %d must satisfy v e1 = v" % k)
+        for k in np.flatnonzero(res > linalg.EPS_FLAG * (1.0 + size))[:1]:
+            raise InvalidInput("pushdown reconstruction failed; input %d is not of the form L_x e1" % k)
+        return [self.amb.unvec(c) for c in x]
 
     def markov_extension(self):
         """Trace on M1 extending the ambient trace in Markov mode, from the kept ``m1_wedd.markov``."""
@@ -140,7 +144,7 @@ class M1Wedderburn:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        linalg.read_only(state.get("e1", []))  # a pickle drops the flag
+        linalg.read_only([*state.get("e1", []), *state.get("e1_ranges", [])])  # a pickle drops the flag
 
     @functools.cached_property
     def markov(self):
@@ -152,6 +156,11 @@ class M1Wedderburn:
         """e1's blocks in M1, read-only: the support of the family {1}."""
         one = self.sub_wedd.subalgebra.ambient.identity().vec()[:, None]
         return linalg.read_only(self.per_block(self.support(self.rows(one))))
+
+    @functools.cached_property
+    def e1_ranges(self):
+        """Orthonormal bases of the ranges of e1's blocks, read-only (``linalg.range_vectors``): its ranks are their widths."""
+        return linalg.read_only(linalg.range_vectors(self.e1))
 
     def _rotate(self, x, inverse=False):
         """Each row of the (ncols, D) array ``x``, an n_j-square X_j on block j, sent to X_j U_j (or X_j U_j^*)."""
@@ -192,13 +201,14 @@ class M1Wedderburn:
         return out
 
     def apply(self, blocks, cols):
-        """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols: the element of M1 with abstract blocks C_i (checked by
-        the caller) applied to the columns of ``cols``, without forming it: C_i on the rows, rotated back."""
-        z = [(r @ np.array([blocks[i].T for i in idx])[:, None]).swapaxes(0, 1).reshape(cols.shape[1], -1)
-             for r, (idx, *_) in zip(self.rows(cols), self._groups)]
-        y = np.empty((cols.shape[1], self.gns_dim), dtype=complex)
+        """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols for the abstract blocks C_i (checked by the caller), not formed: C_i on the
+        rows, rotated back; blocks stacked (n, k_i, k_i) give the n elements' (n, D, ncols) images from one pass."""
+        z = [(r[:, None] @ np.array([np.reshape(blocks[i], (-1, k, k)).swapaxes(1, 2) for i in idx])[:, :, None])
+             .transpose(1, 2, 0, 3, 4).reshape(-1, len(idx) * m * k)
+             for r, (idx, m, k, *_) in zip(self.rows(cols), self._groups)]
+        y = np.empty((len(z[0]), self.gns_dim), dtype=complex)
         y[:, self._perm] = np.concatenate(z, axis=1)
-        return self._rotate(y, inverse=True).T
+        return self._rotate(y, inverse=True).reshape(*np.shape(blocks[0])[:-2], cols.shape[1], -1).swapaxes(-1, -2)
 
     def from_abstract(self, blocks):
         """The D x D operator sum_{i,p} W_{i,p} C_i W_{i,p}^* of M1."""

@@ -17,7 +17,7 @@ import numbers
 
 import numpy as np
 
-from .errors import FactorizationFailed, InvalidInput
+from .errors import FactorizationFailed, InvalidInput, NotAProjection
 
 EPS_TRACE = 1e-12  # trace normalization sum n_i t_i = 1, same_structure, Perron positivity
 EPS_RANK = 1e-10   # relative singular-value cutoff: nullspace, orthonormal_columns
@@ -152,8 +152,19 @@ def read_only(arrays):
 
 
 def stacks(blocks):
-    """Square arrays stacked by size: one factorization per size reads their block-diagonal sum."""
-    return [np.array([b for b in blocks if len(b) == n]) for n in {len(b) for b in blocks}]  # faster than np.stack
+    """Square arrays (or stacks of them) stacked by size: one factorization per size reads their block-diagonal sum."""
+    return [np.array([b for b in blocks if b.shape[-1] == n]) for n in {b.shape[-1] for b in blocks}]  # not np.stack
+
+
+def range_vectors(blocks):
+    """Orthonormal bases of the ranges of projection blocks from one eigh per size: as many eigenvectors as the block's
+    trace, by descending eigenvalue; NotAProjection unless it is an integer (``integer_trace``) and they exceed 1/2."""
+    eig = {n: zip(*eigh(np.array([b for b in blocks if len(b) == n]))) for n in {len(b) for b in blocks}}
+    found = [(integer_trace(b, NotAProjection), *next(eig[len(b)])) for b in blocks]  # (rank, values, vectors)
+    for r, vals, _ in found:
+        if np.count_nonzero(vals > 0.5) < r:
+            raise NotAProjection("projection block has rank %d < %d" % (np.count_nonzero(vals > 0.5), r))
+    return [vecs[:, ::-1][:, :r] for r, _, vecs in found]
 
 
 def projection_residuals(p):

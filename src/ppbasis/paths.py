@@ -10,8 +10,9 @@ view of an untwisted UnitalEmbedding (``models.explicit_pair(...).embedding``):
 its diagram is read off the embedding's dims and inclusion matrix, and its
 algebras, traces and middle units are the embedding's.  The conditional
 expectation onto the middle algebra acts on matrix units by a closed-form
-coefficient, and suitably normalized sums of units over middle paths give
-path-indexed orthogonal systems and scalar two-sided bases.
+coefficient, read for every unit at once as index arrays (``expect_units``), and
+suitably normalized sums of units over middle paths give path-indexed
+orthogonal systems and scalar two-sided bases.
 """
 
 from collections import namedtuple
@@ -120,6 +121,17 @@ class PathModel:
         ends = [th for th in self.diagram.edges0 if th.block == block]
         return sum((self.middle_unit(th, tp) for th in ends for tp in ends), self.bottom.zero()) / len(ends)
 
+    def expect_units(self):
+        """``expect_unit`` of every unit of the bottom algebra, as its column of GNS coordinates, in their order: per
+        bottom block the paths' heads and tails, as index arrays, pick the coefficient and the middle unit's column."""
+        d, wd, cols = self.diagram, self.middle_subalgebra().wedderburn_data(), []
+        for j, paths in enumerate(d.block_paths):
+            i, a, c = np.array([(p.head.block, p.head.slot, p.tail.slot) for p in paths]).T
+            same = (i[:, None] == i) & (c[:, None] == c)  # the tails agree; else the expectation is 0
+            col = np.where(same, wd._starts[i, None] + a[:, None] * np.array(d.middle_dims)[i, None] + a, 0)
+            cols.append(wd.unit_mat[:, col.ravel()] * (same * self.t1[j] / self.t0[i, None]).ravel())
+        return np.concatenate(cols, axis=1)
+
     def orthogonal_system(self):
         """Path-indexed orthogonal system over the middle algebra.
 
@@ -127,13 +139,14 @@ class PathModel:
         full path with the same bottom block: the normalized sum over top
         extensions of kappa.  Returns (labels, elements).
         """
-        labels, elements = [], []
-        for kappa in self.diagram.edges01:
-            for beta in self.diagram.block_paths[kappa.target]:
-                tops = (self.unit(Path(th, kappa), beta) for th in self.diagram.edges0 if th.block == kappa.source)
-                c = self.diagram.middle_dims[kappa.source] * self.t1[kappa.target] / self.t0[kappa.source]
+        d, labels, elements = self.diagram, [], []
+        for kappa in d.edges01:
+            (i, j, _), tops = kappa, [d.pos[Path(th, kappa)][1] for th in d.edges0 if th.block == kappa.source]
+            for q, beta in enumerate(d.block_paths[j]):
+                x = self.bottom.zero()
+                x.blocks[j][tops, q] = (d.middle_dims[i] * self.t1[j] / self.t0[i]) ** -0.5
                 labels.append((kappa, beta))
-                elements.append((c ** -0.5) * sum(tops, self.bottom.zero()))
+                elements.append(x)
         return labels, elements
 
 

@@ -228,12 +228,11 @@ class CrossedProductModel:
         self.wedd = self.span.wedderburn_data(seed)
         self.algebra = self.wedd.abstract()
         self.unitaries = tuple(self._to_model(cols.transpose(0, 2, 1) @ _coords(base.identity())))
-        self._base_cols = cols[:, :, 0].copy()  # pi(x) has the coordinates _base_cols @ _coords(x)
-        self.base_image = Subalgebra.embedded(self.algebra, base, self.embed)
+        self.base_image = Subalgebra.embedded(self.algebra, base, self._to_model(cols[:, :, 0]))  # pi(e_b), one pass
 
     def embed(self, b):
         """The copy of a base element inside the crossed product."""
-        return self._to_model((self._base_cols @ _coords(b))[:, None])[0]
+        return self.base_image.wedderburn_data().from_abstract(b.blocks)  # sum_b c_b pi(e_b), from the kept pi(e_b)
 
     def _to_model(self, vecs):
         """The elements of the model whose coordinates in M_|G|(B) are the columns of ``vecs``."""

@@ -14,8 +14,8 @@ M1's blocks of one shape: the Gram matrix, in M_n(N) with the norms of M_n(M), a
 blocks in M1, where an element has the norm of its largest block.  Both are
 Hermitian, so every flag reads eigenvalues, one eigvalsh of each per group for both
 sides: no product x_i* x_j, no D x D operator and no singular value.  A prescribed support
-(``construct_system_with_support``) is given by its blocks, and each element is
-pushed down by ``BasicConstruction.pushdown``; classification builds no basic
+(``construct_system_with_support``) is given by its blocks, and the family is
+pushed down by one ``BasicConstruction.pushdown`` call; classification builds no basic
 construction (a ``bc`` passed in is kept for completion).  ``require_basis`` is
 the one basis check of the regular chain and interchange.
 """
@@ -198,25 +198,25 @@ def require_basis(elements, sub, target=None, side="two-sided", tol=EPS_FLAG, la
     return sys
 
 
-def _range_vectors(block, count):
-    """First ``count`` orthonormal eigenvectors of an abstract projection block, by descending eigenvalue."""
-    vals, vecs = linalg.eigh(block)
-    if np.count_nonzero(vals > 0.5) < count:
-        raise NotAProjection("projection block has rank %d < %d" % (np.count_nonzero(vals > 0.5), count))
-    return vecs[:, ::-1][:, :count]
-
-
 def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     """Build a system whose support is the prescribed projection f in M1.
 
     f is given by its blocks in M1 (``bc.e1``, for instance).  Partial
     isometries v_i in M1 with v_i* v_i under e1 and ranges summing to f are
-    assembled in M1's blocks and pushed down there: x_i = v_i 1^.
+    assembled in M1's blocks and pushed down in one pass: x_i = v_i 1^.
     Mode "general" peels as much rank per step as e1 allows (always
     feasible); "orthonormal-padded" uses full copies of e1 plus one
     remainder, which requires (n-1) * rank_b(e1) <= rank_b(f) <= n * rank_b(e1)
     for a single n in every block and raises InfeasibleSupport otherwise.
     """
+    f, elements = _pushed_down(f, bc, mode, tol)
+    sys = classify(elements, bc.sub, side="right", bc=bc, tol=tol)
+    sys.residuals["support_match"] = hermitian_block_norm([c - b for c, b in zip(sys.support["right"], f)])
+    return sys
+
+
+def _pushed_down(f, bc, mode, tol):
+    """f's checked blocks and the elements x_i = v_i 1^ of ``construct_system_with_support``, unclassified."""
     linalg.check_tol(tol)
     if mode not in ("general", "orthonormal-padded"):
         raise InvalidInput("unknown mode %r" % (mode,))
@@ -224,10 +224,9 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
     r = max(max(linalg.projection_residuals(s)) for s in linalg.stacks(f))
     if not r <= tol * (1.0 + linalg.block_norm(f)):
         raise NotAProjection("prescribed support is not a projection (residual %.3g)" % r)
-    ranks_f = [linalg.integer_trace(b, NotAProjection) for b in f]
-    ranks_e = [linalg.integer_trace(b, NotAProjection) for b in bc.e1]
-    nblocks = len(ranks_f)
-    bad = {b: ranks_f[b] for b in range(nblocks) if ranks_f[b] > 0 and ranks_e[b] == 0}
+    f_vecs, e_vecs = linalg.range_vectors(f), bc.m1_wedd.e1_ranges  # f's and e1's range vectors
+    ranks_f, ranks_e = [v.shape[1] for v in f_vecs], [v.shape[1] for v in e_vecs]
+    bad = {b: rf for b, (rf, re) in enumerate(zip(ranks_f, ranks_e)) if rf > 0 and re == 0}
     if bad:
         raise InfeasibleSupport("support demands rank in blocks where e1 vanishes", deficits=bad)
     if mode == "orthonormal-padded":  # the steps below are then full copies of e1 and one remainder
@@ -237,19 +236,14 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
             msg = "no single padding count fits every block (deficits %r)" % (deficits,)
             raise InfeasibleSupport(msg, deficits=deficits)
     # each step peels as much rank per block as e1 has; e1's vectors are reused each step, f's are consumed
-    e_vecs = [_range_vectors(e, r) for e, r in zip(bc.e1, ranks_e)]
-    f_vecs = [_range_vectors(b, r) for b, r in zip(f, ranks_f)]
-    used, elements = np.zeros(nblocks, dtype=int), []
+    used, vs = np.zeros(len(f), dtype=int), []
     while (used < ranks_f).any():
         s = np.minimum(ranks_f - used, ranks_e)
-        v = [fv[:, u:u + k] @ ev[:, :k].conj().T for fv, ev, u, k in zip(f_vecs, e_vecs, used, s)]
-        elements.append(bc.pushdown(v))  # x = v 1^, so v = L_x e1
+        vs.append([fv[:, u:u + k] @ ev[:, :k].conj().T for fv, ev, u, k in zip(f_vecs, e_vecs, used, s)])
         used += s
-    if not elements:
+    if not vs:
         raise InvalidInput("prescribed support is zero; the empty family has no classification")
-    sys = classify(elements, bc.sub, side="right", bc=bc, tol=tol)
-    sys.residuals["support_match"] = hermitian_block_norm([c - b for c, b in zip(sys.support["right"], f)])
-    return sys
+    return f, bc.pushdown(vs)  # x_i = v_i 1^, so v_i = L_{x_i} e1
 
 
 def complete_to_basis(system, bc=None, tol=EPS_FLAG):
@@ -269,8 +263,7 @@ def complete_to_basis(system, bc=None, tol=EPS_FLAG):
     if system.residuals["right_support_identity"] <= tol:  # the norm of the complement 1 - support
         return system
     bc = bc or system.bc or BasicConstruction(system.sub)
-    extension = construct_system_with_support([np.eye(len(c)) - c for c in system.support["right"]], bc, tol=tol)
-    combined = tuple(system.elements) + tuple(extension.elements)
-    out = classify(combined, system.sub, side="right", bc=bc, tol=tol)
+    _, extension = _pushed_down([np.eye(len(c)) - c for c in system.support["right"]], bc, "general", tol)
+    out = classify(tuple(system.elements) + tuple(extension), system.sub, side="right", bc=bc, tol=tol)
     assert out.elements[: system.size] == tuple(system.elements)
     return out

@@ -10,7 +10,8 @@ the nullspace of the commutator with N's right action, lift x in M to the blocks
 L_x e1, and compute the Markov extension from a Gram system over M's matrix units.
 Dense and O(D^4) or worse; small models only.  The Gram projection test and the
 unitarity defects are also measured through singular values, the route that the
-library's eigenvalues of these Hermitian matrices replaced.  The dense left and right
+library's eigenvalues of these Hermitian matrices replaced.  ``pushdown`` is the
+per-element route the library's batched pushdown replaced.  The dense left and right
 actions of M on its GNS space, N's units as a nested list, the coefficients of an
 element of N in them and the SVD rank are here too: no path of the library uses them.
 """
@@ -244,3 +245,18 @@ class GramM1Trace:
         for c, u in zip(coeff, self.units):
             acc = acc + c * u
         return acc
+
+
+def pushdown(bc, v):
+    """x = v 1^ for one v in M1 given by its blocks, one element at a time: v e1 = v checked to EPS_REL and
+    L_x e1 = v to EPS_FLAG, both against 1 + ||v||, with L_x e1 read off the rows of x^ and of 1^."""
+    wd = bc.m1_wedd
+    v = wd._checked(v)
+    scale = 1.0 + linalg.block_norm(v)
+    assert linalg.block_norm([c @ e - c for c, e in zip(v, bc.e1)]) <= linalg.EPS_REL * scale
+    one = bc.amb.vec(bc.amb.identity())[:, None]
+    x = wd.apply(v, one)
+    rows = wd.rows(np.concatenate([x, one], axis=1))
+    lift = wd.per_block(wd.support([r[:, :1] for r in rows], [r[:, 1:] for r in rows]))
+    assert linalg.block_norm([a - c for a, c in zip(lift, v)]) <= linalg.EPS_FLAG * scale
+    return bc.amb.unvec(x[:, 0])

@@ -360,7 +360,7 @@ def test_criterion_11_pushdown_roundtrip(report):
             mp = pool[i % 4]
             bc = bcs[i % 4]
             x = mp.ambient.random_element(rng)
-            y = bc.pushdown(lift(bc, x))
+            y = bc.pushdown([lift(bc, x)])[0]
             worst = max(np.max(np.abs(a - b)) for a, b in zip(y.blocks, x.blocks))
             assert worst <= 1e-12
 

@@ -169,7 +169,7 @@ def test_construction_is_lazy(monkeypatch):
     monkeypatch.setattr(linalg, "nullspace", forbidden)
     bc = BasicConstruction(mp.sub)
     assert vars(bc).keys() == {"sub", "amb", "seed"}  # nothing is formed up front
-    assert bc.pushdown(bc.e1).allclose(mp.ambient.identity(), tol=1e-12)  # e1 = L_1 e1
+    assert bc.pushdown([bc.e1])[0].allclose(mp.ambient.identity(), tol=1e-12)  # e1 = L_1 e1
     monkeypatch.undo()
     assert m1_subalgebra(bc).dim == 27
 
@@ -185,7 +185,7 @@ def test_closed_form_m1_at_diag_in_m6():
     rng = linalg.rng_from_seed(4)
     for _ in range(3):
         x = mp.ambient.random_element(rng)
-        assert bc.pushdown(lift(bc, x)).allclose(x, tol=1e-10)
+        assert bc.pushdown([lift(bc, x)])[0].allclose(x, tol=1e-10)
 
 
 def test_pushdown_lift_roundtrip():
@@ -194,16 +194,68 @@ def test_pushdown_lift_roundtrip():
         rng = linalg.rng_from_seed(7)
         for _ in range(10):
             x = mp.ambient.random_element(rng)
-            y = bc.pushdown(lift(bc, x))
+            y = bc.pushdown([lift(bc, x)])[0]
             assert y.allclose(x, tol=1e-10)
 
 
 def test_pushdown_rejects_bad_input():
     bc = BasicConstruction(models.diagonal_in_matrix(2).sub)
     with pytest.raises(NotSupportedOnE1):
-        bc.pushdown([np.eye(k) for k in bc.m1_wedd.block_dims])  # the identity is not supported on e1
+        bc.pushdown([[np.eye(k) for k in bc.m1_wedd.block_dims]])  # the identity is not supported on e1
     with pytest.raises(InvalidInput, match="M1's blocks must be"):
-        bc.pushdown(e1_matrix(bc))  # a D x D array is no list of M1's blocks
+        bc.pushdown([e1_matrix(bc)])  # a D x D array is no list of M1's blocks
+
+
+def _drawn_family(bc, rng, n):
+    """n elements v of M1 with v e1 = v, from random blocks times e1's."""
+    return [[(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) @ e for k, e in
+             zip(bc.m1_wedd.block_dims, bc.e1)] for _ in range(n)]
+
+
+def test_pushdown_is_one_pass_per_family(monkeypatch):
+    # f = 1 on Z6 over C is six elements, pushed down together: one apply (its rows pass reads 1^),
+    # one rows pass of the six x^ beside 1^, and one stacked operator_norms call per block size of M1
+    # for both checks, where one pushdown per element made six of each
+    bc = BasicConstruction(models.group_algebra_pair(GroupTable.cyclic(6), [0]).sub)
+    bc.m1_wedd.e1_ranges
+    calls, inside = [], []
+    for name in ("apply", "rows"):
+        original = getattr(M1Wedderburn, name)
+        monkeypatch.setattr(M1Wedderburn, name, lambda self, *a, name=name, original=original:
+                            calls.append(name) or original(self, *a))
+    norms, pushdown = linalg.operator_norms, BasicConstruction.pushdown
+    monkeypatch.setattr(linalg, "operator_norms", lambda a: calls.append("operator_norms") or norms(a))
+
+    def spy(self, vs):
+        start = len(calls)
+        out = pushdown(self, vs)
+        inside.append(calls[start:])
+        return out
+
+    monkeypatch.setattr(BasicConstruction, "pushdown", spy)
+    sys = construct_system_with_support([np.eye(k) for k in bc.m1_wedd.block_dims], bc)
+    assert sys.size == 6 and sys.flags["basis"]
+    assert len(inside) == 1
+    sizes = len(set(bc.m1_wedd.block_dims))
+    assert sorted(inside[0]) == sorted(["apply", "rows", "rows"] + ["operator_norms"] * sizes)
+
+
+@settings(max_examples=10)
+@given(connected_pairs())
+def test_batched_pushdown_matches_the_per_element_reference(mp):
+    bc = BasicConstruction(mp.sub)
+    vs = _drawn_family(bc, linalg.rng_from_seed(3), 3)
+    for got, v in zip(bc.pushdown(vs), vs):
+        want = oracles.pushdown(bc, v)
+        assert max(np.abs(a - b).max() for a, b in zip(got.blocks, want.blocks)) <= 1e-12
+
+
+def test_pushdown_names_the_element_not_supported_on_e1():
+    bc = BasicConstruction(models.diagonal_in_matrix(2).sub)
+    vs = _drawn_family(bc, linalg.rng_from_seed(8), 3)
+    vs[1] = [np.eye(k) for k in bc.m1_wedd.block_dims]  # the identity is not supported on e1
+    with pytest.raises(NotSupportedOnE1, match="input 1 "):
+        bc.pushdown(vs)
 
 
 def test_markov_extension_trace_values():
@@ -337,7 +389,7 @@ def test_apply_to_one_matches_pushdown(build):
     for _ in range(3):
         blocks = [(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) @ e
                   for k, e in zip(wd.block_dims, bc.e1)]
-        got = bc.pushdown(blocks)
+        got = bc.pushdown([blocks])[0]
         want = bc.amb.unvec(oracles.apply(wd, blocks, one[:, None])[:, 0])
         assert max(np.abs(a - b).max() for a, b in zip(got.blocks, want.blocks)) <= 1e-12
 
@@ -534,7 +586,7 @@ def test_malformed_m1_blocks_are_invalid_input(entry, kind):
     tr2 = bc.markov_extension()
     call = {
         "construct_system_with_support": lambda f: construct_system_with_support(f, bc),
-        "pushdown": bc.pushdown,
+        "pushdown": lambda v: bc.pushdown([v]),
         "trace": tr2.trace,
         "expect_onto_ambient": tr2.expect_onto_ambient,
     }[entry]
@@ -560,7 +612,7 @@ def test_block_paths_form_no_gns_operator(monkeypatch):
         assert sys.size == size and sys.residuals["support_match"] <= 1e-12
     full = complete_to_basis(construct_system_with_support(bc.e1, bc), bc)
     assert full.flags["basis"]
-    assert bc.pushdown(bc.e1).allclose(mp.ambient.identity(), tol=1e-12)
+    assert bc.pushdown([bc.e1])[0].allclose(mp.ambient.identity(), tol=1e-12)
     tr2 = bc.markov_extension()
     assert abs(tr2.trace(bc.e1) - 1.0 / 3.0) <= 1e-12
     assert tr2.expect_onto_ambient(bc.e1).allclose(mp.ambient.scalar(1.0 / 3.0), tol=1e-12)
@@ -583,7 +635,7 @@ def test_drawn_pushdown_round_trip(mp):
     rng = linalg.rng_from_seed(0)
     for _ in range(2):
         x = mp.ambient.random_element(rng)
-        assert max(np.abs(a - b).max() for a, b in zip(bc.pushdown(lift(bc, x)).blocks, x.blocks)) <= 1e-12
+        assert max(np.abs(a - b).max() for a, b in zip(bc.pushdown([lift(bc, x)])[0].blocks, x.blocks)) <= 1e-12
 
 
 @settings(max_examples=10)

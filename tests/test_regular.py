@@ -224,7 +224,7 @@ def crossed_product_oracle(base, group, autos, seed=0):
     def to_model(mat):
         return alg.element(unit_coefficients(wd, op_alg.element([mat])))
 
-    image = Subalgebra.embedded(alg, base, lambda b: to_model(np.tensordot(regular._coords(b), pi, 1)))
+    image = Subalgebra.embedded(alg, base, [to_model(np.tensordot(regular._coords(b), pi, 1)) for b in base.units()])
     return alg, image, tuple(to_model(ug) for ug in u)
 
 
@@ -739,7 +739,7 @@ def test_kept_structure_survives_pickling(monkeypatch, build):
     mp = build()
     want = _pipeline_outcome(mp.sub, mp.candidates)
     wd = mp.sub.wedderburn_data()
-    mp.sub.projection_matrix(), wd.m1.e1, wd.inner_basis  # what is kept read-only, built before the round trip
+    mp.sub.projection_matrix(), wd.m1.e1_ranges, wd.inner_basis  # what is kept read-only, built before the round trip
     sub, candidates = pickle.loads(pickle.dumps((mp.sub, mp.candidates)))
     built = []
     for module, name in ((algebra, "wedderburn"), (algebra, "_closed_form"), (algebra, "M1Wedderburn")):
@@ -749,7 +749,8 @@ def test_kept_structure_survives_pickling(monkeypatch, build):
     assert _pipeline_outcome(sub, candidates) == want
     assert built == []
     wd = sub.wedderburn_data()
-    kept = [sub.projection_matrix(), *wd.m1.e1, *(b for x in wd.inner_basis for b in x.blocks)]
+    assert "e1_ranges" in vars(wd.m1)  # e1's range vectors travel with e1
+    kept = [sub.projection_matrix(), *wd.m1.e1, *wd.m1.e1_ranges, *(b for x in wd.inner_basis for b in x.blocks)]
     assert built == [] and not any(a.flags.writeable for a in kept)
 
 

@@ -673,7 +673,7 @@ def test_m1_paths_make_no_product_pass(monkeypatch, name):
     basis = scalar_basis(mp.ambient)
     assert classify(basis, mp.sub, side="two-sided").support.keys() == {"right", "left"}
     assert len(gram_matrix(basis[:2], mp.sub)) == 2
-    assert bc.pushdown(bc.e1).allclose(mp.ambient.identity(), tol=1e-12)
+    assert bc.pushdown([bc.e1])[0].allclose(mp.ambient.identity(), tol=1e-12)
     full = construct_system_with_support([np.eye(k) for k in bc.m1_wedd.block_dims], bc)
     start = construct_system_with_support(bc.e1, bc)
     assert full.flags["basis"] and complete_to_basis(start, bc).flags["basis"]
