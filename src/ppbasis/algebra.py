@@ -149,10 +149,11 @@ class MultiMatrixAlgebra:
         return AlgebraElement(self, self._read_back(v))
 
     def _read_back(self, v):
-        """The blocks of the element with GNS coordinates ``v``, the weights divided out of re and im apart:
-        a complex division would round, and a 1 stays exact."""
+        """The blocks of the element with GNS coordinates ``v`` (or of each of a stack), the weights divided out of re
+        and im apart: a complex division would round, and a 1 stays exact."""
         v = v.real / self.gns_weights + 1j * (v.imag / self.gns_weights)
-        return [v[lo:hi].reshape(n, n) for n, lo, hi in zip(self.dims, self._offsets, self._offsets[1:])]
+        return [v[..., lo:hi].reshape(*v.shape[:-1], n, n)
+                for n, lo, hi in zip(self.dims, self._offsets, self._offsets[1:])]
 
     def products(self, a, b):
         """GNS coordinates of the products x y, with x and y over the elements whose

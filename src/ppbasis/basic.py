@@ -92,12 +92,12 @@ class BasicConstruction:
         return self.m1_wedd.e1
 
     def pushdown(self, vs):
-        """The unique x_s in M with v_s = L_{x_s} e1, for each v_s in M1 given by its blocks with v_s e1 = v_s:
-        x_s = v_s 1^, from one ``apply`` of the blocks stacked (n, k_i, k_i) and one ``rows`` pass of the x_s beside
-        1^ for the L_{x_s} e1; both checks take one stacked norm per block size and name the first v_s that fails."""
-        wd = self.m1_wedd
+        """Each x_s = v_s 1^, the x_s in M with v_s = L_{x_s} e1, for v_s in M1 given by its blocks with v_s e1 = v_s:
+        one ``apply``, one ``rows`` pass, and each check one stacked norm per block size, naming the first s failing."""
+        wd, one = self.m1_wedd, self.amb.vec(self.amb.identity())[:, None]
         v = [np.array(c) for c in zip(*map(wd._checked, vs))]  # per block of M1, the family's blocks
-        one = self.amb.vec(self.amb.identity())[:, None]
+        if not v:  # the empty family
+            return []
         x = wd.apply(v, one)[..., 0]
         rows = wd.rows(np.concatenate([x.T, one], axis=1))  # L_x e1 per group: x^'s rows, element axis first, 1^'s
         lift = wd.support([r[:, :-1].swapaxes(0, 1)[:, :, None] for r in rows], [r[:, -1:] for r in rows])
@@ -108,7 +108,7 @@ class BasicConstruction:
             raise NotSupportedOnE1("pushdown input %d must satisfy v e1 = v" % k)
         for k in np.flatnonzero(res > linalg.EPS_FLAG * (1.0 + size))[:1]:
             raise InvalidInput("pushdown reconstruction failed; input %d is not of the form L_x e1" % k)
-        return [self.amb.unvec(c) for c in x]
+        return [self.amb.element(blocks) for blocks in zip(*self.amb._read_back(x))]
 
     def markov_extension(self):
         """Trace on M1 extending the ambient trace in Markov mode, from the kept ``m1_wedd.markov``."""
@@ -159,7 +159,7 @@ class M1Wedderburn:
 
     @functools.cached_property
     def e1_ranges(self):
-        """Orthonormal bases of the ranges of e1's blocks, read-only (``linalg.range_vectors``): its ranks are their widths."""
+        """Orthonormal bases of the ranges of e1's blocks (``linalg.range_vectors``), read-only: e1's ranks."""
         return linalg.read_only(linalg.range_vectors(self.e1))
 
     def _rotate(self, x, inverse=False):
@@ -201,8 +201,8 @@ class M1Wedderburn:
         return out
 
     def apply(self, blocks, cols):
-        """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols for the abstract blocks C_i (checked by the caller), not formed: C_i on the
-        rows, rotated back; blocks stacked (n, k_i, k_i) give the n elements' (n, D, ncols) images from one pass."""
+        """sum_{i,p} W_{i,p} C_i W_{i,p}^* cols for the abstract blocks C_i (checked by the caller), not formed: C_i on
+        the rows, rotated back; blocks stacked (n, k_i, k_i) give the n elements' (n, D, ncols) images from one pass."""
         z = [(r[:, None] @ np.array([np.reshape(blocks[i], (-1, k, k)).swapaxes(1, 2) for i in idx])[:, :, None])
              .transpose(1, 2, 0, 3, 4).reshape(-1, len(idx) * m * k)
              for r, (idx, m, k, *_) in zip(self.rows(cols), self._groups)]

@@ -10,9 +10,8 @@ view of an untwisted UnitalEmbedding (``models.explicit_pair(...).embedding``):
 its diagram is read off the embedding's dims and inclusion matrix, and its
 algebras, traces and middle units are the embedding's.  The conditional
 expectation onto the middle algebra acts on matrix units by a closed-form
-coefficient, read for every unit at once as index arrays (``expect_units``), and
-suitably normalized sums of units over middle paths give path-indexed
-orthogonal systems and scalar two-sided bases.
+coefficient, read for all units at once as index arrays (``expect_units``), and
+normalized sums of units over middle paths give path-indexed orthogonal systems and scalar two-sided bases.
 """
 
 from collections import namedtuple
@@ -122,15 +121,12 @@ class PathModel:
         return sum((self.middle_unit(th, tp) for th in ends for tp in ends), self.bottom.zero()) / len(ends)
 
     def expect_units(self):
-        """``expect_unit`` of every unit of the bottom algebra, as its column of GNS coordinates, in their order: per
-        bottom block the paths' heads and tails, as index arrays, pick the coefficient and the middle unit's column."""
-        d, wd, cols = self.diagram, self.middle_subalgebra().wedderburn_data(), []
-        for j, paths in enumerate(d.block_paths):
-            i, a, c = np.array([(p.head.block, p.head.slot, p.tail.slot) for p in paths]).T
-            same = (i[:, None] == i) & (c[:, None] == c)  # the tails agree; else the expectation is 0
-            col = np.where(same, wd._starts[i, None] + a[:, None] * np.array(d.middle_dims)[i, None] + a, 0)
-            cols.append(wd.unit_mat[:, col.ravel()] * (same * self.t1[j] / self.t0[i, None]).ravel())
-        return np.concatenate(cols, axis=1)
+        """``expect_unit`` of each bottom unit as a GNS column, in unit order, read off the paths as index arrays."""
+        d, wd = self.diagram, self.middle_subalgebra().wedderburn_data()
+        i, a, j, c = np.array([(p.head.block, p.head.slot, p.tail.target, p.tail.slot) for p in d.paths]).T
+        pair, same = j[:, None] == j, (i[:, None] == i) & (j[:, None] == j) & (c[:, None] == c)  # E = 0 unless same
+        col = np.where(same, wd._starts[i, None] + a[:, None] * np.array(d.middle_dims)[i, None] + a, 0)[pair]
+        return wd.unit_mat[:, col] * (same * self.t1[j, None] / self.t0[i, None])[pair]
 
     def orthogonal_system(self):
         """Path-indexed orthogonal system over the middle algebra.
@@ -143,10 +139,9 @@ class PathModel:
         for kappa in d.edges01:
             (i, j, _), tops = kappa, [d.pos[Path(th, kappa)][1] for th in d.edges0 if th.block == kappa.source]
             for q, beta in enumerate(d.block_paths[j]):
-                x = self.bottom.zero()
-                x.blocks[j][tops, q] = (d.middle_dims[i] * self.t1[j] / self.t0[i]) ** -0.5
                 labels.append((kappa, beta))
-                elements.append(x)
+                elements.append(self.bottom.zero())
+                elements[-1].blocks[j][tops, q] = (d.middle_dims[i] * self.t1[j] / self.t0[i]) ** -0.5
         return labels, elements
 
 

@@ -368,7 +368,8 @@ def _task_path_basis(task, model, eps):
     labels, elems = pm.orthogonal_system()
     mid = pm.middle_subalgebra()
     sys = classify(elems, mid, side="left", tol=eps)
-    expect_res = float(np.linalg.norm(pm.expect_units() - mid.mat @ (mid.mat.conj().T * pm.bottom.gns_weights), axis=0).max())
+    gns = mid.mat @ (mid.mat.conj().T * pm.bottom.gns_weights)  # every bottom unit projected onto the middle at once
+    expect_res = float(np.linalg.norm(pm.expect_units() - gns, axis=0).max())
     jps = [pm.j_projection(p) for p in range(pm.middle_skeleton.nblocks)]
     j_res = max(max(((jp * jp) - jp).norm(), (jp - jp.adjoint()).norm()) for jp in jps)
     out = _system_payload(sys)

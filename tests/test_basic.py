@@ -245,7 +245,8 @@ def test_pushdown_is_one_pass_per_family(monkeypatch):
 def test_batched_pushdown_matches_the_per_element_reference(mp):
     bc = BasicConstruction(mp.sub)
     vs = _drawn_family(bc, linalg.rng_from_seed(3), 3)
-    for got, v in zip(bc.pushdown(vs), vs):
+    assert bc.pushdown([]) == []
+    for got, v in zip(bc.pushdown(vs), vs, strict=True):
         want = oracles.pushdown(bc, v)
         assert max(np.abs(a - b).max() for a, b in zip(got.blocks, want.blocks)) <= 1e-12
 

@@ -110,9 +110,14 @@ def test_middle_subalgebra_keeps_the_middle_units(monkeypatch):
 def test_middle_units_are_the_sums_over_common_extensions(middle_dims, inclusion):
     # the paths of each bottom block run copy before slot, the order of UnitalEmbedding's
     # copies, so the image's kept units are the sums over common extensions of two middle
-    # paths, and the image of each middle unit under the embedding
+    # paths, and the image of each middle unit under the embedding; each element of the
+    # orthogonal system is the normalized sum of the units over the top extensions of its edge
     pm = PathModel(models.explicit_pair(middle_dims, inclusion).embedding)
     d = pm.diagram
+    for (kappa, beta), x in zip(*pm.orthogonal_system(), strict=True):
+        tops = [pm.unit(Path(th, kappa), beta) for th in d.edges0 if th.block == kappa.source]
+        c = d.middle_dims[kappa.source] * pm.t1[kappa.target] / pm.t0[kappa.source]
+        assert x.allclose((c ** -0.5) * sum(tops, pm.bottom.zero()), tol=0.0)
     for th in d.edges0:
         for tp in d.edges0:
             if th.block != tp.block:
@@ -126,15 +131,19 @@ def test_middle_units_are_the_sums_over_common_extensions(middle_dims, inclusion
 
 
 def test_expect_unit_matches_subalgebra_expectation():
-    # closed-form coefficient against the GNS projection, every unit pair
-    for pm in (models.path_cc_m2(), models.path_c_cm2(), models.path_cm2_m3()):
-        mid = pm.middle_subalgebra()
+    # closed-form coefficient against the GNS projection, every unit pair; expect_units reads
+    # the same coefficients for every unit at once, in unit order
+    multi = PathModel(models.explicit_pair((1, 2), [[1, 1], [0, 2]]).embedding)
+    for pm in (models.path_cc_m2(), models.path_c_cm2(), models.path_cm2_m3(), multi):
+        mid, cols = pm.middle_subalgebra(), []
         for j, bp in enumerate(pm.diagram.block_paths):
             for lam in bp:
                 for mu in bp:
                     closed = pm.expect_unit(lam, mu)
                     gns = mid.expect(pm.unit(lam, mu))
                     assert (closed - gns).norm() < 1e-10
+                    cols.append(closed.vec())
+        assert np.abs(pm.expect_units() - np.stack(cols, axis=1)).max() <= 1e-15
 
 
 def test_expect_unit_rejects_cross_block():
