@@ -10,15 +10,15 @@ On block j of M the e^i_p0 v_a, for the basis v_a of the range of e^i_00 there,
 are the columns of a unitary, the frame U_j (``WedderburnData.frames``).  A GNS
 column X, read as the n_j-square matrix X_j on each block j, rotates to X_j U_j,
 whose columns (i, p, a) hold W_{i,p}^* X with rows (r, a): W_{i,p} = R(e^i_0p) V_i
-for V_i = 1_{n_j} (x) conj(v_ij), and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  The
-Gram matrix and the support of a family, e1 (the support of {1}), e_P, the action
-of M1 and the pushdown x_s = v_s 1^ of a whole family (Pimsner and Popa: M1 e1 = M e1) are contractions
-of that one rotation (``M1Wedderburn.rows``), one matmul per block size of M, whose
-rows come per group of M1's blocks of one shape (m_i, k_i): each contraction is one
-batched product per group, listed per block as views.  The Markov extension is a closed
-form in the blocks (``M1Trace``).  M1's block data (``wd.m1``, with ``markov``, ``e1`` and ``e1_ranges``) is kept on N's
-Wedderburn data beside Lambda and the inner basis of R over N (``wd.lam``, ``wd.inner_basis``): ``algebra``
-imports this module, and this module nothing from it.
+for V_i = 1_{n_j} (x) conj(v_ij), and M1 = {sum_{i,p} W_{i,p} C_i W_{i,p}^*}.  The Gram matrix and
+the support of a family, e1 (the support of {1}), e_P, the action of M1 and the pushdown x_s = v_s 1^
+of a whole family at once (Pimsner and Popa: M1 e1 = M e1) are contractions of that one rotation
+(``M1Wedderburn.rows``), one matmul per block size of M, whose rows come per group of M1's blocks of
+one shape (m_i, k_i): each contraction is one batched product per group, listed per block as views.
+The Markov extension is a closed form in the blocks (``M1Trace``).  M1's block data (``wd.m1``, with
+``markov``, ``e1`` and its range vectors ``e1_ranges``) is kept on N's Wedderburn data beside Lambda
+and the inner basis of R over N (``wd.lam``, ``wd.inner_basis``): ``algebra`` imports this module,
+and this module nothing from it.
 """
 
 import functools

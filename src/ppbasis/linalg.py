@@ -161,8 +161,9 @@ def range_vectors(blocks):
     trace, by descending eigenvalue; NotAProjection unless it is an integer (``integer_trace``) and they exceed 1/2."""
     eig = {s.shape[-1]: zip(*eigh(s)) for s in stacks(blocks)}
     found = [(integer_trace(b, NotAProjection), *next(eig[len(b)])) for b in blocks]  # (rank, values, vectors)
-    for got, r in [(np.count_nonzero(vals > 0.5), r) for r, vals, _ in found if np.count_nonzero(vals > 0.5) < r][:1]:
-        raise NotAProjection("projection block has rank %d < %d" % (got, r))
+    for r, vals, _ in found:
+        if np.count_nonzero(vals > 0.5) < r:
+            raise NotAProjection("projection block has rank %d < %d" % (np.count_nonzero(vals > 0.5), r))
     return [vecs[:, ::-1][:, :r] for r, _, vecs in found]
 
 

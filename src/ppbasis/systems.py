@@ -14,10 +14,10 @@ M1's blocks of one shape: the Gram matrix, in M_n(N) with the norms of M_n(M), a
 blocks in M1, where an element has the norm of its largest block.  Both are
 Hermitian, so every flag reads eigenvalues, one eigvalsh of each per group for both
 sides: no product x_i* x_j, no D x D operator and no singular value.  A prescribed support
-(``construct_system_with_support``) is given by its blocks, and the family is
-pushed down by one ``BasicConstruction.pushdown`` call; classification builds no basic
-construction (a ``bc`` passed in is kept for completion).  ``require_basis`` is
-the one basis check of the regular chain and interchange.
+(``construct_system_with_support``) is given by its blocks, and the family is pushed down by one
+``BasicConstruction.pushdown`` call; completion pushes the complement's family down the same way and
+classifies the extended family once.  Classification builds no basic construction (a ``bc`` passed in is
+kept for completion).  ``require_basis`` is the one basis check of the regular chain and interchange.
 """
 
 import math
@@ -243,7 +243,8 @@ def _pushed_down(f, bc, mode, tol):
         used += s
     if not vs:
         raise InvalidInput("prescribed support is zero; the empty family has no classification")
-    return f, bc.pushdown(vs)  # x_i = v_i 1^, so v_i = L_{x_i} e1
+    step = max(1, 2 ** 18 // sum(k * k for k in bc.m1_wedd.block_dims))  # elements per pass: its checks stay ~25 MB
+    return f, [x for lo in range(0, len(vs), step) for x in bc.pushdown(vs[lo:lo + step])]  # v_i = L_{x_i} e1
 
 
 def complete_to_basis(system, bc=None, tol=EPS_FLAG):

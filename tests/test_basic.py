@@ -240,6 +240,16 @@ def test_pushdown_is_one_pass_per_family(monkeypatch):
     assert sorted(inside[0]) == sorted(["apply", "rows", "rows"] + ["operator_norms"] * sizes)
 
 
+def test_large_families_are_pushed_down_in_bounded_passes(monkeypatch):
+    # f = 1 on diag-in-M24 is 24 elements of M1 = 24 blocks M24: 2**18 // (24 * 576) = 18 elements
+    # per pass keep the stacked checks near 25 MB, so the family takes two passes
+    bc = BasicConstruction(models.diagonal_in_matrix(24).sub)
+    sizes, pushdown = [], BasicConstruction.pushdown
+    monkeypatch.setattr(BasicConstruction, "pushdown", lambda self, vs: sizes.append(len(vs)) or pushdown(self, vs))
+    sys = construct_system_with_support([np.eye(k) for k in bc.m1_wedd.block_dims], bc)
+    assert sizes == [18, 6] and sys.flags["basis"] and sys.residuals["support_match"] <= 1e-12
+
+
 @settings(max_examples=10)
 @given(connected_pairs())
 def test_batched_pushdown_matches_the_per_element_reference(mp):
