@@ -15,7 +15,7 @@ blocks in M1, where an element has the norm of its largest block.  Both are
 Hermitian, so every flag reads eigenvalues, one eigvalsh of each per group for both
 sides: no product x_i* x_j, no D x D operator and no singular value.  A prescribed support
 (``construct_system_with_support``) is given by its blocks, and the family is pushed down by one
-``BasicConstruction.pushdown`` call; completion pushes the complement's family down the same way and
+``BasicConstruction.pushdown`` call per 2**18 entries; completion pushes the complement's down the same way and
 classifies the extended family once.  Classification builds no basic construction (a ``bc`` passed in is
 kept for completion).  ``require_basis`` is the one basis check of the regular chain and interchange.
 """
@@ -203,7 +203,7 @@ def construct_system_with_support(f, bc, mode="general", tol=EPS_FLAG):
 
     f is given by its blocks in M1 (``bc.e1``, for instance).  Partial
     isometries v_i in M1 with v_i* v_i under e1 and ranges summing to f are
-    assembled in M1's blocks and pushed down in one pass: x_i = v_i 1^.
+    assembled in M1's blocks and pushed down together: x_i = v_i 1^.
     Mode "general" peels as much rank per step as e1 allows (always
     feasible); "orthonormal-padded" uses full copies of e1 plus one
     remainder, which requires (n-1) * rank_b(e1) <= rank_b(f) <= n * rank_b(e1)
