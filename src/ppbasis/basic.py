@@ -259,9 +259,12 @@ def watatani_index(elements, tol=linalg.EPS_FLAG):
     linalg.check_tol(tol)
     if not elements:
         raise InvalidInput("need at least one element")
-    alg = elements[0].alg
-    stacks = alg.stacked(elements)  # block j of the sum is L L* for L = [lam_1, lam_2, ...] of the blocks j, per size
-    rows = [s.transpose(1, 2, 0, 3).reshape(s.shape[1], s.shape[2], -1) for s in stacks]
+    return _watatani(elements[0].alg, elements[0].alg.stacked(elements), tol)
+
+
+def _watatani(alg, stacks, tol):
+    """``watatani_index`` of the family whose blocks are ``stacks`` (``MultiMatrixAlgebra.stacked`` of ``alg``)."""
+    rows = [s.transpose(1, 2, 0, 3).reshape(s.shape[1], s.shape[2], -1) for s in stacks]  # block j of A: L L*, per size
     with np.errstate(over="ignore", invalid="ignore"):  # a nan, an inf or an overflow is named below
         sums = [r @ r.conj().swapaxes(1, 2) for r in rows]
     if not all(np.isfinite(b).all() for b in sums):  # checked before any factorization

@@ -6,7 +6,8 @@ operator is p = sum_ij L(lambda_i mu_j) e1 L(lambda_i mu_j)*.  It is a
 projection exactly when the two intermediate algebras commute in the right
 way; modular conjugation swaps the two arguments.  Each basis is checked by
 ``systems.require_basis`` against e_P's blocks in M1, which also checks N <= P.
-The interchange operators are returned as D x D arrays; e_P as its blocks in M1.
+Both orders of the products, their supports in M1 and the D x D operators take one pass
+each (``_rows``, ``support``, a stacked ``M1Wedderburn.apply``); e_P is returned as its blocks in M1.
 """
 
 import numpy as np
@@ -35,11 +36,7 @@ def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG, check
     ``basis_p`` must be a right basis of P over N and ``basis_q`` one of Q
     over N; with ``check`` the basis property is verified first.
     """
-    if check:
-        for mid, basis, label in ((p_sub, basis_p, "first"), (q_sub, basis_q, "second")):
-            require_basis(basis, bc.sub, mid, side="right", tol=tol, label=label)
-    m1, products = bc.m1_wedd, bc.amb.stacked([lam * mu for lam in basis_p for mu in basis_q])
-    return m1.from_abstract(m1.per_block([s[0] for s in m1.support(_rows(products, bc.sub, ("right",)))]))
+    return _interchange(p_sub, basis_p, q_sub, basis_q, bc, tol, check, 1)[0]
 
 
 def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG):
@@ -48,10 +45,23 @@ def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=EPS_FLAG):
     Both bases are checked first.  Returns (p(P,Q), p(Q,P), residual of
     J p(P,Q) J - p(Q,P)).
     """
-    pq = interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol)
-    qp = interchange_operator(q_sub, basis_q, p_sub, basis_p, bc, tol, check=False)
-    j_res = linalg.operator_norm(bc.amb.sandwich_j(pq) - qp)
-    return pq, qp, j_res
+    pq, qp = _interchange(p_sub, basis_p, q_sub, basis_q, bc, tol, True, 2)
+    return pq, qp, linalg.operator_norm(bc.amb.sandwich_j(pq) - qp)
+
+
+def _interchange(p_sub, basis_p, q_sub, basis_q, bc, tol, check, count):
+    """p(P, Q), then p(Q, P) if ``count`` is 2, as (count, D, D): the products lambda_i mu_j (lambda slowest), then mu_j
+    lambda_i, in one matmul per block size, one ``_rows`` call, one ``support`` call and one stacked ``apply``."""
+    for mid, basis, label in ((p_sub, basis_p, "first"), (q_sub, basis_q, "second")) if check else ():
+        require_basis(basis, bc.sub, mid, side="right", tol=tol, label=label)
+    m1, n, k = bc.m1_wedd, len(basis_p), len(basis_q)
+    if not n * k:  # no products: the stacks below would have no element axis
+        raise InvalidInput("cannot test an empty family")
+    (i, j), (jq, iq) = np.divmod(np.arange(n * k), k), np.divmod(np.arange(n * k), n)
+    left, right = np.concatenate([i, n + jq])[:count * n * k], np.concatenate([n + j, iq])[:count * n * k]
+    stacks = [s[left] @ s[right] for s in bc.amb.stacked(tuple(basis_p) + tuple(basis_q))]
+    rows = [r[0].reshape(len(r[0]), count, -1, *r.shape[3:]).swapaxes(0, 1) for r in _rows(stacks, bc.sub, ("right",))]
+    return m1.apply(m1.per_block([s.swapaxes(0, 1) for s in m1.support(rows)]), np.eye(m1.gns_dim))
 
 
 def is_commuting_square(n_sub, p_sub, q_sub, tol=EPS_REL):

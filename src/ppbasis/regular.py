@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import MultiMatrixAlgebra, Subalgebra, _unitarity_residuals
-from .basic import watatani_index
+from .basic import _watatani
 from .errors import DuplicateCoset, InvalidInput, NotANormalizer, NotAnAction, NotUnitary
 from .linalg import EPS_FLAG
 from .systems import _classified, _grams, _rows, check_intermediate, classify, require_basis
@@ -144,16 +144,14 @@ class Automorphism:
                 raise NotAnAction("permutation maps a block of size %d onto size %d" % (alg.dims[s], alg.dims[j]))
             if abs(alg.trace_vector[j] - alg.trace_vector[s]) > linalg.EPS_INPUT:
                 raise NotAnAction("automorphism must preserve the trace vector")
-        if unitaries is None:
-            unitaries = [np.eye(alg.dims[j]) for j in range(k)]
-        us = []
-        for j, u in enumerate(unitaries):
-            u = np.asarray(u, dtype=complex)
-            if u.shape != (alg.dims[j], alg.dims[j]):
-                raise NotAnAction("unitary %d has the wrong shape" % j)
-            if _unitarity_residuals([u[None]])[0] > linalg.EPS_INPUT:
-                raise NotUnitary("block %d of the automorphism is not unitary" % j)
-            us.append(u)
+        us = [np.identity(n, complex) for n in alg.dims] if unitaries is None else [np.asarray(u, complex) for u in unitaries]
+        for j in [j for j in range(max(k, len(us))) if j >= min(k, len(us)) or us[j].shape != (alg.dims[j],) * 2][:1]:
+            raise NotAnAction("unitary %d is missing or has the wrong shape" % j)
+        res = np.zeros(k)  # the identity is unitary; given blocks are checked with one stacked call per block size
+        for js, _ in alg.size_groups if unitaries is not None else ():
+            res[js] = _unitarity_residuals([np.array([us[j] for j in js])[:, None]])
+        for j in np.flatnonzero(res > linalg.EPS_INPUT)[:1]:
+            raise NotUnitary("block %d of the automorphism is not unitary" % j)
         self.perm = perm
         self.unitaries = tuple(us)
 
@@ -449,10 +447,11 @@ def regular_pipeline(sub, candidates=(), seed=0, tol=EPS_FLAG):
     if regular and sys_r.flags["basis"]:
         if r_alg.dim == sub.dim:  # R = N: the products mu * 1 are the reps, classified over R = N above
             patched = sys_r
-        else:  # the products mu * lam, mu slowest, one matmul per block size
+        else:  # the products mu * lam, mu slowest, one matmul per block size, classified and indexed from their blocks
             stacks = [(a[:, None] @ b[None]).reshape(-1, *a.shape[1:]) for a, b in zip(stacks, wd_n.inner_stacks)]
-            patched = classify(amb.unstacked(stacks), sub, tol=tol)
-        wat = watatani_index(patched.elements)
+            rows = _rows(stacks, sub, ("right", "left"))
+            patched = _classified(tuple(amb.unstacked(stacks)), sub, "two-sided", None, tol, rows)[0]
+        wat = _watatani(amb, stacks, tol)
     elif regular:
         issues.append("IncompleteCosets")
 

@@ -370,8 +370,10 @@ def _task_path_basis(task, model, eps):
     sys = classify(elems, mid, side="left", tol=eps)
     gns = mid.mat @ (mid.mat.conj().T * pm.bottom.gns_weights)  # every bottom unit projected onto the middle at once
     expect_res = float(np.linalg.norm(pm.expect_units() - gns, axis=0).max())
-    jps = [pm.j_projection(p) for p in range(pm.middle_skeleton.nblocks)]
-    j_res = max(max(((jp * jp) - jp).norm(), (jp - jp.adjoint()).norm()) for jp in jps)
+    wd, amb = mid.wedderburn_data(), pm.bottom  # each ``j_projection`` as a GNS column: its block's units summed / m_p
+    jp = np.add.reduceat(wd.unit_mat, wd._starts[:-1], axis=1) / np.array(pm.middle_skeleton.dims)
+    defects = np.concatenate([amb.products(jp, jp)[:, ::jp.shape[1] + 1] - jp, jp - amb.modular_conjugation(jp)], axis=1)
+    j_res = float(np.linalg.norm(defects, axis=0).max())  # the GNS 2-norms of jp^2 - jp and jp - jp*
     out = _system_payload(sys)
     out["numbers"]["expectation_residual"] = expect_res
     out["numbers"]["j_projection_residual"] = j_res

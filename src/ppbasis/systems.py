@@ -11,12 +11,12 @@ contractions of the family's GNS columns x, formed once, and J x rotated togethe
 into M's frames (``M1Wedderburn.rows``), the sides stacked along the group axis of
 M1's blocks of one shape: the Gram matrix, in M_n(N) with the norms of M_n(M), as
 (n, n, m_i, m_i) arrays of coefficients in N's matrix units, and the support as
-blocks in M1, where an element has the norm of its largest block.  Both are
-Hermitian, so every flag reads eigenvalues, one eigvalsh of each per group for both
-sides: no product x_i* x_j, no D x D operator and no singular value.  A prescribed support
+blocks in M1, where an element has the norm of its largest block.  Both are Hermitian, and G = C C* and the
+support C* C share their nonzero eigenvalues, so every flag reads one eigvalsh per group for both sides, of
+the smaller: no product x_i* x_j, no D x D operator and no singular value.  A prescribed support
 (``construct_system_with_support``) is given by its blocks, and the family is pushed down by one
-``BasicConstruction.pushdown`` call per 2**18 entries; completion pushes the complement's down the same way and
-classifies the extended family once.  Classification builds no basic construction (a ``bc`` passed in is
+``BasicConstruction.pushdown`` call per 2**18 entries; completion pushes the complement's down the same way
+and classifies the extended family once.  Classification builds no basic construction (a ``bc`` passed in is
 kept for completion).  ``require_basis`` is the one basis check of the regular chain and interchange.
 """
 
@@ -115,19 +115,20 @@ def classify(elements, sub, side="two-sided", bc=None, tol=EPS_FLAG):
 
 def _gram_residuals(grams, norms, supports, m1):
     """Per side, (S,) arrays from ``_grams`` and M1's ``support``, both sides at once per group: the projection residual
-    and 1 + norm of the Gram matrix G from one eigvalsh (max |l^2 - l|, next to ||i(G - G*)||, and max |l|), the largest
-    norms of the off-diagonal entries, of q^2 - q or q - q* and of q - 1 for the diagonal entries q, and
-    ||support - 1|| from one eigvalsh."""
+    and 1 + norm of G (max |l^2 - l|, next to ||i(G - G*)||, and max |l|), the largest norms of the off-diagonal
+    entries, of q^2 - q or q - q* and of q - 1 for the diagonal entries q, and ||support - 1||, for the eigenvalues l of
+    the smaller of G = C C* and the support C* C: G's extra zeros add 0 to the first two, the support's 1 to the last."""
     res = norm = basis = diag = 0.0
     for (mat, view), sup, t in zip(grams, supports, m1._traces):
         n, m = view.shape[2], view.shape[-1]
         q = view[:, :, np.arange(n), np.arange(n)]  # (S, g, n, m, m)
         diag = diag + _weighted_norms(np.stack([q @ q - q, q - q.conj().swapaxes(-1, -2), q - np.eye(m)], 2), t)
-        vals, defect = linalg.eigvalsh(mat).reshape(len(mat), -1), 1j * (mat - mat.conj().swapaxes(-1, -2))
+        vals = linalg.eigvalsh(mat if n * m <= sup.shape[-1] else sup).reshape(len(mat), -1)
+        defect = 1j * (mat - mat.conj().swapaxes(-1, -2))
         herm = np.abs(linalg.eigvalsh(defect)).reshape(len(mat), -1).max(axis=1) if np.any(defect) else 0.0
         res = np.maximum(res, np.maximum(np.abs(vals * vals - vals).max(axis=1), herm))
         norm = np.maximum(norm, np.abs(vals).max(axis=1))
-        basis = np.maximum(basis, np.abs(linalg.eigvalsh(sup) - 1.0).reshape(len(mat), -1).max(axis=1))
+        basis = np.maximum(basis, np.abs(vals - 1.0).max(axis=1, initial=float(n * m < sup.shape[-1])))
     off, diag = norms[:, ~np.eye(norms.shape[-1], dtype=bool)].max(axis=1, initial=0.0), np.sqrt(diag)
     return res, 1.0 + norm, off, diag[:, :2].max(axis=(1, 2)), diag[:, 2].max(axis=1), basis
 

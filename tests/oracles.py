@@ -11,7 +11,10 @@ L_x e1, and compute the Markov extension from a Gram system over M's matrix unit
 Dense and O(D^4) or worse; small models only.  The Gram projection test and the
 unitarity defects are also measured through singular values, the route that the
 library's eigenvalues of these Hermitian matrices replaced.  ``pushdown`` is the
-per-element route the library's batched pushdown replaced.  The dense left and right
+per-element route the library's batched pushdown replaced, ``two_solve_gram_residuals``
+the Gram and support tests with one eigvalsh of each where the library shares one
+spectrum, and ``interchange_operator`` and ``interchange_pair`` the route of one element
+product per pair and one pass per operator that the library's stacked pass replaced.  The dense left and right
 actions of M on its GNS space, N's units as a nested list, the coefficients of an
 element of N in them and the SVD rank are here too: no path of the library uses them.
 """
@@ -21,6 +24,7 @@ import functools
 import numpy as np
 
 from ppbasis import MultiMatrixAlgebra, Subalgebra, linalg
+from ppbasis.systems import _rows, _weighted_norms, require_basis
 
 
 def left_op(alg, x):
@@ -260,3 +264,39 @@ def pushdown(bc, v):
     lift = wd.per_block(wd.support([r[:, :1] for r in rows], [r[:, 1:] for r in rows]))
     assert linalg.block_norm([a - c for a, c in zip(lift, v)]) <= linalg.EPS_FLAG * scale
     return bc.amb.unvec(x[:, 0])
+
+
+def two_solve_gram_residuals(grams, norms, supports, m1):
+    """``systems._gram_residuals`` with one eigvalsh of the Gram matrix G and one of the support per group: the
+    projection residual and 1 + norm of G (max |l^2 - l|, next to ||i(G - G*)||, and max |l|), the diagonal and
+    off-diagonal entry norms, and ||support - 1|| from the support's own eigenvalues."""
+    res = norm = basis = diag = 0.0
+    for (mat, view), sup, t in zip(grams, supports, m1._traces):
+        n, m = view.shape[2], view.shape[-1]
+        q = view[:, :, np.arange(n), np.arange(n)]  # (S, g, n, m, m)
+        diag = diag + _weighted_norms(np.stack([q @ q - q, q - q.conj().swapaxes(-1, -2), q - np.eye(m)], 2), t)
+        vals, defect = linalg.eigvalsh(mat).reshape(len(mat), -1), 1j * (mat - mat.conj().swapaxes(-1, -2))
+        herm = np.abs(linalg.eigvalsh(defect)).reshape(len(mat), -1).max(axis=1) if np.any(defect) else 0.0
+        res = np.maximum(res, np.maximum(np.abs(vals * vals - vals).max(axis=1), herm))
+        norm = np.maximum(norm, np.abs(vals).max(axis=1))
+        basis = np.maximum(basis, np.abs(linalg.eigvalsh(sup) - 1.0).reshape(len(mat), -1).max(axis=1))
+    off, diag = norms[:, ~np.eye(norms.shape[-1], dtype=bool)].max(axis=1, initial=0.0), np.sqrt(diag)
+    return res, 1.0 + norm, off, diag[:, :2].max(axis=(1, 2)), diag[:, 2].max(axis=1), basis
+
+
+def interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol=linalg.EPS_FLAG, check=True):
+    """p(P, Q) from one element product lambda_i * mu_j per pair, its own ``_rows`` pass and support, and one
+    ``from_abstract``; with ``check`` both bases are checked first, as in the library."""
+    if check:
+        for mid, basis, label in ((p_sub, basis_p, "first"), (q_sub, basis_q, "second")):
+            require_basis(basis, bc.sub, mid, side="right", tol=tol, label=label)
+    m1, products = bc.m1_wedd, bc.amb.stacked([lam * mu for lam in basis_p for mu in basis_q])
+    return m1.from_abstract(m1.per_block([s[0] for s in m1.support(_rows(products, bc.sub, ("right",)))]))
+
+
+def interchange_pair(p_sub, basis_p, q_sub, basis_q, bc, tol=linalg.EPS_FLAG):
+    """(p(P, Q), p(Q, P), ||J p(P, Q) J - p(Q, P)||) from two ``interchange_operator`` passes, the bases
+    checked once."""
+    pq = interchange_operator(p_sub, basis_p, q_sub, basis_q, bc, tol)
+    qp = interchange_operator(q_sub, basis_q, p_sub, basis_p, bc, tol, check=False)
+    return pq, qp, linalg.operator_norm(bc.amb.sandwich_j(pq) - qp)

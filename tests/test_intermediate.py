@@ -10,8 +10,11 @@ from ppbasis import (
     intermediate_projection,
     is_commuting_square,
 )
-from ppbasis import linalg, models
+from ppbasis import intermediate, linalg, models
+from ppbasis.algebra import AlgebraElement
+from ppbasis.basic import M1Wedderburn
 from ppbasis.errors import InvalidInput, NotABasis, NotIntermediate
+import oracles
 from oracles import e1_matrix, to_abstract
 
 
@@ -119,6 +122,9 @@ def test_interchange_checks_bases():
     with pytest.raises(NotABasis):
         # elements outside the claimed intermediate algebra
         interchange_operator(q.p_sub, q.bases_q[1], q.q_sub, q.bases_q[0], bc)
+    for basis_p, basis_q in (((), ()), ((), q.bases_q[0]), (q.bases_p[0], ())):  # unchecked, no products
+        with pytest.raises(InvalidInput):
+            interchange_operator(q.p_sub, basis_p, q.q_sub, basis_q, bc, check=False)
 
 
 def test_commuting_square_flags():
@@ -147,3 +153,45 @@ def test_trivial_intermediate_cases():
     one = [mp.ambient.identity()]
     p = interchange_operator(mp.sub, one, mp.sub, one, bc)
     assert linalg.operator_norm(p - e1_matrix(bc)) < 1e-12
+
+
+def _m5_masa():
+    """The diagonal and the Fourier MASA of M5 over the scalars, with the bases sqrt(5) e_ii and the shifts S^j."""
+    m5 = models.scalar_in_full(5)
+    amb, shift = m5.ambient, np.roll(np.eye(5), 1, axis=0)
+    units = [amb.unit(0, i, i) for i in range(5)]
+    shifts = [amb.element([np.linalg.matrix_power(shift, j)]) for j in range(5)]
+    diag, fourier = Subalgebra.span(amb, units, check=False), Subalgebra.span(amb, shifts, check=False)
+    return BasicConstruction(m5.sub), diag, tuple(np.sqrt(5.0) * e for e in units), fourier, tuple(shifts)
+
+
+def _interchange_cases():
+    q, d = models.masa_quadruple(), models.degenerate_quadruple()
+    return {"masa": (BasicConstruction(q.n_sub), q.p_sub, q.bases_p[0], q.q_sub, q.bases_q[0]),
+            "degenerate": (BasicConstruction(d.n_sub), d.p_sub, d.bases_p[0], d.q_sub, d.bases_q[0]),
+            "m5-masa": _m5_masa()}
+
+
+@pytest.mark.parametrize("name", ["masa", "degenerate", "m5-masa"])
+def test_interchange_pair_matches_the_per_pair_oracle(name):
+    # both orders of the products from one stacked pass against one element product per pair and one pass per order
+    bc, p_sub, basis_p, q_sub, basis_q = _interchange_cases()[name]
+    got = interchange_pair(p_sub, basis_p, q_sub, basis_q, bc)
+    want = oracles.interchange_pair(p_sub, basis_p, q_sub, basis_q, bc)
+    for g, w in zip(got, want):
+        assert np.abs(np.asarray(g) - w).max() <= 1e-12
+    one = interchange_operator(p_sub, basis_p, q_sub, basis_q, bc)
+    assert np.abs(one - oracles.interchange_operator(p_sub, basis_p, q_sub, basis_q, bc)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["masa", "m5-masa"])
+def test_interchange_pair_is_one_pass(monkeypatch, name):
+    # both operators: one rows pass of both product families, one apply of both M1 operators, and no element
+    # product per pair; one interchange_operator call per order made two of each and 2 |P| |Q| products
+    bc, p_sub, basis_p, q_sub, basis_q = _interchange_cases()[name]
+    calls, rows, apply, mul = [], intermediate._rows, M1Wedderburn.apply, AlgebraElement.__mul__
+    monkeypatch.setattr(intermediate, "_rows", lambda *a: calls.append("rows") or rows(*a))
+    monkeypatch.setattr(M1Wedderburn, "apply", lambda self, *a: calls.append("apply") or apply(self, *a))
+    monkeypatch.setattr(AlgebraElement, "__mul__", lambda self, other: calls.append("mul") or mul(self, other))
+    pq, qp, _ = interchange_pair(p_sub, basis_p, q_sub, basis_q, bc)
+    assert sorted(calls) == ["apply", "rows"] and pq.shape == qp.shape == (bc.amb.gns_dim,) * 2

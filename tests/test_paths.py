@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ppbasis import BratteliDiagram, PathModel, Subalgebra, classify, markov_trace, scalar_basis
-from ppbasis import algebra, linalg, models
+from ppbasis import MultiMatrixAlgebra, algebra, linalg, models, scenarios
 from ppbasis.errors import (
     InvalidInput,
     InvalidPathPair,
@@ -206,3 +206,20 @@ def test_markov_through_diagram():
     assert abs(markov_trace(d.inclusion, d.middle_dims).beta - 2.0) < 1e-12
     d2 = BratteliDiagram((1,), [[1, 1]])
     assert abs(markov_trace(d2.inclusion, d2.middle_dims).beta - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("dims, inclusion", [((1,), [[2]]), ((1, 2), [[1], [1]]), ((2,), [[3]]),
+                                             ((1, 2), [[2, 1], [1, 1]]), ((3,), [[1, 1]]), ((2, 1), [[2, 1], [1, 0]])])
+def test_path_basis_reads_the_j_projections_as_columns(monkeypatch, dims, inclusion):
+    # the path_basis task reads each averaged projection (1/m_p) sum of the middle units at p as one GNS column and
+    # their squares from one products pass: the residual is the element route's through j_projection, to rounding
+    pm = PathModel(models.explicit_pair(dims, inclusion).embedding)
+    jps = [pm.j_projection(p) for p in range(len(dims))]
+    want = max(max((jp * jp - jp).norm(), (jp - jp.adjoint()).norm()) for jp in jps)
+    calls, products = [], MultiMatrixAlgebra.products
+    monkeypatch.setattr(MultiMatrixAlgebra, "products", lambda amb, a, b: calls.append(a.shape) or products(amb, a, b))
+    monkeypatch.setattr(PathModel, "j_projection", None)
+    model = {"kind": "path", "middle_dims": list(dims), "inclusion": inclusion}
+    report, _ = scenarios.run_scenario_dict({"model": model, "tasks": [{"task": "path_basis"}]})
+    got = report["results"][0]["numbers"]["j_projection_residual"]
+    assert calls == [(pm.bottom.gns_dim, len(dims))] and abs(got - want) <= 1e-15 and got <= 1e-15

@@ -768,6 +768,45 @@ def test_pipeline_stacks_the_inner_basis_once(monkeypatch):
     assert "inner_stacks" in vars(wd) and not any(a.flags.writeable for a in wd.inner_stacks)
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: models.group_algebra_pair(GroupTable.cyclic(4), [0]), models.two_block_over_factor,
+              lambda: _block_swap_pair(2)], ids=["z4-over-e", "m2-in-m2+m2", "swap-in-m4"])
+def test_pipeline_reads_the_patched_products_from_their_blocks(monkeypatch, build):
+    # R != N: the products mu * lam are formed stacked, and their classification and Watatani index read those
+    # stacks; they are unstacked once, for the report, and never stacked again
+    mp = build()
+    seen, original = [], MultiMatrixAlgebra.stacked
+    monkeypatch.setattr(MultiMatrixAlgebra, "stacked", lambda self, xs: seen.append(tuple(xs)) or original(self, xs))
+    rep = regular_pipeline(mp.sub, candidates=mp.candidates)
+    assert rep.flags["patched_basis_two_sided"] and len(rep.patched.elements) > len(rep.reps)
+    patched = {id(x) for x in rep.patched.elements}
+    assert not any(id(x) in patched for family in seen for x in family)
+    monkeypatch.undo()  # the public routes, which stack the elements, give the same numbers
+    sys, wat = classify(rep.patched.elements, mp.sub), basic.watatani_index(rep.patched.elements)
+    assert sys.flags == rep.patched.flags and sys.residuals == rep.patched.residuals
+    assert (wat.scalar, wat.is_central) == (rep.watatani.scalar, rep.watatani.is_central)
+    assert all(np.array_equal(a, b) for a, b in zip(wat.element.blocks, rep.watatani.element.blocks))
+
+
+def test_automorphism_checks_given_unitaries_once_per_block_size(monkeypatch):
+    # the identity is unitary by construction and takes no check; given unitaries take one stacked check per
+    # block size, and NotUnitary names the first failing block in block order
+    calls, original = [], regular._unitarity_residuals
+    monkeypatch.setattr(regular, "_unitarity_residuals", lambda us: calls.append(len(us[0])) or original(us))
+    alg = MultiMatrixAlgebra((2, 1, 2, 1), (0.2, 0.1, 0.2, 0.1))
+    assert Automorphism(alg).unitaries[0].dtype == complex and Automorphism.identity(alg).perm == (0, 1, 2, 3)
+    assert calls == []
+    rot = linalg.random_unitary(2, linalg.rng_from_seed(3))
+    auto = Automorphism(alg, perm=(2, 3, 0, 1), unitaries=[rot, [[1j]], rot.T, [[-1.0]]])
+    assert calls == [2, 2] and auto.apply(alg.identity()).allclose(alg.identity())
+    for units, block in (([rot, [[1.0]], 2 * rot, [[2.0]]], 2), ([rot, [[2.0]], 2 * rot, [[1.0]]], 1)):
+        with pytest.raises(NotUnitary, match="block %d " % block):
+            Automorphism(alg, unitaries=units)
+    for units in ([rot], [rot, [[1.0]], rot, [[1.0]], [[1.0]]], [rot, [[1.0]], [[1.0]], [[1.0]]]):
+        with pytest.raises(NotAnAction):
+            Automorphism(alg, unitaries=units)
+
+
 def test_pipeline_records_rejected_candidates():
     mp = models.diagonal_in_matrix(3)
     u = mp.ambient.element([linalg.random_unitary(3, linalg.rng_from_seed(4))])

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from ppbasis import (
     scalar_basis,
     watatani_index,
 )
-from ppbasis import linalg, models
+from ppbasis import linalg, models, systems
 from ppbasis.algebra import _unitarity_residuals
 from ppbasis.errors import (
     InfeasibleSupport,
@@ -677,3 +679,47 @@ def test_m1_paths_make_no_product_pass(monkeypatch, name):
     full = construct_system_with_support([np.eye(k) for k in bc.m1_wedd.block_dims], bc)
     start = construct_system_with_support(bc.e1, bc)
     assert full.flags["basis"] and complete_to_basis(start, bc).flags["basis"]
+
+
+# -- one spectrum per block group ------------------------------------------------
+# G = C C* and the support C* C have the same nonzero eigenvalues, so the library solves the smaller of the
+# two per group of M1's blocks; the oracle solves both, as the library did before.
+
+
+@settings(max_examples=10)
+@given(connected_pairs())
+def test_drawn_shared_spectrum_matches_two_solve_oracle(mp):
+    # family sizes n with n m < k, n m = k and n m > k for each group of M1's blocks of shape (m, k), both sides
+    # at once; the families mix the scalar basis (flags vary) with random elements
+    rng, amb, m1 = linalg.rng_from_seed(0), mp.ambient, mp.sub.wedderburn_data().m1
+    pool = tuple(scalar_basis(amb)) + tuple(amb.random_element(rng) for _ in range(max(m1.block_dims) + 1))
+    sizes = {int(n) for _, m, k, *_ in m1._groups for n in (-(-k // m) - 1, k / m, k // m + 1) if n == int(n) > 0}
+    seen = {(m, k): set() for _, m, k, *_ in m1._groups}
+    for family in [f for n in sorted(sizes) for f in (pool[:n], pool[-n:])]:
+        for m, k in seen:
+            seen[m, k].add(int(np.sign(len(family) * m - k)))
+        got = classify(family, mp.sub, side="two-sided")
+        with patch.object(systems, "_gram_residuals", oracles.two_solve_gram_residuals):
+            want = classify(family, mp.sub, side="two-sided")
+        assert got.flags == want.flags
+        assert got.residuals.keys() == want.residuals.keys()
+        for key, val in want.residuals.items():
+            assert abs(got.residuals[key] - val) <= 1e-12, (len(family), key)
+    for (m, k), signs in seen.items():
+        assert signs >= {1} | ({-1} if k > m else set()) | ({0} if k % m == 0 else set())
+
+
+def test_gram_and_support_tests_share_one_eigvalsh_per_group(monkeypatch):
+    # one eigvalsh per group of M1's blocks for both tests of both sides, and the Hermitian defect's solve only
+    # where that defect is nonzero; two eigvalsh per group (one of G, one of the support) made twice as many
+    calls, eigvalsh = [], linalg.eigvalsh
+    monkeypatch.setattr(linalg, "eigvalsh", lambda h: calls.append(h.shape) or eigvalsh(h))
+    for name in ("m5-scalar", "z4-over-z2-unitaries", "c+m2-in-m3-random", "c+m2+c-in-m4-random"):
+        sub, family = ORACLE_FAMILIES[name]
+        m1 = sub.wedderburn_data().m1
+        rows = _rows(sub.ambient.stacked(tuple(family)), sub, ("right", "left"))
+        (grams, norms), supports = _grams(rows, m1), m1.support(rows)
+        defects = sum(bool(np.any(g - g.conj().swapaxes(-1, -2))) for g, _ in grams)
+        calls.clear()
+        _gram_residuals(grams, norms, supports, m1)
+        assert len(calls) == len(m1._groups) + defects, name
